@@ -3,8 +3,6 @@
 Exit status: 0 on success, 1 when a check reports violations (the report
 is still emitted), 2 on input errors.  All randomness is controlled by
 ``--seed``, so identical inputs and seed give byte-identical reports.
-The ``CTXLAB_THREADS`` environment variable sizes internal worker pools
-where an operation parallelizes.
 """
 
 from __future__ import annotations
@@ -37,14 +35,13 @@ class RunConfig:
     tolerance: float = 1e-9
     seed: int = 0
     output: str = "json"
-    threads: int = 1
     caps: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.tolerance <= 1e-3:
             raise InputError("tolerance must lie in (0, 1e-3]")
-        if self.threads < 1 or any(v <= 0 for v in self.caps.values()):
-            raise InputError("caps and thread count must be positive")
+        if any(v <= 0 for v in self.caps.values()):
+            raise InputError("caps must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +282,7 @@ def cmd_gft_ccr(config: RunConfig) -> int:
         )
         for _ in range(args.trials)
     ]
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            defects = list(pool.map(lambda p: gft.ccr_defect(p[0], p[1], fock), pairs))
-    else:
-        defects = [gft.ccr_defect(f, g, fock) for f, g in pairs]
+    defects = [gft.ccr_defect(f, g, fock) for f, g in pairs]
     worst = max(defects) if defects else 0.0
     report = {
         "m": args.m,
@@ -479,17 +470,12 @@ def main(argv: list | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            threads = int(os.environ.get("CTXLAB_THREADS", "1"))
-        except ValueError as exc:
-            raise InputError(f"CTXLAB_THREADS must be an integer: {exc}") from exc
         config = RunConfig(
             subcommand=args.subcommand,
             args=args,
             tolerance=args.tolerance,
             seed=args.seed,
             output=args.output,
-            threads=threads,
             caps={"carrier": args.carrier_cap, "signs": args.sign_cap, "apex": args.apex_bound},
         )
         return args.func(config)

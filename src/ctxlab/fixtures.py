@@ -24,7 +24,7 @@ import numpy as np
 from .ctxext import build_limit_extension, spectrum_diagram
 from .fincat import Cone, Diagram, FinCategory, limit_of_diagram
 from .gft import PolyhedronSpace, second_quantization_cone
-from .locnet import pauli_string
+from .locnet import PAULI, pauli_string
 from .staralg import (
     context_category,
     dominating_character_index,
@@ -32,9 +32,6 @@ from .staralg import (
     gelfand_spectrum,
     generate_algebra,
 )
-
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @dataclass
@@ -65,9 +62,9 @@ def extension_triangle_fixture(corrupted: bool = False) -> ConeFixture:
     """
     ambient = full_matrix_algebra(4)
     seeds = [
-        np.kron(_Z, np.eye(2)),
-        np.kron(np.eye(2), _Z),
-        np.kron(_X, np.eye(2)),
+        np.kron(PAULI["Z"], np.eye(2)),
+        np.kron(np.eye(2), PAULI["Z"]),
+        np.kron(PAULI["X"], np.eye(2)),
     ]
     cc = context_category(ambient, seeds)
     ext = build_limit_extension(cc)
@@ -210,8 +207,8 @@ def spectrum_coarsening_fixture(corrupted: bool = False) -> ConeFixture:
     One leg is the identity, the other is a section of the restriction
     map; the corrupted variant picks an incompatible section value.
     """
-    coarse = generate_algebra([np.kron(_Z, np.eye(2))], 4)
-    fine = generate_algebra([np.kron(_Z, np.eye(2)), np.kron(np.eye(2), _Z)], 4)
+    coarse = generate_algebra([np.kron(PAULI["Z"], np.eye(2))], 4)
+    fine = generate_algebra([np.kron(PAULI["Z"], np.eye(2)), np.kron(np.eye(2), PAULI["Z"])], 4)
     chars_coarse = gelfand_spectrum(coarse)
     chars_fine = gelfand_spectrum(fine)
     res = {i: dominating_character_index(chi, chars_coarse) for i, chi in enumerate(chars_fine)}

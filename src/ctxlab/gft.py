@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError, InputError
 from .fincat import Cone, Diagram, FinCategory, check_cone
@@ -131,16 +130,21 @@ class TruncatedFock:
         v[self.index[(0,) * self.modes]] = 1.0
         return v
 
-    def annihilator(self, mode: int) -> np.ndarray:
-        """Standard ladder matrix: a |..n..> = sqrt(n) |..n-1..>."""
+    def annihilator(self, mode: int):
+        """Standard ladder matrix, sparse CSR: a |..n..> = sqrt(n) |..n-1..>."""
         if mode not in self._ladders:
-            a = np.zeros((self.dim, self.dim), dtype=complex)
+            from scipy.sparse import csr_array
+
+            rows, cols, vals = [], [], []
             for occ, col in self.index.items():
                 if occ[mode] == 0:
                     continue
-                lowered = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1 :]
-                a[self.index[lowered], col] = np.sqrt(occ[mode])
-            self._ladders[mode] = a
+                rows.append(self.index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1 :]])
+                cols.append(col)
+                vals.append(np.sqrt(occ[mode]))
+            self._ladders[mode] = csr_array(
+                (np.array(vals, dtype=complex), (rows, cols)), shape=(self.dim, self.dim)
+            )
         return self._ladders[mode]
 
     def sector_mask(self, max_total: int) -> np.ndarray:
@@ -151,14 +155,9 @@ def fock_for(space: PolyhedronSpace, n_max: int, copies: int = 1) -> TruncatedFo
     return TruncatedFock(modes=copies * space.size, n_max=n_max, mode_weight=space.haar)
 
 
-def compressed_opnorm(matrix: np.ndarray, mask: np.ndarray) -> float:
-    sub = matrix[np.ix_(mask, mask)]
-    return opnorm(sub)
-
-
 @dataclass
 class FieldOperator:
-    matrix: np.ndarray
+    matrix: object  # scipy.sparse CSR array
     test_function: np.ndarray
     fock: TruncatedFock
 
@@ -177,9 +176,11 @@ def field_operator(f, fock: TruncatedFock) -> FieldOperator:
     commutator with a conjugate field gives the weighted inner product on
     every sector below the cutoff.  Annihilates the vacuum.
     """
+    from scipy.sparse import csr_array
+
     fv = _coerce_fn(f, fock.modes)
     w = np.sqrt(fock.mode_weight)
-    mat = np.zeros((fock.dim, fock.dim), dtype=complex)
+    mat = csr_array((fock.dim, fock.dim), dtype=complex)
     for mode in range(fock.modes):
         if fv[mode] != 0:
             mat = mat + w * fv[mode] * fock.annihilator(mode)
@@ -194,43 +195,70 @@ def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
     """
     if fock.n_max == 0:
         raise DomainError("no sector below the cutoff to test")
+    keep = np.flatnonzero(fock.sector_mask(fock.n_max - guard))
     a = field_operator(f, fock).matrix
     b = field_operator(fp, fock).matrix
     ip = weighted_inner(f, fp, fock.mode_weight)
-    c = a @ dagger(b) - dagger(b) @ a - ip * np.eye(fock.dim)
-    return compressed_opnorm(c, fock.sector_mask(fock.n_max - guard))
+    block = (a @ dagger(b) - dagger(b) @ a)[keep][:, keep].toarray()
+    return opnorm(block - ip * np.eye(keep.size))
+
+
+def _weyl_generator(fv: np.ndarray, fock: TruncatedFock):
+    """i/sqrt(2) (field(f) + field(f)*) as a sparse matrix."""
+    psi = field_operator(fv, fock).matrix
+    return 1j / np.sqrt(2.0) * (psi + dagger(psi))
 
 
 def weyl_element(f, fock: TruncatedFock) -> WeylElement:
     """exp(i/sqrt(2) (field(f) + field(f)*)): unitary on the whole truncation."""
-    psi = field_operator(f, fock).matrix
-    return WeylElement(expm(1j / np.sqrt(2.0) * (psi + dagger(psi))), _coerce_fn(f, fock.modes), fock)
+    from scipy.linalg import expm
+
+    fv = _coerce_fn(f, fock.modes)
+    return WeylElement(expm(_weyl_generator(fv, fock).toarray()), fv, fock)
+
+
+def _sector_columns(fock: TruncatedFock, sector_cap: int) -> tuple:
+    """Indices of the sector <= sector_cap and the identity's columns there."""
+    if sector_cap >= fock.n_max:
+        raise DomainError("sector cap must stay below the occupation cutoff")
+    keep = np.flatnonzero(fock.sector_mask(sector_cap))
+    cols = np.zeros((fock.dim, keep.size), dtype=complex)
+    cols[keep, np.arange(keep.size)] = 1.0
+    return keep, cols
+
+
+def _weyl_apply(fv: np.ndarray, fock: TruncatedFock, cols: np.ndarray) -> np.ndarray:
+    """W(f) @ cols by ``expm_multiply`` of the sparse generator."""
+    from scipy.sparse.linalg import expm_multiply
+
+    return expm_multiply(_weyl_generator(fv, fock), cols)
 
 
 def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
     """Compressed norm of W(f) W(fp) - phase * W(f + fp).
 
     The phase is exp(-i Im(f, fp) / 2); the defect shrinks toward zero as
-    the occupation cutoff grows at fixed arguments and sector cap.
+    the occupation cutoff grows at fixed arguments and sector cap.  Both
+    sides act on the sector's columns only: W(f) (W(fp) P) and W(f + fp) P,
+    whose rows in the sector form the compressed difference.
     """
-    if sector_cap >= fock.n_max:
-        raise DomainError("sector cap must stay below the occupation cutoff")
+    keep, cols = _sector_columns(fock, sector_cap)
     fv = _coerce_fn(f, fock.modes)
     gv = _coerce_fn(fp, fock.modes)
-    wf = weyl_element(fv, fock).matrix
-    wg = weyl_element(gv, fock).matrix
-    wsum = weyl_element(fv + gv, fock).matrix
     phase = np.exp(-0.5j * weighted_inner(fv, gv, fock.mode_weight).imag)
-    return compressed_opnorm(wf @ wg - phase * wsum, fock.sector_mask(sector_cap))
+    lhs = _weyl_apply(fv, fock, _weyl_apply(gv, fock, cols))
+    rhs = _weyl_apply(fv + gv, fock, cols)
+    return opnorm((lhs - phase * rhs)[keep])
 
 
 def weyl_commutator_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
-    """Compressed norm of W(f) W(fp) - W(fp) W(f)."""
-    if sector_cap >= fock.n_max:
-        raise DomainError("sector cap must stay below the occupation cutoff")
-    wf = weyl_element(f, fock).matrix
-    wg = weyl_element(fp, fock).matrix
-    return compressed_opnorm(wf @ wg - wg @ wf, fock.sector_mask(sector_cap))
+    """Compressed norm of W(f) W(fp) - W(fp) W(f), on the sector's columns."""
+    keep, cols = _sector_columns(fock, sector_cap)
+    fv = _coerce_fn(f, fock.modes)
+    gv = _coerce_fn(fp, fock.modes)
+    lhs = _weyl_apply(fv, fock, _weyl_apply(gv, fock, cols))
+    rhs = _weyl_apply(gv, fock, _weyl_apply(fv, fock, cols))
+    return opnorm((lhs - rhs)[keep])
 
 
 def is_gft_context(fs: list, space: PolyhedronSpace, tol: float = 1e-10) -> bool:

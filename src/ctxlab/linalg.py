@@ -35,11 +35,6 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def frobenius_ip(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a† b)."""
-    return complex(np.vdot(a, b))
-
-
 def is_selfadjoint(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return opnorm(m - dagger(m)) <= tol
 
@@ -133,9 +128,3 @@ def spans_equal(
 def projector_leq(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """p <= q for projections, i.e. q p = p."""
     return opnorm(q @ p - p) <= tol
-
-
-def psd_within(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Self-adjoint ``m`` is positive semidefinite up to ``tol``."""
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-    return bool(w.min() >= -tol) if w.size else True

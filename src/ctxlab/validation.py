@@ -31,10 +31,6 @@ class ValidationReport:
     def add(self, kind: str, message: str) -> None:
         self.violations.append(Violation(kind, message))
 
-    def merge(self, other: "ValidationReport") -> "ValidationReport":
-        self.violations.extend(other.violations)
-        return self
-
     def kinds(self) -> list[str]:
         return [v.kind for v in self.violations]
 

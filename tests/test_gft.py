@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ctxlab.errors import DomainError, InputError
 from ctxlab.fincat import check_cone, check_diagram
@@ -28,6 +29,28 @@ def random_fn(rng, space=SPACE, norm=None):
     if norm is not None:
         f *= norm / np.sqrt(abs(inner_product(f, f, space)))
     return f
+
+
+def dense_field(f, fock):
+    """Dense smeared annihilator from the sqrt-occupation rule."""
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    w = np.sqrt(fock.mode_weight)
+    for occ, col in fock.index.items():
+        for mode, n in enumerate(occ):
+            if n:
+                lowered = occ[:mode] + (n - 1,) + occ[mode + 1 :]
+                out[fock.index[lowered], col] += w * f[mode] * np.sqrt(n)
+    return out
+
+
+def dense_weyl(f, fock):
+    psi = dense_field(f, fock)
+    return expm(1j / np.sqrt(2.0) * (psi + psi.conj().T))
+
+
+def sector_norm(matrix, fock, max_total):
+    mask = fock.sector_mask(max_total)
+    return np.linalg.norm(matrix[np.ix_(mask, mask)], 2)
 
 
 class TestModeSpace:
@@ -90,7 +113,7 @@ class TestFockSpace:
 
     def test_vacuum_is_the_whole_annihilator_kernel(self):
         fock = fock_for(SPACE, 2)
-        stack = np.vstack([fock.annihilator(m) for m in range(fock.modes)])
+        stack = np.vstack([fock.annihilator(m).toarray() for m in range(fock.modes)])
         _, s, vh = np.linalg.svd(stack)
         kernel_dim = sum(1 for x in s if x < 1e-12) + (vh.shape[0] - len(s))
         assert kernel_dim == 1
@@ -114,6 +137,20 @@ class TestCCR:
     def test_orthogonal_smearings_still_exact(self):
         fock = fock_for(SPACE, 2)
         assert ccr_defect(SPACE.delta((0, 0)), SPACE.delta((1, 1)), fock) < 1e-12
+
+    @pytest.mark.parametrize("m, n, n_max", [(2, 2, 1), (2, 2, 4), (2, 2, 5), (3, 2, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_defect_matches_dense_reference(self, m, n, n_max, seed):
+        space = PolyhedronSpace(m, n)
+        fock = fock_for(space, n_max)
+        rng = np.random.default_rng(seed)
+        f, g = random_fn(rng, space), random_fn(rng, space)
+        a, b = dense_field(f, fock), dense_field(g, fock)
+        comm = a @ b.conj().T - b.conj().T @ a - weighted_inner(f, g, space.haar) * np.eye(fock.dim)
+        for guard in (0, 1):
+            dense = sector_norm(comm, fock, n_max - guard)
+            assert abs(ccr_defect(f, g, fock, guard=guard) - dense) < 1e-13
+        assert ccr_defect(f, g, fock, guard=0) > 1e-3
 
     def test_no_guarded_sector_rejected(self):
         fock = fock_for(SPACE, 0)
@@ -168,6 +205,21 @@ class TestWeyl:
             weyl_relation_defect(f, g, fock_for(SPACE, n_max), 1) for n_max in (2, 3, 4, 5)
         ]
         assert all(a > b for a, b in zip(defects, defects[1:]))
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("norm", [0.4, 1.0, 2.0])
+    def test_column_defects_match_dense_expm(self, n_max, norm):
+        fock = fock_for(SPACE, n_max)
+        rng = np.random.default_rng(10 * n_max + int(10 * norm))
+        f, g = random_fn(rng, norm=norm), random_fn(rng, norm=norm)
+        assert abs(inner_product(f, g, SPACE).imag) > 1e-3  # a complex pair
+        wf, wg, wsum = dense_weyl(f, fock), dense_weyl(g, fock), dense_weyl(f + g, fock)
+        phase = np.exp(-0.5j * inner_product(f, g, SPACE).imag)
+        for cap in sorted({0, 1, n_max - 1}):
+            relation = sector_norm(wf @ wg - phase * wsum, fock, cap)
+            commutator = sector_norm(wf @ wg - wg @ wf, fock, cap)
+            assert abs(weyl_relation_defect(f, g, fock, cap) - relation) < 1e-12
+            assert abs(weyl_commutator_defect(f, g, fock, cap) - commutator) < 1e-12
 
     def test_sector_cap_must_sit_below_cutoff(self, rng):
         fock = fock_for(SPACE, 2)

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SX, SZ
+from conftest import SX, SZ, random_unitary
 from ctxlab.errors import DomainError
-from ctxlab.linalg import opnorm
+from ctxlab.linalg import commutator, opnorm
 from ctxlab.locnet import (
     LocalNet,
     Region,
@@ -74,6 +76,79 @@ class TestAxioms:
         bad = LocalNet(2, corrupted, builder=net.builder)
         report = check_locality(bad)
         assert any(v.kind == "net.locality" for v in report.violations)
+
+
+def looped_locality(net):
+    """Violation messages of a per-pair commutator loop, row-major per region pair."""
+    out = []
+    regions = net.regions()
+    for i, left in enumerate(regions):
+        for right in regions[i + 1 :]:
+            if not left.disjoint(right):
+                continue
+            for ai, a in enumerate(net.algebra(left).basis):
+                for bi, b in enumerate(net.algebra(right).basis):
+                    if opnorm(commutator(a, b)) > net.tol:
+                        out.append(
+                            f"[net.locality] basis elements {ai} of {left.label()} "
+                            f"and {bi} of {right.label()} do not commute"
+                        )
+    return out
+
+
+@st.composite
+def pauli_nets(draw):
+    """Nets on 2-4 sites whose region spans are drawn Pauli strings; a leak
+    puts a string on a site outside its region.  A common random unitary
+    conjugation keeps every commutation and makes the entries inexact."""
+    length = draw(st.integers(2, 4))
+    norm = np.sqrt(2**length)
+    seed = draw(st.none() | st.integers(0, 2**16))
+    u = np.eye(2**length) if seed is None else random_unitary(np.random.default_rng(seed), 2**length)
+    assignment = {}
+    for a in range(length):
+        for b in range(a, length):
+            region = Region(a, b)
+            strings = draw(
+                st.lists(
+                    st.dictionaries(st.sampled_from(list(region.sites())), st.sampled_from("XYZ"), min_size=1),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+            if draw(st.booleans()) and length > b - a + 1:
+                outside = [s for s in range(length) if s not in region.sites()]
+                strings.append({draw(st.sampled_from(outside)): draw(st.sampled_from("XYZ"))})
+            basis = [np.eye(2**length, dtype=complex) / norm]
+            basis += [pauli_string(labels, length) / norm for labels in strings]
+            basis = [u @ m @ u.conj().T for m in basis]
+            assignment[region] = MatrixStarAlgebra(2**length, basis)
+    return LocalNet(length, assignment)
+
+
+class TestLocalityOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(pauli_nets())
+    def test_blas_check_matches_pairwise_loop(self, net):
+        assert [str(v) for v in check_locality(net).violations] == looped_locality(net)
+
+    def test_leak_reported_in_loop_order(self):
+        net = standard_net(3)
+        corrupted = dict(net.assignment)
+        corrupted[Region(0, 0)] = MatrixStarAlgebra(8, [pauli_string({2: "X"}, 3) / np.sqrt(8)])
+        bad = LocalNet(3, corrupted)
+        found = [str(v) for v in check_locality(bad).violations]
+        assert found and found == looped_locality(bad)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_batched_bases_equal_kron_chains(self, length):
+        norm = np.sqrt(2**length)
+        for region in standard_net(length).regions():
+            combos = itertools.product("IXYZ", repeat=region.stop - region.start + 1)
+            chains = [pauli_string(dict(zip(region.sites(), c)), length) / norm for c in combos]
+            basis = standard_region_algebra(region, length).basis
+            assert len(basis) == len(chains)
+            assert all(np.array_equal(b, c) for b, c in zip(basis, chains))
 
 
 class TestCompositeContexts:
