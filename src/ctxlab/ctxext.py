@@ -10,6 +10,7 @@ ambient expectation values exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,10 @@ class ProductSpectrum:
 
     def __post_init__(self):
         if not self.component:
+            # points run in itertools.product order: the last context varies fastest
             for pos, cid in enumerate(self.context_ids):
-                self.component[cid] = np.array([pt[pos] for pt in self.points], dtype=int)
+                column = np.repeat(np.arange(self.sizes[pos], dtype=int), math.prod(self.sizes[pos + 1 :]))
+                self.component[cid] = np.tile(column, math.prod(self.sizes[:pos]))
 
     @property
     def size(self) -> int:
@@ -207,10 +210,8 @@ def carrier_to_json(ext: ExtendedAlgebra) -> list:
 
 def state_to_json(mu: ExtendedState) -> dict:
     return {
-        "weights": [float(np.round(w, 14)) for w in mu.weights],
-        "marginals": {
-            cid: [float(np.round(x, 14)) for x in marg] for cid, marg in mu.marginals.items()
-        },
+        "weights": np.round(mu.weights, 14).tolist(),
+        "marginals": {cid: np.round(marg, 14).tolist() for cid, marg in mu.marginals.items()},
     }
 
 

@@ -334,37 +334,81 @@ def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
     return report
 
 
+def solve_constraints(domains: list, arrows: list, limit: int | None = None) -> list[tuple]:
+    """Every choice of one value per variable that satisfies all arrows.
+
+    ``domains[i]`` lists the values of variable ``i`` in the order they are
+    tried, and variables are assigned in index order, so the assignments
+    come out in depth-first order.  An arrow ``(src, dst, table)`` requires
+    ``table.get(value[src]) == value[dst]``; a value missing from the table
+    satisfies nothing.  Forward checking: each assignment prunes the domains
+    of the later variables linked to it, and a value that empties one of
+    them is skipped.  That drops only subtrees without solutions, so the
+    output is the same, in the same order, as plain backtracking's.  The
+    search stops once ``limit`` assignments are found (never before the
+    first).
+    """
+    n = len(domains)
+    doms = [list(dom) for dom in domains]
+    # links[i]: (later variable, table, whether it is the arrow's target)
+    links: list[list] = [[] for _ in range(n)]
+    for src, dst, table in arrows:
+        if src == dst:
+            doms[src] = [x for x in doms[src] if table.get(x) == x]
+        elif src < dst:
+            links[src].append((dst, table, True))
+        else:
+            links[dst].append((src, table, False))
+
+    solutions: list[tuple] = []
+    partial: list = [None] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            solutions.append(tuple(partial))
+            return limit is not None and len(solutions) >= limit
+        for x in doms[i]:
+            saved = []
+            for j, table, to_target in links[i]:
+                saved.append((j, doms[j]))
+                if to_target:
+                    y = table.get(x)
+                    doms[j] = [z for z in doms[j] if y == z]
+                else:
+                    doms[j] = [z for z in doms[j] if table.get(z) == x]
+                if not doms[j]:
+                    break
+            else:
+                partial[i] = x
+                if extend(i + 1):
+                    return True
+            for j, dom in reversed(saved):
+                doms[j] = dom
+        return False
+
+    extend(0)
+    return solutions
+
+
 def limit_of_diagram(d: Diagram) -> Cone:
     """Limit cone: apex = compatible families, legs = component projections.
 
-    Families are tuples ordered like ``d.index.objects``.  Built by
-    backtracking with early pruning on every arrow whose endpoints are both
-    assigned; an empty apex is a valid result.
+    Families are tuples ordered like ``d.index.objects``, found by
+    ``solve_constraints`` with one variable per object in object order and
+    one constraint per non-identity arrow.  Forward checking prunes through
+    the arrow maps, and the families come out in the same depth-first order
+    as plain backtracking over the carriers.  An empty apex is a valid
+    result.
     """
     objects = list(d.index.objects)
     position = {o: i for i, o in enumerate(objects)}
-    morphs = d.index.morphisms()
     idents = set(d.index.identities.values())
-    arrows = [(m, src, dst) for m, (src, dst) in morphs.items() if m not in idents]
-    # arrows become checkable once the later of their endpoints is assigned
-    ready: list[list] = [[] for _ in objects]
-    for m, src, dst in arrows:
-        ready[max(position[src], position[dst])].append((d.map_of(m), position[src], position[dst]))
-
-    families: list[tuple] = []
-    partial: list = [None] * len(objects)
-
-    def extend(i: int) -> None:
-        if i == len(objects):
-            families.append(tuple(partial))
-            return
-        for x in d.carriers[objects[i]]:
-            partial[i] = x
-            if all(table.get(partial[ps]) == partial[pd] for table, ps, pd in ready[i]):
-                extend(i + 1)
-        partial[i] = None
-
-    extend(0)
+    arrows = [
+        (position[src], position[dst], d.map_of(m))
+        for m, (src, dst) in d.index.morphisms().items()
+        if m not in idents
+    ]
+    families = solve_constraints([d.carriers[o] for o in objects], arrows)
     legs = {o: {fam: fam[position[o]] for fam in families} for o in objects}
     return Cone(apex=families, legs=legs)
 

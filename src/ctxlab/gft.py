@@ -180,10 +180,20 @@ def field_operator(f, fock: TruncatedFock) -> FieldOperator:
 
     fv = _coerce_fn(f, fock.modes)
     w = np.sqrt(fock.mode_weight)
-    mat = csr_array((fock.dim, fock.dim), dtype=complex)
+    # the mode ladders have disjoint supports, so the field's entries are
+    # theirs, weighted; one construction replaces a sparse sum per mode
+    rows, cols, vals = [], [], []
     for mode in range(fock.modes):
         if fv[mode] != 0:
-            mat = mat + w * fv[mode] * fock.annihilator(mode)
+            ladder = fock.annihilator(mode)
+            rows.append(np.repeat(np.arange(fock.dim), np.diff(ladder.indptr)))
+            cols.append(ladder.indices)
+            vals.append(ladder.data * (w * fv[mode]))
+    if not vals:
+        return FieldOperator(csr_array((fock.dim, fock.dim), dtype=complex), fv, fock)
+    mat = csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(fock.dim, fock.dim)
+    )
     return FieldOperator(mat, fv, fock)
 
 

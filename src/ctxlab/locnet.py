@@ -123,7 +123,7 @@ class LocalNet:
     assignment: dict
     builder: object = field(default=None, repr=False)
     tol: float = DEFAULT_TOL
-    _references: dict = field(default_factory=dict, repr=False, compare=False)
+    _matches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def regions(self) -> list:
         return sorted(self.assignment.keys())
@@ -131,11 +131,12 @@ class LocalNet:
     def algebra(self, region: Region) -> MatrixStarAlgebra:
         return self.assignment[region]
 
-    def reference(self, region: Region) -> MatrixStarAlgebra:
-        """The builder's algebra for ``region``, built once per region."""
-        if region not in self._references:
-            self._references[region] = self.builder(region)
-        return self._references[region]
+    def matches_reference(self, region: Region) -> bool:
+        """Whether the assigned algebra of ``region`` spans the builder's
+        algebra for it; computed once per region."""
+        if region not in self._matches:
+            self._matches[region] = algebra_span_equal(self.algebra(region), self.builder(region), self.tol)
+        return self._matches[region]
 
     @property
     def dim(self) -> int:
@@ -394,13 +395,11 @@ def check_lc_square(sub: Region, whole: Region, net: LocalNet) -> ValidationRepo
             "net.lcsquare",
             f"algebra of {sub.label()} does not include into algebra of {whole.label()}",
         )
-    if net.builder is not None:
-        reference = net.reference(sub)
-        if not algebra_span_equal(assigned, reference, net.tol):
-            report.add(
-                "net.lcsquare",
-                f"assigned algebra of {sub.label()} differs from the region rule applied inside {whole.label()}",
-            )
+    if net.builder is not None and not net.matches_reference(sub):
+        report.add(
+            "net.lcsquare",
+            f"assigned algebra of {sub.label()} differs from the region rule applied inside {whole.label()}",
+        )
     return report
 
 

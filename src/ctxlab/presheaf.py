@@ -18,6 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DomainError, InputError
+from .fincat import solve_constraints
 from .linalg import DEFAULT_TOL, as_matrix, dagger, is_projection, is_selfadjoint, opnorm
 from .staralg import (
     Character,
@@ -95,10 +96,14 @@ def check_presheaf(p: SpectralPresheaf) -> ValidationReport:
 
 
 def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
-    """Backtracking search for context-consistent character choices.
+    """Context-consistent character choices, by ``fincat.solve_constraints``.
 
-    Contexts are processed most-constrained first (by comparability degree,
-    ties by id); an empty result certifies the obstruction for this family.
+    Contexts are assigned most-constrained first (by comparability degree,
+    ties by id), characters in index order.  Forward checking through the
+    restriction tables prunes the later contexts' fibers, and the sections
+    come out in the same order as plain backtracking, so the first ``limit``
+    are the same.  An empty result certifies the obstruction for this
+    family.
     """
     ids = p.base.ids()
     degree = {cid: 0 for cid in ids}
@@ -107,34 +112,15 @@ def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
         degree[sup] += 1
     order = sorted(ids, key=lambda cid: (-degree[cid], cid))
     position = {cid: i for i, cid in enumerate(order)}
-
-    # constraints[i]: checks against contexts placed before position i
-    constraints: list = [[] for _ in order]
-    for sub, sup in p.base.strict_pairs():
-        table = p.restrictions[(sub, sup)]
-        i, j = position[sup], position[sub]
-        if i > j:
-            constraints[i].append(lambda cur, partial, t=table, jj=j: t[cur] == partial[jj])
-        else:
-            constraints[j].append(lambda cur, partial, t=table, ii=i: t[partial[ii]] == cur)
-
-    sections: list = []
-    partial: list = [None] * len(order)
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            sections.append(GlobalSection({cid: partial[position[cid]] for cid in ids}))
-            return limit is not None and len(sections) >= limit
-        for choice in range(len(p.fibers[order[i]])):
-            partial[i] = choice
-            if all(c(choice, partial) for c in constraints[i]):
-                if extend(i + 1):
-                    return True
-        partial[i] = None
-        return False
-
-    extend(0)
-    return sections
+    arrows = [
+        (position[sup], position[sub], p.restrictions[(sub, sup)])
+        for sub, sup in p.base.strict_pairs()
+    ]
+    domains = [range(len(p.fibers[cid])) for cid in order]
+    return [
+        GlobalSection({cid: choice[position[cid]] for cid in ids})
+        for choice in solve_constraints(domains, arrows, limit)
+    ]
 
 
 # ---------------------------------------------------------------------------

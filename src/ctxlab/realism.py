@@ -197,16 +197,27 @@ def roy_singh_lhs(fam: ObservableFamily, signs, provider) -> float:
     return float(lhs)
 
 
+# flat sign vectors scanned per step, a power of two; bounds the scan's
+# memory whatever the cap
+SIGN_CHUNK = 1 << 16
+
+
 def search_signs(fam: ObservableFamily, provider, cap: int = SIGN_SEARCH_CAP) -> tuple:
     """Exhaustive minimum of the bound's left side over all sign vectors.
 
-    Per-group correlation matrices are precomputed once, so each candidate
-    costs one small quadratic form.  The first minimizer in the iteration
-    order (+1 before -1 per slot) is returned.
+    Groups are independent, so each gets one table of its quadratic form
+    ``s @ mat @ s`` over its own sign vectors.  Flat sign vectors are then
+    scanned in ``itertools.product`` order (+1 before -1 per slot), in
+    chunks of ``SIGN_CHUNK``, summing the group tables in group order, so
+    every value is the same float as the per-vector sum.  The best value
+    is replaced only by one below it by more than 1e-15, so the first
+    minimizer in that order is returned.
     """
     if fam.total > cap:
         raise CapExceeded("sign search", fam.total, cap)
-    corr = []
+    # (table, bit shift of the group's slots in the flat index, slot mask)
+    tables = []
+    shift = fam.total
     for group in fam.groups:
         obs = group.observables()
         mat = np.zeros((group.size, group.size))
@@ -215,18 +226,29 @@ def search_signs(fam: ObservableFamily, provider, cap: int = SIGN_SEARCH_CAP) ->
                 # the quantum correlation is symmetrized, so the quadratic
                 # form reproduces the operator-square value exactly
                 mat[i, j] = provider.correlation(oi, oj)
-        corr.append(mat)
+        vectors = np.array(list(itertools.product((1, -1), repeat=group.size)), dtype=float)
+        table = np.array([float(s @ mat @ s) for s in vectors])
+        shift -= group.size
+        tables.append((table, shift, (1 << group.size) - 1))
 
-    best_signs = None
-    best_value = None
-    for flat in itertools.product((1, -1), repeat=fam.total):
-        value = 0.0
-        pos = 0
-        for group, mat in zip(fam.groups, corr):
-            s = np.array(flat[pos : pos + group.size], dtype=float)
-            value += float(s @ mat @ s)
-            pos += group.size
-        if best_value is None or value < best_value - 1e-15:
-            best_value = value
-            best_signs = flat
-    return list(best_signs), float(best_value)
+    chunk = min(SIGN_CHUNK, 2**fam.total)
+    offsets = np.arange(chunk, dtype=np.int64)
+    best_index, best_value = 0, None
+    for start in range(0, 2**fam.total, chunk):
+        values = 0.0
+        for table, shift, mask in tables:
+            # start is a multiple of chunk, so its bits and the offsets' never carry
+            values = values + table[((start >> shift) & mask) | ((offsets >> shift) & mask)]
+        if best_value is None:
+            best_value = float(values[0])
+        # every value scanned so far is >= best_value - 1e-15, so the first
+        # value below that threshold is where the running minimum first
+        # drops below it: a binary search on the negated running minimum
+        falls = -np.minimum.accumulate(values)
+        while True:
+            at = int(np.searchsorted(falls, -(best_value - 1e-15), side="right"))
+            if at == chunk:
+                break
+            best_index, best_value = start + at, float(values[at])
+    signs = [-1 if (best_index >> (fam.total - 1 - k)) & 1 else 1 for k in range(fam.total)]
+    return signs, best_value

@@ -1,12 +1,26 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from ctxlab.fincat import check_cone, check_diagram
 from ctxlab.fixtures import (
     ALL_FIXTURES,
+    canonical_ray,
     covariant_square_fixture,
     extension_triangle_fixture,
+    peres24_fixture,
+    peres24_rays,
+    peres24_tetrads,
     spectrum_coarsening_fixture,
     weyl_inclusion_fixture,
+)
+from ctxlab.presheaf import (
+    build_spectral_presheaf,
+    bundled_fixture,
+    global_sections,
+    load_ray_fixture,
+    ray_family_context_category,
 )
 
 
@@ -52,3 +66,26 @@ def test_weyl_fixture_carries_presentations():
     fixture = weyl_inclusion_fixture()
     assert set(fixture.diagram.carriers) == {"Sk", "Sl"}
     assert len(fixture.cone.apex) == 2
+
+
+class TestPeresFixture:
+    def test_rays_and_tetrads(self):
+        rays, tetrads = peres24_rays(), peres24_tetrads()
+        assert len(rays) == 24 and len(set(rays)) == 24
+        assert len(tetrads) == 24
+        for t in tetrads:
+            assert set(t) <= set(rays)
+            for a, b in itertools.combinations(t, 2):
+                assert np.dot(a, b) == 0
+
+    def test_cabello18_bases_are_peres_tetrads(self):
+        _, bases = load_ray_fixture(bundled_fixture("cabello18.json"))
+        tetrads = {tuple(sorted(t)) for t in peres24_tetrads()}
+        for basis in bases:
+            assert tuple(sorted(canonical_ray(v) for v in basis)) in tetrads
+
+    def test_obstructed(self):
+        dim, bases = load_ray_fixture(peres24_fixture())
+        sheaf = build_spectral_presheaf(ray_family_context_category(dim, bases))
+        assert len(sheaf.base.ids()) == 94
+        assert global_sections(sheaf, limit=1) == []

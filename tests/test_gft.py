@@ -111,6 +111,22 @@ class TestFockSpace:
                 # sqrt-occupation rule, weighted by the measure and the smearing
                 assert abs(psi[row, col] - w * f[mode] * np.sqrt(occ[mode])) < 1e-12
 
+    @pytest.mark.parametrize("m, n, n_max", [(2, 2, 1), (2, 2, 3), (3, 2, 2), (2, 3, 3)])
+    def test_field_equals_the_sum_of_weighted_ladders(self, rng, m, n, n_max):
+        from scipy.sparse import csr_array
+
+        space = PolyhedronSpace(m, n)
+        fock = fock_for(space, n_max)
+        f = random_fn(rng, space)
+        f[1] = 0.0  # a mode left out of the field
+        w = np.sqrt(fock.mode_weight)
+        summed = csr_array((fock.dim, fock.dim), dtype=complex)
+        for mode in range(fock.modes):
+            if f[mode] != 0:
+                summed = summed + w * f[mode] * fock.annihilator(mode)
+        assert np.array_equal(field_operator(f, fock).matrix.toarray(), summed.toarray())
+        assert field_operator(np.zeros(space.size), fock).matrix.nnz == 0
+
     def test_vacuum_is_the_whole_annihilator_kernel(self):
         fock = fock_for(SPACE, 2)
         stack = np.vstack([fock.annihilator(m).toarray() for m in range(fock.modes)])

@@ -278,6 +278,31 @@ class TestLocallyCovariantSquare:
         report = check_lc_square(Region(0, 0), Region(0, 1), bad)
         assert any(v.kind == "net.lcsquare" for v in report.violations)
 
+    def test_rule_compared_once_per_subregion(self, monkeypatch):
+        from ctxlab import locnet
+        from ctxlab.staralg import algebra_span_equal, algebra_span_leq
+
+        net = standard_net(3)
+        corrupted = dict(net.assignment)
+        corrupted[Region(0, 0)] = standard_region_algebra(Region(1, 1), 3)
+        corrupted[Region(1, 2)] = standard_region_algebra(Region(0, 1), 3)
+        bad = LocalNet(3, corrupted, builder=net.builder)
+        pairs = [(s, b) for s in bad.regions() for b in bad.regions() if b.contains(s)]
+        # each pair compared afresh, as before the comparison was kept per region
+        expected = []
+        for s, b in pairs:
+            if not algebra_span_leq(bad.algebra(s), bad.algebra(b), bad.tol):
+                expected.append(f"algebra of {s.label()} does not include into algebra of {b.label()}")
+            if not algebra_span_equal(bad.algebra(s), net.builder(s), bad.tol):
+                expected.append(
+                    f"assigned algebra of {s.label()} differs from the region rule applied inside {b.label()}"
+                )
+        calls = []
+        monkeypatch.setattr(locnet, "algebra_span_equal", lambda *a: calls.append(a) or algebra_span_equal(*a))
+        found = [v.message for s, b in pairs for v in check_lc_square(s, b, bad).violations]
+        assert found == expected and len(found) > 2
+        assert len(calls) == len(bad.regions()) < len(pairs)
+
     def test_non_nested_rejected(self):
         net = standard_net(2)
         with pytest.raises(DomainError):
