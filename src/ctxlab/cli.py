@@ -18,6 +18,7 @@ import numpy as np
 from . import fincat, gft, locnet, presheaf, realism
 from .ctxext import (
     build_limit_extension,
+    carrier_to_json,
     embed,
     evaluate_state,
     extend_state,
@@ -145,8 +146,7 @@ def cmd_limit(config: RunConfig) -> int:
         "carrier_points": ext.carrier.size,
     }
     if config.args.points:
-        ids = ext.carrier.context_ids
-        report["points"] = [dict(zip(ids, pt)) for pt in ext.carrier.points]
+        report["points"] = carrier_to_json(ext)
     if config.args.restrictions or config.args.check_universal:
         diagram = spectrum_diagram(ext, with_restrictions=config.args.restrictions)
         cone = fincat.limit_of_diagram(diagram)
@@ -183,6 +183,8 @@ def cmd_state_extend(config: RunConfig) -> int:
 
 def cmd_ks_check(config: RunConfig) -> int:
     args = config.args
+    if args.max_sections < 1:
+        raise InputError(f"--max-sections must be at least 1, got {args.max_sections}")
     if os.path.exists(args.fixture):
         data = load_json(args.fixture)
     else:

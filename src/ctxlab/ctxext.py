@@ -11,37 +11,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, DomainError, InputError
-from .fincat import Diagram, FinCategory, discrete_category
+from .fincat import Diagram, discrete_category, poset_category
 from .linalg import as_matrix, dagger, opnorm
-from .staralg import ContextCategory, dominating_character_index
+from .presheaf import build_spectral_presheaf
+from .staralg import ContextCategory
 
 CARRIER_CAP = 10**6
 
 
 @dataclass
 class ProductSpectrum:
-    """All tuples of characters, one per context, in context order."""
+    """All tuples of characters, one per context, in context order.
+
+    Only the sizes are stored: a point's position is its mixed-radix index
+    (C order, the last context varying fastest, as in ``itertools.product``).
+    """
 
     context_ids: list
     sizes: list
-    points: list
-    component: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.component:
-            # points run in itertools.product order: the last context varies fastest
-            for pos, cid in enumerate(self.context_ids):
-                column = np.repeat(np.arange(self.sizes[pos], dtype=int), math.prod(self.sizes[pos + 1 :]))
-                self.component[cid] = np.tile(column, math.prod(self.sizes[:pos]))
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return math.prod(self.sizes)
+
+    @property
+    def points(self) -> list:
+        return list(itertools.product(*[range(s) for s in self.sizes]))
 
     def position(self, ctx_id: str) -> int:
         return self.context_ids.index(ctx_id)
@@ -56,7 +56,7 @@ class Element:
 
     def _coerce(self, other):
         if isinstance(other, Element):
-            if other.carrier is not self.carrier and other.carrier.points != self.carrier.points:
+            if other.carrier is not self.carrier and other.carrier.sizes != self.carrier.sizes:
                 raise DomainError("elements live on different carriers")
             return other.values
         return complex(other)
@@ -98,9 +98,9 @@ class ExtendedAlgebra:
         missing = [c for c in sub_ids if c not in self.carrier.context_ids]
         if missing:
             raise InputError(f"unknown contexts {missing}")
-        sizes = [len(self.spectra[c]) for c in sub_ids]
-        points = list(itertools.product(*[range(s) for s in sizes]))
-        carrier = ProductSpectrum(list(sub_ids), sizes, points)
+        if len(set(sub_ids)) != len(sub_ids):
+            raise InputError(f"contexts listed twice in {list(sub_ids)}")
+        carrier = ProductSpectrum(list(sub_ids), [len(self.spectra[c]) for c in sub_ids])
         return ExtendedAlgebra(self.cc, carrier, {c: self.spectra[c] for c in sub_ids})
 
 
@@ -118,14 +118,10 @@ def build_limit_extension(cc: ContextCategory, cap: int = CARRIER_CAP) -> Extend
     """Carrier = product of the context character spaces; refuses above cap."""
     ids = cc.ids()
     spectra = {cid: cc.spectrum(cid) for cid in ids}
-    sizes = [len(spectra[cid]) for cid in ids]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > cap:
-        raise CapExceeded("product carrier", total, cap)
-    points = list(itertools.product(*[range(s) for s in sizes]))
-    return ExtendedAlgebra(cc, ProductSpectrum(ids, sizes, points), spectra)
+    carrier = ProductSpectrum(ids, [len(spectra[cid]) for cid in ids])
+    if carrier.size > cap:
+        raise CapExceeded("product carrier", carrier.size, cap)
+    return ExtendedAlgebra(cc, carrier, spectra)
 
 
 def embed(a, ctx_id: str, ext: ExtendedAlgebra) -> Element:
@@ -136,7 +132,9 @@ def embed(a, ctx_id: str, ext: ExtendedAlgebra) -> Element:
     if not alg.contains(m):
         raise DomainError(f"matrix lies outside the span of context {ctx_id}")
     char_values = np.array([chi.value_of(m) for chi in ext.spectra[ctx_id]])
-    return Element(ext.carrier, char_values[ext.carrier.component[ctx_id]])
+    axis = [1] * len(ext.carrier.sizes)
+    axis[ext.carrier.position(ctx_id)] = len(char_values)
+    return Element(ext.carrier, np.broadcast_to(char_values.reshape(axis), ext.carrier.sizes).flatten())
 
 
 def extend_state(rho, ext: ExtendedAlgebra) -> ExtendedState:
@@ -156,15 +154,15 @@ def extend_state(rho, ext: ExtendedAlgebra) -> ExtendedState:
             [float(np.trace(r @ chi.projection).real) for chi in ext.spectra[cid]]
         )
         marginals[cid] = np.clip(weights, 0.0, None)
-    total = np.ones(ext.carrier.size)
+    total = np.ones(())
     for cid in ext.carrier.context_ids:
-        total = total * marginals[cid][ext.carrier.component[cid]]
-    return ExtendedState(ext.carrier, total, r, marginals)
+        total = np.multiply.outer(total, marginals[cid])
+    return ExtendedState(ext.carrier, total.ravel(), r, marginals)
 
 
 def evaluate_state(mu: ExtendedState, e: Element) -> complex:
     """Finite integral: sum of element values against the point weights."""
-    if e.carrier is not mu.carrier and e.carrier.points != mu.carrier.points:
+    if e.carrier is not mu.carrier and e.carrier.sizes != mu.carrier.sizes:
         raise DomainError("element and state live on different carriers")
     return complex(np.dot(e.values, mu.weights))
 
@@ -177,12 +175,14 @@ def point_valuation(a, v1: str, v2: str, x, ext: ExtendedAlgebra) -> tuple:
     """
     e1 = embed(a, v1, ext)
     e2 = embed(a, v2, ext)
-    if isinstance(x, int):
+    if isinstance(x, (int, np.integer)):
+        if not 0 <= x < ext.carrier.size:
+            raise DomainError(f"position {x} is not in the carrier of {ext.carrier.size} points")
         idx = x
     else:
         try:
-            idx = ext.carrier.points.index(tuple(x))
-        except ValueError as exc:
+            idx = np.ravel_multi_index(tuple(x), ext.carrier.sizes)
+        except (TypeError, ValueError) as exc:
             raise DomainError(f"point {x!r} is not in the carrier") from exc
     return complex(e1.values[idx]), complex(e2.values[idx])
 
@@ -190,10 +190,10 @@ def point_valuation(a, v1: str, v2: str, x, ext: ExtendedAlgebra) -> tuple:
 def marginalize_state(mu: ExtendedState, ext: ExtendedAlgebra, sub_ext: ExtendedAlgebra) -> ExtendedState:
     """Push a state forward onto the extension of a sub-family of contexts."""
     positions = [ext.carrier.position(c) for c in sub_ext.carrier.context_ids]
-    index = {pt: i for i, pt in enumerate(sub_ext.carrier.points)}
-    weights = np.zeros(sub_ext.carrier.size)
-    for pt, w in zip(ext.carrier.points, mu.weights):
-        weights[index[tuple(pt[p] for p in positions)]] += w
+    dropped = tuple(p for p in range(len(ext.carrier.sizes)) if p not in positions)
+    kept = sorted(positions)
+    summed = mu.weights.reshape(ext.carrier.sizes).sum(axis=dropped)
+    weights = summed.transpose([kept.index(p) for p in positions]).ravel()
     marginals = {c: mu.marginals[c] for c in sub_ext.carrier.context_ids}
     return ExtendedState(sub_ext.carrier, weights, mu.source, marginals)
 
@@ -223,50 +223,22 @@ def element_to_json(e: Element) -> list:
 # bridge to the finite-category engine
 
 
-def _restriction_index_category(cc: ContextCategory) -> FinCategory:
-    """Index category with one arrow sup -> sub per strict inclusion sub <= sup."""
-    ids = cc.ids()
-    homs: dict = {}
-    identities = {}
-    compose: dict = {}
-
-    def label(a, b):
-        return f"id_{a}" if a == b else f"{a}->{b}"
-
-    def arrow(a, b):
-        return a == b or cc.leq(b, a)
-
-    for a in ids:
-        identities[a] = label(a, a)
-        for b in ids:
-            if arrow(a, b):
-                homs.setdefault((a, b), []).append(label(a, b))
-    for a in ids:
-        for b in ids:
-            if not arrow(a, b):
-                continue
-            for c in ids:
-                if arrow(b, c):
-                    compose[(label(b, c), label(a, b))] = label(a, c)
-    return FinCategory(ids, homs, compose, identities)
-
-
 def spectrum_diagram(ext: ExtendedAlgebra, with_restrictions: bool = False) -> Diagram:
     """The context spectra as a concrete diagram.
 
     Discrete by default (its limit is the full product carrier); with
-    restriction arrows the limit is the compatible-tuple subset.
+    restriction arrows sup -> sub, mapped by the spectral presheaf's
+    restriction tables, the limit is the compatible-tuple subset.
     """
     ids = ext.carrier.context_ids
     carriers = {cid: list(range(len(ext.spectra[cid]))) for cid in ids}
     if not with_restrictions:
         return Diagram(discrete_category(ids), carriers)
-    index = _restriction_index_category(ext.cc)
-    maps = {}
-    for sub, sup in ext.cc.strict_pairs():
-        table = {
-            i: dominating_character_index(chi, ext.spectra[sub], ext.cc.ambient.tol)
-            for i, chi in enumerate(ext.spectra[sup])
-        }
-        maps[f"{sup}->{sub}"] = table
+    index = poset_category(ids, lambda a, b: ext.cc.leq(b, a))
+    tables = build_spectral_presheaf(ext.cc).restrictions
+    maps = {
+        index.homs[(sup, sub)][0]: table
+        for (sub, sup), table in tables.items()
+        if sub in carriers and sup in carriers
+    }
     return Diagram(index, carriers, maps)

@@ -325,7 +325,14 @@ class ContextCategory:
         return poset_category(self.ids(), self.leq)
 
 
-def _maximal_cliques(n: int, adjacent) -> list:
+def _commutation_cliques(mats: list, tol: float) -> list:
+    """Maximal sets of pairwise-commuting matrices, as sorted index tuples."""
+    if not mats:
+        return []
+    adjacent = [
+        {j for j in range(len(mats)) if j != i and opnorm(commutator(mats[i], mats[j])) <= tol}
+        for i in range(len(mats))
+    ]
     cliques = []
 
     def bk(r: set, p: set, x: set) -> None:
@@ -337,7 +344,7 @@ def _maximal_cliques(n: int, adjacent) -> list:
             p = p - {vtx}
             x = x | {vtx}
 
-    bk(set(), set(range(n)), set())
+    bk(set(), set(range(len(mats))), set())
     return sorted(cliques)
 
 
@@ -405,11 +412,7 @@ def context_category(
             raise DomainError(f"seed {k} is not self-adjoint")
         if not ambient.contains(m):
             raise DomainError(f"seed {k} lies outside the ambient algebra")
-    adjacent = [
-        {j for j in range(len(mats)) if j != i and opnorm(commutator(mats[i], mats[j])) <= tol}
-        for i in range(len(mats))
-    ]
-    cliques = _maximal_cliques(len(mats), adjacent) if mats else []
+    cliques = _commutation_cliques(mats, tol)
     algebras = [generate_algebra([mats[i] for i in clique], ambient.dim, tol) for clique in cliques]
     return _assemble_context_category(ambient, algebras, [list(c) for c in cliques], seed)
 
@@ -474,12 +477,8 @@ def boolean_blocks(
         if m.shape[0] != d:
             raise InputError("projections must share one matrix dimension")
     eye = np.eye(d, dtype=complex)
-    adjacent = [
-        {j for j in range(len(mats)) if j != i and opnorm(commutator(mats[i], mats[j])) <= tol}
-        for i in range(len(mats))
-    ]
     blocks = []
-    for clique in _maximal_cliques(len(mats), adjacent):
+    for clique in _commutation_cliques(mats, tol):
         partial = [eye]
         for idx in clique:
             p = mats[idx]

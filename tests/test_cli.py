@@ -214,3 +214,10 @@ class TestDeterminismAndErrors:
     def test_nonpositive_cap_exits_two(self, capsys, specs):
         code, _ = run(capsys, ["--carrier-cap", "0", "limit", "--algebra", specs["algebra"]])
         assert code == 2
+
+    def test_max_sections_below_one_exits_two(self, capsys):
+        code = main(["ks-check", "--fixture", "cabello18.json", "--max-sections", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--max-sections must be at least 1, got 0" in captured.err

@@ -11,8 +11,9 @@ from ctxlab.ctxext import (
     point_valuation,
     spectrum_diagram,
 )
-from ctxlab.errors import CapExceeded, DomainError
+from ctxlab.errors import CapExceeded, DomainError, InputError
 from ctxlab.fincat import check_cone, check_diagram, limit_of_diagram
+from ctxlab.presheaf import build_spectral_presheaf
 from ctxlab.staralg import context_category, context_category_from_groups, full_matrix_algebra
 
 
@@ -48,6 +49,33 @@ class TestCarrier:
         assert check_cone(cone, diagram).ok
         assert len(cone.apex) < ext.carrier.size
         assert set(cone.apex) <= set(ext.carrier.points)
+
+    def test_diagram_of_a_sub_family_uses_only_its_contexts(self):
+        groups = [[kron(SZ, I2)], [kron(SZ, I2), kron(I2, SZ)], [kron(SX, I2)]]
+        cc = context_category_from_groups(full_matrix_algebra(4), groups)
+        ids = [cid for cid in reversed(cc.ids()) if cid != "V2"]
+        sub_ext = build_limit_extension(cc).restricted(ids)
+        diagram = spectrum_diagram(sub_ext, with_restrictions=True)
+        assert check_diagram(diagram).ok
+        assert diagram.index.objects == ids
+        tables = build_spectral_presheaf(cc).restrictions
+        position = {cid: i for i, cid in enumerate(ids)}
+        compatible = [
+            pt
+            for pt in sub_ext.carrier.points
+            if all(
+                table[pt[position[sup]]] == pt[position[sub]]
+                for (sub, sup), table in tables.items()
+                if sub in position and sup in position
+            )
+        ]
+        assert len(compatible) < sub_ext.carrier.size
+        assert limit_of_diagram(diagram).apex == compatible
+
+    def test_sub_family_listing_a_context_twice_rejected(self):
+        cc, ext = two_context_extension()
+        with pytest.raises(InputError):
+            ext.restricted([cc.ids()[0], cc.ids()[0]])
 
     def test_size_cap_refusal(self):
         cc = context_category(full_matrix_algebra(2), [SZ, SX])
@@ -203,6 +231,20 @@ class TestPointValuation:
         for x in range(ext.carrier.size):
             a, b = point_valuation(p, vid, vid, x, ext)
             assert a == b
+
+
+    def test_points_outside_the_carrier_rejected(self):
+        cc, p = self.overlap_category()
+        ext = build_limit_extension(cc)
+        vid = next(cid for cid in cc.ids() if cc.algebra(cid).contains(p))
+        n = len(ext.carrier.sizes)
+        outside = [-1, ext.carrier.size, (0,) * (n - 1), (0,) * (n + 1), (-1,) + (0,) * (n - 1),
+                   (ext.carrier.sizes[0],) + (0,) * (n - 1)]
+        for x in outside:
+            with pytest.raises(DomainError):
+                point_valuation(p, vid, vid, x, ext)
+        last = tuple(s - 1 for s in ext.carrier.sizes)
+        assert point_valuation(p, vid, vid, last, ext) == point_valuation(p, vid, vid, ext.carrier.size - 1, ext)
 
 
 class TestJsonViews:

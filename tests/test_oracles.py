@@ -1,26 +1,51 @@
-"""Differential tests of the constraint engine, the table-driven sign search
-and the whole-array carrier views against the implementations they replaced.
+"""Differential tests of the constraint engine, the table-driven sign search,
+the whole-array carrier views and the index-arithmetic carrier against the
+implementations they replaced.
 
 The references below are those implementations, frozen: plain
 backtracking for global sections and limits, one quadratic form per flat
-sign vector for the sign search, and per-point loops for the carrier's
-component arrays and its JSON view.  Outputs must be identical, in
-identical order, and minima bitwise equal.
+sign vector for the sign search, per-point loops for the state's JSON view,
+and the point-list carrier with its component arrays, together with the
+per-point marginal, point lookup and covariance loops and the restriction
+diagram with its own index category and tables.  Outputs must be
+identical, in identical order, and minima bitwise equal; marginals, whose
+summation order changed, agree within 1e-14.
 """
 
+import functools
 import itertools
 import json
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, SX, SY, SZ, kron, random_density
+from conftest import I2, SX, SY, SZ, kron, random_density, random_unitary
 from ctxlab import realism
-from ctxlab.ctxext import build_limit_extension, extend_state, state_to_json
+from ctxlab.ctxext import (
+    build_limit_extension,
+    carrier_to_json,
+    embed,
+    extend_state,
+    marginalize_state,
+    point_valuation,
+    spectrum_diagram,
+    state_to_json,
+)
+from ctxlab.errors import DomainError
 from ctxlab.fincat import Diagram, FinCategory, limit_of_diagram, solve_constraints
 from ctxlab.fixtures import peres24_fixture
+from ctxlab.linalg import as_matrix, opnorm
+from ctxlab.locnet import (
+    check_covariance,
+    shifted_region,
+    site_operator,
+    standard_net,
+    translation_unitary,
+)
 from ctxlab.presheaf import (
     GlobalSection,
     build_spectral_presheaf,
@@ -37,7 +62,16 @@ from ctxlab.realism import (
     QuantumProvider,
     search_signs,
 )
-from ctxlab.staralg import context_category, full_matrix_algebra
+from ctxlab.staralg import (
+    MatrixStarAlgebra,
+    _assemble_context_category,
+    algebra_span_equal,
+    context_category,
+    dominating_character_index,
+    full_matrix_algebra,
+    generate_algebra,
+)
+from ctxlab.validation import ValidationReport
 
 # ---------------------------------------------------------------------------
 # frozen references
@@ -135,6 +169,202 @@ def reference_state_to_json(mu) -> dict:
             cid: [float(np.round(x, 14)) for x in marg] for cid, marg in mu.marginals.items()
         },
     }
+
+
+@dataclass
+class ReferenceProductSpectrum:
+    """All tuples of characters, one per context, in context order."""
+
+    context_ids: list
+    sizes: list
+    points: list
+    component: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if not self.component:
+            # points run in itertools.product order: the last context varies fastest
+            for pos, cid in enumerate(self.context_ids):
+                column = np.repeat(np.arange(self.sizes[pos], dtype=int), math.prod(self.sizes[pos + 1 :]))
+                self.component[cid] = np.tile(column, math.prod(self.sizes[:pos]))
+
+    @property
+    def size(self) -> int:
+        return len(self.points)
+
+    def position(self, ctx_id: str) -> int:
+        return self.context_ids.index(ctx_id)
+
+
+def reference_carrier(ext) -> ReferenceProductSpectrum:
+    ids = list(ext.carrier.context_ids)
+    sizes = [len(ext.spectra[cid]) for cid in ids]
+    return ReferenceProductSpectrum(ids, sizes, list(itertools.product(*[range(s) for s in sizes])))
+
+
+def reference_embed_values(a, ctx_id, ext, carrier) -> np.ndarray:
+    m = as_matrix(a, ext.cc.algebra(ctx_id).dim)
+    char_values = np.array([chi.value_of(m) for chi in ext.spectra[ctx_id]])
+    return char_values[carrier.component[ctx_id]]
+
+
+def reference_weights(marginals, carrier) -> np.ndarray:
+    total = np.ones(carrier.size)
+    for cid in carrier.context_ids:
+        total = total * marginals[cid][carrier.component[cid]]
+    return total
+
+
+def reference_marginal_weights(weights, carrier, sub_carrier) -> np.ndarray:
+    positions = [carrier.position(c) for c in sub_carrier.context_ids]
+    index = {pt: i for i, pt in enumerate(sub_carrier.points)}
+    out = np.zeros(sub_carrier.size)
+    for pt, w in zip(carrier.points, weights):
+        out[index[tuple(pt[p] for p in positions)]] += w
+    return out
+
+
+def reference_point_valuation(a, v1, v2, x, ext, carrier) -> tuple:
+    e1 = reference_embed_values(a, v1, ext, carrier)
+    e2 = reference_embed_values(a, v2, ext, carrier)
+    if isinstance(x, int):
+        idx = x
+    else:
+        try:
+            idx = carrier.points.index(tuple(x))
+        except ValueError as exc:
+            raise DomainError(f"point {x!r} is not in the carrier") from exc
+    return complex(e1[idx]), complex(e2[idx])
+
+
+def reference_restriction_index_category(cc) -> FinCategory:
+    ids = cc.ids()
+    homs: dict = {}
+    identities = {}
+    compose: dict = {}
+
+    def label(a, b):
+        return f"id_{a}" if a == b else f"{a}->{b}"
+
+    def arrow(a, b):
+        return a == b or cc.leq(b, a)
+
+    for a in ids:
+        identities[a] = label(a, a)
+        for b in ids:
+            if arrow(a, b):
+                homs.setdefault((a, b), []).append(label(a, b))
+    for a in ids:
+        for b in ids:
+            if not arrow(a, b):
+                continue
+            for c in ids:
+                if arrow(b, c):
+                    compose[(label(b, c), label(a, b))] = label(a, c)
+    return FinCategory(ids, homs, compose, identities)
+
+
+def reference_restriction_diagram(ext) -> Diagram:
+    ids = ext.carrier.context_ids
+    carriers = {cid: list(range(len(ext.spectra[cid]))) for cid in ids}
+    index = reference_restriction_index_category(ext.cc)
+    maps = {}
+    for sub, sup in ext.cc.strict_pairs():
+        table = {
+            i: dominating_character_index(chi, ext.spectra[sub], ext.cc.ambient.tol)
+            for i, chi in enumerate(ext.spectra[sup])
+        }
+        maps[f"{sup}->{sub}"] = table
+    return Diagram(index, carriers, maps)
+
+
+def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationReport:
+    report = ValidationReport()
+    u = translation_unitary(shift, net.length)
+    ud = u.conj().T
+
+    def alpha(m):
+        return u @ m @ ud
+
+    family = {region: alg for region, alg in contexts}
+    targets = {}
+    for region, alg in contexts:
+        image = shifted_region(region, shift, net.length, cyclic)
+        if image is None or image not in family:
+            report.add(
+                "net.covariance",
+                f"context at {region.label()} has no translate in the family (orphan context)",
+            )
+            continue
+        moved = MatrixStarAlgebra(net.dim, [alpha(b) for b in alg.basis], net.tol)
+        if not algebra_span_equal(moved, family[image], net.tol):
+            report.add(
+                "net.covariance",
+                f"translate of the context at {region.label()} differs from the context at {image.label()}",
+            )
+            continue
+        targets[region] = image
+    if not report.ok:
+        return report
+
+    ambient = full_matrix_algebra(net.dim, net.tol)
+    algebras = [alg for _, alg in contexts]
+    cc = _assemble_context_category(ambient, algebras, [[] for _ in contexts], seed=0)
+    ids_by_region = {}
+    for region, alg in contexts:
+        for cid in cc.ids():
+            if algebra_span_equal(cc.algebra(cid), alg, net.tol):
+                ids_by_region[region] = cid
+                break
+    ext = build_limit_extension(cc)
+    carrier = reference_carrier(ext)
+    positions = {cid: carrier.position(cid) for cid in carrier.context_ids}
+
+    char_maps = {}
+    for region, image in targets.items():
+        cid, tid = ids_by_region[region], ids_by_region[image]
+        table = {}
+        for i, chi in enumerate(ext.spectra[cid]):
+            moved = alpha(chi.projection)
+            hits = [
+                j
+                for j, tchi in enumerate(ext.spectra[tid])
+                if opnorm(moved - tchi.projection) <= max(net.tol, 1e-8)
+            ]
+            if len(hits) != 1:
+                report.add(
+                    "net.covariance",
+                    f"character {i} of the context at {region.label()} has no unique translate",
+                )
+            else:
+                table[i] = hits[0]
+        char_maps[region] = table
+    if not report.ok:
+        return report
+
+    point_index = {pt: k for k, pt in enumerate(carrier.points)}
+
+    def moved_point(pt):
+        out = list(pt)
+        for region, image in targets.items():
+            cid, tid = ids_by_region[region], ids_by_region[image]
+            out[positions[tid]] = char_maps[region][pt[positions[cid]]]
+        return tuple(out)
+
+    for region, image in targets.items():
+        cid, tid = ids_by_region[region], ids_by_region[image]
+        for b_idx, b in enumerate(cc.algebra(cid).basis):
+            before = reference_embed_values(b, cid, ext, carrier)
+            after = reference_embed_values(alpha(b), tid, ext, carrier)
+            for pt in carrier.points:
+                lhs = after[point_index[moved_point(pt)]]
+                rhs = before[point_index[pt]]
+                if abs(lhs - rhs) > max(net.tol, 1e-8):
+                    report.add(
+                        "net.covariance",
+                        f"extension automorphism fails on basis element {b_idx} of context at {region.label()}",
+                    )
+                    break
+    return report
 
 
 def assert_same_signs(found, expected):
@@ -314,9 +544,150 @@ class TestCarrierViews:
         cc = context_category(full_matrix_algebra(4), seeds)
         ext = build_limit_extension(cc)
         assert ext.carrier.size == 256
-        for pos, cid in enumerate(ext.carrier.context_ids):
-            expected = np.array([pt[pos] for pt in ext.carrier.points], dtype=int)
-            assert ext.carrier.component[cid].dtype == expected.dtype
-            assert np.array_equal(ext.carrier.component[cid], expected)
+        carrier = reference_carrier(ext)
+        for cid in ext.carrier.context_ids:
+            for b in cc.algebra(cid).basis:
+                values = embed(b, cid, ext).values
+                expected = reference_embed_values(b, cid, ext, carrier)
+                assert values.dtype == expected.dtype
+                assert np.array_equal(values, expected)
         mu = extend_state(random_density(rng, 4), ext)
+        assert np.array_equal(mu.weights, reference_weights(mu.marginals, carrier))
         assert json.dumps(state_to_json(mu)) == json.dumps(reference_state_to_json(mu))
+
+
+# ---------------------------------------------------------------------------
+# the index-arithmetic carrier against the point-list carrier
+
+
+@st.composite
+def seed_families(draw):
+    """Pauli seeds in dimension 4, or projections diagonal in one of two
+    random frames in dimension 2-4 (so some commute and some do not)."""
+    if draw(st.booleans()):
+        dim = 4
+        seeds = [PAULIS2[i] for i in draw(st.lists(st.integers(0, 14), min_size=1, max_size=4, unique=True))]
+    else:
+        dim = draw(st.integers(2, 4))
+        frame_rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        frames = [random_unitary(frame_rng, dim) for _ in range(2)]
+        seeds = []
+        for _ in range(draw(st.integers(1, 4))):
+            u = frames[draw(st.integers(0, 1))]
+            support = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+            p = u @ np.diag([1.0 + 0j if k in support else 0j for k in range(dim)]) @ u.conj().T
+            seeds.append((p + p.conj().T) / 2.0)
+    cc = context_category(full_matrix_algebra(dim), seeds)
+    return cc, np.random.default_rng(draw(st.integers(0, 99)))
+
+
+class TestIndexCarrierOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=seed_families(), data=st.data())
+    def test_views_match_the_point_list_carrier(self, case, data):
+        cc, rng = case
+        ext = build_limit_extension(cc)
+        carrier = reference_carrier(ext)
+        ids = ext.carrier.context_ids
+        assert ext.carrier.size == carrier.size
+        assert ext.carrier.points == carrier.points
+        for cid in ids:
+            for b in cc.algebra(cid).basis:
+                values = embed(b, cid, ext).values
+                expected = reference_embed_values(b, cid, ext, carrier)
+                assert values.dtype == expected.dtype
+                assert np.array_equal(values, expected)
+
+        mu = extend_state(random_density(rng, cc.ambient.dim), ext)
+        expected = reference_weights(mu.marginals, carrier)
+        assert mu.weights.dtype == expected.dtype
+        assert np.array_equal(mu.weights, expected)
+
+        sub_ids = data.draw(st.permutations(ids))[: data.draw(st.integers(0, len(ids)))]
+        sub_ext = ext.restricted(sub_ids)
+        pushed = marginalize_state(mu, ext, sub_ext)
+        expected = reference_marginal_weights(mu.weights, carrier, reference_carrier(sub_ext))
+        assert pushed.weights.shape == expected.shape
+        assert np.max(np.abs(pushed.weights - expected)) <= 1e-14
+
+        records = carrier_to_json(ext)
+        assert records == [dict(zip(ids, pt)) for pt in carrier.points]
+        assert json.dumps(records) == json.dumps([dict(zip(ids, pt)) for pt in carrier.points])
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=seed_families(), data=st.data())
+    def test_point_lookup_matches_the_point_list(self, case, data):
+        cc, _ = case
+        ext = build_limit_extension(cc)
+        carrier = reference_carrier(ext)
+        ids = ext.carrier.context_ids
+        v1 = data.draw(st.sampled_from(ids))
+        a = data.draw(st.sampled_from(cc.algebra(v1).basis))
+        v2 = data.draw(st.sampled_from([cid for cid in ids if cc.algebra(cid).contains(a)]))
+        for _ in range(5):
+            x = data.draw(st.integers(0, carrier.size - 1))
+            assert point_valuation(a, v1, v2, x, ext) == reference_point_valuation(a, v1, v2, x, ext, carrier)
+            n = len(ids)
+            pt = tuple(data.draw(st.lists(st.integers(-1, max(carrier.sizes)), min_size=n - 1, max_size=n + 1)))
+            try:
+                expected = reference_point_valuation(a, v1, v2, pt, ext, carrier)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    point_valuation(a, v1, v2, pt, ext)
+            else:
+                assert point_valuation(a, v1, v2, pt, ext) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=seed_families())
+    def test_restriction_diagram_matches_its_own_build(self, case):
+        cc, _ = case
+        ext = build_limit_extension(cc)
+        found = spectrum_diagram(ext, with_restrictions=True)
+        expected = reference_restriction_diagram(ext)
+        assert found.index.objects == expected.index.objects
+        assert list(found.index.homs) == list(expected.index.homs)
+        assert found.carriers == expected.carriers
+        for key, labels in expected.index.homs.items():
+            assert len(found.index.homs[key]) == len(labels)
+            assert [found.map_of(m) for m in found.index.homs[key]] == [expected.map_of(m) for m in labels]
+        assert limit_of_diagram(found).apex == limit_of_diagram(expected).apex
+
+
+@functools.lru_cache(maxsize=None)
+def chain(length):
+    return standard_net(length)
+
+
+def covariance_family(net, kind) -> list:
+    """Z on every site; X on site 0 instead; one site left out (an orphan);
+    or Z on every site plus Z, Z on every pair of neighbouring sites."""
+
+    def context(ops):
+        return generate_algebra(ops, net.dim, net.tol, dim_cap=net.dim)
+
+    sites = [r for r in net.regions() if r.start == r.stop]
+    family = [
+        (r, context([site_operator(SX if kind == "mixed" and r.start == 0 else SZ, r.start, net.length)]))
+        for r in sites
+    ]
+    if kind == "orphan":
+        family = family[:-1]
+    if kind == "two-site":
+        family += [
+            (r, context([site_operator(SZ, r.start, net.length), site_operator(SZ, r.stop, net.length)]))
+            for r in net.regions()
+            if r.stop == r.start + 1
+        ]
+    return family
+
+
+class TestCovarianceOracle:
+    @pytest.mark.parametrize("kind", ["sites", "mixed", "orphan", "two-site"])
+    @pytest.mark.parametrize("shift", [0, 1, 2, 3])
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_messages_match_the_point_loop(self, length, shift, kind):
+        net = chain(length)
+        family = covariance_family(net, kind)
+        found = [str(v) for v in check_covariance(net, shift, family).violations]
+        expected = [str(v) for v in reference_check_covariance(net, shift, family).violations]
+        assert found == expected
