@@ -225,6 +225,7 @@ def load_net_spec(path: str, tol: float) -> "locnet.LocalNet":
     data = load_json(path)
     try:
         length = int(data["length"])
+        locnet.refuse_long_chain(length)
         assignment = {}
         for entry in data["regions"]:
             region = locnet.Region(int(entry["start"]), int(entry["stop"]))

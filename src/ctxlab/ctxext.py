@@ -87,12 +87,6 @@ class ExtendedAlgebra:
     def unit(self) -> Element:
         return Element(self.carrier, np.ones(self.carrier.size, dtype=complex))
 
-    def element(self, values) -> Element:
-        vals = np.asarray(values, dtype=complex)
-        if vals.shape != (self.carrier.size,):
-            raise InputError(f"element needs {self.carrier.size} values, got {vals.shape}")
-        return Element(self.carrier, vals)
-
     def restricted(self, sub_ids: list) -> "ExtendedAlgebra":
         """Extension over a sub-family of contexts, reusing computed spectra."""
         missing = [c for c in sub_ids if c not in self.carrier.context_ids]

@@ -46,9 +46,6 @@ class FinCategory:
                 table[m] = (src, dst)
         return table
 
-    def hom(self, src, dst) -> list:
-        return self.homs.get((src, dst), [])
-
     def arrows(self, include_identities: bool = False) -> list:
         """(label, src, dst) triples in deterministic order."""
         out = []

@@ -1,7 +1,8 @@
 """Small dense linear-algebra helpers used by the algebra modules.
 
-Matrices are square complex numpy arrays.  Spans of matrices are handled
-through their vectorizations with the Frobenius inner product, so every
+Matrices are square complex numpy arrays.  A span of d x d matrices is
+one ``(rank, d*d)`` array of Frobenius-orthonormal rows (the vectorized
+matrices); every span function takes and returns that array, so every
 span test is basis independent.
 """
 
@@ -47,82 +48,76 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def orthonormalize_span(mats: list[np.ndarray], tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the span of ``mats``.
+def orthonormalize_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Frobenius-orthonormal rows spanning ``mats``.
 
-    Rank is revealed by SVD on the stacked vectorizations; singular values
-    below ``tol`` relative to the largest are treated as numerical zero.
+    ``mats`` is a list of matrices or a stacked array (of matrices or of
+    rows).  Rank is revealed by SVD on the stacked vectorizations; singular
+    values below ``tol`` relative to the largest are treated as numerical
+    zero.  The result has shape ``(rank, d*d)``.
     """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    if not mats:
-        return []
-    d = mats[0].shape[0]
-    stack = np.stack([m.reshape(-1) for m in mats])
+    if len(mats) == 0:
+        return np.zeros((0, 0), dtype=complex)
+    stack = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    keep = s > max(tol, 1e-13) * s[0]
-    return [vh[i].reshape(d, d) for i in range(len(s)) if keep[i]]
+    if s[0] == 0.0:
+        return vh[:0]
+    return vh[s > max(tol, 1e-13) * s[0]]
 
 
-def span_residual(m: np.ndarray, ortho_basis: list[np.ndarray]) -> float:
-    """Frobenius norm of the component of ``m`` outside the span."""
-    v = m.reshape(-1)
-    for q in ortho_basis:
-        v = v - np.vdot(q.reshape(-1), v) * q.reshape(-1)
-    return float(np.linalg.norm(v))
-
-
-def in_span(m: np.ndarray, ortho_basis: list[np.ndarray], tol: float = DEFAULT_TOL) -> bool:
-    scale = max(1.0, float(np.linalg.norm(m)))
-    return span_residual(m, ortho_basis) <= tol * scale
-
-
-def max_span_residual(mats: list[np.ndarray], ortho_basis: list[np.ndarray]) -> float:
-    """Largest norm-scaled residual of ``mats`` outside the span, vectorized."""
-    if not mats:
+def max_span_residual(rows: np.ndarray, span: np.ndarray) -> float:
+    """Largest norm-scaled residual of ``rows`` outside the span of the
+    orthonormal rows ``span``."""
+    if len(rows) == 0:
         return 0.0
-    v = np.stack([m.reshape(-1) for m in mats])
-    scales = np.maximum(1.0, np.linalg.norm(v, axis=1))
-    if not ortho_basis:
-        return float((np.linalg.norm(v, axis=1) / scales).max())
-    q = np.stack([b.reshape(-1) for b in ortho_basis])
-    r = v - (v @ q.conj().T) @ q
-    return float((np.linalg.norm(r, axis=1) / scales).max())
+    scales = np.maximum(1.0, np.linalg.norm(rows, axis=1))
+    if len(span):
+        rows = rows - (rows @ span.conj().T) @ span
+    return float((np.linalg.norm(rows, axis=1) / scales).max())
 
 
-def span_leq(sub: list[np.ndarray], sup_ortho: list[np.ndarray], tol: float = DEFAULT_TOL) -> bool:
-    """True iff every matrix of ``sub`` lies in the span of ``sup_ortho``."""
-    return max_span_residual(sub, sup_ortho) <= tol
+def span_leq(sub: np.ndarray, sup: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True iff every row of ``sub`` lies in the span of the orthonormal rows ``sup``."""
+    return max_span_residual(sub, sup) <= tol
 
 
-def intersect_spans(
-    ortho_a: list[np.ndarray], ortho_b: list[np.ndarray], tol: float = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """Orthonormal basis of the intersection of two matrix spans.
+def span_containment(spans: list, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Bool matrix whose ``[i, j]`` says whether span i lies inside span j.
 
-    Principal-angle computation: singular vectors of Qa† Qb with singular
-    value 1 span the intersection.
+    One projection of all stacked rows per span j, with the norm-scaled
+    residual and threshold of ``span_leq``.
     """
-    if not ortho_a or not ortho_b:
-        return []
-    d = ortho_a[0].shape[0]
-    qa = np.stack([m.reshape(-1) for m in ortho_a])
-    qb = np.stack([m.reshape(-1) for m in ortho_b])
+    n = len(spans)
+    out = np.ones((n, n), dtype=bool)
+    rows = [s for s in spans if len(s)]
+    if not rows:
+        return out
+    q = np.concatenate(rows)
+    owner = np.repeat(np.arange(n), [len(s) for s in spans])
+    scales = np.maximum(1.0, np.linalg.norm(q, axis=1))
+    for j, qj in enumerate(spans):
+        r = q - (q @ qj.conj().T) @ qj if len(qj) else q
+        outside = ~(np.linalg.norm(r, axis=1) / scales <= tol)
+        out[:, j] = np.bincount(owner, weights=outside, minlength=n) == 0
+    return out
+
+
+def intersect_spans(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows spanning the intersection of two row spans.
+
+    Principal-angle computation: with ``conj(qa) @ qb.T = U S V^H``, the
+    combinations ``U[:, i] @ qa`` with singular value 1 span the
+    intersection.
+    """
+    if len(qa) == 0 or len(qb) == 0:
+        return qa[:0]
     u, s, vh = np.linalg.svd(qa.conj() @ qb.T)
-    vecs = []
-    for i, sv in enumerate(s):
-        if sv >= 1.0 - max(tol, 1e-12):
-            vecs.append((u[:, i].conj() @ qa).reshape(d, d))
-    return orthonormalize_span(vecs, tol) if vecs else []
+    keep = s >= 1.0 - max(tol, 1e-12)
+    return orthonormalize_span([u[:, i] @ qa for i in np.flatnonzero(keep)], tol)
 
 
-def spans_equal(
-    ortho_a: list[np.ndarray], ortho_b: list[np.ndarray], tol: float = DEFAULT_TOL
-) -> bool:
-    if len(ortho_a) != len(ortho_b):
-        return False
-    return span_leq(ortho_a, ortho_b, tol) and span_leq(ortho_b, ortho_a, tol)
+def spans_equal(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    return len(qa) == len(qb) and span_leq(qa, qb, tol) and span_leq(qb, qa, tol)
 
 
 def projector_leq(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -21,15 +21,14 @@ from .linalg import (
     as_matrix,
     commutator,
     dagger,
-    in_span,
     intersect_spans,
     is_projection,
     is_selfadjoint,
     opnorm,
     orthonormalize_span,
     projector_leq,
+    span_containment,
     span_leq,
-    span_residual,
     spans_equal,
 )
 from .validation import ValidationReport
@@ -43,20 +42,26 @@ class MatrixStarAlgebra:
 
     ``basis`` is linearly independent (orthonormal in Frobenius norm when
     produced by this module); the span, not the individual basis matrices,
-    is what carries the algebraic structure.
+    is what carries the algebraic structure.  ``ortho`` is the span as
+    ``linalg`` rows: kept from construction, or made once from ``basis``.
     """
 
     dim: int
     basis: list
     tol: float = DEFAULT_TOL
-    _ortho: list = field(default=None, repr=False, compare=False)
+    _ortho: np.ndarray = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_rows(cls, d: int, rows: np.ndarray, tol: float = DEFAULT_TOL) -> "MatrixStarAlgebra":
+        """The algebra whose basis is the given Frobenius-orthonormal rows."""
+        return cls(d, list(rows.reshape(-1, d, d)), tol, rows)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     @property
-    def ortho(self) -> list:
+    def ortho(self) -> np.ndarray:
         if self._ortho is None:
             self._ortho = orthonormalize_span(self.basis, self.tol)
         return self._ortho
@@ -66,10 +71,7 @@ class MatrixStarAlgebra:
         return np.eye(self.dim, dtype=complex)
 
     def contains(self, m) -> bool:
-        return in_span(as_matrix(m, self.dim), self.ortho, self.tol)
-
-    def residual(self, m) -> float:
-        return span_residual(as_matrix(m, self.dim), self.ortho)
+        return span_leq(as_matrix(m, self.dim).reshape(1, -1), self.ortho, self.tol)
 
     def validate(self) -> ValidationReport:
         """Check unitality and closure under adjoint and product."""
@@ -86,18 +88,12 @@ class MatrixStarAlgebra:
 
 
 def trivial_algebra(d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    return MatrixStarAlgebra(d, [np.eye(d, dtype=complex) / np.sqrt(d)], tol)
+    return MatrixStarAlgebra.from_rows(d, (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(1, -1), tol)
 
 
 def full_matrix_algebra(d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """All d x d matrices, with the matrix units as orthonormal basis."""
-    basis = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            basis.append(e)
-    return MatrixStarAlgebra(d, basis, tol)
+    return MatrixStarAlgebra.from_rows(d, np.eye(d * d, dtype=complex), tol)
 
 
 def algebra_span_equal(a: MatrixStarAlgebra, b: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> bool:
@@ -108,19 +104,14 @@ def algebra_span_leq(sub: MatrixStarAlgebra, sup: MatrixStarAlgebra, tol: float 
     return sub.dim == sup.dim and span_leq(sub.ortho, sup.ortho, tol)
 
 
-def _batched_products(basis: list) -> list:
-    """All pairwise products a @ b, chunked to bound peak memory."""
-    n = len(basis)
-    if n == 0:
-        return []
-    d = basis[0].shape[0]
-    stack = np.stack(basis)
+def _batched_products(rows: np.ndarray, d: int) -> np.ndarray:
+    """All pairwise products a @ b of the rows' matrices, as rows, in chunks."""
+    n = len(rows)
+    stack = rows.reshape(n, d, d)
     chunk = max(1, 4_000_000 // max(1, n * d * d))
-    out = []
-    for i in range(0, n, chunk):
-        block = np.einsum("aij,bjk->abik", stack[i : i + chunk], stack)
-        out.extend(block.reshape(-1, d, d))
-    return out
+    return np.concatenate([
+        np.einsum("aij,bjk->abik", stack[i : i + chunk], stack).reshape(-1, d * d) for i in range(0, n, chunk)
+    ])
 
 
 def generate_algebra(
@@ -141,16 +132,16 @@ def generate_algebra(
         gm = as_matrix(g, d)
         mats.append(gm)
         mats.append(dagger(gm))
-    basis = orthonormalize_span(mats, tol)
+    rows = orthonormalize_span(mats, tol)
     for _ in range(2 * d * d + 2):
-        if len(basis) == d * d:
+        if len(rows) == d * d:
             break
-        enlarged = orthonormalize_span(basis + _batched_products(basis), tol)
-        if len(enlarged) == len(basis):
-            basis = enlarged
+        enlarged = orthonormalize_span(np.concatenate([rows, _batched_products(rows, d)]), tol)
+        if len(enlarged) == len(rows):
+            rows = enlarged
             break
-        basis = enlarged
-    return MatrixStarAlgebra(d, basis, tol)
+        rows = enlarged
+    return MatrixStarAlgebra.from_rows(d, rows, tol)
 
 
 def is_commutative(a: MatrixStarAlgebra) -> bool:
@@ -262,6 +253,8 @@ def gelfand_spectrum(
             blocks = [sub for iso in blocks for sub in _blocks_from_vectors(s, iso)]
         if not _validate_blocks(blocks, v.basis, v.tol):
             raise DomainError("simultaneous diagonalization failed to isolate characters")
+        if len(blocks) != v.dimension:
+            raise DomainError(f"found {len(blocks)} characters for an algebra of dimension {v.dimension}")
 
     chars = []
     for iso in blocks:
@@ -348,15 +341,23 @@ def _commutation_cliques(mats: list, tol: float) -> list:
     return sorted(cliques)
 
 
+def _frame(alg: MatrixStarAlgebra) -> np.ndarray:
+    """The SVD rows of an algebra's basis, which meets are computed in, so a
+    meet's basis is a fixed function of the two bases."""
+    return orthonormalize_span(alg.basis, alg.tol)
+
+
+def _meet(d: int, frame_a: np.ndarray, frame_b: np.ndarray, tol: float) -> MatrixStarAlgebra:
+    rows = intersect_spans(frame_a, frame_b, tol)
+    return MatrixStarAlgebra.from_rows(d, rows, tol) if len(rows) else trivial_algebra(d, tol)
+
+
 def intersect_algebras(
     a: MatrixStarAlgebra, b: MatrixStarAlgebra, tol: float = DEFAULT_TOL
 ) -> MatrixStarAlgebra:
     if a.dim != b.dim:
         raise InputError("cannot intersect algebras of different matrix dimension")
-    basis = intersect_spans(a.ortho, b.ortho, tol)
-    if not basis:
-        basis = [np.eye(a.dim, dtype=complex) / np.sqrt(a.dim)]
-    return MatrixStarAlgebra(a.dim, basis, tol)
+    return _meet(a.dim, _frame(a), _frame(b), tol)
 
 
 def _assemble_context_category(
@@ -365,35 +366,33 @@ def _assemble_context_category(
     group_generators: list,
     seed: int,
 ) -> ContextCategory:
+    """Candidates in order: the groups' algebras V0, V1, ..., the nontrivial
+    meets of each pair in pair order, then I.  A candidate spanning the same
+    as an earlier kept one is dropped (a meet with a dropped group spans the
+    same as an earlier meet).  One containment matrix decides both that and
+    the order."""
     tol = ambient.tol
-    contexts: dict = {}
-    generators: dict = {}
+    n = len(group_algebras)
+    names = [f"V{i}" for i in range(n)]
+    algebras = list(group_algebras)
+    frames = [_frame(alg) for alg in group_algebras]
+    for i, j in itertools.combinations(range(n), 2):
+        meet = _meet(ambient.dim, frames[i], frames[j], tol)
+        if meet.dimension > 1:
+            names.append(f"V{i}^V{j}")
+            algebras.append(meet)
+    names.append("I")
+    algebras.append(trivial_algebra(ambient.dim, tol))
 
-    def register(name: str, alg: MatrixStarAlgebra, gens: list) -> None:
-        for existing, other in contexts.items():
-            if algebra_span_equal(alg, other, tol):
-                if gens and not generators[existing]:
-                    generators[existing] = gens
-                return
-        contexts[name] = alg
-        generators[name] = gens
-
-    for i, alg in enumerate(group_algebras):
-        register(f"V{i}", alg, group_generators[i])
-    maximal_ids = list(contexts.keys())
-    for i, j in itertools.combinations(range(len(maximal_ids)), 2):
-        meet = intersect_algebras(contexts[maximal_ids[i]], contexts[maximal_ids[j]], tol)
-        if meet.dimension <= 1:
-            continue
-        register(f"{maximal_ids[i]}^{maximal_ids[j]}", meet, [])
-    register("I", trivial_algebra(ambient.dim, tol), [])
-
-    order = set()
-    ids = list(contexts.keys())
-    for a in ids:
-        for b in ids:
-            if a != b and algebra_span_leq(contexts[a], contexts[b], tol):
-                order.add((a, b))
+    spans = [alg.ortho for alg in algebras]
+    leq = span_containment(spans, tol)
+    kept = []
+    for k, span in enumerate(spans):
+        if not any(len(span) == len(spans[m]) and leq[k, m] and leq[m, k] for m in kept):
+            kept.append(k)
+    contexts = {names[k]: algebras[k] for k in kept}
+    generators = {names[k]: group_generators[k] if k < n else [] for k in kept}
+    order = {(names[a], names[b]) for a in kept for b in kept if a != b and leq[a, b]}
     return ContextCategory(ambient, contexts, order, generators, seed=seed)
 
 

@@ -31,9 +31,6 @@ class ValidationReport:
     def add(self, kind: str, message: str) -> None:
         self.violations.append(Violation(kind, message))
 
-    def kinds(self) -> list[str]:
-        return [v.kind for v in self.violations]
-
     def to_json(self) -> dict:
         return {
             "ok": self.ok,

@@ -221,3 +221,41 @@ class TestDeterminismAndErrors:
         assert code == 2
         assert captured.out == ""
         assert "--max-sections must be at least 1, got 0" in captured.err
+
+
+class TestNetLengthCap:
+    def test_chain_longer_than_the_cap_exits_two(self, capsys):
+        code = main(["net-check", "--chain", "7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "net chain length (size 7 exceeds cap 6)" in captured.err
+
+    def test_net_spec_longer_than_the_cap_builds_nothing(self, capsys, tmp_path, monkeypatch):
+        import ctxlab.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an algebra was built for a net over the cap")
+
+        monkeypatch.setattr(ctxlab.cli, "generate_algebra", refuse)
+        spec = tmp_path / "net7.json"
+        z = np.diag([1.0, -1.0] * 64).tolist()
+        spec.write_text(json.dumps({"length": 7, "regions": [{"start": 0, "stop": 0, "generators": [z]}]}))
+        code = main(["net-check", "--net", str(spec)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "net chain length (size 7 exceeds cap 6)" in captured.err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import ctxlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctxlab.__file__)))
+    code = "import sys, ctxlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

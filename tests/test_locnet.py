@@ -307,3 +307,12 @@ class TestLocallyCovariantSquare:
         net = standard_net(2)
         with pytest.raises(DomainError):
             check_lc_square(Region(0, 1), Region(1, 1), net)
+
+
+def test_standard_net_refuses_chains_over_the_cap():
+    from ctxlab.errors import CapExceeded
+    from ctxlab.locnet import MAX_SITES
+
+    with pytest.raises(CapExceeded) as info:
+        standard_net(MAX_SITES + 1)
+    assert (info.value.size, info.value.cap) == (7, 6)

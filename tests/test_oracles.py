@@ -6,8 +6,9 @@ The references below are those implementations, frozen: plain
 backtracking for global sections and limits, one quadratic form per flat
 sign vector for the sign search, per-point loops for the state's JSON view,
 and the point-list carrier with its component arrays, together with the
-per-point marginal, point lookup and covariance loops and the restriction
-diagram with its own index category and tables.  Outputs must be
+per-point marginal, point lookup and covariance loops, the restriction
+diagram with its own index category and tables, and the list-based span
+functions with the pairwise context-category build.  Outputs must be
 identical, in identical order, and minima bitwise equal; marginals, whose
 summation order changed, agree within 1e-14.
 """
@@ -38,7 +39,15 @@ from ctxlab.ctxext import (
 from ctxlab.errors import DomainError
 from ctxlab.fincat import Diagram, FinCategory, limit_of_diagram, solve_constraints
 from ctxlab.fixtures import peres24_fixture
-from ctxlab.linalg import as_matrix, opnorm
+from ctxlab.linalg import (
+    as_matrix,
+    intersect_spans,
+    opnorm,
+    orthonormalize_span,
+    span_containment,
+    span_leq,
+    spans_equal,
+)
 from ctxlab.locnet import (
     check_covariance,
     shifted_region,
@@ -52,6 +61,7 @@ from ctxlab.presheaf import (
     global_sections,
     load_ray_fixture,
     ray_family_context_category,
+    rays_to_projectors,
 )
 from ctxlab.realism import (
     CarrierObservable,
@@ -65,6 +75,7 @@ from ctxlab.realism import (
 from ctxlab.staralg import (
     MatrixStarAlgebra,
     _assemble_context_category,
+    _commutation_cliques,
     algebra_span_equal,
     context_category,
     dominating_character_index,
@@ -691,3 +702,225 @@ class TestCovarianceOracle:
         found = [str(v) for v in check_covariance(net, shift, family).violations]
         expected = [str(v) for v in reference_check_covariance(net, shift, family).violations]
         assert found == expected
+
+
+# ---------------------------------------------------------------------------
+# the row-matrix span format and the one containment matrix against the
+# list-based span functions and the pairwise category build
+
+
+def reference_orthonormalize_span(mats, tol=1e-9) -> list:
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    if not mats:
+        return []
+    d = mats[0].shape[0]
+    stack = np.stack([m.reshape(-1) for m in mats])
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return []
+    keep = s > max(tol, 1e-13) * s[0]
+    return [vh[i].reshape(d, d) for i in range(len(s)) if keep[i]]
+
+
+def reference_max_span_residual(mats, ortho_basis) -> float:
+    if not mats:
+        return 0.0
+    v = np.stack([m.reshape(-1) for m in mats])
+    scales = np.maximum(1.0, np.linalg.norm(v, axis=1))
+    if not ortho_basis:
+        return float((np.linalg.norm(v, axis=1) / scales).max())
+    q = np.stack([b.reshape(-1) for b in ortho_basis])
+    r = v - (v @ q.conj().T) @ q
+    return float((np.linalg.norm(r, axis=1) / scales).max())
+
+
+def reference_span_leq(sub, sup_ortho, tol=1e-9) -> bool:
+    return reference_max_span_residual(sub, sup_ortho) <= tol
+
+
+def reference_spans_equal(ortho_a, ortho_b, tol=1e-9) -> bool:
+    if len(ortho_a) != len(ortho_b):
+        return False
+    return reference_span_leq(ortho_a, ortho_b, tol) and reference_span_leq(ortho_b, ortho_a, tol)
+
+
+def reference_intersect_spans(ortho_a, ortho_b, tol=1e-9) -> list:
+    """The list-based intersection with its conjugate removed: the rows of
+    ``qa`` combine as ``u[:, i] @ qa``, not ``u[:, i].conj() @ qa``."""
+    if not ortho_a or not ortho_b:
+        return []
+    d = ortho_a[0].shape[0]
+    qa = np.stack([m.reshape(-1) for m in ortho_a])
+    qb = np.stack([m.reshape(-1) for m in ortho_b])
+    u, s, vh = np.linalg.svd(qa.conj() @ qb.T)
+    vecs = []
+    for i, sv in enumerate(s):
+        if sv >= 1.0 - max(tol, 1e-12):
+            vecs.append((u[:, i] @ qa).reshape(d, d))
+    return reference_orthonormalize_span(vecs, tol) if vecs else []
+
+
+def reference_batched_products(basis) -> list:
+    n = len(basis)
+    d = basis[0].shape[0]
+    stack = np.stack(basis)
+    chunk = max(1, 4_000_000 // max(1, n * d * d))
+    out = []
+    for i in range(0, n, chunk):
+        block = np.einsum("aij,bjk->abik", stack[i : i + chunk], stack)
+        out.extend(block.reshape(-1, d, d))
+    return out
+
+
+def reference_generate_basis(generators, d, tol=1e-9) -> list:
+    mats = [np.eye(d, dtype=complex)]
+    for g in generators:
+        gm = as_matrix(g, d)
+        mats.append(gm)
+        mats.append(gm.conj().T)
+    basis = reference_orthonormalize_span(mats, tol)
+    for _ in range(2 * d * d + 2):
+        if len(basis) == d * d:
+            break
+        enlarged = reference_orthonormalize_span(basis + reference_batched_products(basis), tol)
+        if len(enlarged) == len(basis):
+            basis = enlarged
+            break
+        basis = enlarged
+    return basis
+
+
+@dataclass
+class ReferenceContext:
+    basis: list
+    ortho: list
+
+
+def reference_assemble(d, group_bases, group_generators, tol=1e-9) -> tuple:
+    """The pairwise build: register with its span-equality loop and
+    generator merge, meets of the kept maximal contexts, the all-pairs
+    order loop.  Returns (contexts, order, generators)."""
+    contexts: dict = {}
+    generators: dict = {}
+
+    def context(basis):
+        return ReferenceContext(basis, reference_orthonormalize_span(basis, tol))
+
+    def register(name, ctx, gens):
+        for existing, other in contexts.items():
+            if reference_spans_equal(ctx.ortho, other.ortho, tol):
+                if gens and not generators[existing]:
+                    generators[existing] = gens
+                return
+        contexts[name] = ctx
+        generators[name] = gens
+
+    for i, basis in enumerate(group_bases):
+        register(f"V{i}", context(basis), group_generators[i])
+    maximal_ids = list(contexts.keys())
+    for i, j in itertools.combinations(range(len(maximal_ids)), 2):
+        a, b = contexts[maximal_ids[i]], contexts[maximal_ids[j]]
+        basis = reference_intersect_spans(a.ortho, b.ortho, tol) or [np.eye(d, dtype=complex) / np.sqrt(d)]
+        if len(basis) <= 1:
+            continue
+        register(f"{maximal_ids[i]}^{maximal_ids[j]}", context(basis), [])
+    register("I", context([np.eye(d, dtype=complex) / np.sqrt(d)]), [])
+
+    order = set()
+    ids = list(contexts.keys())
+    for a in ids:
+        for b in ids:
+            if a != b and reference_span_leq(contexts[a].ortho, contexts[b].ortho, tol):
+                order.add((a, b))
+    return contexts, order, generators
+
+
+def assert_same_category(cc, group_generators, groups):
+    """``cc`` against the pairwise build from the frozen generated bases."""
+    d = cc.ambient.dim
+    group_bases = [reference_generate_basis(group, d) for group in groups]
+    contexts, order, generators = reference_assemble(d, group_bases, group_generators)
+    assert cc.ids() == list(contexts)
+    assert cc.order == order
+    assert cc.generators == generators
+    for cid, ctx in contexts.items():
+        basis = cc.algebra(cid).basis
+        assert len(basis) == len(ctx.basis)
+        assert all(np.array_equal(a, b) for a, b in zip(basis, ctx.basis))
+    ids = cc.ids()
+    leq = span_containment([cc.algebra(c).ortho for c in ids])
+    for i, a in enumerate(ids):
+        for j, b in enumerate(ids):
+            assert leq[i, j] == reference_span_leq(contexts[a].ortho, contexts[b].ortho)
+
+
+def projection_seeds(draw, dim):
+    frame_rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frames = [random_unitary(frame_rng, dim) for _ in range(draw(st.integers(1, 3)))]
+    seeds = []
+    for _ in range(draw(st.integers(1, 5))):
+        u = frames[draw(st.integers(0, len(frames) - 1))]
+        support = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+        p = u @ np.diag([1.0 + 0j if k in support else 0j for k in range(dim)]) @ u.conj().T
+        seeds.append((p + p.conj().T) / 2.0)
+    return seeds
+
+
+REAL_PAULIS2 = [p for p in PAULIS2 if not np.any(p.imag)]
+
+
+@st.composite
+def seed_lists(draw):
+    """Two-qubit Pauli seeds, all real or any, or random projections in
+    dimension 2-4."""
+    kind = draw(st.sampled_from(["real", "complex", "projections"]))
+    if kind == "projections":
+        dim = draw(st.integers(2, 4))
+        return dim, projection_seeds(draw, dim)
+    pool = REAL_PAULIS2 if kind == "real" else PAULIS2
+    return 4, [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5, unique=True))]
+
+
+class TestSpanFormatOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(indices=st.lists(st.integers(0, 23), min_size=1, max_size=24, unique=True))
+    def test_peres_subfamilies(self, indices):
+        dim, bases = PERES
+        chosen = [bases[i] for i in sorted(indices)]
+        cc = ray_family_context_category(dim, chosen)
+        groups = [rays_to_projectors(basis) for basis in chosen]
+        assert_same_category(cc, [[] for _ in groups], groups)
+
+    def test_whole_peres_set_and_a_repeated_basis(self):
+        dim, bases = PERES
+        for chosen in (bases, [bases[0], bases[3], bases[0], bases[5], bases[3]]):
+            cc = ray_family_context_category(dim, chosen)
+            groups = [rays_to_projectors(basis) for basis in chosen]
+            assert_same_category(cc, [[] for _ in groups], groups)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=seed_lists())
+    def test_seed_families(self, case):
+        dim, seeds = case
+        cc = context_category(full_matrix_algebra(dim), seeds)
+        cliques = _commutation_cliques([as_matrix(s, dim) for s in seeds], cc.ambient.tol)
+        assert_same_category(cc, [list(c) for c in cliques], [[seeds[i] for i in c] for c in cliques])
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=seed_lists())
+    def test_span_functions_on_rows(self, case):
+        dim, seeds = case
+        algebras = [generate_algebra([s], dim) for s in seeds] + [full_matrix_algebra(dim)]
+        lists = [reference_orthonormalize_span(alg.basis) for alg in algebras]
+        for alg, ortho in zip(algebras, lists):
+            rows = orthonormalize_span(alg.basis)
+            assert np.array_equal(rows, np.stack([q.reshape(-1) for q in ortho]))
+            assert np.array_equal(orthonormalize_span(np.stack(alg.basis)), rows)
+        for a, qa in zip(algebras, lists):
+            for b, qb in zip(algebras, lists):
+                assert span_leq(a.ortho, b.ortho) == reference_span_leq(qa, qb)
+                assert spans_equal(a.ortho, b.ortho) == reference_spans_equal(qa, qb)
+                rows = intersect_spans(orthonormalize_span(a.basis), orthonormalize_span(b.basis))
+                expected = reference_intersect_spans(qa, qb)
+                assert len(rows) == len(expected)
+                assert all(np.array_equal(r, m.reshape(-1)) for r, m in zip(rows, expected))

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import I2, SX, SZ, kron, random_unitary
+from conftest import I2, SX, SY, SZ, kron, random_unitary
 from ctxlab.errors import DomainError
 from ctxlab.fincat import check_category
+from ctxlab.linalg import intersect_spans, orthonormalize_span, span_containment, span_leq
 from ctxlab.staralg import (
     boolean_blocks,
     context_category,
@@ -233,3 +234,83 @@ class TestBooleanBlocks:
 def test_trivial_algebra_is_trivial():
     alg = trivial_algebra(3)
     assert alg.dimension == 1 and alg.contains(np.eye(3))
+
+
+PAULI1 = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+PAULI_STRINGS = {a + b: kron(PAULI1[a], PAULI1[b]) for a in "IXYZ" for b in "IXYZ" if a + b != "II"}
+
+
+class TestMeets:
+    def test_every_meet_of_pauli_triples_is_an_algebra(self):
+        ambient = full_matrix_algebra(4)
+        for triple in itertools.combinations(PAULI_STRINGS, 3):
+            cc = context_category(ambient, [PAULI_STRINGS[p] for p in triple])
+            for cid in cc.ids():
+                if "^" in cid:
+                    meet = cc.algebra(cid)
+                    assert meet.validate().ok, (triple, cid)
+                    assert meet.contains(np.eye(4)), (triple, cid)
+            maximal = [cc.algebra(cid) for cid in cc.ids() if cid != "I" and "^" not in cid]
+            for a, b in itertools.combinations(maximal, 2):
+                rows = intersect_spans(a.ortho, b.ortho)
+                union = np.linalg.matrix_rank(np.concatenate([a.ortho, b.ortho]), tol=1e-9)
+                assert len(rows) == len(a.ortho) + len(b.ortho) - union, triple
+                assert span_leq(rows, a.ortho) and span_leq(rows, b.ortho), triple
+
+    def test_complex_meets_have_one_character_per_dimension(self):
+        cc = context_category(full_matrix_algebra(4), [PAULI_STRINGS[p] for p in ("IX", "IY", "YI")])
+        meet = cc.algebra("V0^V1")
+        assert meet.dimension == 2 and meet.validate().ok
+        cc = context_category(full_matrix_algebra(4), [PAULI_STRINGS[p] for p in ("ZI", "XI", "YI", "IZ", "IX")])
+        assert len(cc.spectrum("V4^V5")) == cc.algebra("V4^V5").dimension == 2
+
+
+def test_character_count_must_match_the_dimension():
+    # the closure rounds the near-degenerate eigenvalues together (dimension
+    # 2) while the spectrum still separates them
+    alg = generate_algebra([np.diag([1.0, 1.0 + 2e-5, -1.0]).astype(complex)], 3, tol=1e-5)
+    assert alg.dimension == 2
+    with pytest.raises(DomainError, match="3 characters for an algebra of dimension 2"):
+        gelfand_spectrum(alg)
+
+
+class TestSpanRows:
+    def test_containment_matrix_matches_pairwise_tests(self):
+        rng = np.random.default_rng(11)
+        u = random_unitary(rng, 3)
+        diag = [u @ np.diag(v).astype(complex) @ u.conj().T for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+        spans = [
+            orthonormalize_span(diag[:1]),
+            orthonormalize_span(diag[:2]),
+            orthonormalize_span(diag),
+            orthonormalize_span([np.eye(3)]),
+            full_matrix_algebra(3).ortho,
+            np.zeros((0, 0), dtype=complex),
+        ]
+        leq = span_containment(spans)
+        for i, a in enumerate(spans):
+            for j, b in enumerate(spans):
+                expected = span_leq(a, b) if len(a) else True
+                assert leq[i, j] == expected, (i, j)
+        assert leq[0, 1] and not leq[1, 0] and leq[3, 2] and not leq[2, 3]
+        assert leq[5].all() and not leq[:5, 5].any()
+
+    def test_containment_scales_the_residual_by_the_norm(self):
+        # residual 2e-9 against a row of norm 4: inside at tolerance 1e-9
+        unit = np.diag([1.0, 0.0]).astype(complex).reshape(1, -1)
+        row = (4 * np.diag([1.0, 0.0]) + 2e-9 * np.diag([0.0, 1.0])).astype(complex).reshape(1, -1)
+        assert span_leq(row, unit)
+        assert span_containment([row, unit])[0, 1]
+
+    def test_list_and_stacked_input_give_the_same_rows(self):
+        mats = [SX, SZ, SX + SZ]
+        rows = orthonormalize_span(mats)
+        assert rows.shape == (2, 4)
+        assert np.array_equal(rows, orthonormalize_span(np.stack(mats)))
+        assert np.array_equal(rows, orthonormalize_span(np.stack(mats).reshape(3, 4)))
+        assert np.allclose(rows @ rows.conj().T, np.eye(2))
+
+    def test_generated_algebras_keep_their_rows(self):
+        alg = generate_algebra([kron(SZ, I2), kron(I2, SX)], 4)
+        assert alg.ortho.shape == (alg.dimension, 16)
+        assert all(np.shares_memory(b, alg.ortho) for b in alg.basis)
