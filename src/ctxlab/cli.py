@@ -26,6 +26,7 @@ from .ctxext import (
     state_to_json,
 )
 from .errors import InputError, ToolError
+from .linalg import RANK_FLOOR
 from .staralg import context_category, full_matrix_algebra, generate_algebra, gelfand_spectrum
 
 
@@ -39,8 +40,9 @@ class RunConfig:
     caps: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance <= 1e-3:
-            raise InputError("tolerance must lie in (0, 1e-3]")
+        # below the rank floor, rounding passes for structure
+        if not RANK_FLOOR <= self.tolerance <= 1e-3:
+            raise InputError(f"tolerance {self.tolerance!r} must lie in [{RANK_FLOOR:g}, 1e-3]")
         if any(v <= 0 for v in self.caps.values()):
             raise InputError("caps must be positive")
 

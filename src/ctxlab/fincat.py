@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import CapExceeded, InputError
 from .validation import ValidationReport
 
 DEFAULT_SEARCH_CAP = 5_000_000
+# raw leg assignments, or candidate mediating maps, evaluated per array step
+CONE_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +321,18 @@ def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
         table = d.map_of(m)
         if cone.to_apex:
             for x in d.carriers[src]:
-                if cone.legs[src][x] != cone.legs[dst][table[x]]:
+                if x not in table or table[x] not in cone.legs[dst]:
+                    report.add("cone.triangle", f"D({m!r}) undefined at {x!r}, or its image has no leg")
+                elif cone.legs[src][x] != cone.legs[dst][table[x]]:
                     report.add(
                         "cone.triangle",
                         f"leg({src!r}) != leg({dst!r}) o D({m!r}) at {x!r}",
                     )
         else:
             for a in cone.apex:
-                if cone.legs[dst][a] != table[cone.legs[src][a]]:
+                if cone.legs[src][a] not in table:
+                    report.add("cone.triangle", f"D({m!r}) undefined on leg({src!r}) at apex element {a!r}")
+                elif cone.legs[dst][a] != table[cone.legs[src][a]]:
                     report.add(
                         "cone.triangle",
                         f"leg({dst!r}) != D({m!r}) o leg({src!r}) at apex element {a!r}",
@@ -410,27 +419,76 @@ def limit_of_diagram(d: Diagram) -> Cone:
     return Cone(apex=families, legs=legs)
 
 
+def _product_digits(radices: list):
+    """The tuples of ``itertools.product(*map(range, radices))``, in that
+    order, as rows of integer arrays of at most ``CONE_CHUNK`` rows."""
+    total = math.prod(radices)
+    for start in range(0, total, CONE_CHUNK):
+        rest = np.arange(start, min(total, start + CONE_CHUNK), dtype=np.int64)
+        digits = np.empty((len(rest), len(radices)), dtype=np.int64)
+        for col in range(len(radices) - 1, -1, -1):
+            rest, digits[:, col] = np.divmod(rest, radices[col])
+        yield digits
+
+
+def _arrow_tables(d: Diagram, objects: list) -> list:
+    """``(src, dst, agrees)`` per non-identity arrow, with object positions
+    and ``agrees[p, q]`` true iff the arrow's map sends carrier element p of
+    src to carrier element q of dst; an element outside the map's table
+    agrees with nothing, as in ``check_cone``."""
+    position = {o: i for i, o in enumerate(objects)}
+    idents = set(d.index.identities.values())
+    tables = []
+    for m, (src, dst) in d.index.morphisms().items():
+        if m in idents:
+            continue
+        table = d.map_of(m)
+        agrees = np.zeros((len(d.carriers[src]), len(d.carriers[dst])), dtype=bool)
+        for p, x in enumerate(d.carriers[src]):
+            if x in table:
+                agrees[p] = [not (y != table[x]) for y in d.carriers[dst]]
+        tables.append((position[src], position[dst], agrees))
+    return tables
+
+
+def _cone_mask(digits: np.ndarray, k: int, tables: list) -> np.ndarray:
+    """Which raw leg assignments are cones.  A row holds, object by object,
+    the carrier positions of the legs at apex elements 0..k-1; it is a cone
+    iff every arrow's table agrees at every apex element."""
+    keep = np.ones(len(digits), dtype=bool)
+    for i, j, agrees in tables:
+        keep &= agrees[digits[:, i * k : (i + 1) * k], digits[:, j * k : (j + 1) * k]].all(axis=1)
+    return keep
+
+
 def enumerate_cones(d: Diagram, max_apex_size: int, search_cap: int = DEFAULT_SEARCH_CAP) -> list[Cone]:
     """All cones with abstract apex {0..k-1}, k <= max_apex_size.
 
-    Legs are enumerated exhaustively and filtered by the cone condition.
-    Refuses (CapExceeded) when the raw leg count would pass ``search_cap``.
+    Legs are enumerated exhaustively, in ``itertools.product`` order over
+    the objects' leg tuples, and filtered by the cone condition, evaluated
+    as integer arrays in chunks of ``CONE_CHUNK`` assignments.  Refuses
+    (CapExceeded) when the raw leg count would pass ``search_cap``.
     """
     objects = list(d.index.objects)
+    carriers = [d.carriers[o] for o in objects]
     cones = []
+    tables = None
     for k in range(max_apex_size + 1):
         total = 1
-        for o in objects:
-            total *= max(1, len(d.carriers[o])) ** k
+        for carrier in carriers:
+            total *= max(1, len(carrier)) ** k
         if total > search_cap:
             raise CapExceeded(f"cone enumeration at apex size {k}", total, search_cap)
+        if tables is None:  # after the first cap test, which refuses before any map is read
+            tables = _arrow_tables(d, objects)
         apex = list(range(k))
-        per_object = [list(itertools.product(d.carriers[o], repeat=k)) for o in objects]
-        for combo in itertools.product(*per_object):
-            legs = {o: dict(zip(apex, combo[i])) for i, o in enumerate(objects)}
-            cone = Cone(apex=apex, legs=legs)
-            if check_cone(cone, d).ok:
-                cones.append(cone)
+        for digits in _product_digits([len(c) for c in carriers for _ in apex]):
+            for row in digits[_cone_mask(digits, k, tables)].tolist():
+                legs = {
+                    o: dict(zip(apex, [carrier[p] for p in row[i * k : (i + 1) * k]]))
+                    for i, (o, carrier) in enumerate(zip(objects, carriers))
+                }
+                cones.append(Cone(apex=apex, legs=legs))
     return cones
 
 
@@ -442,8 +500,11 @@ def check_universal_property(
 ) -> bool:
     """Brute-force universality: exactly one mediating map per listed cone.
 
-    Every function from a cone's apex to the candidate's apex is tried;
-    refuses (CapExceeded) when a single search would exceed ``search_cap``.
+    Every function from a cone's apex to the candidate's apex is tried, in
+    ``itertools.product`` order and as integer arrays in chunks, through
+    the table of which candidate apex elements have the same legs as which
+    cone apex elements; the search stops at the second mediating map.
+    Refuses (CapExceeded) when a single search would exceed ``search_cap``.
     """
     if candidate.to_apex or any(c.to_apex for c in cones):
         raise InputError("universal property is checked for apex-out cones only")
@@ -452,15 +513,17 @@ def check_universal_property(
         space = len(candidate.apex) ** len(cone.apex) if cone.apex else 1
         if space > search_cap:
             raise CapExceeded("mediating-map search", space, search_cap)
+        # same[a, c]: the candidate's legs at c equal the cone's legs at a
+        same = np.array(
+            [[all(candidate.legs[o][c] == cone.legs[o][a] for o in objects) for c in candidate.apex]
+             for a in cone.apex],
+            dtype=bool,
+        ).reshape(len(cone.apex), len(candidate.apex))
         found = 0
-        for image in itertools.product(candidate.apex, repeat=len(cone.apex)):
-            h = dict(zip(cone.apex, image))
-            if all(
-                candidate.legs[o][h[a]] == cone.legs[o][a] for o in objects for a in cone.apex
-            ):
-                found += 1
-                if found > 1:
-                    break
+        for images in _product_digits([len(candidate.apex)] * len(cone.apex)):
+            found += int(same[np.arange(len(cone.apex)), images].all(axis=1).sum())
+            if found > 1:
+                break
         if found != 1:
             return False
     return True

@@ -31,10 +31,11 @@ from .gft import PolyhedronSpace, second_quantization_cone
 from .locnet import PAULI, pauli_string
 from .staralg import (
     context_category,
-    dominating_character_index,
+    dominating_projections,
     full_matrix_algebra,
     gelfand_spectrum,
     generate_algebra,
+    restriction_table,
 )
 
 
@@ -126,9 +127,7 @@ def covariant_square_fixture(corrupted: bool = False) -> ConeFixture:
         for conf in confs_sub
     }
     restrict_conf = {conf: (conf[0],) for conf in confs_whole}
-    res_alg = {
-        i: dominating_character_index(chi, chars_sub) for i, chi in enumerate(chars_whole)
-    }
+    res_alg = restriction_table(dominating_projections(chars_whole, chars_sub))
 
     index = FinCategory(
         objects=["reg_M", "reg_U", "alg_M", "alg_U"],
@@ -215,7 +214,7 @@ def spectrum_coarsening_fixture(corrupted: bool = False) -> ConeFixture:
     fine = generate_algebra([np.kron(PAULI["Z"], np.eye(2)), np.kron(np.eye(2), PAULI["Z"])], 4)
     chars_coarse = gelfand_spectrum(coarse)
     chars_fine = gelfand_spectrum(fine)
-    res = {i: dominating_character_index(chi, chars_coarse) for i, chi in enumerate(chars_fine)}
+    res = restriction_table(dominating_projections(chars_fine, chars_coarse))
 
     index = FinCategory(
         objects=["fine", "coarse"],

@@ -13,6 +13,9 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_TOL = 1e-9
+# Relative singular-value floor of the rank test, and so the smallest
+# tolerance that separates a span from rounding (about 1e-16 per entry).
+RANK_FLOOR = 1e-13
 
 
 def as_matrix(m, dim: int | None = None) -> np.ndarray:
@@ -34,6 +37,14 @@ def opnorm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def opnorms(stack: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices ``(..., d, d)``, one batched
+    SVD; each entry is bitwise the ``opnorm`` of its matrix."""
+    if stack.size == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
 def is_selfadjoint(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -62,7 +73,7 @@ def orthonormalize_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s[0] == 0.0:
         return vh[:0]
-    return vh[s > max(tol, 1e-13) * s[0]]
+    return vh[s > max(tol, RANK_FLOOR) * s[0]]
 
 
 def max_span_residual(rows: np.ndarray, span: np.ndarray) -> float:
@@ -119,7 +130,3 @@ def intersect_spans(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) ->
 def spans_equal(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return len(qa) == len(qb) and span_leq(qa, qb, tol) and span_leq(qb, qa, tol)
 
-
-def projector_leq(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """p <= q for projections, i.e. q p = p."""
-    return opnorm(q @ p - p) <= tol

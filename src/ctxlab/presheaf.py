@@ -25,9 +25,10 @@ from .staralg import (
     ContextCategory,
     MatrixStarAlgebra,
     context_category_from_groups,
-    dominating_character_index,
+    dominating_projections,
     full_matrix_algebra,
     gelfand_spectrum,
+    restriction_table,
 )
 from .validation import ValidationReport
 
@@ -62,14 +63,24 @@ class GlobalSection:
 
 
 def build_spectral_presheaf(cc: ContextCategory) -> SpectralPresheaf:
-    """Fibers are the context spectra; restriction is projection dominance."""
+    """Fibers are the context spectra; restriction is projection dominance.
+
+    Each finer context's characters are tested against the characters of
+    all the contexts below it in one batched residual; the tables are then
+    read, and refused, in ``strict_pairs`` order.
+    """
     fibers = {cid: cc.spectrum(cid) for cid in cc.ids()}
-    restrictions = {}
-    for sub, sup in cc.strict_pairs():
-        restrictions[(sub, sup)] = {
-            i: dominating_character_index(chi, fibers[sub], cc.ambient.tol)
-            for i, chi in enumerate(fibers[sup])
-        }
+    pairs = cc.strict_pairs()
+    below: dict = {}
+    for sub, sup in pairs:
+        below.setdefault(sup, []).append(sub)
+    hits = {}
+    for sup, subs in below.items():
+        columns = dominating_projections(fibers[sup], [chi for sub in subs for chi in fibers[sub]], cc.ambient.tol)
+        bounds = np.cumsum([0] + [len(fibers[sub]) for sub in subs])
+        for sub, lo, hi in zip(subs, bounds[:-1], bounds[1:]):
+            hits[(sub, sup)] = columns[:, lo:hi]
+    restrictions = {pair: restriction_table(hits[pair]) for pair in pairs}
     return SpectralPresheaf(cc, fibers, restrictions)
 
 

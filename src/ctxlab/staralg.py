@@ -18,6 +18,7 @@ from .errors import CapExceeded, DomainError, InputError
 from .fincat import FinCategory, poset_category
 from .linalg import (
     DEFAULT_TOL,
+    RANK_FLOOR,
     as_matrix,
     commutator,
     dagger,
@@ -25,8 +26,8 @@ from .linalg import (
     is_projection,
     is_selfadjoint,
     opnorm,
+    opnorms,
     orthonormalize_span,
-    projector_leq,
     span_containment,
     span_leq,
     spans_equal,
@@ -178,48 +179,52 @@ class Character:
         return complex(np.trace(self.projection @ np.asarray(m, dtype=complex)) / self.rank)
 
 
-def _selfadjoint_spanning(basis: list) -> list:
-    out = []
-    for b in basis:
-        h = (b + dagger(b)) / 2.0
-        k = (b - dagger(b)) / 2.0j
-        if opnorm(h) > 1e-13:
-            out.append(h)
-        if opnorm(k) > 1e-13:
-            out.append(k)
-    return out
+def _selfadjoint_spanning(stack: np.ndarray) -> tuple:
+    """The self-adjoint and the anti-self-adjoint part of each basis matrix,
+    in order h0, k0, h1, k1, ..., without the parts of norm below the rank
+    floor; and each basis matrix's scale ``max(1, ‖b‖)``.  One batched SVD
+    gives all the norms."""
+    n = len(stack)
+    adj = stack.conj().transpose(0, 2, 1)
+    parts = np.stack([(stack + adj) / 2.0, (stack - adj) / 2.0j], axis=1).reshape(-1, *stack.shape[1:])
+    norms = opnorms(np.concatenate([stack, parts]))
+    return list(parts[norms[n:] > RANK_FLOOR]), np.maximum(1.0, norms[:n])
 
 
-def _cluster(values: np.ndarray) -> list:
-    """Group sorted real values whose gaps stay below a scaled threshold."""
+def _cluster(values: np.ndarray, tol: float) -> list:
+    """Group sorted real values whose gaps stay below ``max(tol, 1e-8)``
+    times the larger of 1 and the largest magnitude."""
     order = np.argsort(values)
     scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
     groups = [[order[0]]] if values.size else []
     for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= 1e-8 * scale:
+        if values[idx] - values[groups[-1][-1]] <= max(tol, 1e-8) * scale:
             groups[-1].append(idx)
         else:
             groups.append([idx])
     return groups
 
 
-def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray) -> list:
+def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray, tol: float) -> list:
     """Split an invariant subspace (columns of ``isometry``) by eigenvalue of h."""
     compressed = dagger(isometry) @ h @ isometry
     w, vecs = np.linalg.eigh((compressed + dagger(compressed)) / 2.0)
-    return [isometry @ vecs[:, group] for group in _cluster(w)]
+    return [isometry @ vecs[:, group] for group in _cluster(w, tol)]
 
 
-def _validate_blocks(blocks: list, basis: list, tol: float) -> bool:
-    for iso in blocks:
-        p = iso @ dagger(iso)
-        r = iso.shape[1]
-        for b in basis:
-            val = np.trace(p @ b) / r
-            scale = max(1.0, opnorm(b))
-            if opnorm(p @ b @ p - val * p) > max(tol, 1e-9) * scale:
-                return False
-    return True
+def _characters(blocks: list, stack: np.ndarray, scales: np.ndarray, tol: float) -> list | None:
+    """The blocks as characters, or None unless every basis matrix b acts
+    on every block's range as the scalar ``val = tr(p b) / rank``:
+    ``‖p b p - val p‖ <= max(tol, 1e-9) * scale``.  All (block, b) pairs
+    are one batched residual, and the scalars are the character values."""
+    projs = np.stack([iso @ dagger(iso) for iso in blocks])
+    ranks = [iso.shape[1] for iso in blocks]
+    pb = projs[:, None] @ stack
+    vals = np.trace(pb, axis1=-2, axis2=-1) / np.array(ranks)[:, None]
+    residual = pb @ projs[:, None] - vals[..., None, None] * projs[:, None]
+    if np.any(opnorms(residual) > max(tol, 1e-9) * scales):
+        return None
+    return [Character(projection=p, values=values, rank=r) for p, values, r in zip(projs, vals, ranks)]
 
 
 def gelfand_spectrum(
@@ -235,49 +240,58 @@ def gelfand_spectrum(
     """
     if not is_commutative(v):
         raise DomainError("gelfand_spectrum requires a commutative algebra")
-    herm = _selfadjoint_spanning(v.basis)
     d = v.dim
+    stack = np.asarray(v.basis, dtype=complex).reshape(-1, d, d)
+    herm, scales = _selfadjoint_spanning(stack)
     rng = np.random.default_rng(seed)
 
-    blocks = None
+    chars = None
     for _ in range(max_retries):
         coeffs = rng.standard_normal(len(herm))
         h = sum(c * s for c, s in zip(coeffs, herm)) if herm else np.zeros((d, d), dtype=complex)
-        candidate = _blocks_from_vectors(h, np.eye(d, dtype=complex))
-        if len(candidate) == v.dimension and _validate_blocks(candidate, v.basis, v.tol):
-            blocks = candidate
-            break
-    if blocks is None:
+        candidate = _blocks_from_vectors(h, np.eye(d, dtype=complex), v.tol)
+        if len(candidate) == v.dimension:
+            chars = _characters(candidate, stack, scales, v.tol)
+            if chars is not None:
+                break
+    if chars is None:
         blocks = [np.eye(d, dtype=complex)]
         for s in herm:
-            blocks = [sub for iso in blocks for sub in _blocks_from_vectors(s, iso)]
-        if not _validate_blocks(blocks, v.basis, v.tol):
+            blocks = [sub for iso in blocks for sub in _blocks_from_vectors(s, iso, v.tol)]
+        chars = _characters(blocks, stack, scales, v.tol)
+        if chars is None:
             raise DomainError("simultaneous diagonalization failed to isolate characters")
-        if len(blocks) != v.dimension:
-            raise DomainError(f"found {len(blocks)} characters for an algebra of dimension {v.dimension}")
+        if len(chars) != v.dimension:
+            raise DomainError(f"found {len(chars)} characters for an algebra of dimension {v.dimension}")
 
-    chars = []
-    for iso in blocks:
-        p = iso @ dagger(iso)
-        r = iso.shape[1]
-        values = np.array([np.trace(p @ b) / r for b in v.basis])
-        chars.append(Character(projection=p, values=values, rank=r))
     chars.sort(key=lambda c: tuple(np.round(c.values.view(float), 8)))
     return chars
 
 
+def dominating_projections(fine: list, coarse: list, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``hits[i, j]``: coarse character j's projection Q dominates fine
+    character i's projection P, ``‖Q P - P‖ <= max(tol, 1e-8)``.  All pairs
+    are one batched residual over the stacked projections."""
+    if not fine or not coarse:
+        return np.zeros((len(fine), len(coarse)), dtype=bool)
+    p = np.stack([chi.projection for chi in fine])[:, None]
+    q = np.stack([chi.projection for chi in coarse])[None]
+    return opnorms(q @ p - p) <= max(tol, 1e-8)
+
+
+def restriction_table(hits: np.ndarray) -> dict:
+    """Fine character index -> index of its unique dominating coarse
+    character, from ``dominating_projections``.  Refuses (DomainError) at
+    the first fine character with no or several."""
+    for count in hits.sum(axis=1).tolist():
+        if count != 1:
+            raise DomainError(f"character restriction ill-defined: {count} dominating projections")
+    return dict(enumerate(hits.argmax(axis=1).tolist()))
+
+
 def dominating_character_index(chi: Character, sub_spectrum: list, tol: float = DEFAULT_TOL) -> int:
     """Index of the unique coarser character whose projection dominates chi's."""
-    hits = [
-        i
-        for i, sub in enumerate(sub_spectrum)
-        if projector_leq(chi.projection, sub.projection, max(tol, 1e-8))
-    ]
-    if len(hits) != 1:
-        raise DomainError(
-            f"character restriction ill-defined: {len(hits)} dominating projections"
-        )
-    return hits[0]
+    return restriction_table(dominating_projections([chi], sub_spectrum, tol))[0]
 
 
 # ---------------------------------------------------------------------------

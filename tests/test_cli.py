@@ -211,6 +211,22 @@ class TestDeterminismAndErrors:
         code, _ = run(capsys, ["--tolerance", "1.0", "limit", "--algebra", specs["algebra"]])
         assert code == 2
 
+    @pytest.mark.parametrize("tolerance", ["1e-16", "9.9e-14"])
+    def test_tolerance_below_the_rank_floor_exits_two(self, capsys, specs, tolerance):
+        code = main(["--tolerance", tolerance, "limit", "--algebra", specs["algebra"], "--seeds", "z,x"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"tolerance {float(tolerance)!r} must lie in [1e-13, 1e-3]" in captured.err
+
+    def test_tolerance_at_the_rank_floor_is_accepted(self, capsys, specs):
+        code, out = run(capsys, ["--tolerance", "1e-13", "limit", "--algebra", specs["algebra"], "--seeds", "z,x"])
+        assert code == 0
+        assert json.loads(out)["carrier_points"] == 4
+        code, out = run(capsys, ["--tolerance", "1e-13", "net-check", "--chain", "3"])
+        assert code == 0
+        assert json.loads(out)["violations"] == []
+
     def test_nonpositive_cap_exits_two(self, capsys, specs):
         code, _ = run(capsys, ["--carrier-cap", "0", "limit", "--algebra", specs["algebra"]])
         assert code == 2

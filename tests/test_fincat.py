@@ -186,6 +186,21 @@ class TestLimits:
         report = check_cone(bad, d)
         assert any(v.kind == "cone.triangle" for v in report.violations)
 
+    def test_partial_map_is_a_triangle_failure(self):
+        # D(s<=t) is undefined on 1: a leg through 1 satisfies nothing
+        idx = poset_category(["s", "t"], lambda a, b: a <= b)
+        d = Diagram(idx, {"s": [0, 1], "t": ["x"]}, {"s<=t": {0: "x"}})
+        bad = Cone(apex=[0], legs={"s": {0: 1}, "t": {0: "x"}})
+        assert [v.kind for v in check_cone(bad, d).violations] == ["cone.triangle"]
+        assert check_cone(Cone(apex=[0], legs={"s": {0: 0}, "t": {0: "x"}}), d).ok
+        cones = enumerate_cones(d, 1)
+        assert [c.legs for c in cones] == [{"s": {}, "t": {}}, {"s": {0: 0}, "t": {0: "x"}}]
+        lim = limit_of_diagram(d)
+        assert lim.apex == [(0, "x")]
+        assert check_universal_property(lim, d, cones)
+        into = Cone(apex=["a"], legs={"s": {0: "a", 1: "a"}, "t": {"x": "a"}}, to_apex=True)
+        assert [v.kind for v in check_cone(into, d).violations] == ["cone.triangle"]
+
 
 class TestUniversalProperty:
     def test_limit_is_universal(self):

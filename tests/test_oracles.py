@@ -1,6 +1,7 @@
 """Differential tests of the constraint engine, the table-driven sign search,
-the whole-array carrier views and the index-arithmetic carrier against the
-implementations they replaced.
+the whole-array carrier views, the index-arithmetic carrier, the batched
+character tests and the array cone oracles against the implementations they
+replaced.
 
 The references below are those implementations, frozen: plain
 backtracking for global sections and limits, one quadratic form per flat
@@ -13,6 +14,7 @@ identical, in identical order, and minima bitwise equal; marginals, whose
 summation order changed, agree within 1e-14.
 """
 
+import contextlib
 import functools
 import itertools
 import json
@@ -25,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, random_density, random_unitary
-from ctxlab import realism
+from ctxlab import fincat, realism
 from ctxlab.ctxext import (
     build_limit_extension,
     carrier_to_json,
@@ -36,8 +38,18 @@ from ctxlab.ctxext import (
     spectrum_diagram,
     state_to_json,
 )
-from ctxlab.errors import DomainError
-from ctxlab.fincat import Diagram, FinCategory, limit_of_diagram, solve_constraints
+from ctxlab.errors import CapExceeded, DomainError
+from ctxlab.fincat import (
+    DEFAULT_SEARCH_CAP,
+    Cone,
+    Diagram,
+    FinCategory,
+    check_cone,
+    check_universal_property,
+    enumerate_cones,
+    limit_of_diagram,
+    solve_constraints,
+)
 from ctxlab.fixtures import peres24_fixture
 from ctxlab.linalg import (
     as_matrix,
@@ -73,14 +85,19 @@ from ctxlab.realism import (
     search_signs,
 )
 from ctxlab.staralg import (
+    Character,
     MatrixStarAlgebra,
     _assemble_context_category,
+    _characters,
     _commutation_cliques,
+    _selfadjoint_spanning,
     algebra_span_equal,
     context_category,
     dominating_character_index,
+    dominating_projections,
     full_matrix_algebra,
     generate_algebra,
+    restriction_table,
 )
 from ctxlab.validation import ValidationReport
 
@@ -247,6 +264,79 @@ def reference_point_valuation(a, v1, v2, x, ext, carrier) -> tuple:
     return complex(e1[idx]), complex(e2[idx])
 
 
+def reference_dominating_character_index(chi, sub_spectrum, tol=1e-9) -> int:
+    """One SVD per (fine, coarse) pair: ``projector_leq``."""
+    hits = [
+        i
+        for i, sub in enumerate(sub_spectrum)
+        if opnorm(sub.projection @ chi.projection - chi.projection) <= max(tol, 1e-8)
+    ]
+    if len(hits) != 1:
+        raise DomainError(f"character restriction ill-defined: {len(hits)} dominating projections")
+    return hits[0]
+
+
+def reference_selfadjoint_spanning(basis) -> list:
+    out = []
+    for b in basis:
+        h = (b + b.conj().T) / 2.0
+        k = (b - b.conj().T) / 2.0j
+        if opnorm(h) > 1e-13:
+            out.append(h)
+        if opnorm(k) > 1e-13:
+            out.append(k)
+    return out
+
+
+def reference_validate_blocks(blocks, basis, tol) -> bool:
+    for iso in blocks:
+        p = iso @ iso.conj().T
+        r = iso.shape[1]
+        for b in basis:
+            val = np.trace(p @ b) / r
+            scale = max(1.0, opnorm(b))
+            if opnorm(p @ b @ p - val * p) > max(tol, 1e-9) * scale:
+                return False
+    return True
+
+
+def reference_enumerate_cones(d, max_apex_size, search_cap=DEFAULT_SEARCH_CAP) -> list:
+    objects = list(d.index.objects)
+    cones = []
+    for k in range(max_apex_size + 1):
+        total = 1
+        for o in objects:
+            total *= max(1, len(d.carriers[o])) ** k
+        if total > search_cap:
+            raise CapExceeded(f"cone enumeration at apex size {k}", total, search_cap)
+        apex = list(range(k))
+        per_object = [list(itertools.product(d.carriers[o], repeat=k)) for o in objects]
+        for combo in itertools.product(*per_object):
+            legs = {o: dict(zip(apex, combo[i])) for i, o in enumerate(objects)}
+            cone = Cone(apex=apex, legs=legs)
+            if check_cone(cone, d).ok:
+                cones.append(cone)
+    return cones
+
+
+def reference_check_universal_property(candidate, d, cones, search_cap=DEFAULT_SEARCH_CAP) -> bool:
+    objects = list(d.index.objects)
+    for cone in cones:
+        space = len(candidate.apex) ** len(cone.apex) if cone.apex else 1
+        if space > search_cap:
+            raise CapExceeded("mediating-map search", space, search_cap)
+        found = 0
+        for image in itertools.product(candidate.apex, repeat=len(cone.apex)):
+            h = dict(zip(cone.apex, image))
+            if all(candidate.legs[o][h[a]] == cone.legs[o][a] for o in objects for a in cone.apex):
+                found += 1
+                if found > 1:
+                    break
+        if found != 1:
+            return False
+    return True
+
+
 def reference_restriction_index_category(cc) -> FinCategory:
     ids = cc.ids()
     homs: dict = {}
@@ -281,7 +371,7 @@ def reference_restriction_diagram(ext) -> Diagram:
     maps = {}
     for sub, sup in ext.cc.strict_pairs():
         table = {
-            i: dominating_character_index(chi, ext.spectra[sub], ext.cc.ambient.tol)
+            i: reference_dominating_character_index(chi, ext.spectra[sub], ext.cc.ambient.tol)
             for i, chi in enumerate(ext.spectra[sup])
         }
         maps[f"{sup}->{sub}"] = table
@@ -924,3 +1014,215 @@ class TestSpanFormatOracle:
                 expected = reference_intersect_spans(qa, qb)
                 assert len(rows) == len(expected)
                 assert all(np.array_equal(r, m.reshape(-1)) for r, m in zip(rows, expected))
+
+
+# ---------------------------------------------------------------------------
+# batched character tests against one SVD per matrix or per pair
+
+# relative offsets from a threshold: the smallest ones leave the decision to
+# rounding, which both sides must make alike
+OFFSETS = [-1e-3, -1e-6, -1e-8, -1e-10, 0.0, 1e-10, 1e-8, 1e-6, 1e-3]
+
+
+def frame_blocks(draw, dim, rng):
+    """A random unitary frame and its columns cut into consecutive groups."""
+    u = random_unitary(rng, dim)
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1))) if dim > 1 else []
+    return u, [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [dim])]
+
+
+def character(p) -> Character:
+    return Character(projection=p, values=np.zeros(1, dtype=complex), rank=1)
+
+
+@st.composite
+def near_threshold_restrictions(draw):
+    """Coarse projections onto groups of a frame's columns (one maybe
+    repeated); rank-one fine projections tilted out of one group's range by
+    an angle whose sine is the dominance threshold times 1 + offset."""
+    dim = draw(st.integers(2, 5))
+    tol = draw(st.sampled_from([1e-9, 1e-8, 3e-8, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u, groups = frame_blocks(draw, dim, rng)
+    coarse = [u[:, g] @ u[:, g].conj().T for g in groups]
+    if draw(st.booleans()):
+        coarse.append(coarse[draw(st.integers(0, len(coarse) - 1))])
+    fine = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = groups[draw(st.integers(0, len(groups) - 1))]
+        inside = u[:, g] @ (rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g)))
+        inside /= np.linalg.norm(inside)
+        others = [c for c in range(dim) if c not in g]
+        outside = u[:, others[0]] if others else np.zeros(dim, dtype=complex)
+        eps = np.arcsin(max(tol, 1e-8) * (1.0 + draw(st.sampled_from(OFFSETS))))
+        v = np.cos(eps) * inside + np.sin(eps) * outside
+        fine.append(np.outer(v, v.conj()))
+    return [character(p) for p in fine], [character(q) for q in coarse], tol
+
+
+def outcome(fn, *args):
+    """A function's value, or the message of its refusal."""
+    try:
+        return "value", fn(*args)
+    except (DomainError, CapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCharacterTestOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=near_threshold_restrictions())
+    def test_restriction_tables(self, case):
+        fine, coarse, tol = case
+        hits = dominating_projections(fine, coarse, tol)
+        expected = [
+            [opnorm(q.projection @ f.projection - f.projection) <= max(tol, 1e-8) for q in coarse] for f in fine
+        ]
+        assert hits.tolist() == expected
+
+        def reference_table(fine, coarse, tol):
+            return {i: reference_dominating_character_index(chi, coarse, tol) for i, chi in enumerate(fine)}
+
+        assert outcome(restriction_table, hits) == outcome(reference_table, fine, coarse, tol)
+        for chi in fine:
+            assert outcome(dominating_character_index, chi, coarse, tol) == outcome(
+                reference_dominating_character_index, chi, coarse, tol
+            )
+
+    def test_both_decisions_occur_at_the_threshold(self):
+        # a sweep across the threshold in steps of about one rounding error
+        u = random_unitary(np.random.default_rng(3), 3)
+        q = character(u[:, :2] @ u[:, :2].conj().T)
+        decisions = set()
+        for step in range(-40, 41):
+            eps = np.arcsin(1e-8 * (1.0 + step * 2e-9))
+            v = np.cos(eps) * u[:, 0] + np.sin(eps) * u[:, 2]
+            chi = character(np.outer(v, v.conj()))
+            found = bool(dominating_projections([chi], [q])[0, 0])
+            assert found == (opnorm(q.projection @ chi.projection - chi.projection) <= 1e-8)
+            decisions.add(found)
+        assert decisions == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_blocks_and_selfadjoint_parts(self, data):
+        """Basis matrices that are scalars on each block of a frame, plus a
+        within-block perturbation at the validation threshold and, for real
+        scalars, an anti-self-adjoint part at the rank floor."""
+        draw = data.draw
+        dim = draw(st.integers(2, 5))
+        tol = draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        u, groups = frame_blocks(draw, dim, rng)
+        projs = [u[:, g] @ u[:, g].conj().T for g in groups]
+        wide = [g for g in groups if len(g) > 1]
+        basis = []
+        for _ in range(draw(st.integers(1, 4))):
+            real = draw(st.booleans())
+            coeffs = rng.standard_normal(len(groups)) * draw(st.sampled_from([0.5, 3.0]))
+            if not real:
+                coeffs = coeffs + 1j * rng.standard_normal(len(groups))
+            b = sum(c * p for c, p in zip(coeffs, projs))
+            scale = max(1.0, opnorm(b))
+            if wide and draw(st.booleans()):
+                g = wide[draw(st.integers(0, len(wide) - 1))]
+                x = np.outer(u[:, g[0]], u[:, g[1]].conj())
+                b = b + max(tol, 1e-9) * scale * (1.0 + draw(st.sampled_from(OFFSETS))) * x
+            if real and draw(st.booleans()):
+                b = b + 1j * 1e-13 * (1.0 + draw(st.sampled_from(OFFSETS))) * projs[0]
+            basis.append(b)
+        stack = np.stack(basis)
+        herm, scales = _selfadjoint_spanning(stack)
+        expected = reference_selfadjoint_spanning(basis)
+        assert len(herm) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(herm, expected))
+        assert scales.tolist() == [max(1.0, opnorm(b)) for b in basis]
+
+        blocks = [u[:, g] for g in groups]
+        if draw(st.booleans()):  # a block split in two: still scalars on each part
+            blocks = [u[:, g[:1]] for g in groups] + [u[:, g[1:]] for g in wide]
+        chars = _characters(blocks, stack, scales, tol)
+        assert (chars is not None) == reference_validate_blocks(blocks, basis, tol)
+        if chars is not None:
+            for chi, iso in zip(chars, blocks):
+                p = iso @ iso.conj().T
+                assert chi.rank == iso.shape[1]
+                assert np.array_equal(chi.projection, p)
+                assert np.array_equal(chi.values, np.array([np.trace(p @ b) / iso.shape[1] for b in basis]))
+
+
+# ---------------------------------------------------------------------------
+# array cone oracles against the per-assignment loops
+
+
+@contextlib.contextmanager
+def cone_chunk(size):
+    saved = fincat.CONE_CHUNK
+    fincat.CONE_CHUNK = size
+    try:
+        yield
+    finally:
+        fincat.CONE_CHUNK = saved
+
+
+def apex_bound(sizes, budget=2000, most=2) -> int:
+    """The largest apex size up to ``most`` whose raw search stays in budget."""
+    k = 0
+    while k < most and math.prod(max(1, n) for n in sizes) ** (k + 1) <= budget:
+        k += 1
+    return k
+
+
+def cone_record(cones) -> list:
+    return [(c.apex, c.legs, c.to_apex) for c in cones]
+
+
+CHUNKS = [1, 7, 64]  # 64 splits the larger searches and holds the smaller ones whole
+
+
+class TestConeOracle:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(d=small_diagrams(), cap=st.sampled_from([DEFAULT_SEARCH_CAP, 0, 1, 4, 16, 64]))
+    def test_enumerated_cones(self, chunk, d, cap):
+        k = apex_bound([len(c) for c in d.carriers.values()])
+        kind, expected = outcome(reference_enumerate_cones, d, k, cap)
+        with cone_chunk(chunk):
+            found_kind, found = outcome(enumerate_cones, d, k, cap)
+        assert found_kind == kind
+        assert (cone_record(found) if kind == "value" else found) == (
+            cone_record(expected) if kind == "value" else expected
+        )
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(d=small_diagrams(), data=st.data())
+    def test_universal_verdicts(self, chunk, d, data):
+        lim = limit_of_diagram(d)
+        k = apex_bound([len(lim.apex)], budget=300)
+        cones = reference_enumerate_cones(d, min(k, apex_bound([len(c) for c in d.carriers.values()])))
+        listed = data.draw(st.lists(st.sampled_from(cones), max_size=12)) if cones else []
+        candidates = [lim] + [c for c in cones if len(c.apex) <= 2]
+        candidate = data.draw(st.sampled_from(candidates))
+        cap = data.draw(st.sampled_from([DEFAULT_SEARCH_CAP, 1, 4, 16]))
+        expected = outcome(reference_check_universal_property, candidate, d, listed, cap)
+        with cone_chunk(chunk):
+            assert outcome(check_universal_property, candidate, d, listed, cap) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=small_diagrams())
+    def test_array_filter_matches_check_cone_on_every_raw_assignment(self, d):
+        objects = list(d.index.objects)
+        tables = fincat._arrow_tables(d, objects)
+        for k in range(apex_bound([len(d.carriers[o]) for o in objects]) + 1):
+            apex = list(range(k))
+            raw = list(itertools.product(*[list(itertools.product(d.carriers[o], repeat=k)) for o in objects]))
+            chunks = list(fincat._product_digits([len(d.carriers[o]) for o in objects for _ in apex]))
+            digits = np.concatenate(chunks) if chunks else np.zeros((0, len(objects) * k), dtype=np.int64)
+            assert len(digits) == len(raw)
+            mask = fincat._cone_mask(digits, k, tables)
+            for row, combo, keep in zip(digits.tolist(), raw, mask.tolist()):
+                assert [d.carriers[o][p] for i, o in enumerate(objects) for p in row[i * k : (i + 1) * k]] == [
+                    x for leg in combo for x in leg
+                ]
+                cone = Cone(apex=apex, legs={o: dict(zip(apex, combo[i])) for i, o in enumerate(objects)})
+                assert keep == check_cone(cone, d).ok

@@ -8,6 +8,7 @@ from ctxlab.errors import DomainError
 from ctxlab.fincat import check_category
 from ctxlab.linalg import intersect_spans, orthonormalize_span, span_containment, span_leq
 from ctxlab.staralg import (
+    MatrixStarAlgebra,
     boolean_blocks,
     context_category,
     context_category_from_groups,
@@ -266,12 +267,25 @@ class TestMeets:
 
 
 def test_character_count_must_match_the_dimension():
-    # the closure rounds the near-degenerate eigenvalues together (dimension
-    # 2) while the spectrum still separates them
-    alg = generate_algebra([np.diag([1.0, 1.0 + 2e-5, -1.0]).astype(complex)], 3, tol=1e-5)
-    assert alg.dimension == 2
+    # a two-element basis that is not product-closed (its square leaves the
+    # span by 1e-3, a hundred times the tolerance) has three joint eigenspaces
+    d = np.diag([1.0, 1.0 + 1e-3, -1.0]).astype(complex)
+    alg = MatrixStarAlgebra(3, [np.eye(3, dtype=complex), d], tol=1e-5)
     with pytest.raises(DomainError, match="3 characters for an algebra of dimension 2"):
         gelfand_spectrum(alg)
+
+
+@pytest.mark.parametrize("tol", np.logspace(-7, -5, 6))
+def test_near_degenerate_spectra_cluster_at_the_algebra_tolerance(tol):
+    # the closure rounds the gap away (dimension 2); eigenvalues of the
+    # random combination closer than the tolerance are one character
+    for gap in np.logspace(np.log10(2e-7), np.log10(2 * tol), 6):
+        alg = generate_algebra([np.diag([1.0, 1.0 + gap, -1.0]).astype(complex)], 3, tol)
+        assert alg.dimension == 2
+        for seed in range(3):
+            chars = gelfand_spectrum(alg, seed=seed)
+            assert len(chars) == 2
+            assert sorted(chi.rank for chi in chars) == [1, 2]
 
 
 class TestSpanRows:
