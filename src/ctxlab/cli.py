@@ -231,6 +231,10 @@ def load_net_spec(path: str, tol: float) -> "locnet.LocalNet":
         assignment = {}
         for entry in data["regions"]:
             region = locnet.Region(int(entry["start"]), int(entry["stop"]))
+            if region.start < 0 or region.stop >= length:
+                raise InputError(f"net spec {path!r}: region {region.label()} lies outside the chain [0,{length - 1}]")
+            if region in assignment:
+                raise InputError(f"net spec {path!r}: region {region.label()} is listed twice")
             gens = [parse_matrix(m) for m in entry["generators"]]
             assignment[region] = generate_algebra(gens, 2**length, tol, dim_cap=2**length)
     except (KeyError, TypeError, ValueError) as exc:

@@ -238,10 +238,21 @@ def _sector_columns(fock: TruncatedFock, sector_cap: int) -> tuple:
 
 
 def _weyl_apply(fv: np.ndarray, fock: TruncatedFock, cols: np.ndarray) -> np.ndarray:
-    """W(f) @ cols by ``expm_multiply`` of the sparse generator."""
+    """W(f) @ cols by ``expm_multiply`` of the sparse generator.
+
+    ``expm_multiply`` estimates 1-norms with random sign vectors from
+    numpy's global generator, and the estimates move the last digits of
+    the result.  So the call runs under a fixed global state, and the
+    caller's state is put back afterwards.
+    """
     from scipy.sparse.linalg import expm_multiply
 
-    return expm_multiply(_weyl_generator(fv, fock), cols)
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(_weyl_generator(fv, fock), cols)
+    finally:
+        np.random.set_state(state)
 
 
 def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:

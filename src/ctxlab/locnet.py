@@ -6,10 +6,27 @@ sites tensored with the identity elsewhere.  Isotony, locality for
 disjoint regions, cyclic-translation covariance (including its action on
 the context extension), the inductive limit, and the square relating a
 region's algebra to the whole are all checked, never assumed.
+
+Inclusions between region algebras are decided once per pair, from Pauli
+supports where these are certified.  Normalized Pauli strings are a
+Frobenius-orthonormal basis of the d x d matrices, so the column masses
+``sum_r |c_rp|^2`` of an algebra's orthonormal rows in Pauli coordinates
+are the diagonal of its span's projector and sum to the rank.  A span's
+support (the strings of mass above 1/2) is certified when it has exactly
+rank-many strings and the mass off it is at most ``(tol/4)^2``; the
+span's projector then lies within ``sqrt(2) tol/4`` (Frobenius) of the
+projector onto its support's strings.  Between certified spans,
+inclusion is support containment and equality is support equality: a
+contained pair has residual below ``tol`` and any other pair a residual
+of at least about ``2**-L``, so the dense test of ``algebra_span_leq``
+decides the same.  A pair with a span that is not certified (one not
+spanned by Pauli strings, such as a rotated algebra) takes the dense
+test.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -99,6 +116,73 @@ def _region_pauli_strings(region: Region, length: int) -> np.ndarray:
     return out
 
 
+# Complex entries transformed at a time (256 kB); whole rows per chunk.
+_PAULI_CHUNK = 1 << 14
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_tables(length: int) -> tuple:
+    """(gather offsets, Hadamard matrix, order) of ``pauli_masses``."""
+    d = 2**length
+    j = np.arange(d)
+    # float offsets of a[j ^ x, j] in a row's (re, im) view, laid out (x, part, j)
+    diagonals = 2 * ((j ^ j[:, None]) * d + j)[:, None, :] + np.arange(2)[:, None]
+    parity = np.zeros((d, d), dtype=np.intp)
+    for k in range(length):
+        parity ^= ((j[:, None] & j) >> k) & 1
+    # flat (x, z) index of each string in "IXYZ" order: one axis of 2 x + z
+    # per site, where I, X, Y, Z are X^x Z^z (up to a phase) at 0, 2, 3, 1
+    axes = [axis for k in range(length) for axis in (k, length + k)]
+    xz = np.arange(d * d).reshape((2,) * (2 * length)).transpose(axes).reshape((4,) * length)
+    order = xz[np.ix_(*[[0, 2, 3, 1]] * length)].reshape(-1)
+    return diagonals, 1.0 - 2.0 * parity, order
+
+
+def pauli_masses(rows: np.ndarray, length: int) -> np.ndarray:
+    """Column masses ``sum_r |c_rp|^2`` of ``rows`` (vectorized 2**length
+    square matrices) in the coordinates of the normalized Pauli strings,
+    in the order of ``itertools.product("IXYZ", ...)`` over the sites.
+
+    A string is ``X^x Z^z`` up to a phase, which no mass sees, with ``x``
+    and ``z`` the bit masks of its flips and phase flips (site 0 the high
+    bit).  Per site, the 2 x 2 block entry (i, j) feeds x = i ^ j with sign
+    (-1)^(z j); over the chain, the coefficient of a matrix ``a`` is
+    ``sum_j (-1)^popcount(z & j) a[j ^ x, j] / sqrt(d)``.  So one gather
+    takes each row to its shifted diagonals ``a[j ^ x, j]``, and one
+    product with the d x d Sylvester Hadamard matrix makes every sum, on
+    the real and the imaginary parts alike.
+    """
+    d = 2**length
+    diagonals, hadamard, order = _pauli_tables(length)
+    parts = np.ascontiguousarray(rows, dtype=complex).reshape(len(rows), d * d).view(np.float64)
+    masses = np.zeros((d, d))
+    step = max(1, _PAULI_CHUNK // (d * d))
+    for lo in range(0, len(rows), step):
+        shifted = np.take(parts[lo : lo + step], diagonals, axis=1)
+        coeffs = (shifted.reshape(-1, d) @ hadamard).reshape(-1, d, 2, d)
+        masses += np.einsum("rxcz,rxcz->xz", coeffs, coeffs)
+    return masses.reshape(-1)[order] / d
+
+
+def pauli_support(alg: MatrixStarAlgebra, length: int, tol: float = DEFAULT_TOL):
+    """Bool mask of the Pauli strings whose coordinate span is the
+    algebra's span, or None when the masses do not certify one.
+
+    Certified: as many strings of mass above 1/2 as the rank, and at most
+    ``(tol/4)^2`` of mass off them.  The off-support mass is summed rather
+    than read as ``rank - mass``, whose rounding (about 1e-16 per string)
+    would exceed the bound.
+    """
+    if alg.dim != 2**length:
+        return None
+    rows = alg.ortho
+    masses = pauli_masses(rows, length)
+    support = masses > 0.5
+    if support.sum() != len(rows) or masses[~support].sum() > (tol / 4) ** 2:
+        return None
+    return support
+
+
 def standard_region_algebra(region: Region, length: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """Full matrix algebra on the region's sites, identity on the rest.
 
@@ -117,12 +201,16 @@ class LocalNet:
 
     ``builder`` is the local rule used as the reference when checking that
     assigning a region agrees with assigning it as a part of the whole.
+    Each region's Pauli support, each inclusion between two regions and
+    each comparison with the rule is computed once and kept.
     """
 
     length: int
     assignment: dict
     builder: object = field(default=None, repr=False)
     tol: float = DEFAULT_TOL
+    _supports: dict = field(default_factory=dict, repr=False, compare=False)
+    _inclusions: dict = field(default_factory=dict, repr=False, compare=False)
     _matches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def regions(self) -> list:
@@ -131,11 +219,36 @@ class LocalNet:
     def algebra(self, region: Region) -> MatrixStarAlgebra:
         return self.assignment[region]
 
+    def support(self, region: Region):
+        """Certified Pauli support of the region's algebra, or None."""
+        if region not in self._supports:
+            self._supports[region] = pauli_support(self.algebra(region), self.length, self.tol)
+        return self._supports[region]
+
+    def includes(self, small: Region, big: Region) -> bool:
+        """Whether the algebra of ``small`` lies in the algebra of ``big``."""
+        key = (small, big)
+        if key not in self._inclusions:
+            self._inclusions[key] = self._include(small, big)
+        return self._inclusions[key]
+
+    def _include(self, small: Region, big: Region) -> bool:
+        sub, sup = self.support(small), self.support(big)
+        if sub is not None and sup is not None:
+            return not np.any(sub & ~sup)
+        return algebra_span_leq(self.algebra(small), self.algebra(big), self.tol)
+
     def matches_reference(self, region: Region) -> bool:
         """Whether the assigned algebra of ``region`` spans the builder's
-        algebra for it; computed once per region."""
+        algebra for it."""
         if region not in self._matches:
-            self._matches[region] = algebra_span_equal(self.algebra(region), self.builder(region), self.tol)
+            reference = self.builder(region)
+            mine = self.support(region)
+            theirs = None if mine is None else pauli_support(reference, self.length, self.tol)
+            if theirs is not None:
+                self._matches[region] = np.array_equal(mine, theirs)
+            else:
+                self._matches[region] = algebra_span_equal(self.algebra(region), reference, self.tol)
         return self._matches[region]
 
     @property
@@ -175,9 +288,7 @@ def check_isotony(net: LocalNet) -> ValidationReport:
         for big in regions:
             if small == big or not big.contains(small):
                 continue
-            sub = net.algebra(small)
-            sup = net.algebra(big)
-            if not algebra_span_leq(sub, sup, net.tol):
+            if not net.includes(small, big):
                 report.add(
                     "net.isotony",
                     f"algebra of {small.label()} is not contained in algebra of {big.label()}",
@@ -392,8 +503,7 @@ def check_lc_square(sub: Region, whole: Region, net: LocalNet) -> ValidationRepo
     report = ValidationReport()
     if sub not in net.assignment or whole not in net.assignment:
         raise DomainError("both regions must belong to the net")
-    assigned = net.algebra(sub)
-    if not algebra_span_leq(assigned, net.algebra(whole), net.tol):
+    if not net.includes(sub, whole):
         report.add(
             "net.lcsquare",
             f"algebra of {sub.label()} does not include into algebra of {whole.label()}",

@@ -263,6 +263,29 @@ class TestNetLengthCap:
         assert "net chain length (size 7 exceeds cap 6)" in captured.err
 
 
+class TestNetSpecRegions:
+    Z0 = np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
+
+    def write_spec(self, tmp_path, regions):
+        spec = tmp_path / "net.json"
+        entries = [{"start": a, "stop": b, "generators": [self.Z0]} for a, b in regions]
+        spec.write_text(json.dumps({"length": 2, "regions": entries}))
+        return str(spec)
+
+    @pytest.mark.parametrize("region", [(1, 5), (-1, 0), (2, 2)])
+    def test_region_outside_the_chain_exits_two(self, capsys, tmp_path, region):
+        code = main(["net-check", "--net", self.write_spec(tmp_path, [(0, 0), region])])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"region [{region[0]},{region[1]}] lies outside the chain [0,1]" in captured.err
+
+    def test_duplicate_region_exits_two(self, capsys, tmp_path):
+        code = main(["net-check", "--net", self.write_spec(tmp_path, [(0, 0), (0, 1), (0, 0)])])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "region [0,0] is listed twice" in captured.err
+
+
 def test_importing_the_cli_loads_no_scipy():
     import os
     import subprocess

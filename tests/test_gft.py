@@ -329,3 +329,21 @@ class TestFaceCoarseGraining:
     def test_reversed_counts_rejected(self):
         with pytest.raises(InputError):
             face_coarse_grain(3, 2, 2)
+
+
+def test_weyl_sweep_ignores_and_keeps_the_global_random_state(capsys):
+    """``expm_multiply`` draws its norm estimates from numpy's global
+    generator; unfixed, these 16 states gave two reports (the cutoff-6
+    defect differed in its last digits)."""
+    from ctxlab.cli import main
+
+    argv = ["--seed", "612233", "gft-weyl", "--m", "2", "--n", "2", "--sweep", "2,4,6,8,10", "--norm", "2.0"]
+    reports = set()
+    for state in range(16):
+        np.random.seed(state)
+        before = np.random.get_state()
+        assert main(argv) == 0
+        reports.add(capsys.readouterr().out)
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+    assert len(reports) == 1

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -17,7 +18,9 @@ from ctxlab.locnet import (
     check_locality,
     composite_context,
     inductive_limit,
+    pauli_masses,
     pauli_string,
+    pauli_support,
     shifted_region,
     site_operator,
     spectrum_multiplicativity,
@@ -25,7 +28,14 @@ from ctxlab.locnet import (
     standard_region_algebra,
     translation_unitary,
 )
-from ctxlab.staralg import MatrixStarAlgebra, generate_algebra, gelfand_spectrum, is_commutative
+from ctxlab.staralg import (
+    MatrixStarAlgebra,
+    algebra_span_equal,
+    algebra_span_leq,
+    generate_algebra,
+    gelfand_spectrum,
+    is_commutative,
+)
 
 
 def site_context(site: int, length: int, single=SZ):
@@ -278,17 +288,15 @@ class TestLocallyCovariantSquare:
         report = check_lc_square(Region(0, 0), Region(0, 1), bad)
         assert any(v.kind == "net.lcsquare" for v in report.violations)
 
-    def test_rule_compared_once_per_subregion(self, monkeypatch):
-        from ctxlab import locnet
-        from ctxlab.staralg import algebra_span_equal, algebra_span_leq
-
+    def test_rule_compared_once_per_subregion(self):
         net = standard_net(3)
         corrupted = dict(net.assignment)
         corrupted[Region(0, 0)] = standard_region_algebra(Region(1, 1), 3)
         corrupted[Region(1, 2)] = standard_region_algebra(Region(0, 1), 3)
-        bad = LocalNet(3, corrupted, builder=net.builder)
+        built = []
+        bad = LocalNet(3, corrupted, builder=lambda r: built.append(r) or net.builder(r))
         pairs = [(s, b) for s in bad.regions() for b in bad.regions() if b.contains(s)]
-        # each pair compared afresh, as before the comparison was kept per region
+        # each pair compared afresh and densely, as before the comparison was kept per region
         expected = []
         for s, b in pairs:
             if not algebra_span_leq(bad.algebra(s), bad.algebra(b), bad.tol):
@@ -297,16 +305,100 @@ class TestLocallyCovariantSquare:
                 expected.append(
                     f"assigned algebra of {s.label()} differs from the region rule applied inside {b.label()}"
                 )
-        calls = []
-        monkeypatch.setattr(locnet, "algebra_span_equal", lambda *a: calls.append(a) or algebra_span_equal(*a))
         found = [v.message for s, b in pairs for v in check_lc_square(s, b, bad).violations]
         assert found == expected and len(found) > 2
-        assert len(calls) == len(bad.regions()) < len(pairs)
+        assert sorted(built) == bad.regions() and len(built) < len(pairs)
 
     def test_non_nested_rejected(self):
         net = standard_net(2)
         with pytest.raises(DomainError):
             check_lc_square(Region(0, 1), Region(1, 1), net)
+
+
+@st.composite
+def inclusion_nets(draw):
+    """(net, rotated regions) on 1-4 sites: a standard net, a corrupted one
+    (each region assigned the standard algebra of a drawn region) or, on up
+    to 3 sites, one generated from drawn Pauli strings as a ``--net`` spec
+    is, some leaking out of their region.  The drawn regions are conjugated
+    by one random unitary, which breaks their Pauli certificate; so may be
+    the builder's algebras."""
+    kind = draw(st.sampled_from(["standard", "corrupted", "generated"]))
+    length = draw(st.integers(1, 3 if kind == "generated" else 4))
+    d = 2**length
+    standard = standard_net(length)
+    regions = standard.regions()
+    assignment = {}
+    for region in regions:
+        if kind == "standard":
+            assignment[region] = standard.algebra(region)
+        elif kind == "corrupted":
+            assignment[region] = standard.algebra(draw(st.sampled_from(regions)))
+        else:
+            sites = st.sampled_from(list(range(length)) if draw(st.booleans()) else list(region.sites()))
+            strings = draw(st.lists(st.dictionaries(sites, st.sampled_from("XYZ"), min_size=1), max_size=3))
+            assignment[region] = generate_algebra([pauli_string(labels, length) for labels in strings], d, dim_cap=d)
+    rotated = draw(st.sets(st.sampled_from(regions)))
+    u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**16))), d)
+
+    def conjugate(alg):
+        return MatrixStarAlgebra(d, [u @ b @ u.conj().T for b in alg.basis])
+
+    for region in rotated:
+        assignment[region] = conjugate(assignment[region])
+    builder = (lambda r: conjugate(standard.builder(r))) if draw(st.booleans()) else standard.builder
+    return LocalNet(length, assignment, builder=builder), rotated
+
+
+class TestInclusionTable:
+    @settings(max_examples=40, deadline=None)
+    @given(inclusion_nets())
+    def test_supports_decide_as_the_dense_tests(self, case):
+        net, rotated = case
+        regions = net.regions()
+        for region in regions:
+            # span{I} and the full algebra are the only unitarily invariant spans
+            if region not in rotated:
+                assert net.support(region) is not None
+            elif 1 < len(net.algebra(region).ortho) < net.dim**2:
+                assert net.support(region) is None
+        for small, big in itertools.product(regions, repeat=2):
+            assert net.includes(small, big) == algebra_span_leq(net.algebra(small), net.algebra(big), net.tol)
+        for region in regions:
+            expected = algebra_span_equal(net.algebra(region), net.builder(region), net.tol)
+            assert net.matches_reference(region) == expected
+
+    def test_isotony_and_squares_decide_each_inclusion_once(self, monkeypatch):
+        net = standard_net(4)
+        corrupted = dict(net.assignment)
+        corrupted[Region(1, 1)] = standard_region_algebra(Region(2, 2), 4)
+        corrupted[Region(0, 2)] = MatrixStarAlgebra(16, standard_region_algebra(Region(0, 1), 4).basis)
+        bad = LocalNet(4, corrupted, builder=net.builder)
+        decided = collections.Counter()
+        include = LocalNet._include
+        monkeypatch.setattr(LocalNet, "_include", lambda self, s, b: decided.update([(s, b)]) or include(self, s, b))
+        pairs = [(s, b) for s in bad.regions() for b in bad.regions() if b.contains(s)]
+        isotony = check_isotony(bad)
+        squares = [v for s, b in pairs for v in check_lc_square(s, b, bad).violations]
+        assert not isotony.ok and squares
+        assert sorted(decided) == sorted(pairs) and set(decided.values()) == {1}
+
+    def test_exact_pauli_strings_are_certified(self):
+        region = Region(1, 2)
+        alg = standard_region_algebra(region, 4)
+        masses = pauli_masses(alg.ortho, 4)
+        labels = ["".join(c) for c in itertools.product("IXYZ", repeat=4)]
+        inside = np.array([lab[0] == "I" and lab[3] == "I" for lab in labels])
+        assert np.array_equal(pauli_support(alg, 4), inside)
+        assert masses[~inside].sum() < 1e-30
+        assert np.allclose(masses[inside], 1.0, rtol=0, atol=1e-15)
+
+    def test_a_span_off_the_pauli_grid_is_not_certified(self):
+        # span{I, (X + Z)/sqrt(2)} on one site: two strings of mass 1/2 each
+        eye, xz = np.eye(2) / np.sqrt(2), (SX + SZ) / 2.0
+        assert pauli_support(MatrixStarAlgebra(2, [eye, xz]), 1) is None
+        assert pauli_support(MatrixStarAlgebra(2, [eye, SZ / np.sqrt(2)]), 1) is not None
+        assert pauli_support(MatrixStarAlgebra(4, [np.eye(4) / 2.0]), 1) is None
 
 
 def test_standard_net_refuses_chains_over_the_cap():
