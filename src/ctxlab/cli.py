@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,25 +25,16 @@ from .ctxext import (
     state_to_json,
 )
 from .errors import InputError, ToolError
-from .linalg import RANK_FLOOR
+from .linalg import DEFAULT_TOL, check_tolerance
 from .staralg import context_category, full_matrix_algebra, generate_algebra, gelfand_spectrum
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    args: argparse.Namespace
-    tolerance: float = 1e-9
-    seed: int = 0
-    output: str = "json"
-    caps: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # below the rank floor, rounding passes for structure
-        if not RANK_FLOOR <= self.tolerance <= 1e-3:
-            raise InputError(f"tolerance {self.tolerance!r} must lie in [{RANK_FLOOR:g}, 1e-3]")
-        if any(v <= 0 for v in self.caps.values()):
-            raise InputError("caps must be positive")
+# Report bounds, fixed because they mirror the acceptance criteria: the
+# expectation defect of state-extend that exits 0, the guarded CCR defect
+# of gft-ccr (``within_1e-10``), and the slack of ``classical_bound_holds``.
+STATE_EXTEND_BOUND = 1e-8
+CCR_BOUND = 1e-10
+CLASSICAL_BOUND_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +94,8 @@ def load_algebra_spec(path: str, wanted: str | None):
     return dim, [seed_map[n] for n in names], names
 
 
-def emit(report: dict, config: RunConfig) -> None:
-    if config.output == "json":
+def emit(report: dict, args: argparse.Namespace) -> None:
+    if args.output == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         for key in sorted(report):
@@ -116,8 +106,7 @@ def emit(report: dict, config: RunConfig) -> None:
 # subcommands
 
 
-def cmd_cat_check(config: RunConfig) -> int:
-    args = config.args
+def cmd_cat_check(args: argparse.Namespace) -> int:
     if args.category:
         target = fincat.category_from_json(load_json(args.category))
         result = fincat.check_category(target)
@@ -128,44 +117,43 @@ def cmd_cat_check(config: RunConfig) -> int:
         target = fincat.diagram_from_json(load_json(args.diagram))
         result = fincat.check_diagram(target)
     emit({"check": "category" if args.category else "functor" if args.functor else "diagram",
-          **result.to_json()}, config)
+          **result.to_json()}, args)
     return 0 if result.ok else 1
 
 
-def _context_category_from_args(config: RunConfig):
-    args = config.args
+def _context_category_from_args(args: argparse.Namespace):
     dim, seeds, names = load_algebra_spec(args.algebra, args.seeds)
-    ambient = full_matrix_algebra(dim, config.tolerance)
-    return context_category(ambient, seeds, seed=config.seed), names
+    ambient = full_matrix_algebra(dim, args.tolerance)
+    return context_category(ambient, seeds, seed=args.seed), names
 
 
-def cmd_limit(config: RunConfig) -> int:
-    cc, names = _context_category_from_args(config)
-    ext = build_limit_extension(cc, cap=config.caps["carrier"])
+def cmd_limit(args: argparse.Namespace) -> int:
+    cc, names = _context_category_from_args(args)
+    ext = build_limit_extension(cc, cap=args.carrier_cap)
     report = {
         "seeds": names,
         "contexts": {cid: len(ext.spectra[cid]) for cid in cc.ids()},
         "carrier_points": ext.carrier.size,
     }
-    if config.args.points:
+    if args.points:
         report["points"] = carrier_to_json(ext)
-    if config.args.restrictions or config.args.check_universal:
-        diagram = spectrum_diagram(ext, with_restrictions=config.args.restrictions)
+    if args.restrictions or args.check_universal:
+        diagram = spectrum_diagram(ext, with_restrictions=args.restrictions)
         cone = fincat.limit_of_diagram(diagram)
-        if config.args.restrictions:
+        if args.restrictions:
             report["compatible_points"] = len(cone.apex)
-        if config.args.check_universal:
-            cones = fincat.enumerate_cones(diagram, config.caps["apex"])
+        if args.check_universal:
+            cones = fincat.enumerate_cones(diagram, args.apex_bound)
             report["universal"] = fincat.check_universal_property(cone, diagram, cones)
-            report["apex_bound"] = config.caps["apex"]
-    emit(report, config)
+            report["apex_bound"] = args.apex_bound
+    emit(report, args)
     return 0 if report.get("universal", True) else 1
 
 
-def cmd_state_extend(config: RunConfig) -> int:
-    cc, names = _context_category_from_args(config)
-    rho = parse_matrix(load_json(config.args.state))
-    ext = build_limit_extension(cc, cap=config.caps["carrier"])
+def cmd_state_extend(args: argparse.Namespace) -> int:
+    cc, names = _context_category_from_args(args)
+    rho = parse_matrix(load_json(args.state))
+    ext = build_limit_extension(cc, cap=args.carrier_cap)
     mu = extend_state(rho, ext)
     checks = []
     for cid in cc.ids():
@@ -179,12 +167,11 @@ def cmd_state_extend(config: RunConfig) -> int:
         "max_expectation_defect": float(np.round(max(checks), 14)),
         **state_to_json(mu),
     }
-    emit(report, config)
-    return 0 if max(checks) <= 1e-8 else 1
+    emit(report, args)
+    return 0 if max(checks) <= STATE_EXTEND_BOUND else 1
 
 
-def cmd_ks_check(config: RunConfig) -> int:
-    args = config.args
+def cmd_ks_check(args: argparse.Namespace) -> int:
     if args.max_sections < 1:
         raise InputError(f"--max-sections must be at least 1, got {args.max_sections}")
     if os.path.exists(args.fixture):
@@ -192,7 +179,7 @@ def cmd_ks_check(config: RunConfig) -> int:
     else:
         data = presheaf.bundled_fixture(os.path.basename(args.fixture))
     dim, bases = presheaf.load_ray_fixture(data)
-    cc = presheaf.ray_family_context_category(dim, bases, config.tolerance, seed=config.seed)
+    cc = presheaf.ray_family_context_category(dim, bases, args.tolerance, seed=args.seed)
     sheaf = presheaf.build_spectral_presheaf(cc)
     sections = presheaf.global_sections(sheaf, limit=args.max_sections)
     report = {
@@ -204,21 +191,20 @@ def cmd_ks_check(config: RunConfig) -> int:
         "obstructed": len(sections) == 0,
         "assignments": [s.assignment for s in sections],
     }
-    emit(report, config)
+    emit(report, args)
     return 0
 
 
-def cmd_daseinise(config: RunConfig) -> int:
-    args = config.args
+def cmd_daseinise(args: argparse.Namespace) -> int:
     dim, seeds, names = load_algebra_spec(args.algebra, args.seeds)
-    context = generate_algebra(seeds, dim, config.tolerance)
+    context = generate_algebra(seeds, dim, args.tolerance)
     proj = parse_matrix(load_json(args.projection))
-    chars = gelfand_spectrum(context, seed=config.seed)
+    chars = gelfand_spectrum(context, seed=args.seed)
     if args.mode == "outer":
         result = presheaf.outer_daseinisation(proj, context, chars)
     else:
         result = presheaf.inner_daseinisation(proj, context, chars)
-    emit({"mode": args.mode, "context_seeds": names, "result": matrix_to_json(result)}, config)
+    emit({"mode": args.mode, "context_seeds": names, "result": matrix_to_json(result)}, args)
     return 0
 
 
@@ -242,12 +228,11 @@ def load_net_spec(path: str, tol: float) -> "locnet.LocalNet":
     return locnet.LocalNet(length, assignment, tol=tol)
 
 
-def cmd_net_check(config: RunConfig) -> int:
-    args = config.args
+def cmd_net_check(args: argparse.Namespace) -> int:
     if args.net:
-        net = load_net_spec(args.net, config.tolerance)
+        net = load_net_spec(args.net, args.tolerance)
     else:
-        net = locnet.standard_net(args.chain, tol=config.tolerance)
+        net = locnet.standard_net(args.chain, tol=args.tolerance)
     isotony = locnet.check_isotony(net)
     locality = locnet.check_locality(net)
     squares = sum(
@@ -267,7 +252,7 @@ def cmd_net_check(config: RunConfig) -> int:
         # translation covariance is checked on the standard single-site family
         contexts = [
             (r, generate_algebra([locnet.site_operator(np.diag([1.0, -1.0]).astype(complex), r.start, net.length)],
-                                 net.dim, config.tolerance, dim_cap=net.dim))
+                                 net.dim, args.tolerance, dim_cap=net.dim))
             for r in net.regions() if r.start == r.stop
         ]
         covariance = locnet.check_covariance(net, args.shift, contexts)
@@ -275,22 +260,19 @@ def cmd_net_check(config: RunConfig) -> int:
         report["covariance"] = covariance.ok
         all_violations = all_violations + covariance.violations
     report["violations"] = [str(v) for v in all_violations]
-    emit(report, config)
+    emit(report, args)
     return 0 if not all_violations else 1
 
 
-def cmd_gft_ccr(config: RunConfig) -> int:
-    args = config.args
+def _random_function(rng, space) -> np.ndarray:
+    return rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+
+
+def cmd_gft_ccr(args: argparse.Namespace) -> int:
     space = gft.PolyhedronSpace(args.m, args.n)
     fock = gft.fock_for(space, args.nmax)
-    rng = np.random.default_rng(config.seed)
-    pairs = [
-        (
-            rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size),
-            rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size),
-        )
-        for _ in range(args.trials)
-    ]
+    rng = np.random.default_rng(args.seed)
+    pairs = [(_random_function(rng, space), _random_function(rng, space)) for _ in range(args.trials)]
     defects = [gft.ccr_defect(f, g, fock) for f, g in pairs]
     worst = max(defects) if defects else 0.0
     report = {
@@ -299,18 +281,16 @@ def cmd_gft_ccr(config: RunConfig) -> int:
         "nmax": args.nmax,
         "trials": args.trials,
         "max_guarded_defect": float(np.round(worst, 14)),
-        "within_1e-10": worst <= 1e-10,
+        "within_1e-10": worst <= CCR_BOUND,
     }
-    emit(report, config)
-    return 0 if worst <= 1e-10 else 1
+    emit(report, args)
+    return 0 if worst <= CCR_BOUND else 1
 
 
-def cmd_gft_weyl(config: RunConfig) -> int:
-    args = config.args
+def cmd_gft_weyl(args: argparse.Namespace) -> int:
     space = gft.PolyhedronSpace(args.m, args.n)
-    rng = np.random.default_rng(config.seed)
-    f = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
-    g = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+    rng = np.random.default_rng(args.seed)
+    f, g = _random_function(rng, space), _random_function(rng, space)
     f *= args.norm / np.sqrt(abs(gft.inner_product(f, f, space)))
     g *= args.norm / np.sqrt(abs(gft.inner_product(g, g, space)))
     try:
@@ -328,7 +308,7 @@ def cmd_gft_weyl(config: RunConfig) -> int:
         "norm": args.norm,
         "defects": table,
     }
-    emit(report, config)
+    emit(report, args)
     return 0
 
 
@@ -354,8 +334,7 @@ def _load_observable(data: dict):
     raise InputError(f"unknown observable type {kind!r}")
 
 
-def cmd_inequality(config: RunConfig) -> int:
-    args = config.args
+def cmd_inequality(args: argparse.Namespace) -> int:
     data, family = _load_family(args.family)
     if args.provider == "measure":
         if "carrier_weights" not in data:
@@ -367,21 +346,20 @@ def cmd_inequality(config: RunConfig) -> int:
         if "state" not in data:
             raise InputError("quantum provider needs 'state' in the family file")
         provider = realism.QuantumProvider(parse_matrix(data["state"]))
-    signs, minimum = realism.search_signs(family, provider, cap=config.caps["signs"])
+    signs, minimum = realism.search_signs(family, provider, cap=args.sign_cap)
     report = {
         "provider": args.provider,
         "q": family.q,
         "min_lhs": float(np.round(minimum, 12)),
         "margin": float(np.round(minimum - family.q, 12)),
         "argmin_signs": signs,
-        "classical_bound_holds": minimum >= family.q - 1e-12,
+        "classical_bound_holds": minimum >= family.q - CLASSICAL_BOUND_SLACK,
     }
-    emit(report, config)
+    emit(report, args)
     return 0
 
 
-def cmd_export_dot(config: RunConfig) -> int:
-    args = config.args
+def cmd_export_dot(args: argparse.Namespace) -> int:
     category = fincat.category_from_json(load_json(args.category))
     text = fincat.category_to_dot(category, name=args.name)
     if args.out:
@@ -398,7 +376,7 @@ def cmd_export_dot(config: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctxlab", description=__doc__)
-    parser.add_argument("--tolerance", type=float, default=1e-9)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", choices=("json", "text"), default="json")
     parser.add_argument("--carrier-cap", type=int, default=10**6)
@@ -476,18 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            subcommand=args.subcommand,
-            args=args,
-            tolerance=args.tolerance,
-            seed=args.seed,
-            output=args.output,
-            caps={"carrier": args.carrier_cap, "signs": args.sign_cap, "apex": args.apex_bound},
-        )
-        return args.func(config)
+        check_tolerance(args.tolerance)
+        if min(args.carrier_cap, args.sign_cap, args.apex_bound) <= 0:
+            raise InputError("caps must be positive")
+        return args.func(args)
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, InputError
 from .fincat import Diagram, discrete_category, poset_category
-from .linalg import as_matrix, dagger, opnorm
+from .linalg import as_matrix, require_state
 from .presheaf import build_spectral_presheaf
 from .staralg import ContextCategory
 
@@ -133,15 +133,7 @@ def embed(a, ctx_id: str, ext: ExtendedAlgebra) -> Element:
 
 def extend_state(rho, ext: ExtendedAlgebra) -> ExtendedState:
     """Product measure of the per-context Born marginals of ``rho``."""
-    dim = ext.cc.ambient.dim
-    r = as_matrix(rho, dim)
-    if opnorm(r - dagger(r)) > 1e-8:
-        raise DomainError("state is not self-adjoint")
-    if abs(np.trace(r) - 1.0) > 1e-8:
-        raise DomainError("state does not have unit trace")
-    if np.linalg.eigvalsh((r + dagger(r)) / 2.0).min() < -1e-8:
-        raise DomainError("state is not positive semidefinite")
-
+    r = require_state(rho, ext.cc.ambient.dim)
     marginals = {}
     for cid in ext.carrier.context_ids:
         weights = np.array(

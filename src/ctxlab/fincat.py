@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,25 +52,11 @@ class FinCategory:
                 table[m] = (src, dst)
         return table
 
-    def arrows(self, include_identities: bool = False) -> list:
-        """(label, src, dst) triples in deterministic order."""
-        out = []
+    def arrows(self) -> list:
+        """(label, src, dst) triples of the non-identity arrows, in
+        deterministic order."""
         idents = set(self.identities.values())
-        for (src, dst), labels in self.homs.items():
-            for m in labels:
-                if include_identities or m not in idents:
-                    out.append((m, src, dst))
-        return out
-
-
-def discrete_category(objects: list) -> FinCategory:
-    homs = {(o, o): [f"id_{o}"] for o in objects}
-    return FinCategory(
-        objects=list(objects),
-        homs=homs,
-        compose={(f"id_{o}", f"id_{o}"): f"id_{o}" for o in objects},
-        identities={o: f"id_{o}" for o in objects},
-    )
+        return [(m, src, dst) for (src, dst), labels in self.homs.items() for m in labels if m not in idents]
 
 
 def poset_category(elements: list, leq) -> FinCategory:
@@ -95,6 +82,11 @@ def poset_category(elements: list, leq) -> FinCategory:
                 if leq(b, c):
                     compose[(label(b, c), label(a, b))] = label(a, c)
     return FinCategory(objects, homs, compose, identities)
+
+
+def discrete_category(objects: list) -> FinCategory:
+    """The objects with their identity arrows only."""
+    return poset_category(objects, operator.eq)
 
 
 def check_category(c: FinCategory) -> ValidationReport:

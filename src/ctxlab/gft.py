@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .fincat import Cone, Diagram, FinCategory, check_cone
-from .linalg import dagger, opnorm
+from .linalg import GFT_CONTEXT_TOL, dagger, opnorm
 from .validation import ValidationReport
 
 
@@ -282,7 +282,7 @@ def weyl_commutator_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float
     return opnorm((lhs - rhs)[keep])
 
 
-def is_gft_context(fs: list, space: PolyhedronSpace, tol: float = 1e-10) -> bool:
+def is_gft_context(fs: list, space: PolyhedronSpace, tol: float = GFT_CONTEXT_TOL) -> bool:
     """True iff all pairwise inner products are real (commuting smearings)."""
     if not fs:
         raise InputError("a context needs at least one test function")

@@ -1,21 +1,58 @@
-"""Small dense linear-algebra helpers used by the algebra modules.
+"""Small dense linear-algebra helpers, and the package's threshold policy.
 
 Matrices are square complex numpy arrays.  A span of d x d matrices is
 one ``(rank, d*d)`` array of Frobenius-orthonormal rows (the vectorized
 matrices); every span function takes and returns that array, so every
 span test is basis independent.
+
+Every numerical threshold of the package is named below.  Each function
+takes one ``tol`` (the CLI's ``--tolerance``): structural comparisons
+(spans, commutators) use it as it is; tests on projections, characters
+and eigenvalue gaps carry eigensolver error and use ``spectral_tol(tol)``;
+the character relation, the principal angles and the rank test have
+floors of their own.  Bounds on outside input (states, +-1 observables,
+measure weights), the sign-search tie margin and the GFT context test
+are fixed, as are the CLI's report bounds, which live in ``cli``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 DEFAULT_TOL = 1e-9
 # Relative singular-value floor of the rank test, and so the smallest
 # tolerance that separates a span from rounding (about 1e-16 per entry).
 RANK_FLOOR = 1e-13
+MAX_TOL = 1e-3  # largest tolerance: above it, a test accepts structure, not rounding
+SPECTRAL_FLOOR = 1e-8  # eigensolver error of projections, characters and eigenvalue gaps
+CHARACTER_FLOOR = 1e-9  # the character relation p b p = val p, scaled by max(1, |b|)
+ANGLE_FLOOR = 1e-12  # 1 - cos of a principal angle that makes an intersection direction
+INTERVAL_SLACK = 1e-9  # excess of an interval's lower reading over its upper one
+# Fixed bounds on outside input.  A density matrix: asymmetry, trace defect,
+# and negativity of its Hermitian part.  A +-1 observable: |v| - 1 of its
+# values, or the asymmetry and |m^2 - 1| of its matrix.  A measure weight:
+# negativity.
+STATE_ASYMMETRY = 1e-9
+STATE_TRACE = 1e-8
+STATE_NEGATIVITY = 1e-8
+OBSERVABLE_TOL = 1e-9
+WEIGHT_FLOOR = 1e-12
+SIGN_TIE_MARGIN = 1e-15  # a sign vector must read lower by more, so ties keep the first minimizer
+GFT_CONTEXT_TOL = 1e-10  # imaginary part of a real inner product of GFT test functions
+
+
+def spectral_tol(tol: float) -> float:
+    """Threshold of a test that reads eigenvectors or eigenvalues."""
+    return max(tol, SPECTRAL_FLOOR)
+
+
+def check_tolerance(tol: float) -> None:
+    """Refuse (InputError) a tolerance outside ``[RANK_FLOOR, MAX_TOL]``:
+    below the rank floor, rounding passes for structure."""
+    if not RANK_FLOOR <= tol <= MAX_TOL:
+        raise InputError(f"tolerance {tol!r} must lie in [{RANK_FLOOR:g}, 1e-3]")
 
 
 def as_matrix(m, dim: int | None = None) -> np.ndarray:
@@ -53,6 +90,20 @@ def is_selfadjoint(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def is_projection(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return is_selfadjoint(m, tol) and opnorm(m @ m - m) <= tol
+
+
+def require_state(rho, dim: int | None = None) -> np.ndarray:
+    """``rho`` as a matrix, or DomainError unless it is a density matrix:
+    self-adjoint, unit trace, and positive semidefinite (its Hermitian
+    part), within the fixed ``STATE_*`` bounds."""
+    r = as_matrix(rho, dim)
+    if opnorm(r - dagger(r)) > STATE_ASYMMETRY:
+        raise DomainError("state is not self-adjoint")
+    if abs(np.trace(r) - 1.0) > STATE_TRACE:
+        raise DomainError("state does not have unit trace")
+    if np.linalg.eigvalsh((r + dagger(r)) / 2.0).min() < -STATE_NEGATIVITY:
+        raise DomainError("state is not positive semidefinite")
+    return r
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,7 +174,7 @@ def intersect_spans(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) ->
     if len(qa) == 0 or len(qb) == 0:
         return qa[:0]
     u, s, vh = np.linalg.svd(qa.conj() @ qb.T)
-    keep = s >= 1.0 - max(tol, 1e-12)
+    keep = s >= 1.0 - max(tol, ANGLE_FLOOR)
     return orthonormalize_span([u[:, i] @ qa for i in np.flatnonzero(keep)], tol)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .ctxext import build_limit_extension, embed
 from .errors import CapExceeded, DomainError, InputError
-from .linalg import DEFAULT_TOL, opnorm
+from .linalg import DEFAULT_TOL, opnorm, spectral_tol
 from .staralg import (
     MatrixStarAlgebra,
     algebra_span_equal,
@@ -244,7 +244,10 @@ class LocalNet:
         if region not in self._matches:
             reference = self.builder(region)
             mine = self.support(region)
-            theirs = None if mine is None else pauli_support(reference, self.length, self.tol)
+            if mine is None or reference is self.algebra(region):
+                theirs = mine
+            else:
+                theirs = pauli_support(reference, self.length, self.tol)
             if theirs is not None:
                 self._matches[region] = np.array_equal(mine, theirs)
             else:
@@ -262,18 +265,18 @@ def refuse_long_chain(length: int) -> None:
         raise CapExceeded("net chain length", length, MAX_SITES)
 
 
-def standard_net(length: int, max_interval: int | None = None, tol: float = DEFAULT_TOL) -> LocalNet:
-    """The net of all intervals (optionally capped in length) on the chain."""
+def standard_net(length: int, tol: float = DEFAULT_TOL) -> LocalNet:
+    """The net of all intervals on the chain.  Its builder returns the
+    algebras built here, also to a net made from a corrupted copy."""
     if length < 1:
         raise InputError("chain length must be positive")
     refuse_long_chain(length)
-    cap = length if max_interval is None else max_interval
     assignment = {}
     for a in range(length):
-        for b in range(a, min(length, a + cap)):
+        for b in range(a, length):
             region = Region(a, b)
             assignment[region] = standard_region_algebra(region, length, tol)
-    return LocalNet(length, assignment, builder=lambda r: standard_region_algebra(r, length, tol), tol=tol)
+    return LocalNet(length, assignment, builder=dict(assignment).__getitem__, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +447,7 @@ def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = T
             hits = [
                 j
                 for j, tchi in enumerate(ext.spectra[tid])
-                if opnorm(moved - tchi.projection) <= max(net.tol, 1e-8)
+                if opnorm(moved - tchi.projection) <= spectral_tol(net.tol)
             ]
             if len(hits) != 1:
                 report.add(
@@ -471,7 +474,7 @@ def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = T
         for b_idx, b in enumerate(cc.algebra(cid).basis):
             before = embed(b, cid, ext).values
             after = embed(alpha(b), tid, ext).values
-            if np.any(np.abs(after[moved] - before) > max(net.tol, 1e-8)):
+            if np.any(np.abs(after[moved] - before) > spectral_tol(net.tol)):
                 report.add(
                     "net.covariance",
                     f"extension automorphism fails on basis element {b_idx} of context at {region.label()}",

@@ -19,11 +19,14 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .fincat import solve_constraints
-from .linalg import DEFAULT_TOL, as_matrix, dagger, is_projection, is_selfadjoint, opnorm
+from .linalg import (
+    DEFAULT_TOL, INTERVAL_SLACK, SPECTRAL_FLOOR, as_matrix, dagger, is_projection, is_selfadjoint, opnorm, spectral_tol,
+)
 from .staralg import (
     Character,
     ContextCategory,
     MatrixStarAlgebra,
+    _cluster,
     context_category_from_groups,
     dominating_projections,
     full_matrix_algebra,
@@ -88,21 +91,13 @@ def check_presheaf(p: SpectralPresheaf) -> ValidationReport:
     """Contravariant functor laws: restrictions compose along nested chains."""
     report = ValidationReport()
     ids = p.base.ids()
-    for a in ids:
-        for b in ids:
-            if a == b or not p.base.leq(a, b):
+    for a, b in p.base.strict_pairs():
+        for c in ids:
+            if c in (a, b) or not p.base.leq(b, c):
                 continue
-            for c in ids:
-                if c in (a, b) or not p.base.leq(b, c):
-                    continue
-                for i in range(len(p.fibers[c])):
-                    via = p.restrict(b, a, p.restrict(c, b, i))
-                    direct = p.restrict(c, a, i)
-                    if via != direct:
-                        report.add(
-                            "presheaf.compose",
-                            f"chain {a} <= {b} <= {c}: character {i} restricts inconsistently",
-                        )
+            for i in range(len(p.fibers[c])):
+                if p.restrict(b, a, p.restrict(c, b, i)) != p.restrict(c, a, i):
+                    report.add("presheaf.compose", f"chain {a} <= {b} <= {c}: character {i} restricts inconsistently")
     return report
 
 
@@ -138,8 +133,27 @@ def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
 # daseinisation
 
 
-def _context_spectrum(v: MatrixStarAlgebra, spectrum: list | None) -> list:
-    return spectrum if spectrum is not None else gelfand_spectrum(v)
+def _daseinise(p, v: MatrixStarAlgebra, spectrum: list | None, outer: bool) -> np.ndarray:
+    """Both daseinisations: the sum of the context's minimal projections P
+    that overlap ``p`` (outer) or lie below it (inner), verified spectrally."""
+    name = "outer" if outer else "inner"
+    pm = as_matrix(p, v.dim)
+    tol = spectral_tol(v.tol)
+    if not is_projection(pm, tol):
+        raise DomainError(f"{name}_daseinisation expects a projection")
+    q = np.zeros((v.dim, v.dim), dtype=complex)
+    for chi in spectrum if spectrum is not None else gelfand_spectrum(v):
+        if outer:
+            keep = opnorm(chi.projection @ pm) > tol
+        else:
+            keep = opnorm(chi.projection @ pm - chi.projection) <= tol
+        if keep:
+            q = q + chi.projection
+    gap = q - pm if outer else pm - q
+    if np.linalg.eigvalsh((gap + dagger(gap)) / 2.0).min() < -SPECTRAL_FLOOR:
+        failure = "dominate the input" if outer else "stay below the input"
+        raise DomainError(f"{name} daseinisation failed to {failure}")
+    return q
 
 
 def outer_daseinisation(p, v: MatrixStarAlgebra, spectrum: list | None = None) -> np.ndarray:
@@ -148,49 +162,24 @@ def outer_daseinisation(p, v: MatrixStarAlgebra, spectrum: list | None = None) -
     Sum of the minimal projections with nonzero overlap; the result is
     verified to dominate ``p`` spectrally.
     """
-    pm = as_matrix(p, v.dim)
-    if not is_projection(pm, max(v.tol, 1e-8)):
-        raise DomainError("outer_daseinisation expects a projection")
-    chars = _context_spectrum(v, spectrum)
-    q = np.zeros((v.dim, v.dim), dtype=complex)
-    for chi in chars:
-        if opnorm(chi.projection @ pm) > max(v.tol, 1e-8):
-            q = q + chi.projection
-    if np.linalg.eigvalsh((q - pm + dagger(q - pm)) / 2.0).min() < -1e-8:
-        raise DomainError("outer daseinisation failed to dominate the input")
-    return q
+    return _daseinise(p, v, spectrum, outer=True)
 
 
 def inner_daseinisation(p, v: MatrixStarAlgebra, spectrum: list | None = None) -> np.ndarray:
     """Largest projection of the context dominated by ``p``."""
-    pm = as_matrix(p, v.dim)
-    if not is_projection(pm, max(v.tol, 1e-8)):
-        raise DomainError("inner_daseinisation expects a projection")
-    chars = _context_spectrum(v, spectrum)
-    q = np.zeros((v.dim, v.dim), dtype=complex)
-    for chi in chars:
-        if opnorm(chi.projection @ pm - chi.projection) <= max(v.tol, 1e-8):
-            q = q + chi.projection
-    if np.linalg.eigvalsh((pm - q + dagger(pm - q)) / 2.0).min() < -1e-8:
-        raise DomainError("inner daseinisation failed to stay below the input")
-    return q
+    return _daseinise(p, v, spectrum, outer=False)
 
 
-def _spectral_steps(a: np.ndarray) -> list:
-    """(eigenvalue, cumulative spectral projection) pairs, ascending."""
+def _spectral_steps(a: np.ndarray, tol: float) -> list:
+    """(eigenvalue, cumulative spectral projection) pairs, ascending; the
+    eigenvalues are grouped as characters are (``staralg._cluster``)."""
     w, vecs = np.linalg.eigh(a)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     steps = []
     cum = np.zeros_like(a)
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and w[j + 1] - w[i] <= 1e-10 * scale:
-            j += 1
-        block = vecs[:, i : j + 1]
+    for group in _cluster(w, tol):
+        block = vecs[:, group]
         cum = cum + block @ dagger(block)
-        steps.append((float(w[i : j + 1].mean()), cum.copy()))
-        i = j + 1
+        steps.append((float(w[group].mean()), cum.copy()))
     return steps
 
 
@@ -203,10 +192,10 @@ def operator_interval(a, v: MatrixStarAlgebra, chi: Character, spectrum: list | 
     the eigenvalue grid of ``a`` and satisfy lo <= hi.
     """
     am = as_matrix(a, v.dim)
-    if not is_selfadjoint(am, max(v.tol, 1e-8)):
+    if not is_selfadjoint(am, spectral_tol(v.tol)):
         raise DomainError("operator_interval expects a self-adjoint matrix")
-    chars = _context_spectrum(v, spectrum)
-    steps = _spectral_steps(am)
+    chars = spectrum if spectrum is not None else gelfand_spectrum(v)
+    steps = _spectral_steps(am, v.tol)
 
     def rebuild(daseinise) -> np.ndarray:
         out = np.zeros((v.dim, v.dim), dtype=complex)
@@ -221,7 +210,7 @@ def operator_interval(a, v: MatrixStarAlgebra, chi: Character, spectrum: list | 
     inner_op = rebuild(lambda e: outer_daseinisation(e, v, chars))
     lo = float(chi.value_of(inner_op).real)
     hi = float(chi.value_of(outer_op).real)
-    if lo > hi + 1e-9:
+    if lo > hi + INTERVAL_SLACK:
         raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
     return min(lo, hi), hi
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ctxext import ExtendedState
 from .errors import CapExceeded, DomainError, InputError, MixedObservableError
-from .linalg import as_matrix, is_selfadjoint, opnorm
+from .linalg import OBSERVABLE_TOL, SIGN_TIE_MARGIN, WEIGHT_FLOOR, as_matrix, is_selfadjoint, opnorm, require_state
 
 SIGN_SEARCH_CAP = 16
 
@@ -34,7 +34,7 @@ class CarrierObservable:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if np.any(np.abs(np.abs(self.values) - 1.0) > 1e-9):
+        if np.any(np.abs(np.abs(self.values) - 1.0) > OBSERVABLE_TOL):
             raise DomainError("carrier observable must take values +1 or -1")
 
 
@@ -46,10 +46,10 @@ class MatrixObservable:
 
     def __post_init__(self):
         self.matrix = as_matrix(self.matrix)
-        if not is_selfadjoint(self.matrix, 1e-9):
+        if not is_selfadjoint(self.matrix, OBSERVABLE_TOL):
             raise DomainError("matrix observable must be self-adjoint")
         eye = np.eye(self.matrix.shape[0])
-        if opnorm(self.matrix @ self.matrix - eye) > 1e-9:
+        if opnorm(self.matrix @ self.matrix - eye) > OBSERVABLE_TOL:
             raise DomainError("matrix observable must square to the identity")
 
 
@@ -88,7 +88,7 @@ class ObservableFamily:
 
 def _weights_of(mu) -> np.ndarray:
     w = mu.weights if isinstance(mu, ExtendedState) else np.asarray(mu, dtype=float)
-    if np.any(w < -1e-12):
+    if np.any(w < -WEIGHT_FLOOR):
         raise DomainError("measure weights must be nonnegative")
     return w
 
@@ -127,11 +127,7 @@ class QuantumProvider:
     """Correlations and group squares of matrix observables in one state."""
 
     def __init__(self, rho):
-        self.rho = as_matrix(rho)
-        if not is_selfadjoint(self.rho, 1e-9) or abs(np.trace(self.rho) - 1.0) > 1e-8:
-            raise DomainError("state must be a self-adjoint trace-one matrix")
-        if np.linalg.eigvalsh(self.rho).min() < -1e-8:
-            raise DomainError("state must be positive semidefinite")
+        self.rho = require_state(rho)
 
     def correlation(self, o1, o2) -> float:
         if not isinstance(o1, MatrixObservable) or not isinstance(o2, MatrixObservable):
@@ -210,7 +206,7 @@ def search_signs(fam: ObservableFamily, provider, cap: int = SIGN_SEARCH_CAP) ->
     scanned in ``itertools.product`` order (+1 before -1 per slot), in
     chunks of ``SIGN_CHUNK``, summing the group tables in group order, so
     every value is the same float as the per-vector sum.  The best value
-    is replaced only by one below it by more than 1e-15, so the first
+    is replaced only by one below it by more than ``SIGN_TIE_MARGIN``, so the first
     minimizer in that order is returned.
     """
     if fam.total > cap:
@@ -241,12 +237,12 @@ def search_signs(fam: ObservableFamily, provider, cap: int = SIGN_SEARCH_CAP) ->
             values = values + table[((start >> shift) & mask) | ((offsets >> shift) & mask)]
         if best_value is None:
             best_value = float(values[0])
-        # every value scanned so far is >= best_value - 1e-15, so the first
+        # every value scanned so far is >= best_value - SIGN_TIE_MARGIN, so the first
         # value below that threshold is where the running minimum first
         # drops below it: a binary search on the negated running minimum
         falls = -np.minimum.accumulate(values)
         while True:
-            at = int(np.searchsorted(falls, -(best_value - 1e-15), side="right"))
+            at = int(np.searchsorted(falls, -(best_value - SIGN_TIE_MARGIN), side="right"))
             if at == chunk:
                 break
             best_index, best_value = start + at, float(values[at])

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import CapExceeded, DomainError, InputError
 from .fincat import FinCategory, poset_category
 from .linalg import (
+    CHARACTER_FLOOR,
     DEFAULT_TOL,
     RANK_FLOOR,
     as_matrix,
@@ -31,10 +32,13 @@ from .linalg import (
     span_containment,
     span_leq,
     spans_equal,
+    spectral_tol,
 )
 from .validation import ValidationReport
 
 DIM_CAP = 16
+# Random diagonalizing combinations tried before the exact refinement sweep.
+SPECTRUM_RETRIES = 3
 
 
 @dataclass
@@ -192,13 +196,14 @@ def _selfadjoint_spanning(stack: np.ndarray) -> tuple:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list:
-    """Group sorted real values whose gaps stay below ``max(tol, 1e-8)``
+    """Group sorted real values whose gaps stay below ``spectral_tol(tol)``
     times the larger of 1 and the largest magnitude."""
     order = np.argsort(values)
     scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
+    gap = spectral_tol(tol) * scale
     groups = [[order[0]]] if values.size else []
     for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= max(tol, 1e-8) * scale:
+        if values[idx] - values[groups[-1][-1]] <= gap:
             groups[-1].append(idx)
         else:
             groups.append([idx])
@@ -215,21 +220,19 @@ def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray, tol: float) -> lis
 def _characters(blocks: list, stack: np.ndarray, scales: np.ndarray, tol: float) -> list | None:
     """The blocks as characters, or None unless every basis matrix b acts
     on every block's range as the scalar ``val = tr(p b) / rank``:
-    ``‖p b p - val p‖ <= max(tol, 1e-9) * scale``.  All (block, b) pairs
+    ``‖p b p - val p‖ <= max(tol, CHARACTER_FLOOR) * scale``.  All (block, b) pairs
     are one batched residual, and the scalars are the character values."""
     projs = np.stack([iso @ dagger(iso) for iso in blocks])
     ranks = [iso.shape[1] for iso in blocks]
     pb = projs[:, None] @ stack
     vals = np.trace(pb, axis1=-2, axis2=-1) / np.array(ranks)[:, None]
     residual = pb @ projs[:, None] - vals[..., None, None] * projs[:, None]
-    if np.any(opnorms(residual) > max(tol, 1e-9) * scales):
+    if np.any(opnorms(residual) > max(tol, CHARACTER_FLOOR) * scales):
         return None
     return [Character(projection=p, values=values, rank=r) for p, values, r in zip(projs, vals, ranks)]
 
 
-def gelfand_spectrum(
-    v: MatrixStarAlgebra, seed: int = 0, max_retries: int = 3
-) -> list:
+def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
     """Characters of a commutative algebra via simultaneous diagonalization.
 
     A random self-adjoint combination of the basis splits joint eigenspaces
@@ -246,7 +249,7 @@ def gelfand_spectrum(
     rng = np.random.default_rng(seed)
 
     chars = None
-    for _ in range(max_retries):
+    for _ in range(SPECTRUM_RETRIES):
         coeffs = rng.standard_normal(len(herm))
         h = sum(c * s for c, s in zip(coeffs, herm)) if herm else np.zeros((d, d), dtype=complex)
         candidate = _blocks_from_vectors(h, np.eye(d, dtype=complex), v.tol)
@@ -270,13 +273,13 @@ def gelfand_spectrum(
 
 def dominating_projections(fine: list, coarse: list, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``hits[i, j]``: coarse character j's projection Q dominates fine
-    character i's projection P, ``‖Q P - P‖ <= max(tol, 1e-8)``.  All pairs
+    character i's projection P, ``‖Q P - P‖ <= spectral_tol(tol)``.  All pairs
     are one batched residual over the stacked projections."""
     if not fine or not coarse:
         return np.zeros((len(fine), len(coarse)), dtype=bool)
     p = np.stack([chi.projection for chi in fine])[:, None]
     q = np.stack([chi.projection for chi in coarse])[None]
-    return opnorms(q @ p - p) <= max(tol, 1e-8)
+    return opnorms(q @ p - p) <= spectral_tol(tol)
 
 
 def restriction_table(hits: np.ndarray) -> dict:
@@ -481,14 +484,13 @@ def boolean_blocks(
     """
     mats = [as_matrix(p) for p in projections]
     for k, m in enumerate(mats):
-        if not is_projection(m, max(tol, 1e-8)):
+        if not is_projection(m, spectral_tol(tol)):
             raise DomainError(f"input {k} is not a projection")
     if not mats:
         return []
     d = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != d:
-            raise InputError("projections must share one matrix dimension")
+    if any(m.shape[0] != d for m in mats):
+        raise InputError("projections must share one matrix dimension")
     eye = np.eye(d, dtype=complex)
     blocks = []
     for clique in _commutation_cliques(mats, tol):
@@ -499,12 +501,9 @@ def boolean_blocks(
         atoms = [a for a in partial if opnorm(a) > 0.5]
         if len(atoms) > max_atoms:
             raise CapExceeded("Boolean block atom count", len(atoms), max_atoms)
-        elements = []
-        for bits in itertools.product((0, 1), repeat=len(atoms)):
-            total = np.zeros((d, d), dtype=complex)
-            for take, atom in zip(bits, atoms):
-                if take:
-                    total = total + atom
-            elements.append(total)
+        elements = [
+            sum((atom for take, atom in zip(bits, atoms) if take), np.zeros((d, d), dtype=complex))
+            for bits in itertools.product((0, 1), repeat=len(atoms))
+        ]
         blocks.append(BooleanBlock(members=[mats[i] for i in clique], atoms=atoms, elements=elements))
     return blocks

@@ -298,3 +298,34 @@ def test_importing_the_cli_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("tolerance", ["1e-13", "1e-3"])
+class TestToleranceRangeEnds:
+    """Each end of the accepted ``--tolerance`` range gives the answers of
+    the default."""
+
+    def test_limit_is_universal(self, capsys, specs, tolerance):
+        code, out = run(capsys, ["--tolerance", tolerance, "limit", "--algebra", specs["algebra"], "--seeds", "z,x",
+                                 "--restrictions", "--check-universal"])
+        assert code == 0 and json.loads(out)["universal"] is True
+
+    def test_state_extension_is_exact(self, capsys, specs, tolerance):
+        code, out = run(capsys, ["--tolerance", tolerance, "state-extend", "--algebra", specs["algebra"],
+                                 "--seeds", "z,x", "--state", specs["state"]])
+        assert code == 0 and json.loads(out)["max_expectation_defect"] == 0.0
+
+    def test_cabello18_is_obstructed(self, capsys, tolerance):
+        code, out = run(capsys, ["--tolerance", tolerance, "ks-check", "--fixture", "cabello18.json"])
+        assert code == 0 and json.loads(out)["obstructed"] is True
+
+    def test_daseinise(self, capsys, specs, tolerance):
+        code, out = run(capsys, ["--tolerance", tolerance, "daseinise", "--projection", specs["projection"],
+                                 "--algebra", specs["algebra"], "--seeds", "z"])
+        assert code == 0 and json.loads(out)["mode"] == "outer"
+
+    def test_chain_net_satisfies_every_axiom(self, capsys, tolerance):
+        code, out = run(capsys, ["--tolerance", tolerance, "net-check", "--chain", "3"])
+        report = json.loads(out)
+        assert code == 0 and report["violations"] == []
+        assert all(report[axiom] for axiom in ("isotony", "locality", "lc_squares", "covariance"))

@@ -408,3 +408,27 @@ def test_standard_net_refuses_chains_over_the_cap():
     with pytest.raises(CapExceeded) as info:
         standard_net(MAX_SITES + 1)
     assert (info.value.size, info.value.cap) == (7, 6)
+
+
+def test_standard_net_builds_each_region_once(monkeypatch):
+    """The builder returns the algebra assigned at construction, whose Pauli
+    support is then the only one computed for the region; a net made from
+    a corrupted copy still compares against the uncorrupted algebra."""
+    import ctxlab.locnet as locnet
+
+    built, weighed = collections.Counter(), []
+    build, masses = locnet.standard_region_algebra, locnet.pauli_masses
+    monkeypatch.setattr(locnet, "standard_region_algebra", lambda r, *a: built.update([r]) or build(r, *a))
+    monkeypatch.setattr(locnet, "pauli_masses", lambda rows, length: weighed.append(rows) or masses(rows, length))
+    net = standard_net(3)
+    pairs = [(s, b) for s in net.regions() for b in net.regions() if b.contains(s)]
+    assert check_isotony(net).ok
+    assert all(check_lc_square(s, b, net).ok for s, b in pairs)
+    assert sorted(built) == net.regions() and set(built.values()) == {1}
+    assert len(weighed) == len(net.regions())
+
+    corrupted = dict(net.assignment)
+    corrupted[Region(0, 0)] = build(Region(1, 1), 3)
+    bad = LocalNet(3, corrupted, builder=net.builder)
+    assert bad.builder(Region(0, 0)) is net.algebra(Region(0, 0))
+    assert not bad.matches_reference(Region(0, 0)) and bad.matches_reference(Region(1, 1))

@@ -38,7 +38,7 @@ from ctxlab.ctxext import (
     spectrum_diagram,
     state_to_json,
 )
-from ctxlab.errors import CapExceeded, DomainError
+from ctxlab.errors import CapExceeded, DomainError, InputError
 from ctxlab.fincat import (
     DEFAULT_SEARCH_CAP,
     Cone,
@@ -53,8 +53,12 @@ from ctxlab.fincat import (
 from ctxlab.fixtures import peres24_fixture
 from ctxlab.linalg import (
     as_matrix,
+    dagger,
     intersect_spans,
+    is_projection,
+    is_selfadjoint,
     opnorm,
+    opnorms,
     orthonormalize_span,
     span_containment,
     span_leq,
@@ -69,9 +73,13 @@ from ctxlab.locnet import (
 )
 from ctxlab.presheaf import (
     GlobalSection,
+    _spectral_steps,
     build_spectral_presheaf,
     global_sections,
+    inner_daseinisation,
     load_ray_fixture,
+    operator_interval,
+    outer_daseinisation,
     ray_family_context_category,
     rays_to_projectors,
 )
@@ -89,13 +97,16 @@ from ctxlab.staralg import (
     MatrixStarAlgebra,
     _assemble_context_category,
     _characters,
+    _cluster,
     _commutation_cliques,
     _selfadjoint_spanning,
     algebra_span_equal,
+    boolean_blocks,
     context_category,
     dominating_character_index,
     dominating_projections,
     full_matrix_algebra,
+    gelfand_spectrum,
     generate_algebra,
     restriction_table,
 )
@@ -1226,3 +1237,387 @@ class TestConeOracle:
                 ]
                 cone = Cone(apex=apex, legs={o: dict(zip(apex, combo[i])) for i, o in enumerate(objects)})
                 assert keep == check_cone(cone, d).ok
+
+
+# ---------------------------------------------------------------------------
+# the named threshold policy against the literal thresholds it replaced:
+# the ``max(tol, 1e-8)`` tests, both state checks, both daseinisation bodies
+# and the fixed-gap eigenvalue grouping of the spectral steps
+
+TOLS = [1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3]
+
+
+def reference_cluster(values, tol) -> list:
+    order = np.argsort(values)
+    scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
+    groups = [[order[0]]] if values.size else []
+    for idx in order[1:]:
+        if values[idx] - values[groups[-1][-1]] <= max(tol, 1e-8) * scale:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    return groups
+
+
+def reference_dominating_projections(fine, coarse, tol=1e-9) -> np.ndarray:
+    if not fine or not coarse:
+        return np.zeros((len(fine), len(coarse)), dtype=bool)
+    p = np.stack([chi.projection for chi in fine])[:, None]
+    q = np.stack([chi.projection for chi in coarse])[None]
+    return opnorms(q @ p - p) <= max(tol, 1e-8)
+
+
+def reference_boolean_blocks(projections, tol=1e-9, max_atoms=12) -> list:
+    """(members, atoms, elements) per block."""
+    mats = [as_matrix(p) for p in projections]
+    for k, m in enumerate(mats):
+        if not is_projection(m, max(tol, 1e-8)):
+            raise DomainError(f"input {k} is not a projection")
+    if not mats:
+        return []
+    d = mats[0].shape[0]
+    for m in mats:
+        if m.shape[0] != d:
+            raise InputError("projections must share one matrix dimension")
+    eye = np.eye(d, dtype=complex)
+    blocks = []
+    for clique in _commutation_cliques(mats, tol):
+        partial = [eye]
+        for idx in clique:
+            p = mats[idx]
+            partial = [x @ p for x in partial] + [x @ (eye - p) for x in partial]
+        atoms = [a for a in partial if opnorm(a) > 0.5]
+        if len(atoms) > max_atoms:
+            raise CapExceeded("Boolean block atom count", len(atoms), max_atoms)
+        elements = []
+        for bits in itertools.product((0, 1), repeat=len(atoms)):
+            total = np.zeros((d, d), dtype=complex)
+            for take, atom in zip(bits, atoms):
+                if take:
+                    total = total + atom
+            elements.append(total)
+        blocks.append(([mats[i] for i in clique], atoms, elements))
+    return blocks
+
+
+def reference_outer_daseinisation(p, v, spectrum=None) -> np.ndarray:
+    pm = as_matrix(p, v.dim)
+    if not is_projection(pm, max(v.tol, 1e-8)):
+        raise DomainError("outer_daseinisation expects a projection")
+    chars = spectrum if spectrum is not None else gelfand_spectrum(v)
+    q = np.zeros((v.dim, v.dim), dtype=complex)
+    for chi in chars:
+        if opnorm(chi.projection @ pm) > max(v.tol, 1e-8):
+            q = q + chi.projection
+    if np.linalg.eigvalsh((q - pm + dagger(q - pm)) / 2.0).min() < -1e-8:
+        raise DomainError("outer daseinisation failed to dominate the input")
+    return q
+
+
+def reference_inner_daseinisation(p, v, spectrum=None) -> np.ndarray:
+    pm = as_matrix(p, v.dim)
+    if not is_projection(pm, max(v.tol, 1e-8)):
+        raise DomainError("inner_daseinisation expects a projection")
+    chars = spectrum if spectrum is not None else gelfand_spectrum(v)
+    q = np.zeros((v.dim, v.dim), dtype=complex)
+    for chi in chars:
+        if opnorm(chi.projection @ pm - chi.projection) <= max(v.tol, 1e-8):
+            q = q + chi.projection
+    if np.linalg.eigvalsh((pm - q + dagger(pm - q)) / 2.0).min() < -1e-8:
+        raise DomainError("inner daseinisation failed to stay below the input")
+    return q
+
+
+def reference_spectral_steps(a) -> list:
+    w, vecs = np.linalg.eigh(a)
+    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    steps = []
+    cum = np.zeros_like(a)
+    i = 0
+    while i < len(w):
+        j = i
+        while j + 1 < len(w) and w[j + 1] - w[i] <= 1e-10 * scale:
+            j += 1
+        block = vecs[:, i : j + 1]
+        cum = cum + block @ dagger(block)
+        steps.append((float(w[i : j + 1].mean()), cum.copy()))
+        i = j + 1
+    return steps
+
+
+def reference_operator_interval(a, v, chi, spectrum=None) -> tuple:
+    am = as_matrix(a, v.dim)
+    if not is_selfadjoint(am, max(v.tol, 1e-8)):
+        raise DomainError("operator_interval expects a self-adjoint matrix")
+    chars = spectrum if spectrum is not None else gelfand_spectrum(v)
+    steps = reference_spectral_steps(am)
+
+    def rebuild(daseinise) -> np.ndarray:
+        out = np.zeros((v.dim, v.dim), dtype=complex)
+        prev = np.zeros((v.dim, v.dim), dtype=complex)
+        for lam, cum in steps:
+            approx = daseinise(cum)
+            out = out + lam * (approx - prev)
+            prev = approx
+        return out
+
+    outer_op = rebuild(lambda e: reference_inner_daseinisation(e, v, chars))
+    inner_op = rebuild(lambda e: reference_outer_daseinisation(e, v, chars))
+    lo = float(chi.value_of(inner_op).real)
+    hi = float(chi.value_of(outer_op).real)
+    if lo > hi + 1e-9:
+        raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+    return min(lo, hi), hi
+
+
+def reference_extended_state_check(rho, dim) -> np.ndarray:
+    """The checks of ``ctxext.extend_state``."""
+    r = as_matrix(rho, dim)
+    if opnorm(r - dagger(r)) > 1e-8:
+        raise DomainError("state is not self-adjoint")
+    if abs(np.trace(r) - 1.0) > 1e-8:
+        raise DomainError("state does not have unit trace")
+    if np.linalg.eigvalsh((r + dagger(r)) / 2.0).min() < -1e-8:
+        raise DomainError("state is not positive semidefinite")
+    return r
+
+
+def reference_quantum_state_check(rho) -> np.ndarray:
+    """The checks of ``realism.QuantumProvider``."""
+    r = as_matrix(rho)
+    if not is_selfadjoint(r, 1e-9) or abs(np.trace(r) - 1.0) > 1e-8:
+        raise DomainError("state must be a self-adjoint trace-one matrix")
+    if np.linalg.eigvalsh(r).min() < -1e-8:
+        raise DomainError("state must be positive semidefinite")
+    return r
+
+
+def bits(x):
+    """A value with every float replaced by its exact bit pattern."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return [bits(y) for y in x]
+    if isinstance(x, float):
+        return x.hex()
+    return x
+
+
+def same_outcome(fn, reference, *args) -> bool:
+    """Equal values to the bit, or refusals of the same type."""
+    found, expected = outcome(fn, *args), outcome(reference, *args)
+    if found[0] == "value" or expected[0] == "value":
+        return found[0] == expected[0] and bits(found[1]) == bits(expected[1])
+    return found[0] == expected[0]
+
+
+def threshold_offset(draw, tol) -> float:
+    """The spectral threshold of ``tol`` times 1 + a drawn relative offset."""
+    return max(tol, 1e-8) * (1.0 + draw(st.sampled_from(OFFSETS)))
+
+
+def hermitian_unit(u, i, j) -> np.ndarray:
+    """The traceless self-adjoint ``|i><j| + |j><i|`` in the frame ``u``, of norm 1."""
+    x = np.outer(u[:, i], u[:, j].conj())
+    return x + x.conj().T
+
+
+@st.composite
+def frame_contexts(draw):
+    """(tol, frame, column groups, context spanned by the groups' projections)."""
+    tol = draw(st.sampled_from(TOLS))
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u, groups = frame_blocks(draw, dim, rng)
+    projs = [u[:, g] @ u[:, g].conj().T for g in groups]
+    return tol, u, groups, MatrixStarAlgebra(dim, projs, tol), rng
+
+
+@st.composite
+def daseinisation_cases(draw):
+    """A context and a rank-one projection tilted out of one group's range
+    by an angle at the spectral threshold, maybe pushed off being a
+    projection by as much."""
+    tol, u, groups, v, rng = draw(frame_contexts())
+    dim = v.dim
+    g = groups[draw(st.integers(0, len(groups) - 1))]
+    inside = u[:, g] @ (rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g)))
+    inside /= np.linalg.norm(inside)
+    outside = u[:, [c for c in range(dim) if c not in g][0]] if len(g) < dim else np.zeros(dim)
+    eps = np.arcsin(threshold_offset(draw, tol))
+    w = np.cos(eps) * inside + np.sin(eps) * outside
+    p = np.outer(w, w.conj())
+    if draw(st.booleans()):
+        p = p + threshold_offset(draw, tol) * hermitian_unit(u, 0, 1)
+    return p, v
+
+
+@st.composite
+def interval_cases(draw):
+    """A context, and an operator with integer eigenvalues (some repeated)
+    in the context's frame or in another, maybe made not self-adjoint by
+    about the spectral threshold."""
+    tol, u, groups, v, rng = draw(frame_contexts())
+    frame = u if draw(st.booleans()) else random_unitary(rng, v.dim)
+    values = draw(st.lists(st.integers(-2, 2), min_size=v.dim, max_size=v.dim))
+    a = (frame * np.array(values, dtype=float)) @ frame.conj().T
+    a = (a + a.conj().T) / 2.0
+    if draw(st.booleans()):
+        a = a + 0.5j * threshold_offset(draw, tol) * hermitian_unit(u, 0, 1)
+    return a, v
+
+
+@st.composite
+def state_cases(draw):
+    """A density matrix with its lowest eigenvalue, trace and asymmetry
+    moved to either side of the state bounds (1e-8, and 1e-9 or 1e-8
+    for the asymmetry)."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u = random_unitary(rng, dim)
+    lowest = draw(st.sampled_from([0.0, -0.5e-8, -2e-8]))
+    rest = rng.random(dim - 1) + 0.1
+    weights = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    rho = (u * weights) @ u.conj().T
+    asymmetry = draw(st.sampled_from([0.0, 0.5e-9, 2e-9, 0.5e-8, 2e-8]))
+    trace = draw(st.sampled_from([0.0, 0.5e-8, -2e-8]))
+    # the anti-self-adjoint part has norm ``asymmetry`` and no trace
+    rho = rho + 0.5j * asymmetry * hermitian_unit(u, 0, 1) + trace / dim * np.eye(dim)
+    return rho, asymmetry
+
+
+class TestThresholdPolicyOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(tol=st.sampled_from(TOLS), data=st.data())
+    def test_cluster(self, tol, data):
+        """Runs of gaps at the spectral threshold (scaled), unit gaps and
+        exact ties, in a drawn order."""
+        draw = data.draw
+        scale = draw(st.sampled_from([1.0, 3.0]))
+        values = [-scale]
+        for _ in range(draw(st.integers(0, 6))):
+            step = draw(st.sampled_from([None, 1.0, 0.0]))  # None: a gap at the threshold
+            values.append(values[-1] + (threshold_offset(draw, tol) * scale if step is None else step))
+        values = np.array(draw(st.permutations(values)))
+        assert bits(_cluster(values, tol)) == bits(reference_cluster(values, tol))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=frame_contexts(), data=st.data())
+    def test_dominating_projections(self, case, data):
+        tol, u, groups, _, rng = case
+        coarse = [character(u[:, g] @ u[:, g].conj().T) for g in groups]
+        fine = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            g = groups[data.draw(st.integers(0, len(groups) - 1))]
+            others = [c for c in range(len(u)) if c not in g]
+            eps = np.arcsin(threshold_offset(data.draw, tol))
+            w = np.cos(eps) * u[:, g[0]] + (np.sin(eps) * u[:, others[0]] if others else 0.0)
+            fine.append(character(np.outer(w, w.conj())))
+        assert bits(dominating_projections(fine, coarse, tol)) == bits(reference_dominating_projections(fine, coarse, tol))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=frame_contexts(), data=st.data())
+    def test_boolean_blocks(self, case, data):
+        """Group projections of one frame and of a second one, one of them
+        maybe pushed off being a projection by about the spectral threshold."""
+        tol, u, groups, _, rng = case
+        w, other = frame_blocks(data.draw, len(u), rng)
+        projs = [u[:, g] @ u[:, g].conj().T for g in groups] + [w[:, g] @ w[:, g].conj().T for g in other[:2]]
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(projs) - 1))
+            projs[k] = projs[k] + threshold_offset(data.draw, tol) * hermitian_unit(u, 0, 1)
+
+        def blocks(projections, tol):
+            return [(b.members, b.atoms, b.elements) for b in boolean_blocks(projections, tol)]
+
+        assert same_outcome(blocks, reference_boolean_blocks, projs, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=daseinisation_cases())
+    def test_daseinisations(self, case):
+        p, v = case
+        chars = gelfand_spectrum(v)
+        assert same_outcome(outer_daseinisation, reference_outer_daseinisation, p, v, chars)
+        assert same_outcome(inner_daseinisation, reference_inner_daseinisation, p, v, chars)
+        assert same_outcome(outer_daseinisation, reference_outer_daseinisation, p, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=interval_cases())
+    def test_operator_intervals(self, case):
+        """Equal unless two eigenvalues of ``a`` lie apart by more than 1e-10
+        and at most the spectral threshold (scaled), which the steps now
+        merge: a non-self-adjoint part of about the threshold splits
+        repeated eigenvalues by about as much."""
+        a, v = case
+        w = np.linalg.eigh(a)[0]
+        scale = max(1.0, float(np.abs(w).max()))
+        gaps = np.diff(w)
+        if np.any((gaps > 1e-10 * scale) & (gaps <= max(v.tol, 1e-8) * scale)):
+            assert len(_spectral_steps(a, v.tol)) < len(reference_spectral_steps(a))
+            return
+        chars = gelfand_spectrum(v)
+        for chi in chars:
+            assert same_outcome(operator_interval, reference_operator_interval, a, v, chi, chars)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=state_cases())
+    def test_state_checks(self, case):
+        """One check for both; it refuses asymmetries in (1e-9, 1e-8],
+        which ``extend_state`` accepted."""
+        rho, asymmetry = case
+        ext = build_limit_extension(context_category(full_matrix_algebra(len(rho)), [np.eye(len(rho))]))
+        found = outcome(extend_state, rho, ext)
+        expected = outcome(reference_extended_state_check, rho, len(rho))
+        if 1e-9 < asymmetry <= 1e-8:
+            assert expected[0] == "value" or expected[1] != "state is not self-adjoint"
+            assert found == ("DomainError", "state is not self-adjoint")
+        else:
+            assert found[0] == expected[0] and (found[0] == "value" or found[1] == expected[1])
+        found = outcome(QuantumProvider, rho)
+        expected = outcome(reference_quantum_state_check, rho)
+        assert found[0] == expected[0]
+        if found[0] == "value":
+            assert bits(found[1].rho) == bits(expected[1])
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("kind", ["sites", "mixed", "orphan", "two-site"])
+    def test_covariance(self, tol, kind):
+        for length, shift in itertools.product([2, 3], [0, 1, 2]):
+            net = standard_net(length, tol=tol)
+            family = covariance_family(net, kind)
+            found = [str(v) for v in check_covariance(net, shift, family).violations]
+            assert found == [str(v) for v in reference_check_covariance(net, shift, family).violations]
+
+
+class TestDeliberateThresholdChanges:
+    @pytest.mark.parametrize("asymmetry", [0.5e-9, 2e-9, 0.5e-8, 2e-8])
+    def test_state_extend_refuses_asymmetry_above_1e_9(self, asymmetry):
+        """Both sides of the old bound (1e-8) and of the new one (1e-9)."""
+        rho = np.diag([0.5, 0.5]).astype(complex) + 0.5j * asymmetry * SX
+        ext = build_limit_extension(context_category(full_matrix_algebra(2), [SZ, SX]))
+        old = outcome(reference_extended_state_check, rho, 2)
+        new = outcome(extend_state, rho, ext)
+        assert old[0] == ("value" if asymmetry <= 1e-8 else "DomainError")
+        assert new[0] == ("value" if asymmetry <= 1e-9 else "DomainError")
+        if new[0] == "DomainError":
+            assert new[1] == "state is not self-adjoint"
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-5])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("bound", ["old", "new"])
+    def test_operator_interval_merges_eigenvalues_closer_than_the_spectral_threshold(self, tol, factor, bound):
+        """Eigenvalues 0 and ``gap`` of ``diag(0, gap, 1)`` are one step when
+        ``gap`` is at most the spectral threshold, not only at most 1e-10;
+        the interval at the first character then closes on their mean."""
+        gap = factor * (1e-10 if bound == "old" else max(tol, 1e-8))
+        a = np.diag([0.0, gap, 1.0]).astype(complex)
+        v = generate_algebra([np.diag([0.0, 0.0, 1.0])], 3, tol)
+        chars = gelfand_spectrum(v)
+        chi = next(c for c in chars if c.rank == 2)
+        old_merged = gap <= 1e-10
+        new_merged = gap <= max(tol, 1e-8)
+        assert len(reference_spectral_steps(a)) == (2 if old_merged else 3)
+        assert len(_spectral_steps(a, tol)) == (2 if new_merged else 3)
+        closed, open_ = pytest.approx((gap / 2, gap / 2), abs=1e-14), pytest.approx((0.0, gap), abs=1e-14)
+        assert reference_operator_interval(a, v, chi, chars) == (closed if old_merged else open_)
+        assert operator_interval(a, v, chi, chars) == (closed if new_merged else open_)

@@ -1,12 +1,15 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, random_unitary
 from ctxlab.errors import DomainError
 from ctxlab.fincat import check_category
-from ctxlab.linalg import intersect_spans, orthonormalize_span, span_containment, span_leq
+from ctxlab.linalg import intersect_spans, orthonormalize_span, span_containment, span_leq, spectral_tol
 from ctxlab.staralg import (
     MatrixStarAlgebra,
     boolean_blocks,
@@ -328,3 +331,33 @@ class TestSpanRows:
         alg = generate_algebra([kron(SZ, I2), kron(I2, SX)], 4)
         assert alg.ortho.shape == (alg.dimension, 16)
         assert all(np.shares_memory(b, alg.ortho) for b in alg.basis)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_near_degenerate_spectra_never_miscount(data):
+    """Eigenvalues apart by 0.5 to 2 times the spectral threshold (scaled),
+    in the standard frame or a random one, at every tolerance of the CLI's
+    range: one character per dimension, or a refusal; never a wrong count.
+    Below the spectral floor the closure keeps the gap, and its amplified
+    rounding can leave the algebra non-commutative: also a refusal."""
+    draw = data.draw
+    tol = draw(st.sampled_from([1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3]))
+    start = float(draw(st.integers(-2, 2)))
+    factors = draw(st.lists(st.none() | st.floats(0.5, 2.0), min_size=1, max_size=4))  # None: a unit gap
+    scale = max(1.0, abs(start), abs(start + sum(f is None for f in factors)))
+    values = [start]
+    for f in factors:
+        values.append(values[-1] + (1.0 if f is None else f * spectral_tol(tol) * scale))
+    d = len(values)
+    u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**16))), d) if draw(st.booleans()) else np.eye(d)
+    alg = generate_algebra([(u * np.array(values)) @ u.conj().T], d, tol)
+    try:
+        chars = gelfand_spectrum(alg, seed=draw(st.integers(0, 3)))
+    except DomainError as exc:
+        assert re.fullmatch(r"found \d+ characters for an algebra of dimension \d+", str(exc)) or (
+            str(exc) == "gelfand_spectrum requires a commutative algebra"
+        ), str(exc)
+    else:
+        assert len(chars) == alg.dimension
+        assert sum(chi.rank for chi in chars) == d
