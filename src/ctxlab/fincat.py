@@ -9,7 +9,6 @@ computable and the universal property a bounded brute-force search.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator

@@ -1424,7 +1424,8 @@ def hermitian_unit(u, i, j) -> np.ndarray:
 
 @st.composite
 def frame_contexts(draw):
-    """(tol, frame, column groups, context spanned by the groups' projections)."""
+    """(tol, frame, column groups, context spanned by the groups'
+    projections, generator for further draws)."""
     tol = draw(st.sampled_from(TOLS))
     dim = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))

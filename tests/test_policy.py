@@ -7,7 +7,6 @@ import ast
 import pathlib
 
 import ctxlab
-from ctxlab import linalg
 
 PACKAGE = pathlib.Path(ctxlab.__file__).parent
 REPORT_BOUNDS = {"STATE_EXTEND_BOUND", "CCR_BOUND", "CLASSICAL_BOUND_SLACK"}
@@ -51,8 +50,3 @@ def test_the_lint_finds_literal_thresholds():
     ]
     assert unnamed_thresholds("CCR_BOUND = 1e-10\nOTHER = 1e-10\n", "cli.py") == ["cli.py:2: 1e-10"]
     assert unnamed_thresholds("FLOOR = 1e-8\nx = 0.5 + 2e-3\n", "linalg.py") == []
-
-
-def test_spectral_tests_take_the_larger_of_tol_and_the_floor():
-    assert linalg.spectral_tol(1e-13) == linalg.SPECTRAL_FLOOR == 1e-8
-    assert linalg.spectral_tol(1e-5) == 1e-5

@@ -338,9 +338,11 @@ class TestSpanRows:
 def test_near_degenerate_spectra_never_miscount(data):
     """Eigenvalues apart by 0.5 to 2 times the spectral threshold (scaled),
     in the standard frame or a random one, at every tolerance of the CLI's
-    range: one character per dimension, or a refusal; never a wrong count.
-    Below the spectral floor the closure keeps the gap, and its amplified
-    rounding can leave the algebra non-commutative: also a refusal."""
+    range: one character per dimension, or one of the spectrum's refusals;
+    never a wrong count.  The count refusal is not the only one: below the
+    spectral floor the closure keeps the gap and amplifies its rounding,
+    which can leave the algebra non-commutative, and a gap near the
+    threshold can leave a block on which some basis matrix is no scalar."""
     draw = data.draw
     tol = draw(st.sampled_from([1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3]))
     start = float(draw(st.integers(-2, 2)))
@@ -355,8 +357,9 @@ def test_near_degenerate_spectra_never_miscount(data):
     try:
         chars = gelfand_spectrum(alg, seed=draw(st.integers(0, 3)))
     except DomainError as exc:
-        assert re.fullmatch(r"found \d+ characters for an algebra of dimension \d+", str(exc)) or (
-            str(exc) == "gelfand_spectrum requires a commutative algebra"
+        assert re.fullmatch(r"found \d+ characters for an algebra of dimension \d+", str(exc)) or str(exc) in (
+            "gelfand_spectrum requires a commutative algebra",
+            "simultaneous diagonalization failed to isolate characters",
         ), str(exc)
     else:
         assert len(chars) == alg.dimension
