@@ -8,6 +8,7 @@ is still emitted), 2 on input errors.  All randomness is controlled by
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -42,17 +43,24 @@ CLASSICAL_BOUND_SLACK = 1e-12
 
 
 def parse_matrix(data) -> np.ndarray:
-    """Row-major entries, each a number or an [re, im] pair."""
+    """Row-major entries, each a finite number or an [re, im] pair of them.
+
+    JSON from Python may hold NaN and +-Infinity; such an entry is refused
+    (InputError) with its row and column.
+    """
     try:
         rows = []
-        for row in data:
+        for i, row in enumerate(data):
             out = []
-            for cell in row:
+            for j, cell in enumerate(row):
                 if isinstance(cell, (int, float)):
-                    out.append(complex(cell))
+                    value = complex(cell)
                 else:
                     re, im = cell
-                    out.append(complex(re, im))
+                    value = complex(re, im)
+                if not cmath.isfinite(value):
+                    raise InputError(f"matrix entry at row {i}, column {j} is not finite: {cell!r}")
+                out.append(value)
             rows.append(out)
         mat = np.array(rows, dtype=complex)
     except (TypeError, ValueError) as exc:

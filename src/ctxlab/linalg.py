@@ -94,9 +94,11 @@ def is_projection(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def require_state(rho, dim: int | None = None) -> np.ndarray:
     """``rho`` as a matrix, or DomainError unless it is a density matrix:
-    self-adjoint, unit trace, and positive semidefinite (its Hermitian
-    part), within the fixed ``STATE_*`` bounds."""
+    finite, self-adjoint, unit trace, and positive semidefinite (its
+    Hermitian part), within the fixed ``STATE_*`` bounds."""
     r = as_matrix(rho, dim)
+    if not np.all(np.isfinite(r)):
+        raise DomainError("state has non-finite entries")
     if opnorm(r - dagger(r)) > STATE_ASYMMETRY:
         raise DomainError("state is not self-adjoint")
     if abs(np.trace(r) - 1.0) > STATE_TRACE:
@@ -117,11 +119,20 @@ def orthonormalize_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     rows).  Rank is revealed by SVD on the stacked vectorizations; singular
     values below ``tol`` relative to the largest are treated as numerical
     zero.  The result has shape ``(rank, d*d)``.
+
+    A stack of at least twice as many rows as columns is first reduced to
+    the R factor of its QR decomposition, which has the same singular
+    values and right singular vectors.  LAPACK's SVD (``gesdd``) takes the
+    same QR step itself for rows >= 17/9 columns and computes V from R, so
+    ``s`` and ``vh`` come out bitwise the same; only the unused tall ``u``
+    is not formed.
     """
     if len(mats) == 0:
         return np.zeros((0, 0), dtype=complex)
     stack = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    if stack.shape[0] >= 2 * stack.shape[1]:
+        stack = np.linalg.qr(stack, mode="r")
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s[0] == 0.0:
         return vh[:0]
     return vh[s > max(tol, RANK_FLOOR) * s[0]]

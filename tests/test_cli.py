@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ctxlab.cli import main, matrix_to_json, parse_matrix
+from ctxlab.errors import DomainError
+from ctxlab.linalg import require_state
 
 
 @pytest.fixture
@@ -284,6 +286,52 @@ class TestNetSpecRegions:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "region [0,0] is listed twice" in captured.err
+
+
+class TestNonFiniteEntries:
+    """JSON from Python may carry NaN and +-Infinity; every matrix entry
+    must be refused by cell, with exit status 2, before any algebra or
+    state is formed."""
+
+    BAD = [float("nan"), float("inf"), float("-inf")]
+
+    def refused(self, capsys, argv, cell):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"matrix entry at row {cell[0]}, column {cell[1]} is not finite" in captured.err
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_state_extend(self, capsys, specs, tmp_path, value):
+        state = tmp_path / "rho.json"
+        state.write_text(json.dumps([[[1, 0], [0, 0]], [[0, value], [0, 0]]]))
+        argv = ["state-extend", "--algebra", specs["algebra"], "--seeds", "z,x", "--state", str(state)]
+        self.refused(capsys, argv, (1, 0))
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_net_check_generator(self, capsys, tmp_path, value):
+        z0 = np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
+        bad = np.diag([1.0, -1.0, 1.0, -1.0]).tolist()
+        bad[2][3] = value
+        spec = tmp_path / "net.json"
+        spec.write_text(json.dumps({"length": 2, "regions": [
+            {"start": 0, "stop": 0, "generators": [z0]},
+            {"start": 1, "stop": 1, "generators": [bad]},
+        ]}))
+        self.refused(capsys, ["net-check", "--net", str(spec)], (2, 3))
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_algebra_seed(self, capsys, tmp_path, value):
+        algebra = tmp_path / "m2.json"
+        algebra.write_text(json.dumps({"dim": 2, "seeds": {"z": [[1, 0], [0, value]]}}))
+        self.refused(capsys, ["limit", "--algebra", str(algebra)], (1, 1))
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_state_check_refuses_non_finite_entries(self, value):
+        rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        rho[0, 1] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            require_state(rho)
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SX, SZ, random_unitary
+from ctxlab import locnet
 from ctxlab.errors import DomainError
 from ctxlab.linalg import commutator, opnorm
 from ctxlab.locnet import (
@@ -107,13 +108,14 @@ def looped_locality(net):
 
 
 @st.composite
-def pauli_nets(draw):
+def pauli_nets(draw, frames=True):
     """Nets on 2-4 sites whose region spans are drawn Pauli strings; a leak
     puts a string on a site outside its region.  A common random unitary
-    conjugation keeps every commutation and makes the entries inexact."""
+    conjugation keeps every commutation and makes the entries inexact;
+    without ``frames`` every net is unrotated, so its supports are certified."""
     length = draw(st.integers(2, 4))
     norm = np.sqrt(2**length)
-    seed = draw(st.none() | st.integers(0, 2**16))
+    seed = draw(st.none() | st.integers(0, 2**16)) if frames else None
     u = np.eye(2**length) if seed is None else random_unitary(np.random.default_rng(seed), 2**length)
     assignment = {}
     for a in range(length):
@@ -136,6 +138,37 @@ def pauli_nets(draw):
     return LocalNet(length, assignment)
 
 
+def count_dense_calls(monkeypatch) -> list:
+    """Record the (left, right) stacks of every dense commutator block."""
+    calls = []
+
+    def recording(a, b):
+        calls.append((a.tobytes(), b.tobytes()))
+        return dense(a, b)
+
+    dense = locnet._pair_commutators
+    monkeypatch.setattr(locnet, "_pair_commutators", recording)
+    return calls
+
+
+def stacked(net, region) -> bytes:
+    return np.stack(net.algebra(region).basis).tobytes()
+
+
+def certified_commuting(net, left, right) -> bool:
+    """Both supports certified, and every pair of their strings commutes as
+    matrices."""
+    sl, sr = net.support(left), net.support(right)
+    if sl is None or sr is None:
+        return False
+    words = list(itertools.product("IXYZ", repeat=net.length))
+
+    def strings(mask):
+        return [pauli_string(dict(enumerate(words[p])), net.length) for p in np.flatnonzero(mask)]
+
+    return all(np.allclose(a @ b, b @ a) for a in strings(sl) for b in strings(sr))
+
+
 class TestLocalityOracle:
     @settings(max_examples=40, deadline=None)
     @given(pauli_nets())
@@ -149,6 +182,52 @@ class TestLocalityOracle:
         bad = LocalNet(3, corrupted)
         found = [str(v) for v in check_locality(bad).violations]
         assert found and found == looped_locality(bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pauli_nets(frames=False))
+    def test_certified_nets_match_pairwise_loop(self, net):
+        assert all(net.support(r) is not None for r in net.regions())
+        assert [str(v) for v in check_locality(net).violations] == looped_locality(net)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-5])
+    @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0, 16.0])
+    def test_off_support_mass_on_both_sides_of_the_bound(self, monkeypatch, tol, factor):
+        """Site 0 holds s (X0 + eta Z1) / 2, whose Z1 part anticommutes with
+        site 1's X1.  Its support {I, X0} stays certified; the bound
+        2 s eta is placed at ``factor * tol / 2``, and the commutator,
+        s eta / 2, exceeds ``tol`` only for factor 16."""
+        scale = 32.0
+        eta = factor * tol / (4 * scale)
+        eye, x0, z1, x1 = (pauli_string(labels, 2) / 2.0 for labels in ({}, {0: "X"}, {1: "Z"}, {1: "X"}))
+        assignment = {
+            Region(0, 0): MatrixStarAlgebra(4, [eye, scale * (x0 + eta * z1)], tol),
+            Region(1, 1): MatrixStarAlgebra(4, [eye, x1], tol),
+        }
+        net = LocalNet(2, assignment, tol=tol)
+        calls = count_dense_calls(monkeypatch)
+        found = [str(v) for v in check_locality(net).violations]
+        assert net.support(Region(0, 0)) is not None and net.support(Region(1, 1)) is not None
+        assert found == looped_locality(net)
+        assert bool(found) == (factor > 8)
+        assert len(calls) == (0 if factor < 1 else 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pauli_nets())
+    def test_uncertified_and_anticommuting_supports_take_the_dense_path(self, net):
+        """Every disjoint pair whose supports are not both certified, or
+        hold two anticommuting strings (tested on the Pauli matrices), is
+        formed densely, in loop order; the drawn nets have unit-norm basis
+        matrices with no off-support mass, so no other pair is."""
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_dense_calls(patch)
+            check_locality(net)
+        expected = []
+        regions = net.regions()
+        for i, left in enumerate(regions):
+            for right in regions[i + 1 :]:
+                if left.disjoint(right) and not certified_commuting(net, left, right):
+                    expected.append((stacked(net, left), stacked(net, right)))
+        assert calls == expected
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4])
     def test_batched_bases_equal_kron_chains(self, length):

@@ -66,6 +66,7 @@ from ctxlab.linalg import (
 )
 from ctxlab.locnet import (
     check_covariance,
+    pauli_string,
     shifted_region,
     site_operator,
     standard_net,
@@ -1025,6 +1026,115 @@ class TestSpanFormatOracle:
                 expected = reference_intersect_spans(qa, qb)
                 assert len(rows) == len(expected)
                 assert all(np.array_equal(r, m.reshape(-1)) for r, m in zip(rows, expected))
+
+
+# ---------------------------------------------------------------------------
+# the R-factor path of orthonormalize_span against the plain SVD
+
+
+def same_rows(rows, reference) -> bool:
+    """Whether the row-matrix span equals the frozen list-based one bitwise."""
+    if not reference:
+        return len(rows) == 0
+    return np.array_equal(rows, np.stack([m.reshape(-1) for m in reference]))
+
+
+@st.composite
+def tall_stacks(draw):
+    """Stacks of d x d matrices (d 2-5) with rows/cols from 2 to 20, rank
+    1..cols, complex entries and row scales from 1e-6 to 1e6."""
+    d = draw(st.integers(2, 5))
+    cols = d * d
+    rows = draw(st.integers(2, 20)) * cols + draw(st.integers(0, cols - 1))
+    rank = draw(st.integers(1, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    scales = 10.0 ** rng.uniform(-6, 6, size=(rows, 1))
+    return (scales * (left @ right)).reshape(rows, d, d)
+
+
+@st.composite
+def pauli_product_stacks(draw):
+    """A set of two- or three-qubit Pauli strings, in a random frame or not,
+    stacked with all their pairwise products, as in one closure round; n
+    strings give n + n**2 rows, at least twice the 4**qubits columns."""
+    qubits = draw(st.integers(2, 3))
+    words = draw(st.lists(st.tuples(*[st.sampled_from("IXYZ")] * qubits), min_size=6 if qubits == 2 else 11,
+                          max_size=4**qubits, unique=True))
+    d = 2**qubits
+    mats = np.stack([pauli_string(dict(enumerate(w)), qubits) / np.sqrt(d) for w in words])
+    seed = draw(st.none() | st.integers(0, 2**16))
+    if seed is not None:
+        u = random_unitary(np.random.default_rng(seed), d)
+        mats = u @ mats @ u.conj().T
+    products = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, d, d)
+    return np.concatenate([mats, products])
+
+
+@st.composite
+def pauli_generator_sets(draw):
+    """One to six Pauli strings on 2-4 qubits, or a random self-adjoint
+    generator on 2 qubits, optionally in a random frame.  k strings span an
+    algebra of at most 2**k dimensions, so a closure stack has at most
+    64 + 64**2 rows."""
+    qubits = draw(st.integers(2, 4))
+    d = 2**qubits
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if qubits == 2 and draw(st.booleans()):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        gens = [(z + z.conj().T) / 2.0]
+    else:
+        words = draw(st.lists(st.tuples(*[st.sampled_from("IXYZ")] * qubits), min_size=1, max_size=6))
+        gens = [pauli_string(dict(enumerate(w)), qubits) for w in words]
+    if draw(st.booleans()):
+        u = random_unitary(rng, d)
+        gens = [u @ g @ u.conj().T for g in gens]
+    return d, gens
+
+
+class TestRFactorSpanOracle:
+    """``orthonormalize_span`` reduces a stack with rows >= 2 cols to its R
+    factor before the SVD.  Its rows must equal, bitwise, those of the plain
+    SVD of the frozen list-based function.  The equality is not a property
+    of exact arithmetic but of LAPACK: for rows >= 17/9 cols, ``gesdd``
+    itself factors the stack as QR and computes the singular values and V
+    from R, with the same ``geqrf``.  A LAPACK build that takes another
+    path fails here; the CI log prints the numpy and scipy build
+    configuration for that case."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stack=tall_stacks())
+    def test_tall_random_stacks(self, stack):
+        rows, d, _ = stack.shape
+        assert rows >= 2 * d * d
+        for tol in (1e-9, 1e-13, 1e-3):
+            expected = reference_orthonormalize_span(list(stack), tol)
+            assert same_rows(orthonormalize_span(stack, tol), expected)
+            assert same_rows(orthonormalize_span(list(stack), tol), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=pauli_product_stacks())
+    def test_pauli_product_stacks(self, stack):
+        rows, d, _ = stack.shape
+        assert rows >= 2 * d * d
+        assert same_rows(orthonormalize_span(stack), reference_orthonormalize_span(list(stack)))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_both_sides_of_the_two_to_one_cut(self, extra):
+        rng = np.random.default_rng(11)
+        rows = 2 * 16 + extra
+        stack = (rng.standard_normal((rows, 16)) + 1j * rng.standard_normal((rows, 16))).reshape(rows, 4, 4)
+        assert same_rows(orthonormalize_span(stack), reference_orthonormalize_span(list(stack)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=pauli_generator_sets())
+    def test_generated_bases(self, case):
+        d, gens = case
+        basis = generate_algebra(gens, d, dim_cap=d).basis
+        expected = reference_generate_basis(gens, d)
+        assert len(basis) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(basis, expected))
 
 
 # ---------------------------------------------------------------------------
