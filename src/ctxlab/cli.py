@@ -45,7 +45,8 @@ CLASSICAL_BOUND_SLACK = 1e-12
 def parse_matrix(data) -> np.ndarray:
     """Row-major entries, each a finite number or an [re, im] pair of them.
 
-    JSON from Python may hold NaN and +-Infinity; such an entry is refused
+    JSON from Python may hold NaN and +-Infinity, and Python takes ``true``
+    and ``false`` for the numbers 1 and 0; such an entry is refused
     (InputError) with its row and column.
     """
     try:
@@ -54,10 +55,14 @@ def parse_matrix(data) -> np.ndarray:
             out = []
             for j, cell in enumerate(row):
                 if isinstance(cell, (int, float)):
+                    boolean = cell is True or cell is False
                     value = complex(cell)
                 else:
                     re, im = cell
+                    boolean = re is True or re is False or im is True or im is False
                     value = complex(re, im)
+                if boolean:
+                    raise InputError(f"matrix entry at row {i}, column {j} is a boolean, not a number: {cell!r}")
                 if not cmath.isfinite(value):
                     raise InputError(f"matrix entry at row {i}, column {j} is not finite: {cell!r}")
                 out.append(value)

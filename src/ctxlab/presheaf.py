@@ -72,7 +72,7 @@ def build_spectral_presheaf(cc: ContextCategory) -> SpectralPresheaf:
     all the contexts below it in one batched residual; the tables are then
     read, and refused, in ``strict_pairs`` order.
     """
-    fibers = {cid: cc.spectrum(cid) for cid in cc.ids()}
+    fibers = cc.spectra()
     pairs = cc.strict_pairs()
     below: dict = {}
     for sub, sup in pairs:
@@ -355,16 +355,30 @@ def rays_to_projectors(basis_vectors: list) -> list:
 
 
 def load_ray_fixture(data: dict) -> tuple:
-    """Parse a ray-family fixture: {'dim': d, 'bases': [[vector, ...], ...]}."""
+    """Parse a ray-family fixture: {'dim': d, 'bases': [[vector, ...], ...]}.
+
+    The dimension is a whole number and coordinates are finite numbers.
+    Python takes JSON ``true`` and ``false`` for 1 and 0, and reads NaN and
+    +-Infinity; such a coordinate is refused (InputError) with its basis
+    and vector.
+    """
     try:
-        dim = int(data["dim"])
-        bases = [[np.asarray(v, dtype=float) for v in basis] for basis in data["bases"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = data["dim"]
+        if isinstance(dim, bool) or int(dim) != dim:
+            raise InputError(f"ray fixture dimension {dim!r} is not a whole number")
+        dim = int(dim)
+        raw = [list(basis) for basis in data["bases"]]
+        bases = [[np.asarray(v, dtype=float) for v in basis] for basis in raw]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed ray fixture: {exc}") from exc
-    for basis in bases:
-        for v in basis:
+    for b, basis in enumerate(bases):
+        for k, v in enumerate(basis):
             if v.shape != (dim,):
                 raise InputError(f"ray of shape {v.shape} in dimension-{dim} fixture")
+            if any(isinstance(x, bool) for x in raw[b][k]):
+                raise InputError(f"basis {b}, vector {k} of the ray fixture has a boolean coordinate: {raw[b][k]!r}")
+            if not np.all(np.isfinite(v)):
+                raise InputError(f"basis {b}, vector {k} of the ray fixture has a non-finite coordinate: {raw[b][k]!r}")
     return dim, bases
 
 

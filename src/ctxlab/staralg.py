@@ -21,7 +21,6 @@ from .linalg import (
     DEFAULT_TOL,
     RANK_FLOOR,
     as_matrix,
-    commutator,
     dagger,
     intersect_spans,
     is_projection,
@@ -39,6 +38,8 @@ from .validation import ValidationReport
 DIM_CAP = 16
 # Random diagonalizing combinations tried before the exact refinement sweep.
 SPECTRUM_RETRIES = 3
+# Matrix entries of one batch of pair commutators.
+COMMUTATOR_CHUNK = 1 << 16
 
 
 @dataclass
@@ -149,18 +150,65 @@ def generate_algebra(
     return MatrixStarAlgebra.from_rows(d, rows, tol)
 
 
+def _basis_stack(a: MatrixStarAlgebra) -> np.ndarray:
+    return np.asarray(a.basis, dtype=complex).reshape(-1, a.dim, a.dim)
+
+
+def _pair_commutators(stack: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Chunks ``(start, c)`` of the commutators ``a @ b - b @ a`` of the
+    index pairs ``(stack[left[k]], stack[right[k]])``, at most
+    ``COMMUTATOR_CHUNK`` matrix entries each; every commutator is bitwise
+    the one-pair ``commutator``."""
+    d = stack.shape[-1]
+    step = max(1, COMMUTATOR_CHUNK // (d * d))
+    for start in range(0, len(left), step):
+        a, b = stack[left[start : start + step]], stack[right[start : start + step]]
+        yield start, a @ b - b @ a
+
+
+def _commuting_bases(stacks: list, tols) -> list:
+    """``is_commutative`` of each basis stack: every basis-pair commutator
+    c has ``‖c‖_F <= tol`` or ``‖c‖ <= tol`` (operator norm).  The pairs of
+    all stacks of one matrix size are batched.  A batched Frobenius norm up
+    to tol / 2 accepts at once, since the one-pair norm is then below tol
+    whatever its rounding; the other pairs take the batched operator
+    norms, and the one-pair Frobenius norm only where those refuse."""
+    commutative = [True] * len(stacks)
+    by_dim: dict = {}
+    for k, stack in enumerate(stacks):
+        by_dim.setdefault(stack.shape[-1], []).append(k)
+    for members in by_dim.values():
+        pairs, owner = [], []
+        offset = 0
+        for k in members:
+            n = len(stacks[k])
+            pairs += [(offset + i, offset + j) for i, j in itertools.combinations(range(n), 2)]
+            owner += [k] * (n * (n - 1) // 2)
+            offset += n
+        left, right = np.array(pairs, dtype=int).reshape(-1, 2).T
+        owner = np.array(owner, dtype=int)
+        tol = np.asarray(tols, dtype=float)[owner]
+        undecided = len(members)
+        for start, c in _pair_commutators(np.concatenate([stacks[k] for k in members]), left, right):
+            t = tol[start : start + len(c)]
+            accept = np.linalg.norm(c, axis=(-2, -1)) <= t / 2
+            rest = np.flatnonzero(~accept)
+            if rest.size:
+                accept[rest] = opnorms(c[rest]) <= t[rest]
+                for m in rest[~accept[rest]].tolist():
+                    accept[m] = np.linalg.norm(c[m]) <= t[m]
+            for k in set(owner[start : start + len(c)][~accept].tolist()):
+                if commutative[k]:
+                    commutative[k] = False
+                    undecided -= 1
+            if not undecided:
+                break
+    return commutative
+
+
 def is_commutative(a: MatrixStarAlgebra) -> bool:
     """All pairwise basis commutators vanish within tolerance (operator norm)."""
-    n = a.dimension
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = commutator(a.basis[i], a.basis[j])
-            # Frobenius norm dominates the operator norm: cheap accept first.
-            if np.linalg.norm(c) <= a.tol:
-                continue
-            if opnorm(c) > a.tol:
-                return False
-    return True
+    return _commuting_bases([_basis_stack(a)], [a.tol])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +232,16 @@ class Character:
 
 
 def _selfadjoint_spanning(stack: np.ndarray) -> tuple:
-    """The self-adjoint and the anti-self-adjoint part of each basis matrix,
-    in order h0, k0, h1, k1, ..., without the parts of norm below the rank
+    """For basis stacks ``(..., n, d, d)``: the self-adjoint and the
+    anti-self-adjoint part of each basis matrix, in order h0, k0, h1, k1,
+    ... along axis -3; the mask of the parts whose norm is above the rank
     floor; and each basis matrix's scale ``max(1, ‖b‖)``.  One batched SVD
     gives all the norms."""
-    n = len(stack)
-    adj = stack.conj().transpose(0, 2, 1)
-    parts = np.stack([(stack + adj) / 2.0, (stack - adj) / 2.0j], axis=1).reshape(-1, *stack.shape[1:])
-    norms = opnorms(np.concatenate([stack, parts]))
-    return list(parts[norms[n:] > RANK_FLOOR]), np.maximum(1.0, norms[:n])
+    n, d = stack.shape[-3], stack.shape[-1]
+    adj = np.swapaxes(stack.conj(), -2, -1)
+    parts = np.stack([(stack + adj) / 2.0, (stack - adj) / 2.0j], axis=-3).reshape(*stack.shape[:-3], 2 * n, d, d)
+    norms = opnorms(np.concatenate([stack, parts], axis=-3))
+    return parts, norms[..., n:] > RANK_FLOOR, np.maximum(1.0, norms[..., :n])
 
 
 def _cluster(values: np.ndarray, tol: float) -> list:
@@ -217,19 +266,146 @@ def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray, tol: float) -> lis
     return [isometry @ vecs[:, group] for group in _cluster(w, tol)]
 
 
-def _characters(blocks: list, stack: np.ndarray, scales: np.ndarray, tol: float) -> list | None:
-    """The blocks as characters, or None unless every basis matrix b acts
+def _frame_projections(vecs: np.ndarray, groups: list) -> tuple:
+    """Projections onto the blocks ``eye @ vecs[i][:, g]``, for each row i
+    and each column group g of ``groups[i]`` (one count of groups per
+    row), as ``_blocks_from_vectors`` forms them from the identity: the
+    ``(rows, blocks, d, d)`` stack and the ranks.  The blocks of one rank
+    are one batched product, with the one-block operand layouts."""
+    ranks = np.array([[len(g) for g in row] for row in groups])
+    d = vecs.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    projs = np.empty((*ranks.shape, d, d), dtype=complex)
+    flat = projs.reshape(-1, d, d)
+    by_rank: dict = {}
+    for i, row in enumerate(groups):
+        for b, g in enumerate(row):
+            by_rank.setdefault(len(g), []).append((i * len(row) + b, vecs[i].T[g]))
+    for blocks in by_rank.values():
+        iso = eye @ np.swapaxes(np.stack([cols for _, cols in blocks]), -2, -1)
+        flat[[at for at, _ in blocks]] = iso @ np.swapaxes(iso.conj(), -2, -1)
+    return projs, ranks
+
+
+def _characters(projs: np.ndarray, ranks: np.ndarray, stacks: np.ndarray, scales: np.ndarray, tols: np.ndarray) -> list:
+    """For each row i, the blocks ``projs[i]`` (of ``ranks[i]``) as
+    characters, or None unless every basis matrix b of ``stacks[i]`` acts
     on every block's range as the scalar ``val = tr(p b) / rank``:
-    ``‖p b p - val p‖ <= max(tol, CHARACTER_FLOOR) * scale``.  All (block, b) pairs
-    are one batched residual, and the scalars are the character values."""
+    ``‖p b p - val p‖ <= max(tol, CHARACTER_FLOOR) * scale``.  All (row,
+    block, b) triples are one batched residual, and the scalars are the
+    character values.  A residual whose Frobenius norm is at most half the
+    bound passes whatever the rounding of its operator norm, which the
+    Frobenius norm bounds; only the others take the SVD."""
+    p = projs[:, :, None]
+    pb = p @ stacks[:, None]
+    vals = np.trace(pb, axis1=-2, axis2=-1) / ranks[..., None]
+    residual = pb @ p - vals[..., None, None] * p
+    bound = np.maximum(tols, CHARACTER_FLOOR)[:, None, None] * scales[:, None, :]
+    norms = np.linalg.norm(residual, axis=(-2, -1))
+    unsure = ~(norms <= bound / 2)
+    norms[unsure] = opnorms(residual[unsure])
+    failed = np.any(norms > bound, axis=(1, 2)).tolist()
+    return [
+        None if failed[i] else [Character(projection=q, values=v, rank=r) for q, v, r in zip(projs[i], vals[i], row)]
+        for i, row in enumerate(ranks.tolist())
+    ]
+
+
+def _refinement_sweep(herm: np.ndarray, stack: np.ndarray, scales: np.ndarray, tol: float) -> list:
+    """The exact sweep: split the identity by each self-adjoint part in
+    turn, then test the blocks as characters."""
+    blocks = [np.eye(stack.shape[-1], dtype=complex)]
+    for s in herm:
+        blocks = [sub for iso in blocks for sub in _blocks_from_vectors(s, iso, tol)]
     projs = np.stack([iso @ dagger(iso) for iso in blocks])
-    ranks = [iso.shape[1] for iso in blocks]
-    pb = projs[:, None] @ stack
-    vals = np.trace(pb, axis1=-2, axis2=-1) / np.array(ranks)[:, None]
-    residual = pb @ projs[:, None] - vals[..., None, None] * projs[:, None]
-    if np.any(opnorms(residual) > max(tol, CHARACTER_FLOOR) * scales):
-        return None
-    return [Character(projection=p, values=values, rank=r) for p, values, r in zip(projs, vals, ranks)]
+    ranks = np.array([[iso.shape[1] for iso in blocks]])
+    chars = _characters(projs[None], ranks, stack[None], scales[None], np.array([tol]))[0]
+    if chars is None:
+        raise DomainError("simultaneous diagonalization failed to isolate characters")
+    if len(chars) != len(stack):
+        raise DomainError(f"found {len(chars)} characters for an algebra of dimension {len(stack)}")
+    return chars
+
+
+def _diagonalize(herm: np.ndarray, stacks: np.ndarray, scales: np.ndarray, tols: np.ndarray, seed: int) -> list:
+    """Characters of each row's algebra from random self-adjoint
+    combinations, or None where ``SPECTRUM_RETRIES`` draws all fail.  The
+    rows share their shapes and so their draws: each retry is one
+    accumulated combination, one stacked eigendecomposition and one
+    character test for the rows still open."""
+    m, k, d = herm.shape[0], herm.shape[1], herm.shape[-1]
+    n = stacks.shape[1]
+    eye = np.eye(d, dtype=complex)
+    rng = np.random.default_rng(seed)
+    found = [None] * m
+    open_rows = np.arange(m)
+    for _ in range(SPECTRUM_RETRIES):
+        if not open_rows.size:
+            break
+        coeffs = rng.standard_normal(k)
+        h = np.zeros((len(open_rows), d, d), dtype=complex)
+        for c, s in zip(coeffs, np.swapaxes(herm[open_rows], 0, 1)):
+            h += c * s
+        compressed = dagger(eye) @ h @ eye
+        w, vecs = np.linalg.eigh((compressed + np.swapaxes(compressed.conj(), -2, -1)) / 2.0)
+        groups = [_cluster(w[i], tols[row]) for i, row in enumerate(open_rows.tolist())]
+        split = [i for i, g in enumerate(groups) if len(g) == n]
+        if split:
+            rows = open_rows[split]
+            projs, ranks = _frame_projections(vecs[split], [groups[i] for i in split])
+            for row, chars in zip(rows.tolist(), _characters(projs, ranks, stacks[rows], scales[rows], tols[rows])):
+                found[row] = chars
+        open_rows = np.array([row for row in open_rows.tolist() if found[row] is None], dtype=int)
+    return found
+
+
+def gelfand_spectra(algebras: list, seed: int = 0) -> list:
+    """``gelfand_spectrum`` of each algebra, computed together.
+
+    The basis-pair commutators of all algebras are one batched test.
+    Algebras of one matrix size, dimension and count of self-adjoint parts
+    draw the same coefficients, so each retry is one stacked
+    eigendecomposition and one batched character test for all of them;
+    numpy runs the same LAPACK or BLAS routine on each matrix of a stack,
+    so every character is bitwise the one-algebra result.  An algebra
+    whose draws all fail takes the refinement sweep alone.  Refusals wait
+    for the whole batch; the first in input order is raised.
+    """
+    stacks = [_basis_stack(v) for v in algebras]
+    tols = np.array([v.tol for v in algebras], dtype=float)
+    errors = {
+        k: DomainError("gelfand_spectrum requires a commutative algebra")
+        for k, ok in enumerate(_commuting_bases(stacks, tols)) if not ok
+    }
+    by_shape: dict = {}
+    for k, stack in enumerate(stacks):
+        if k not in errors:
+            by_shape.setdefault(stack.shape, []).append(k)
+    spectra = [None] * len(algebras)
+    for (_, d, _), members in by_shape.items():
+        group = np.stack([stacks[k] for k in members])
+        parts, keep, scales = _selfadjoint_spanning(group)
+        by_count: dict = {}
+        for i, count in enumerate(keep.sum(axis=1).tolist()):
+            by_count.setdefault(count, []).append(i)
+        for count, rows in by_count.items():
+            rows = np.array(rows)
+            herm = parts[rows][keep[rows]].reshape(len(rows), count, d, d)
+            index = [members[i] for i in rows.tolist()]
+            found = _diagonalize(herm, group[rows], scales[rows], tols[index], seed)
+            for i, k in enumerate(index):
+                chars = found[i]
+                if chars is None:
+                    try:
+                        chars = _refinement_sweep(herm[i], group[rows[i]], scales[rows[i]], tols[k])
+                    except DomainError as exc:
+                        errors[k] = exc
+                        continue
+                chars.sort(key=lambda c: tuple(np.round(c.values.view(float), 8)))
+                spectra[k] = chars
+    if errors:
+        raise errors[min(errors)]
+    return spectra
 
 
 def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
@@ -239,36 +415,9 @@ def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
     in one shot; residual degeneracy triggers fresh coefficients and finally
     an exact refinement sweep over the self-adjoint spanning set.  Output is
     sorted by rounded value vector, so fixed (algebra, seed) gives a fixed
-    ordering.
+    ordering.  The batch of one of ``gelfand_spectra``.
     """
-    if not is_commutative(v):
-        raise DomainError("gelfand_spectrum requires a commutative algebra")
-    d = v.dim
-    stack = np.asarray(v.basis, dtype=complex).reshape(-1, d, d)
-    herm, scales = _selfadjoint_spanning(stack)
-    rng = np.random.default_rng(seed)
-
-    chars = None
-    for _ in range(SPECTRUM_RETRIES):
-        coeffs = rng.standard_normal(len(herm))
-        h = sum(c * s for c, s in zip(coeffs, herm)) if herm else np.zeros((d, d), dtype=complex)
-        candidate = _blocks_from_vectors(h, np.eye(d, dtype=complex), v.tol)
-        if len(candidate) == v.dimension:
-            chars = _characters(candidate, stack, scales, v.tol)
-            if chars is not None:
-                break
-    if chars is None:
-        blocks = [np.eye(d, dtype=complex)]
-        for s in herm:
-            blocks = [sub for iso in blocks for sub in _blocks_from_vectors(s, iso, v.tol)]
-        chars = _characters(blocks, stack, scales, v.tol)
-        if chars is None:
-            raise DomainError("simultaneous diagonalization failed to isolate characters")
-        if len(chars) != v.dimension:
-            raise DomainError(f"found {len(chars)} characters for an algebra of dimension {v.dimension}")
-
-    chars.sort(key=lambda c: tuple(np.round(c.values.view(float), 8)))
-    return chars
+    return gelfand_spectra([v], seed)[0]
 
 
 def dominating_projections(fine: list, coarse: list, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -326,10 +475,12 @@ class ContextCategory:
         ids = self.ids()
         return [(a, b) for a in ids for b in ids if a != b and (a, b) in self.order]
 
-    def spectrum(self, ctx_id: str) -> list:
-        if ctx_id not in self._spectra:
-            self._spectra[ctx_id] = gelfand_spectrum(self.contexts[ctx_id], seed=self.seed)
-        return self._spectra[ctx_id]
+    def spectra(self) -> dict:
+        """Every context's spectrum by id, from one ``gelfand_spectra``
+        call on the first use."""
+        if not self._spectra:
+            self._spectra = dict(zip(self.ids(), gelfand_spectra(list(self.contexts.values()), seed=self.seed)))
+        return dict(self._spectra)
 
     def as_poset_category(self) -> FinCategory:
         return poset_category(self.ids(), self.leq)
@@ -339,10 +490,14 @@ def _commutation_cliques(mats: list, tol: float) -> list:
     """Maximal sets of pairwise-commuting matrices, as sorted index tuples."""
     if not mats:
         return []
-    adjacent = [
-        {j for j in range(len(mats)) if j != i and opnorm(commutator(mats[i], mats[j])) <= tol}
-        for i in range(len(mats))
-    ]
+    n = len(mats)
+    left, right = np.array(list(itertools.permutations(range(n), 2)), dtype=int).reshape(-1, 2).T
+    commute = np.zeros(len(left), dtype=bool)
+    for start, c in _pair_commutators(np.stack(mats), left, right):
+        commute[start : start + len(c)] = opnorms(c) <= tol
+    adjacent = [set() for _ in range(n)]
+    for i, j in zip(left[commute].tolist(), right[commute].tolist()):
+        adjacent[i].add(j)
     cliques = []
 
     def bk(r: set, p: set, x: set) -> None:

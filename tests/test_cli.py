@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctxlab.cli import main, matrix_to_json, parse_matrix
-from ctxlab.errors import DomainError
+from ctxlab.errors import DomainError, InputError
 from ctxlab.linalg import require_state
 
 
@@ -332,6 +332,56 @@ class TestNonFiniteEntries:
         rho[0, 1] = value
         with pytest.raises(DomainError, match="non-finite"):
             require_state(rho)
+
+
+class TestBooleanEntries:
+    """Python reads JSON ``true`` and ``false`` as 1 and 0; a boolean matrix
+    entry, bare or inside an [re, im] pair, is refused by cell with exit
+    status 2, and so is a boolean or non-finite ray coordinate."""
+
+    def refused(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+    def test_parse_matrix(self):
+        with pytest.raises(InputError, match="row 0, column 0 is a boolean"):
+            parse_matrix([[True, False], [False, True]])
+        with pytest.raises(InputError, match="row 1, column 0 is a boolean"):
+            parse_matrix([[[1, 0], [0, 0]], [[0, False], [1, 0]]])
+
+    @pytest.mark.parametrize("cell", [True, [0, False]], ids=["bare", "pair"])
+    def test_state_extend(self, capsys, specs, tmp_path, cell):
+        state = tmp_path / "rho.json"
+        state.write_text(json.dumps([[[1, 0], [0, 0]], [cell, [0, 0]]]))
+        argv = ["state-extend", "--algebra", specs["algebra"], "--seeds", "z,x", "--state", str(state)]
+        self.refused(capsys, argv, "matrix entry at row 1, column 0 is a boolean")
+
+    @pytest.mark.parametrize("cell", [False, [True, 0]], ids=["bare", "pair"])
+    def test_net_check_generator(self, capsys, tmp_path, cell):
+        z0 = np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
+        bad = np.diag([1.0, -1.0, 1.0, -1.0]).tolist()
+        bad[2][3] = cell
+        spec = tmp_path / "net.json"
+        spec.write_text(json.dumps({"length": 2, "regions": [
+            {"start": 0, "stop": 0, "generators": [z0]},
+            {"start": 1, "stop": 1, "generators": [bad]},
+        ]}))
+        self.refused(capsys, ["net-check", "--net", str(spec)], "matrix entry at row 2, column 3 is a boolean")
+
+    def test_ks_check_boolean_rays(self, capsys, tmp_path):
+        fixture = tmp_path / "rays.json"
+        fixture.write_text(json.dumps({"dim": 2, "bases": [[[True, False], [False, True]]]}))
+        message = "basis 0, vector 0 of the ray fixture has a boolean"
+        self.refused(capsys, ["ks-check", "--fixture", str(fixture)], message)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_ks_check_non_finite_rays(self, capsys, tmp_path, value):
+        fixture = tmp_path / "rays.json"
+        fixture.write_text(json.dumps({"dim": 2, "bases": [[[1, 0], [0, 1]], [[1, 1], [1, value]]]}))
+        message = "basis 1, vector 1 of the ray fixture has a non-finite"
+        self.refused(capsys, ["ks-check", "--fixture", str(fixture)], message)
 
 
 def test_importing_the_cli_loads_no_scipy():

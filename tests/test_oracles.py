@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, random_density, random_unitary
-from ctxlab import fincat, realism
+from ctxlab import fincat, realism, staralg
 from ctxlab.ctxext import (
     build_limit_extension,
     carrier_to_json,
@@ -100,6 +100,7 @@ from ctxlab.staralg import (
     _characters,
     _cluster,
     _commutation_cliques,
+    _commuting_bases,
     _selfadjoint_spanning,
     algebra_span_equal,
     boolean_blocks,
@@ -107,8 +108,10 @@ from ctxlab.staralg import (
     dominating_character_index,
     dominating_projections,
     full_matrix_algebra,
+    gelfand_spectra,
     gelfand_spectrum,
     generate_algebra,
+    is_commutative,
     restriction_table,
 )
 from ctxlab.validation import ValidationReport
@@ -1252,7 +1255,8 @@ class TestCharacterTestOracle:
                 b = b + 1j * 1e-13 * (1.0 + draw(st.sampled_from(OFFSETS))) * projs[0]
             basis.append(b)
         stack = np.stack(basis)
-        herm, scales = _selfadjoint_spanning(stack)
+        parts, keep, scales = _selfadjoint_spanning(stack)
+        herm = list(parts[keep])
         expected = reference_selfadjoint_spanning(basis)
         assert len(herm) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(herm, expected))
@@ -1261,7 +1265,9 @@ class TestCharacterTestOracle:
         blocks = [u[:, g] for g in groups]
         if draw(st.booleans()):  # a block split in two: still scalars on each part
             blocks = [u[:, g[:1]] for g in groups] + [u[:, g[1:]] for g in wide]
-        chars = _characters(blocks, stack, scales, tol)
+        projs = np.stack([iso @ iso.conj().T for iso in blocks])
+        ranks = np.array([[iso.shape[1] for iso in blocks]])
+        chars = _characters(projs[None], ranks, stack[None], scales[None], np.array([tol]))[0]
         assert (chars is not None) == reference_validate_blocks(blocks, basis, tol)
         if chars is not None:
             for chi, iso in zip(chars, blocks):
@@ -1732,3 +1738,403 @@ class TestDeliberateThresholdChanges:
         closed, open_ = pytest.approx((gap / 2, gap / 2), abs=1e-14), pytest.approx((0.0, gap), abs=1e-14)
         assert reference_operator_interval(a, v, chi, chars) == (closed if old_merged else open_)
         assert operator_interval(a, v, chi, chars) == (closed if new_merged else open_)
+
+
+# ---------------------------------------------------------------------------
+# batched spectra and commutation tests against the one-algebra code
+
+
+def reference_is_commutative(a) -> bool:
+    """One commutator per basis pair: its Frobenius norm, then its SVD."""
+    n = a.dimension
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = a.basis[i] @ a.basis[j] - a.basis[j] @ a.basis[i]
+            if np.linalg.norm(c) <= a.tol:
+                continue
+            if opnorm(c) > a.tol:
+                return False
+    return True
+
+
+def reference_commutation_cliques(mats, tol) -> list:
+    """One commutator and one SVD per ordered pair, then Bron-Kerbosch."""
+    adjacent = [
+        {j for j in range(len(mats)) if j != i and opnorm(mats[i] @ mats[j] - mats[j] @ mats[i]) <= tol}
+        for i in range(len(mats))
+    ]
+    cliques = []
+
+    def bk(r, p, x):
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+            return
+        for vtx in sorted(p):
+            bk(r | {vtx}, p & adjacent[vtx], x & adjacent[vtx])
+            p = p - {vtx}
+            x = x | {vtx}
+
+    bk(set(), set(range(len(mats))), set())
+    return sorted(cliques)
+
+
+def reference_gelfand_spectrum(v, seed=0, retries=3) -> list:
+    """One algebra at a time: its own draws, eigendecomposition and
+    character residual per retry, then the refinement sweep."""
+    if not reference_is_commutative(v):
+        raise DomainError("gelfand_spectrum requires a commutative algebra")
+    d = v.dim
+    stack = np.asarray(v.basis, dtype=complex).reshape(-1, d, d)
+    n = len(stack)
+    adj = stack.conj().transpose(0, 2, 1)
+    parts = np.stack([(stack + adj) / 2.0, (stack - adj) / 2.0j], axis=1).reshape(-1, d, d)
+    norms = opnorms(np.concatenate([stack, parts]))
+    herm, scales = list(parts[norms[n:] > 1e-13]), np.maximum(1.0, norms[:n])
+
+    def blocks_from_vectors(h, isometry):
+        compressed = dagger(isometry) @ h @ isometry
+        w, vecs = np.linalg.eigh((compressed + dagger(compressed)) / 2.0)
+        return [isometry @ vecs[:, group] for group in reference_cluster(w, v.tol)]
+
+    def characters(blocks):
+        projs = np.stack([iso @ dagger(iso) for iso in blocks])
+        ranks = [iso.shape[1] for iso in blocks]
+        pb = projs[:, None] @ stack
+        vals = np.trace(pb, axis1=-2, axis2=-1) / np.array(ranks)[:, None]
+        residual = pb @ projs[:, None] - vals[..., None, None] * projs[:, None]
+        if np.any(opnorms(residual) > max(v.tol, 1e-9) * scales):
+            return None
+        return [Character(projection=p, values=values, rank=r) for p, values, r in zip(projs, vals, ranks)]
+
+    rng = np.random.default_rng(seed)
+    chars = None
+    for _ in range(retries):
+        coeffs = rng.standard_normal(len(herm))
+        h = sum(c * s for c, s in zip(coeffs, herm)) if herm else np.zeros((d, d), dtype=complex)
+        candidate = blocks_from_vectors(h, np.eye(d, dtype=complex))
+        if len(candidate) == v.dimension:
+            chars = characters(candidate)
+            if chars is not None:
+                break
+    if chars is None:
+        blocks = [np.eye(d, dtype=complex)]
+        for s in herm:
+            blocks = [sub for iso in blocks for sub in blocks_from_vectors(s, iso)]
+        chars = characters(blocks)
+        if chars is None:
+            raise DomainError("simultaneous diagonalization failed to isolate characters")
+        if len(chars) != v.dimension:
+            raise DomainError(f"found {len(chars)} characters for an algebra of dimension {v.dimension}")
+    chars.sort(key=lambda c: tuple(np.round(c.values.view(float), 8)))
+    return chars
+
+
+@contextlib.contextmanager
+def spectrum_retries(count):
+    saved = staralg.SPECTRUM_RETRIES
+    staralg.SPECTRUM_RETRIES = count
+    try:
+        yield count
+    finally:
+        staralg.SPECTRUM_RETRIES = saved
+
+
+def assert_same_spectra(found, expected):
+    """Characters equal to the bit, with the same ranks, in the same order."""
+    assert len(found) == len(expected)
+    for chars, ref in zip(found, expected):
+        assert len(chars) == len(ref)
+        for chi, rho in zip(chars, ref):
+            assert chi.rank == rho.rank and type(chi.rank) is type(rho.rank)
+            assert np.array_equal(chi.projection, rho.projection)
+            assert np.array_equal(chi.values, rho.values)
+
+
+def assert_batch_matches(algebras, seed, retries=3):
+    """``gelfand_spectra`` gives every one-algebra spectrum, or raises the
+    refusal of the first refused algebra in input order; so does each
+    one-algebra ``gelfand_spectrum``.  Returns the one-algebra outcomes."""
+    expected = [outcome(reference_gelfand_spectrum, v, seed, retries) for v in algebras]
+    refused = [e for e in expected if e[0] != "value"]
+    found = outcome(gelfand_spectra, algebras, seed)
+    if refused:
+        assert found == refused[0]
+    else:
+        assert found[0] == "value"
+        assert_same_spectra(found[1], [e[1] for e in expected])
+    for v, e in zip(algebras, expected):
+        single = outcome(gelfand_spectrum, v, seed)
+        if e[0] == "value":
+            assert single[0] == "value"
+            assert_same_spectra([single[1]], [e[1]])
+        else:
+            assert single == e
+    return expected
+
+
+def random_frame(rng, d, real):
+    if real:
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        return (q * np.sign(np.diag(r))).astype(complex)
+    return random_unitary(rng, d)
+
+
+@st.composite
+def frame_algebras(draw, dims=(1, 2, 3, 4, 5, 6)):
+    """A commutative algebra on the column groups of a real or complex
+    frame (groups of several columns are degenerate blocks), given by the
+    group projections, by invertible real or complex combinations of them,
+    by its orthonormal rows, or generated from one self-adjoint element
+    whose eigenvalues lie apart by about the spectral threshold; or that
+    element alone as a one-dimensional basis, which the spectrum refuses
+    unless its eigenvalues are one cluster on which it is a scalar."""
+    d = draw(st.sampled_from(dims))
+    tol = draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u = random_frame(rng, d, draw(st.booleans()))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=d - 1))) if d > 1 else []
+    groups = [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [d])]
+    projs = [u[:, g] @ u[:, g].conj().T for g in groups]
+    kinds = ["projections", "real combinations", "complex combinations", "rows", "near-degenerate", "one matrix"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "projections":
+        return MatrixStarAlgebra(d, projs, tol)
+    if kind == "rows":
+        return MatrixStarAlgebra.from_rows(d, orthonormalize_span(projs, tol), tol)
+    if kind in ("near-degenerate", "one matrix"):
+        gaps = [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e8])) * max(tol, 1e-8) for _ in range(d - 1)]
+        element = (u * np.cumsum([1.0] + gaps)) @ u.conj().T
+        if kind == "one matrix":
+            return MatrixStarAlgebra(d, [element], tol)
+        return generate_algebra([element], d, tol)
+    n = len(projs)
+    mix = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if kind == "complex combinations" else 0)
+    return MatrixStarAlgebra(d, [sum(c * p for c, p in zip(row, projs)) for row in mix], tol)
+
+
+@st.composite
+def algebra_batches(draw):
+    """Up to eight algebras of a few matrix sizes, so that some share
+    their shapes and draws; maybe one repeated."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    batch = draw(st.lists(frame_algebras(dims=dims), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        batch.append(batch[draw(st.integers(0, len(batch) - 1))])
+    return batch, draw(st.sampled_from([0, 1, 7, 101]))
+
+
+def two_block_algebra(d, weights, rng, tol=1e-9):
+    """Real self-adjoint basis matrices ``w[0] P + w[1] (1 - P)`` on a
+    random split of a real frame: no anti-self-adjoint parts, so the
+    random combination is ``sum_t c_t basis[t]``."""
+    u = random_frame(rng, d, real=True)
+    p = u[:, :1] @ u[:, :1].conj().T
+    q = np.eye(d, dtype=complex) - p
+    return MatrixStarAlgebra(d, [a * p + b * q for a, b in weights], tol)
+
+
+def unsplittable_algebra():
+    """Eigenvalues closer than the spectral threshold make one block, on
+    which the basis matrix is no scalar to within the character bound."""
+    return MatrixStarAlgebra(2, [np.diag([1.0, 1.0 + 5e-9]).astype(complex)], 1e-9)
+
+
+def overcounted_algebra():
+    """One basis matrix with two eigenvalues: two characters for dimension one."""
+    return MatrixStarAlgebra(3, [np.diag([1.0, 1.0, 2.0]).astype(complex)])
+
+
+class TestBatchedSpectrumOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=algebra_batches())
+    def test_mixed_batches(self, case):
+        batch, seed = case
+        assert_batch_matches(batch, seed)
+        assert [is_commutative(v) for v in batch] == [reference_is_commutative(v) for v in batch]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=algebra_batches(), retries=st.sampled_from([0, 1, 2]))
+    def test_fewer_retries_take_the_sweep(self, case, retries):
+        batch, seed = case
+        with spectrum_retries(retries):
+            assert_batch_matches(batch, seed, retries)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        indices=st.sets(st.integers(0, len(PERES[1]) - 1), min_size=2, max_size=10),
+        seed=st.sampled_from([0, 3, 101]),
+    )
+    def test_peres_sub_families(self, indices, seed):
+        dim, bases = PERES
+        cc = ray_family_context_category(dim, [bases[i] for i in sorted(indices)], seed=seed)
+        ids = cc.ids()
+        expected = [reference_gelfand_spectrum(cc.algebra(cid), seed) for cid in ids]
+        spectra = cc.spectra()
+        assert list(spectra) == ids
+        assert_same_spectra([spectra[cid] for cid in ids], expected)
+        assert_same_spectra([build_spectral_presheaf(cc).fibers[cid] for cid in ids], expected)
+
+    @pytest.mark.parametrize("seeds", [["ZI", "XI", "YI", "IZ", "IX"], ["ZZ", "XX", "YY", "ZI", "IZ", "XI"]])
+    def test_pauli_context_categories(self, seeds):
+        pauli = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+        cc = context_category(full_matrix_algebra(4), [kron(pauli[s[0]], pauli[s[1]]) for s in seeds], seed=5)
+        expected = [reference_gelfand_spectrum(cc.algebra(cid), 5) for cid in cc.ids()]
+        assert_same_spectra(list(cc.spectra().values()), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 101])
+    def test_a_failed_draw_retries_and_the_sweep_follows_the_last(self, seed, monkeypatch):
+        """Two blocks whose eigenvalues under the first draw coincide: that
+        member retries, a generic member of the same shape does not, and
+        with one retry allowed the first member takes the sweep."""
+        first = np.random.default_rng(seed).standard_normal(2)
+        rng = np.random.default_rng(17)
+        # block values whose differences are (first[1], -first[0]): the first
+        # draw gives both blocks the same eigenvalue
+        merged = two_block_algebra(4, [(first[1], 0.0), (0.0, first[0])], rng)
+        generic = two_block_algebra(4, [(1.0, -1.0), (0.5, 2.0)], rng)
+        swept = []
+        original = staralg._refinement_sweep
+
+        def spy(*args):
+            swept.append(args[1].shape)
+            return original(*args)
+
+        monkeypatch.setattr(staralg, "_refinement_sweep", spy)
+        assert_batch_matches([generic, merged, generic], seed)
+        assert swept == []
+        with spectrum_retries(1):
+            assert_batch_matches([generic, merged, generic], seed, retries=1)
+        assert swept == [(2, 4, 4), (2, 4, 4)]  # the batch, then its batch of one
+
+    @pytest.mark.parametrize(
+        "order",
+        list(itertools.permutations(["commutative", "non-commutative", "unsplittable", "overcounted"])),
+    )
+    def test_refusals_name_the_first_refused_member(self, order):
+        rng = np.random.default_rng(3)
+        members = {
+            "commutative": two_block_algebra(3, [(1.0, 1.0), (2.0, -1.0)], rng),
+            "non-commutative": full_matrix_algebra(2),
+            "unsplittable": unsplittable_algebra(),
+            "overcounted": overcounted_algebra(),
+        }
+        expected = assert_batch_matches([members[name] for name in order], 0)
+        first = next(e for e in expected if e[0] != "value")
+        assert first[1] == {
+            "non-commutative": "gelfand_spectrum requires a commutative algebra",
+            "unsplittable": "simultaneous diagonalization failed to isolate characters",
+            "overcounted": "found 2 characters for an algebra of dimension 1",
+        }[next(name for name in order if name != "commutative")]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_commutation_at_the_threshold(self, data):
+        """Commutators of norm at the tolerance times 1 + a tiny offset, of
+        rank one (Frobenius and operator norm agree) or two (they differ by
+        sqrt 2), in a random frame: the batched test decides every pair as
+        the one-pair loop does, for bases, batches of bases and cliques."""
+        draw = data.draw
+        tol = draw(st.sampled_from([1e-13, 1e-9, 1e-8, 1e-6, 1e-3]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        d = draw(st.integers(2, 5))
+        u = random_frame(rng, d, draw(st.booleans()))
+        diag = np.arange(d, dtype=float) * draw(st.sampled_from([1.0, 0.5, 3.0]))
+        a = (u * diag) @ u.conj().T
+        mats = [np.eye(d, dtype=complex), a]
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
+            t = tol * (1.0 + draw(st.sampled_from(OFFSETS))) / (diag[j] - diag[i])
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            if draw(st.booleans()):
+                unit[j, i] = 1.0
+            mats.append(a + u @ (t * unit) @ u.conj().T)
+        algebras = [MatrixStarAlgebra(d, mats[:k], tol) for k in range(2, len(mats) + 1)]
+        expected = [reference_is_commutative(v) for v in algebras]
+        assert [is_commutative(v) for v in algebras] == expected
+        assert _commuting_bases([np.stack(v.basis) for v in algebras], [tol] * len(algebras)) == expected
+        assert _commutation_cliques(mats, tol) == reference_commutation_cliques(mats, tol)
+
+    @pytest.mark.parametrize("offset", [-2e-6, -1e-7, 0.0, 1e-7])
+    def test_frobenius_norm_accepts_where_the_svd_rounds_above_it(self, monkeypatch, offset):
+        """A rank-one commutator has equal Frobenius and operator norms, so
+        rounding alone decides which of them is above the tolerance.  With
+        every operator norm inflated by 1e-6, as if the SVD had rounded up,
+        a commutator just below the tolerance is still accepted by its
+        Frobenius norm, in the batch as in the loop."""
+
+        def inflated(norms):
+            return lambda stack: norms(stack) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(staralg, "opnorms", inflated(opnorms))
+        monkeypatch.setitem(globals(), "opnorm", inflated(opnorm))
+        a = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        b = a.copy()
+        b[0, 1] = 1e-9 * (1.0 + offset)  # the commutator's one entry, exactly
+        v = MatrixStarAlgebra(3, [a, b], 1e-9)
+        assert is_commutative(v) == reference_is_commutative(v) == (offset <= 0.0)
+        assert _commutation_cliques([a, b], 1e-9) == reference_commutation_cliques([a, b], 1e-9)
+
+    @pytest.mark.parametrize("offset", [-2e-6, -1e-7, 1e-7])
+    def test_character_residuals_where_the_svd_rounds_above_the_frobenius_norm(self, monkeypatch, offset):
+        """A nilpotent part ``x E01`` below the spectral gap leaves one block
+        of rank two, on which the character residual of ``1/2 + x E01`` is
+        ``x E01``: rank one, so its Frobenius and operator norms agree.  With operator
+        norms inflated by 1e-6 in the batch and in the reference alike,
+        an ``x`` just below the bound fails the character test (the sweep
+        then refuses to isolate characters) exactly as in the loop."""
+
+        def inflated(norms):
+            return lambda stack: norms(stack) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(staralg, "opnorms", inflated(opnorms))
+        monkeypatch.setitem(globals(), "opnorms", inflated(opnorms))
+        monkeypatch.setitem(globals(), "opnorm", inflated(opnorm))
+        eye = np.eye(2, dtype=complex)
+        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+        x = 1e-9 * (1.0 + offset)
+        v = MatrixStarAlgebra(2, [eye, eye / 2 + x * nilpotent], 1e-9)  # scale 1: the bound is 1e-9
+        expected = assert_batch_matches([v], 0)
+        assert expected[0][1] == (
+            "simultaneous diagonalization failed to isolate characters"
+            if offset > -1e-6
+            else "found 1 characters for an algebra of dimension 2"
+        )
+
+    def test_two_roundings_of_the_frobenius_norm_at_the_tolerance(self, monkeypatch):
+        """A rank-one commutator whose one-pair and batched Frobenius norms
+        differ in the last bits, with the tolerance at either of them and
+        operator norms inflated as above: the batch decides as the loop."""
+
+        def inflated(norms):
+            return lambda stack: norms(stack) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(staralg, "opnorms", inflated(opnorms))
+        monkeypatch.setitem(globals(), "opnorm", inflated(opnorm))
+        rng = np.random.default_rng(11)
+        a = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        straddled = 0
+        for _ in range(200):
+            b = np.zeros((4, 4), dtype=complex)
+            b[0] = rng.standard_normal(4) + 1j * rng.standard_normal(4)  # [a, b] is its row 0, scaled
+            c = a @ b - b @ a
+            norms = {float(np.linalg.norm(c)), float(np.linalg.norm(c[None], axis=(-2, -1))[0])}
+            straddled += len(norms) == 2
+            for tol in norms:
+                v = MatrixStarAlgebra(4, [a, b], tol)
+                assert is_commutative(v) == reference_is_commutative(v)
+        assert straddled
+
+    def test_both_commutation_decisions_occur_at_the_threshold(self):
+        u = random_unitary(np.random.default_rng(5), 3)
+        a = (u * np.array([0.0, 1.0, 2.0])) @ u.conj().T
+        unit = np.zeros((3, 3), dtype=complex)
+        unit[0, 1] = 1.0
+        decisions = set()
+        for step in range(-40, 41):
+            b = a + u @ (1e-9 * (1.0 + step * 1e-6) * unit) @ u.conj().T
+            v = MatrixStarAlgebra(3, [a, b], 1e-9)
+            assert is_commutative(v) == reference_is_commutative(v)
+            assert _commutation_cliques([a, b], 1e-9) == reference_commutation_cliques([a, b], 1e-9)
+            decisions.add(is_commutative(v))
+        assert decisions == {True, False}

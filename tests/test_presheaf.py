@@ -312,3 +312,28 @@ class TestFrames:
 def test_rays_to_projectors_normalizes():
     (p,) = rays_to_projectors([np.array([2.0, 0.0])])
     assert np.allclose(p, np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ([1, True, 0], "has a boolean coordinate"),
+        ([1.0, float("nan"), 0], "has a non-finite coordinate"),
+        ([float("-inf"), 0, 0], "has a non-finite coordinate"),
+    ],
+)
+def test_ray_fixture_refuses_booleans_and_non_finite_coordinates(vector, message):
+    from ctxlab.errors import InputError
+
+    data = {"dim": 3, "bases": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 1], [0, 1, -1], vector]]}
+    with pytest.raises(InputError, match=f"basis 1, vector 2 of the ray fixture {message}"):
+        load_ray_fixture(data)
+
+
+@pytest.mark.parametrize("dim", [True, 2.5, float("inf"), float("nan"), "2"])
+def test_ray_fixture_refuses_a_dimension_that_is_not_a_whole_number(dim):
+    from ctxlab.errors import InputError
+
+    with pytest.raises(InputError):
+        load_ray_fixture({"dim": dim, "bases": [[[1, 0], [0, 1]]]})
+    assert load_ray_fixture({"dim": 2.0, "bases": [[[1, 0], [0, 1]]]})[0] == 2

@@ -266,7 +266,7 @@ class TestMeets:
         meet = cc.algebra("V0^V1")
         assert meet.dimension == 2 and meet.validate().ok
         cc = context_category(full_matrix_algebra(4), [PAULI_STRINGS[p] for p in ("ZI", "XI", "YI", "IZ", "IX")])
-        assert len(cc.spectrum("V4^V5")) == cc.algebra("V4^V5").dimension == 2
+        assert len(cc.spectra()["V4^V5"]) == cc.algebra("V4^V5").dimension == 2
 
 
 def test_character_count_must_match_the_dimension():
