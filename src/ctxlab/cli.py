@@ -27,7 +27,8 @@ from .ctxext import (
 )
 from .errors import InputError, ToolError
 from .linalg import DEFAULT_TOL, check_tolerance
-from .staralg import context_category, full_matrix_algebra, generate_algebra, gelfand_spectrum
+from .staralg import check_dimension, context_category, full_matrix_algebra, generate_algebra, gelfand_spectrum
+from .validation import whole_number
 
 
 # Report bounds, fixed because they mirror the acceptance criteria: the
@@ -93,7 +94,7 @@ def load_algebra_spec(path: str, wanted: str | None):
     """Algebra spec: {'dim': d, 'seeds': {name: matrix, ...}}."""
     data = load_json(path)
     try:
-        dim = int(data["dim"])
+        dim = whole_number(data["dim"], "algebra spec dim", least=1)
         seed_map = {name: parse_matrix(m) for name, m in data["seeds"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra spec {path!r}: {exc}") from exc
@@ -136,6 +137,7 @@ def cmd_cat_check(args: argparse.Namespace) -> int:
 
 def _context_category_from_args(args: argparse.Namespace):
     dim, seeds, names = load_algebra_spec(args.algebra, args.seeds)
+    check_dimension(dim)
     ambient = full_matrix_algebra(dim, args.tolerance)
     return context_category(ambient, seeds, seed=args.seed), names
 
@@ -225,11 +227,12 @@ def load_net_spec(path: str, tol: float) -> "locnet.LocalNet":
     """Custom net spec: {'length': L, 'regions': [{'start', 'stop', 'generators'}]}."""
     data = load_json(path)
     try:
-        length = int(data["length"])
+        length = whole_number(data["length"], "net spec length", least=1)
         locnet.refuse_long_chain(length)
         assignment = {}
         for entry in data["regions"]:
-            region = locnet.Region(int(entry["start"]), int(entry["stop"]))
+            start, stop = (whole_number(entry[end], f"net spec {end}") for end in ("start", "stop"))
+            region = locnet.Region(start, stop)
             if region.start < 0 or region.stop >= length:
                 raise InputError(f"net spec {path!r}: region {region.label()} lies outside the chain [0,{length - 1}]")
             if region in assignment:

@@ -111,7 +111,7 @@ class ExtendedState:
 def build_limit_extension(cc: ContextCategory, cap: int = CARRIER_CAP) -> ExtendedAlgebra:
     """Carrier = product of the context character spaces; refuses above cap."""
     ids = cc.ids()
-    spectra = cc.spectra()
+    spectra = dict(cc.spectra)
     carrier = ProductSpectrum(ids, [len(spectra[cid]) for cid in ids])
     if carrier.size > cap:
         raise CapExceeded("product carrier", carrier.size, cap)

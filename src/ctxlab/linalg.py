@@ -9,8 +9,7 @@ Every numerical threshold of the package is named below.  Each function
 takes one ``tol`` (the CLI's ``--tolerance``): structural comparisons
 (spans, commutators) use it as it is; tests on projections, characters
 and eigenvalue gaps carry eigensolver error and use ``spectral_tol(tol)``;
-the character relation, the principal angles and the rank test have
-floors of their own.  Bounds on outside input (states, +-1 observables,
+the character relation and the rank test have floors of their own.  Bounds on outside input (states, +-1 observables,
 measure weights), the sign-search tie margin and the GFT context test
 are fixed, as are the CLI's report bounds, which live in ``cli``.
 """
@@ -28,7 +27,6 @@ RANK_FLOOR = 1e-13
 MAX_TOL = 1e-3  # largest tolerance: above it, a test accepts structure, not rounding
 SPECTRAL_FLOOR = 1e-8  # eigensolver error of projections, characters and eigenvalue gaps
 CHARACTER_FLOOR = 1e-9  # the character relation p b p = val p, scaled by max(1, |b|)
-ANGLE_FLOOR = 1e-12  # 1 - cos of a principal angle that makes an intersection direction
 INTERVAL_SLACK = 1e-9  # excess of an interval's lower reading over its upper one
 # Fixed bounds on outside input.  A density matrix: asymmetry, trace defect,
 # and negativity of its Hermitian part.  A +-1 observable: |v| - 1 of its
@@ -152,41 +150,6 @@ def max_span_residual(rows: np.ndarray, span: np.ndarray) -> float:
 def span_leq(sub: np.ndarray, sup: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff every row of ``sub`` lies in the span of the orthonormal rows ``sup``."""
     return max_span_residual(sub, sup) <= tol
-
-
-def span_containment(spans: list, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Bool matrix whose ``[i, j]`` says whether span i lies inside span j.
-
-    One projection of all stacked rows per span j, with the norm-scaled
-    residual and threshold of ``span_leq``.
-    """
-    n = len(spans)
-    out = np.ones((n, n), dtype=bool)
-    rows = [s for s in spans if len(s)]
-    if not rows:
-        return out
-    q = np.concatenate(rows)
-    owner = np.repeat(np.arange(n), [len(s) for s in spans])
-    scales = np.maximum(1.0, np.linalg.norm(q, axis=1))
-    for j, qj in enumerate(spans):
-        r = q - (q @ qj.conj().T) @ qj if len(qj) else q
-        outside = ~(np.linalg.norm(r, axis=1) / scales <= tol)
-        out[:, j] = np.bincount(owner, weights=outside, minlength=n) == 0
-    return out
-
-
-def intersect_spans(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal rows spanning the intersection of two row spans.
-
-    Principal-angle computation: with ``conj(qa) @ qb.T = U S V^H``, the
-    combinations ``U[:, i] @ qa`` with singular value 1 span the
-    intersection.
-    """
-    if len(qa) == 0 or len(qb) == 0:
-        return qa[:0]
-    u, s, vh = np.linalg.svd(qa.conj() @ qb.T)
-    keep = s >= 1.0 - max(tol, ANGLE_FLOOR)
-    return orthonormalize_span([u[:, i] @ qa for i in np.flatnonzero(keep)], tol)
 
 
 def spans_equal(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

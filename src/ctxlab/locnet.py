@@ -41,11 +41,11 @@ from .staralg import (
     MatrixStarAlgebra,
     algebra_span_equal,
     algebra_span_leq,
+    context_category_from_groups,
     full_matrix_algebra,
     generate_algebra,
     gelfand_spectrum,
     is_commutative,
-    _assemble_context_category,
 )
 from .validation import ValidationReport
 
@@ -493,8 +493,7 @@ def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = T
     # extension part: build the product carrier over the family and check
     # that embedding then permuting equals translating then embedding.
     ambient = full_matrix_algebra(net.dim, net.tol)
-    algebras = [alg for _, alg in contexts]
-    cc = _assemble_context_category(ambient, algebras, [[] for _ in contexts], seed=0)
+    cc = context_category_from_groups(ambient, [alg.basis for _, alg in contexts])
     ids_by_region = {}
     for region, alg in contexts:
         for cid in cc.ids():

@@ -27,13 +27,12 @@ from .staralg import (
     ContextCategory,
     MatrixStarAlgebra,
     _cluster,
+    check_dimension,
     context_category_from_groups,
-    dominating_projections,
     full_matrix_algebra,
     gelfand_spectrum,
-    restriction_table,
 )
-from .validation import ValidationReport
+from .validation import ValidationReport, whole_number
 
 
 # ---------------------------------------------------------------------------
@@ -66,25 +65,10 @@ class GlobalSection:
 
 
 def build_spectral_presheaf(cc: ContextCategory) -> SpectralPresheaf:
-    """Fibers are the context spectra; restriction is projection dominance.
-
-    Each finer context's characters are tested against the characters of
-    all the contexts below it in one batched residual; the tables are then
-    read, and refused, in ``strict_pairs`` order.
-    """
-    fibers = cc.spectra()
-    pairs = cc.strict_pairs()
-    below: dict = {}
-    for sub, sup in pairs:
-        below.setdefault(sup, []).append(sub)
-    hits = {}
-    for sup, subs in below.items():
-        columns = dominating_projections(fibers[sup], [chi for sub in subs for chi in fibers[sub]], cc.ambient.tol)
-        bounds = np.cumsum([0] + [len(fibers[sub]) for sub in subs])
-        for sub, lo, hi in zip(subs, bounds[:-1], bounds[1:]):
-            hits[(sub, sup)] = columns[:, lo:hi]
-    restrictions = {pair: restriction_table(hits[pair]) for pair in pairs}
-    return SpectralPresheaf(cc, fibers, restrictions)
+    """Fibers are the context spectra; a finer context's character
+    restricts to the one coarser character whose projection overlaps its
+    own.  The category decided both when it was built; this reads them."""
+    return SpectralPresheaf(cc, dict(cc.spectra), dict(cc.restrictions))
 
 
 def check_presheaf(p: SpectralPresheaf) -> ValidationReport:
@@ -357,16 +341,14 @@ def rays_to_projectors(basis_vectors: list) -> list:
 def load_ray_fixture(data: dict) -> tuple:
     """Parse a ray-family fixture: {'dim': d, 'bases': [[vector, ...], ...]}.
 
-    The dimension is a whole number and coordinates are finite numbers.
+    The dimension is a whole number of at least 1 and coordinates are
+    finite numbers.
     Python takes JSON ``true`` and ``false`` for 1 and 0, and reads NaN and
     +-Infinity; such a coordinate is refused (InputError) with its basis
     and vector.
     """
     try:
-        dim = data["dim"]
-        if isinstance(dim, bool) or int(dim) != dim:
-            raise InputError(f"ray fixture dimension {dim!r} is not a whole number")
-        dim = int(dim)
+        dim = whole_number(data["dim"], "ray fixture dim", least=1)
         raw = [list(basis) for basis in data["bases"]]
         bases = [[np.asarray(v, dtype=float) for v in basis] for basis in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -383,7 +365,9 @@ def load_ray_fixture(data: dict) -> tuple:
 
 
 def ray_family_context_category(dim: int, bases: list, tol: float = DEFAULT_TOL, seed: int = 0) -> ContextCategory:
-    """One maximal context per basis of rays, plus intersections."""
+    """One maximal context per basis of rays, plus intersections.  Refuses
+    a dimension above ``staralg.DIM_CAP`` before building anything."""
+    check_dimension(dim)
     ambient = full_matrix_algebra(dim, tol)
     groups = [rays_to_projectors(basis) for basis in bases]
     return context_category_from_groups(ambient, groups, seed=seed)

@@ -1,10 +1,12 @@
 """Finite-dimensional matrix *-algebras and their measurement contexts.
 
 An algebra is a unital, adjoint- and product-closed span of d x d complex
-matrices.  Commutative algebras expose their character space (minimal
-projections with eigenvalue functionals), context families are generated
-from seed observables by commutation cliques, and projection lists split
-into Boolean blocks.
+matrices.  A commutative one is the span of its minimal projections, its
+atoms, and these are its characters.  A context family is built from seed
+observables by commutation cliques: each maximal context from the atoms
+that its generators split the space into, and the meets, the order and
+the restriction tables from one overlap matrix of those atoms.
+Projection lists split into Boolean blocks.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from .linalg import (
     RANK_FLOOR,
     as_matrix,
     dagger,
-    intersect_spans,
     is_projection,
     is_selfadjoint,
     opnorm,
     opnorms,
     orthonormalize_span,
-    span_containment,
     span_leq,
     spans_equal,
     spectral_tol,
@@ -77,7 +77,10 @@ class MatrixStarAlgebra:
         return np.eye(self.dim, dtype=complex)
 
     def contains(self, m) -> bool:
-        return span_leq(as_matrix(m, self.dim).reshape(1, -1), self.ortho, self.tol)
+        m = as_matrix(m, self.dim)
+        if self.dimension == self.dim * self.dim:  # the full matrix algebra holds every finite matrix
+            return bool(np.all(np.isfinite(m)))
+        return span_leq(m.reshape(1, -1), self.ortho, self.tol)
 
     def validate(self) -> ValidationReport:
         """Check unitality and closure under adjoint and product."""
@@ -91,10 +94,6 @@ class MatrixStarAlgebra:
                 if not self.contains(a @ b):
                     report.add("algebra.product", f"product of basis elements ({i},{j}) leaves span")
         return report
-
-
-def trivial_algebra(d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    return MatrixStarAlgebra.from_rows(d, (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(1, -1), tol)
 
 
 def full_matrix_algebra(d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
@@ -120,6 +119,12 @@ def _batched_products(rows: np.ndarray, d: int) -> np.ndarray:
     ])
 
 
+def check_dimension(d: int, cap: int = DIM_CAP) -> None:
+    """Refuse (InputError) a matrix dimension above the cap."""
+    if d > cap:
+        raise InputError(f"matrix dimension {d} exceeds cap {cap}")
+
+
 def generate_algebra(
     generators: list,
     d: int,
@@ -131,8 +136,7 @@ def generate_algebra(
     Closure by iterated pairwise products with rank-revealing span
     reduction after each round, until the dimension stabilizes.
     """
-    if d > dim_cap:
-        raise InputError(f"matrix dimension {d} exceeds cap {dim_cap}")
+    check_dimension(d, dim_cap)
     mats = [np.eye(d, dtype=complex)]
     for g in generators:
         gm = as_matrix(g, d)
@@ -166,65 +170,39 @@ def _pair_commutators(stack: np.ndarray, left: np.ndarray, right: np.ndarray):
         yield start, a @ b - b @ a
 
 
-def _commuting_bases(stacks: list, tols) -> list:
-    """``is_commutative`` of each basis stack: every basis-pair commutator
-    c has ``‖c‖_F <= tol`` or ``‖c‖ <= tol`` (operator norm).  The pairs of
-    all stacks of one matrix size are batched.  A batched Frobenius norm up
-    to tol / 2 accepts at once, since the one-pair norm is then below tol
-    whatever its rounding; the other pairs take the batched operator
-    norms, and the one-pair Frobenius norm only where those refuse."""
-    commutative = [True] * len(stacks)
-    by_dim: dict = {}
-    for k, stack in enumerate(stacks):
-        by_dim.setdefault(stack.shape[-1], []).append(k)
-    for members in by_dim.values():
-        pairs, owner = [], []
-        offset = 0
-        for k in members:
-            n = len(stacks[k])
-            pairs += [(offset + i, offset + j) for i, j in itertools.combinations(range(n), 2)]
-            owner += [k] * (n * (n - 1) // 2)
-            offset += n
-        left, right = np.array(pairs, dtype=int).reshape(-1, 2).T
-        owner = np.array(owner, dtype=int)
-        tol = np.asarray(tols, dtype=float)[owner]
-        undecided = len(members)
-        for start, c in _pair_commutators(np.concatenate([stacks[k] for k in members]), left, right):
-            t = tol[start : start + len(c)]
-            accept = np.linalg.norm(c, axis=(-2, -1)) <= t / 2
-            rest = np.flatnonzero(~accept)
-            if rest.size:
-                accept[rest] = opnorms(c[rest]) <= t[rest]
-                for m in rest[~accept[rest]].tolist():
-                    accept[m] = np.linalg.norm(c[m]) <= t[m]
-            for k in set(owner[start : start + len(c)][~accept].tolist()):
-                if commutative[k]:
-                    commutative[k] = False
-                    undecided -= 1
-            if not undecided:
-                break
-    return commutative
-
-
 def is_commutative(a: MatrixStarAlgebra) -> bool:
-    """All pairwise basis commutators vanish within tolerance (operator norm)."""
-    return _commuting_bases([_basis_stack(a)], [a.tol])[0]
+    """Every basis-pair commutator c has ``‖c‖_F <= tol`` or ``‖c‖ <= tol``
+    (operator norm).  A batched Frobenius norm up to tol / 2 accepts at
+    once, since the one-pair norm is then below tol whatever its rounding;
+    the other pairs take the batched operator norms, and the one-pair
+    Frobenius norm only where those refuse."""
+    stack = _basis_stack(a)
+    left, right = np.triu_indices(len(stack), 1)
+    for _, c in _pair_commutators(stack, left, right):
+        accept = np.linalg.norm(c, axis=(-2, -1)) <= a.tol / 2
+        rest = np.flatnonzero(~accept)
+        if rest.size:
+            accept[rest] = opnorms(c[rest]) <= a.tol
+            for m in rest[~accept[rest]].tolist():
+                accept[m] = np.linalg.norm(c[m]) <= a.tol
+        if not accept.all():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
-# Gel'fand spectrum
+# atoms and the Gel'fand spectrum
 
 
 @dataclass
 class Character:
-    """A point of the character space: minimal projection plus eigenvalues.
+    """A point of the character space: a minimal projection and its rank.
 
-    ``values[i]`` is the scalar by which ``basis[i]`` acts on the
-    projection's range; ``value_of`` extends that to any algebra element.
+    ``value_of`` is the scalar by which an element of the algebra acts on
+    the projection's range.
     """
 
     projection: np.ndarray
-    values: np.ndarray
     rank: int
 
     def value_of(self, m) -> complex:
@@ -232,16 +210,15 @@ class Character:
 
 
 def _selfadjoint_spanning(stack: np.ndarray) -> tuple:
-    """For basis stacks ``(..., n, d, d)``: the self-adjoint and the
-    anti-self-adjoint part of each basis matrix, in order h0, k0, h1, k1,
-    ... along axis -3; the mask of the parts whose norm is above the rank
-    floor; and each basis matrix's scale ``max(1, ‖b‖)``.  One batched SVD
-    gives all the norms."""
-    n, d = stack.shape[-3], stack.shape[-1]
+    """For a stack ``(n, d, d)``: the self-adjoint and the anti-self-adjoint
+    part of each matrix, in order h0, k0, h1, k1, ...; the mask of the
+    parts whose norm is above the rank floor; and each matrix's scale
+    ``max(1, ‖b‖)``.  One batched SVD gives all the norms."""
+    n, d = stack.shape[0], stack.shape[-1]
     adj = np.swapaxes(stack.conj(), -2, -1)
-    parts = np.stack([(stack + adj) / 2.0, (stack - adj) / 2.0j], axis=-3).reshape(*stack.shape[:-3], 2 * n, d, d)
-    norms = opnorms(np.concatenate([stack, parts], axis=-3))
-    return parts, norms[..., n:] > RANK_FLOOR, np.maximum(1.0, norms[..., :n])
+    parts = np.stack([(stack + adj) / 2.0, (stack - adj) / 2.0j], axis=1).reshape(2 * n, d, d)
+    norms = opnorms(np.concatenate([stack, parts]))
+    return parts, norms[n:] > RANK_FLOOR, np.maximum(1.0, norms[:n])
 
 
 def _cluster(values: np.ndarray, tol: float) -> list:
@@ -266,184 +243,107 @@ def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray, tol: float) -> lis
     return [isometry @ vecs[:, group] for group in _cluster(w, tol)]
 
 
-def _frame_projections(vecs: np.ndarray, groups: list) -> tuple:
-    """Projections onto the blocks ``eye @ vecs[i][:, g]``, for each row i
-    and each column group g of ``groups[i]`` (one count of groups per
-    row), as ``_blocks_from_vectors`` forms them from the identity: the
-    ``(rows, blocks, d, d)`` stack and the ranks.  The blocks of one rank
-    are one batched product, with the one-block operand layouts."""
-    ranks = np.array([[len(g) for g in row] for row in groups])
-    d = vecs.shape[-1]
-    eye = np.eye(d, dtype=complex)
-    projs = np.empty((*ranks.shape, d, d), dtype=complex)
-    flat = projs.reshape(-1, d, d)
-    by_rank: dict = {}
-    for i, row in enumerate(groups):
-        for b, g in enumerate(row):
-            by_rank.setdefault(len(g), []).append((i * len(row) + b, vecs[i].T[g]))
-    for blocks in by_rank.values():
-        iso = eye @ np.swapaxes(np.stack([cols for _, cols in blocks]), -2, -1)
-        flat[[at for at, _ in blocks]] = iso @ np.swapaxes(iso.conj(), -2, -1)
-    return projs, ranks
-
-
-def _characters(projs: np.ndarray, ranks: np.ndarray, stacks: np.ndarray, scales: np.ndarray, tols: np.ndarray) -> list:
-    """For each row i, the blocks ``projs[i]`` (of ``ranks[i]``) as
-    characters, or None unless every basis matrix b of ``stacks[i]`` acts
-    on every block's range as the scalar ``val = tr(p b) / rank``:
-    ``‖p b p - val p‖ <= max(tol, CHARACTER_FLOOR) * scale``.  All (row,
-    block, b) triples are one batched residual, and the scalars are the
-    character values.  A residual whose Frobenius norm is at most half the
-    bound passes whatever the rounding of its operator norm, which the
-    Frobenius norm bounds; only the others take the SVD."""
-    p = projs[:, :, None]
-    pb = p @ stacks[:, None]
-    vals = np.trace(pb, axis1=-2, axis2=-1) / ranks[..., None]
-    residual = pb @ p - vals[..., None, None] * p
-    bound = np.maximum(tols, CHARACTER_FLOOR)[:, None, None] * scales[:, None, :]
+def _spans(blocks: list, stack: np.ndarray, scales: np.ndarray, tol: float) -> bool:
+    """Whether every matrix b of the stack is the sum of the block
+    projections p, each times its scalar ``tr(p b) / rank``: within the
+    character bound ``max(tol, CHARACTER_FLOOR) * max(1, ‖b‖)``.  On each
+    block this is the character relation ``p b p = val p``; off the blocks
+    it asks that b leave every block's range invariant.  A residual whose
+    Frobenius norm is at most half the bound passes whatever the rounding
+    of its operator norm, which the Frobenius norm bounds; only the others
+    take the SVD."""
+    projs = np.stack([iso @ dagger(iso) for iso in blocks])
+    ranks = np.array([iso.shape[1] for iso in blocks])
+    vals = np.einsum("kij,nji->nk", projs, stack) / ranks
+    residual = stack - np.einsum("nk,kij->nij", vals, projs)
+    bound = max(tol, CHARACTER_FLOOR) * scales
     norms = np.linalg.norm(residual, axis=(-2, -1))
     unsure = ~(norms <= bound / 2)
     norms[unsure] = opnorms(residual[unsure])
-    failed = np.any(norms > bound, axis=(1, 2)).tolist()
-    return [
-        None if failed[i] else [Character(projection=q, values=v, rank=r) for q, v, r in zip(projs[i], vals[i], row)]
-        for i, row in enumerate(ranks.tolist())
-    ]
+    return bool(np.all(norms <= bound))
 
 
-def _refinement_sweep(herm: np.ndarray, stack: np.ndarray, scales: np.ndarray, tol: float) -> list:
-    """The exact sweep: split the identity by each self-adjoint part in
-    turn, then test the blocks as characters."""
-    blocks = [np.eye(stack.shape[-1], dtype=complex)]
+def _atoms(stack: np.ndarray, tol: float, seed: int, count: int | None = None):
+    """The atoms of the algebra that the matrices of ``stack`` generate, as
+    isometries onto their ranges, or None unless that algebra is
+    commutative (within the character bound of ``_spans``).
+
+    A seeded random combination of the self-adjoint parts splits the space
+    by eigenvalue, grouped by ``_cluster``; the split stands when every
+    matrix is the combination of its blocks (and, if ``count`` is given,
+    there are that many).  A draw that merges two atoms fails that test,
+    and fresh coefficients follow, ``SPECTRUM_RETRIES`` times; then the
+    exact refinement sweep splits the space by each self-adjoint part in
+    turn.
+    """
+    parts, keep, scales = _selfadjoint_spanning(stack)
+    herm = parts[keep]
+    eye = np.eye(stack.shape[-1], dtype=complex)
+    rng = np.random.default_rng(seed)
+    for _ in range(SPECTRUM_RETRIES):
+        h = np.tensordot(rng.standard_normal(len(herm)), herm, axes=1)
+        blocks = _blocks_from_vectors(h, eye, tol)
+        if count in (None, len(blocks)) and _spans(blocks, stack, scales, tol):
+            return blocks
+    blocks = [eye]
     for s in herm:
         blocks = [sub for iso in blocks for sub in _blocks_from_vectors(s, iso, tol)]
-    projs = np.stack([iso @ dagger(iso) for iso in blocks])
-    ranks = np.array([[iso.shape[1] for iso in blocks]])
-    chars = _characters(projs[None], ranks, stack[None], scales[None], np.array([tol]))[0]
-    if chars is None:
-        raise DomainError("simultaneous diagonalization failed to isolate characters")
-    if len(chars) != len(stack):
-        raise DomainError(f"found {len(chars)} characters for an algebra of dimension {len(stack)}")
-    return chars
+    return blocks if _spans(blocks, stack, scales, tol) else None
 
 
-def _diagonalize(herm: np.ndarray, stacks: np.ndarray, scales: np.ndarray, tols: np.ndarray, seed: int) -> list:
-    """Characters of each row's algebra from random self-adjoint
-    combinations, or None where ``SPECTRUM_RETRIES`` draws all fail.  The
-    rows share their shapes and so their draws: each retry is one
-    accumulated combination, one stacked eigendecomposition and one
-    character test for the rows still open."""
-    m, k, d = herm.shape[0], herm.shape[1], herm.shape[-1]
-    n = stacks.shape[1]
-    eye = np.eye(d, dtype=complex)
-    rng = np.random.default_rng(seed)
-    found = [None] * m
-    open_rows = np.arange(m)
-    for _ in range(SPECTRUM_RETRIES):
-        if not open_rows.size:
-            break
-        coeffs = rng.standard_normal(k)
-        h = np.zeros((len(open_rows), d, d), dtype=complex)
-        for c, s in zip(coeffs, np.swapaxes(herm[open_rows], 0, 1)):
-            h += c * s
-        compressed = dagger(eye) @ h @ eye
-        w, vecs = np.linalg.eigh((compressed + np.swapaxes(compressed.conj(), -2, -1)) / 2.0)
-        groups = [_cluster(w[i], tols[row]) for i, row in enumerate(open_rows.tolist())]
-        split = [i for i, g in enumerate(groups) if len(g) == n]
-        if split:
-            rows = open_rows[split]
-            projs, ranks = _frame_projections(vecs[split], [groups[i] for i in split])
-            for row, chars in zip(rows.tolist(), _characters(projs, ranks, stacks[rows], scales[rows], tols[rows])):
-                found[row] = chars
-        open_rows = np.array([row for row in open_rows.tolist() if found[row] is None], dtype=int)
-    return found
+def _functionals(d: int) -> np.ndarray:
+    """Two fixed generic Hermitian d x d matrices H, whose readings
+    ``tr(p H) / rank`` order the atoms of every context.  They come from
+    the legacy Mersenne Twister stream, which numpy keeps unchanged across
+    versions, seeded by d alone: the order depends on no seed and no frame."""
+    z = np.random.RandomState(d).standard_normal((2, 2, d, d))
+    h = z[:, 0] + 1j * z[:, 1]
+    return (h + np.swapaxes(h.conj(), -2, -1)) / 2.0
 
 
-def gelfand_spectra(algebras: list, seed: int = 0) -> list:
-    """``gelfand_spectrum`` of each algebra, computed together.
+def _traces(projs: np.ndarray) -> np.ndarray:
+    """``tr(p H)`` of each projection for both fixed H, as ``(2, count)``."""
+    return np.einsum("kij,fji->fk", projs, _functionals(projs.shape[-1])).real
 
-    The basis-pair commutators of all algebras are one batched test.
-    Algebras of one matrix size, dimension and count of self-adjoint parts
-    draw the same coefficients, so each retry is one stacked
-    eigendecomposition and one batched character test for all of them;
-    numpy runs the same LAPACK or BLAS routine on each matrix of a stack,
-    so every character is bitwise the one-algebra result.  An algebra
-    whose draws all fail takes the refinement sweep alone.  Refusals wait
-    for the whole batch; the first in input order is raised.
-    """
-    stacks = [_basis_stack(v) for v in algebras]
-    tols = np.array([v.tol for v in algebras], dtype=float)
-    errors = {
-        k: DomainError("gelfand_spectrum requires a commutative algebra")
-        for k, ok in enumerate(_commuting_bases(stacks, tols)) if not ok
-    }
-    by_shape: dict = {}
-    for k, stack in enumerate(stacks):
-        if k not in errors:
-            by_shape.setdefault(stack.shape, []).append(k)
-    spectra = [None] * len(algebras)
-    for (_, d, _), members in by_shape.items():
-        group = np.stack([stacks[k] for k in members])
-        parts, keep, scales = _selfadjoint_spanning(group)
-        by_count: dict = {}
-        for i, count in enumerate(keep.sum(axis=1).tolist()):
-            by_count.setdefault(count, []).append(i)
-        for count, rows in by_count.items():
-            rows = np.array(rows)
-            herm = parts[rows][keep[rows]].reshape(len(rows), count, d, d)
-            index = [members[i] for i in rows.tolist()]
-            found = _diagonalize(herm, group[rows], scales[rows], tols[index], seed)
-            for i, k in enumerate(index):
-                chars = found[i]
-                if chars is None:
-                    try:
-                        chars = _refinement_sweep(herm[i], group[rows[i]], scales[rows[i]], tols[k])
-                    except DomainError as exc:
-                        errors[k] = exc
-                        continue
-                chars.sort(key=lambda c: tuple(np.round(c.values.view(float), 8)))
-                spectra[k] = chars
-    if errors:
-        raise errors[min(errors)]
-    return spectra
+
+def _reading_order(readings: np.ndarray, tol: float) -> list:
+    """Atom indices by their first reading; readings that ``_cluster``
+    groups at the spectral tolerance are ties, ordered by the second."""
+    first, second = readings
+    return [k for group in _cluster(first, tol) for k in sorted(group, key=lambda k: second[k])]
 
 
 def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
-    """Characters of a commutative algebra via simultaneous diagonalization.
+    """Characters of a commutative algebra: the atoms that its basis
+    splits the space into (``_atoms``), in the fixed reading order.
+    Refuses a non-commutative basis, a split that leaves some basis matrix
+    no combination of the blocks, and a count of atoms other than the
+    dimension (a basis that is not product-closed)."""
+    if not is_commutative(v):
+        raise DomainError("gelfand_spectrum requires a commutative algebra")
+    blocks = _atoms(_basis_stack(v), v.tol, seed, v.dimension)
+    if blocks is None:
+        raise DomainError("simultaneous diagonalization failed to isolate characters")
+    if len(blocks) != v.dimension:
+        raise DomainError(f"found {len(blocks)} characters for an algebra of dimension {v.dimension}")
+    projs = np.stack([iso @ dagger(iso) for iso in blocks])
+    ranks = [iso.shape[1] for iso in blocks]
+    order = _reading_order(_traces(projs) / ranks, v.tol)
+    return [Character(projection=projs[k], rank=ranks[k]) for k in order]
 
-    A random self-adjoint combination of the basis splits joint eigenspaces
-    in one shot; residual degeneracy triggers fresh coefficients and finally
-    an exact refinement sweep over the self-adjoint spanning set.  Output is
-    sorted by rounded value vector, so fixed (algebra, seed) gives a fixed
-    ordering.  The batch of one of ``gelfand_spectra``.
-    """
-    return gelfand_spectra([v], seed)[0]
 
-
-def dominating_projections(fine: list, coarse: list, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``hits[i, j]``: coarse character j's projection Q dominates fine
-    character i's projection P, ``‖Q P - P‖ <= spectral_tol(tol)``.  All pairs
-    are one batched residual over the stacked projections."""
-    if not fine or not coarse:
-        return np.zeros((len(fine), len(coarse)), dtype=bool)
+def restriction_table(fine: list, coarse: list, tol: float = DEFAULT_TOL) -> dict:
+    """Fine character index -> index of the one coarse character whose
+    projection q overlaps the fine one p, ``‖q p‖_F > spectral_tol(tol)``:
+    the coarse atom above p.  Refuses (DomainError) at the first fine
+    character that overlaps no or several."""
     p = np.stack([chi.projection for chi in fine])[:, None]
     q = np.stack([chi.projection for chi in coarse])[None]
-    return opnorms(q @ p - p) <= spectral_tol(tol)
-
-
-def restriction_table(hits: np.ndarray) -> dict:
-    """Fine character index -> index of its unique dominating coarse
-    character, from ``dominating_projections``.  Refuses (DomainError) at
-    the first fine character with no or several."""
-    for count in hits.sum(axis=1).tolist():
+    touch = np.linalg.norm(q @ p, axis=(-2, -1)) > spectral_tol(tol)
+    for count in touch.sum(axis=1).tolist():
         if count != 1:
-            raise DomainError(f"character restriction ill-defined: {count} dominating projections")
-    return dict(enumerate(hits.argmax(axis=1).tolist()))
-
-
-def dominating_character_index(chi: Character, sub_spectrum: list, tol: float = DEFAULT_TOL) -> int:
-    """Index of the unique coarser character whose projection dominates chi's."""
-    return restriction_table(dominating_projections([chi], sub_spectrum, tol))[0]
+            raise DomainError(f"character restriction ill-defined: {count} overlapping projections")
+    return dict(enumerate(touch.argmax(axis=1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +352,19 @@ def dominating_character_index(chi: Character, sub_spectrum: list, tol: float = 
 
 @dataclass
 class ContextCategory:
-    """A finite family of commutative subalgebras ordered by span inclusion."""
+    """A finite family of commutative subalgebras ordered by inclusion.
+
+    ``spectra[id]`` lists the context's characters, and
+    ``restrictions[(sub, sup)]`` maps each character index of ``sup`` to
+    the index of its restriction to ``sub``, for every strict pair.
+    """
 
     ambient: MatrixStarAlgebra
     contexts: dict
     order: set
     generators: dict
-    seed: int = 0
-    _spectra: dict = field(default_factory=dict, repr=False, compare=False)
+    spectra: dict
+    restrictions: dict
 
     def ids(self) -> list:
         return list(self.contexts.keys())
@@ -474,13 +379,6 @@ class ContextCategory:
         """(sub, sup) pairs with sub strictly below sup, deterministic order."""
         ids = self.ids()
         return [(a, b) for a in ids for b in ids if a != b and (a, b) in self.order]
-
-    def spectra(self) -> dict:
-        """Every context's spectrum by id, from one ``gelfand_spectra``
-        call on the first use."""
-        if not self._spectra:
-            self._spectra = dict(zip(self.ids(), gelfand_spectra(list(self.contexts.values()), seed=self.seed)))
-        return dict(self._spectra)
 
     def as_poset_category(self) -> FinCategory:
         return poset_category(self.ids(), self.leq)
@@ -513,68 +411,100 @@ def _commutation_cliques(mats: list, tol: float) -> list:
     return sorted(cliques)
 
 
-def _frame(alg: MatrixStarAlgebra) -> np.ndarray:
-    """The SVD rows of an algebra's basis, which meets are computed in, so a
-    meet's basis is a fixed function of the two bases."""
-    return orthonormalize_span(alg.basis, alg.tol)
+def _components(touch: np.ndarray) -> list:
+    """Connected components of the bipartite graph whose rows and columns
+    are the atoms of two contexts and whose edges are ``touch``: each
+    component as its sorted row indices, ordered by their first."""
+    reach = (touch @ touch.T) | np.eye(len(touch), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    first = reach.argmax(axis=1).tolist()
+    return [[row for row, label in enumerate(first) if label == k] for k in dict.fromkeys(first)]
 
 
-def _meet(d: int, frame_a: np.ndarray, frame_b: np.ndarray, tol: float) -> MatrixStarAlgebra:
-    rows = intersect_spans(frame_a, frame_b, tol)
-    return MatrixStarAlgebra.from_rows(d, rows, tol) if len(rows) else trivial_algebra(d, tol)
+def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) -> ContextCategory:
+    """The category of the maximal contexts whose atoms are ``blocks[k]``
+    (isometries onto the atoms' ranges), their meets and I.
 
+    Every candidate's atom is a sum of maximal atoms, so one Gram matrix
+    decides everything.  Summed over atoms, ``|V^H V|^2`` of the stacked
+    isometry columns V is ``‖p q‖_F^2`` for every pair of atoms, and for
+    orthogonal p, ``‖(sum p) q‖_F^2 = sum ‖p q‖_F^2``; two atoms overlap
+    when it exceeds ``spectral_tol(tol)^2``.  The candidates, in order:
+    the maximal contexts V0, V1, ...; the meet of each pair, whose atoms
+    are the connected components of the pair's overlap graph, when it has
+    more than one; then I.  A <= B iff every atom of B overlaps exactly one
+    atom of A, its restriction.  A candidate equal to an earlier kept one
+    is dropped.
+    """
+    d, tol = ambient.dim, ambient.tol
+    threshold = spectral_tol(tol) ** 2
+    isometries = [iso for group in blocks for iso in group] + [np.eye(d, dtype=complex)]
+    ranks = np.array([iso.shape[1] for iso in isometries])
+    columns = np.concatenate(isometries, axis=1)
+    owner = np.repeat(np.eye(len(isometries)), ranks, axis=0)
+    overlaps = owner.T @ (np.abs(dagger(columns) @ columns) ** 2) @ owner
+    projs = np.stack([iso @ dagger(iso) for iso in isometries]).reshape(len(isometries), d * d)
+    traces = _traces(projs.reshape(-1, d, d))
 
-def intersect_algebras(
-    a: MatrixStarAlgebra, b: MatrixStarAlgebra, tol: float = DEFAULT_TOL
-) -> MatrixStarAlgebra:
-    if a.dim != b.dim:
-        raise InputError("cannot intersect algebras of different matrix dimension")
-    return _meet(a.dim, _frame(a), _frame(b), tol)
-
-
-def _assemble_context_category(
-    ambient: MatrixStarAlgebra,
-    group_algebras: list,
-    group_generators: list,
-    seed: int,
-) -> ContextCategory:
-    """Candidates in order: the groups' algebras V0, V1, ..., the nontrivial
-    meets of each pair in pair order, then I.  A candidate spanning the same
-    as an earlier kept one is dropped (a meet with a dropped group spans the
-    same as an earlier meet).  One containment matrix decides both that and
-    the order."""
-    tol = ambient.tol
-    n = len(group_algebras)
-    names = [f"V{i}" for i in range(n)]
-    algebras = list(group_algebras)
-    frames = [_frame(alg) for alg in group_algebras]
+    n = len(blocks)
+    first = np.cumsum([0] + [len(group) for group in blocks])
+    names = [f"V{k}" for k in range(n)]
+    candidates = [[[t] for t in range(first[k], first[k + 1])] for k in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        meet = _meet(ambient.dim, frames[i], frames[j], tol)
-        if meet.dimension > 1:
+        parts = _components(overlaps[first[i] : first[i + 1], first[j] : first[j + 1]] > threshold)
+        if len(parts) > 1:
             names.append(f"V{i}^V{j}")
-            algebras.append(meet)
+            candidates.append([[first[i] + a for a in part] for part in parts])
     names.append("I")
-    algebras.append(trivial_algebra(ambient.dim, tol))
+    candidates.append([[len(isometries) - 1]])
 
-    spans = [alg.ortho for alg in algebras]
-    leq = span_containment(spans, tol)
+    # each candidate's atoms as rows of sums over the maximal atoms, in
+    # reading order, one block of rows per candidate
+    covers = []
+    for atoms in candidates:
+        cover = np.zeros((len(atoms), len(isometries)))
+        for a, atom in enumerate(atoms):
+            cover[a, atom] = 1.0
+        covers.append(cover[_reading_order(traces @ cover.T / (cover @ ranks), tol)])
+    starts = np.cumsum([0] + [len(cover) for cover in covers])
+    cover = np.concatenate(covers)
+    hits = cover @ overlaps @ cover.T > threshold
+    # below[m, k]: every atom of candidate m overlaps exactly one of k's
+    below = np.logical_and.reduceat(np.add.reduceat(hits, starts[:-1], axis=1, dtype=int) == 1, starts[:-1], axis=0)
+    equal = below & below.T
     kept = []
-    for k, span in enumerate(spans):
-        if not any(len(span) == len(spans[m]) and leq[k, m] and leq[m, k] for m in kept):
+    for k in range(len(names)):
+        if not equal[k, kept].any():
             kept.append(k)
-    contexts = {names[k]: algebras[k] for k in kept}
+
+    contexts, spectra, order, restrictions = {}, {}, set(), {}
+    for k in kept:
+        sizes = covers[k] @ ranks
+        atoms = (covers[k] @ projs).reshape(-1, d, d)
+        spectra[names[k]] = [Character(projection=p, rank=int(r)) for p, r in zip(atoms, sizes)]
+        rows = (atoms / np.sqrt(sizes)[:, None, None]).reshape(-1, d * d)
+        contexts[names[k]] = MatrixStarAlgebra.from_rows(d, rows, tol)
+    for a in kept:
+        for b in kept:
+            if a != b and below[b, a]:
+                order.add((names[a], names[b]))
+                table = hits[starts[b] : starts[b + 1], starts[a] : starts[a + 1]].argmax(axis=1)
+                restrictions[(names[a], names[b])] = dict(enumerate(table.tolist()))
     generators = {names[k]: group_generators[k] if k < n else [] for k in kept}
-    order = {(names[a], names[b]) for a in kept for b in kept if a != b and leq[a, b]}
-    return ContextCategory(ambient, contexts, order, generators, seed=seed)
+    return ContextCategory(ambient, contexts, order, generators, spectra, restrictions)
 
 
-def context_category(
-    ambient: MatrixStarAlgebra, seeds: list, seed: int = 0
-) -> ContextCategory:
+def context_category(ambient: MatrixStarAlgebra, seeds: list, seed: int = 0) -> ContextCategory:
     """Contexts generated by the maximal pairwise-commuting subsets of seeds.
 
-    Pairwise intersections of the maximal contexts and the trivial span of
-    the identity are included; the order is span containment.
+    Each clique's context is built from the atoms its seeds split the
+    space into (``_atoms``, with draws seeded by ``seed``); pairwise meets
+    of the maximal contexts and the trivial span of the identity are
+    included, and the order is inclusion.
     """
     tol = ambient.tol
     mats = [as_matrix(s, ambient.dim) for s in seeds]
@@ -584,26 +514,30 @@ def context_category(
         if not ambient.contains(m):
             raise DomainError(f"seed {k} lies outside the ambient algebra")
     cliques = _commutation_cliques(mats, tol)
-    algebras = [generate_algebra([mats[i] for i in clique], ambient.dim, tol) for clique in cliques]
-    return _assemble_context_category(ambient, algebras, [list(c) for c in cliques], seed)
+    blocks = []
+    for clique in cliques:
+        atoms = _atoms(np.stack([mats[i] for i in clique]), tol, seed)
+        if atoms is None:
+            raise DomainError("simultaneous diagonalization failed to isolate characters")
+        blocks.append(atoms)
+    return _assemble(ambient, blocks, [list(c) for c in cliques])
 
 
-def context_category_from_groups(
-    ambient: MatrixStarAlgebra, groups: list, seed: int = 0
-) -> ContextCategory:
-    """Contexts generated from explicit seed groups (one context per group)."""
-    tol = ambient.tol
-    algebras = []
+def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list, seed: int = 0) -> ContextCategory:
+    """Contexts generated from explicit groups (one context per group), as
+    ``context_category`` builds them from cliques."""
+    d, tol = ambient.dim, ambient.tol
+    blocks = []
     for k, group in enumerate(groups):
-        mats = [as_matrix(g, ambient.dim) for g in group]
-        for m in mats:
-            if not ambient.contains(m):
-                raise DomainError(f"group {k} contains a matrix outside the ambient algebra")
-        alg = generate_algebra(mats, ambient.dim, tol)
-        if not is_commutative(alg):
+        mats = np.asarray([as_matrix(g, d) for g in group], dtype=complex).reshape(-1, d, d)
+        if not all(ambient.contains(m) for m in mats):
+            raise DomainError(f"group {k} contains a matrix outside the ambient algebra")
+        atoms = _atoms(mats, tol, seed)
+        if atoms is None:
             raise DomainError(f"group {k} does not generate a commutative algebra")
-        algebras.append(alg)
-    return _assemble_context_category(ambient, algebras, [[] for _ in groups], seed)
+        blocks.append(atoms)
+    return _assemble(ambient, blocks, [[] for _ in groups])
+
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,29 @@
 A report is empty iff the checked object satisfies every invariant the
 check covers.  Violations carry a dotted ``kind`` naming the invariant
 breached (e.g. ``"category.assoc"``, ``"net.locality"``) plus a free-form
-message locating the offending instance.
+message locating the offending instance.  ``whole_number`` reads the
+sizes and indices of JSON specs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .errors import InputError
+
+
+def whole_number(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, or InputError naming ``what`` and the value:
+    it must be a number equal to its integer part (Python takes JSON
+    ``true`` for 1, so booleans are refused), and at least ``least``."""
+    try:
+        whole = not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or (least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise InputError(f"{what} must be a whole number{bound}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -427,3 +427,175 @@ class TestToleranceRangeEnds:
         report = json.loads(out)
         assert code == 0 and report["violations"] == []
         assert all(report[axiom] for axiom in ("isotony", "locality", "lc_squares", "covariance"))
+
+
+class TestSpecNumbers:
+    """Sizes and indices of JSON specs are whole numbers: a fraction, a
+    string, a boolean or a size below 1 is refused, naming the field and
+    the value, with exit status 2."""
+
+    def refused(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("dim", [2.7, "2", 0, -2, True, None])
+    def test_algebra_spec_dim(self, capsys, tmp_path, dim):
+        spec = tmp_path / "alg.json"
+        spec.write_text(json.dumps({"dim": dim, "seeds": {"z": [[1, 0], [0, -1]]}}))
+        self.refused(capsys, ["limit", "--algebra", str(spec)],
+                     f"algebra spec dim must be a whole number of at least 1, got {dim!r}")
+
+    @pytest.mark.parametrize("dim", [2.5, "2", 0, False])
+    def test_ray_fixture_dim(self, capsys, tmp_path, dim):
+        fixture = tmp_path / "rays.json"
+        fixture.write_text(json.dumps({"dim": dim, "bases": [[[1, 0], [0, 1]]]}))
+        self.refused(capsys, ["ks-check", "--fixture", str(fixture)],
+                     f"ray fixture dim must be a whole number of at least 1, got {dim!r}")
+
+    @pytest.mark.parametrize("length", [2.9, -1, 0, "2", True])
+    def test_net_spec_length(self, capsys, tmp_path, length):
+        spec = tmp_path / "net.json"
+        z0 = np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
+        spec.write_text(json.dumps({"length": length, "regions": [{"start": 0, "stop": 0, "generators": [z0]}]}))
+        self.refused(capsys, ["net-check", "--net", str(spec)],
+                     f"net spec length must be a whole number of at least 1, got {length!r}")
+
+    @pytest.mark.parametrize("field, value", [("start", True), ("start", 0.5), ("stop", "1"), ("stop", 1.5)])
+    def test_net_spec_region_ends(self, capsys, tmp_path, field, value):
+        spec = tmp_path / "net.json"
+        z0 = np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
+        region = {"start": 0, "stop": 1, "generators": [z0]}
+        region[field] = value
+        spec.write_text(json.dumps({"length": 2, "regions": [region]}))
+        message = f"net spec {field} must be a whole number, got {value!r}"
+        self.refused(capsys, ["net-check", "--net", str(spec)], message)
+
+    def test_whole_floats_are_read_as_ints(self, capsys, tmp_path):
+        spec = tmp_path / "alg.json"
+        spec.write_text(json.dumps({"dim": 2.0, "seeds": {"z": [[1, 0], [0, -1]]}}))
+        code, out = run(capsys, ["limit", "--algebra", str(spec)])
+        assert code == 0 and json.loads(out)["carrier_points"] == 2
+
+    def test_dimension_above_the_cap(self, capsys, tmp_path):
+        spec = tmp_path / "alg.json"
+        spec.write_text(json.dumps({"dim": 20, "seeds": {"one": np.eye(20).tolist()}}))
+        self.refused(capsys, ["limit", "--algebra", str(spec)], "matrix dimension 20 exceeds cap 16")
+        fixture = tmp_path / "rays.json"
+        fixture.write_text(json.dumps({"dim": 20, "bases": [np.eye(20).tolist()]}))
+        self.refused(capsys, ["ks-check", "--fixture", str(fixture)], "matrix dimension 20 exceeds cap 16")
+
+
+PAULI1 = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+
+@pytest.fixture
+def families(tmp_path):
+    """Ray fixtures of Peres sub-families, a two-qubit Pauli algebra spec, a
+    spec whose seeds are the rays of a Peres sub-family, and a state."""
+    from ctxlab.fixtures import peres24_fixture
+
+    bases = peres24_fixture()["bases"]
+
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def matrix(m):
+        return matrix_to_json(np.asarray(m, dtype=complex))
+
+    rays = [np.asarray(r, dtype=float) / np.linalg.norm(r) for i in (0, 1) for r in bases[i]]
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho[0, 3] = rho[3, 0] = 0.05
+    return {
+        "peres01": write("peres01.json", {"dim": 4, "bases": [bases[0], bases[1]]}),
+        "peres014": write("peres014.json", {"dim": 4, "bases": [bases[i] for i in (0, 1, 4)]}),
+        "pauli": write("pauli.json", {"dim": 4, "seeds": {
+            a + b: matrix(np.kron(PAULI1[a], PAULI1[b])) for a in "IXYZ" for b in "IXYZ" if a + b != "II"}}),
+        "rays": write("rays.json", {"dim": 4, "seeds": {f"r{k}": matrix(np.outer(r, r)) for k, r in enumerate(rays)}}),
+        "state": write("rho4.json", matrix(rho)),
+    }
+
+
+class TestGoldenReports:
+    """Reports that hold only integers, pinned byte for byte: the character
+    order depends on no frame and no seed, so they are the same on every
+    LAPACK build.  A change of the report format must update them."""
+
+    @staticmethod
+    def text(report: dict) -> str:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    def test_cabello18(self, capsys):
+        code, out = run(capsys, ["ks-check", "--fixture", "cabello18.json"])
+        assert code == 0
+        assert out == self.text({"assignments": [], "bases": 9, "contexts": 28, "dim": 4, "obstructed": True,
+                                 "section_limit": 1000, "sections": 0})
+
+    def test_peres_pair(self, capsys, families):
+        code, out = run(capsys, ["ks-check", "--fixture", families["peres01"]])
+        assert code == 0
+        assignments = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1), (0, 2, 1, 2), (0, 3, 2, 3)]
+        ids = ("I", "V0", "V0^V1", "V1")
+        assert out == self.text({"assignments": [dict(zip(ids, a)) for a in assignments], "bases": 2, "contexts": 4,
+                                 "dim": 4, "obstructed": False, "section_limit": 1000, "sections": 6})
+
+    def test_peres_triple(self, capsys, families):
+        code, out = run(capsys, ["ks-check", "--fixture", families["peres014"]])
+        assert code == 0
+        ids = ("I", "V0", "V0^V1", "V0^V2", "V1", "V1^V2", "V2")
+        assignments = [
+            (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0), (0, 1, 0, 1, 0, 0, 2), (0, 1, 0, 1, 1, 0, 2),
+            (0, 2, 1, 2, 2, 1, 1), (0, 2, 1, 2, 2, 1, 3), (0, 3, 2, 2, 3, 1, 1), (0, 3, 2, 2, 3, 1, 3),
+        ]
+        assert out == self.text({"assignments": [dict(zip(ids, a)) for a in assignments], "bases": 3, "contexts": 7,
+                                 "dim": 4, "obstructed": False, "section_limit": 1000, "sections": 8})
+
+    def test_limit_with_restrictions(self, capsys, families):
+        code, out = run(capsys, ["limit", "--algebra", families["pauli"], "--seeds", "ZI,XI,IZ",
+                                 "--restrictions", "--check-universal"])
+        assert code == 0
+        assert out == self.text({"apex_bound": 4, "carrier_points": 32, "compatible_points": 8,
+                                 "contexts": {"I": 1, "V0": 4, "V0^V1": 2, "V1": 4}, "seeds": ["ZI", "XI", "IZ"],
+                                 "universal": True})
+
+
+class TestFrameIndependence:
+    """Reports depend neither on the frame of any span nor on ``--seed``:
+    ``orthonormalize_span`` returning ``U @ rows`` for a random unitary U,
+    which spans the same space, changes no report byte, and neither does
+    another seed."""
+
+    def argvs(self, families):
+        return [
+            ["ks-check", "--fixture", "cabello18.json"],
+            ["ks-check", "--fixture", families["peres014"]],
+            ["limit", "--algebra", families["pauli"], "--seeds", "ZI,XI,IZ,IX,ZZ", "--restrictions",
+             "--check-universal"],
+            ["limit", "--algebra", families["rays"], "--restrictions"],
+            ["state-extend", "--algebra", families["pauli"], "--seeds", "ZI,XI,IZ,IX", "--state", families["state"]],
+            ["state-extend", "--algebra", families["rays"], "--state", families["state"]],
+        ]
+
+    def test_rotated_span_frames(self, capsys, monkeypatch, families):
+        from conftest import random_unitary
+        from ctxlab import linalg, staralg
+
+        expected = [run(capsys, argv) for argv in self.argvs(families)]
+        rng = np.random.default_rng(3)
+        original = linalg.orthonormalize_span
+
+        def rotated(mats, tol=linalg.DEFAULT_TOL):
+            rows = original(mats, tol)
+            return random_unitary(rng, len(rows)) @ rows if len(rows) else rows
+
+        for module in (linalg, staralg):
+            monkeypatch.setattr(module, "orthonormalize_span", rotated)
+        assert staralg.generate_algebra([PAULI1["Z"]], 2).ortho.tolist() != original([np.eye(2), PAULI1["Z"]]).tolist()
+        assert [run(capsys, argv) for argv in self.argvs(families)] == expected
+
+    def test_seeds(self, capsys, families):
+        for argv in self.argvs(families):
+            assert run(capsys, ["--seed", "0", *argv]) == run(capsys, ["--seed", "5", *argv])

@@ -1,17 +1,21 @@
 """Differential tests of the constraint engine, the table-driven sign search,
-the whole-array carrier views, the index-arithmetic carrier, the batched
-character tests and the array cone oracles against the implementations they
-replaced.
+the whole-array carrier views, the index-arithmetic carrier, the contexts
+built from atoms, the spectra and the array cone oracles against the
+implementations they replaced.
 
 The references below are those implementations, frozen: plain
 backtracking for global sections and limits, one quadratic form per flat
 sign vector for the sign search, per-point loops for the state's JSON view,
 and the point-list carrier with its component arrays, together with the
 per-point marginal, point lookup and covariance loops, the restriction
-diagram with its own index category and tables, and the list-based span
-functions with the pairwise context-category build.  Outputs must be
-identical, in identical order, and minima bitwise equal; marginals, whose
-summation order changed, agree within 1e-14.
+diagram with its own index category and tables, the list-based span
+functions with the closure and the pairwise context-category build, the
+one-algebra spectrum and the dominance tables.  Outputs must be identical,
+in identical order, and minima bitwise equal; marginals, whose summation
+order changed, agree within 1e-14.  The contexts and spectra are compared
+by report, not by bits: the same ids, order, fiber sizes, restriction
+tables and global sections, up to the bijection that matches projections
+within 1e-8.
 """
 
 import contextlib
@@ -19,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,13 +59,11 @@ from ctxlab.fixtures import peres24_fixture
 from ctxlab.linalg import (
     as_matrix,
     dagger,
-    intersect_spans,
     is_projection,
     is_selfadjoint,
     opnorm,
     opnorms,
     orthonormalize_span,
-    span_containment,
     span_leq,
     spans_equal,
 )
@@ -74,8 +77,10 @@ from ctxlab.locnet import (
 )
 from ctxlab.presheaf import (
     GlobalSection,
+    SpectralPresheaf,
     _spectral_steps,
     build_spectral_presheaf,
+    bundled_fixture,
     global_sections,
     inner_daseinisation,
     load_ray_fixture,
@@ -96,19 +101,15 @@ from ctxlab.realism import (
 from ctxlab.staralg import (
     Character,
     MatrixStarAlgebra,
-    _assemble_context_category,
-    _characters,
     _cluster,
     _commutation_cliques,
-    _commuting_bases,
     _selfadjoint_spanning,
+    _spans,
     algebra_span_equal,
     boolean_blocks,
     context_category,
-    dominating_character_index,
-    dominating_projections,
+    context_category_from_groups,
     full_matrix_algebra,
-    gelfand_spectra,
     gelfand_spectrum,
     generate_algebra,
     is_commutative,
@@ -423,8 +424,7 @@ def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationR
         return report
 
     ambient = full_matrix_algebra(net.dim, net.tol)
-    algebras = [alg for _, alg in contexts]
-    cc = _assemble_context_category(ambient, algebras, [[] for _ in contexts], seed=0)
+    cc = context_category_from_groups(ambient, [alg.basis for _, alg in contexts])
     ids_by_region = {}
     for region, alg in contexts:
         for cid in cc.ids():
@@ -810,8 +810,9 @@ class TestCovarianceOracle:
 
 
 # ---------------------------------------------------------------------------
-# the row-matrix span format and the one containment matrix against the
-# list-based span functions and the pairwise category build
+# contexts from atoms and one overlap matrix against the closure, the
+# pairwise category build, the one-algebra spectra and dominance tables;
+# the row-matrix span format against the list-based span functions
 
 
 def reference_orthonormalize_span(mats, tol=1e-9) -> list:
@@ -940,23 +941,46 @@ def reference_assemble(d, group_bases, group_generators, tol=1e-9) -> tuple:
     return contexts, order, generators
 
 
+def projection_bijection(found, expected) -> dict:
+    """Index map from the characters ``found`` to the characters
+    ``expected`` whose projections match within 1e-8 (operator norm), with
+    equal ranks; asserted to be a bijection."""
+    match = {}
+    for i, chi in enumerate(found):
+        hits = [j for j, rho in enumerate(expected) if opnorm(chi.projection - rho.projection) <= 1e-8]
+        assert len(hits) == 1 and expected[hits[0]].rank == chi.rank
+        match[i] = hits[0]
+    assert sorted(match.values()) == list(range(len(expected)))
+    return match
+
+
 def assert_same_category(cc, group_generators, groups):
-    """``cc`` against the pairwise build from the frozen generated bases."""
-    d = cc.ambient.dim
-    group_bases = [reference_generate_basis(group, d) for group in groups]
-    contexts, order, generators = reference_assemble(d, group_bases, group_generators)
+    """``cc`` and its presheaf against the frozen build: the closure bases
+    of the groups, the pairwise assembly, each context's one-algebra
+    spectrum and the dominance tables.  The same ids, order, generators
+    and fiber sizes; the same restriction tables and the same global
+    sections, up to the bijection that matches the projections."""
+    d, tol = cc.ambient.dim, cc.ambient.tol
+    group_bases = [reference_generate_basis(group, d, tol) for group in groups]
+    contexts, order, generators = reference_assemble(d, group_bases, group_generators, tol)
     assert cc.ids() == list(contexts)
     assert cc.order == order
     assert cc.generators == generators
-    for cid, ctx in contexts.items():
-        basis = cc.algebra(cid).basis
-        assert len(basis) == len(ctx.basis)
-        assert all(np.array_equal(a, b) for a, b in zip(basis, ctx.basis))
+    fibers = {cid: reference_gelfand_spectrum(MatrixStarAlgebra(d, ctx.basis, tol)) for cid, ctx in contexts.items()}
+    match = {cid: projection_bijection(cc.spectra[cid], fibers[cid]) for cid in cc.ids()}
+    sheaf = build_spectral_presheaf(cc)
+    tables = {}
+    for sub, sup in cc.strict_pairs():
+        tables[(sub, sup)] = {
+            i: reference_dominating_character_index(chi, fibers[sub], tol) for i, chi in enumerate(fibers[sup])
+        }
+        found = sheaf.restrictions[(sub, sup)]
+        assert {match[sup][i]: match[sub][j] for i, j in found.items()} == tables[(sub, sup)]
     ids = cc.ids()
-    leq = span_containment([cc.algebra(c).ortho for c in ids])
-    for i, a in enumerate(ids):
-        for j, b in enumerate(ids):
-            assert leq[i, j] == reference_span_leq(contexts[a].ortho, contexts[b].ortho)
+    sections = {tuple(match[cid][s.assignment[cid]] for cid in ids) for s in global_sections(sheaf)}
+    reference = reference_global_sections(SpectralPresheaf(cc, fibers, tables))
+    assert sections == {tuple(s.assignment[cid] for cid in ids) for s in reference}
+    return len(reference)
 
 
 def projection_seeds(draw, dim):
@@ -974,21 +998,46 @@ def projection_seeds(draw, dim):
 REAL_PAULIS2 = [p for p in PAULIS2 if not np.any(p.imag)]
 
 
+def hermitian_seeds(draw, dim):
+    """Random self-adjoint matrices, most diagonal in one of two shared
+    frames with repeated eigenvalues (commuting and degenerate), some in a
+    frame of their own."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frames = [random_unitary(rng, dim) for _ in range(2)]
+    seeds = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["shared", "shared", "own"]))
+        u = frames[draw(st.integers(0, 1))] if kind == "shared" else random_unitary(rng, dim)
+        values = np.round(rng.standard_normal(dim), 1) if draw(st.booleans()) else rng.standard_normal(dim)
+        if draw(st.booleans()):
+            values[: draw(st.integers(1, dim))] = values[0]
+        h = (u * values) @ u.conj().T
+        seeds.append((h + h.conj().T) / 2.0)
+    return seeds
+
+
 @st.composite
 def seed_lists(draw):
-    """Two-qubit Pauli seeds, all real or any, or random projections in
-    dimension 2-4."""
-    kind = draw(st.sampled_from(["real", "complex", "projections"]))
-    if kind == "projections":
+    """Two-qubit Pauli seeds, all real or any; random projections, or
+    random self-adjoint matrices, in dimension 2-4."""
+    kind = draw(st.sampled_from(["real", "complex", "projections", "hermitian"]))
+    if kind in ("projections", "hermitian"):
         dim = draw(st.integers(2, 4))
-        return dim, projection_seeds(draw, dim)
+        return dim, (projection_seeds if kind == "projections" else hermitian_seeds)(draw, dim)
     pool = REAL_PAULIS2 if kind == "real" else PAULIS2
     return 4, [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5, unique=True))]
 
 
-class TestSpanFormatOracle:
+CABELLO = load_ray_fixture(bundled_fixture("cabello18.json"))
+
+
+class TestAtomCategoryOracle:
+    """The contexts built from atoms and one overlap Gram matrix against the
+    closure, principal-angle meets, span containment, one-algebra spectra
+    and dominance tables they replaced."""
+
     @settings(max_examples=25, deadline=None)
-    @given(indices=st.lists(st.integers(0, 23), min_size=1, max_size=24, unique=True))
+    @given(indices=st.lists(st.integers(0, 23), min_size=1, max_size=7, unique=True))
     def test_peres_subfamilies(self, indices):
         dim, bases = PERES
         chosen = [bases[i] for i in sorted(indices)]
@@ -996,12 +1045,15 @@ class TestSpanFormatOracle:
         groups = [rays_to_projectors(basis) for basis in chosen]
         assert_same_category(cc, [[] for _ in groups], groups)
 
-    def test_whole_peres_set_and_a_repeated_basis(self):
-        dim, bases = PERES
-        for chosen in (bases, [bases[0], bases[3], bases[0], bases[5], bases[3]]):
-            cc = ray_family_context_category(dim, chosen)
-            groups = [rays_to_projectors(basis) for basis in chosen]
-            assert_same_category(cc, [[] for _ in groups], groups)
+    @pytest.mark.parametrize("name", ["cabello18", "peres24", "repeated"])
+    def test_whole_fixtures_and_a_repeated_basis(self, name):
+        dim, bases = CABELLO if name == "cabello18" else PERES
+        if name == "repeated":
+            bases = [bases[0], bases[3], bases[0], bases[5], bases[3]]
+        cc = ray_family_context_category(dim, bases)
+        groups = [rays_to_projectors(basis) for basis in bases]
+        sections = assert_same_category(cc, [[] for _ in groups], groups)
+        assert (sections == 0) == (name != "repeated")
 
     @settings(max_examples=60, deadline=None)
     @given(case=seed_lists())
@@ -1010,6 +1062,14 @@ class TestSpanFormatOracle:
         cc = context_category(full_matrix_algebra(dim), seeds)
         cliques = _commutation_cliques([as_matrix(s, dim) for s in seeds], cc.ambient.tol)
         assert_same_category(cc, [list(c) for c in cliques], [[seeds[i] for i in c] for c in cliques])
+
+    @pytest.mark.parametrize("kind", ["sites", "mixed", "orphan", "two-site"])
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_covariance_families(self, length, kind):
+        net = chain(length)
+        groups = [alg.basis for _, alg in covariance_family(net, kind)]
+        cc = context_category_from_groups(full_matrix_algebra(net.dim, net.tol), groups)
+        assert_same_category(cc, [[] for _ in groups], groups)
 
     @settings(max_examples=40, deadline=None)
     @given(case=seed_lists())
@@ -1025,10 +1085,6 @@ class TestSpanFormatOracle:
             for b, qb in zip(algebras, lists):
                 assert span_leq(a.ortho, b.ortho) == reference_span_leq(qa, qb)
                 assert spans_equal(a.ortho, b.ortho) == reference_spans_equal(qa, qb)
-                rows = intersect_spans(orthonormalize_span(a.basis), orthonormalize_span(b.basis))
-                expected = reference_intersect_spans(qa, qb)
-                assert len(rows) == len(expected)
-                assert all(np.array_equal(r, m.reshape(-1)) for r, m in zip(rows, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -1141,7 +1197,8 @@ class TestRFactorSpanOracle:
 
 
 # ---------------------------------------------------------------------------
-# batched character tests against one SVD per matrix or per pair
+# restriction by overlap against dominance, and the split test against the
+# per-block character test
 
 # relative offsets from a threshold: the smallest ones leave the decision to
 # rounding, which both sides must make alike
@@ -1156,14 +1213,15 @@ def frame_blocks(draw, dim, rng):
 
 
 def character(p) -> Character:
-    return Character(projection=p, values=np.zeros(1, dtype=complex), rank=1)
+    return Character(projection=p, rank=1)
 
 
 @st.composite
 def near_threshold_restrictions(draw):
     """Coarse projections onto groups of a frame's columns (one maybe
-    repeated); rank-one fine projections tilted out of one group's range by
-    an angle whose sine is the dominance threshold times 1 + offset."""
+    repeated); rank-one fine projections tilted out of one group's range,
+    toward another group, by an angle whose sine is the restriction
+    threshold times 1 +- 1e-3."""
     dim = draw(st.integers(2, 5))
     tol = draw(st.sampled_from([1e-9, 1e-8, 3e-8, 1e-6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -1178,7 +1236,7 @@ def near_threshold_restrictions(draw):
         inside /= np.linalg.norm(inside)
         others = [c for c in range(dim) if c not in g]
         outside = u[:, others[0]] if others else np.zeros(dim, dtype=complex)
-        eps = np.arcsin(max(tol, 1e-8) * (1.0 + draw(st.sampled_from(OFFSETS))))
+        eps = np.arcsin(max(tol, 1e-8) * (1.0 + draw(st.sampled_from([-1e-3, 1e-3]))))
         v = np.cos(eps) * inside + np.sin(eps) * outside
         fine.append(np.outer(v, v.conj()))
     return [character(p) for p in fine], [character(q) for q in coarse], tol
@@ -1192,46 +1250,34 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+# relative offsets from the character bound, clear of rounding
+CLEAR_OFFSETS = [-1e-3, -1e-4, 1e-4, 1e-3]
+
+
 class TestCharacterTestOracle:
     @settings(max_examples=150, deadline=None)
     @given(case=near_threshold_restrictions())
     def test_restriction_tables(self, case):
+        """The overlap rule decides as dominance did: a fine projection
+        tilted out of its coarse atom by more than the threshold overlaps
+        a second one, and refuses."""
         fine, coarse, tol = case
-        hits = dominating_projections(fine, coarse, tol)
-        expected = [
-            [opnorm(q.projection @ f.projection - f.projection) <= max(tol, 1e-8) for q in coarse] for f in fine
-        ]
-        assert hits.tolist() == expected
 
         def reference_table(fine, coarse, tol):
             return {i: reference_dominating_character_index(chi, coarse, tol) for i, chi in enumerate(fine)}
 
-        assert outcome(restriction_table, hits) == outcome(reference_table, fine, coarse, tol)
-        for chi in fine:
-            assert outcome(dominating_character_index, chi, coarse, tol) == outcome(
-                reference_dominating_character_index, chi, coarse, tol
-            )
-
-    def test_both_decisions_occur_at_the_threshold(self):
-        # a sweep across the threshold in steps of about one rounding error
-        u = random_unitary(np.random.default_rng(3), 3)
-        q = character(u[:, :2] @ u[:, :2].conj().T)
-        decisions = set()
-        for step in range(-40, 41):
-            eps = np.arcsin(1e-8 * (1.0 + step * 2e-9))
-            v = np.cos(eps) * u[:, 0] + np.sin(eps) * u[:, 2]
-            chi = character(np.outer(v, v.conj()))
-            found = bool(dominating_projections([chi], [q])[0, 0])
-            assert found == (opnorm(q.projection @ chi.projection - chi.projection) <= 1e-8)
-            decisions.add(found)
-        assert decisions == {True, False}
+        found, expected = outcome(restriction_table, fine, coarse, tol), outcome(reference_table, fine, coarse, tol)
+        assert found[0] == expected[0]
+        if found[0] == "value":
+            assert found[1] == expected[1]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_blocks_and_selfadjoint_parts(self, data):
         """Basis matrices that are scalars on each block of a frame, plus a
-        within-block perturbation at the validation threshold and, for real
-        scalars, an anti-self-adjoint part at the rank floor."""
+        within-block perturbation near the character bound and, for real
+        scalars, an anti-self-adjoint part at the rank floor: the split test
+        decides as the per-block character test did."""
         draw = data.draw
         dim = draw(st.integers(2, 5))
         tol = draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
@@ -1250,7 +1296,7 @@ class TestCharacterTestOracle:
             if wide and draw(st.booleans()):
                 g = wide[draw(st.integers(0, len(wide) - 1))]
                 x = np.outer(u[:, g[0]], u[:, g[1]].conj())
-                b = b + max(tol, 1e-9) * scale * (1.0 + draw(st.sampled_from(OFFSETS))) * x
+                b = b + max(tol, 1e-9) * scale * (1.0 + draw(st.sampled_from(CLEAR_OFFSETS))) * x
             if real and draw(st.booleans()):
                 b = b + 1j * 1e-13 * (1.0 + draw(st.sampled_from(OFFSETS))) * projs[0]
             basis.append(b)
@@ -1261,20 +1307,8 @@ class TestCharacterTestOracle:
         assert len(herm) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(herm, expected))
         assert scales.tolist() == [max(1.0, opnorm(b)) for b in basis]
-
         blocks = [u[:, g] for g in groups]
-        if draw(st.booleans()):  # a block split in two: still scalars on each part
-            blocks = [u[:, g[:1]] for g in groups] + [u[:, g[1:]] for g in wide]
-        projs = np.stack([iso @ iso.conj().T for iso in blocks])
-        ranks = np.array([[iso.shape[1] for iso in blocks]])
-        chars = _characters(projs[None], ranks, stack[None], scales[None], np.array([tol]))[0]
-        assert (chars is not None) == reference_validate_blocks(blocks, basis, tol)
-        if chars is not None:
-            for chi, iso in zip(chars, blocks):
-                p = iso @ iso.conj().T
-                assert chi.rank == iso.shape[1]
-                assert np.array_equal(chi.projection, p)
-                assert np.array_equal(chi.values, np.array([np.trace(p @ b) / iso.shape[1] for b in basis]))
+        assert _spans(blocks, stack, scales, tol) == reference_validate_blocks(blocks, basis, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1363,24 +1397,17 @@ class TestConeOracle:
 TOLS = [1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3]
 
 
-def reference_cluster(values, tol) -> list:
+def reference_cluster(values, tol, slack=1.0) -> list:
+    """``slack`` scales the gap threshold (exactly, at 1.0)."""
     order = np.argsort(values)
     scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
     groups = [[order[0]]] if values.size else []
     for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= max(tol, 1e-8) * scale:
+        if values[idx] - values[groups[-1][-1]] <= max(tol, 1e-8) * scale * slack:
             groups[-1].append(idx)
         else:
             groups.append([idx])
     return groups
-
-
-def reference_dominating_projections(fine, coarse, tol=1e-9) -> np.ndarray:
-    if not fine or not coarse:
-        return np.zeros((len(fine), len(coarse)), dtype=bool)
-    p = np.stack([chi.projection for chi in fine])[:, None]
-    q = np.stack([chi.projection for chi in coarse])[None]
-    return opnorms(q @ p - p) <= max(tol, 1e-8)
 
 
 def reference_boolean_blocks(projections, tol=1e-9, max_atoms=12) -> list:
@@ -1620,20 +1647,6 @@ class TestThresholdPolicyOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(case=frame_contexts(), data=st.data())
-    def test_dominating_projections(self, case, data):
-        tol, u, groups, _, rng = case
-        coarse = [character(u[:, g] @ u[:, g].conj().T) for g in groups]
-        fine = []
-        for _ in range(data.draw(st.integers(1, 4))):
-            g = groups[data.draw(st.integers(0, len(groups) - 1))]
-            others = [c for c in range(len(u)) if c not in g]
-            eps = np.arcsin(threshold_offset(data.draw, tol))
-            w = np.cos(eps) * u[:, g[0]] + (np.sin(eps) * u[:, others[0]] if others else 0.0)
-            fine.append(character(np.outer(w, w.conj())))
-        assert bits(dominating_projections(fine, coarse, tol)) == bits(reference_dominating_projections(fine, coarse, tol))
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=frame_contexts(), data=st.data())
     def test_boolean_blocks(self, case, data):
         """Group projections of one frame and of a second one, one of them
         maybe pushed off being a projection by about the spectral threshold."""
@@ -1741,7 +1754,7 @@ class TestDeliberateThresholdChanges:
 
 
 # ---------------------------------------------------------------------------
-# batched spectra and commutation tests against the one-algebra code
+# spectra and commutation tests against the one-algebra code
 
 
 def reference_is_commutative(a) -> bool:
@@ -1778,9 +1791,17 @@ def reference_commutation_cliques(mats, tol) -> list:
     return sorted(cliques)
 
 
-def reference_gelfand_spectrum(v, seed=0, retries=3) -> list:
+@dataclass
+class ReferenceCharacter:
+    projection: np.ndarray
+    values: np.ndarray
+    rank: int
+
+
+def reference_gelfand_spectrum(v, seed=0, retries=3, slack=1.0) -> list:
     """One algebra at a time: its own draws, eigendecomposition and
-    character residual per retry, then the refinement sweep."""
+    character residual per retry, then the refinement sweep.  ``slack``
+    scales the gap threshold and the character bound (exactly, at 1.0)."""
     if not reference_is_commutative(v):
         raise DomainError("gelfand_spectrum requires a commutative algebra")
     d = v.dim
@@ -1794,7 +1815,7 @@ def reference_gelfand_spectrum(v, seed=0, retries=3) -> list:
     def blocks_from_vectors(h, isometry):
         compressed = dagger(isometry) @ h @ isometry
         w, vecs = np.linalg.eigh((compressed + dagger(compressed)) / 2.0)
-        return [isometry @ vecs[:, group] for group in reference_cluster(w, v.tol)]
+        return [isometry @ vecs[:, group] for group in reference_cluster(w, v.tol, slack)]
 
     def characters(blocks):
         projs = np.stack([iso @ dagger(iso) for iso in blocks])
@@ -1802,9 +1823,9 @@ def reference_gelfand_spectrum(v, seed=0, retries=3) -> list:
         pb = projs[:, None] @ stack
         vals = np.trace(pb, axis1=-2, axis2=-1) / np.array(ranks)[:, None]
         residual = pb @ projs[:, None] - vals[..., None, None] * projs[:, None]
-        if np.any(opnorms(residual) > max(v.tol, 1e-9) * scales):
+        if np.any(opnorms(residual) > max(v.tol, 1e-9) * scales * slack):
             return None
-        return [Character(projection=p, values=values, rank=r) for p, values, r in zip(projs, vals, ranks)]
+        return [ReferenceCharacter(projection=p, values=values, rank=r) for p, values, r in zip(projs, vals, ranks)]
 
     rng = np.random.default_rng(seed)
     chars = None
@@ -1839,36 +1860,56 @@ def spectrum_retries(count):
         staralg.SPECTRUM_RETRIES = saved
 
 
-def assert_same_spectra(found, expected):
-    """Characters equal to the bit, with the same ranks, in the same order."""
-    assert len(found) == len(expected)
-    for chars, ref in zip(found, expected):
-        assert len(chars) == len(ref)
-        for chi, rho in zip(chars, ref):
-            assert chi.rank == rho.rank and type(chi.rank) is type(rho.rank)
-            assert np.array_equal(chi.projection, rho.projection)
-            assert np.array_equal(chi.values, rho.values)
+def same_spectrum_outcome(found, expected) -> bool:
+    """The same refusal, or the same characters up to their order."""
+    if found[0] != "value" or expected[0] != "value":
+        return found == expected
+    try:
+        projection_bijection(found[1], expected[1])
+    except AssertionError:
+        return False
+    return True
 
 
-def assert_batch_matches(algebras, seed, retries=3):
-    """``gelfand_spectra`` gives every one-algebra spectrum, or raises the
-    refusal of the first refused algebra in input order; so does each
-    one-algebra ``gelfand_spectrum``.  Returns the one-algebra outcomes."""
-    expected = [outcome(reference_gelfand_spectrum, v, seed, retries) for v in algebras]
-    refused = [e for e in expected if e[0] != "value"]
-    found = outcome(gelfand_spectra, algebras, seed)
-    if refused:
-        assert found == refused[0]
+def block_residual_ratio(v, chars) -> float:
+    """Largest ``‖b - sum val p‖ / bound`` over the basis, for the
+    characters' projections p and the character bound of the algebra."""
+    worst = 0.0
+    for b in v.basis:
+        rebuilt = sum(np.trace(chi.projection @ b) / chi.rank * chi.projection for chi in chars)
+        worst = max(worst, opnorm(b - rebuilt) / (max(v.tol, 1e-9) * max(1.0, opnorm(b))))
+    return worst
+
+
+def assert_spectrum_matches(v, seed, retries=3):
+    """``gelfand_spectrum`` against the one-algebra reference: the same
+    outcome, or the reference's with its gap and bound thresholds moved by
+    a relative 1e-6, or a sound outcome where the reference is not to be
+    matched.  The character test now reads the whole residual
+    ``b - sum val p``, not each block's compression ``p b p - val p``, and
+    sums the combination in another order, so two cases differ on purpose:
+    a basis that commutes within the tolerance but is no combination of
+    the reference's blocks (their compressions pass, their off-block parts
+    do not), and inputs on which the reference itself decides differently
+    within 1e-6 of a threshold.  There the outcome must be one of the
+    spectrum's refusals, or one character per dimension whose projections
+    rebuild every basis matrix within the bound.  Returns the reference
+    outcome."""
+    expected = outcome(reference_gelfand_spectrum, v, seed, retries)
+    found = outcome(gelfand_spectrum, v, seed)
+    if same_spectrum_outcome(found, expected):
+        return expected
+    around = [outcome(reference_gelfand_spectrum, v, seed, retries, 1.0 + shift) for shift in (-1e-6, 1e-6)]
+    if any(same_spectrum_outcome(found, e) for e in around):
+        return expected
+    on_threshold = not all(same_spectrum_outcome(e, expected) for e in around)
+    assert on_threshold or (expected[0] == "value" and block_residual_ratio(v, expected[1]) > 1.0 - 1e-6)
+    if found[0] == "value":
+        assert len(found[1]) == v.dimension and block_residual_ratio(v, found[1]) <= 1.0 + 1e-6
     else:
-        assert found[0] == "value"
-        assert_same_spectra(found[1], [e[1] for e in expected])
-    for v, e in zip(algebras, expected):
-        single = outcome(gelfand_spectrum, v, seed)
-        if e[0] == "value":
-            assert single[0] == "value"
-            assert_same_spectra([single[1]], [e[1]])
-        else:
-            assert single == e
+        assert found[1] in ("simultaneous diagonalization failed to isolate characters",
+                            "gelfand_spectrum requires a commutative algebra") or re.fullmatch(
+            r"found \d+ characters for an algebra of dimension \d+", found[1])
     return expected
 
 
@@ -1912,17 +1953,6 @@ def frame_algebras(draw, dims=(1, 2, 3, 4, 5, 6)):
     return MatrixStarAlgebra(d, [sum(c * p for c, p in zip(row, projs)) for row in mix], tol)
 
 
-@st.composite
-def algebra_batches(draw):
-    """Up to eight algebras of a few matrix sizes, so that some share
-    their shapes and draws; maybe one repeated."""
-    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
-    batch = draw(st.lists(frame_algebras(dims=dims), min_size=1, max_size=8))
-    if draw(st.booleans()):
-        batch.append(batch[draw(st.integers(0, len(batch) - 1))])
-    return batch, draw(st.sampled_from([0, 1, 7, 101]))
-
-
 def two_block_algebra(d, weights, rng, tol=1e-9):
     """Real self-adjoint basis matrices ``w[0] P + w[1] (1 - P)`` on a
     random split of a real frame: no anti-self-adjoint parts, so the
@@ -1944,87 +1974,60 @@ def overcounted_algebra():
     return MatrixStarAlgebra(3, [np.diag([1.0, 1.0, 2.0]).astype(complex)])
 
 
-class TestBatchedSpectrumOracle:
+class TestSpectrumOracle:
     @settings(max_examples=150, deadline=None)
-    @given(case=algebra_batches())
-    def test_mixed_batches(self, case):
-        batch, seed = case
-        assert_batch_matches(batch, seed)
-        assert [is_commutative(v) for v in batch] == [reference_is_commutative(v) for v in batch]
+    @given(v=frame_algebras(), seed=st.sampled_from([0, 1, 7, 101]))
+    def test_frame_algebras(self, v, seed):
+        assert_spectrum_matches(v, seed)
+        assert is_commutative(v) == reference_is_commutative(v)
 
     @settings(max_examples=40, deadline=None)
-    @given(case=algebra_batches(), retries=st.sampled_from([0, 1, 2]))
-    def test_fewer_retries_take_the_sweep(self, case, retries):
-        batch, seed = case
+    @given(v=frame_algebras(), seed=st.sampled_from([0, 1, 7, 101]), retries=st.sampled_from([0, 1, 2]))
+    def test_fewer_retries_take_the_sweep(self, v, seed, retries):
         with spectrum_retries(retries):
-            assert_batch_matches(batch, seed, retries)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        indices=st.sets(st.integers(0, len(PERES[1]) - 1), min_size=2, max_size=10),
-        seed=st.sampled_from([0, 3, 101]),
-    )
-    def test_peres_sub_families(self, indices, seed):
-        dim, bases = PERES
-        cc = ray_family_context_category(dim, [bases[i] for i in sorted(indices)], seed=seed)
-        ids = cc.ids()
-        expected = [reference_gelfand_spectrum(cc.algebra(cid), seed) for cid in ids]
-        spectra = cc.spectra()
-        assert list(spectra) == ids
-        assert_same_spectra([spectra[cid] for cid in ids], expected)
-        assert_same_spectra([build_spectral_presheaf(cc).fibers[cid] for cid in ids], expected)
-
-    @pytest.mark.parametrize("seeds", [["ZI", "XI", "YI", "IZ", "IX"], ["ZZ", "XX", "YY", "ZI", "IZ", "XI"]])
-    def test_pauli_context_categories(self, seeds):
-        pauli = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
-        cc = context_category(full_matrix_algebra(4), [kron(pauli[s[0]], pauli[s[1]]) for s in seeds], seed=5)
-        expected = [reference_gelfand_spectrum(cc.algebra(cid), 5) for cid in cc.ids()]
-        assert_same_spectra(list(cc.spectra().values()), expected)
+            assert_spectrum_matches(v, seed, retries)
 
     @pytest.mark.parametrize("seed", [0, 1, 101])
     def test_a_failed_draw_retries_and_the_sweep_follows_the_last(self, seed, monkeypatch):
         """Two blocks whose eigenvalues under the first draw coincide: that
-        member retries, a generic member of the same shape does not, and
-        with one retry allowed the first member takes the sweep."""
+        draw gives one block, and the next draw's two stand, or with one
+        draw allowed the sweep's; a generic algebra stands at the first draw."""
         first = np.random.default_rng(seed).standard_normal(2)
         rng = np.random.default_rng(17)
         # block values whose differences are (first[1], -first[0]): the first
         # draw gives both blocks the same eigenvalue
         merged = two_block_algebra(4, [(first[1], 0.0), (0.0, first[0])], rng)
         generic = two_block_algebra(4, [(1.0, -1.0), (0.5, 2.0)], rng)
-        swept = []
-        original = staralg._refinement_sweep
+        splits = []
+        original = staralg._blocks_from_vectors
 
         def spy(*args):
-            swept.append(args[1].shape)
+            splits.append(len(original(*args)))
             return original(*args)
 
-        monkeypatch.setattr(staralg, "_refinement_sweep", spy)
-        assert_batch_matches([generic, merged, generic], seed)
-        assert swept == []
+        monkeypatch.setattr(staralg, "_blocks_from_vectors", spy)
+        assert_spectrum_matches(generic, seed)
+        assert splits == [2]
+        splits.clear()
+        assert_spectrum_matches(merged, seed)
+        assert splits == [1, 2]
+        splits.clear()
         with spectrum_retries(1):
-            assert_batch_matches([generic, merged, generic], seed, retries=1)
-        assert swept == [(2, 4, 4), (2, 4, 4)]  # the batch, then its batch of one
+            assert_spectrum_matches(merged, seed, retries=1)
+        assert splits == [1, 2, 1, 1]  # the one draw, then the sweep by each basis matrix
 
     @pytest.mark.parametrize(
-        "order",
-        list(itertools.permutations(["commutative", "non-commutative", "unsplittable", "overcounted"])),
+        "name, message",
+        [
+            ("non-commutative", "gelfand_spectrum requires a commutative algebra"),
+            ("unsplittable", "simultaneous diagonalization failed to isolate characters"),
+            ("overcounted", "found 2 characters for an algebra of dimension 1"),
+        ],
     )
-    def test_refusals_name_the_first_refused_member(self, order):
-        rng = np.random.default_rng(3)
-        members = {
-            "commutative": two_block_algebra(3, [(1.0, 1.0), (2.0, -1.0)], rng),
-            "non-commutative": full_matrix_algebra(2),
-            "unsplittable": unsplittable_algebra(),
-            "overcounted": overcounted_algebra(),
-        }
-        expected = assert_batch_matches([members[name] for name in order], 0)
-        first = next(e for e in expected if e[0] != "value")
-        assert first[1] == {
-            "non-commutative": "gelfand_spectrum requires a commutative algebra",
-            "unsplittable": "simultaneous diagonalization failed to isolate characters",
-            "overcounted": "found 2 characters for an algebra of dimension 1",
-        }[next(name for name in order if name != "commutative")]
+    def test_refusals(self, name, message):
+        v = {"non-commutative": full_matrix_algebra(2), "unsplittable": unsplittable_algebra(),
+             "overcounted": overcounted_algebra()}[name]
+        assert assert_spectrum_matches(v, 0) == ("DomainError", message)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -2052,7 +2055,6 @@ class TestBatchedSpectrumOracle:
         algebras = [MatrixStarAlgebra(d, mats[:k], tol) for k in range(2, len(mats) + 1)]
         expected = [reference_is_commutative(v) for v in algebras]
         assert [is_commutative(v) for v in algebras] == expected
-        assert _commuting_bases([np.stack(v.basis) for v in algebras], [tol] * len(algebras)) == expected
         assert _commutation_cliques(mats, tol) == reference_commutation_cliques(mats, tol)
 
     @pytest.mark.parametrize("offset", [-2e-6, -1e-7, 0.0, 1e-7])
@@ -2094,8 +2096,8 @@ class TestBatchedSpectrumOracle:
         nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
         x = 1e-9 * (1.0 + offset)
         v = MatrixStarAlgebra(2, [eye, eye / 2 + x * nilpotent], 1e-9)  # scale 1: the bound is 1e-9
-        expected = assert_batch_matches([v], 0)
-        assert expected[0][1] == (
+        expected = assert_spectrum_matches(v, 0)
+        assert expected[1] == (
             "simultaneous diagonalization failed to isolate characters"
             if offset > -1e-6
             else "found 1 characters for an algebra of dimension 2"

@@ -7,21 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, random_unitary
-from ctxlab.errors import DomainError
+from ctxlab.errors import DomainError, InputError
 from ctxlab.fincat import check_category
-from ctxlab.linalg import intersect_spans, orthonormalize_span, span_containment, span_leq, spectral_tol
+from ctxlab.presheaf import ray_family_context_category
+from ctxlab.linalg import orthonormalize_span, span_leq, spectral_tol
 from ctxlab.staralg import (
     MatrixStarAlgebra,
+    algebra_span_leq,
     boolean_blocks,
     context_category,
     context_category_from_groups,
-    dominating_character_index,
     full_matrix_algebra,
     gelfand_spectrum,
     generate_algebra,
-    intersect_algebras,
     is_commutative,
-    trivial_algebra,
+    restriction_table,
 )
 
 
@@ -168,30 +168,36 @@ class TestContextCategory:
 
     def test_seed_outside_ambient_rejected(self):
         small = generate_algebra([SZ], 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="seed 0 lies outside the ambient algebra"):
             context_category(small, [SX])
 
     def test_non_selfadjoint_seed_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="seed 0 is not self-adjoint"):
             context_category(full_matrix_algebra(2), [np.array([[0, 1], [0, 0]])])
 
 
 class TestIntersectionsAndRestrictions:
-    def test_intersection_of_diagonal_contexts(self):
-        a = generate_algebra([kron(SZ, I2), kron(I2, SZ)], 4)
-        b = generate_algebra([kron(SZ, I2), kron(SX, I2) @ kron(I2, I2)], 4)
-        meet = intersect_algebras(a, b)
+    def test_meet_of_diagonal_contexts(self):
+        cc = context_category_from_groups(full_matrix_algebra(4), [[kron(SZ, I2), kron(I2, SZ)], [kron(SZ, I2), kron(I2, SX)]])
+        meet = cc.algebra("V0^V1")
+        assert meet.dimension == 2
         assert meet.contains(kron(SZ, I2))
         assert meet.validate().ok
+        assert cc.leq("V0^V1", "V0") and cc.leq("V0^V1", "V1")
 
-    def test_dominating_character_is_unique(self):
+    def test_restriction_is_the_unique_overlapping_character(self):
         fine = generate_algebra([kron(SZ, I2), kron(I2, SZ)], 4)
         coarse = generate_algebra([kron(SZ, I2)], 4)
         fine_chars = gelfand_spectrum(fine)
         coarse_chars = gelfand_spectrum(coarse)
-        for chi in fine_chars:
-            idx = dominating_character_index(chi, coarse_chars)
-            assert abs(coarse_chars[idx].value_of(kron(SZ, I2)) - chi.value_of(kron(SZ, I2))) < 1e-9
+        for i, idx in restriction_table(fine_chars, coarse_chars).items():
+            assert abs(coarse_chars[idx].value_of(kron(SZ, I2)) - fine_chars[i].value_of(kron(SZ, I2))) < 1e-9
+
+    def test_restriction_refuses_a_character_over_two_atoms(self):
+        coarse = gelfand_spectrum(generate_algebra([kron(SZ, I2)], 4))
+        fine = gelfand_spectrum(generate_algebra([kron(SX, I2)], 4))
+        with pytest.raises(DomainError, match="character restriction ill-defined: 2 overlapping projections"):
+            restriction_table(fine, coarse)
 
 
 class TestBooleanBlocks:
@@ -235,11 +241,6 @@ class TestBooleanBlocks:
             boolean_blocks([SX + 2 * SZ])
 
 
-def test_trivial_algebra_is_trivial():
-    alg = trivial_algebra(3)
-    assert alg.dimension == 1 and alg.contains(np.eye(3))
-
-
 PAULI1 = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
 PAULI_STRINGS = {a + b: kron(PAULI1[a], PAULI1[b]) for a in "IXYZ" for b in "IXYZ" if a + b != "II"}
 
@@ -256,17 +257,19 @@ class TestMeets:
                     assert meet.contains(np.eye(4)), (triple, cid)
             maximal = [cc.algebra(cid) for cid in cc.ids() if cid != "I" and "^" not in cid]
             for a, b in itertools.combinations(maximal, 2):
-                rows = intersect_spans(a.ortho, b.ortho)
+                # the meet's dimension is that of the span intersection; above
+                # one, some context is that meet
                 union = np.linalg.matrix_rank(np.concatenate([a.ortho, b.ortho]), tol=1e-9)
-                assert len(rows) == len(a.ortho) + len(b.ortho) - union, triple
-                assert span_leq(rows, a.ortho) and span_leq(rows, b.ortho), triple
+                meet = len(a.ortho) + len(b.ortho) - union
+                below = [x for x in cc.contexts.values() if algebra_span_leq(x, a) and algebra_span_leq(x, b)]
+                assert max(x.dimension for x in below) == meet, triple
 
     def test_complex_meets_have_one_character_per_dimension(self):
         cc = context_category(full_matrix_algebra(4), [PAULI_STRINGS[p] for p in ("IX", "IY", "YI")])
         meet = cc.algebra("V0^V1")
         assert meet.dimension == 2 and meet.validate().ok
         cc = context_category(full_matrix_algebra(4), [PAULI_STRINGS[p] for p in ("ZI", "XI", "YI", "IZ", "IX")])
-        assert len(cc.spectra()["V4^V5"]) == cc.algebra("V4^V5").dimension == 2
+        assert len(cc.spectra["V4^V5"]) == cc.algebra("V4^V5").dimension == 2
 
 
 def test_character_count_must_match_the_dimension():
@@ -292,32 +295,11 @@ def test_near_degenerate_spectra_cluster_at_the_algebra_tolerance(tol):
 
 
 class TestSpanRows:
-    def test_containment_matrix_matches_pairwise_tests(self):
-        rng = np.random.default_rng(11)
-        u = random_unitary(rng, 3)
-        diag = [u @ np.diag(v).astype(complex) @ u.conj().T for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
-        spans = [
-            orthonormalize_span(diag[:1]),
-            orthonormalize_span(diag[:2]),
-            orthonormalize_span(diag),
-            orthonormalize_span([np.eye(3)]),
-            full_matrix_algebra(3).ortho,
-            np.zeros((0, 0), dtype=complex),
-        ]
-        leq = span_containment(spans)
-        for i, a in enumerate(spans):
-            for j, b in enumerate(spans):
-                expected = span_leq(a, b) if len(a) else True
-                assert leq[i, j] == expected, (i, j)
-        assert leq[0, 1] and not leq[1, 0] and leq[3, 2] and not leq[2, 3]
-        assert leq[5].all() and not leq[:5, 5].any()
-
     def test_containment_scales_the_residual_by_the_norm(self):
         # residual 2e-9 against a row of norm 4: inside at tolerance 1e-9
         unit = np.diag([1.0, 0.0]).astype(complex).reshape(1, -1)
         row = (4 * np.diag([1.0, 0.0]) + 2e-9 * np.diag([0.0, 1.0])).astype(complex).reshape(1, -1)
         assert span_leq(row, unit)
-        assert span_containment([row, unit])[0, 1]
 
     def test_list_and_stacked_input_give_the_same_rows(self):
         mats = [SX, SZ, SX + SZ]
@@ -364,3 +346,54 @@ def test_near_degenerate_spectra_never_miscount(data):
     else:
         assert len(chars) == alg.dimension
         assert sum(chi.rank for chi in chars) == d
+
+
+class TestContextsFromAtoms:
+    def test_ray_family_above_the_cap_is_refused(self):
+        with pytest.raises(InputError, match="matrix dimension 20 exceeds cap 16"):
+            ray_family_context_category(20, [[np.eye(20)[0]]])
+
+    def test_non_orthogonal_rays_do_not_generate_a_commutative_algebra(self):
+        rays = [np.diag([1.0, 0.0]).astype(complex), np.full((2, 2), 0.5, dtype=complex)]
+        with pytest.raises(DomainError, match="group 1 does not generate a commutative algebra"):
+            context_category_from_groups(full_matrix_algebra(2), [[rays[0]], rays])
+
+    def test_group_outside_the_ambient_is_refused(self):
+        with pytest.raises(DomainError, match="group 0 contains a matrix outside the ambient algebra"):
+            context_category_from_groups(generate_algebra([SZ], 2), [[SX]])
+
+    def test_an_empty_group_is_one_context_with_one_atom(self):
+        cc = context_category_from_groups(full_matrix_algebra(3), [[]])
+        assert cc.ids() == ["V0"]
+        assert [chi.rank for chi in cc.spectra["V0"]] == [3]
+
+    def test_two_single_rays_meet_trivially(self):
+        e = np.eye(3, dtype=complex)
+        cc = context_category_from_groups(full_matrix_algebra(3), [[np.outer(e[0], e[0])], [np.outer(e[1], e[1])]])
+        assert cc.ids() == ["V0", "V1", "I"]
+        assert [len(cc.spectra[cid]) for cid in cc.ids()] == [2, 2, 1]
+        assert cc.restrictions == {("I", "V0"): {0: 0, 1: 0}, ("I", "V1"): {0: 0, 1: 0}}
+
+    def test_contexts_are_the_spans_of_their_atoms(self):
+        cc = context_category(full_matrix_algebra(4), [kron(SZ, I2), kron(I2, SZ), kron(SX, SX), kron(SZ, SZ)])
+        for cid in cc.ids():
+            alg, chars = cc.algebra(cid), cc.spectra[cid]
+            assert alg.validate().ok and is_commutative(alg)
+            assert alg.dimension == len(chars)
+            assert np.allclose(sum(chi.projection for chi in chars), np.eye(4))
+            for chi in chars:
+                assert alg.contains(chi.projection)
+        for (sub, sup), table in cc.restrictions.items():
+            for i, j in table.items():
+                p, q = cc.spectra[sup][i].projection, cc.spectra[sub][j].projection
+                assert np.allclose(q @ p, p)
+
+    def test_character_order_does_not_depend_on_the_seed_or_the_frame(self, rng):
+        u = random_unitary(rng, 4)
+        seeds = [u @ kron(SZ, I2) @ u.conj().T, u @ kron(I2, SZ) @ u.conj().T]
+        first = context_category(full_matrix_algebra(4), seeds, seed=0)
+        for seed in (1, 5, 101):
+            other = context_category(full_matrix_algebra(4), seeds, seed=seed)
+            for cid in first.ids():
+                for chi, rho in zip(first.spectra[cid], other.spectra[cid]):
+                    assert np.allclose(chi.projection, rho.projection, atol=1e-12)
