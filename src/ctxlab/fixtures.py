@@ -29,13 +29,7 @@ from .ctxext import build_limit_extension, spectrum_diagram
 from .fincat import Cone, Diagram, FinCategory, limit_of_diagram
 from .gft import PolyhedronSpace, second_quantization_cone
 from .locnet import PAULI, pauli_string
-from .staralg import (
-    context_category,
-    full_matrix_algebra,
-    gelfand_spectrum,
-    generate_algebra,
-    restriction_table,
-)
+from .staralg import context_category, context_category_from_groups, full_matrix_algebra
 
 
 @dataclass
@@ -55,6 +49,14 @@ def _swap_two_values(table: dict) -> dict:
                 out[a], out[b] = table[b], table[a]
                 return out
     raise ValueError("no two entries with distinct values to swap")
+
+
+def _coarsening(fine: list, coarse: list) -> tuple:
+    """The characters of the contexts that two groups of commuting
+    dimension-4 matrices generate, the second inside the first, and the
+    restriction table from the fine characters to the coarse ones."""
+    cc = context_category_from_groups(full_matrix_algebra(4), [fine, coarse])
+    return cc.spectra["V0"], cc.spectra["V1"], cc.restrictions[("V1", "V0")]
 
 
 def extension_triangle_fixture(corrupted: bool = False) -> ConeFixture:
@@ -96,13 +98,8 @@ def covariant_square_fixture(corrupted: bool = False) -> ConeFixture:
     breaks the cone triangles through that corner.
     """
     length = 2
-    dim = 2**length
-    diag_whole = generate_algebra(
-        [pauli_string({0: "Z"}, length), pauli_string({1: "Z"}, length)], dim
-    )
-    diag_sub = generate_algebra([pauli_string({0: "Z"}, length)], dim)
-    chars_whole = gelfand_spectrum(diag_whole)
-    chars_sub = gelfand_spectrum(diag_sub)
+    z0, z1 = pauli_string({0: "Z"}, length), pauli_string({1: "Z"}, length)
+    chars_whole, chars_sub, res_alg = _coarsening([z0, z1], [z0])
 
     confs_whole = [(b0, b1) for b0 in (0, 1) for b1 in (0, 1)]
     confs_sub = [(0,), (1,)]
@@ -110,7 +107,6 @@ def covariant_square_fixture(corrupted: bool = False) -> ConeFixture:
     def bit_of(value: complex) -> int:
         return 0 if value.real > 0 else 1
 
-    z0, z1 = pauli_string({0: "Z"}, length), pauli_string({1: "Z"}, length)
     quant_whole = {
         conf: next(
             i
@@ -126,7 +122,6 @@ def covariant_square_fixture(corrupted: bool = False) -> ConeFixture:
         for conf in confs_sub
     }
     restrict_conf = {conf: (conf[0],) for conf in confs_whole}
-    res_alg = restriction_table(chars_whole, chars_sub)
 
     index = FinCategory(
         objects=["reg_M", "reg_U", "alg_M", "alg_U"],
@@ -209,11 +204,8 @@ def spectrum_coarsening_fixture(corrupted: bool = False) -> ConeFixture:
     One leg is the identity, the other is a section of the restriction
     map; the corrupted variant picks an incompatible section value.
     """
-    coarse = generate_algebra([np.kron(PAULI["Z"], np.eye(2))], 4)
-    fine = generate_algebra([np.kron(PAULI["Z"], np.eye(2)), np.kron(np.eye(2), PAULI["Z"])], 4)
-    chars_coarse = gelfand_spectrum(coarse)
-    chars_fine = gelfand_spectrum(fine)
-    res = restriction_table(chars_fine, chars_coarse)
+    z0, z1 = np.kron(PAULI["Z"], np.eye(2)), np.kron(np.eye(2), PAULI["Z"])
+    chars_fine, chars_coarse, res = _coarsening([z0, z1], [z0])
 
     index = FinCategory(
         objects=["fine", "coarse"],

@@ -332,20 +332,6 @@ def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
     return [Character(projection=projs[k], rank=ranks[k]) for k in order]
 
 
-def restriction_table(fine: list, coarse: list, tol: float = DEFAULT_TOL) -> dict:
-    """Fine character index -> index of the one coarse character whose
-    projection q overlaps the fine one p, ``‖q p‖_F > spectral_tol(tol)``:
-    the coarse atom above p.  Refuses (DomainError) at the first fine
-    character that overlaps no or several."""
-    p = np.stack([chi.projection for chi in fine])[:, None]
-    q = np.stack([chi.projection for chi in coarse])[None]
-    touch = np.linalg.norm(q @ p, axis=(-2, -1)) > spectral_tol(tol)
-    for count in touch.sum(axis=1).tolist():
-        if count != 1:
-            raise DomainError(f"character restriction ill-defined: {count} overlapping projections")
-    return dict(enumerate(touch.argmax(axis=1).tolist()))
-
-
 # ---------------------------------------------------------------------------
 # context categories
 
@@ -504,8 +490,10 @@ def context_category(ambient: MatrixStarAlgebra, seeds: list, seed: int = 0) -> 
     Each clique's context is built from the atoms its seeds split the
     space into (``_atoms``, with draws seeded by ``seed``); pairwise meets
     of the maximal contexts and the trivial span of the identity are
-    included, and the order is inclusion.
+    included, and the order is inclusion.  Refuses (InputError) a matrix
+    dimension above ``DIM_CAP``.
     """
+    check_dimension(ambient.dim)
     tol = ambient.tol
     mats = [as_matrix(s, ambient.dim) for s in seeds]
     for k, m in enumerate(mats):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ctxlab import staralg
 from ctxlab.cli import main, matrix_to_json, parse_matrix
 from ctxlab.errors import DomainError, InputError
 from ctxlab.linalg import require_state
@@ -94,6 +95,16 @@ class TestSubcommands:
         assert code == 0
         report = json.loads(out)
         assert report["max_expectation_defect"] <= 1e-8
+
+    def test_state_extend_checks_the_seeds_not_the_atoms(self, capsys, specs, monkeypatch):
+        """The defect is taken on each context's unit and seeds, which no
+        split builds: one that leaves a seed out of its context does not
+        pass."""
+        monkeypatch.setattr(staralg, "_atoms", lambda stack, tol, seed, count=None: [np.eye(stack.shape[-1], dtype=complex)])
+        code = main(["state-extend", "--algebra", specs["algebra"], "--seeds", "z,x", "--state", specs["state"]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "matrix lies outside the span of context V0" in captured.err
 
     def test_ks_check_bundled_fixture(self, capsys):
         code, out = run(capsys, ["ks-check", "--fixture", "cabello18.json"])
@@ -485,6 +496,11 @@ class TestSpecNumbers:
         fixture = tmp_path / "rays.json"
         fixture.write_text(json.dumps({"dim": 20, "bases": [np.eye(20).tolist()]}))
         self.refused(capsys, ["ks-check", "--fixture", str(fixture)], "matrix dimension 20 exceeds cap 16")
+
+    def test_dimension_far_above_the_cap_is_refused_before_the_ambient_is_made(self, capsys, tmp_path):
+        spec = tmp_path / "alg.json"
+        spec.write_text(json.dumps({"dim": 100000, "seeds": {}}))
+        self.refused(capsys, ["limit", "--algebra", str(spec)], "matrix dimension 100000 exceeds cap 16")
 
 
 PAULI1 = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}

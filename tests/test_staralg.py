@@ -21,7 +21,6 @@ from ctxlab.staralg import (
     gelfand_spectrum,
     generate_algebra,
     is_commutative,
-    restriction_table,
 )
 
 
@@ -186,18 +185,16 @@ class TestIntersectionsAndRestrictions:
         assert cc.leq("V0^V1", "V0") and cc.leq("V0^V1", "V1")
 
     def test_restriction_is_the_unique_overlapping_character(self):
-        fine = generate_algebra([kron(SZ, I2), kron(I2, SZ)], 4)
-        coarse = generate_algebra([kron(SZ, I2)], 4)
-        fine_chars = gelfand_spectrum(fine)
-        coarse_chars = gelfand_spectrum(coarse)
-        for i, idx in restriction_table(fine_chars, coarse_chars).items():
+        cc = context_category_from_groups(full_matrix_algebra(4), [[kron(SZ, I2), kron(I2, SZ)], [kron(SZ, I2)]])
+        fine_chars, coarse_chars = cc.spectra["V0"], cc.spectra["V1"]
+        for i, idx in cc.restrictions[("V1", "V0")].items():
+            assert np.linalg.norm(coarse_chars[idx].projection @ fine_chars[i].projection - fine_chars[i].projection) < 1e-9
             assert abs(coarse_chars[idx].value_of(kron(SZ, I2)) - fine_chars[i].value_of(kron(SZ, I2))) < 1e-9
 
-    def test_restriction_refuses_a_character_over_two_atoms(self):
-        coarse = gelfand_spectrum(generate_algebra([kron(SZ, I2)], 4))
-        fine = gelfand_spectrum(generate_algebra([kron(SX, I2)], 4))
-        with pytest.raises(DomainError, match="character restriction ill-defined: 2 overlapping projections"):
-            restriction_table(fine, coarse)
+    def test_no_restriction_between_contexts_with_crossing_atoms(self):
+        cc = context_category_from_groups(full_matrix_algebra(4), [[kron(SZ, I2)], [kron(SX, I2)]])
+        assert not cc.leq("V0", "V1") and not cc.leq("V1", "V0")
+        assert set(cc.restrictions) == {("I", "V0"), ("I", "V1")}
 
 
 class TestBooleanBlocks:
@@ -352,6 +349,10 @@ class TestContextsFromAtoms:
     def test_ray_family_above_the_cap_is_refused(self):
         with pytest.raises(InputError, match="matrix dimension 20 exceeds cap 16"):
             ray_family_context_category(20, [[np.eye(20)[0]]])
+
+    def test_seeds_above_the_cap_are_refused(self):
+        with pytest.raises(InputError, match="matrix dimension 20 exceeds cap 16"):
+            context_category(full_matrix_algebra(20), [np.eye(20)])
 
     def test_non_orthogonal_rays_do_not_generate_a_commutative_algebra(self):
         rays = [np.diag([1.0, 0.0]).astype(complex), np.full((2, 2), 0.5, dtype=complex)]
