@@ -230,11 +230,13 @@ def cmd_daseinise(args: argparse.Namespace) -> int:
 
 
 def load_net_spec(path: str, tol: float) -> "locnet.LocalNet":
-    """Custom net spec: {'length': L, 'regions': [{'start', 'stop', 'generators'}]}."""
+    """Custom net spec: {'length': L, 'regions': [{'start', 'stop', 'generators'}]};
+    each region closed by ``locnet.region_algebra``, exactly for Pauli strings."""
     data = load_json(path)
     try:
         length = whole_number(data["length"], "net spec length", least=1)
         locnet.refuse_long_chain(length)
+        d = 2**length
         assignment = {}
         for entry in data["regions"]:
             start, stop = (whole_number(entry[end], f"net spec {end}") for end in ("start", "stop"))
@@ -244,7 +246,11 @@ def load_net_spec(path: str, tol: float) -> "locnet.LocalNet":
             if region in assignment:
                 raise InputError(f"net spec {path!r}: region {region.label()} is listed twice")
             gens = [parse_matrix(m) for m in entry["generators"]]
-            assignment[region] = generate_algebra(gens, 2**length, tol, dim_cap=2**length)
+            for k, g in enumerate(gens):
+                if len(g) != d:
+                    raise InputError(f"net spec {path!r}: generator {k} of region {region.label()} "
+                                     f"is {len(g)}x{len(g)}, expected {d}x{d}")
+            assignment[region] = locnet.region_algebra(gens, length, tol)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed net spec {path!r}: {exc}") from exc
     return locnet.LocalNet(length, assignment, tol=tol)

@@ -201,10 +201,6 @@ def state_to_json(mu: ExtendedState) -> dict:
     }
 
 
-def element_to_json(e: Element) -> list:
-    return [[float(np.round(v.real, 14)), float(np.round(v.imag, 14))] for v in e.values]
-
-
 # ---------------------------------------------------------------------------
 # bridge to the finite-category engine
 

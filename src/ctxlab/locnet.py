@@ -7,28 +7,25 @@ disjoint regions, cyclic-translation covariance (including its action on
 the context extension), the inductive limit, and the square relating a
 region's algebra to the whole are all checked, never assumed.
 
-Inclusions between region algebras are decided once per pair, from Pauli
-supports where these are certified.  Normalized Pauli strings are a
-Frobenius-orthonormal basis of the d x d matrices, so the column masses
-``sum_r |c_rp|^2`` of an algebra's orthonormal rows in Pauli coordinates
-are the diagonal of its span's projector and sum to the rank.  A span's
-support (the strings of mass above 1/2) is certified when it has exactly
-rank-many strings and the mass off it is at most ``(tol/4)^2``; the
-span's projector then lies within ``sqrt(2) tol/4`` (Frobenius) of the
-projector onto its support's strings.  Between certified spans,
-inclusion is support containment and equality is support equality: a
-contained pair has residual below ``tol`` and any other pair a residual
-of at least about ``2**-L``, so the dense test of ``algebra_span_leq``
-decides the same.  A pair with a span that is not certified (one not
-spanned by Pauli strings, such as a rotated algebra) takes the dense
-test.  Locality skips the dense commutators of a disjoint pair only when
-both supports are certified, commute string by string, and bound every
-basis commutator by ``tol / 2`` (``LocalNet.commute_by_support``).
+A region generated by Pauli strings is built exactly.  A string is
+``X^x Z^z`` up to a phase, with ``x`` and ``z`` the bit masks of its flips
+and phase flips (site 0 the high bit).  Products of strings are strings
+up to phases, so the *-algebra that strings generate is spanned by the
+subgroup that their ``(x, z)`` pairs generate over GF(2): ``2**rank``
+strings.  A ``PauliAlgebra`` keeps these strings, and its rows are the
+normalized Hermitian strings in ``itertools.product("IXYZ")`` order.
+Between two such algebras, inclusion is a subset test and equality a set
+test.  Two strings commute iff ``popcount(x & z') + popcount(z & x')`` is
+even, and two anticommuting normalized strings have a commutator of
+operator norm ``2 / d >= 1/32`` on at most ``MAX_SITES`` sites, far above
+any allowed tolerance; so locality between them is decided string by
+string, with no dense commutator.  Every other algebra (one not spanned by
+strings, a rotated one, or one built by hand) takes the dense tests of
+``staralg``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -36,7 +33,7 @@ import numpy as np
 
 from .ctxext import build_limit_extension, embed
 from .errors import CapExceeded, DomainError, InputError
-from .linalg import DEFAULT_TOL, opnorm, spectral_tol
+from .linalg import DEFAULT_TOL, as_matrix, opnorm, spectral_tol
 from .staralg import (
     MatrixStarAlgebra,
     algebra_span_equal,
@@ -100,128 +97,114 @@ def pauli_string(labels: dict, length: int) -> np.ndarray:
     return out
 
 
-def _region_pauli_strings(region: Region, length: int) -> np.ndarray:
-    """Every Pauli string supported in ``region``, stacked in the order of
-    ``itertools.product("IXYZ", ...)`` over the region's sites.
-
-    One batched Kronecker step per site multiplies the same factors in the
-    same order as the ``pauli_string`` chain, so the entries agree exactly.
-    """
-    letters = np.stack([PAULI[p] for p in "IXYZ"])
-    out = np.ones((1, 1, 1), dtype=complex)
-    for j in range(length):
-        factors = letters if region.start <= j <= region.stop else letters[:1]
-        n, a = out.shape[:2]
-        out = (out[:, None, :, None, :, None] * factors[None, :, None, :, None, :]).reshape(
-            n * len(factors), 2 * a, 2 * a
-        )
-    return out
+# ---------------------------------------------------------------------------
+# algebras spanned by Pauli strings
 
 
-# Complex entries transformed at a time (256 kB); whole rows per chunk.
-_PAULI_CHUNK = 1 << 14
+def _popcount(masks: np.ndarray, length: int) -> np.ndarray:
+    """Set bits of each ``length``-bit mask."""
+    return sum((masks >> k) & 1 for k in range(length))
 
 
-@functools.lru_cache(maxsize=None)
-def _pauli_tables(length: int) -> tuple:
-    """(gather offsets, Hadamard matrix, order) of ``pauli_masses``."""
+def _string_rows(strings, length: int) -> np.ndarray:
+    """The normalized Hermitian strings of the ``(x, z)`` mask pairs, as
+    rows.  The string ``i^popcount(x & z) X^x Z^z`` (``Y = i X Z``) maps
+    column ``c`` to row ``c ^ x``, times ``i^popcount(x & z) (-1)^popcount(z & c)``."""
     d = 2**length
-    j = np.arange(d)
-    # float offsets of a[j ^ x, j] in a row's (re, im) view, laid out (x, part, j)
-    diagonals = 2 * ((j ^ j[:, None]) * d + j)[:, None, :] + np.arange(2)[:, None]
-    parity = np.zeros((d, d), dtype=np.intp)
-    for k in range(length):
-        parity ^= ((j[:, None] & j) >> k) & 1
-    # flat (x, z) index of each string in "IXYZ" order: one axis of 2 x + z
-    # per site, where I, X, Y, Z are X^x Z^z (up to a phase) at 0, 2, 3, 1
-    axes = [axis for k in range(length) for axis in (k, length + k)]
-    xz = np.arange(d * d).reshape((2,) * (2 * length)).transpose(axes).reshape((4,) * length)
-    order = xz[np.ix_(*[[0, 2, 3, 1]] * length)].reshape(-1)
-    return diagonals, 1.0 - 2.0 * parity, order
+    x, z = np.asarray(strings, dtype=np.intp).reshape(-1, 2).T
+    cols = np.arange(d)
+    phases = np.array([1, 1j, -1, -1j])[_popcount(x & z, length) % 4]
+    signs = 1 - 2 * (_popcount(z[:, None] & cols, length) % 2)
+    rows = np.zeros((len(x), d, d), dtype=complex)
+    rows[np.arange(len(x))[:, None], cols ^ x[:, None], cols] = (phases[:, None] * signs) / np.sqrt(d)
+    return rows.reshape(len(x), d * d)
 
 
-def pauli_masses(rows: np.ndarray, length: int) -> np.ndarray:
-    """Column masses ``sum_r |c_rp|^2`` of ``rows`` (vectorized 2**length
-    square matrices) in the coordinates of the normalized Pauli strings,
-    in the order of ``itertools.product("IXYZ", ...)`` over the sites.
-
-    A string is ``X^x Z^z`` up to a phase, which no mass sees, with ``x``
-    and ``z`` the bit masks of its flips and phase flips (site 0 the high
-    bit).  Per site, the 2 x 2 block entry (i, j) feeds x = i ^ j with sign
-    (-1)^(z j); over the chain, the coefficient of a matrix ``a`` is
-    ``sum_j (-1)^popcount(z & j) a[j ^ x, j] / sqrt(d)``.  So one gather
-    takes each row to its shifted diagonals ``a[j ^ x, j]``, and one
-    product with the d x d Sylvester Hadamard matrix makes every sum, on
-    the real and the imaginary parts alike.
-    """
-    d = 2**length
-    masses = np.zeros((d, d))
-    for coeffs in _pauli_coefficients(rows, length):
-        masses += np.einsum("rxcz,rxcz->xz", coeffs, coeffs)
-    return masses.reshape(-1)[_pauli_tables(length)[2]] / d
+def _pauli_subgroup(strings, length: int) -> list:
+    """The ``(x, z)`` pairs of the subgroup that the strings generate,
+    modulo phases, in "IXYZ" order: a GF(2) row reduction of the
+    ``2 * length``-bit vectors ``x z``, then every sum of the reduced rows,
+    sorted by the base-4 digits 0, 1, 2, 3 of I, X, Y, Z at each site."""
+    basis = []
+    for x, z in strings:
+        v = x << length | z
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    group = [0]
+    for b in basis:
+        group += [g ^ b for g in group]
+    digits = [sum(((0, 3), (1, 2))[g >> length + j & 1][g >> j & 1] << 2 * j for j in range(length)) for g in group]
+    return [(g >> length, g & (1 << length) - 1) for _, g in sorted(zip(digits, group))]
 
 
-def pauli_row_masses(rows: np.ndarray, length: int) -> np.ndarray:
-    """Masses ``|c_rp|^2`` of each row of ``rows`` on each normalized Pauli
-    string, shape ``(rows, 4**length)``, in ``pauli_masses``'s order."""
-    d = 2**length
-    per_row = [np.einsum("rxcz,rxcz->rxz", c, c).reshape(len(c), -1) for c in _pauli_coefficients(rows, length)]
-    return np.concatenate(per_row)[:, _pauli_tables(length)[2]] / d
-
-
-def _pauli_coefficients(rows: np.ndarray, length: int):
-    """Unnormalized Pauli coefficients of ``rows``, chunk by chunk, as
-    ``(row, x, re/im, z)`` arrays (see ``pauli_masses``)."""
-    d = 2**length
-    diagonals, hadamard, _ = _pauli_tables(length)
-    parts = np.ascontiguousarray(rows, dtype=complex).reshape(len(rows), d * d).view(np.float64)
-    step = max(1, _PAULI_CHUNK // (d * d))
-    for lo in range(0, len(rows), step):
-        shifted = np.take(parts[lo : lo + step], diagonals, axis=1)
-        yield (shifted.reshape(-1, d) @ hadamard).reshape(-1, d, 2, d)
-
-
-def pauli_support(alg: MatrixStarAlgebra, length: int, tol: float = DEFAULT_TOL):
-    """Bool mask of the Pauli strings whose coordinate span is the
-    algebra's span, or None when the masses do not certify one.
-
-    Certified: as many strings of mass above 1/2 as the rank, and at most
-    ``(tol/4)^2`` of mass off them.  The off-support mass is summed rather
-    than read as ``rank - mass``, whose rounding (about 1e-16 per string)
-    would exceed the bound.
-    """
-    if alg.dim != 2**length:
+def pauli_term(g: np.ndarray, length: int, tol: float = DEFAULT_TOL):
+    """The ``(x, z)`` masks of the string ``P`` that ``g`` is a multiple of,
+    or None: ``g`` is one when ``|g - c P|_F <= tol |g|_F`` for its
+    projection ``c P``.  ``x`` is read from the largest entry of column 0,
+    each bit of ``z`` from the sign of ``g[c ^ x, c] / g[x, 0]`` at the
+    one-bit column ``c``.  A zero ``g`` reads as the identity, ``(0, 0)``."""
+    norm = np.linalg.norm(g)
+    if norm == 0:
+        return (0, 0)
+    x = int(np.argmax(np.abs(g[:, 0])))
+    if g[x, 0] == 0:
         return None
-    rows = alg.ortho
-    masses = pauli_masses(rows, length)
-    support = masses > 0.5
-    if support.sum() != len(rows) or masses[~support].sum() > (tol / 4) ** 2:
-        return None
-    return support
+    bits = 1 << np.arange(length)
+    z = int(bits[(g[bits ^ x, bits] / g[x, 0]).real < 0].sum())
+    row = _string_rows([(x, z)], length)[0]
+    flat = g.reshape(-1)
+    return (x, z) if np.linalg.norm(flat - np.vdot(row, flat) * row) <= tol * norm else None
 
 
-def supports_commute(a: np.ndarray, b: np.ndarray, length: int) -> bool:
-    """Whether every string of the support mask ``a`` commutes with every
-    string of ``b``.  ``X^x Z^z`` and ``X^x' Z^z'`` commute iff
-    ``popcount(x & z') + popcount(z & x')`` is even, so iff the Hadamard
-    signs ``(-1)^popcount(x & z')`` and ``(-1)^popcount(z & x')`` agree."""
-    d = 2**length
-    _, hadamard, order = _pauli_tables(length)
-    xa, za = np.divmod(order[a], d)
-    xb, zb = np.divmod(order[b], d)
-    return bool(np.all(hadamard[np.ix_(xa, zb)] == hadamard[np.ix_(za, xb)]))
+@dataclass
+class PauliAlgebra(MatrixStarAlgebra):
+    """A *-algebra spanned by Pauli strings; ``strings`` holds the
+    ``(x, z)`` masks of its rows, which are the normalized Hermitian
+    strings in "IXYZ" order.  Build it with ``generated``."""
+
+    strings: tuple = ()
+
+    @classmethod
+    def generated(cls, strings, length: int, tol: float = DEFAULT_TOL) -> "PauliAlgebra":
+        """The *-algebra that the strings (``(x, z)`` masks) generate."""
+        d = 2**length
+        group = _pauli_subgroup(strings, length)
+        rows = _string_rows(group, length)
+        return cls(d, list(rows.reshape(-1, d, d)), tol, rows, tuple(group))
+
+
+def region_algebra(generators: list, length: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
+    """The *-algebra that the generators generate: exactly, from their
+    strings, when each is a multiple of one Pauli string (``pauli_term``),
+    and by the dense closure of ``generate_algebra`` otherwise."""
+    generators = [as_matrix(g, 2**length) for g in generators]
+    strings = [pauli_term(g, length, tol) for g in generators]
+    if None in strings:
+        return generate_algebra(generators, 2**length, tol, dim_cap=2**length)
+    return PauliAlgebra.generated(strings, length, tol)
 
 
 def standard_region_algebra(region: Region, length: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """Full matrix algebra on the region's sites, identity on the rest.
+    """Full matrix algebra on the region's sites, identity on the rest: the
+    strings inside the region, generated by each site's X and Z."""
+    sites = [1 << length - 1 - k for k in region.sites()]
+    return PauliAlgebra.generated([(b, 0) for b in sites] + [(0, b) for b in sites], length, tol)
 
-    Basis: normalized Pauli strings supported inside the region.  These are
-    Frobenius-orthonormal, so the span data is exact.
-    """
-    d = 2**length
-    stack = _region_pauli_strings(region, length)
-    stack /= np.sqrt(d)
-    return MatrixStarAlgebra.from_rows(d, stack.reshape(len(stack), -1), tol)
+
+def _strings(alg: MatrixStarAlgebra, length: int):
+    """The strings of a ``PauliAlgebra`` on the chain, as a set, or None."""
+    return frozenset(alg.strings) if isinstance(alg, PauliAlgebra) and alg.dim == 2**length else None
+
+
+def anticommuting_pairs(a: PauliAlgebra, b: PauliAlgebra, length: int) -> np.ndarray:
+    """Row index pairs ``(i, j)`` of the anticommuting strings of ``a`` and
+    ``b``, in row-major order."""
+    xa, za = np.array(a.strings, dtype=np.intp).reshape(-1, 2).T
+    xb, zb = np.array(b.strings, dtype=np.intp).reshape(-1, 2).T
+    odd = (_popcount(xa[:, None] & zb, length) + _popcount(za[:, None] & xb, length)) % 2
+    return np.argwhere(odd)
 
 
 @dataclass
@@ -230,18 +213,17 @@ class LocalNet:
 
     ``builder`` is the local rule used as the reference when checking that
     assigning a region agrees with assigning it as a part of the whole.
-    Each region's Pauli support, each inclusion between two regions and
-    each comparison with the rule is computed once and kept.
+    Each inclusion between two regions and each comparison with the rule
+    is decided once and kept: between two ``PauliAlgebra``s from their
+    strings, otherwise by the dense span tests.
     """
 
     length: int
     assignment: dict
     builder: object = field(default=None, repr=False)
     tol: float = DEFAULT_TOL
-    _supports: dict = field(default_factory=dict, repr=False, compare=False)
     _inclusions: dict = field(default_factory=dict, repr=False, compare=False)
     _matches: dict = field(default_factory=dict, repr=False, compare=False)
-    _leaks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def regions(self) -> list:
         return sorted(self.assignment.keys())
@@ -250,10 +232,8 @@ class LocalNet:
         return self.assignment[region]
 
     def support(self, region: Region):
-        """Certified Pauli support of the region's algebra, or None."""
-        if region not in self._supports:
-            self._supports[region] = pauli_support(self.algebra(region), self.length, self.tol)
-        return self._supports[region]
+        """The set of strings of the region's algebra, or None without them."""
+        return _strings(self.algebra(region), self.length)
 
     def includes(self, small: Region, big: Region) -> bool:
         """Whether the algebra of ``small`` lies in the algebra of ``big``."""
@@ -265,52 +245,17 @@ class LocalNet:
     def _include(self, small: Region, big: Region) -> bool:
         sub, sup = self.support(small), self.support(big)
         if sub is not None and sup is not None:
-            return not np.any(sub & ~sup)
+            return sub <= sup
         return algebra_span_leq(self.algebra(small), self.algebra(big), self.tol)
-
-    def commute_by_support(self, left: Region, right: Region) -> bool:
-        """Whether the supports show that every basis commutator of the two
-        regions has operator norm at most ``tol / 2``, so that the dense
-        test of ``check_locality`` reports none.
-
-        Both supports must be certified and commute string by string.  Then
-        with ``a = a_S + e_a`` (``a_S`` on the support's strings) and the
-        same for ``b``, ``[a_S, b_S] = 0`` and
-        ``|[a, b]| <= 2 (|e_a|_F |b|_F + |a|_F |e_b|_F)``, taken over the
-        worst basis matrices.  Twice the rounding of the dense products,
-        ``(d + 1) eps |a|_F |b|_F``, is added to that bound; the rest of
-        the margin to ``tol`` covers the rounding of the masses.
-        """
-        sl, sr = self.support(left), self.support(right)
-        if sl is None or sr is None or not supports_commute(sl, sr, self.length):
-            return False
-        off_l, norm_l = self._leak(left)
-        off_r, norm_r = self._leak(right)
-        rounding = 2 * (self.dim + 1) * np.finfo(float).eps * norm_l * norm_r
-        return 2 * (off_l * norm_r + norm_l * off_r) + rounding <= self.tol / 2
-
-    def _leak(self, region: Region) -> tuple:
-        """(largest off-support Frobenius norm, largest Frobenius norm) over
-        the region's basis matrices, which the dense test uses; a caller's
-        basis need not be the orthonormal rows the support comes from."""
-        if region not in self._leaks:
-            stack = np.stack(self.algebra(region).basis).reshape(-1, self.dim**2)
-            off = pauli_row_masses(stack, self.length)[:, ~self.support(region)].sum(axis=1)
-            self._leaks[region] = (np.sqrt(off.max()), np.linalg.norm(stack, axis=1).max())
-        return self._leaks[region]
 
     def matches_reference(self, region: Region) -> bool:
         """Whether the assigned algebra of ``region`` spans the builder's
         algebra for it."""
         if region not in self._matches:
             reference = self.builder(region)
-            mine = self.support(region)
-            if mine is None or reference is self.algebra(region):
-                theirs = mine
-            else:
-                theirs = pauli_support(reference, self.length, self.tol)
-            if theirs is not None:
-                self._matches[region] = np.array_equal(mine, theirs)
+            mine, theirs = self.support(region), _strings(reference, self.length)
+            if mine is not None and theirs is not None:
+                self._matches[region] = mine == theirs
             else:
                 self._matches[region] = algebra_span_equal(self.algebra(region), reference, self.tol)
         return self._matches[region]
@@ -375,26 +320,28 @@ def _pair_commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def check_locality(net: LocalNet) -> ValidationReport:
-    """Algebras of disjoint regions must commute elementwise.
-
-    A pair whose certified supports bound every basis commutator by
-    ``tol / 2`` (``LocalNet.commute_by_support``) has no violation and is
-    not formed densely; every other pair is.
-    """
+    """Algebras of disjoint regions must commute elementwise: a pair of
+    ``PauliAlgebra``s by ``anticommuting_pairs``, any other pair by its dense
+    basis commutators.  Each clashing basis pair is reported, row-major."""
     report = ValidationReport()
     regions = net.regions()
     for i, left in enumerate(regions):
         for right in regions[i + 1 :]:
-            if not left.disjoint(right) or net.commute_by_support(left, right):
+            if not left.disjoint(right):
                 continue
-            comm = _pair_commutators(np.stack(net.algebra(left).basis), np.stack(net.algebra(right).basis))
-            fro = np.linalg.norm(comm, axis=(1, 3))
-            for ai, bi in zip(*np.nonzero(fro > net.tol)):
-                if opnorm(comm[ai, :, bi, :]) > net.tol:
-                    report.add(
-                        "net.locality",
-                        f"basis elements {ai} of {left.label()} and {bi} of {right.label()} do not commute",
-                    )
+            a, b = net.algebra(left), net.algebra(right)
+            if net.support(left) is not None and net.support(right) is not None:
+                clashes = anticommuting_pairs(a, b, net.length)
+            else:
+                comm = _pair_commutators(np.stack(a.basis), np.stack(b.basis))
+                fro = np.linalg.norm(comm, axis=(1, 3))
+                clashes = [(ai, bi) for ai, bi in zip(*np.nonzero(fro > net.tol))
+                           if opnorm(comm[ai, :, bi, :]) > net.tol]
+            for ai, bi in clashes:
+                report.add(
+                    "net.locality",
+                    f"basis elements {ai} of {left.label()} and {bi} of {right.label()} do not commute",
+                )
     return report
 
 

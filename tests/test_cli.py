@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from ctxlab import staralg
 from ctxlab.cli import main, matrix_to_json, parse_matrix
 from ctxlab.errors import DomainError, InputError
 from ctxlab.linalg import require_state
+from ctxlab.locnet import pauli_string
 
 
 @pytest.fixture
@@ -261,12 +263,12 @@ class TestNetLengthCap:
         assert "net chain length (size 7 exceeds cap 6)" in captured.err
 
     def test_net_spec_longer_than_the_cap_builds_nothing(self, capsys, tmp_path, monkeypatch):
-        import ctxlab.cli
+        import ctxlab.locnet
 
         def refuse(*args, **kwargs):
             raise AssertionError("an algebra was built for a net over the cap")
 
-        monkeypatch.setattr(ctxlab.cli, "generate_algebra", refuse)
+        monkeypatch.setattr(ctxlab.locnet, "region_algebra", refuse)
         spec = tmp_path / "net7.json"
         z = np.diag([1.0, -1.0] * 64).tolist()
         spec.write_text(json.dumps({"length": 7, "regions": [{"start": 0, "stop": 0, "generators": [z]}]}))
@@ -297,6 +299,65 @@ class TestNetSpecRegions:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "region [0,0] is listed twice" in captured.err
+
+    def test_generator_of_the_wrong_size_exits_two(self, capsys, tmp_path):
+        spec = tmp_path / "net.json"
+        entries = [{"start": 0, "stop": 0, "generators": [self.Z0]},
+                   {"start": 1, "stop": 1, "generators": [self.Z0, [[1, 0], [0, -1]]]}]
+        spec.write_text(json.dumps({"length": 2, "regions": entries}))
+        code = main(["net-check", "--net", str(spec)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: net spec {str(spec)!r}: generator 1 of region [1,1] is 2x2, expected 4x4\n"
+
+
+def leaking_net_spec(path, u=None) -> str:
+    """A three-site net spec of Pauli strings whose site 0 also holds X on
+    site 2, which anticommutes with site 2's Z; with a unitary ``u``, every
+    generator is conjugated by it, which keeps every commutation."""
+    strings = {(0, 0): [{0: "Z"}, {2: "X"}], (1, 1): [{1: "X"}], (2, 2): [{2: "Z"}]}
+    strings[(0, 1)] = strings[(0, 0)] + strings[(1, 1)]
+    strings[(1, 2)] = strings[(1, 1)] + strings[(2, 2)]
+    strings[(0, 2)] = strings[(0, 1)] + strings[(2, 2)]
+    u = np.eye(8) if u is None else u
+
+    def generator(labels):
+        return matrix_to_json(u @ pauli_string(labels, 3) @ u.conj().T)
+
+    regions = [{"start": a, "stop": b, "generators": [generator(g) for g in gens]} for (a, b), gens in strings.items()]
+    path.write_text(json.dumps({"length": 3, "regions": regions}))
+    return str(path)
+
+
+class TestPauliNetSpecs:
+    def test_a_rotated_spec_gives_the_same_verdicts_and_clashes(self, capsys, tmp_path):
+        from conftest import random_unitary
+
+        exact = leaking_net_spec(tmp_path / "pauli.json")
+        rotated = leaking_net_spec(tmp_path / "rotated.json", random_unitary(np.random.default_rng(11), 8))
+        reports = []
+        for path in (exact, rotated):
+            code, out = run(capsys, ["net-check", "--net", path])
+            assert code == 1
+            reports.append(json.loads(out))
+        for key in ("isotony", "locality", "lc_squares"):
+            assert reports[0][key] == reports[1][key]
+        clashes = [sorted({tuple(re.findall(r"of (\[\d,\d\])", v)) for v in r["violations"]}) for r in reports]
+        assert clashes[0] == clashes[1] == [("[0,0]", "[1,2]"), ("[0,0]", "[2,2]"), ("[0,1]", "[2,2]")]
+        assert reports[0]["violations"] != reports[1]["violations"]
+
+    def test_a_pauli_spec_loads_without_a_dense_closure(self, monkeypatch, tmp_path):
+        from ctxlab import cli, linalg, locnet
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense closure or span reduction ran on a Pauli spec")
+
+        for module, name in ((cli, "generate_algebra"), (locnet, "generate_algebra"), (staralg, "generate_algebra"),
+                             (staralg, "orthonormalize_span"), (linalg, "orthonormalize_span")):
+            monkeypatch.setattr(module, name, refuse)
+        net = cli.load_net_spec(leaking_net_spec(tmp_path / "pauli.json"), linalg.DEFAULT_TOL)
+        assert all(isinstance(net.algebra(r), locnet.PauliAlgebra) for r in net.regions())
+        assert not locnet.check_locality(net).ok
 
 
 class TestNonFiniteEntries:
@@ -536,9 +597,10 @@ def families(tmp_path):
 
 
 class TestGoldenReports:
-    """Reports that hold only integers, pinned byte for byte: the character
-    order depends on no frame and no seed, so they are the same on every
-    LAPACK build.  A change of the report format must update them."""
+    """Reports that hold only integers, booleans and messages, pinned byte
+    for byte: the character order depends on no frame and no seed, and a
+    Pauli net's rows are its strings in a fixed order, so they are the same
+    on every LAPACK build.  A change of the report format must update them."""
 
     @staticmethod
     def text(report: dict) -> str:
@@ -568,6 +630,19 @@ class TestGoldenReports:
         ]
         assert out == self.text({"assignments": [dict(zip(ids, a)) for a in assignments], "bases": 3, "contexts": 7,
                                  "dim": 4, "obstructed": False, "section_limit": 1000, "sections": 8})
+
+    def test_leaking_pauli_net(self, capsys, tmp_path):
+        # rows in "IXYZ" order: [0,0] is III, IIX, ZII, ZIX; [0,1] adds X1;
+        # [1,2] is III, IIZ, IXI, IXZ and [2,2] is III, IIZ
+        code, out = run(capsys, ["net-check", "--net", leaking_net_spec(tmp_path / "pauli.json")])
+        assert code == 1
+        pairs = [(1, "[0,0]", 1, "[1,2]"), (1, "[0,0]", 3, "[1,2]"), (3, "[0,0]", 1, "[1,2]"), (3, "[0,0]", 3, "[1,2]"),
+                 (1, "[0,0]", 1, "[2,2]"), (3, "[0,0]", 1, "[2,2]"), (1, "[0,1]", 1, "[2,2]"), (3, "[0,1]", 1, "[2,2]"),
+                 (5, "[0,1]", 1, "[2,2]"), (7, "[0,1]", 1, "[2,2]")]
+        violations = [f"[net.locality] basis elements {a} of {left} and {b} of {right} do not commute"
+                      for a, left, b, right in pairs]
+        assert out == self.text({"chain": 3, "isotony": True, "lc_squares": True, "locality": False, "regions": 6,
+                                 "violations": violations})
 
     def test_limit_with_restrictions(self, capsys, families):
         code, out = run(capsys, ["limit", "--algebra", families["pauli"], "--seeds", "ZI,XI,IZ",

@@ -249,7 +249,7 @@ class TestPointValuation:
 
 class TestJsonViews:
     def test_round_trippable_shapes(self, rng):
-        from ctxlab.ctxext import carrier_to_json, element_to_json, state_to_json
+        from ctxlab.ctxext import carrier_to_json, state_to_json
 
         cc, ext = two_context_extension()
         points = carrier_to_json(ext)
@@ -257,8 +257,6 @@ class TestJsonViews:
         mu = extend_state(random_density(rng, 2), ext)
         view = state_to_json(mu)
         assert abs(sum(view["weights"]) - 1.0) < 1e-9
-        table = element_to_json(ext.unit())
-        assert table == [[1.0, 0.0]] * 4
 
 
 class TestMarginalization:

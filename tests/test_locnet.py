@@ -1,5 +1,6 @@
 import collections
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ctxlab.errors import DomainError
 from ctxlab.linalg import commutator, opnorm
 from ctxlab.locnet import (
     LocalNet,
+    PauliAlgebra,
     Region,
     check_covariance,
     check_isotony,
@@ -19,9 +21,9 @@ from ctxlab.locnet import (
     check_locality,
     composite_context,
     inductive_limit,
-    pauli_masses,
     pauli_string,
-    pauli_support,
+    pauli_term,
+    region_algebra,
     shifted_region,
     site_operator,
     spectrum_multiplicativity,
@@ -109,12 +111,13 @@ def looped_locality(net):
 
 @st.composite
 def pauli_nets(draw, frames=True):
-    """Nets on 2-4 sites whose region spans are drawn Pauli strings; a leak
-    puts a string on a site outside its region.  A common random unitary
-    conjugation keeps every commutation and makes the entries inexact;
-    without ``frames`` every net is unrotated, so its supports are certified."""
+    """Nets on 2-4 sites whose regions are generated by drawn Pauli strings;
+    a leak puts a string on a site outside its region.  Unrotated regions
+    take the exact builder (``region_algebra``) and hold ``PauliAlgebra``s.
+    With ``frames``, a drawn set of regions has its generators conjugated by
+    one random unitary, which keeps every commutation among them and makes
+    the entries inexact, so those regions take the dense closure."""
     length = draw(st.integers(2, 4))
-    norm = np.sqrt(2**length)
     seed = draw(st.none() | st.integers(0, 2**16)) if frames else None
     u = np.eye(2**length) if seed is None else random_unitary(np.random.default_rng(seed), 2**length)
     assignment = {}
@@ -131,10 +134,10 @@ def pauli_nets(draw, frames=True):
             if draw(st.booleans()) and length > b - a + 1:
                 outside = [s for s in range(length) if s not in region.sites()]
                 strings.append({draw(st.sampled_from(outside)): draw(st.sampled_from("XYZ"))})
-            basis = [np.eye(2**length, dtype=complex) / norm]
-            basis += [pauli_string(labels, length) / norm for labels in strings]
-            basis = [u @ m @ u.conj().T for m in basis]
-            assignment[region] = MatrixStarAlgebra(2**length, basis)
+            gens = [pauli_string(labels, length) for labels in strings]
+            if seed is not None and draw(st.booleans()):
+                gens = [u @ g @ u.conj().T for g in gens]
+            assignment[region] = region_algebra(gens, length)
     return LocalNet(length, assignment)
 
 
@@ -155,20 +158,6 @@ def stacked(net, region) -> bytes:
     return np.stack(net.algebra(region).basis).tobytes()
 
 
-def certified_commuting(net, left, right) -> bool:
-    """Both supports certified, and every pair of their strings commutes as
-    matrices."""
-    sl, sr = net.support(left), net.support(right)
-    if sl is None or sr is None:
-        return False
-    words = list(itertools.product("IXYZ", repeat=net.length))
-
-    def strings(mask):
-        return [pauli_string(dict(enumerate(words[p])), net.length) for p in np.flatnonzero(mask)]
-
-    return all(np.allclose(a @ b, b @ a) for a in strings(sl) for b in strings(sr))
-
-
 class TestLocalityOracle:
     @settings(max_examples=40, deadline=None)
     @given(pauli_nets())
@@ -185,17 +174,16 @@ class TestLocalityOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(pauli_nets(frames=False))
-    def test_certified_nets_match_pairwise_loop(self, net):
-        assert all(net.support(r) is not None for r in net.regions())
+    def test_string_nets_match_pairwise_loop(self, net):
+        assert all(isinstance(net.algebra(r), PauliAlgebra) for r in net.regions())
         assert [str(v) for v in check_locality(net).violations] == looped_locality(net)
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-5])
     @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0, 16.0])
-    def test_off_support_mass_on_both_sides_of_the_bound(self, monkeypatch, tol, factor):
+    def test_off_support_mass_on_both_sides_of_the_bound(self, tol, factor):
         """Site 0 holds s (X0 + eta Z1) / 2, whose Z1 part anticommutes with
-        site 1's X1.  Its support {I, X0} stays certified; the bound
-        2 s eta is placed at ``factor * tol / 2``, and the commutator,
-        s eta / 2, exceeds ``tol`` only for factor 16."""
+        site 1's X1.  With 2 s eta placed at ``factor * tol / 2``, the
+        commutator, s eta / 2, exceeds ``tol`` only for factor 16."""
         scale = 32.0
         eta = factor * tol / (4 * scale)
         eye, x0, z1, x1 = (pauli_string(labels, 2) / 2.0 for labels in ({}, {0: "X"}, {1: "Z"}, {1: "X"}))
@@ -204,20 +192,16 @@ class TestLocalityOracle:
             Region(1, 1): MatrixStarAlgebra(4, [eye, x1], tol),
         }
         net = LocalNet(2, assignment, tol=tol)
-        calls = count_dense_calls(monkeypatch)
         found = [str(v) for v in check_locality(net).violations]
-        assert net.support(Region(0, 0)) is not None and net.support(Region(1, 1)) is not None
         assert found == looped_locality(net)
         assert bool(found) == (factor > 8)
-        assert len(calls) == (0 if factor < 1 else 1)
 
     @settings(max_examples=40, deadline=None)
     @given(pauli_nets())
-    def test_uncertified_and_anticommuting_supports_take_the_dense_path(self, net):
-        """Every disjoint pair whose supports are not both certified, or
-        hold two anticommuting strings (tested on the Pauli matrices), is
-        formed densely, in loop order; the drawn nets have unit-norm basis
-        matrices with no off-support mass, so no other pair is."""
+    def test_pairs_without_strings_take_the_dense_path(self, net):
+        """Every disjoint pair of which one region holds no strings (a
+        rotated one) is formed densely, in loop order, and no other pair
+        is."""
         with pytest.MonkeyPatch.context() as patch:
             calls = count_dense_calls(patch)
             check_locality(net)
@@ -225,7 +209,7 @@ class TestLocalityOracle:
         regions = net.regions()
         for i, left in enumerate(regions):
             for right in regions[i + 1 :]:
-                if left.disjoint(right) and not certified_commuting(net, left, right):
+                if left.disjoint(right) and (net.support(left) is None or net.support(right) is None):
                     expected.append((stacked(net, left), stacked(net, right)))
         assert calls == expected
 
@@ -399,9 +383,9 @@ def inclusion_nets(draw):
     """(net, rotated regions) on 1-4 sites: a standard net, a corrupted one
     (each region assigned the standard algebra of a drawn region) or, on up
     to 3 sites, one generated from drawn Pauli strings as a ``--net`` spec
-    is, some leaking out of their region.  The drawn regions are conjugated
-    by one random unitary, which breaks their Pauli certificate; so may be
-    the builder's algebras."""
+    is, by the exact builder, some leaking out of their region.  The drawn
+    regions are conjugated by one random unitary into plain algebras, which
+    take the dense tests; so may be the builder's algebras."""
     kind = draw(st.sampled_from(["standard", "corrupted", "generated"]))
     length = draw(st.integers(1, 3 if kind == "generated" else 4))
     d = 2**length
@@ -416,7 +400,7 @@ def inclusion_nets(draw):
         else:
             sites = st.sampled_from(list(range(length)) if draw(st.booleans()) else list(region.sites()))
             strings = draw(st.lists(st.dictionaries(sites, st.sampled_from("XYZ"), min_size=1), max_size=3))
-            assignment[region] = generate_algebra([pauli_string(labels, length) for labels in strings], d, dim_cap=d)
+            assignment[region] = region_algebra([pauli_string(labels, length) for labels in strings], length)
     rotated = draw(st.sets(st.sampled_from(regions)))
     u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**16))), d)
 
@@ -436,11 +420,7 @@ class TestInclusionTable:
         net, rotated = case
         regions = net.regions()
         for region in regions:
-            # span{I} and the full algebra are the only unitarily invariant spans
-            if region not in rotated:
-                assert net.support(region) is not None
-            elif 1 < len(net.algebra(region).ortho) < net.dim**2:
-                assert net.support(region) is None
+            assert (net.support(region) is None) == (region in rotated)
         for small, big in itertools.product(regions, repeat=2):
             assert net.includes(small, big) == algebra_span_leq(net.algebra(small), net.algebra(big), net.tol)
         for region in regions:
@@ -462,22 +442,169 @@ class TestInclusionTable:
         assert not isotony.ok and squares
         assert sorted(decided) == sorted(pairs) and set(decided.values()) == {1}
 
-    def test_exact_pauli_strings_are_certified(self):
-        region = Region(1, 2)
-        alg = standard_region_algebra(region, 4)
-        masses = pauli_masses(alg.ortho, 4)
-        labels = ["".join(c) for c in itertools.product("IXYZ", repeat=4)]
-        inside = np.array([lab[0] == "I" and lab[3] == "I" for lab in labels])
-        assert np.array_equal(pauli_support(alg, 4), inside)
-        assert masses[~inside].sum() < 1e-30
-        assert np.allclose(masses[inside], 1.0, rtol=0, atol=1e-15)
 
-    def test_a_span_off_the_pauli_grid_is_not_certified(self):
-        # span{I, (X + Z)/sqrt(2)} on one site: two strings of mass 1/2 each
-        eye, xz = np.eye(2) / np.sqrt(2), (SX + SZ) / 2.0
-        assert pauli_support(MatrixStarAlgebra(2, [eye, xz]), 1) is None
-        assert pauli_support(MatrixStarAlgebra(2, [eye, SZ / np.sqrt(2)]), 1) is not None
-        assert pauli_support(MatrixStarAlgebra(4, [np.eye(4) / 2.0]), 1) is None
+def string_masks(labels: dict, length: int) -> tuple:
+    """(x, z) masks of a Pauli string given by its letters, site 0 the high bit."""
+    x = sum(1 << length - 1 - k for k, p in labels.items() if p in "XY")
+    z = sum(1 << length - 1 - k for k, p in labels.items() if p in "YZ")
+    return x, z
+
+
+def gf2_rank(masks: list, length: int) -> int:
+    """Rank over GF(2) of the strings' (x, z) bit vectors, by elimination on a 0/1 array."""
+    rows = np.array([[(m >> k) & 1 for m in pair for k in range(length)] for pair in masks], dtype=np.uint8)
+    rows = rows.reshape(-1, 2 * length)
+    rank = 0
+    for col in range(2 * length):
+        pivots = np.flatnonzero(rows[rank:, col])
+        if not len(pivots):
+            continue
+        rows[[rank, rank + pivots[0]]] = rows[[rank + pivots[0], rank]]
+        hit = np.flatnonzero(rows[:, col])
+        rows[hit[hit != rank]] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+@st.composite
+def pauli_generator_sets(draw):
+    """(length, generators, the (x, z) masks of the nonzero ones) on 1-3 sites: strings times
+    a phase of +-1 or +-i and a scalar not of unit size, repeats and
+    products of earlier generators, multiples of the identity and zero
+    matrices; possibly none at all."""
+    length = draw(st.integers(1, 3))
+    d = 2**length
+    gens, masks = [], []
+    for kind in draw(st.lists(st.sampled_from(["string", "repeat", "product", "identity", "zero"]), max_size=6)):
+        scale = draw(st.sampled_from([1, -1, 1j, -1j])) * draw(st.floats(0.2, 5.0))
+        if kind == "string" or (kind in ("repeat", "product") and not gens):
+            labels = draw(st.dictionaries(st.integers(0, length - 1), st.sampled_from("IXYZ")))
+            gens.append(scale * pauli_string(labels, length))
+            masks.append(string_masks(labels, length))
+        elif kind == "repeat":
+            k = draw(st.integers(0, len(gens) - 1))
+            gens.append(scale * gens[k])
+            masks.append(masks[k])
+        elif kind == "product":
+            i, j = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, len(gens) - 1))
+            gens.append(gens[i] @ gens[j])
+            masks.append(None if None in (masks[i], masks[j]) else (masks[i][0] ^ masks[j][0], masks[i][1] ^ masks[j][1]))
+        elif kind == "identity":
+            gens.append(scale * np.eye(d, dtype=complex))
+            masks.append((0, 0))
+        else:
+            gens.append(np.zeros((d, d), dtype=complex))
+            masks.append(None)
+    return length, gens, [m for m in masks if m is not None]
+
+
+@st.composite
+def pauli_specs(draw):
+    """(length, {region: generators}) of a ``--net`` spec on 2-3 sites, each
+    region generated by drawn strings, some leaking out of the region."""
+    length = draw(st.integers(2, 3))
+    spec = {}
+    for region in standard_net(length).regions():
+        sites = st.sampled_from(list(range(length)) if draw(st.booleans()) else list(region.sites()))
+        strings = draw(st.lists(st.dictionaries(sites, st.sampled_from("XYZ"), min_size=1), min_size=1, max_size=3))
+        spec[region] = [pauli_string(labels, length) for labels in strings]
+    return length, spec
+
+
+def verdicts(net) -> tuple:
+    """Isotony and region-to-whole messages, the locality verdict and its
+    clashing region pairs."""
+    pairs = [(s, b) for s in net.regions() for b in net.regions() if b.contains(s)]
+    squares = [str(v) for s, b in pairs for v in check_lc_square(s, b, net).violations]
+    locality = check_locality(net)
+    clashes = sorted({tuple(re.findall(r"of (\[\d+,\d+\])", v.message)) for v in locality.violations})
+    return [str(v) for v in check_isotony(net).violations], squares, locality.ok, clashes
+
+
+def count_closures(patch) -> list:
+    """Record the generators of every dense closure that ``region_algebra`` takes."""
+    calls = []
+    dense = locnet.generate_algebra
+    patch.setattr(locnet, "generate_algebra", lambda gens, *a, **k: calls.append(gens) or dense(gens, *a, **k))
+    return calls
+
+
+def perturbed(g: np.ndarray, factor: float, tol: float, seed: int) -> np.ndarray:
+    """``g`` plus a random matrix of norm ``factor * tol * |g|_F`` orthogonal
+    to ``g`` (Frobenius)."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    e -= np.vdot(g, e) / np.vdot(g, g) * g
+    return g + e * (factor * tol * np.linalg.norm(g) / np.linalg.norm(e))
+
+
+class TestPauliClosureOracle:
+    """The exact closure of Pauli generators against the dense closure of
+    ``generate_algebra``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pauli_generator_sets())
+    def test_closure_matches_the_dense_closure(self, case):
+        length, gens, masks = case
+        d = 2**length
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_closures(patch)
+            exact = region_algebra(gens, length)
+        assert isinstance(exact, PauliAlgebra) and not calls
+        dense = generate_algebra(gens, d, dim_cap=d)
+        assert algebra_span_equal(exact, dense)
+        assert exact.dimension == dense.dimension == 2 ** gf2_rank(masks, length)
+        # the rows are the normalized Hermitian strings, in "IXYZ" order
+        words = ["".join(w) for w in itertools.product("IXYZ", repeat=length)]
+        positions = []
+        for x, z in exact.strings:
+            labels = {k: "IZXY"[2 * (x >> length - 1 - k & 1) + (z >> length - 1 - k & 1)] for k in range(length)}
+            positions.append(words.index("".join(labels[k] for k in range(length))))
+            assert np.array_equal(exact.basis[len(positions) - 1], pauli_string(labels, length) / np.sqrt(d))
+        assert positions == sorted(set(positions))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-5])
+    @settings(max_examples=15, deadline=None)
+    @given(case=pauli_specs(), data=st.data())
+    def test_perturbations_on_both_sides_of_the_recognition_bound(self, tol, case, data):
+        """A generator off its string by half the bound ``tol |g|_F`` of
+        ``pauli_term`` is recognized, and the net's verdicts stay those of
+        the unperturbed spec and of the dense closures of the perturbed one;
+        at twice the bound it takes the dense closure."""
+        length, spec = case
+        region = data.draw(st.sampled_from(sorted(spec)))
+        k = data.draw(st.integers(0, len(spec[region]) - 1))
+        seed = data.draw(st.integers(0, 2**16))
+
+        def net(factor, build):
+            gens = {r: list(g) for r, g in spec.items()}
+            gens[region][k] = perturbed(gens[region][k], factor, tol, seed)
+            return LocalNet(length, {r: build(g) for r, g in gens.items()}, tol=tol)
+
+        d = 2**length
+        exact = net(0.0, lambda g: region_algebra(g, length, tol))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_closures(patch)
+            near = net(0.5, lambda g: region_algebra(g, length, tol))
+            assert not calls
+            net(2.0, lambda g: region_algebra(g, length, tol))
+            assert len(calls) == 1
+        assert near.support(region) == exact.support(region)
+        dense = net(0.5, lambda g: generate_algebra(g, d, tol, dim_cap=d))
+        assert verdicts(near) == verdicts(exact)
+        assert verdicts(dense) == verdicts(exact)
+
+    @pytest.mark.parametrize("name", ["X+Z", "rotated", "sigma+"])
+    def test_other_generators_take_the_dense_closure(self, name):
+        x0, z0, x1 = (pauli_string(labels, 2) for labels in ({0: "X"}, {0: "Z"}, {1: "X"}))
+        u = random_unitary(np.random.default_rng(4), 4)
+        g = {"X+Z": x0 + z0, "rotated": u @ x1 @ u.conj().T, "sigma+": (x0 + 1j * pauli_string({0: "Y"}, 2)) / 2}[name]
+        assert pauli_term(g, 2) is None
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_closures(patch)
+            alg = region_algebra([z0, g], 2)
+        assert len(calls) == 1 and not isinstance(alg, PauliAlgebra)
+        assert algebra_span_equal(alg, generate_algebra([z0, g], 4))
 
 
 def test_standard_net_refuses_chains_over_the_cap():
@@ -490,21 +617,18 @@ def test_standard_net_refuses_chains_over_the_cap():
 
 
 def test_standard_net_builds_each_region_once(monkeypatch):
-    """The builder returns the algebra assigned at construction, whose Pauli
-    support is then the only one computed for the region; a net made from
-    a corrupted copy still compares against the uncorrupted algebra."""
+    """The builder returns the algebra assigned at construction; a net made
+    from a corrupted copy still compares against the uncorrupted algebra."""
     import ctxlab.locnet as locnet
 
-    built, weighed = collections.Counter(), []
-    build, masses = locnet.standard_region_algebra, locnet.pauli_masses
+    built = collections.Counter()
+    build = locnet.standard_region_algebra
     monkeypatch.setattr(locnet, "standard_region_algebra", lambda r, *a: built.update([r]) or build(r, *a))
-    monkeypatch.setattr(locnet, "pauli_masses", lambda rows, length: weighed.append(rows) or masses(rows, length))
     net = standard_net(3)
     pairs = [(s, b) for s in net.regions() for b in net.regions() if b.contains(s)]
     assert check_isotony(net).ok
     assert all(check_lc_square(s, b, net).ok for s, b in pairs)
     assert sorted(built) == net.regions() and set(built.values()) == {1}
-    assert len(weighed) == len(net.regions())
 
     corrupted = dict(net.assignment)
     corrupted[Region(0, 0)] = build(Region(1, 1), 3)
