@@ -332,9 +332,13 @@ def leaking_net_spec(path, u=None) -> str:
 class TestPauliNetSpecs:
     def test_a_rotated_spec_gives_the_same_verdicts_and_clashes(self, capsys, tmp_path):
         from conftest import random_unitary
+        from ctxlab import cli, linalg, locnet
 
         exact = leaking_net_spec(tmp_path / "pauli.json")
         rotated = leaking_net_spec(tmp_path / "rotated.json", random_unitary(np.random.default_rng(11), 8))
+        for path, kind in ((exact, True), (rotated, False)):
+            net = cli.load_net_spec(path, linalg.DEFAULT_TOL)
+            assert all(isinstance(net.algebra(r), locnet.PauliAlgebra) == kind for r in net.regions())
         reports = []
         for path in (exact, rotated):
             code, out = run(capsys, ["net-check", "--net", path])
