@@ -441,12 +441,13 @@ def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = T
     # that embedding then permuting equals translating then embedding.
     ambient = full_matrix_algebra(net.dim, net.tol)
     cc = context_category_from_groups(ambient, [alg.basis for _, alg in contexts])
+    # the category's contexts are built from atoms, which carry eigensolver error
     ids_by_region = {}
     for region, alg in contexts:
-        for cid in cc.ids():
-            if algebra_span_equal(cc.algebra(cid), alg, net.tol):
-                ids_by_region[region] = cid
-                break
+        match = [cid for cid in cc.ids() if algebra_span_equal(cc.algebra(cid), alg, spectral_tol(net.tol))]
+        if not match:
+            raise DomainError(f"context at {region.label()} matches no context built from its generators")
+        ids_by_region[region] = match[0]
     ext = build_limit_extension(cc)
     positions = {cid: ext.carrier.position(cid) for cid in ext.carrier.context_ids}
 

@@ -298,6 +298,15 @@ class TestCovariance:
             right = (u1 @ a @ u1.conj().T) @ (u1 @ b @ u1.conj().T)
             assert opnorm(left - right) < 1e-10
 
+    def test_a_context_without_its_atoms_is_refused_by_region(self):
+        """A family span that is not an algebra matches no context built
+        from it: refused, naming the region."""
+        net = standard_net(2)
+        z0 = site_operator(SZ, 0, 2)
+        family = [(Region(0, 0), MatrixStarAlgebra(4, [z0])), (Region(1, 1), MatrixStarAlgebra(4, [site_operator(SZ, 1, 2)]))]
+        with pytest.raises(DomainError, match=re.escape("context at [0,0] matches no context built from its generators")):
+            check_covariance(net, 1, family)
+
     def test_non_cyclic_out_of_range(self):
         with pytest.raises(DomainError):
             shifted_region(Region(1, 2), 1, 3, cyclic=False)

@@ -426,9 +426,11 @@ def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationR
     ids_by_region = {}
     for region, alg in contexts:
         for cid in cc.ids():
-            if algebra_span_equal(cc.algebra(cid), alg, net.tol):
+            if algebra_span_equal(cc.algebra(cid), alg, max(net.tol, 1e-8)):
                 ids_by_region[region] = cid
                 break
+        else:
+            raise DomainError(f"context at {region.label()} matches no context built from its generators")
     ext = build_limit_extension(cc)
     carrier = reference_carrier(ext)
     positions = {cid: carrier.position(cid) for cid in carrier.context_ids}
