@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, InputError
 from .fincat import Diagram, discrete_category, poset_category
-from .linalg import as_matrix, require_state
+from .linalg import as_matrix, require_state, span_leq, spectral_tol
 from .presheaf import build_spectral_presheaf
 from .staralg import ContextCategory
 
@@ -120,10 +120,12 @@ def build_limit_extension(cc: ContextCategory, cap: int = CARRIER_CAP) -> Extend
 
 def embed(a, ctx_id: str, ext: ExtendedAlgebra) -> Element:
     """Component-wise embedding: the value at a point is the context
-    character's value on ``a``; a unital *-homomorphism on that context."""
+    character's value on ``a``; a unital *-homomorphism on that context.
+    ``a`` must lie in the context's span, which is its atoms: within
+    ``spectral_tol``, since atoms carry eigensolver error."""
     alg = ext.cc.algebra(ctx_id)
     m = as_matrix(a, alg.dim)
-    if not alg.contains(m):
+    if not span_leq(m.reshape(1, -1), alg.ortho, spectral_tol(alg.tol)):
         raise DomainError(f"matrix lies outside the span of context {ctx_id}")
     char_values = np.array([chi.value_of(m) for chi in ext.spectra[ctx_id]])
     axis = [1] * len(ext.carrier.sizes)

@@ -109,16 +109,6 @@ def algebra_span_leq(sub: MatrixStarAlgebra, sup: MatrixStarAlgebra, tol: float 
     return sub.dim == sup.dim and span_leq(sub.ortho, sup.ortho, tol)
 
 
-def _batched_products(rows: np.ndarray, d: int) -> np.ndarray:
-    """All pairwise products a @ b of the rows' matrices, as rows, in chunks."""
-    n = len(rows)
-    stack = rows.reshape(n, d, d)
-    chunk = max(1, 4_000_000 // max(1, n * d * d))
-    return np.concatenate([
-        np.einsum("aij,bjk->abik", stack[i : i + chunk], stack).reshape(-1, d * d) for i in range(0, n, chunk)
-    ])
-
-
 def check_dimension(d: int, cap: int = DIM_CAP) -> None:
     """Refuse (InputError) a matrix dimension above the cap."""
     if d > cap:
@@ -134,19 +124,25 @@ def generate_algebra(
     """Smallest *-closed unital span containing the generators.
 
     Closure by iterated pairwise products with rank-revealing span
-    reduction after each round, until the dimension stabilizes.
+    reduction after each round, until the dimension stabilizes.  Each
+    nonzero generator is scaled to unit Frobenius norm first: the rank
+    test is relative to the largest singular value, so a generator far
+    smaller than another would otherwise be dropped.
     """
     check_dimension(d, dim_cap)
     mats = [np.eye(d, dtype=complex)]
     for g in generators:
         gm = as_matrix(g, d)
-        mats.append(gm)
-        mats.append(dagger(gm))
+        norm = np.linalg.norm(gm)
+        if norm > 0:
+            mats += [gm / norm, dagger(gm) / norm]
     rows = orthonormalize_span(mats, tol)
     for _ in range(2 * d * d + 2):
         if len(rows) == d * d:
             break
-        enlarged = orthonormalize_span(np.concatenate([rows, _batched_products(rows, d)]), tol)
+        stack = rows.reshape(-1, d, d)
+        products = (stack[:, None] @ stack).reshape(-1, d * d)
+        enlarged = orthonormalize_span(np.concatenate([rows, products]), tol)
         if len(enlarged) == len(rows):
             rows = enlarged
             break

@@ -363,6 +363,23 @@ class TestPauliNetSpecs:
         assert all(isinstance(net.algebra(r), locnet.PauliAlgebra) for r in net.regions())
         assert not locnet.check_locality(net).ok
 
+    def test_a_rotated_spec_keeps_a_generator_far_smaller_than_another(self, tmp_path):
+        """``1e4 X0`` and ``Z0`` in a random frame generate all of site 0, 4
+        dimensions, also at the largest tolerance, where the relative rank
+        test once dropped ``Z0``."""
+        from conftest import random_unitary
+        from ctxlab import cli, locnet
+
+        u = random_unitary(np.random.default_rng(7), 4)
+        gens = [u @ g @ u.conj().T for g in (1e4 * pauli_string({0: "X"}, 2), pauli_string({0: "Z"}, 2))]
+        spec = tmp_path / "scaled.json"
+        spec.write_text(json.dumps({"length": 2, "regions": [
+            {"start": 0, "stop": 0, "generators": [matrix_to_json(g) for g in gens]}]}))
+        net = cli.load_net_spec(str(spec), 1e-3)
+        region = locnet.Region(0, 0)
+        assert not isinstance(net.algebra(region), locnet.PauliAlgebra)
+        assert net.algebra(region).dimension == 4
+
 
 class TestNonFiniteEntries:
     """JSON from Python may carry NaN and +-Infinity; every matrix entry

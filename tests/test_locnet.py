@@ -298,6 +298,18 @@ class TestCovariance:
             right = (u1 @ a @ u1.conj().T) @ (u1 @ b @ u1.conj().T)
             assert opnorm(left - right) < 1e-10
 
+    def test_contexts_are_matched_to_their_atoms_at_the_spectral_threshold(self):
+        """At tol 1e-13 the atoms of the pair context lie about 7e-13 from
+        its closure, which a lookup at ``tol`` missed (a bare KeyError)."""
+        net = standard_net(2, tol=1e-13)
+        z0, z1 = site_operator(SZ, 0, 2), site_operator(SZ, 1, 2)
+        family = [
+            (Region(0, 0), generate_algebra([0.2677912681594989 * z0], 4, 1e-13)),
+            (Region(1, 1), generate_algebra([0.914979010411978 * z1], 4, 1e-13)),
+            (Region(0, 1), generate_algebra([0.2677912681594989 * z0, z1], 4, 1e-13)),
+        ]
+        assert check_covariance(net, 1, family).ok
+
     def test_a_context_without_its_atoms_is_refused_by_region(self):
         """A family span that is not an algebra matches no context built
         from it: refused, naming the region."""

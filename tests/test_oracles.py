@@ -1194,11 +1194,12 @@ class TestRFactorSpanOracle:
     @settings(max_examples=25, deadline=None)
     @given(case=pauli_generator_sets())
     def test_generated_bases(self, case):
+        """The closure spans what the frozen one spans.  It scales its
+        generators to unit norm and forms its products with ``matmul``, so
+        its rows are another frame of that span, not the same bits."""
         d, gens = case
         basis = generate_algebra(gens, d, dim_cap=d).basis
-        expected = reference_generate_basis(gens, d)
-        assert len(basis) == len(expected)
-        assert all(np.array_equal(a, b) for a, b in zip(basis, expected))
+        assert reference_spans_equal(basis, reference_generate_basis(gens, d))
 
 
 # ---------------------------------------------------------------------------

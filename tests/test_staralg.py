@@ -46,6 +46,13 @@ class TestGenerateAlgebra:
             alg = generate_algebra([(z + z.conj().T) / 2], 3)
             assert alg.validate().ok
 
+    @pytest.mark.parametrize("scale, tol", [(1e4, 1e-3), (1e12, 1e-9), (1e-12, 1e-9)])
+    def test_a_generator_far_smaller_than_another_is_kept(self, scale, tol):
+        """The rank test is relative to the largest singular value, so the
+        generators are scaled to unit norm before it."""
+        assert generate_algebra([scale * SX, SZ], 2, tol).dimension == 4
+        assert generate_algebra([SX, scale * SZ], 2, tol).dimension == 4
+
     def test_non_square_generator_rejected(self):
         from ctxlab.errors import InputError
 
