@@ -27,7 +27,7 @@ from .ctxext import (
 )
 from .errors import InputError, ToolError
 from .linalg import DEFAULT_TOL, check_tolerance
-from .staralg import check_dimension, context_category, full_matrix_algebra, generate_algebra, gelfand_spectrum
+from .staralg import check_dimension, context_algebra, context_category, full_matrix_algebra, gelfand_spectrum
 from .validation import whole_number
 
 
@@ -77,7 +77,8 @@ def parse_matrix(data) -> np.ndarray:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(np.round(c.real, 12)), float(np.round(c.imag, 12))] for c in row] for row in m]
+    """Entries as [re, im] pairs to 12 decimals, with no signed zero."""
+    return [[[float(np.round(c.real, 12)) + 0.0, float(np.round(c.imag, 12)) + 0.0] for c in row] for row in m]
 
 
 def load_json(path: str) -> dict:
@@ -218,7 +219,8 @@ def cmd_ks_check(args: argparse.Namespace) -> int:
 
 def cmd_daseinise(args: argparse.Namespace) -> int:
     dim, seeds, names = load_algebra_spec(args.algebra, args.seeds)
-    context = generate_algebra(seeds, dim, args.tolerance)
+    check_dimension(dim)
+    context = context_algebra(seeds, dim, args.tolerance, seed=args.seed)
     proj = parse_matrix(load_json(args.projection))
     chars = gelfand_spectrum(context, seed=args.seed)
     if args.mode == "outer":
@@ -279,8 +281,7 @@ def cmd_net_check(args: argparse.Namespace) -> int:
     if not args.net:
         # translation covariance is checked on the standard single-site family
         contexts = [
-            (r, generate_algebra([locnet.site_operator(np.diag([1.0, -1.0]).astype(complex), r.start, net.length)],
-                                 net.dim, args.tolerance, dim_cap=net.dim))
+            (r, locnet.region_algebra([locnet.pauli_string({r.start: "Z"}, net.length)], net.length, args.tolerance))
             for r in net.regions() if r.start == r.stop
         ]
         covariance = locnet.check_covariance(net, args.shift, contexts)

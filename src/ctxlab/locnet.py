@@ -38,6 +38,8 @@ from .staralg import (
     MatrixStarAlgebra,
     algebra_span_equal,
     algebra_span_leq,
+    commuting,
+    context_algebra,
     context_category_from_groups,
     full_matrix_algebra,
     generate_algebra,
@@ -305,24 +307,11 @@ def check_isotony(net: LocalNet) -> ValidationReport:
     return report
 
 
-def _pair_commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a[i], b[j]] for every pair of stacked matrices, as ``out[i, :, j, :]``.
-
-    Two BLAS products: the rows of every a[i] stacked against the columns of
-    every b[j] side by side, and the same with the roles swapped.
-    """
-    na, d, _ = a.shape
-    nb = b.shape[0]
-    ab = (a.reshape(na * d, d) @ b.transpose(1, 0, 2).reshape(d, nb * d)).reshape(na, d, nb, d)
-    ba = (b.reshape(nb * d, d) @ a.transpose(1, 0, 2).reshape(d, na * d)).reshape(nb, d, na, d)
-    ab -= ba.transpose(2, 1, 0, 3)
-    return ab
-
-
 def check_locality(net: LocalNet) -> ValidationReport:
     """Algebras of disjoint regions must commute elementwise: a pair of
-    ``PauliAlgebra``s by ``anticommuting_pairs``, any other pair by its dense
-    basis commutators.  Each clashing basis pair is reported, row-major."""
+    ``PauliAlgebra``s by ``anticommuting_pairs``, any other pair by
+    ``commuting`` on their bases.  Each clashing basis pair is reported,
+    row-major."""
     report = ValidationReport()
     regions = net.regions()
     for i, left in enumerate(regions):
@@ -333,10 +322,7 @@ def check_locality(net: LocalNet) -> ValidationReport:
             if net.support(left) is not None and net.support(right) is not None:
                 clashes = anticommuting_pairs(a, b, net.length)
             else:
-                comm = _pair_commutators(np.stack(a.basis), np.stack(b.basis))
-                fro = np.linalg.norm(comm, axis=(1, 3))
-                clashes = [(ai, bi) for ai, bi in zip(*np.nonzero(fro > net.tol))
-                           if opnorm(comm[ai, :, bi, :]) > net.tol]
+                clashes = np.argwhere(~commuting(a.basis, b.basis, net.tol))
             for ai, bi in clashes:
                 report.add(
                     "net.locality",
@@ -349,8 +335,8 @@ def composite_context(net: LocalNet, parts: list) -> MatrixStarAlgebra:
     """Context spanning several mutually disjoint regions.
 
     ``parts`` is a list of (Region, commutative subalgebra of that region's
-    algebra); the generated algebra is their joint span closure, which is
-    commutative with multiplicative character count.
+    algebra); the algebra their bases generate is built from its atoms
+    (``context_algebra``), which refuses it unless it is commutative.
     """
     if not parts:
         raise InputError("composite context needs at least one part")
@@ -366,10 +352,7 @@ def composite_context(net: LocalNet, parts: list) -> MatrixStarAlgebra:
         if not algebra_span_leq(alg, net.algebra(region), net.tol):
             raise DomainError(f"context on {region.label()} leaves its region algebra")
         gens.extend(alg.basis)
-    composite = generate_algebra(gens, net.dim, net.tol, dim_cap=net.dim)
-    if not is_commutative(composite):
-        raise DomainError("composite context failed to be commutative")
-    return composite
+    return context_algebra(gens, net.dim, net.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +483,9 @@ def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = T
 
 
 def inductive_limit(net: LocalNet) -> MatrixStarAlgebra:
-    """Algebra generated by every local algebra of the net."""
-    gens = []
-    for region in net.regions():
-        gens.extend(net.algebra(region).basis)
-    return generate_algebra(gens, net.dim, net.tol, dim_cap=net.dim)
+    """Algebra generated by every local algebra of the net (``region_algebra``)."""
+    gens = [b for region in net.regions() for b in net.algebra(region).basis]
+    return region_algebra(gens, net.length, net.tol)
 
 
 def check_lc_square(sub: Region, whole: Region, net: LocalNet) -> ValidationReport:

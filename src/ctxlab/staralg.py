@@ -124,10 +124,8 @@ def generate_algebra(
     """Smallest *-closed unital span containing the generators.
 
     Closure by iterated pairwise products with rank-revealing span
-    reduction after each round, until the dimension stabilizes.  Each
-    nonzero generator is scaled to unit Frobenius norm first: the rank
-    test is relative to the largest singular value, so a generator far
-    smaller than another would otherwise be dropped.
+    reduction after each round, until the dimension stabilizes.  The rank
+    test is relative, so each nonzero generator is scaled to unit norm.
     """
     check_dimension(d, dim_cap)
     mats = [np.eye(d, dtype=complex)]
@@ -154,36 +152,36 @@ def _basis_stack(a: MatrixStarAlgebra) -> np.ndarray:
     return np.asarray(a.basis, dtype=complex).reshape(-1, a.dim, a.dim)
 
 
-def _pair_commutators(stack: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Chunks ``(start, c)`` of the commutators ``a @ b - b @ a`` of the
-    index pairs ``(stack[left[k]], stack[right[k]])``, at most
-    ``COMMUTATOR_CHUNK`` matrix entries each; every commutator is bitwise
-    the one-pair ``commutator``."""
-    d = stack.shape[-1]
-    step = max(1, COMMUTATOR_CHUNK // (d * d))
+def commuting(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``bool[len(a), len(b)]``: whether each pair ``(a[i], b[j])`` of two
+    stacks of d x d matrices commutes, by its commutator's ``‖c‖_F <= tol``
+    or ``‖c‖ <= tol`` (operator norm).  Commutators are formed in chunks of
+    at most ``COMMUTATOR_CHUNK`` entries.  A batched Frobenius norm up to
+    tol / 2 accepts at once, since the one-pair norm is then below tol
+    whatever its rounding; the rest take the batched operator norms, and
+    the one-pair Frobenius norm only where those refuse."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    left, right = np.indices((len(a), len(b))).reshape(2, -1)
+    out = np.ones(len(left), dtype=bool)
+    step = max(1, COMMUTATOR_CHUNK // a[0].size) if len(left) else 1
     for start in range(0, len(left), step):
-        a, b = stack[left[start : start + step]], stack[right[start : start + step]]
-        yield start, a @ b - b @ a
+        x, y = a[left[start : start + step]], b[right[start : start + step]]
+        c = x @ y - y @ x
+        accept = np.linalg.norm(c, axis=(-2, -1)) <= tol / 2
+        rest = np.flatnonzero(~accept)
+        if rest.size:
+            accept[rest] = opnorms(c[rest]) <= tol
+            for m in rest[~accept[rest]].tolist():
+                accept[m] = np.linalg.norm(c[m]) <= tol
+        out[start : start + step] = accept
+    return out.reshape(len(a), len(b))
 
 
 def is_commutative(a: MatrixStarAlgebra) -> bool:
-    """Every basis-pair commutator c has ``‖c‖_F <= tol`` or ``‖c‖ <= tol``
-    (operator norm).  A batched Frobenius norm up to tol / 2 accepts at
-    once, since the one-pair norm is then below tol whatever its rounding;
-    the other pairs take the batched operator norms, and the one-pair
-    Frobenius norm only where those refuse."""
+    """Every basis pair commutes (``commuting``), decided row by row, so a
+    non-commutative algebra is refused at its first failing row."""
     stack = _basis_stack(a)
-    left, right = np.triu_indices(len(stack), 1)
-    for _, c in _pair_commutators(stack, left, right):
-        accept = np.linalg.norm(c, axis=(-2, -1)) <= a.tol / 2
-        rest = np.flatnonzero(~accept)
-        if rest.size:
-            accept[rest] = opnorms(c[rest]) <= a.tol
-            for m in rest[~accept[rest]].tolist():
-                accept[m] = np.linalg.norm(c[m]) <= a.tol
-        if not accept.all():
-            return False
-    return True
+    return all(commuting(stack[i : i + 1], stack[i + 1 :], a.tol).all() for i in range(len(stack)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +365,12 @@ class ContextCategory:
 
 
 def _commutation_cliques(mats: list, tol: float) -> list:
-    """Maximal sets of pairwise-commuting matrices, as sorted index tuples."""
+    """Maximal sets of pairwise-commuting matrices (``commuting``), as
+    sorted index tuples."""
     if not mats:
         return []
-    n = len(mats)
-    left, right = np.array(list(itertools.permutations(range(n), 2)), dtype=int).reshape(-1, 2).T
-    commute = np.zeros(len(left), dtype=bool)
-    for start, c in _pair_commutators(np.stack(mats), left, right):
-        commute[start : start + len(c)] = opnorms(c) <= tol
-    adjacent = [set() for _ in range(n)]
-    for i, j in zip(left[commute].tolist(), right[commute].tolist()):
-        adjacent[i].add(j)
+    commute = commuting(mats, mats, tol)
+    adjacent = [set(np.flatnonzero(row).tolist()) - {i} for i, row in enumerate(commute)]
     cliques = []
 
     def bk(r: set, p: set, x: set) -> None:
@@ -391,6 +384,26 @@ def _commutation_cliques(mats: list, tol: float) -> list:
 
     bk(set(), set(range(len(mats))), set())
     return sorted(cliques)
+
+
+def _atom_algebra(atoms: np.ndarray, ranks: np.ndarray, tol: float) -> MatrixStarAlgebra:
+    """The commutative algebra spanned by the atoms ``(count, d, d)`` of the
+    given ranks; its rows ``p / sqrt(rank)`` are Frobenius-orthonormal."""
+    d = atoms.shape[-1]
+    return MatrixStarAlgebra.from_rows(d, (atoms / np.sqrt(ranks)[:, None, None]).reshape(-1, d * d), tol)
+
+
+def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL, seed: int = 0) -> MatrixStarAlgebra:
+    """The commutative algebra that the generators generate, built from the
+    atoms they split the space into (``_atoms``, with draws seeded by
+    ``seed``).  Refuses (DomainError) generators whose algebra is not
+    commutative."""
+    stack = np.asarray([as_matrix(g, d) for g in generators], dtype=complex).reshape(-1, d, d)
+    blocks = _atoms(stack, tol, seed)
+    if blocks is None:
+        raise DomainError("the generators do not generate a commutative algebra")
+    projs = np.stack([iso @ dagger(iso) for iso in blocks])
+    return _atom_algebra(projs, np.array([iso.shape[1] for iso in blocks], dtype=float), tol)
 
 
 def _components(touch: np.ndarray) -> list:
@@ -468,8 +481,7 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
         sizes = covers[k] @ ranks
         atoms = (covers[k] @ projs).reshape(-1, d, d)
         spectra[names[k]] = [Character(projection=p, rank=int(r)) for p, r in zip(atoms, sizes)]
-        rows = (atoms / np.sqrt(sizes)[:, None, None]).reshape(-1, d * d)
-        contexts[names[k]] = MatrixStarAlgebra.from_rows(d, rows, tol)
+        contexts[names[k]] = _atom_algebra(atoms, sizes, tol)
     for a in kept:
         for b in kept:
             if a != b and below[b, a]:

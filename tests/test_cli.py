@@ -133,6 +133,12 @@ class TestSubcommands:
         result = parse_matrix(json.loads(out)["result"])
         assert np.allclose(result, np.eye(2))
 
+    def test_daseinise_refuses_non_commuting_seeds(self, capsys, specs):
+        code = main(["daseinise", "--projection", specs["projection"], "--algebra", specs["algebra"], "--seeds", "z,x"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "the generators do not generate a commutative algebra" in captured.err
+
     def test_net_check(self, capsys):
         code, out = run(capsys, ["net-check", "--chain", "2"])
         assert code == 0
@@ -356,7 +362,7 @@ class TestPauliNetSpecs:
         def refuse(*args, **kwargs):
             raise AssertionError("a dense closure or span reduction ran on a Pauli spec")
 
-        for module, name in ((cli, "generate_algebra"), (locnet, "generate_algebra"), (staralg, "generate_algebra"),
+        for module, name in ((locnet, "generate_algebra"), (staralg, "generate_algebra"),
                              (staralg, "orthonormalize_span"), (linalg, "orthonormalize_span")):
             monkeypatch.setattr(module, name, refuse)
         net = cli.load_net_spec(leaking_net_spec(tmp_path / "pauli.json"), linalg.DEFAULT_TOL)
@@ -591,7 +597,8 @@ PAULI1 = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1
 @pytest.fixture
 def families(tmp_path):
     """Ray fixtures of Peres sub-families, a two-qubit Pauli algebra spec, a
-    spec whose seeds are the rays of a Peres sub-family, and a state."""
+    spec whose seeds are the rays of a Peres sub-family, a state and the
+    projection onto a Bell vector."""
     from ctxlab.fixtures import peres24_fixture
 
     bases = peres24_fixture()["bases"]
@@ -607,6 +614,7 @@ def families(tmp_path):
     rays = [np.asarray(r, dtype=float) / np.linalg.norm(r) for i in (0, 1) for r in bases[i]]
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rho[0, 3] = rho[3, 0] = 0.05
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
     return {
         "peres01": write("peres01.json", {"dim": 4, "bases": [bases[0], bases[1]]}),
         "peres014": write("peres014.json", {"dim": 4, "bases": [bases[i] for i in (0, 1, 4)]}),
@@ -614,6 +622,7 @@ def families(tmp_path):
             a + b: matrix(np.kron(PAULI1[a], PAULI1[b])) for a in "IXYZ" for b in "IXYZ" if a + b != "II"}}),
         "rays": write("rays.json", {"dim": 4, "seeds": {f"r{k}": matrix(np.outer(r, r)) for k, r in enumerate(rays)}}),
         "state": write("rho4.json", matrix(rho)),
+        "bell": write("bell.json", matrix(np.outer(bell, bell))),
     }
 
 
@@ -665,6 +674,25 @@ class TestGoldenReports:
         assert out == self.text({"chain": 3, "isotony": True, "lc_squares": True, "locality": False, "regions": 6,
                                  "violations": violations})
 
+    @pytest.mark.parametrize("seeds, mode, diagonal", [
+        ("ZZ,XX", "outer", None), ("ZZ,XX", "inner", None), ("ZI,IZ", "outer", [1.0, 0.0, 0.0, 1.0]),
+        ("ZI,IZ", "inner", [0.0] * 4), ("ZZ", "outer", [1.0, 0.0, 0.0, 1.0]), ("ZZ", "inner", [0.0] * 4),
+    ])
+    def test_daseinise(self, capsys, families, seeds, mode, diagonal):
+        """The Bell projection is an atom of the ZZ, XX context, and lies
+        across two atoms of the others; the same bytes at every seed, since
+        a zero that rounding leaves signed is written 0.0."""
+        if diagonal is None:
+            rows = [[0.5, 0.0, 0.0, 0.5], [0.0] * 4, [0.0] * 4, [0.5, 0.0, 0.0, 0.5]]
+        else:
+            rows = [[diagonal[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
+        expected = self.text({"context_seeds": seeds.split(","), "mode": mode,
+                              "result": [[[v, 0.0] for v in row] for row in rows]})
+        for seed in ("0", "5"):
+            code, out = run(capsys, ["--seed", seed, "daseinise", "--projection", families["bell"],
+                                     "--algebra", families["pauli"], "--seeds", seeds, "--mode", mode])
+            assert code == 0 and out == expected
+
     def test_limit_with_restrictions(self, capsys, families):
         code, out = run(capsys, ["limit", "--algebra", families["pauli"], "--seeds", "ZI,XI,IZ",
                                  "--restrictions", "--check-universal"])
@@ -689,6 +717,9 @@ class TestFrameIndependence:
             ["limit", "--algebra", families["rays"], "--restrictions"],
             ["state-extend", "--algebra", families["pauli"], "--seeds", "ZI,XI,IZ,IX", "--state", families["state"]],
             ["state-extend", "--algebra", families["rays"], "--state", families["state"]],
+            ["daseinise", "--projection", families["bell"], "--algebra", families["rays"], "--seeds", "r0,r1,r2,r3"],
+            ["daseinise", "--projection", families["bell"], "--algebra", families["rays"], "--seeds", "r4,r5",
+             "--mode", "inner"],
         ]
 
     def test_rotated_span_frames(self, capsys, monkeypatch, families):

@@ -142,15 +142,15 @@ def pauli_nets(draw, frames=True):
 
 
 def count_dense_calls(monkeypatch) -> list:
-    """Record the (left, right) stacks of every dense commutator block."""
+    """Record the (left, right) stacks of every dense commutation test."""
     calls = []
 
-    def recording(a, b):
-        calls.append((a.tobytes(), b.tobytes()))
-        return dense(a, b)
+    def recording(a, b, tol):
+        calls.append((np.asarray(a, dtype=complex).tobytes(), np.asarray(b, dtype=complex).tobytes()))
+        return dense(a, b, tol)
 
-    dense = locnet._pair_commutators
-    monkeypatch.setattr(locnet, "_pair_commutators", recording)
+    dense = locnet.commuting
+    monkeypatch.setattr(locnet, "commuting", recording)
     return calls
 
 

@@ -66,12 +66,18 @@ from ctxlab.linalg import (
     orthonormalize_span,
     span_leq,
     spans_equal,
+    spectral_tol,
 )
 from ctxlab.locnet import (
+    LocalNet,
+    Region,
     check_covariance,
+    check_locality,
+    composite_context,
     pauli_string,
     shifted_region,
     site_operator,
+    spectrum_multiplicativity,
     standard_net,
     translation_unitary,
 )
@@ -106,6 +112,8 @@ from ctxlab.staralg import (
     _spans,
     algebra_span_equal,
     boolean_blocks,
+    commuting,
+    context_algebra,
     context_category,
     context_category_from_groups,
     full_matrix_algebra,
@@ -1766,23 +1774,22 @@ class TestDeliberateThresholdChanges:
 # spectra and commutation tests against the one-algebra code
 
 
+def reference_commute(a, b, tol) -> bool:
+    """One commutator: its Frobenius norm, then its SVD."""
+    c = a @ b - b @ a
+    return bool(np.linalg.norm(c) <= tol or opnorm(c) <= tol)
+
+
 def reference_is_commutative(a) -> bool:
-    """One commutator per basis pair: its Frobenius norm, then its SVD."""
+    """``reference_commute`` on every basis pair."""
     n = a.dimension
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = a.basis[i] @ a.basis[j] - a.basis[j] @ a.basis[i]
-            if np.linalg.norm(c) <= a.tol:
-                continue
-            if opnorm(c) > a.tol:
-                return False
-    return True
+    return all(reference_commute(a.basis[i], a.basis[j], a.tol) for i in range(n) for j in range(i + 1, n))
 
 
 def reference_commutation_cliques(mats, tol) -> list:
-    """One commutator and one SVD per ordered pair, then Bron-Kerbosch."""
+    """``reference_commute`` on every ordered pair, then Bron-Kerbosch."""
     adjacent = [
-        {j for j in range(len(mats)) if j != i and opnorm(mats[i] @ mats[j] - mats[j] @ mats[i]) <= tol}
+        {j for j in range(len(mats)) if j != i and reference_commute(mats[i], mats[j], tol)}
         for i in range(len(mats))
     ]
     cliques = []
@@ -1798,6 +1805,22 @@ def reference_commutation_cliques(mats, tol) -> list:
 
     bk(set(), set(range(len(mats))), set())
     return sorted(cliques)
+
+
+def dense_clashes(left, right, tol) -> list:
+    """The basis pairs that ``check_locality`` reports as clashing between
+    two disjoint regions that hold the matrices ``left`` and ``right`` and
+    no strings, so the dense path decides them."""
+    d = len(left[0])
+    net = LocalNet(2, {Region(0, 0): MatrixStarAlgebra(d, list(left), tol),
+                       Region(1, 1): MatrixStarAlgebra(d, list(right), tol)}, tol=tol)
+    found = [re.fullmatch(r"basis elements (\d+) of \[0,0\] and (\d+) of \[1,1\] do not commute", v.message)
+             for v in check_locality(net).violations]
+    return [(int(m[1]), int(m[2])) for m in found]
+
+
+def reference_clashes(left, right, tol) -> list:
+    return [(i, j) for i, a in enumerate(left) for j, b in enumerate(right) if not reference_commute(a, b, tol)]
 
 
 @dataclass
@@ -2065,6 +2088,7 @@ class TestSpectrumOracle:
         expected = [reference_is_commutative(v) for v in algebras]
         assert [is_commutative(v) for v in algebras] == expected
         assert _commutation_cliques(mats, tol) == reference_commutation_cliques(mats, tol)
+        assert dense_clashes(mats[:2], mats[2:], tol) == reference_clashes(mats[:2], mats[2:], tol)
 
     @pytest.mark.parametrize("offset", [-2e-6, -1e-7, 0.0, 1e-7])
     def test_frobenius_norm_accepts_where_the_svd_rounds_above_it(self, monkeypatch, offset):
@@ -2072,7 +2096,8 @@ class TestSpectrumOracle:
         rounding alone decides which of them is above the tolerance.  With
         every operator norm inflated by 1e-6, as if the SVD had rounded up,
         a commutator just below the tolerance is still accepted by its
-        Frobenius norm, in the batch as in the loop."""
+        Frobenius norm, in the batch as in the loop, and by the cliques,
+        which take the same rule (they read the operator norm alone once)."""
 
         def inflated(norms):
             return lambda stack: norms(stack) * (1.0 + 1e-6)
@@ -2084,7 +2109,9 @@ class TestSpectrumOracle:
         b[0, 1] = 1e-9 * (1.0 + offset)  # the commutator's one entry, exactly
         v = MatrixStarAlgebra(3, [a, b], 1e-9)
         assert is_commutative(v) == reference_is_commutative(v) == (offset <= 0.0)
-        assert _commutation_cliques([a, b], 1e-9) == reference_commutation_cliques([a, b], 1e-9)
+        cliques = [(0, 1)] if offset <= 0.0 else [(0,), (1,)]
+        assert _commutation_cliques([a, b], 1e-9) == reference_commutation_cliques([a, b], 1e-9) == cliques
+        assert dense_clashes([a], [b], 1e-9) == reference_clashes([a], [b], 1e-9) == ([] if offset <= 0.0 else [(0, 0)])
 
     @pytest.mark.parametrize("offset", [-2e-6, -1e-7, 1e-7])
     def test_character_residuals_where_the_svd_rounds_above_the_frobenius_norm(self, monkeypatch, offset):
@@ -2134,6 +2161,8 @@ class TestSpectrumOracle:
             for tol in norms:
                 v = MatrixStarAlgebra(4, [a, b], tol)
                 assert is_commutative(v) == reference_is_commutative(v)
+                assert _commutation_cliques([a, b], tol) == reference_commutation_cliques([a, b], tol)
+                assert dense_clashes([a], [b], tol) == reference_clashes([a], [b], tol)
         assert straddled
 
     def test_both_commutation_decisions_occur_at_the_threshold(self):
@@ -2147,5 +2176,146 @@ class TestSpectrumOracle:
             v = MatrixStarAlgebra(3, [a, b], 1e-9)
             assert is_commutative(v) == reference_is_commutative(v)
             assert _commutation_cliques([a, b], 1e-9) == reference_commutation_cliques([a, b], 1e-9)
+            assert dense_clashes([a], [b], 1e-9) == reference_clashes([a], [b], 1e-9)
             decisions.add(is_commutative(v))
         assert decisions == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# one commutation rule against the one-pair loop; contexts from atoms
+# against the product closure
+
+
+@contextlib.contextmanager
+def commutator_chunk(entries):
+    saved = staralg.COMMUTATOR_CHUNK
+    staralg.COMMUTATOR_CHUNK = entries
+    try:
+        yield entries
+    finally:
+        staralg.COMMUTATOR_CHUNK = saved
+
+
+@st.composite
+def matrix_stacks(draw):
+    """Two stacks of 0-5 d x d matrices: random ones, and ones diagonal in
+    one shared frame, some moved off it by about the tolerance."""
+    d = draw(st.integers(1, 4))
+    tol = draw(st.sampled_from([1e-13, 1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u = random_unitary(rng, d)
+
+    def matrix():
+        kind = draw(st.sampled_from(["random", "frame", "near"]))
+        if kind == "random":
+            return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = (u * (rng.standard_normal(d) + 1j * rng.standard_normal(d))) @ u.conj().T
+        if kind == "near":
+            m = m + tol * (1.0 + draw(st.sampled_from(OFFSETS))) * random_unitary(rng, d)
+        return m
+
+    stacks = [np.array([matrix() for _ in range(draw(st.integers(0, 5)))]).reshape(-1, d, d) for _ in range(2)]
+    return stacks[0], stacks[1], tol
+
+
+class TestCommutingOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=matrix_stacks(), entries=st.sampled_from([1, 16, 1 << 16]))
+    def test_every_pair_as_the_one_pair_loop(self, case, entries):
+        """Each pair decided as ``reference_commute`` decides it, in chunks
+        of one pair, of a few pairs, and of all of them."""
+        a, b, tol = case
+        expected = np.array([[reference_commute(x, y, tol) for y in b] for x in a], dtype=bool).reshape(len(a), len(b))
+        with commutator_chunk(entries):
+            found = commuting(a, b, tol)
+        assert found.dtype == bool and found.shape == (len(a), len(b))
+        assert np.array_equal(found, expected)
+
+    def test_a_non_commutative_algebra_is_refused_at_its_first_failing_row(self, monkeypatch):
+        rows = []
+        original = staralg.commuting
+
+        def spy(a, b, tol):
+            rows.append(len(b))
+            return original(a, b, tol)
+
+        monkeypatch.setattr(staralg, "commuting", spy)
+        assert not is_commutative(full_matrix_algebra(3))
+        assert rows == [8]
+        assert is_commutative(generate_algebra([np.diag([1.0, 2.0, 3.0])], 3))
+        assert rows == [8, 2, 1, 0]
+
+
+def frame_generators(draw, d, rng):
+    """Normal matrices diagonal in one random frame, whose eigenvalues
+    repeat on drawn column groups (degenerate spectra)."""
+    u = random_frame(rng, d, draw(st.booleans()))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=d - 1))) if d > 1 else []
+    groups = [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [d])]
+    values = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 1j, 1.0 - 2j])
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        diag = np.zeros(d, dtype=complex)
+        for group in groups:
+            diag[group] = draw(values)
+        gens.append((u * diag) @ u.conj().T)
+    return gens
+
+
+@st.composite
+def commuting_families(draw):
+    """Commuting generators: diagonal in a random frame with degenerate
+    spectra, or scaled products of Z strings on 1-3 qubits."""
+    tol = draw(st.sampled_from([1e-13, 1e-9, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 6))
+        return d, frame_generators(draw, d, rng), tol
+    qubits = draw(st.integers(1, 3))
+    words = draw(st.lists(st.sets(st.integers(0, qubits - 1), min_size=1), max_size=4))
+    scales = st.sampled_from([1.0, -0.5, 3.0, 1j])
+    return 2**qubits, [draw(scales) * pauli_string({q: "Z" for q in w}, qubits) for w in words], tol
+
+
+@st.composite
+def composite_parts(draw):
+    """A chain of 2-3 sites and, on some of its sites, a context generated
+    by a random single-site normal matrix (or a scalar one), by the dense
+    closure or from atoms."""
+    length = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    sites = draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=length, unique=True))
+    parts = []
+    for site in sorted(sites):
+        single = frame_generators(draw, 2, rng)
+        gens = [site_operator(g, site, length) for g in single]
+        build = context_algebra if draw(st.booleans()) else generate_algebra
+        parts.append((Region(site, site), build(gens, 2**length, 1e-9)))
+    return standard_net(length), parts
+
+
+class TestContextAlgebraOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=commuting_families(), seed=st.sampled_from([0, 5]))
+    def test_spans_equal_the_closure(self, case, seed):
+        d, gens, tol = case
+        found = context_algebra(gens, d, tol, seed=seed)
+        expected = generate_algebra(gens, d, tol, dim_cap=d)
+        assert spans_equal(found.ortho, expected.ortho, spectral_tol(tol))
+        assert is_commutative(found) and found.validate().ok
+        assert len(gelfand_spectrum(found)) == found.dimension
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=composite_parts())
+    def test_composite_contexts_count_as_the_closure(self, case):
+        net, parts = case
+        closure = generate_algebra([b for _, alg in parts for b in alg.basis], net.dim, net.tol, dim_cap=net.dim)
+        composite = composite_context(net, parts)
+        assert composite.dimension == closure.dimension
+        assert spans_equal(composite.ortho, closure.ortho, spectral_tol(net.tol))
+        expected = math.prod(len(gelfand_spectrum(alg)) for _, alg in parts)
+        assert spectrum_multiplicativity(net, parts) == (len(gelfand_spectrum(closure)), expected)
+
+    def test_non_commuting_generators_are_refused(self):
+        with pytest.raises(DomainError, match="the generators do not generate a commutative algebra"):
+            context_algebra([SX, SZ], 2)

@@ -1,7 +1,11 @@
-"""The threshold policy is written in one place: every float literal in
+"""Policies that the package's source must keep.
+
+The threshold policy is written in one place: every float literal in
 (0, 1e-3] in the package is the whole value of a module-level UPPER_CASE
 constant of ``ctxlab.linalg``, or one of the report bounds of
-``ctxlab.cli``."""
+``ctxlab.cli``.  And the dense product closure is taken only where no
+exact builder applies: ``generate_algebra`` is called only inside
+``locnet.region_algebra``, for generators that are not Pauli strings."""
 
 import ast
 import pathlib
@@ -50,3 +54,42 @@ def test_the_lint_finds_literal_thresholds():
     ]
     assert unnamed_thresholds("CCR_BOUND = 1e-10\nOTHER = 1e-10\n", "cli.py") == ["cli.py:2: 1e-10"]
     assert unnamed_thresholds("FLOOR = 1e-8\nx = 0.5 + 2e-3\n", "linalg.py") == []
+
+
+def closure_calls(source: str, name: str) -> list:
+    """``name:line: function`` for each call of ``generate_algebra`` in
+    module ``name`` outside ``locnet.region_algebra``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "generate_algebra" and (name, function) != ("locnet.py", "region_algebra"):
+                    found.append(f"{name}:{child.lineno}: {function}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_region_algebra_takes_the_product_closure():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found += closure_calls(path.read_text(), str(path.relative_to(PACKAGE)))
+    assert found == []
+
+
+def test_the_lint_finds_closure_calls():
+    region = "def region_algebra(g):\n    return generate_algebra(g, 2)\n"
+    assert closure_calls(region, "locnet.py") == []
+    assert closure_calls(region, "staralg.py") == ["staralg.py:2: region_algebra"]
+    assert closure_calls("x = generate_algebra([], 2)\n", "cli.py") == ["cli.py:1: <module>"]
+    assert closure_calls("def f():\n    return staralg.generate_algebra([], 2)\n", "cli.py") == ["cli.py:2: f"]
+    assert closure_calls("def inductive_limit(net):\n    return [generate_algebra([], 2)]\n", "locnet.py") == [
+        "locnet.py:2: inductive_limit"
+    ]
+    nested = "def region_algebra(g):\n    def inner():\n        return generate_algebra(g, 2)\n    return inner\n"
+    assert closure_calls(nested, "locnet.py") == ["locnet.py:3: inner"]
+    assert closure_calls("def generate_algebra(g, d):\n    return close(g)\n", "staralg.py") == []
