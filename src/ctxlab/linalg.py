@@ -106,10 +106,6 @@ def require_state(rho, dim: int | None = None) -> np.ndarray:
     return r
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def orthonormalize_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Frobenius-orthonormal rows spanning ``mats``.
 

@@ -2096,8 +2096,8 @@ class TestSpectrumOracle:
         rounding alone decides which of them is above the tolerance.  With
         every operator norm inflated by 1e-6, as if the SVD had rounded up,
         a commutator just below the tolerance is still accepted by its
-        Frobenius norm, in the batch as in the loop, and by the cliques,
-        which take the same rule (they read the operator norm alone once)."""
+        Frobenius norm, in the batch as in the loop, by the cliques and by
+        dense locality."""
 
         def inflated(norms):
             return lambda stack: norms(stack) * (1.0 + 1e-6)
@@ -2111,7 +2111,8 @@ class TestSpectrumOracle:
         assert is_commutative(v) == reference_is_commutative(v) == (offset <= 0.0)
         cliques = [(0, 1)] if offset <= 0.0 else [(0,), (1,)]
         assert _commutation_cliques([a, b], 1e-9) == reference_commutation_cliques([a, b], 1e-9) == cliques
-        assert dense_clashes([a], [b], 1e-9) == reference_clashes([a], [b], 1e-9) == ([] if offset <= 0.0 else [(0, 0)])
+        clashes = [] if offset <= 0.0 else [(0, 0)]
+        assert dense_clashes([a], [b], 1e-9) == reference_clashes([a], [b], 1e-9) == clashes
 
     @pytest.mark.parametrize("offset", [-2e-6, -1e-7, 1e-7])
     def test_character_residuals_where_the_svd_rounds_above_the_frobenius_norm(self, monkeypatch, offset):
@@ -2186,16 +2187,6 @@ class TestSpectrumOracle:
 # against the product closure
 
 
-@contextlib.contextmanager
-def commutator_chunk(entries):
-    saved = staralg.COMMUTATOR_CHUNK
-    staralg.COMMUTATOR_CHUNK = entries
-    try:
-        yield entries
-    finally:
-        staralg.COMMUTATOR_CHUNK = saved
-
-
 @st.composite
 def matrix_stacks(draw):
     """Two stacks of 0-5 d x d matrices: random ones, and ones diagonal in
@@ -2226,7 +2217,8 @@ class TestCommutingOracle:
         of one pair, of a few pairs, and of all of them."""
         a, b, tol = case
         expected = np.array([[reference_commute(x, y, tol) for y in b] for x in a], dtype=bool).reshape(len(a), len(b))
-        with commutator_chunk(entries):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(staralg, "COMMUTATOR_CHUNK", entries)
             found = commuting(a, b, tol)
         assert found.dtype == bool and found.shape == (len(a), len(b))
         assert np.array_equal(found, expected)
