@@ -427,10 +427,11 @@ def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = T
     # the category's contexts are built from atoms, which carry eigensolver error
     ids_by_region = {}
     for region, alg in contexts:
-        match = [cid for cid in cc.ids() if algebra_span_equal(cc.algebra(cid), alg, spectral_tol(net.tol))]
-        if not match:
+        equal = (cid for cid in cc.ids() if algebra_span_equal(cc.algebra(cid), alg, spectral_tol(net.tol)))
+        match = next(equal, None)
+        if match is None:
             raise DomainError(f"context at {region.label()} matches no context built from its generators")
-        ids_by_region[region] = match[0]
+        ids_by_region[region] = match
     ext = build_limit_extension(cc)
     positions = {cid: ext.carrier.position(cid) for cid in ext.carrier.context_ids}
 
