@@ -298,12 +298,14 @@ def _random_function(rng, space) -> np.ndarray:
 
 
 def cmd_gft_ccr(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     space = gft.PolyhedronSpace(args.m, args.n)
     fock = gft.fock_for(space, args.nmax)
     rng = np.random.default_rng(args.seed)
     pairs = [(_random_function(rng, space), _random_function(rng, space)) for _ in range(args.trials)]
     defects = [gft.ccr_defect(f, g, fock) for f, g in pairs]
-    worst = max(defects) if defects else 0.0
+    worst = max(defects)
     report = {
         "m": args.m,
         "n": args.n,
@@ -317,6 +319,8 @@ def cmd_gft_ccr(args: argparse.Namespace) -> int:
 
 
 def cmd_gft_weyl(args: argparse.Namespace) -> int:
+    if not (np.isfinite(args.norm) and args.norm > 0):
+        raise InputError(f"--norm must be positive and finite, got {args.norm!r}")
     space = gft.PolyhedronSpace(args.m, args.n)
     rng = np.random.default_rng(args.seed)
     f, g = _random_function(rng, space), _random_function(rng, space)

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -284,6 +285,35 @@ class TestNetLengthCap:
         assert "net chain length (size 7 exceeds cap 6)" in captured.err
 
 
+class TestGftArguments:
+    """A gft run that would test nothing, or whose Fock space is over the
+    cap, is refused with exit status 2, naming the value."""
+
+    def refused(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_ccr_trials_below_one(self, capsys, trials):
+        self.refused(capsys, ["gft-ccr", "--trials", trials], f"--trials must be at least 1, got {trials}")
+
+    def test_weyl_negative_sector_cap(self, capsys):
+        self.refused(capsys, ["gft-weyl", "--sector-cap", "-1", "--sweep", "2,3"],
+                     "sector cap must be nonnegative, got -1")
+
+    @pytest.mark.parametrize("norm", ["0", "-0.5", "nan", "inf"])
+    def test_weyl_norm_not_positive_and_finite(self, capsys, norm):
+        self.refused(capsys, ["gft-weyl", "--norm", norm], f"--norm must be positive and finite, got {float(norm)!r}")
+
+    def test_fock_dimension_over_the_cap_returns_at_once(self, capsys):
+        start = time.perf_counter()
+        self.refused(capsys, ["gft-ccr", "--m", "4", "--n", "4", "--nmax", "5"],
+                     "Fock dimension (size 9711475137 exceeds cap 10000)")
+        assert time.perf_counter() - start < 1.0
+
+
 class TestNetSpecRegions:
     Z0 = np.diag([1.0, 1.0, -1.0, -1.0]).tolist()
 
@@ -484,6 +514,9 @@ class TestBooleanEntries:
 
 
 def test_importing_the_cli_loads_no_scipy():
+    """The CLI imports scipy only when a command needs it, and then only
+    ``scipy.sparse``: a gft-weyl run loads neither ``scipy.sparse.linalg``
+    nor ``scipy.linalg``."""
     import os
     import subprocess
     import sys
@@ -491,10 +524,14 @@ def test_importing_the_cli_loads_no_scipy():
     import ctxlab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctxlab.__file__)))
-    code = "import sys, ctxlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import contextlib, io, sys, ctxlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ctxlab.cli.main(['gft-weyl', '--sweep', '2,3']) == 0\n"
+            "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
 
 
 @pytest.mark.parametrize("tolerance", ["1e-13", "1e-3"])

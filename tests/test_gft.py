@@ -1,11 +1,17 @@
+import time
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ctxlab.errors import DomainError, InputError
+from ctxlab.errors import CapExceeded, DomainError, InputError
 from ctxlab.fincat import check_cone, check_diagram
 from ctxlab.gft import (
+    FOCK_CAP,
     PolyhedronSpace,
+    TruncatedFock,
+    _weyl_apply,
     ccr_defect,
     copy_embedding,
     face_coarse_grain,
@@ -16,7 +22,6 @@ from ctxlab.gft import (
     second_quantization_cone,
     weighted_inner,
     weyl_commutator_defect,
-    weyl_element,
     weyl_relation_defect,
 )
 from ctxlab.linalg import dagger, opnorm
@@ -74,8 +79,6 @@ class TestModeSpace:
 
 class TestFockSpace:
     def test_dimension_formula(self):
-        from math import comb
-
         fock = fock_for(SPACE, 3)
         expected = sum(comb(SPACE.size + n - 1, n) for n in range(4))
         assert fock.dim == expected == 35
@@ -127,6 +130,16 @@ class TestFockSpace:
         assert np.array_equal(field_operator(f, fock).matrix.toarray(), summed.toarray())
         assert field_operator(np.zeros(space.size), fock).matrix.nnz == 0
 
+    def test_dimension_over_the_cap_is_refused_before_enumeration(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as refused:
+            TruncatedFock(modes=256, n_max=5)
+        assert time.perf_counter() - start < 0.1
+        assert (refused.value.size, refused.value.cap) == (comb(261, 5), FOCK_CAP)
+        assert TruncatedFock(modes=16, n_max=4).dim == comb(20, 4) <= FOCK_CAP < comb(21, 5)
+        with pytest.raises(CapExceeded):
+            TruncatedFock(modes=16, n_max=5)
+
     def test_vacuum_is_the_whole_annihilator_kernel(self):
         fock = fock_for(SPACE, 2)
         stack = np.vstack([fock.annihilator(m).toarray() for m in range(fock.modes)])
@@ -175,16 +188,21 @@ class TestCCR:
 
 
 class TestWeyl:
+    """The Taylor action ``_weyl_apply`` on identity or vacuum columns,
+    against the Weyl relations and the dense ``expm`` oracle."""
+
     def test_zero_function_gives_identity(self):
         fock = fock_for(SPACE, 2)
-        w = weyl_element(np.zeros(SPACE.size), fock)
-        assert np.allclose(w.matrix, np.eye(fock.dim))
+        eye = np.eye(fock.dim, dtype=complex)
+        assert np.array_equal(_weyl_apply(np.zeros(SPACE.size, dtype=complex), fock, eye), eye)
 
     def test_unitarity(self, rng):
         fock = fock_for(SPACE, 3)
         for _ in range(3):
-            w = weyl_element(random_fn(rng), fock).matrix
+            f = random_fn(rng)
+            w = _weyl_apply(f, fock, np.eye(fock.dim, dtype=complex))
             assert opnorm(w @ dagger(w) - np.eye(fock.dim)) < 1e-10
+            assert np.abs(w - dense_weyl(f, fock)).max() < 1e-12
 
     def test_vacuum_expectation_converges_to_gaussian(self, rng):
         # single-mode displacement oracle: <0|W(f)|0> -> exp(-(f,f)/4)
@@ -193,9 +211,8 @@ class TestWeyl:
         errors = []
         for n_max in (2, 4, 6):
             fock = fock_for(SPACE, n_max)
-            w = weyl_element(f, fock).matrix
             vac = fock.vacuum()
-            errors.append(abs(np.vdot(vac, w @ vac) - target))
+            errors.append(abs(np.vdot(vac, _weyl_apply(f, fock, vac[:, None])[:, 0]) - target))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-8
 
@@ -208,8 +225,7 @@ class TestWeyl:
         fock = fock_for(SPACE, 3)
         f = np.abs(random_fn(rng)).astype(complex)
         g = np.abs(random_fn(rng)).astype(complex)
-        wf, wg = weyl_element(f, fock).matrix, weyl_element(g, fock).matrix
-        wsum = weyl_element(f + g, fock).matrix
+        wf, wg, wsum = dense_weyl(f, fock), dense_weyl(g, fock), dense_weyl(f + g, fock)
         mask = fock.sector_mask(1)
         bare = opnorm((wf @ wg - wsum)[np.ix_(mask, mask)])
         assert abs(weyl_relation_defect(f, g, fock, 1) - bare) < 1e-12
@@ -241,6 +257,8 @@ class TestWeyl:
         fock = fock_for(SPACE, 2)
         with pytest.raises(DomainError):
             weyl_relation_defect(random_fn(rng), random_fn(rng), fock, 2)
+        with pytest.raises(InputError, match="sector cap must be nonnegative, got -1"):
+            weyl_relation_defect(random_fn(rng), random_fn(rng), fock, -1)
 
 
 class TestContexts:
@@ -332,9 +350,10 @@ class TestFaceCoarseGraining:
 
 
 def test_weyl_sweep_ignores_and_keeps_the_global_random_state(capsys):
-    """``expm_multiply`` draws its norm estimates from numpy's global
-    generator; unfixed, these 16 states gave two reports (the cutoff-6
-    defect differed in its last digits)."""
+    """The Weyl action draws no random numbers.  When it ran through scipy's
+    ``expm_multiply``, whose norm estimates draw from numpy's global
+    generator, these 16 states gave two reports unless the state was fixed
+    (the cutoff-6 defect differed in its last digits)."""
     from ctxlab.cli import main
 
     argv = ["--seed", "612233", "gft-weyl", "--m", "2", "--n", "2", "--sweep", "2,4,6,8,10", "--norm", "2.0"]

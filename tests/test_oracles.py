@@ -32,7 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, random_density, random_unitary
-from ctxlab import fincat, realism, staralg
+from ctxlab import fincat, gft, realism, staralg
+from ctxlab.cli import main
 from ctxlab.ctxext import (
     build_limit_extension,
     carrier_to_json,
@@ -2311,3 +2312,143 @@ class TestContextAlgebraOracle:
     def test_non_commuting_generators_are_refused(self):
         with pytest.raises(DomainError, match="the generators do not generate a commutative algebra"):
             context_algebra([SX, SZ], 2)
+
+
+# ---------------------------------------------------------------------------
+# the Fock ladders from one index table against the per-mode loops, and the
+# Taylor Weyl action against ``expm_multiply``
+
+
+def reference_occupations(modes, n_max) -> list:
+    occs: list = []
+
+    def fill(prefix, remaining, budget):
+        if remaining == 0:
+            occs.append(tuple(prefix))
+            return
+        for k in range(budget + 1):
+            fill(prefix + [k], remaining - 1, budget - k)
+
+    for total in range(n_max + 1):
+        start = len(occs)
+        fill([], modes, total)
+        occs[start:] = [o for o in occs[start:] if sum(o) == total]
+    return occs
+
+
+def reference_annihilator(fock, mode):
+    from scipy.sparse import csr_array
+
+    rows, cols, vals = [], [], []
+    for occ, col in fock.index.items():
+        if occ[mode] == 0:
+            continue
+        rows.append(fock.index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1 :]])
+        cols.append(col)
+        vals.append(np.sqrt(occ[mode]))
+    return csr_array((np.array(vals, dtype=complex), (rows, cols)), shape=(fock.dim, fock.dim))
+
+
+def reference_field_operator(f, fock):
+    from scipy.sparse import csr_array
+
+    fv = np.asarray(f, dtype=complex)
+    w = np.sqrt(fock.mode_weight)
+    rows, cols, vals = [], [], []
+    for mode in range(fock.modes):
+        if fv[mode] != 0:
+            ladder = reference_annihilator(fock, mode)
+            rows.append(np.repeat(np.arange(fock.dim), np.diff(ladder.indptr)))
+            cols.append(ladder.indices)
+            vals.append(ladder.data * (w * fv[mode]))
+    if not vals:
+        return csr_array((fock.dim, fock.dim), dtype=complex)
+    return csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(fock.dim, fock.dim)
+    )
+
+
+def reference_weyl_apply(fv, fock, cols):
+    """``expm_multiply`` under a fixed global random state, which its norm
+    estimates draw from; the caller's state is put back."""
+    from scipy.sparse.linalg import expm_multiply
+
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        psi = gft.field_operator(fv, fock).matrix
+        return expm_multiply(1j / np.sqrt(2.0) * (psi + dagger(psi)), cols)
+    finally:
+        np.random.set_state(state)
+
+
+def same_csr(found, expected) -> bool:
+    return (
+        found.shape == expected.shape
+        and found.data.tobytes() == expected.data.tobytes()
+        and np.array_equal(found.indices, expected.indices)
+        and np.array_equal(found.indptr, expected.indptr)
+    )
+
+
+@st.composite
+def fock_cases(draw):
+    """A polyhedron space, a cutoff at Fock dimension <= 500, and a test
+    function with some zero entries."""
+    m, n = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4)]))
+    space = gft.PolyhedronSpace(m, n)
+    n_max = draw(st.integers(0, 6).filter(lambda k: math.comb(space.size + k, k) <= 500))
+    parts = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    entries = draw(st.lists(st.tuples(parts, parts, st.booleans()), min_size=space.size, max_size=space.size))
+    f = np.array([complex(re, im) if keep else 0 for re, im, keep in entries])
+    return space, n_max, f
+
+
+def fock_sector_weyl_argvs(seed) -> list:
+    """The gft-weyl argvs of the benchmark's ``fock_sector`` batch."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [c["argv"] for c in workloads.fock_sector(seed, "full", "") if c["kind"] == "gft-weyl"]
+
+
+class TestFockLadderOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=fock_cases())
+    def test_ladders_and_fields_are_the_per_mode_loops_bit_for_bit(self, case):
+        space, n_max, f = case
+        fock = gft.fock_for(space, n_max)
+        assert fock.occupations == reference_occupations(space.size, n_max)
+        for mode in range(fock.modes):
+            assert same_csr(fock.annihilator(mode), reference_annihilator(fock, mode))
+        assert same_csr(gft.field_operator(f, fock).matrix, reference_field_operator(f, fock))
+
+
+class TestWeylActionOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=fock_cases(), norm=st.floats(0.05, 2.0), cap=st.integers(0, 5), seed=st.integers(0, 2**16))
+    def test_the_taylor_action_is_expm_multiply(self, case, norm, cap, seed):
+        space, n_max, _ = case
+        fock = gft.fock_for(space, max(n_max, 1))
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+        f *= norm / np.sqrt(abs(gft.inner_product(f, f, space)))
+        _, cols = gft._sector_columns(fock, min(cap, fock.n_max - 1))
+        found = gft._weyl_apply(f, fock, cols)
+        assert np.abs(found - reference_weyl_apply(f, fock, cols)).max() <= 1e-14
+
+    def test_benchmark_reports_are_byte_equal(self, capsys, monkeypatch):
+        argvs = [argv for seed in range(100, 160) for argv in fock_sector_weyl_argvs(seed)]
+        argvs.append(["--seed", "612233", "gft-weyl", "--m", "2", "--n", "2", "--sweep", "2,4,6,8,10", "--norm", "2.0"])
+        found = []
+        for argv in argvs:
+            assert main(argv) == 0
+            found.append(capsys.readouterr().out)
+        monkeypatch.setattr(gft, "_weyl_apply", reference_weyl_apply)
+        for argv, report in zip(argvs, found):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == report, argv

@@ -5,9 +5,12 @@ The threshold policy is written in one place: every float literal in
 constant of ``ctxlab.linalg``, or one of the report bounds of
 ``ctxlab.cli``.  And the dense product closure is taken only where no
 exact builder applies: ``generate_algebra`` is called only inside
-``locnet.region_algebra``, for generators that are not Pauli strings."""
+``locnet.region_algebra``, for generators that are not Pauli strings.
+And scipy enters the package only as ``scipy.sparse``: no module imports
+``scipy.linalg``, ``scipy.sparse.linalg`` or any other part of it."""
 
 import ast
+import importlib.util
 import pathlib
 
 import ctxlab
@@ -93,3 +96,38 @@ def test_the_lint_finds_closure_calls():
     nested = "def region_algebra(g):\n    def inner():\n        return generate_algebra(g, 2)\n    return inner\n"
     assert closure_calls(nested, "locnet.py") == ["locnet.py:3: inner"]
     assert closure_calls("def generate_algebra(g, d):\n    return close(g)\n", "staralg.py") == []
+
+
+def scipy_imports(source: str, name: str) -> list:
+    """``name:line: module`` for each scipy module other than
+    ``scipy.sparse`` that module ``name`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
+            # a name imported from a module is itself a module or an attribute
+            submodules = [f"{node.module}.{alias.name}" for alias in node.names]
+            modules = [m if importlib.util.find_spec(m) else node.module for m in submodules]
+        else:
+            continue
+        found += [f"{name}:{node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy" and m != "scipy.sparse"]
+    return found
+
+
+def test_the_package_takes_only_scipy_sparse():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found += scipy_imports(path.read_text(), str(path.relative_to(PACKAGE)))
+    assert found == []
+
+
+def test_the_lint_finds_scipy_imports():
+    assert scipy_imports("from scipy.sparse import csr_array\n", "gft.py") == []
+    assert scipy_imports("from scipy import sparse\nimport numpy.linalg\n", "gft.py") == []
+    lazy = "def f():\n    from scipy.sparse.linalg import expm_multiply\n"
+    assert scipy_imports(lazy, "gft.py") == ["gft.py:2: scipy.sparse.linalg"]
+    assert scipy_imports("import scipy.linalg\nimport scipy\n", "cli.py") == ["cli.py:1: scipy.linalg", "cli.py:2: scipy"]
+    assert scipy_imports("from scipy import linalg\n", "gft.py") == ["gft.py:1: scipy.linalg"]
+    assert scipy_imports("from scipy.sparse import csr_array, linalg\n", "gft.py") == ["gft.py:1: scipy.sparse.linalg"]
+    assert scipy_imports("from scipy.special import comb\n", "gft.py") == ["gft.py:1: scipy.special"]
