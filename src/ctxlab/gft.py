@@ -228,8 +228,8 @@ def _weyl_apply(fv: np.ndarray, fock: TruncatedFock, cols: np.ndarray) -> np.nda
 
     (m, s) takes the fewest matvecs m * s with ||G||_1 / s <= theta_m, and a
     step stops early once two successive terms fall below the unit roundoff
-    of the partial sum: the algorithm of scipy's ``expm_multiply``, with its
-    exact 1-norm branch for every norm, so no random norm estimate is drawn.
+    of the partial sum: algorithm 3.2 of Al-Mohy and Higham, as scipy runs
+    it, but on the exact 1-norm at every norm, so it draws no random numbers.
     """
     psi = field_operator(fv, fock).matrix
     g = 1j / np.sqrt(2.0) * (psi + dagger(psi))

@@ -10,12 +10,14 @@ and the point-list carrier with its component arrays, together with the
 per-point marginal, point lookup and covariance loops, the restriction
 diagram with its own index category and tables, the list-based span
 functions with the closure and the pairwise context-category build, the
-one-algebra spectrum and the dominance tables.  Outputs must be identical,
-in identical order, and minima bitwise equal; marginals, whose summation
-order changed, agree within 1e-14.  The contexts and spectra are compared
-by report, not by bits: the same ids, order, fiber sizes, restriction
-tables and global sections, up to the bijection that matches projections
-within 1e-8.
+one-algebra spectrum and the dominance tables, the per-mode Fock ladder
+loops, and the Weyl action by ``expm_multiply``.  Outputs must be
+identical, in identical order, and minima bitwise equal; marginals, whose
+summation order changed, and the Weyl action agree within 1e-14, and the
+benchmark's gft-weyl reports byte for byte.  The contexts and spectra
+are compared by report, not by bits: the same ids, order, fiber sizes,
+restriction tables and global sections, up to the bijection that matches
+projections within 1e-8.
 """
 
 import contextlib
@@ -2404,8 +2406,8 @@ def fock_cases(draw):
     return space, n_max, f
 
 
-def fock_sector_weyl_argvs(seed) -> list:
-    """The gft-weyl argvs of the benchmark's ``fock_sector`` batch."""
+def benchmark_workloads():
+    """The benchmark's seeded input generator, loaded from its file."""
     import importlib.util
     import pathlib
 
@@ -2413,7 +2415,7 @@ def fock_sector_weyl_argvs(seed) -> list:
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [c["argv"] for c in workloads.fock_sector(seed, "full", "") if c["kind"] == "gft-weyl"]
+    return workloads
 
 
 class TestFockLadderOracle:
@@ -2442,7 +2444,10 @@ class TestWeylActionOracle:
         assert np.abs(found - reference_weyl_apply(f, fock, cols)).max() <= 1e-14
 
     def test_benchmark_reports_are_byte_equal(self, capsys, monkeypatch):
-        argvs = [argv for seed in range(100, 160) for argv in fock_sector_weyl_argvs(seed)]
+        workloads = benchmark_workloads()
+        batches = [workloads.fock_sector(seed, "full", "") for seed in range(100, 160)]
+        argvs = [check["argv"] for batch in batches for check in batch if check["kind"] == "gft-weyl"]
+        assert len(argvs) == 120
         argvs.append(["--seed", "612233", "gft-weyl", "--m", "2", "--n", "2", "--sweep", "2,4,6,8,10", "--norm", "2.0"])
         found = []
         for argv in argvs:
