@@ -109,12 +109,8 @@ def load_algebra_spec(path: str, wanted: str | None):
     return dim, [seed_map[n] for n in names], names
 
 
-def emit(report: dict, args: argparse.Namespace) -> None:
-    if args.output == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for key in sorted(report):
-            print(f"{key}: {report[key]}")
+def emit(report: dict) -> None:
+    print(json.dumps(report, sort_keys=True, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +128,7 @@ def cmd_cat_check(args: argparse.Namespace) -> int:
         target = fincat.diagram_from_json(load_json(args.diagram))
         result = fincat.check_diagram(target)
     emit({"check": "category" if args.category else "functor" if args.functor else "diagram",
-          **result.to_json()}, args)
+          **result.to_json()})
     return 0 if result.ok else 1
 
 
@@ -163,7 +159,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
             cones = fincat.enumerate_cones(diagram, args.apex_bound)
             report["universal"] = fincat.check_universal_property(cone, diagram, cones)
             report["apex_bound"] = args.apex_bound
-    emit(report, args)
+    emit(report)
     return 0 if report.get("universal", True) else 1
 
 
@@ -189,7 +185,7 @@ def cmd_state_extend(args: argparse.Namespace) -> int:
         "max_expectation_defect": float(np.round(max(checks), 12)),
         **state_to_json(mu),
     }
-    emit(report, args)
+    emit(report)
     return 0 if max(checks) <= STATE_EXTEND_BOUND else 1
 
 
@@ -213,7 +209,7 @@ def cmd_ks_check(args: argparse.Namespace) -> int:
         "obstructed": len(sections) == 0,
         "assignments": [s.assignment for s in sections],
     }
-    emit(report, args)
+    emit(report)
     return 0
 
 
@@ -227,7 +223,7 @@ def cmd_daseinise(args: argparse.Namespace) -> int:
         result = presheaf.outer_daseinisation(proj, context, chars)
     else:
         result = presheaf.inner_daseinisation(proj, context, chars)
-    emit({"mode": args.mode, "context_seeds": names, "result": matrix_to_json(result)}, args)
+    emit({"mode": args.mode, "context_seeds": names, "result": matrix_to_json(result)})
     return 0
 
 
@@ -289,7 +285,7 @@ def cmd_net_check(args: argparse.Namespace) -> int:
         report["covariance"] = covariance.ok
         all_violations = all_violations + covariance.violations
     report["violations"] = [str(v) for v in all_violations]
-    emit(report, args)
+    emit(report)
     return 0 if not all_violations else 1
 
 
@@ -314,7 +310,7 @@ def cmd_gft_ccr(args: argparse.Namespace) -> int:
         "max_guarded_defect": float(np.round(worst, 14)),
         "within_1e-10": worst <= CCR_BOUND,
     }
-    emit(report, args)
+    emit(report)
     return 0 if worst <= CCR_BOUND else 1
 
 
@@ -341,7 +337,7 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
         "norm": args.norm,
         "defects": table,
     }
-    emit(report, args)
+    emit(report)
     return 0
 
 
@@ -388,7 +384,7 @@ def cmd_inequality(args: argparse.Namespace) -> int:
         "argmin_signs": signs,
         "classical_bound_holds": minimum >= family.q - CLASSICAL_BOUND_SLACK,
     }
-    emit(report, args)
+    emit(report)
     return 0
 
 
@@ -411,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctxlab", description=__doc__)
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", choices=("json", "text"), default="json")
     parser.add_argument("--carrier-cap", type=int, default=10**6)
     parser.add_argument("--sign-cap", type=int, default=16)
     parser.add_argument("--apex-bound", type=int, default=4)

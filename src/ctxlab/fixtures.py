@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctxext import build_limit_extension, spectrum_diagram
-from .fincat import Cone, Diagram, FinCategory, limit_of_diagram
+from .fincat import Cone, Diagram, limit_of_diagram, poset_category
 from .gft import PolyhedronSpace, second_quantization_cone
 from .locnet import PAULI, pauli_string
 from .staralg import context_category, context_category_from_groups, full_matrix_algebra
@@ -123,44 +123,8 @@ def covariant_square_fixture(corrupted: bool = False) -> ConeFixture:
     }
     restrict_conf = {conf: (conf[0],) for conf in confs_whole}
 
-    index = FinCategory(
-        objects=["reg_M", "reg_U", "alg_M", "alg_U"],
-        homs={
-            ("reg_M", "reg_M"): ["id_reg_M"],
-            ("reg_U", "reg_U"): ["id_reg_U"],
-            ("alg_M", "alg_M"): ["id_alg_M"],
-            ("alg_U", "alg_U"): ["id_alg_U"],
-            ("reg_M", "reg_U"): ["restrict"],
-            ("reg_U", "alg_U"): ["quant_U"],
-            ("reg_M", "alg_M"): ["quant_M"],
-            ("alg_M", "alg_U"): ["res_alg"],
-            ("reg_M", "alg_U"): ["corner"],
-        },
-        compose={
-            ("id_reg_M", "id_reg_M"): "id_reg_M",
-            ("id_reg_U", "id_reg_U"): "id_reg_U",
-            ("id_alg_M", "id_alg_M"): "id_alg_M",
-            ("id_alg_U", "id_alg_U"): "id_alg_U",
-            ("restrict", "id_reg_M"): "restrict",
-            ("id_reg_U", "restrict"): "restrict",
-            ("quant_U", "id_reg_U"): "quant_U",
-            ("id_alg_U", "quant_U"): "quant_U",
-            ("quant_M", "id_reg_M"): "quant_M",
-            ("id_alg_M", "quant_M"): "quant_M",
-            ("res_alg", "id_alg_M"): "res_alg",
-            ("id_alg_U", "res_alg"): "res_alg",
-            ("corner", "id_reg_M"): "corner",
-            ("id_alg_U", "corner"): "corner",
-            ("quant_U", "restrict"): "corner",
-            ("res_alg", "quant_M"): "corner",
-        },
-        identities={
-            "reg_M": "id_reg_M",
-            "reg_U": "id_reg_U",
-            "alg_M": "id_alg_M",
-            "alg_U": "id_alg_U",
-        },
-    )
+    square = {("reg_M", "reg_U"), ("reg_U", "alg_U"), ("reg_M", "alg_M"), ("alg_M", "alg_U"), ("reg_M", "alg_U")}
+    index = poset_category(["reg_M", "reg_U", "alg_M", "alg_U"], lambda a, b: a == b or (a, b) in square)
     quant_u_map = {conf: quant_sub[conf] for conf in confs_sub}
     corner_map = {conf: quant_sub[restrict_conf[conf]] for conf in confs_whole}
     if corrupted:
@@ -179,11 +143,11 @@ def covariant_square_fixture(corrupted: bool = False) -> ConeFixture:
             "alg_U": list(range(len(chars_sub))),
         },
         {
-            "restrict": restrict_conf,
-            "quant_U": quant_u_map,
-            "quant_M": quant_whole,
-            "res_alg": res_alg,
-            "corner": corner_map,
+            "reg_M<=reg_U": restrict_conf,
+            "reg_U<=alg_U": quant_u_map,
+            "reg_M<=alg_M": quant_whole,
+            "alg_M<=alg_U": res_alg,
+            "reg_M<=alg_U": corner_map,
         },
     )
     cone = Cone(
@@ -207,25 +171,11 @@ def spectrum_coarsening_fixture(corrupted: bool = False) -> ConeFixture:
     z0, z1 = np.kron(PAULI["Z"], np.eye(2)), np.kron(np.eye(2), PAULI["Z"])
     chars_fine, chars_coarse, res = _coarsening([z0, z1], [z0])
 
-    index = FinCategory(
-        objects=["fine", "coarse"],
-        homs={
-            ("fine", "fine"): ["id_fine"],
-            ("coarse", "coarse"): ["id_coarse"],
-            ("fine", "coarse"): ["res"],
-        },
-        compose={
-            ("id_fine", "id_fine"): "id_fine",
-            ("id_coarse", "id_coarse"): "id_coarse",
-            ("res", "id_fine"): "res",
-            ("id_coarse", "res"): "res",
-        },
-        identities={"fine": "id_fine", "coarse": "id_coarse"},
-    )
+    index = poset_category(["fine", "coarse"], lambda a, b: a == b or (a, b) == ("fine", "coarse"))
     diagram = Diagram(
         index,
         {"fine": list(range(len(chars_fine))), "coarse": list(range(len(chars_coarse)))},
-        {"res": res},
+        {"fine<=coarse": res},
     )
     section = {}
     for i in range(len(chars_coarse)):

@@ -17,7 +17,7 @@ from math import ceil, comb
 import numpy as np
 
 from .errors import CapExceeded, DomainError, InputError
-from .fincat import Cone, Diagram, FinCategory, check_cone
+from .fincat import Cone, Diagram, check_cone, poset_category
 from .linalg import GFT_CONTEXT_TOL, dagger, opnorm
 from .validation import ValidationReport
 
@@ -101,8 +101,6 @@ class TruncatedFock:
     modes: int
     n_max: int
     mode_weight: float = 1.0
-    occupations: list = field(init=False, repr=False)
-    index: dict = field(init=False, repr=False)
     lowerings: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -110,38 +108,33 @@ class TruncatedFock:
             raise InputError("need at least one mode")
         if self.n_max < 0:
             raise InputError("occupation cutoff must be nonnegative")
-        size = comb(self.modes + self.n_max, self.n_max)
-        if size > FOCK_CAP:
-            raise CapExceeded("Fock dimension", size, FOCK_CAP)
-        # a state is the sorted tuple of its particles' modes; reversed, each
-        # sector's combinations list its occupations in ascending order
+        if self.dim > FOCK_CAP:
+            raise CapExceeded("Fock dimension", self.dim, FOCK_CAP)
+        # a state is the sorted tuple of its particles' modes, listed by
+        # total count; reversed, each sector's combinations list its
+        # occupations in ascending order, so the vacuum is state 0
         states = [
             state
             for total in range(self.n_max + 1)
             for state in reversed(list(itertools.combinations_with_replacement(range(self.modes), total)))
         ]
         position = {state: i for i, state in enumerate(states)}
-        occupations = [[0] * self.modes for _ in states]
         entries = []
-        for col, (state, occ) in enumerate(zip(states, occupations)):
-            for k in state:
-                occ[k] += 1
+        for col, state in enumerate(states):
             # one lowering per occupied mode: drop the first copy of k
             for i, k in enumerate(state):
                 if i == 0 or state[i - 1] != k:
-                    entries.append((position[state[:i] + state[i + 1 :]], col, k, occ[k]))
-        self.occupations = [tuple(occ) for occ in occupations]
-        self.index = {occ: i for i, occ in enumerate(self.occupations)}
+                    entries.append((position[state[:i] + state[i + 1 :]], col, k, state.count(k)))
         rows, cols, modes, counts = np.array(entries, dtype=np.int64).reshape(-1, 4).T
         self.lowerings = (rows, cols, modes, np.sqrt(counts))
 
     @property
     def dim(self) -> int:
-        return len(self.occupations)
+        return self.sector_size(self.n_max)
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
-        v[self.index[(0,) * self.modes]] = 1.0
+        v[0] = 1.0
         return v
 
     def annihilator(self, mode: int):
@@ -152,8 +145,10 @@ class TruncatedFock:
         at = modes == mode
         return csr_array((amps[at].astype(complex), (rows[at], cols[at])), shape=(self.dim, self.dim))
 
-    def sector_mask(self, max_total: int) -> np.ndarray:
-        return np.array([sum(occ) <= max_total for occ in self.occupations])
+    def sector_size(self, max_total: int) -> int:
+        """Number of states with at most ``max_total`` particles: they are
+        the first ones, since states are listed by total count."""
+        return comb(self.modes + max_total, max_total)
 
 
 def fock_for(space: PolyhedronSpace, n_max: int, copies: int = 1) -> TruncatedFock:
@@ -193,24 +188,24 @@ def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
     """
     if fock.n_max == 0:
         raise DomainError("no sector below the cutoff to test")
-    keep = np.flatnonzero(fock.sector_mask(fock.n_max - guard))
+    if not 0 <= guard <= fock.n_max:
+        raise InputError(f"guard must be between 0 and the cutoff {fock.n_max}, got {guard}")
+    keep = fock.sector_size(fock.n_max - guard)
     a = field_operator(f, fock).matrix
     b = field_operator(fp, fock).matrix
     ip = weighted_inner(f, fp, fock.mode_weight)
-    block = (a @ dagger(b) - dagger(b) @ a)[keep][:, keep].toarray()
-    return opnorm(block - ip * np.eye(keep.size))
+    block = (a @ dagger(b) - dagger(b) @ a)[:keep, :keep].toarray()
+    return opnorm(block - ip * np.eye(keep))
 
 
 def _sector_columns(fock: TruncatedFock, sector_cap: int) -> tuple:
-    """Indices of the sector <= sector_cap and the identity's columns there."""
+    """Size of the sector <= sector_cap and the identity's columns there."""
     if sector_cap < 0:
         raise InputError(f"sector cap must be nonnegative, got {sector_cap}")
     if sector_cap >= fock.n_max:
         raise DomainError("sector cap must stay below the occupation cutoff")
-    keep = np.flatnonzero(fock.sector_mask(sector_cap))
-    cols = np.zeros((fock.dim, keep.size), dtype=complex)
-    cols[keep, np.arange(keep.size)] = 1.0
-    return keep, cols
+    keep = fock.sector_size(sector_cap)
+    return keep, np.eye(fock.dim, keep, dtype=complex)
 
 
 # Al-Mohy and Higham (2011): s steps of Taylor degree m reach double precision while ||G||_1 / s <= theta_m
@@ -265,7 +260,7 @@ def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
     phase = np.exp(-0.5j * weighted_inner(fv, gv, fock.mode_weight).imag)
     lhs = _weyl_apply(fv, fock, _weyl_apply(gv, fock, cols))
     rhs = _weyl_apply(fv + gv, fock, cols)
-    return opnorm((lhs - phase * rhs)[keep])
+    return opnorm((lhs - phase * rhs)[:keep])
 
 
 def weyl_commutator_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
@@ -275,7 +270,7 @@ def weyl_commutator_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float
     gv = _coerce_fn(fp, fock.modes)
     lhs = _weyl_apply(fv, fock, _weyl_apply(gv, fock, cols))
     rhs = _weyl_apply(gv, fock, _weyl_apply(fv, fock, cols))
-    return opnorm((lhs - rhs)[keep])
+    return opnorm((lhs - rhs)[:keep])
 
 
 def is_gft_context(fs: list, space: PolyhedronSpace, tol: float = GFT_CONTEXT_TOL) -> bool:
@@ -317,14 +312,6 @@ def _fn_key(vec: np.ndarray) -> tuple:
     return tuple((float(x.real), float(x.imag)) for x in r)
 
 
-def copy_embedding(f, copies: int, space: PolyhedronSpace) -> np.ndarray:
-    """Place a base test function on copy 0 of the direct sum, zero elsewhere."""
-    fv = _coerce_fn(f, space.size)
-    out = np.zeros(copies * space.size, dtype=complex)
-    out[: space.size] = fv
-    return out
-
-
 def copy_padding(fv: np.ndarray, k: int, l: int, space: PolyhedronSpace, sign: float = 1.0) -> np.ndarray:
     """Zero-pad a k-copy function onto l copies (the inclusion morphism)."""
     arr = _coerce_fn(fv, k * space.size)
@@ -357,8 +344,8 @@ def second_quantization_cone(
     sign = -1.0 if corrupt else 1.0
 
     base = [_coerce_fn(f, space.size) for f in context_fns]
-    gens_k = [copy_embedding(f, k, space) for f in base]
-    gens_l_direct = [copy_embedding(f, l, space) for f in base]
+    gens_k = [copy_padding(f, 1, k, space) for f in base]
+    gens_l_direct = [copy_padding(f, 1, l, space) for f in base]
     gens_l = list(gens_l_direct)
     if l > k:
         gens_l.append(_coerce_fn(np.eye(l * space.size)[k * space.size], l * space.size))
@@ -367,22 +354,12 @@ def second_quantization_cone(
     padded = {_fn_key(g): _fn_key(copy_padding(g, k, l, space, sign)) for g in gens_k}
     carrier_l = sorted(set(_fn_key(g) for g in gens_l) | set(padded.values()))
 
-    index = FinCategory(
-        objects=["Sk", "Sl"],
-        homs={("Sk", "Sk"): ["id_Sk"], ("Sl", "Sl"): ["id_Sl"], ("Sk", "Sl"): ["pad"]},
-        compose={
-            ("id_Sk", "id_Sk"): "id_Sk",
-            ("id_Sl", "id_Sl"): "id_Sl",
-            ("pad", "id_Sk"): "pad",
-            ("id_Sl", "pad"): "pad",
-        },
-        identities={"Sk": "id_Sk", "Sl": "id_Sl"},
-    )
-    diagram = Diagram(index, {"Sk": carrier_k, "Sl": carrier_l}, {"pad": padded})
+    index = poset_category(["Sk", "Sl"], lambda a, b: a == b or (a, b) == ("Sk", "Sl"))
+    diagram = Diagram(index, {"Sk": carrier_k, "Sl": carrier_l}, {"Sk<=Sl": padded})
     apex = [_fn_key(f) for f in base]
     legs = {
-        "Sk": {_fn_key(f): _fn_key(copy_embedding(f, k, space)) for f in base},
-        "Sl": {_fn_key(f): _fn_key(copy_embedding(f, l, space)) for f in base},
+        "Sk": {x: _fn_key(g) for x, g in zip(apex, gens_k)},
+        "Sl": {x: _fn_key(g) for x, g in zip(apex, gens_l_direct)},
     }
     cone = Cone(apex=apex, legs=legs)
     report = check_cone(cone, diagram)

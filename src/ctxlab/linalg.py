@@ -113,19 +113,10 @@ def orthonormalize_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     rows).  Rank is revealed by SVD on the stacked vectorizations; singular
     values below ``tol`` relative to the largest are treated as numerical
     zero.  The result has shape ``(rank, d*d)``.
-
-    A stack of at least twice as many rows as columns is first reduced to
-    the R factor of its QR decomposition, which has the same singular
-    values and right singular vectors.  LAPACK's SVD (``gesdd``) takes the
-    same QR step itself for rows >= 17/9 columns and computes V from R, so
-    ``s`` and ``vh`` come out bitwise the same; only the unused tall ``u``
-    is not formed.
     """
     if len(mats) == 0:
         return np.zeros((0, 0), dtype=complex)
     stack = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
-    if stack.shape[0] >= 2 * stack.shape[1]:
-        stack = np.linalg.qr(stack, mode="r")
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s[0] == 0.0:
         return vh[:0]

@@ -211,6 +211,12 @@ class TestDeterminismAndErrors:
                                  "--seeds", "z,x", "--state", specs["state"]])
         assert first == second
 
+    def test_text_output_is_not_an_option(self, capsys, specs):
+        with pytest.raises(SystemExit) as exited:
+            main(["--output", "text", "cat-check", "--category", specs["category"]])
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exits_two(self, capsys):
         code, _ = run(capsys, ["limit", "--algebra", "no-such-file.json"])
         assert code == 2

@@ -56,7 +56,7 @@ def test_corrupted_square_diagram_is_still_a_functor():
 
 def test_coarsening_leg_is_a_section():
     fixture = spectrum_coarsening_fixture()
-    res = fixture.diagram.maps["res"]
+    res = fixture.diagram.maps["fine<=coarse"]
     fine_leg = fixture.cone.legs["fine"]
     for i in fixture.cone.apex:
         assert res[fine_leg[i]] == i

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import reference_index
 from ctxlab.errors import CapExceeded, DomainError, InputError
 from ctxlab.fincat import check_cone, check_diagram
 from ctxlab.gft import (
@@ -13,7 +14,7 @@ from ctxlab.gft import (
     TruncatedFock,
     _weyl_apply,
     ccr_defect,
-    copy_embedding,
+    copy_padding,
     face_coarse_grain,
     field_operator,
     fock_for,
@@ -40,11 +41,12 @@ def dense_field(f, fock):
     """Dense smeared annihilator from the sqrt-occupation rule."""
     out = np.zeros((fock.dim, fock.dim), dtype=complex)
     w = np.sqrt(fock.mode_weight)
-    for occ, col in fock.index.items():
+    index = reference_index(fock)
+    for occ, col in index.items():
         for mode, n in enumerate(occ):
             if n:
                 lowered = occ[:mode] + (n - 1,) + occ[mode + 1 :]
-                out[fock.index[lowered], col] += w * f[mode] * np.sqrt(n)
+                out[index[lowered], col] += w * f[mode] * np.sqrt(n)
     return out
 
 
@@ -53,8 +55,12 @@ def dense_weyl(f, fock):
     return expm(1j / np.sqrt(2.0) * (psi + psi.conj().T))
 
 
+def sector_mask(fock, max_total):
+    return np.array([sum(occ) <= max_total for occ in reference_index(fock)])
+
+
 def sector_norm(matrix, fock, max_total):
-    mask = fock.sector_mask(max_total)
+    mask = sector_mask(fock, max_total)
     return np.linalg.norm(matrix[np.ix_(mask, mask)], 2)
 
 
@@ -95,7 +101,7 @@ class TestFockSpace:
         psi = field_operator(SPACE.delta(g), fock)
         created = dagger(psi.matrix) @ fock.vacuum()
         occ = tuple(1 if m == SPACE.index(g) else 0 for m in range(SPACE.size))
-        expected_pos = fock.index[occ]
+        expected_pos = reference_index(fock)[occ]
         assert abs(np.linalg.norm(created) ** 2 - SPACE.haar) < 1e-12
         nonzero = np.nonzero(np.abs(created) > 1e-12)[0]
         assert list(nonzero) == [expected_pos]
@@ -105,12 +111,13 @@ class TestFockSpace:
         f = random_fn(rng)
         psi = field_operator(f, fock).matrix
         w = np.sqrt(SPACE.haar)
-        for occ, col in fock.index.items():
+        index = reference_index(fock)
+        for occ, col in index.items():
             for mode in range(SPACE.size):
                 if occ[mode] == 0:
                     continue
                 lowered = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1 :]
-                row = fock.index[lowered]
+                row = index[lowered]
                 # sqrt-occupation rule, weighted by the measure and the smearing
                 assert abs(psi[row, col] - w * f[mode] * np.sqrt(occ[mode])) < 1e-12
 
@@ -139,6 +146,26 @@ class TestFockSpace:
         assert TruncatedFock(modes=16, n_max=4).dim == comb(20, 4) <= FOCK_CAP < comb(21, 5)
         with pytest.raises(CapExceeded):
             TruncatedFock(modes=16, n_max=5)
+
+    @pytest.mark.parametrize("m, n, n_max", [(2, 2, 3), (3, 2, 2), (2, 3, 1)])
+    def test_sectors_are_prefixes_of_the_states(self, m, n, n_max):
+        fock = fock_for(PolyhedronSpace(m, n), n_max)
+        for total in range(n_max + 1):
+            assert np.array_equal(sector_mask(fock, total), np.arange(fock.dim) < fock.sector_size(total))
+
+    def test_many_modes_build_in_small_memory(self):
+        """3,136 modes at cutoff 1: one occupation tuple per state would
+        hold 3,137 x 3,136 counts, so the table must keep none."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fock = fock_for(PolyhedronSpace(56, 2), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fock.dim == 3137
+        assert peak < 20 * 10**6
 
     def test_vacuum_is_the_whole_annihilator_kernel(self):
         fock = fock_for(SPACE, 2)
@@ -180,6 +207,11 @@ class TestCCR:
             dense = sector_norm(comm, fock, n_max - guard)
             assert abs(ccr_defect(f, g, fock, guard=guard) - dense) < 1e-13
         assert ccr_defect(f, g, fock, guard=0) > 1e-3
+
+    @pytest.mark.parametrize("guard", [-1, 3])
+    def test_guard_outside_the_cutoff_is_refused(self, guard):
+        with pytest.raises(InputError, match="guard"):
+            ccr_defect(np.ones(4), np.ones(4), fock_for(SPACE, 2), guard=guard)
 
     def test_no_guarded_sector_rejected(self):
         fock = fock_for(SPACE, 0)
@@ -226,7 +258,7 @@ class TestWeyl:
         f = np.abs(random_fn(rng)).astype(complex)
         g = np.abs(random_fn(rng)).astype(complex)
         wf, wg, wsum = dense_weyl(f, fock), dense_weyl(g, fock), dense_weyl(f + g, fock)
-        mask = fock.sector_mask(1)
+        mask = sector_mask(fock, 1)
         bare = opnorm((wf @ wg - wsum)[np.ix_(mask, mask)])
         assert abs(weyl_relation_defect(f, g, fock, 1) - bare) < 1e-12
 
@@ -312,8 +344,8 @@ class TestSecondQuantizationCone:
 
     def test_padding_preserves_weighted_inner_product(self, rng):
         f, g = random_fn(rng), random_fn(rng)
-        fk = copy_embedding(f, 2, SPACE)
-        gk = copy_embedding(g, 2, SPACE)
+        fk = copy_padding(f, 1, 2, SPACE)
+        gk = copy_padding(g, 1, 2, SPACE)
         assert (
             abs(
                 weighted_inner(fk, gk, SPACE.haar)

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, SX, SY, SZ, kron, random_density, random_unitary
+from conftest import I2, SX, SY, SZ, kron, perfbench_module, random_density, random_unitary, reference_index
 from ctxlab import fincat, gft, realism, staralg
 from ctxlab.cli import main
 from ctxlab.ctxext import (
@@ -1169,14 +1169,9 @@ def pauli_generator_sets(draw):
 
 
 class TestRFactorSpanOracle:
-    """``orthonormalize_span`` reduces a stack with rows >= 2 cols to its R
-    factor before the SVD.  Its rows must equal, bitwise, those of the plain
-    SVD of the frozen list-based function.  The equality is not a property
-    of exact arithmetic but of LAPACK: for rows >= 17/9 cols, ``gesdd``
-    itself factors the stack as QR and computes the singular values and V
-    from R, with the same ``geqrf``.  A LAPACK build that takes another
-    path fails here; the CI log prints the numpy and scipy build
-    configuration for that case."""
+    """``orthonormalize_span`` on a stacked array, tall or not, against the
+    frozen list-based function.  Both sides take one plain SVD of the same
+    rows, so their rows agree bitwise, tall stacks included."""
 
     @settings(max_examples=80, deadline=None)
     @given(stack=tall_stacks())
@@ -2321,31 +2316,15 @@ class TestContextAlgebraOracle:
 # Taylor Weyl action against ``expm_multiply``
 
 
-def reference_occupations(modes, n_max) -> list:
-    occs: list = []
-
-    def fill(prefix, remaining, budget):
-        if remaining == 0:
-            occs.append(tuple(prefix))
-            return
-        for k in range(budget + 1):
-            fill(prefix + [k], remaining - 1, budget - k)
-
-    for total in range(n_max + 1):
-        start = len(occs)
-        fill([], modes, total)
-        occs[start:] = [o for o in occs[start:] if sum(o) == total]
-    return occs
-
-
 def reference_annihilator(fock, mode):
     from scipy.sparse import csr_array
 
+    index = reference_index(fock)
     rows, cols, vals = [], [], []
-    for occ, col in fock.index.items():
+    for occ, col in index.items():
         if occ[mode] == 0:
             continue
-        rows.append(fock.index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1 :]])
+        rows.append(index[occ[:mode] + (occ[mode] - 1,) + occ[mode + 1 :]])
         cols.append(col)
         vals.append(np.sqrt(occ[mode]))
     return csr_array((np.array(vals, dtype=complex), (rows, cols)), shape=(fock.dim, fock.dim))
@@ -2406,25 +2385,13 @@ def fock_cases(draw):
     return space, n_max, f
 
 
-def benchmark_workloads():
-    """The benchmark's seeded input generator, loaded from its file."""
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 class TestFockLadderOracle:
     @settings(max_examples=80, deadline=None)
     @given(case=fock_cases())
     def test_ladders_and_fields_are_the_per_mode_loops_bit_for_bit(self, case):
         space, n_max, f = case
         fock = gft.fock_for(space, n_max)
-        assert fock.occupations == reference_occupations(space.size, n_max)
+        assert fock.dim == len(reference_index(fock))
         for mode in range(fock.modes):
             assert same_csr(fock.annihilator(mode), reference_annihilator(fock, mode))
         assert same_csr(gft.field_operator(f, fock).matrix, reference_field_operator(f, fock))
@@ -2444,7 +2411,7 @@ class TestWeylActionOracle:
         assert np.abs(found - reference_weyl_apply(f, fock, cols)).max() <= 1e-14
 
     def test_benchmark_reports_are_byte_equal(self, capsys, monkeypatch):
-        workloads = benchmark_workloads()
+        workloads = perfbench_module("workloads")
         batches = [workloads.fock_sector(seed, "full", "") for seed in range(100, 160)]
         argvs = [check["argv"] for batch in batches for check in batch if check["kind"] == "gft-weyl"]
         assert len(argvs) == 120
