@@ -2,11 +2,11 @@
 
 Subpackages group by subject: ``fincat`` (finite categories, cones,
 limits), ``staralg`` (matrix *-algebras, character spaces, context
-families, Boolean blocks), ``ctxext`` (the product-carrier extension and
-its states), ``presheaf`` (spectral presheaves, valuation search,
-daseinisation, frames), ``locnet`` (a toy chain net), ``gft`` (truncated
-Fock/Weyl sector), ``realism`` (correlation bounds), ``fixtures``
-(canonical cone instances), and ``cli``.
+families), ``ctxext`` (the product-carrier extension and its states),
+``presheaf`` (spectral presheaves, valuation search, daseinisation),
+``locnet`` (a toy chain net), ``gft`` (truncated Fock/Weyl sector),
+``realism`` (correlation bounds), ``fixtures`` (canonical cone
+instances), and ``cli``.
 """
 
 from . import ctxext, fincat, fixtures, gft, locnet, presheaf, realism, staralg

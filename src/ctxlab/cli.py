@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fincat, gft, locnet, presheaf, realism
 from .ctxext import (
+    CARRIER_CAP,
     build_limit_extension,
     carrier_to_json,
     embed,
@@ -298,6 +299,8 @@ def cmd_gft_ccr(args: argparse.Namespace) -> int:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     space = gft.PolyhedronSpace(args.m, args.n)
     fock = gft.fock_for(space, args.nmax)
+    # refused before the draws, which take space.size values per function
+    gft.ccr_sector_size(fock)
     rng = np.random.default_rng(args.seed)
     pairs = [(_random_function(rng, space), _random_function(rng, space)) for _ in range(args.trials)]
     defects = [gft.ccr_defect(f, g, fock) for f, g in pairs]
@@ -318,17 +321,21 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
     if not (np.isfinite(args.norm) and args.norm > 0):
         raise InputError(f"--norm must be positive and finite, got {args.norm!r}")
     space = gft.PolyhedronSpace(args.m, args.n)
-    rng = np.random.default_rng(args.seed)
-    f, g = _random_function(rng, space), _random_function(rng, space)
-    f *= args.norm / np.sqrt(abs(gft.inner_product(f, f, space)))
-    g *= args.norm / np.sqrt(abs(gft.inner_product(g, g, space)))
     try:
         cutoffs = [int(x) for x in args.sweep.split(",")] if args.sweep else [args.nmax]
     except ValueError as exc:
         raise InputError(f"malformed sweep {args.sweep!r}: {exc}") from exc
-    table = {}
+    # every Fock space is built and its sector checked before the draws
+    focks = []
     for nmax in cutoffs:
-        fock = gft.fock_for(space, nmax)
+        focks.append(gft.fock_for(space, nmax))
+        gft.weyl_sector_size(focks[-1], args.sector_cap)
+    rng = np.random.default_rng(args.seed)
+    f, g = _random_function(rng, space), _random_function(rng, space)
+    f *= args.norm / np.sqrt(abs(gft.inner_product(f, f, space)))
+    g *= args.norm / np.sqrt(abs(gft.inner_product(g, g, space)))
+    table = {}
+    for nmax, fock in zip(cutoffs, focks):
         table[str(nmax)] = float(np.round(gft.weyl_relation_defect(f, g, fock, args.sector_cap), 14))
     report = {
         "m": args.m,
@@ -407,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctxlab", description=__doc__)
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--carrier-cap", type=int, default=10**6)
-    parser.add_argument("--sign-cap", type=int, default=16)
+    parser.add_argument("--carrier-cap", type=int, default=CARRIER_CAP)
+    parser.add_argument("--sign-cap", type=int, default=realism.SIGN_SEARCH_CAP)
     parser.add_argument("--apex-bound", type=int, default=4)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, InputError
+from .errors import CapExceeded, DomainError
 from .fincat import Diagram, discrete_category, poset_category
 from .linalg import as_matrix, require_state, span_leq, spectral_tol
 from .presheaf import build_spectral_presheaf
@@ -87,16 +87,6 @@ class ExtendedAlgebra:
     def unit(self) -> Element:
         return Element(self.carrier, np.ones(self.carrier.size, dtype=complex))
 
-    def restricted(self, sub_ids: list) -> "ExtendedAlgebra":
-        """Extension over a sub-family of contexts, reusing computed spectra."""
-        missing = [c for c in sub_ids if c not in self.carrier.context_ids]
-        if missing:
-            raise InputError(f"unknown contexts {missing}")
-        if len(set(sub_ids)) != len(sub_ids):
-            raise InputError(f"contexts listed twice in {list(sub_ids)}")
-        carrier = ProductSpectrum(list(sub_ids), [len(self.spectra[c]) for c in sub_ids])
-        return ExtendedAlgebra(self.cc, carrier, {c: self.spectra[c] for c in sub_ids})
-
 
 @dataclass
 class ExtendedState:
@@ -104,7 +94,6 @@ class ExtendedState:
 
     carrier: ProductSpectrum
     weights: np.ndarray
-    source: np.ndarray
     marginals: dict
 
 
@@ -145,7 +134,7 @@ def extend_state(rho, ext: ExtendedAlgebra) -> ExtendedState:
     total = np.ones(())
     for cid in ext.carrier.context_ids:
         total = np.multiply.outer(total, marginals[cid])
-    return ExtendedState(ext.carrier, total.ravel(), r, marginals)
+    return ExtendedState(ext.carrier, total.ravel(), marginals)
 
 
 def evaluate_state(mu: ExtendedState, e: Element) -> complex:
@@ -153,37 +142,6 @@ def evaluate_state(mu: ExtendedState, e: Element) -> complex:
     if e.carrier is not mu.carrier and e.carrier.sizes != mu.carrier.sizes:
         raise DomainError("element and state live on different carriers")
     return complex(np.dot(e.values, mu.weights))
-
-
-def point_valuation(a, v1: str, v2: str, x, ext: ExtendedAlgebra) -> tuple:
-    """Values of ``a`` at point ``x`` read through two different contexts.
-
-    ``x`` is a carrier point (tuple of character indices) or its position.
-    The pair may differ: the extension separates (A, V1) from (A, V2).
-    """
-    e1 = embed(a, v1, ext)
-    e2 = embed(a, v2, ext)
-    if isinstance(x, (int, np.integer)):
-        if not 0 <= x < ext.carrier.size:
-            raise DomainError(f"position {x} is not in the carrier of {ext.carrier.size} points")
-        idx = x
-    else:
-        try:
-            idx = np.ravel_multi_index(tuple(x), ext.carrier.sizes)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"point {x!r} is not in the carrier") from exc
-    return complex(e1.values[idx]), complex(e2.values[idx])
-
-
-def marginalize_state(mu: ExtendedState, ext: ExtendedAlgebra, sub_ext: ExtendedAlgebra) -> ExtendedState:
-    """Push a state forward onto the extension of a sub-family of contexts."""
-    positions = [ext.carrier.position(c) for c in sub_ext.carrier.context_ids]
-    dropped = tuple(p for p in range(len(ext.carrier.sizes)) if p not in positions)
-    kept = sorted(positions)
-    summed = mu.weights.reshape(ext.carrier.sizes).sum(axis=dropped)
-    weights = summed.transpose([kept.index(p) for p in positions]).ravel()
-    marginals = {c: mu.marginals[c] for c in sub_ext.carrier.context_ids}
-    return ExtendedState(sub_ext.carrier, weights, mu.source, marginals)
 
 
 # ---------------------------------------------------------------------------

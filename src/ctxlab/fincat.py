@@ -193,17 +193,6 @@ def check_functor(f: Functor) -> ValidationReport:
     return report
 
 
-def compose_functors(g: Functor, f: Functor) -> Functor:
-    if g.source is not f.target and g.source != f.target:
-        raise InputError("functors not composable: middle categories differ")
-    return Functor(
-        source=f.source,
-        target=g.target,
-        object_map={o: g.object_map[v] for o, v in f.object_map.items()},
-        morphism_map={m: g.morphism_map[v] for m, v in f.morphism_map.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # concrete diagrams and cones
 
@@ -271,20 +260,15 @@ def check_diagram(d: Diagram) -> ValidationReport:
 
 @dataclass
 class Cone:
-    """A cone on a concrete diagram.
-
-    With ``to_apex=False`` legs are total maps from the apex carrier to each
-    object carrier; with ``to_apex=True`` they run the other way (used for
-    the dualized fixtures where the apex receives the diagram).
-    """
+    """A cone on a concrete diagram: legs are total maps from the apex
+    carrier to each object carrier."""
 
     apex: list
     legs: dict
-    to_apex: bool = False
 
 
 def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
-    """Verify every triangle over a diagram arrow commutes, variance-adjusted."""
+    """Verify every triangle over a diagram arrow commutes."""
     report = ValidationReport()
     morphs = d.index.morphisms()
     for o in d.index.objects:
@@ -295,9 +279,8 @@ def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
 
     for o in d.index.objects:
         leg = cone.legs[o]
-        dom = d.carriers[o] if cone.to_apex else cone.apex
-        cod = set(cone.apex) if cone.to_apex else set(d.carriers[o])
-        for x in dom:
+        cod = set(d.carriers[o])
+        for x in cone.apex:
             if x not in leg:
                 report.add("cone.structure", f"leg at {o!r} undefined on {x!r}")
             elif leg[x] not in cod:
@@ -310,24 +293,14 @@ def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
         if m in idents:
             continue
         table = d.map_of(m)
-        if cone.to_apex:
-            for x in d.carriers[src]:
-                if x not in table or table[x] not in cone.legs[dst]:
-                    report.add("cone.triangle", f"D({m!r}) undefined at {x!r}, or its image has no leg")
-                elif cone.legs[src][x] != cone.legs[dst][table[x]]:
-                    report.add(
-                        "cone.triangle",
-                        f"leg({src!r}) != leg({dst!r}) o D({m!r}) at {x!r}",
-                    )
-        else:
-            for a in cone.apex:
-                if cone.legs[src][a] not in table:
-                    report.add("cone.triangle", f"D({m!r}) undefined on leg({src!r}) at apex element {a!r}")
-                elif cone.legs[dst][a] != table[cone.legs[src][a]]:
-                    report.add(
-                        "cone.triangle",
-                        f"leg({dst!r}) != D({m!r}) o leg({src!r}) at apex element {a!r}",
-                    )
+        for a in cone.apex:
+            if cone.legs[src][a] not in table:
+                report.add("cone.triangle", f"D({m!r}) undefined on leg({src!r}) at apex element {a!r}")
+            elif cone.legs[dst][a] != table[cone.legs[src][a]]:
+                report.add(
+                    "cone.triangle",
+                    f"leg({dst!r}) != D({m!r}) o leg({src!r}) at apex element {a!r}",
+                )
     return report
 
 
@@ -497,8 +470,6 @@ def check_universal_property(
     cone apex elements; the search stops at the second mediating map.
     Refuses (CapExceeded) when a single search would exceed ``search_cap``.
     """
-    if candidate.to_apex or any(c.to_apex for c in cones):
-        raise InputError("universal property is checked for apex-out cones only")
     objects = list(d.index.objects)
     for cone in cones:
         space = len(candidate.apex) ** len(cone.apex) if cone.apex else 1
@@ -524,18 +495,6 @@ def check_universal_property(
 # serialization
 
 
-def category_to_json(c: FinCategory) -> dict:
-    return {
-        "objects": list(c.objects),
-        "homs": [
-            {"src": src, "dst": dst, "morphisms": list(labels)}
-            for (src, dst), labels in c.homs.items()
-        ],
-        "identities": dict(c.identities),
-        "compose": [[g, f, gf] for (g, f), gf in c.compose.items()],
-    }
-
-
 def category_from_json(data: dict) -> FinCategory:
     try:
         objects = list(data["objects"])
@@ -545,15 +504,6 @@ def category_from_json(data: dict) -> FinCategory:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed category JSON: {exc}") from exc
     return FinCategory(objects, homs, compose, identities)
-
-
-def functor_to_json(f: Functor) -> dict:
-    return {
-        "source": category_to_json(f.source),
-        "target": category_to_json(f.target),
-        "object_map": dict(f.object_map),
-        "morphism_map": dict(f.morphism_map),
-    }
 
 
 def functor_from_json(data: dict) -> Functor:
@@ -566,14 +516,6 @@ def functor_from_json(data: dict) -> Functor:
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed functor JSON: {exc}") from exc
-
-
-def diagram_to_json(d: Diagram) -> dict:
-    return {
-        "index": category_to_json(d.index),
-        "carriers": {str(o): [str(x) for x in xs] for o, xs in d.carriers.items()},
-        "maps": {str(m): {str(k): str(v) for k, v in t.items()} for m, t in d.maps.items()},
-    }
 
 
 def diagram_from_json(data: dict) -> Diagram:
@@ -592,23 +534,6 @@ def category_to_dot(c: FinCategory, name: str = "category") -> str:
     for o in c.objects:
         lines.append(f"  {json.dumps(str(o))};")
     for m, src, dst in c.arrows():
-        lines.append(f"  {json.dumps(str(src))} -> {json.dumps(str(dst))} [label={json.dumps(str(m))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def cone_to_dot(cone: Cone, d: Diagram, name: str = "cone") -> str:
-    """DOT digraph of a cone: apex node, dashed legs, solid diagram arrows."""
-    lines = [f"digraph {json.dumps(name)} {{"]
-    lines.append('  "apex" [shape=box];')
-    for o in d.index.objects:
-        lines.append(f"  {json.dumps(str(o))} [label={json.dumps(f'{o} ({len(d.carriers[o])})')}];")
-    for o in d.index.objects:
-        if cone.to_apex:
-            lines.append(f"  {json.dumps(str(o))} -> \"apex\" [style=dashed];")
-        else:
-            lines.append(f"  \"apex\" -> {json.dumps(str(o))} [style=dashed];")
-    for m, src, dst in d.index.arrows():
         lines.append(f"  {json.dumps(str(src))} -> {json.dumps(str(dst))} [label={json.dumps(str(m))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ face of a polyhedron; the Haar integral is the uniform average.  Smeared
 field operators act on an occupation-cutoff Fock space, where the
 canonical commutation relations hold exactly below the cutoff and the
 exponentiated (Weyl) relation converges as the cutoff grows.  Copy-count
-and face-count inclusions give the coarse-graining morphisms.
+inclusions give the coarse-graining morphisms.
 """
 
 from __future__ import annotations
@@ -44,21 +44,6 @@ class PolyhedronSpace:
     def haar(self) -> float:
         """Weight of one group tuple under the uniform (Haar) measure."""
         return float(self.m) ** (-self.n)
-
-    def tuples(self) -> list:
-        return list(itertools.product(range(self.m), repeat=self.n))
-
-    def index(self, g: tuple) -> int:
-        idx = 0
-        for gi in g:
-            idx = idx * self.m + gi
-        return idx
-
-    def delta(self, g: tuple) -> np.ndarray:
-        """Indicator test function of a single group tuple."""
-        f = np.zeros(self.size, dtype=complex)
-        f[self.index(tuple(g))] = 1.0
-        return f
 
 
 def _coerce_fn(f, dim: int) -> np.ndarray:
@@ -132,19 +117,6 @@ class TruncatedFock:
     def dim(self) -> int:
         return self.sector_size(self.n_max)
 
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    def annihilator(self, mode: int):
-        """Standard ladder matrix, sparse CSR: a |..n..> = sqrt(n) |..n-1..>."""
-        from scipy.sparse import csr_array
-
-        rows, cols, modes, amps = self.lowerings
-        at = modes == mode
-        return csr_array((amps[at].astype(complex), (rows[at], cols[at])), shape=(self.dim, self.dim))
-
     def sector_size(self, max_total: int) -> int:
         """Number of states with at most ``max_total`` particles: they are
         the first ones, since states are listed by total count."""
@@ -155,15 +127,9 @@ def fock_for(space: PolyhedronSpace, n_max: int, copies: int = 1) -> TruncatedFo
     return TruncatedFock(modes=copies * space.size, n_max=n_max, mode_weight=space.haar)
 
 
-@dataclass
-class FieldOperator:
-    matrix: object  # scipy.sparse CSR array
-    test_function: np.ndarray
-    fock: TruncatedFock
-
-
-def field_operator(f, fock: TruncatedFock) -> FieldOperator:
-    """Smeared annihilation operator: measure-weighted sum of mode lowerings.
+def field_operator(f, fock: TruncatedFock):
+    """Smeared annihilation operator, a scipy.sparse CSR array: the
+    measure-weighted sum of the mode lowerings.
 
     The mode operators are delta-normalized against the measure, so the
     commutator with a conjugate field gives the weighted inner product on
@@ -177,7 +143,18 @@ def field_operator(f, fock: TruncatedFock) -> FieldOperator:
     # theirs, weighted; a mode with f = 0 adds none
     at = fv[modes] != 0
     vals = amps[at] * (np.sqrt(fock.mode_weight) * fv)[modes[at]]
-    return FieldOperator(csr_array((vals, (rows[at], cols[at])), shape=(fock.dim, fock.dim)), fv, fock)
+    return csr_array((vals, (rows[at], cols[at])), shape=(fock.dim, fock.dim))
+
+
+def ccr_sector_size(fock: TruncatedFock, guard: int = 1) -> int:
+    """Number of states in the sectors <= n_max - guard, which ``ccr_defect``
+    tests; refuses a cutoff of 0, which leaves no sector below it, and a
+    guard outside [0, n_max]."""
+    if fock.n_max == 0:
+        raise DomainError("no sector below the cutoff to test")
+    if not 0 <= guard <= fock.n_max:
+        raise InputError(f"guard must be between 0 and the cutoff {fock.n_max}, got {guard}")
+    return fock.sector_size(fock.n_max - guard)
 
 
 def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
@@ -186,25 +163,27 @@ def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
     Zero (to rounding) with the default guard; the top sector feels the
     cutoff, so guard=0 reports the truncation artifact instead.
     """
-    if fock.n_max == 0:
-        raise DomainError("no sector below the cutoff to test")
-    if not 0 <= guard <= fock.n_max:
-        raise InputError(f"guard must be between 0 and the cutoff {fock.n_max}, got {guard}")
-    keep = fock.sector_size(fock.n_max - guard)
-    a = field_operator(f, fock).matrix
-    b = field_operator(fp, fock).matrix
+    keep = ccr_sector_size(fock, guard)
+    a = field_operator(f, fock)
+    b = field_operator(fp, fock)
     ip = weighted_inner(f, fp, fock.mode_weight)
     block = (a @ dagger(b) - dagger(b) @ a)[:keep, :keep].toarray()
     return opnorm(block - ip * np.eye(keep))
 
 
-def _sector_columns(fock: TruncatedFock, sector_cap: int) -> tuple:
-    """Size of the sector <= sector_cap and the identity's columns there."""
+def weyl_sector_size(fock: TruncatedFock, sector_cap: int) -> int:
+    """Number of states in the sector <= sector_cap, which the Weyl defects
+    test; refuses a negative cap and one at or above the cutoff."""
     if sector_cap < 0:
         raise InputError(f"sector cap must be nonnegative, got {sector_cap}")
     if sector_cap >= fock.n_max:
         raise DomainError("sector cap must stay below the occupation cutoff")
-    keep = fock.sector_size(sector_cap)
+    return fock.sector_size(sector_cap)
+
+
+def _sector_columns(fock: TruncatedFock, sector_cap: int) -> tuple:
+    """Size of the sector <= sector_cap and the identity's columns there."""
+    keep = weyl_sector_size(fock, sector_cap)
     return keep, np.eye(fock.dim, keep, dtype=complex)
 
 
@@ -226,7 +205,7 @@ def _weyl_apply(fv: np.ndarray, fock: TruncatedFock, cols: np.ndarray) -> np.nda
     of the partial sum: algorithm 3.2 of Al-Mohy and Higham, as scipy runs
     it, but on the exact 1-norm at every norm, so it draws no random numbers.
     """
-    psi = field_operator(fv, fock).matrix
+    psi = field_operator(fv, fock)
     g = 1j / np.sqrt(2.0) * (psi + dagger(psi))
     norm = abs(g).sum(axis=0).max()
     if norm == 0:
@@ -290,20 +269,9 @@ def is_gft_context(fs: list, space: PolyhedronSpace, tol: float = GFT_CONTEXT_TO
 
 
 @dataclass
-class WeylPresentation:
-    """Generator presentation of the Weyl sector over ``copies`` copies."""
-
-    space: PolyhedronSpace
-    copies: int
-    generators: list
-
-
-@dataclass
 class InclusionCone:
     diagram: Diagram
     cone: Cone
-    source: WeylPresentation
-    target: WeylPresentation
     report: ValidationReport
 
 
@@ -348,7 +316,9 @@ def second_quantization_cone(
     gens_l_direct = [copy_padding(f, 1, l, space) for f in base]
     gens_l = list(gens_l_direct)
     if l > k:
-        gens_l.append(_coerce_fn(np.eye(l * space.size)[k * space.size], l * space.size))
+        unit = np.zeros(l * space.size, dtype=complex)
+        unit[k * space.size] = 1.0
+        gens_l.append(unit)
 
     carrier_k = [_fn_key(g) for g in gens_k]
     padded = {_fn_key(g): _fn_key(copy_padding(g, k, l, space, sign)) for g in gens_k}
@@ -363,43 +333,5 @@ def second_quantization_cone(
     }
     cone = Cone(apex=apex, legs=legs)
     report = check_cone(cone, diagram)
-    return InclusionCone(
-        diagram=diagram,
-        cone=cone,
-        source=WeylPresentation(space, k, gens_k),
-        target=WeylPresentation(space, l, gens_l),
-        report=report,
-    )
+    return InclusionCone(diagram=diagram, cone=cone, report=report)
 
-
-# ---------------------------------------------------------------------------
-# face-count coarse graining
-
-
-@dataclass
-class FaceCoarseGrain:
-    """Isometry from k-face to l-face mode space by identity-padding tuples."""
-
-    m: int
-    source_faces: int
-    target_faces: int
-    matrix: np.ndarray
-    scale: float
-
-
-def face_coarse_grain(k: int, l: int, m: int, face_cap: int = 10) -> FaceCoarseGrain:
-    """Extend k-face group tuples by the identity element up to l faces.
-
-    The induced map on test functions scales inner products by m**(k - l);
-    composing k -> l -> p equals the direct k -> p map.
-    """
-    if k > l:
-        raise InputError(f"face counts out of order: {k} > {l}")
-    if l > face_cap:
-        raise InputError(f"face count {l} exceeds cap {face_cap}")
-    src = PolyhedronSpace(m, k)
-    dst = PolyhedronSpace(m, l)
-    t = np.zeros((dst.size, src.size))
-    for g in src.tuples():
-        t[dst.index(tuple(g) + (0,) * (l - k)), src.index(g)] = 1.0
-    return FaceCoarseGrain(m, k, l, t, scale=float(m) ** (k - l))

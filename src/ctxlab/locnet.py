@@ -4,8 +4,8 @@ Regions are site intervals (shadows of causal diamonds on a 1-d slice);
 the standard assignment gives each region the full matrix algebra on its
 sites tensored with the identity elsewhere.  Isotony, locality for
 disjoint regions, cyclic-translation covariance (including its action on
-the context extension), the inductive limit, and the square relating a
-region's algebra to the whole are all checked, never assumed.
+the context extension), and the square relating a region's algebra to the
+whole are all checked, never assumed.
 
 A region generated by Pauli strings is built exactly.  A string is
 ``X^x Z^z`` up to a phase, with ``x`` and ``z`` the bit masks of its flips
@@ -373,19 +373,15 @@ def translation_unitary(shift: int, length: int) -> np.ndarray:
     return u
 
 
-def shifted_region(region: Region, shift: int, length: int, cyclic: bool = True):
+def shifted_region(region: Region, shift: int, length: int):
     """Image of a region under the site translation; None if it wraps."""
-    if not cyclic:
-        if region.stop + shift >= length or region.start + shift < 0:
-            raise DomainError(f"shift {shift} moves {region.label()} off the chain")
-        return Region(region.start + shift, region.stop + shift)
     sites = sorted(((j + shift) % length) for j in region.sites())
     if sites == list(range(sites[0], sites[0] + len(sites))):
         return Region(sites[0], sites[-1])
     return None
 
 
-def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = True) -> ValidationReport:
+def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationReport:
     """Translation covariance of a context family and of its extension.
 
     The conjugation by the shift permutation must map every context algebra
@@ -402,7 +398,7 @@ def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = T
     family = {region: alg for region, alg in contexts}
     targets = {}
     for region, alg in contexts:
-        image = shifted_region(region, shift, net.length, cyclic)
+        image = shifted_region(region, shift, net.length)
         if image is None or image not in family:
             report.add(
                 "net.covariance",
@@ -480,13 +476,7 @@ def check_covariance(net: LocalNet, shift: int, contexts: list, cyclic: bool = T
 
 
 # ---------------------------------------------------------------------------
-# inductive limit and the region-to-whole square
-
-
-def inductive_limit(net: LocalNet) -> MatrixStarAlgebra:
-    """Algebra generated by every local algebra of the net (``region_algebra``)."""
-    gens = [b for region in net.regions() for b in net.algebra(region).basis]
-    return region_algebra(gens, net.length, net.tol)
+# the region-to-whole square
 
 
 def check_lc_square(sub: Region, whole: Region, net: LocalNet) -> ValidationReport:

@@ -1,4 +1,4 @@
-"""Spectral presheaves, valuation search, daseinisation, finite frames.
+"""Spectral presheaves, valuation search, daseinisation.
 
 The presheaf assigns each context its character space with restriction
 along inclusions; a global section is a context-consistent valuation, and
@@ -10,7 +10,6 @@ interval-valued readings per character.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -32,7 +31,7 @@ from .staralg import (
     full_matrix_algebra,
     gelfand_spectrum,
 )
-from .validation import ValidationReport, whole_number
+from .validation import whole_number
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +50,6 @@ class SpectralPresheaf:
     fibers: dict
     restrictions: dict
 
-    def restrict(self, sup: str, sub: str, char_index: int) -> int:
-        if sub == sup:
-            return char_index
-        return self.restrictions[(sub, sup)][char_index]
-
 
 @dataclass
 class GlobalSection:
@@ -69,20 +63,6 @@ def build_spectral_presheaf(cc: ContextCategory) -> SpectralPresheaf:
     restricts to the one coarser character whose projection overlaps its
     own.  The category decided both when it was built; this reads them."""
     return SpectralPresheaf(cc, dict(cc.spectra), dict(cc.restrictions))
-
-
-def check_presheaf(p: SpectralPresheaf) -> ValidationReport:
-    """Contravariant functor laws: restrictions compose along nested chains."""
-    report = ValidationReport()
-    ids = p.base.ids()
-    for a, b in p.base.strict_pairs():
-        for c in ids:
-            if c in (a, b) or not p.base.leq(b, c):
-                continue
-            for i in range(len(p.fibers[c])):
-                if p.restrict(b, a, p.restrict(c, b, i)) != p.restrict(c, a, i):
-                    report.add("presheaf.compose", f"chain {a} <= {b} <= {c}: character {i} restricts inconsistently")
-    return report
 
 
 def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
@@ -197,128 +177,6 @@ def operator_interval(a, v: MatrixStarAlgebra, chi: Character, spectrum: list | 
     if lo > hi + INTERVAL_SLACK:
         raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
     return min(lo, hi), hi
-
-
-# ---------------------------------------------------------------------------
-# finite frames
-
-
-@dataclass
-class FiniteFrame:
-    """A finite lattice with all meets and joins, top and bottom.
-
-    Meet must distribute over join (checked by ``check_frame``), which at
-    finite scale is exactly the frame law.
-    """
-
-    elements: list
-    leq: set
-    top: object
-    bottom: object
-    meets: dict
-    joins: dict
-
-    @staticmethod
-    def from_leq(elements: list, leq_pairs) -> "FiniteFrame":
-        elements = list(elements)
-        leq = {(a, b) for (a, b) in leq_pairs} | {(a, a) for a in elements}
-
-        def below(a, b):
-            return (a, b) in leq
-
-        def pick_extreme(candidates, further):
-            best = [c for c in candidates if all(further(c, o) for o in candidates)]
-            if len(best) != 1:
-                return None
-            return best[0]
-
-        tops = pick_extreme(elements, lambda c, o: below(o, c))
-        bottoms = pick_extreme(elements, lambda c, o: below(c, o))
-        if tops is None or bottoms is None:
-            raise InputError("poset has no unique top or bottom")
-        meets = {}
-        joins = {}
-        for a, b in itertools.product(elements, repeat=2):
-            lower = [c for c in elements if below(c, a) and below(c, b)]
-            upper = [c for c in elements if below(a, c) and below(b, c)]
-            m = pick_extreme(lower, lambda c, o: below(o, c))
-            j = pick_extreme(upper, lambda c, o: below(c, o))
-            if m is None or j is None:
-                raise InputError(f"poset is not a lattice at pair ({a!r}, {b!r})")
-            meets[(a, b)] = m
-            joins[(a, b)] = j
-        return FiniteFrame(elements, leq, tops, bottoms, meets, joins)
-
-    def meet(self, a, b):
-        return self.meets[(a, b)]
-
-    def join(self, a, b):
-        return self.joins[(a, b)]
-
-
-def powerset_frame(base) -> FiniteFrame:
-    base = list(base)
-    elements = [frozenset(s) for r in range(len(base) + 1) for s in itertools.combinations(base, r)]
-    leq = {(a, b) for a in elements for b in elements if a <= b}
-    return FiniteFrame.from_leq(elements, leq)
-
-
-def check_frame(f: FiniteFrame) -> ValidationReport:
-    """Lattice laws plus distributivity of meet over join, exhaustively."""
-    report = ValidationReport()
-    for a, b, c in itertools.product(f.elements, repeat=3):
-        left = f.meet(a, f.join(b, c))
-        right = f.join(f.meet(a, b), f.meet(a, c))
-        if left != right:
-            report.add("frame.distributivity", f"a={a!r} b={b!r} c={c!r}")
-    return report
-
-
-@dataclass
-class FrameMap:
-    source: FiniteFrame
-    target: FiniteFrame
-    mapping: dict
-
-
-def preimage_frame_map(func: dict, source_base, target_base) -> FrameMap:
-    """Preimage map of a function between finite sets, on powerset frames.
-
-    ``func`` maps source-base points to target-base points; the frame map
-    runs from the target powerset to the source powerset.
-    """
-    src_frame = powerset_frame(target_base)
-    dst_frame = powerset_frame(source_base)
-    mapping = {
-        s: frozenset(x for x in source_base if func[x] in s) for s in src_frame.elements
-    }
-    return FrameMap(src_frame, dst_frame, mapping)
-
-
-def check_frame_hom(fm: FrameMap) -> ValidationReport:
-    """Preservation of top, bottom, finite meets, and all joins.
-
-    At finite scale arbitrary joins reduce to the empty join (bottom) plus
-    binary joins, both checked exhaustively.
-    """
-    report = ValidationReport()
-    for e in fm.source.elements:
-        if e not in fm.mapping:
-            report.add("framehom.structure", f"element {e!r} unmapped")
-        elif fm.mapping[e] not in fm.target.elements:
-            report.add("framehom.structure", f"image of {e!r} is outside the target")
-    if not report.ok:
-        return report
-    if fm.mapping[fm.source.top] != fm.target.top:
-        report.add("framehom.top", "top not preserved")
-    if fm.mapping[fm.source.bottom] != fm.target.bottom:
-        report.add("framehom.bottom", "bottom not preserved")
-    for a, b in itertools.product(fm.source.elements, repeat=2):
-        if fm.mapping[fm.source.meet(a, b)] != fm.target.meet(fm.mapping[a], fm.mapping[b]):
-            report.add("framehom.meet", f"meet of ({a!r}, {b!r}) not preserved")
-        if fm.mapping[fm.source.join(a, b)] != fm.target.join(fm.mapping[a], fm.mapping[b]):
-            report.add("framehom.join", f"join of ({a!r}, {b!r}) not preserved")
-    return report
 
 
 # ---------------------------------------------------------------------------

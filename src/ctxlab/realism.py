@@ -144,23 +144,6 @@ class QuantumProvider:
         return float(np.trace(self.rho @ total @ total).real)
 
 
-class HybridProvider:
-    """Dispatch by observable kind; cross-kind pairs are refused."""
-
-    def __init__(self, mu, rho):
-        self.measure = MeasureProvider(mu)
-        self.quantum = QuantumProvider(rho)
-
-    def correlation(self, o1, o2) -> float:
-        if isinstance(o1, CarrierObservable) and isinstance(o2, CarrierObservable):
-            return self.measure.correlation(o1, o2)
-        if isinstance(o1, MatrixObservable) and isinstance(o2, MatrixObservable):
-            return self.quantum.correlation(o1, o2)
-        raise MixedObservableError(
-            "no correlation is defined between a carrier function and a matrix observable"
-        )
-
-
 def _split_signs(fam: ObservableFamily, signs) -> list:
     flat = list(signs)
     if len(flat) != fam.total:

@@ -6,7 +6,6 @@ atoms, and these are its characters.  A context family is built from seed
 observables by commutation cliques: each maximal context from the atoms
 that its generators split the space into, and the meets, the order and
 the restriction tables from one overlap matrix of those atoms.
-Projection lists split into Boolean blocks.
 """
 
 from __future__ import annotations
@@ -16,17 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, InputError
-from .fincat import FinCategory, poset_category
+from .errors import DomainError, InputError
 from .linalg import (
     CHARACTER_FLOOR,
     DEFAULT_TOL,
     RANK_FLOOR,
     as_matrix,
     dagger,
-    is_projection,
     is_selfadjoint,
-    opnorm,
     opnorms,
     orthonormalize_span,
     span_leq,
@@ -360,9 +356,6 @@ class ContextCategory:
         ids = self.ids()
         return [(a, b) for a in ids for b in ids if a != b and (a, b) in self.order]
 
-    def as_poset_category(self) -> FinCategory:
-        return poset_category(self.ids(), self.leq)
-
 
 def _commutation_cliques(mats: list, tol: float) -> list:
     """Maximal sets of pairwise-commuting matrices (``commuting``), as
@@ -533,62 +526,3 @@ def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list, seed:
             raise DomainError(f"group {k} does not generate a commutative algebra")
         blocks.append(atoms)
     return _assemble(ambient, blocks, [[] for _ in groups])
-
-
-
-# ---------------------------------------------------------------------------
-# Boolean blocks of projection families
-
-
-@dataclass
-class BooleanBlock:
-    """A maximal commuting family of projections closed under complement and meet."""
-
-    members: list
-    atoms: list
-    elements: list
-
-    def meet(self, a, b):
-        return a @ b
-
-    def join(self, a, b):
-        return a + b - a @ b
-
-    def complement(self, a):
-        d = a.shape[0]
-        return np.eye(d, dtype=complex) - a
-
-
-def boolean_blocks(
-    projections: list, tol: float = DEFAULT_TOL, max_atoms: int = 12
-) -> list:
-    """Split projections into Boolean blocks along commutation cliques.
-
-    Each block is generated by its clique: atoms are the nonzero products
-    of each projection or its complement, elements are all atom subset sums.
-    """
-    mats = [as_matrix(p) for p in projections]
-    for k, m in enumerate(mats):
-        if not is_projection(m, spectral_tol(tol)):
-            raise DomainError(f"input {k} is not a projection")
-    if not mats:
-        return []
-    d = mats[0].shape[0]
-    if any(m.shape[0] != d for m in mats):
-        raise InputError("projections must share one matrix dimension")
-    eye = np.eye(d, dtype=complex)
-    blocks = []
-    for clique in _commutation_cliques(mats, tol):
-        partial = [eye]
-        for idx in clique:
-            p = mats[idx]
-            partial = [x @ p for x in partial] + [x @ (eye - p) for x in partial]
-        atoms = [a for a in partial if opnorm(a) > 0.5]
-        if len(atoms) > max_atoms:
-            raise CapExceeded("Boolean block atom count", len(atoms), max_atoms)
-        elements = [
-            sum((atom for take, atom in zip(bits, atoms) if take), np.zeros((d, d), dtype=complex))
-            for bits in itertools.product((0, 1), repeat=len(atoms))
-        ]
-        blocks.append(BooleanBlock(members=[mats[i] for i in clique], atoms=atoms, elements=elements))
-    return blocks

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from ctxlab import staralg
+from ctxlab import cli, staralg
 from ctxlab.cli import main, matrix_to_json, parse_matrix
 from ctxlab.errors import DomainError, InputError
 from ctxlab.linalg import require_state
@@ -312,6 +312,20 @@ class TestGftArguments:
     @pytest.mark.parametrize("norm", ["0", "-0.5", "nan", "inf"])
     def test_weyl_norm_not_positive_and_finite(self, capsys, norm):
         self.refused(capsys, ["gft-weyl", "--norm", norm], f"--norm must be positive and finite, got {float(norm)!r}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gft-ccr", "--m", "2", "--n", "20", "--nmax", "0", "--trials", "20"], "no sector below the cutoff to test"),
+        (["gft-weyl", "--m", "2", "--n", "20", "--nmax", "4"],
+         "Fock dimension (size 50372389536173258440705 exceeds cap 10000)"),
+        (["gft-weyl", "--m", "2", "--n", "20", "--nmax", "0"], "sector cap must stay below the occupation cutoff"),
+    ])
+    def test_refused_before_any_test_function_is_drawn(self, capsys, monkeypatch, argv, message):
+        """A mode space of 2**20 modes takes 16 MB per drawn function."""
+        def refuse(*args):
+            raise AssertionError("a test function was drawn")
+
+        monkeypatch.setattr(cli, "_random_function", refuse)
+        self.refused(capsys, argv, message)
 
     def test_fock_dimension_over_the_cap_returns_at_once(self, capsys):
         start = time.perf_counter()

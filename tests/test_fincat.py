@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +13,15 @@ from ctxlab.fincat import (
     Functor,
     category_from_json,
     category_to_dot,
-    category_to_json,
     check_category,
     check_cone,
     check_diagram,
     check_functor,
     check_universal_property,
-    compose_functors,
-    cone_to_dot,
     diagram_from_json,
-    diagram_to_json,
     discrete_category,
     enumerate_cones,
+    functor_from_json,
     limit_of_diagram,
     poset_category,
 )
@@ -129,7 +127,13 @@ class TestCheckFunctor:
         point = one_object_category()
         f = Functor(cat, cat, {o: o for o in cat.objects}, {m: m for m in cat.morphisms()})
         g = Functor(cat, point, {o: "*" for o in cat.objects}, {m: "id" for m in cat.morphisms()})
-        assert check_functor(compose_functors(g, f)).ok
+        g_after_f = Functor(
+            cat,
+            point,
+            {o: g.object_map[v] for o, v in f.object_map.items()},
+            {m: g.morphism_map[v] for m, v in f.morphism_map.items()},
+        )
+        assert check_functor(g_after_f).ok
 
 
 class TestLimits:
@@ -177,15 +181,6 @@ class TestLimits:
         report = check_cone(cone, d)
         assert any(v.kind == "cone.structure" for v in report.violations)
 
-    def test_legs_into_apex_variance(self):
-        idx = poset_category(["s", "t"], lambda a, b: a <= b)
-        d = Diagram(idx, {"s": [0, 1], "t": ["x"]}, {"s<=t": {0: "x", 1: "x"}})
-        good = Cone(apex=["a"], legs={"s": {0: "a", 1: "a"}, "t": {"x": "a"}}, to_apex=True)
-        assert check_cone(good, d).ok
-        bad = Cone(apex=["a", "b"], legs={"s": {0: "a", 1: "b"}, "t": {"x": "a"}}, to_apex=True)
-        report = check_cone(bad, d)
-        assert any(v.kind == "cone.triangle" for v in report.violations)
-
     def test_partial_map_is_a_triangle_failure(self):
         # D(s<=t) is undefined on 1: a leg through 1 satisfies nothing
         idx = poset_category(["s", "t"], lambda a, b: a <= b)
@@ -198,8 +193,6 @@ class TestLimits:
         lim = limit_of_diagram(d)
         assert lim.apex == [(0, "x")]
         assert check_universal_property(lim, d, cones)
-        into = Cone(apex=["a"], legs={"s": {0: "a", 1: "a"}, "t": {"x": "a"}}, to_apex=True)
-        assert [v.kind for v in check_cone(into, d).violations] == ["cone.triangle"]
 
 
 class TestUniversalProperty:
@@ -233,39 +226,46 @@ class TestUniversalProperty:
             check_universal_property(lim, d, [big], search_cap=10)
 
 
+def category_spec(c: FinCategory) -> dict:
+    """The category in the JSON format that ``cat-check`` reads, through a
+    JSON text."""
+    return json.loads(json.dumps({
+        "objects": c.objects,
+        "homs": [{"src": src, "dst": dst, "morphisms": labels} for (src, dst), labels in c.homs.items()],
+        "identities": c.identities,
+        "compose": [[g, f, gf] for (g, f), gf in c.compose.items()],
+    }))
+
+
 class TestSerialization:
     def test_category_json_round_trip(self):
         cat = poset_category(["a", "b"], lambda x, y: x <= y)
-        again = category_from_json(category_to_json(cat))
+        again = category_from_json(category_spec(cat))
         assert check_category(again).ok
-        assert again.objects == cat.objects
-        assert again.compose == cat.compose
+        assert again == cat
 
     def test_malformed_category_json(self):
         with pytest.raises(InputError):
             category_from_json({"objects": ["a"]})
 
     def test_functor_json_round_trip(self):
-        from ctxlab.fincat import functor_from_json, functor_to_json
-
         cat = poset_category(["a", "b"], lambda x, y: x <= y)
         f = Functor(cat, cat, {o: o for o in cat.objects}, {m: m for m in cat.morphisms()})
-        again = functor_from_json(functor_to_json(f))
+        spec = {"source": category_spec(cat), "target": category_spec(cat),
+                "object_map": f.object_map, "morphism_map": f.morphism_map}
+        again = functor_from_json(json.loads(json.dumps(spec)))
         assert check_functor(again).ok
-        assert again.object_map == f.object_map
+        assert again == f
 
     def test_diagram_json_round_trip(self):
         d = parallel_pair({"1": "1", "2": "2"}, {"1": "1", "2": "2"}, ["1", "2"], ["1", "2"])
-        again = diagram_from_json(diagram_to_json(d))
+        spec = {"index": category_spec(d.index), "carriers": d.carriers, "maps": d.maps}
+        again = diagram_from_json(json.loads(json.dumps(spec)))
         assert check_diagram(again).ok
+        assert again == d
         assert len(limit_of_diagram(again).apex) == 2
 
     def test_dot_export_mentions_arrows(self):
         cat = poset_category(["a", "b"], lambda x, y: x <= y)
         text = category_to_dot(cat)
         assert '"a" -> "b"' in text and "digraph" in text
-
-    def test_cone_dot_export(self):
-        d = Diagram(discrete_category(["p"]), {"p": [0]})
-        text = cone_to_dot(limit_of_diagram(d), d)
-        assert '"apex"' in text

@@ -15,7 +15,6 @@ from ctxlab.gft import (
     _weyl_apply,
     ccr_defect,
     copy_padding,
-    face_coarse_grain,
     field_operator,
     fock_for,
     inner_product,
@@ -28,6 +27,13 @@ from ctxlab.gft import (
 from ctxlab.linalg import dagger, opnorm
 
 SPACE = PolyhedronSpace(2, 2)
+
+
+def unit_fn(k, size):
+    """The test function (or Fock vector) that is 1 at index k, 0 elsewhere."""
+    f = np.zeros(size, dtype=complex)
+    f[k] = 1.0
+    return f
 
 
 def random_fn(rng, space=SPACE, norm=None):
@@ -75,11 +81,11 @@ class TestModeSpace:
         assert inner_product(f, f, SPACE) == 1.0
 
     def test_distinct_deltas_orthogonal(self):
-        assert inner_product(SPACE.delta((0, 0)), SPACE.delta((1, 0)), SPACE) == 0.0
+        assert inner_product(unit_fn(0, SPACE.size), unit_fn(2, SPACE.size), SPACE) == 0.0
 
     def test_random_inner_product_matches_direct_sum(self, rng):
         f, g = random_fn(rng), random_fn(rng)
-        direct = sum(f[SPACE.index(t)] * np.conj(g[SPACE.index(t)]) for t in SPACE.tuples())
+        direct = sum(f[k] * np.conj(g[k]) for k in range(SPACE.size))
         assert abs(inner_product(f, g, SPACE) - direct / SPACE.size) < 1e-12
 
 
@@ -93,14 +99,14 @@ class TestFockSpace:
         fock = fock_for(SPACE, 2)
         for _ in range(5):
             psi = field_operator(random_fn(rng), fock)
-            assert np.linalg.norm(psi.matrix @ fock.vacuum()) < 1e-12
+            assert np.linalg.norm(psi @ unit_fn(0, fock.dim)) < 1e-12
 
     def test_delta_creator_makes_one_particle_state(self):
         fock = fock_for(SPACE, 2)
-        g = (1, 0)
-        psi = field_operator(SPACE.delta(g), fock)
-        created = dagger(psi.matrix) @ fock.vacuum()
-        occ = tuple(1 if m == SPACE.index(g) else 0 for m in range(SPACE.size))
+        mode = 2  # the group tuple (1, 0)
+        psi = field_operator(unit_fn(mode, SPACE.size), fock)
+        created = dagger(psi) @ unit_fn(0, fock.dim)
+        occ = tuple(1 if m == mode else 0 for m in range(SPACE.size))
         expected_pos = reference_index(fock)[occ]
         assert abs(np.linalg.norm(created) ** 2 - SPACE.haar) < 1e-12
         nonzero = np.nonzero(np.abs(created) > 1e-12)[0]
@@ -109,7 +115,7 @@ class TestFockSpace:
     def test_two_particle_matrix_elements_match_ladder_oracle(self, rng):
         fock = fock_for(SPACE, 2)
         f = random_fn(rng)
-        psi = field_operator(f, fock).matrix
+        psi = field_operator(f, fock)
         w = np.sqrt(SPACE.haar)
         index = reference_index(fock)
         for occ, col in index.items():
@@ -123,19 +129,13 @@ class TestFockSpace:
 
     @pytest.mark.parametrize("m, n, n_max", [(2, 2, 1), (2, 2, 3), (3, 2, 2), (2, 3, 3)])
     def test_field_equals_the_sum_of_weighted_ladders(self, rng, m, n, n_max):
-        from scipy.sparse import csr_array
-
         space = PolyhedronSpace(m, n)
         fock = fock_for(space, n_max)
         f = random_fn(rng, space)
         f[1] = 0.0  # a mode left out of the field
-        w = np.sqrt(fock.mode_weight)
-        summed = csr_array((fock.dim, fock.dim), dtype=complex)
-        for mode in range(fock.modes):
-            if f[mode] != 0:
-                summed = summed + w * f[mode] * fock.annihilator(mode)
-        assert np.array_equal(field_operator(f, fock).matrix.toarray(), summed.toarray())
-        assert field_operator(np.zeros(space.size), fock).matrix.nnz == 0
+        summed = sum(f[mode] * dense_field(unit_fn(mode, space.size), fock) for mode in range(fock.modes))
+        assert np.abs(field_operator(f, fock).toarray() - summed).max() < 1e-14
+        assert field_operator(np.zeros(space.size), fock).nnz == 0
 
     def test_dimension_over_the_cap_is_refused_before_enumeration(self):
         start = time.perf_counter()
@@ -169,12 +169,12 @@ class TestFockSpace:
 
     def test_vacuum_is_the_whole_annihilator_kernel(self):
         fock = fock_for(SPACE, 2)
-        stack = np.vstack([fock.annihilator(m).toarray() for m in range(fock.modes)])
+        stack = np.vstack([dense_field(unit_fn(m, fock.modes), fock) for m in range(fock.modes)])
         _, s, vh = np.linalg.svd(stack)
         kernel_dim = sum(1 for x in s if x < 1e-12) + (vh.shape[0] - len(s))
         assert kernel_dim == 1
         kernel_vec = vh[-1]
-        overlap = abs(np.vdot(kernel_vec, fock.vacuum()))
+        overlap = abs(np.vdot(kernel_vec, unit_fn(0, fock.dim)))
         assert abs(overlap - 1.0) < 1e-12
 
 
@@ -192,7 +192,7 @@ class TestCCR:
 
     def test_orthogonal_smearings_still_exact(self):
         fock = fock_for(SPACE, 2)
-        assert ccr_defect(SPACE.delta((0, 0)), SPACE.delta((1, 1)), fock) < 1e-12
+        assert ccr_defect(unit_fn(0, SPACE.size), unit_fn(3, SPACE.size), fock) < 1e-12
 
     @pytest.mark.parametrize("m, n, n_max", [(2, 2, 1), (2, 2, 4), (2, 2, 5), (3, 2, 2), (2, 3, 3)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -243,7 +243,7 @@ class TestWeyl:
         errors = []
         for n_max in (2, 4, 6):
             fock = fock_for(SPACE, n_max)
-            vac = fock.vacuum()
+            vac = unit_fn(0, fock.dim)
             errors.append(abs(np.vdot(vac, _weyl_apply(f, fock, vac[:, None])[:, 0]) - target))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-8
@@ -326,7 +326,6 @@ class TestSecondQuantizationCone:
         assert built.report.ok
         assert check_diagram(built.diagram).ok
         assert check_cone(built.cone, built.diagram).ok
-        assert built.source.copies == 1 and built.target.copies == 2
 
     def test_sign_flipped_padding_fails(self):
         built = second_quantization_cone(1, 2, [np.ones(4)], SPACE, corrupt=True)
@@ -353,32 +352,6 @@ class TestSecondQuantizationCone:
             )
             < 1e-12
         )
-
-
-class TestFaceCoarseGraining:
-    def test_identity_when_counts_agree(self):
-        cg = face_coarse_grain(2, 2, 2)
-        assert np.allclose(cg.matrix, np.eye(4))
-        assert cg.scale == 1.0
-
-    def test_one_to_two_faces(self, rng):
-        cg = face_coarse_grain(1, 2, 2)
-        assert cg.matrix.shape == (4, 2)
-        assert cg.scale == 0.5
-        src, dst = PolyhedronSpace(2, 1), PolyhedronSpace(2, 2)
-        f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        lifted = inner_product(cg.matrix @ f, cg.matrix @ g, dst)
-        assert abs(lifted - cg.scale * inner_product(f, g, src)) < 1e-12
-
-    def test_functoriality_of_chains(self):
-        direct = face_coarse_grain(1, 3, 2)
-        composed = face_coarse_grain(2, 3, 2).matrix @ face_coarse_grain(1, 2, 2).matrix
-        assert np.allclose(direct.matrix, composed)
-
-    def test_reversed_counts_rejected(self):
-        with pytest.raises(InputError):
-            face_coarse_grain(3, 2, 2)
 
 
 def test_weyl_sweep_ignores_and_keeps_the_global_random_state(capsys):

@@ -20,7 +20,6 @@ from ctxlab.locnet import (
     check_lc_square,
     check_locality,
     composite_context,
-    inductive_limit,
     pauli_string,
     pauli_term,
     region_algebra,
@@ -319,20 +318,26 @@ class TestCovariance:
         with pytest.raises(DomainError, match=re.escape(message)):
             check_covariance(standard_net(2), 1, family)
 
-    def test_non_cyclic_out_of_range(self):
-        with pytest.raises(DomainError):
-            shifted_region(Region(1, 2), 1, 3, cyclic=False)
-        assert shifted_region(Region(1, 1), 1, 3, cyclic=False) == Region(2, 2)
+    def test_a_region_shifted_off_the_chain_wraps(self):
+        assert shifted_region(Region(1, 2), 1, 3) is None  # sites 2 and 0: not an interval
+        assert shifted_region(Region(1, 1), 1, 3) == Region(2, 2)
+        assert shifted_region(Region(2, 2), 1, 3) == Region(0, 0)
+
+
+def local_generators(net: LocalNet) -> list:
+    """Every basis matrix of every local algebra of the net: the generators
+    of its inductive limit."""
+    return [b for region in net.regions() for b in net.algebra(region).basis]
 
 
 class TestInductiveLimit:
     def test_single_site_chain(self):
         net = standard_net(1)
-        assert inductive_limit(net).dimension == 4
+        assert region_algebra(local_generators(net), net.length).dimension == 4
 
     def test_two_site_chain_full(self):
         net = standard_net(2)
-        assert inductive_limit(net).dimension == 16
+        assert region_algebra(local_generators(net), net.length).dimension == 16
 
     def test_diagonal_net_stays_diagonal(self):
         length = 3
@@ -352,7 +357,7 @@ class TestInductiveLimit:
         net = LocalNet(length, assignment, builder=diagonal_algebra)
         assert check_isotony(net).ok
         assert check_locality(net).ok
-        assert inductive_limit(net).dimension == d
+        assert region_algebra(local_generators(net), net.length).dimension == d
 
 
 class TestLocallyCovariantSquare:

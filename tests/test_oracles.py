@@ -7,13 +7,12 @@ The references below are those implementations, frozen: plain
 backtracking for global sections and limits, one quadratic form per flat
 sign vector for the sign search, per-point loops for the state's JSON view,
 and the point-list carrier with its component arrays, together with the
-per-point marginal, point lookup and covariance loops, the restriction
-diagram with its own index category and tables, the list-based span
-functions with the closure and the pairwise context-category build, the
-one-algebra spectrum and the dominance tables, the per-mode Fock ladder
-loops, and the Weyl action by ``expm_multiply``.  Outputs must be
-identical, in identical order, and minima bitwise equal; marginals, whose
-summation order changed, and the Weyl action agree within 1e-14, and the
+per-point covariance loops, the restriction diagram with its own index
+category and tables, the list-based span functions with the closure and
+the pairwise context-category build, the one-algebra spectrum and the
+dominance tables, the per-mode Fock ladder loops, and the Weyl action by
+``expm_multiply``.  Outputs must be identical, in identical order, and
+minima bitwise equal; the Weyl action agrees within 1e-14, and the
 benchmark's gft-weyl reports byte for byte.  The contexts and spectra
 are compared by report, not by bits: the same ids, order, fiber sizes,
 restriction tables and global sections, up to the bijection that matches
@@ -41,12 +40,10 @@ from ctxlab.ctxext import (
     carrier_to_json,
     embed,
     extend_state,
-    marginalize_state,
-    point_valuation,
     spectrum_diagram,
     state_to_json,
 )
-from ctxlab.errors import CapExceeded, DomainError, InputError
+from ctxlab.errors import CapExceeded, DomainError
 from ctxlab.fincat import (
     DEFAULT_SEARCH_CAP,
     Cone,
@@ -78,7 +75,6 @@ from ctxlab.locnet import (
     check_locality,
     composite_context,
     pauli_string,
-    shifted_region,
     site_operator,
     spectrum_multiplicativity,
     standard_net,
@@ -114,7 +110,6 @@ from ctxlab.staralg import (
     _selfadjoint_spanning,
     _spans,
     algebra_span_equal,
-    boolean_blocks,
     commuting,
     context_algebra,
     context_category,
@@ -267,28 +262,6 @@ def reference_weights(marginals, carrier) -> np.ndarray:
     return total
 
 
-def reference_marginal_weights(weights, carrier, sub_carrier) -> np.ndarray:
-    positions = [carrier.position(c) for c in sub_carrier.context_ids]
-    index = {pt: i for i, pt in enumerate(sub_carrier.points)}
-    out = np.zeros(sub_carrier.size)
-    for pt, w in zip(carrier.points, weights):
-        out[index[tuple(pt[p] for p in positions)]] += w
-    return out
-
-
-def reference_point_valuation(a, v1, v2, x, ext, carrier) -> tuple:
-    e1 = reference_embed_values(a, v1, ext, carrier)
-    e2 = reference_embed_values(a, v2, ext, carrier)
-    if isinstance(x, int):
-        idx = x
-    else:
-        try:
-            idx = carrier.points.index(tuple(x))
-        except ValueError as exc:
-            raise DomainError(f"point {x!r} is not in the carrier") from exc
-    return complex(e1[idx]), complex(e2[idx])
-
-
 def reference_dominating_character_index(chi, sub_spectrum, tol=1e-9) -> int:
     """One SVD per (fine, coarse) pair: ``projector_leq``."""
     hits = [
@@ -403,6 +376,17 @@ def reference_restriction_diagram(ext) -> Diagram:
     return Diagram(index, carriers, maps)
 
 
+def reference_shifted_region(region, shift, length, cyclic=True):
+    if not cyclic:
+        if region.stop + shift >= length or region.start + shift < 0:
+            raise DomainError(f"shift {shift} moves {region.label()} off the chain")
+        return Region(region.start + shift, region.stop + shift)
+    sites = sorted(((j + shift) % length) for j in region.sites())
+    if sites == list(range(sites[0], sites[0] + len(sites))):
+        return Region(sites[0], sites[-1])
+    return None
+
+
 def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationReport:
     report = ValidationReport()
     u = translation_unitary(shift, net.length)
@@ -414,7 +398,7 @@ def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationR
     family = {region: alg for region, alg in contexts}
     targets = {}
     for region, alg in contexts:
-        image = shifted_region(region, shift, net.length, cyclic)
+        image = reference_shifted_region(region, shift, net.length, cyclic)
         if image is None or image not in family:
             report.add(
                 "net.covariance",
@@ -730,39 +714,9 @@ class TestIndexCarrierOracle:
         assert mu.weights.dtype == expected.dtype
         assert np.array_equal(mu.weights, expected)
 
-        sub_ids = data.draw(st.permutations(ids))[: data.draw(st.integers(0, len(ids)))]
-        sub_ext = ext.restricted(sub_ids)
-        pushed = marginalize_state(mu, ext, sub_ext)
-        expected = reference_marginal_weights(mu.weights, carrier, reference_carrier(sub_ext))
-        assert pushed.weights.shape == expected.shape
-        assert np.max(np.abs(pushed.weights - expected)) <= 1e-14
-
         records = carrier_to_json(ext)
         assert records == [dict(zip(ids, pt)) for pt in carrier.points]
         assert json.dumps(records) == json.dumps([dict(zip(ids, pt)) for pt in carrier.points])
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=seed_families(), data=st.data())
-    def test_point_lookup_matches_the_point_list(self, case, data):
-        cc, _ = case
-        ext = build_limit_extension(cc)
-        carrier = reference_carrier(ext)
-        ids = ext.carrier.context_ids
-        v1 = data.draw(st.sampled_from(ids))
-        a = data.draw(st.sampled_from(cc.algebra(v1).basis))
-        v2 = data.draw(st.sampled_from([cid for cid in ids if cc.algebra(cid).contains(a)]))
-        for _ in range(5):
-            x = data.draw(st.integers(0, carrier.size - 1))
-            assert point_valuation(a, v1, v2, x, ext) == reference_point_valuation(a, v1, v2, x, ext, carrier)
-            n = len(ids)
-            pt = tuple(data.draw(st.lists(st.integers(-1, max(carrier.sizes)), min_size=n - 1, max_size=n + 1)))
-            try:
-                expected = reference_point_valuation(a, v1, v2, pt, ext, carrier)
-            except DomainError:
-                with pytest.raises(DomainError):
-                    point_valuation(a, v1, v2, pt, ext)
-            else:
-                assert point_valuation(a, v1, v2, pt, ext) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(case=seed_families())
@@ -1349,7 +1303,7 @@ def apex_bound(sizes, budget=2000, most=2) -> int:
 
 
 def cone_record(cones) -> list:
-    return [(c.apex, c.legs, c.to_apex) for c in cones]
+    return [(c.apex, c.legs) for c in cones]
 
 
 CHUNKS = [1, 7, 64]  # 64 splits the larger searches and holds the smaller ones whole
@@ -1423,39 +1377,6 @@ def reference_cluster(values, tol, slack=1.0) -> list:
         else:
             groups.append([idx])
     return groups
-
-
-def reference_boolean_blocks(projections, tol=1e-9, max_atoms=12) -> list:
-    """(members, atoms, elements) per block."""
-    mats = [as_matrix(p) for p in projections]
-    for k, m in enumerate(mats):
-        if not is_projection(m, max(tol, 1e-8)):
-            raise DomainError(f"input {k} is not a projection")
-    if not mats:
-        return []
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != d:
-            raise InputError("projections must share one matrix dimension")
-    eye = np.eye(d, dtype=complex)
-    blocks = []
-    for clique in _commutation_cliques(mats, tol):
-        partial = [eye]
-        for idx in clique:
-            p = mats[idx]
-            partial = [x @ p for x in partial] + [x @ (eye - p) for x in partial]
-        atoms = [a for a in partial if opnorm(a) > 0.5]
-        if len(atoms) > max_atoms:
-            raise CapExceeded("Boolean block atom count", len(atoms), max_atoms)
-        elements = []
-        for bits in itertools.product((0, 1), repeat=len(atoms)):
-            total = np.zeros((d, d), dtype=complex)
-            for take, atom in zip(bits, atoms):
-                if take:
-                    total = total + atom
-            elements.append(total)
-        blocks.append(([mats[i] for i in clique], atoms, elements))
-    return blocks
 
 
 def reference_outer_daseinisation(p, v, spectrum=None) -> np.ndarray:
@@ -1659,23 +1580,6 @@ class TestThresholdPolicyOracle:
             values.append(values[-1] + (threshold_offset(draw, tol) * scale if step is None else step))
         values = np.array(draw(st.permutations(values)))
         assert bits(_cluster(values, tol)) == bits(reference_cluster(values, tol))
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=frame_contexts(), data=st.data())
-    def test_boolean_blocks(self, case, data):
-        """Group projections of one frame and of a second one, one of them
-        maybe pushed off being a projection by about the spectral threshold."""
-        tol, u, groups, _, rng = case
-        w, other = frame_blocks(data.draw, len(u), rng)
-        projs = [u[:, g] @ u[:, g].conj().T for g in groups] + [w[:, g] @ w[:, g].conj().T for g in other[:2]]
-        if data.draw(st.booleans()):
-            k = data.draw(st.integers(0, len(projs) - 1))
-            projs[k] = projs[k] + threshold_offset(data.draw, tol) * hermitian_unit(u, 0, 1)
-
-        def blocks(projections, tol):
-            return [(b.members, b.atoms, b.elements) for b in boolean_blocks(projections, tol)]
-
-        assert same_outcome(blocks, reference_boolean_blocks, projs, tol)
 
     @settings(max_examples=150, deadline=None)
     @given(case=daseinisation_cases())
@@ -2357,7 +2261,7 @@ def reference_weyl_apply(fv, fock, cols):
     state = np.random.get_state()
     np.random.seed(0)
     try:
-        psi = gft.field_operator(fv, fock).matrix
+        psi = gft.field_operator(fv, fock)
         return expm_multiply(1j / np.sqrt(2.0) * (psi + dagger(psi)), cols)
     finally:
         np.random.set_state(state)
@@ -2393,8 +2297,9 @@ class TestFockLadderOracle:
         fock = gft.fock_for(space, n_max)
         assert fock.dim == len(reference_index(fock))
         for mode in range(fock.modes):
-            assert same_csr(fock.annihilator(mode), reference_annihilator(fock, mode))
-        assert same_csr(gft.field_operator(f, fock).matrix, reference_field_operator(f, fock))
+            unit = np.eye(fock.modes, dtype=complex)[mode]
+            assert same_csr(gft.field_operator(unit, fock), reference_field_operator(unit, fock))
+        assert same_csr(gft.field_operator(f, fock), reference_field_operator(f, fock))
 
 
 class TestWeylActionOracle:

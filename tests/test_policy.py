@@ -7,15 +7,20 @@ constant of ``ctxlab.linalg``, or one of the report bounds of
 exact builder applies: ``generate_algebra`` is called only inside
 ``locnet.region_algebra``, for generators that are not Pauli strings.
 And scipy enters the package only as ``scipy.sparse``: no module imports
-``scipy.linalg``, ``scipy.sparse.linalg`` or any other part of it."""
+``scipy.linalg``, ``scipy.sparse.linalg`` or any other part of it.  And
+no public definition of the package is reached by tests alone: each is
+read by another definition of the package, by the benchmark or by the
+acceptance tests, or is kept, with its reason, in ``KEPT_TEST_ONLY``."""
 
 import ast
+import collections
 import importlib.util
 import pathlib
 
 import ctxlab
 
 PACKAGE = pathlib.Path(ctxlab.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORT_BOUNDS = {"STATE_EXTEND_BOUND", "CCR_BOUND", "CLASSICAL_BOUND_SLACK"}
 
 
@@ -131,3 +136,66 @@ def test_the_lint_finds_scipy_imports():
     assert scipy_imports("from scipy import linalg\n", "gft.py") == ["gft.py:1: scipy.linalg"]
     assert scipy_imports("from scipy.sparse import csr_array, linalg\n", "gft.py") == ["gft.py:1: scipy.sparse.linalg"]
     assert scipy_imports("from scipy.special import comb\n", "gft.py") == ["gft.py:1: scipy.special"]
+
+
+# Public definitions that only tests call, kept on purpose, by qualified name.
+KEPT_TEST_ONLY = {
+    "gft.weyl_commutator_defect": "the commutator half of the Weyl relations, checked against dense expm",
+    "presheaf.operator_interval": "the interval reading of daseinised self-adjoint operators, "
+    "on which the topos models build",
+    "staralg.MatrixStarAlgebra.validate": "the closure check that tests run on the output of generate_algebra",
+    "fixtures.peres24_fixture": "it generates the input of the Peres-24 tests",
+}
+
+
+def _names_read(tree) -> collections.Counter:
+    """How often each name is read, as a variable or as an attribute."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def reached_by_tests_alone(package: dict, readers: list) -> list:
+    """Qualified names (``module.name`` or ``module.Class.method``) of the
+    public top-level functions and classes, and the public methods of
+    top-level classes, in ``package`` (module name -> source) whose name is
+    read nowhere in the package outside its own definition, nor in any of
+    the ``readers`` sources."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    read = sum((_names_read(tree) for tree in trees.values()), collections.Counter())
+    outside = set().union(*(_names_read(ast.parse(source)) for source in readers))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{module}.{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef)]
+            for qualname, definition in members:
+                if definition.name.startswith("_") or definition.name in outside:
+                    continue
+                if read[definition.name] == _names_read(definition)[definition.name]:
+                    found.append(qualname)
+    return found
+
+
+def test_no_public_definition_is_reached_by_tests_alone():
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert sorted(reached_by_tests_alone(package, readers)) == sorted(KEPT_TEST_ONLY)
+
+
+def test_the_lint_finds_definitions_reached_by_tests_alone():
+    package = {
+        "a": "def used():\n    return 1\n\ndef caller():\n    return used()\n",
+        "b": "import a\n\nclass Box:\n    def opened(self):\n        return a.caller()\n\n"
+        "    def _hidden(self):\n        return 0\n",
+    }
+    assert reached_by_tests_alone(package, []) == ["b.Box", "b.Box.opened"]
+    assert reached_by_tests_alone(package, ["Box().opened()\n"]) == []
+    assert reached_by_tests_alone({"c": "def loop(n):\n    return loop(n - 1)\n"}, []) == ["c.loop"]
+    assert reached_by_tests_alone({"cli": "def main():\n    return 0\n\nmain()\n"}, []) == []

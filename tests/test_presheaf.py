@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import I2, SX, SZ, kron, random_projection, random_unitary
+from ctxlab.ctxext import build_limit_extension, spectrum_diagram
 from ctxlab.errors import DomainError
+from ctxlab.fincat import Diagram, check_diagram
 from ctxlab.presheaf import (
-    FiniteFrame,
-    FrameMap,
     build_spectral_presheaf,
     bundled_fixture,
-    check_frame,
-    check_frame_hom,
-    check_presheaf,
     global_sections,
     inner_daseinisation,
     load_ray_fixture,
     operator_interval,
     outer_daseinisation,
-    powerset_frame,
-    preimage_frame_map,
     ray_family_context_category,
     rays_to_projectors,
 )
@@ -38,13 +33,20 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 # presheaf structure
 
 
+def restriction_diagram(cc) -> Diagram:
+    """The spectra with their restriction maps, as a diagram whose functor
+    laws (``check_diagram``) are the presheaf laws."""
+    return spectrum_diagram(build_limit_extension(cc), with_restrictions=True)
+
+
 class TestBuildPresheaf:
     def test_single_context_identity_restriction(self):
         cc = context_category_from_groups(full_matrix_algebra(2), [[SZ]])
         sheaf = build_spectral_presheaf(cc)
         vid = next(cid for cid in cc.ids() if cc.algebra(cid).dimension == 2)
         assert len(sheaf.fibers[vid]) == 2
-        assert sheaf.restrict(vid, vid, 1) == 1
+        diagram = restriction_diagram(cc)
+        assert diagram.map_of(diagram.index.identities[vid]) == {0: 0, 1: 1}
 
     def test_four_to_two_collapse(self):
         groups = [[kron(SZ, I2)], [kron(SZ, I2), kron(I2, SZ)]]
@@ -64,20 +66,24 @@ class TestBuildPresheaf:
             [kron(SZ, I2), kron(I2, SZ)],
         ]
         cc = context_category_from_groups(full_matrix_algebra(4), groups)
-        sheaf = build_spectral_presheaf(cc)
-        assert check_presheaf(sheaf).ok  # exhaustive over all chains incl. the trivial context
+        assert check_diagram(restriction_diagram(cc)).ok  # exhaustive over all chains incl. the trivial context
 
     def test_three_level_chain_composes(self):
         z0, z1, z2 = kron(SZ, I2, I2), kron(I2, SZ, I2), kron(I2, I2, SZ)
         groups = [[z0], [z0, z1], [z0, z1, z2]]
         cc = context_category_from_groups(full_matrix_algebra(8), groups)
         assert cc.leq("V0", "V1") and cc.leq("V1", "V2") and cc.leq("V0", "V2")
-        sheaf = build_spectral_presheaf(cc)
-        assert check_presheaf(sheaf).ok
+        diagram = restriction_diagram(cc)
+        assert check_diagram(diagram).ok
+        # one table corrupted: the chain through it no longer composes
+        maps = dict(diagram.maps)
+        maps["V2<=V0"] = {i: 1 - j for i, j in maps["V2<=V0"].items()}
+        report = check_diagram(Diagram(diagram.index, diagram.carriers, maps))
+        assert report.violations and {v.kind for v in report.violations} == {"diagram.compose"}
         # composed restriction equals the direct one on each fiber point
-        for i in range(len(sheaf.fibers["V2"])):
-            via = sheaf.restrict("V1", "V0", sheaf.restrict("V2", "V1", i))
-            assert via == sheaf.restrict("V2", "V0", i)
+        tables = build_spectral_presheaf(cc).restrictions
+        for i in range(len(cc.spectra["V2"])):
+            assert tables[("V0", "V1")][tables[("V1", "V2")][i]] == tables[("V0", "V2")][i]
 
 
 # ---------------------------------------------------------------------------
@@ -274,39 +280,6 @@ class TestOperatorInterval:
         v = generate_algebra([SZ], 2)
         with pytest.raises(DomainError):
             operator_interval(np.array([[0, 1], [0, 0]]), v, gelfand_spectrum(v)[0])
-
-
-# ---------------------------------------------------------------------------
-# frames
-
-
-class TestFrames:
-    def test_powerset_frame_is_frame(self):
-        assert check_frame(powerset_frame([1, 2, 3])).ok
-
-    def test_identity_frame_hom(self):
-        frame = powerset_frame([1, 2])
-        fm = FrameMap(frame, frame, {e: e for e in frame.elements})
-        assert check_frame_hom(fm).ok
-
-    def test_preimage_map_is_frame_hom(self):
-        fm = preimage_frame_map({0: "a", 1: "a", 2: "b"}, [0, 1, 2], ["a", "b"])
-        assert check_frame_hom(fm).ok
-
-    def test_join_breaking_map_reported(self):
-        frame = powerset_frame([1, 2])
-        mapping = {e: e for e in frame.elements}
-        mapping[frozenset({1, 2})] = frozenset({1})  # join of {1},{2} now lands too low
-        fm = FrameMap(frame, frame, mapping)
-        report = check_frame_hom(fm)
-        assert any(v.kind == "framehom.join" for v in report.violations)
-        assert any(v.kind == "framehom.top" for v in report.violations)
-
-    def test_non_lattice_rejected(self):
-        from ctxlab.errors import InputError
-
-        with pytest.raises(InputError):
-            FiniteFrame.from_leq(["a", "b"], set())  # two incomparable points, no top
 
 
 def test_rays_to_projectors_normalizes():

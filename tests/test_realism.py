@@ -10,7 +10,6 @@ from ctxlab.ctxext import build_limit_extension, extend_state
 from ctxlab.errors import CapExceeded, DomainError, InputError, MixedObservableError
 from ctxlab.realism import (
     CarrierObservable,
-    HybridProvider,
     MatrixObservable,
     MeasureProvider,
     ObservableFamily,
@@ -193,14 +192,15 @@ class TestClassicalBound:
 
 class TestTypedRefusals:
     def test_cross_type_pair_refused(self):
-        hybrid = HybridProvider(uniform(2), np.eye(2, dtype=complex) / 2)
+        carrier, matrix = CarrierObservable(np.ones(2)), MatrixObservable(SZ)
         with pytest.raises(MixedObservableError):
-            hybrid.correlation(CarrierObservable(np.ones(2)), MatrixObservable(SZ))
+            MeasureProvider(uniform(2)).correlation(carrier, matrix)
+        with pytest.raises(MixedObservableError):
+            QuantumProvider(np.eye(2, dtype=complex) / 2).correlation(matrix, carrier)
 
     def test_matching_types_dispatch(self):
-        hybrid = HybridProvider(uniform(2), np.eye(2, dtype=complex) / 2)
-        c = hybrid.correlation(CarrierObservable(np.ones(2)), CarrierObservable(np.ones(2)))
-        q = hybrid.correlation(MatrixObservable(SZ), MatrixObservable(SZ))
+        c = MeasureProvider(uniform(2)).correlation(CarrierObservable(np.ones(2)), CarrierObservable(np.ones(2)))
+        q = QuantumProvider(np.eye(2, dtype=complex) / 2).correlation(MatrixObservable(SZ), MatrixObservable(SZ))
         assert abs(c - 1.0) < 1e-12 and abs(q - 1.0) < 1e-12
 
     def test_measure_provider_rejects_matrices(self):

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, random_unitary
 from ctxlab.errors import DomainError, InputError
-from ctxlab.fincat import check_category
+from ctxlab.fincat import check_category, poset_category
 from ctxlab.presheaf import ray_family_context_category
 from ctxlab.linalg import orthonormalize_span, span_leq, spectral_tol
 from ctxlab.staralg import (
     MatrixStarAlgebra,
     algebra_span_leq,
-    boolean_blocks,
     context_category,
     context_category_from_groups,
     full_matrix_algebra,
@@ -165,7 +164,7 @@ class TestContextCategory:
         for sub, sup in cc.strict_pairs():
             for b in cc.algebra(sub).basis:
                 assert cc.algebra(sup).contains(b)
-        assert check_category(cc.as_poset_category()).ok
+        assert check_category(poset_category(cc.ids(), cc.leq)).ok
 
     def test_nested_chain_from_groups(self):
         groups = [[kron(SZ, I2)], [kron(SZ, I2), kron(I2, SZ)]]
@@ -205,44 +204,34 @@ class TestIntersectionsAndRestrictions:
 
 
 class TestBooleanBlocks:
+    """The Boolean block of a clique of commuting projections is the lattice
+    of sums of its atoms, and those atoms are the characters of the clique's
+    maximal context."""
+
+    def blocks(self, projections) -> list:
+        d = len(projections[0])
+        cc = context_category(full_matrix_algebra(d), [np.asarray(p, dtype=complex) for p in projections])
+        return [cc.spectra[cid] for cid in cc.ids() if cc.generators[cid]]
+
     def test_projection_and_complement_one_block(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        blocks = boolean_blocks([p, np.eye(2) - p])
+        p = np.diag([1.0, 0.0])
+        blocks = self.blocks([p, np.eye(2) - p])
         assert len(blocks) == 1
-        assert len(blocks[0].elements) == 4
+        assert 2 ** len(blocks[0]) == 4
 
     def test_incompatible_rank_one_projections_two_blocks(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         plus = np.full((2, 2), 0.5, dtype=complex)
         assert np.linalg.norm(p0 @ plus - plus @ p0) > 1e-6
-        blocks = boolean_blocks([p0, plus])
+        blocks = self.blocks([p0, plus])
         assert len(blocks) == 2
-        assert all(len(b.elements) == 4 for b in blocks)
+        assert all(2 ** len(b) == 4 for b in blocks)
 
     def test_three_orthogonal_projections_give_eight_elements(self):
         ps = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-        blocks = boolean_blocks([p.astype(complex) for p in ps])
-        assert len(blocks) == 1
-        assert len(blocks[0].atoms) == 3
-        assert len(blocks[0].elements) == 8
-
-    def test_block_is_distributive_lattice(self):
-        ps = [np.diag([1.0, 1.0, 0, 0]), np.diag([1.0, 0, 1.0, 0])]
-        (block,) = boolean_blocks([p.astype(complex) for p in ps])
-        for a, b, c in itertools.product(block.elements, repeat=3):
-            left = block.meet(a, block.join(b, c))
-            right = block.join(block.meet(a, b), block.meet(a, c))
-            assert np.linalg.norm(left - right) < 1e-9
-
-    def test_elements_pairwise_commute(self):
-        ps = [np.diag([1.0, 0.0]).astype(complex)]
-        (block,) = boolean_blocks(ps)
-        for a, b in itertools.combinations(block.elements, 2):
-            assert np.linalg.norm(a @ b - b @ a) < 1e-12
-
-    def test_non_projection_rejected(self):
-        with pytest.raises(DomainError):
-            boolean_blocks([SX + 2 * SZ])
+        (block,) = self.blocks(ps)
+        assert len(block) == 3
+        assert 2 ** len(block) == 8
 
 
 PAULI1 = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
