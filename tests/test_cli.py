@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from ctxlab import cli, staralg
-from ctxlab.cli import main, matrix_to_json, parse_matrix
+from ctxlab import cli, ctxext, realism, staralg
+from ctxlab.cli import build_parser, main, matrix_to_json, parse_matrix
 from ctxlab.errors import DomainError, InputError
 from ctxlab.linalg import require_state
 from ctxlab.locnet import pauli_string
@@ -799,3 +799,10 @@ class TestFrameIndependence:
     def test_seeds(self, capsys, families):
         for argv in self.argvs(families):
             assert run(capsys, ["--seed", "0", *argv]) == run(capsys, ["--seed", "5", *argv])
+
+
+@pytest.mark.parametrize("dest, cap", [("carrier_cap", ctxext.CARRIER_CAP), ("sign_cap", realism.SIGN_SEARCH_CAP)])
+def test_cap_options_default_to_the_library_caps(dest, cap):
+    """Each cap is written once, in its library module."""
+    args = build_parser().parse_args(["cat-check", "--category", "category.json"])
+    assert getattr(args, dest) == cap

@@ -181,6 +181,19 @@ class TestLimits:
         report = check_cone(cone, d)
         assert any(v.kind == "cone.structure" for v in report.violations)
 
+    def test_legs_into_apex_variance(self):
+        """Legs run from the apex into the diagram, and a cone has no other
+        variance: tables written from the carriers into the apex are not
+        legs, and a cone takes no ``to_apex`` flag."""
+        idx = poset_category(["s", "t"], lambda a, b: a <= b)
+        d = Diagram(idx, {"s": [0, 1], "t": ["x"]}, {"s<=t": {0: "x", 1: "x"}})
+        into = Cone(apex=["a"], legs={"s": {0: "a", 1: "a"}, "t": {"x": "a"}})
+        assert {v.kind for v in check_cone(into, d).violations} == {"cone.structure"}
+        out_of = Cone(apex=["a", "b"], legs={"s": {"a": 0, "b": 1}, "t": {"a": "x", "b": "x"}})
+        assert check_cone(out_of, d).ok
+        with pytest.raises(TypeError):
+            Cone(apex=["a"], legs=into.legs, to_apex=True)
+
     def test_partial_map_is_a_triangle_failure(self):
         # D(s<=t) is undefined on 1: a leg through 1 satisfies nothing
         idx = poset_category(["s", "t"], lambda a, b: a <= b)

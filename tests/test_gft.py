@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -340,6 +341,18 @@ class TestSecondQuantizationCone:
         f = random_fn(rng)
         with pytest.raises(DomainError):
             second_quantization_cone(1, 2, [f, 1j * f], SPACE)
+
+    def test_large_mode_space_pads_without_a_dense_identity(self):
+        """2048 modes on two copies: a 4096 x 4096 identity alone takes 128 MB."""
+        space = PolyhedronSpace(2, 11)
+        tracemalloc.start()
+        try:
+            built = second_quantization_cone(1, 2, [np.ones(space.size)], space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.report.ok
+        assert peak < 32 * 2**20
 
     def test_padding_preserves_weighted_inner_product(self, rng):
         f, g = random_fn(rng), random_fn(rng)

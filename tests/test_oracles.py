@@ -43,7 +43,7 @@ from ctxlab.ctxext import (
     spectrum_diagram,
     state_to_json,
 )
-from ctxlab.errors import CapExceeded, DomainError
+from ctxlab.errors import CapExceeded, DomainError, InputError
 from ctxlab.fincat import (
     DEFAULT_SEARCH_CAP,
     Cone,
@@ -75,6 +75,7 @@ from ctxlab.locnet import (
     check_locality,
     composite_context,
     pauli_string,
+    shifted_region,
     site_operator,
     spectrum_multiplicativity,
     standard_net,
@@ -260,6 +261,19 @@ def reference_weights(marginals, carrier) -> np.ndarray:
     for cid in carrier.context_ids:
         total = total * marginals[cid][carrier.component[cid]]
     return total
+
+
+def reference_point_valuation(a, v1, v2, x, ext, carrier) -> tuple:
+    e1 = reference_embed_values(a, v1, ext, carrier)
+    e2 = reference_embed_values(a, v2, ext, carrier)
+    if isinstance(x, int):
+        idx = x
+    else:
+        try:
+            idx = carrier.points.index(tuple(x))
+        except ValueError as exc:
+            raise DomainError(f"point {x!r} is not in the carrier") from exc
+    return complex(e1[idx]), complex(e2[idx])
 
 
 def reference_dominating_character_index(chi, sub_spectrum, tol=1e-9) -> int:
@@ -719,6 +733,25 @@ class TestIndexCarrierOracle:
         assert json.dumps(records) == json.dumps([dict(zip(ids, pt)) for pt in carrier.points])
 
     @settings(max_examples=40, deadline=None)
+    @given(case=seed_families(), data=st.data())
+    def test_point_lookup_matches_the_point_list(self, case, data):
+        """A point reads ``a`` through two contexts as the values of its two
+        embeddings at the point's position, found by index or by tuple."""
+        cc, _ = case
+        ext = build_limit_extension(cc)
+        carrier = reference_carrier(ext)
+        ids = ext.carrier.context_ids
+        v1 = data.draw(st.sampled_from(ids))
+        a = data.draw(st.sampled_from(cc.algebra(v1).basis))
+        v2 = data.draw(st.sampled_from([cid for cid in ids if cc.algebra(cid).contains(a)]))
+        left, right = embed(a, v1, ext).values, embed(a, v2, ext).values
+        for _ in range(5):
+            x = data.draw(st.integers(0, carrier.size - 1))
+            expected = reference_point_valuation(a, v1, v2, x, ext, carrier)
+            assert (complex(left[x]), complex(right[x])) == expected
+            assert reference_point_valuation(a, v1, v2, ext.carrier.points[x], ext, carrier) == expected
+
+    @settings(max_examples=40, deadline=None)
     @given(case=seed_families())
     def test_restriction_diagram_matches_its_own_build(self, case):
         cc, _ = case
@@ -763,6 +796,15 @@ def covariance_family(net, kind) -> list:
 
 
 class TestCovarianceOracle:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+    def test_shifted_regions_match_the_reference(self, length):
+        """Every interval under every shift of up to two turns either way."""
+        for start in range(length):
+            for stop in range(start, length):
+                region = Region(start, stop)
+                for shift in range(-2 * length, 2 * length + 1):
+                    assert shifted_region(region, shift, length) == reference_shifted_region(region, shift, length)
+
     @pytest.mark.parametrize("kind", ["sites", "mixed", "orphan", "two-site"])
     @pytest.mark.parametrize("shift", [0, 1, 2, 3])
     @pytest.mark.parametrize("length", [2, 3, 4])
@@ -1379,6 +1421,39 @@ def reference_cluster(values, tol, slack=1.0) -> list:
     return groups
 
 
+def reference_boolean_blocks(projections, tol=1e-9, max_atoms=12) -> list:
+    """(members, atoms, elements) per block."""
+    mats = [as_matrix(p) for p in projections]
+    for k, m in enumerate(mats):
+        if not is_projection(m, max(tol, 1e-8)):
+            raise DomainError(f"input {k} is not a projection")
+    if not mats:
+        return []
+    d = mats[0].shape[0]
+    for m in mats:
+        if m.shape[0] != d:
+            raise InputError("projections must share one matrix dimension")
+    eye = np.eye(d, dtype=complex)
+    blocks = []
+    for clique in _commutation_cliques(mats, tol):
+        partial = [eye]
+        for idx in clique:
+            p = mats[idx]
+            partial = [x @ p for x in partial] + [x @ (eye - p) for x in partial]
+        atoms = [a for a in partial if opnorm(a) > 0.5]
+        if len(atoms) > max_atoms:
+            raise CapExceeded("Boolean block atom count", len(atoms), max_atoms)
+        elements = []
+        for bits in itertools.product((0, 1), repeat=len(atoms)):
+            total = np.zeros((d, d), dtype=complex)
+            for take, atom in zip(bits, atoms):
+                if take:
+                    total = total + atom
+            elements.append(total)
+        blocks.append(([mats[i] for i in clique], atoms, elements))
+    return blocks
+
+
 def reference_outer_daseinisation(p, v, spectrum=None) -> np.ndarray:
     pm = as_matrix(p, v.dim)
     if not is_projection(pm, max(v.tol, 1e-8)):
@@ -1580,6 +1655,26 @@ class TestThresholdPolicyOracle:
             values.append(values[-1] + (threshold_offset(draw, tol) * scale if step is None else step))
         values = np.array(draw(st.permutations(values)))
         assert bits(_cluster(values, tol)) == bits(reference_cluster(values, tol))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=frame_contexts(), data=st.data())
+    def test_boolean_blocks(self, case, data):
+        """Group projections of one frame and of a second one: the atoms of
+        each commuting clique's Boolean block are the characters of one
+        context that ``context_category`` builds from the same projections."""
+        tol, u, groups, _, rng = case
+        w, other = frame_blocks(data.draw, len(u), rng)
+        projs = [u[:, g] @ u[:, g].conj().T for g in groups] + [w[:, g] @ w[:, g].conj().T for g in other[:2]]
+        cc = context_category(full_matrix_algebra(len(u), tol), projs)
+        spectra = [[chi.projection for chi in cc.spectra[cid]] for cid in cc.ids()]
+
+        def same_atoms(atoms, projections):
+            return len(atoms) == len(projections) and all(
+                sum(opnorm(atom - p) < 1e-8 for p in projections) == 1 for atom in atoms
+            )
+
+        for _, atoms, _ in reference_boolean_blocks(projs, tol):
+            assert sum(same_atoms(atoms, spectrum) for spectrum in spectra) == 1
 
     @settings(max_examples=150, deadline=None)
     @given(case=daseinisation_cases())

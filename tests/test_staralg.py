@@ -213,6 +213,14 @@ class TestBooleanBlocks:
         cc = context_category(full_matrix_algebra(d), [np.asarray(p, dtype=complex) for p in projections])
         return [cc.spectra[cid] for cid in cc.ids() if cc.generators[cid]]
 
+    def elements(self, block) -> list:
+        """Every sum of the block's atoms."""
+        d = len(block[0].projection)
+        return [
+            sum((chi.projection for take, chi in zip(bits, block) if take), np.zeros((d, d), dtype=complex))
+            for bits in itertools.product((0, 1), repeat=len(block))
+        ]
+
     def test_projection_and_complement_one_block(self):
         p = np.diag([1.0, 0.0])
         blocks = self.blocks([p, np.eye(2) - p])
@@ -232,6 +240,30 @@ class TestBooleanBlocks:
         (block,) = self.blocks(ps)
         assert len(block) == 3
         assert 2 ** len(block) == 8
+
+    def test_block_is_distributive_lattice(self):
+        ps = [np.diag([1.0, 1.0, 0, 0]), np.diag([1.0, 0, 1.0, 0])]
+        (block,) = self.blocks(ps)
+
+        def meet(a, b):
+            return a @ b
+
+        def join(a, b):
+            return a + b - a @ b
+
+        elements = self.elements(block)
+        assert len(elements) == 16
+        for a, b, c in itertools.product(elements, repeat=3):
+            left = meet(a, join(b, c))
+            right = join(meet(a, b), meet(a, c))
+            assert np.linalg.norm(left - right) < 1e-9
+
+    def test_elements_pairwise_commute(self):
+        (block,) = self.blocks([np.diag([1.0, 0.0])])
+        elements = self.elements(block)
+        assert len(elements) == 4
+        for a, b in itertools.combinations(elements, 2):
+            assert np.linalg.norm(a @ b - b @ a) < 1e-12
 
 
 PAULI1 = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
