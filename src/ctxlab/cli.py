@@ -135,8 +135,6 @@ def cmd_cat_check(args: argparse.Namespace) -> int:
 
 def _context_category_from_args(args: argparse.Namespace):
     dim, seeds, names = load_algebra_spec(args.algebra, args.seeds)
-    # refused here too, before the ambient's d^2 basis matrices are made
-    check_dimension(dim)
     ambient = full_matrix_algebra(dim, args.tolerance)
     return context_category(ambient, seeds, seed=args.seed), seeds, names
 

@@ -58,9 +58,18 @@ class FinCategory:
         return [(m, src, dst) for (src, dst), labels in self.homs.items() for m in labels if m not in idents]
 
 
+def _repeated(objects: list) -> list:
+    """Each object listed more than once, once, in order of first listing."""
+    return [o for k, o in enumerate(objects) if o in objects[k + 1 :] and o not in objects[:k]]
+
+
 def poset_category(elements: list, leq) -> FinCategory:
-    """Category of a finite poset: one arrow a -> b whenever leq(a, b)."""
+    """Category of a finite poset: one arrow a -> b whenever leq(a, b).
+    Refuses (InputError) an element listed twice."""
     objects = list(elements)
+    repeated = _repeated(objects)
+    if repeated:
+        raise InputError(f"poset element {repeated[0]!r} is listed more than once")
     homs: dict = {}
     compose: dict = {}
     identities = {}
@@ -91,11 +100,17 @@ def discrete_category(objects: list) -> FinCategory:
 def check_category(c: FinCategory) -> ValidationReport:
     """Exhaustively verify identity and associativity laws.
 
-    Structural defects (duplicate labels, missing identities, composition
-    table gaps or mistyped composites) are reported with kind
-    ``category.structure`` naming the offending pair.
+    Structural defects (repeated objects, duplicate labels, missing
+    identities, composition table gaps or mistyped composites) are
+    reported with kind ``category.structure`` naming the offending object
+    or pair.  A repeated object is reported once, and alone: every table
+    keyed by its name is ambiguous.
     """
     report = ValidationReport()
+    for o in _repeated(c.objects):
+        report.add("category.structure", f"object {o!r} is listed more than once")
+    if not report.ok:
+        return report
     seen: dict = {}
     for (src, dst), labels in c.homs.items():
         if src not in c.objects or dst not in c.objects:

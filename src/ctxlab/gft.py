@@ -97,10 +97,11 @@ class TruncatedFock:
             raise CapExceeded("Fock dimension", self.dim, FOCK_CAP)
         # a state is the sorted tuple of its particles' modes, listed by
         # total count; reversed, each sector's combinations list its
-        # occupations in ascending order, so the vacuum is state 0
-        states = [
+        # occupations in ascending order.  The vacuum, state 0, is listed
+        # directly: its sector would copy the whole mode range first.
+        states = [()] + [
             state
-            for total in range(self.n_max + 1)
+            for total in range(1, self.n_max + 1)
             for state in reversed(list(itertools.combinations_with_replacement(range(self.modes), total)))
         ]
         position = {state: i for i, state in enumerate(states)}

@@ -13,7 +13,8 @@ and phase flips (site 0 the high bit).  Products of strings are strings
 up to phases, so the *-algebra that strings generate is spanned by the
 subgroup that their ``(x, z)`` pairs generate over GF(2): ``2**rank``
 strings.  A ``PauliAlgebra`` keeps these strings, and its rows are the
-normalized Hermitian strings in ``itertools.product("IXYZ")`` order.
+normalized Hermitian strings in ``itertools.product("IXYZ")`` order,
+built the first time they are read.
 Between two such algebras, inclusion is a subset test and equality a set
 test.  Two strings commute iff ``popcount(x & z') + popcount(z & x')`` is
 even, and two anticommuting normalized strings have a commutator of
@@ -54,8 +55,11 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-# Longest chain a net may have: the whole chain's Pauli stack takes
-# 16**L * 16 bytes, 268 MB at 6 sites and 4.3 GB at 7.
+# Longest chain a net may have.  Pauli regions build their rows only when
+# read, so the standard net's checks need no cap this low; the dense
+# fallback of ``region_algebra`` does: its ``generate_algebra`` closure, at
+# ``dim_cap=2**length``, which never refuses, forms n**2 product rows of
+# 4**length entries a round, 2.6 GB at 5 sites for a round of 400 rows.
 MAX_SITES = 6
 
 
@@ -160,21 +164,21 @@ def pauli_term(g: np.ndarray, length: int, tol: float = DEFAULT_TOL):
     return (x, z) if np.linalg.norm(flat - np.vdot(row, flat) * row) <= tol * norm else None
 
 
-@dataclass
 class PauliAlgebra(MatrixStarAlgebra):
     """A *-algebra spanned by Pauli strings; ``strings`` holds the
     ``(x, z)`` masks of its rows, which are the normalized Hermitian
-    strings in "IXYZ" order.  Build it with ``generated``."""
+    strings in "IXYZ" order, built when first read.  Build it with
+    ``generated``."""
 
     strings: tuple = ()
 
     @classmethod
     def generated(cls, strings, length: int, tol: float = DEFAULT_TOL) -> "PauliAlgebra":
         """The *-algebra that the strings (``(x, z)`` masks) generate."""
-        d = 2**length
         group = _pauli_subgroup(strings, length)
-        rows = _string_rows(group, length)
-        return cls(d, list(rows.reshape(-1, d, d)), tol, rows, tuple(group))
+        alg = cls._rows_on_first_read(2**length, len(group), lambda: _string_rows(group, length), tol)
+        alg.strings = tuple(group)
+        return alg
 
 
 def region_algebra(generators: list, length: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:

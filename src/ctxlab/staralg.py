@@ -11,7 +11,7 @@ the restriction tables from one overlap matrix of those atoms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,35 +38,55 @@ SPECTRUM_RETRIES = 3
 COMMUTATOR_CHUNK = 1 << 16
 
 
-@dataclass
 class MatrixStarAlgebra:
     """A *-closed unital span of d x d complex matrices.
 
     ``basis`` is linearly independent (orthonormal in Frobenius norm when
     produced by this module); the span, not the individual basis matrices,
     is what carries the algebraic structure.  ``ortho`` is the span as
-    ``linalg`` rows: kept from construction, or made once from ``basis``.
+    ``linalg`` rows: made once from a given ``basis``, or, for an algebra
+    built from rows, those rows, with ``basis`` their views.  Such rows are
+    built the first time ``ortho`` or ``basis`` is read; ``dimension`` and
+    the tests that need no rows never build them.
     """
 
-    dim: int
-    basis: list
-    tol: float = DEFAULT_TOL
-    _ortho: np.ndarray = field(default=None, repr=False, compare=False)
+    def __init__(self, dim: int, basis: list, tol: float = DEFAULT_TOL):
+        self.dim, self.tol = dim, tol
+        self._basis, self._count = basis, len(basis)
+        self._ortho = self._make_rows = None
+
+    @classmethod
+    def _rows_on_first_read(cls, d: int, count: int, make_rows, tol: float = DEFAULT_TOL):
+        """The algebra whose basis is the ``count`` Frobenius-orthonormal
+        rows that ``make_rows()`` returns, called when they are first read."""
+        alg = cls.__new__(cls)
+        alg.dim, alg.tol = d, tol
+        alg._basis, alg._count, alg._ortho, alg._make_rows = None, count, None, make_rows
+        return alg
 
     @classmethod
     def from_rows(cls, d: int, rows: np.ndarray, tol: float = DEFAULT_TOL) -> "MatrixStarAlgebra":
         """The algebra whose basis is the given Frobenius-orthonormal rows."""
-        return cls(d, list(rows.reshape(-1, d, d)), tol, rows)
+        return cls._rows_on_first_read(d, len(rows), lambda: rows, tol)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return self._count
 
     @property
     def ortho(self) -> np.ndarray:
         if self._ortho is None:
-            self._ortho = orthonormalize_span(self.basis, self.tol)
+            if self._make_rows is None:
+                self._ortho = orthonormalize_span(self._basis, self.tol)
+            else:
+                self._ortho, self._make_rows = self._make_rows(), None
         return self._ortho
+
+    @property
+    def basis(self) -> list:
+        if self._basis is None:
+            self._basis = list(self.ortho.reshape(-1, self.dim, self.dim))
+        return self._basis
 
     @property
     def identity(self) -> np.ndarray:
@@ -93,8 +113,9 @@ class MatrixStarAlgebra:
 
 
 def full_matrix_algebra(d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """All d x d matrices, with the matrix units as orthonormal basis."""
-    return MatrixStarAlgebra.from_rows(d, np.eye(d * d, dtype=complex), tol)
+    """All d x d matrices, with the matrix units as orthonormal basis, built
+    when first read: as an ambient, only its ``dim`` and ``contains`` are."""
+    return MatrixStarAlgebra._rows_on_first_read(d, d * d, lambda: np.eye(d * d, dtype=complex), tol)
 
 
 def algebra_span_equal(a: MatrixStarAlgebra, b: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> bool:

@@ -11,7 +11,7 @@ from ctxlab.ctxext import (
     extend_state,
     spectrum_diagram,
 )
-from ctxlab.errors import CapExceeded, DomainError
+from ctxlab.errors import CapExceeded, DomainError, InputError
 from ctxlab.fincat import check_cone, check_diagram, limit_of_diagram
 from ctxlab.presheaf import build_spectral_presheaf
 from ctxlab.staralg import context_category, context_category_from_groups, full_matrix_algebra
@@ -54,6 +54,13 @@ class TestCarrier:
         assert check_cone(cone, diagram).ok
         assert len(cone.apex) < ext.carrier.size
         assert set(cone.apex) <= set(ext.carrier.points)
+
+    @pytest.mark.parametrize("with_restrictions", [False, True])
+    def test_diagram_of_a_repeated_context_refused_by_name(self, with_restrictions):
+        cc, _ = two_context_extension()
+        ext = sub_family_extension(cc, ["V0", "V0"])
+        with pytest.raises(InputError, match="'V0' is listed more than once"):
+            spectrum_diagram(ext, with_restrictions=with_restrictions)
 
     def test_diagram_of_a_sub_family_uses_only_its_contexts(self):
         groups = [[kron(SZ, I2)], [kron(SZ, I2), kron(I2, SZ)], [kron(SX, I2)]]

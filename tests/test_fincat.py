@@ -101,6 +101,24 @@ class TestCheckCategory:
         report = check_category(cat)
         assert any(v.kind == "category.identity" for v in report.violations)
 
+    def test_poset_with_a_repeated_element_refused_by_name(self):
+        with pytest.raises(InputError, match="'V0' is listed more than once"):
+            poset_category(["V0", "V1", "V0"], lambda a, b: a == b)
+
+    def test_repeated_object_reported_once_by_name(self):
+        """The category that ``poset_category(["V0", "V0"], eq)`` built
+        before it refused repeats: four ``id_V0`` arrows in one hom set."""
+        cat = FinCategory(
+            objects=["V0", "V0", "V0"],
+            homs={("V0", "V0"): ["id_V0"] * 9},
+            compose={("id_V0", "id_V0"): "id_V0"},
+            identities={"V0": "id_V0"},
+        )
+        report = check_category(cat)
+        assert [(v.kind, v.message) for v in report.violations] == [
+            ("category.structure", "object 'V0' is listed more than once")
+        ]
+
 
 class TestCheckFunctor:
     def test_identity_functor(self):

@@ -661,3 +661,27 @@ def test_standard_net_builds_each_region_once(monkeypatch):
     bad = LocalNet(3, corrupted, builder=net.builder)
     assert bad.builder(Region(0, 0)) is net.algebra(Region(0, 0))
     assert not bad.matches_reference(Region(0, 0)) and bad.matches_reference(Region(1, 1))
+
+
+def test_chain_six_checks_build_no_region_rows(capsys):
+    """Between Pauli regions the axioms are set and parity tests, so the
+    ``(4**L, 16**L)`` row stacks are never built: the whole chain's alone
+    takes 268 MB at 6 sites, and the ambient identity as much again."""
+    import tracemalloc
+
+    from ctxlab.cli import main
+
+    tracemalloc.start()
+    try:
+        assert main(["net-check", "--chain", "6"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert '"violations": []' in capsys.readouterr().out
+    assert peak < 32 * 2**20
+
+    net = standard_net(6)
+    regions = net.regions()
+    assert check_isotony(net).ok and check_locality(net).ok
+    assert all(check_lc_square(s, b, net).ok for s in regions for b in regions if b.contains(s))
+    assert not [r for r, alg in net.assignment.items() if alg._ortho is not None or alg._basis is not None]

@@ -10,8 +10,9 @@ and the point-list carrier with its component arrays, together with the
 per-point covariance loops, the restriction diagram with its own index
 category and tables, the list-based span functions with the closure and
 the pairwise context-category build, the one-algebra spectrum and the
-dominance tables, the per-mode Fock ladder loops, and the Weyl action by
-``expm_multiply``.  Outputs must be identical, in identical order, and
+dominance tables, the per-mode Fock ladder loops, the Weyl action by
+``expm_multiply``, and the Pauli and full-algebra row stacks that were
+built with each algebra.  Outputs must be identical, in identical order, and
 minima bitwise equal; the Weyl action agrees within 1e-14, and the
 benchmark's gft-weyl reports byte for byte.  The contexts and spectra
 are compared by report, not by bits: the same ids, order, fiber sizes,
@@ -70,15 +71,19 @@ from ctxlab.linalg import (
 )
 from ctxlab.locnet import (
     LocalNet,
+    PauliAlgebra,
     Region,
     check_covariance,
+    check_isotony,
     check_locality,
     composite_context,
     pauli_string,
+    region_algebra,
     shifted_region,
     site_operator,
     spectrum_multiplicativity,
     standard_net,
+    standard_region_algebra,
     translation_unitary,
 )
 from ctxlab.presheaf import (
@@ -111,6 +116,7 @@ from ctxlab.staralg import (
     _selfadjoint_spanning,
     _spans,
     algebra_span_equal,
+    algebra_span_leq,
     commuting,
     context_algebra,
     context_category,
@@ -2424,3 +2430,107 @@ class TestWeylActionOracle:
         for argv, report in zip(argvs, found):
             assert main(argv) == 0
             assert capsys.readouterr().out == report, argv
+
+
+# ---------------------------------------------------------------------------
+# the Pauli and full-algebra rows, built on first read, against the stacks
+# that were built with each algebra
+
+
+def reference_popcount(masks, length):
+    return sum((masks >> k) & 1 for k in range(length))
+
+
+def reference_string_rows(strings, length) -> np.ndarray:
+    d = 2**length
+    x, z = np.asarray(strings, dtype=np.intp).reshape(-1, 2).T
+    cols = np.arange(d)
+    phases = np.array([1, 1j, -1, -1j])[reference_popcount(x & z, length) % 4]
+    signs = 1 - 2 * (reference_popcount(z[:, None] & cols, length) % 2)
+    rows = np.zeros((len(x), d, d), dtype=complex)
+    rows[np.arange(len(x))[:, None], cols ^ x[:, None], cols] = (phases[:, None] * signs) / np.sqrt(d)
+    return rows.reshape(len(x), d * d)
+
+
+def reference_pauli_subgroup(strings, length) -> list:
+    basis = []
+    for x, z in strings:
+        v = x << length | z
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    group = [0]
+    for b in basis:
+        group += [g ^ b for g in group]
+    digits = [sum(((0, 3), (1, 2))[g >> length + j & 1][g >> j & 1] << 2 * j for j in range(length)) for g in group]
+    return [(g >> length, g & (1 << length) - 1) for _, g in sorted(zip(digits, group))]
+
+
+def rows_built(alg) -> bool:
+    return alg._ortho is not None or alg._basis is not None
+
+
+def assert_rows_are(alg, expected_rows, chunk=256):
+    """``ortho`` and the ``basis`` views equal the rows bit for bit.  Each
+    row depends on its own string only, so ``expected_rows(start, stop)``
+    gives a slice of the reference stack, and at most one slice is held."""
+    d = alg.dim
+    assert alg.ortho.dtype == complex and alg.ortho.shape == (alg.dimension, d * d)
+    assert len(alg.basis) == alg.dimension
+    for start in range(0, alg.dimension, chunk):
+        expected = expected_rows(start, start + chunk)
+        assert alg.ortho[start : start + chunk].tobytes() == expected.tobytes()
+        for k, row in enumerate(expected, start):
+            assert alg.basis[k].shape == (d, d) and alg.basis[k].tobytes() == row.tobytes()
+            assert np.shares_memory(alg.basis[k], alg.ortho)
+
+
+class TestRowsOnFirstReadOracle:
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_standard_region_rows_are_the_eager_stacks(self, length):
+        for region in chain(length).regions():
+            alg = standard_region_algebra(region, length)
+            sites = [1 << length - 1 - k for k in region.sites()]
+            group = reference_pauli_subgroup([(b, 0) for b in sites] + [(0, b) for b in sites], length)
+            assert isinstance(alg, PauliAlgebra) and not rows_built(alg)
+            assert alg.dimension == len(group) == 4 ** len(sites) and list(alg.strings) == group
+            assert_rows_are(alg, lambda start, stop: reference_string_rows(group[start:stop], length))
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_full_algebra_rows_are_the_identity(self, d):
+        alg = full_matrix_algebra(d)
+        assert alg.dimension == d * d and alg.contains(np.ones((d, d))) and not rows_built(alg)
+        eye = np.eye(d * d, dtype=complex)
+        assert_rows_are(alg, lambda start, stop: eye[start:stop])
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_mixed_generators_read_the_pauli_rows_in_the_dense_span_test(self, length):
+        """A region closed densely (a generator that is no string) against
+        the Pauli regions: the span tests build a Pauli algebra's rows when
+        they read them, bit for bit the eager stack, and decide as on it."""
+        d = 2**length
+        x0, z0 = (pauli_string({0: p}, length) for p in "XZ")
+        dense = region_algebra([z0, x0 + z0], length)
+        assert not isinstance(dense, PauliAlgebra) and dense.dimension == 4
+        for r in chain(length).regions():
+            lazy = standard_region_algebra(r, length)
+            group = reference_pauli_subgroup(lazy.strings, length)
+            eager = MatrixStarAlgebra.from_rows(d, reference_string_rows(group, length), lazy.tol)
+            assert not rows_built(lazy)
+            assert algebra_span_leq(dense, lazy) == algebra_span_leq(dense, eager) == (r.start == 0)
+            assert rows_built(lazy)
+            assert_rows_are(lazy, lambda start, stop: eager.ortho[start:stop])
+            assert algebra_span_leq(lazy, dense) == algebra_span_leq(eager, dense) == (r == Region(0, 0))
+
+        # in a net: isotony reads the rows of the regions above the dense
+        # one, locality those of the regions apart from it
+        assignment = {r: standard_region_algebra(r, length) for r in chain(length).regions()}
+        assignment[Region(0, 0)] = dense
+        net = LocalNet(length, assignment, tol=dense.tol)
+        assert check_isotony(net).ok
+        assert [r for r, alg in assignment.items() if alg is not dense and rows_built(alg)] == [
+            Region(0, k) for k in range(1, length)
+        ]
+        assert check_locality(net).ok
+        assert all(rows_built(alg) for alg in assignment.values())
