@@ -28,7 +28,7 @@ from .ctxext import (
 )
 from .errors import InputError, ToolError
 from .linalg import DEFAULT_TOL, check_tolerance
-from .staralg import check_dimension, context_algebra, context_category, full_matrix_algebra, gelfand_spectrum
+from .staralg import check_dimension, context_algebra, context_category, full_matrix_algebra
 from .validation import whole_number
 
 
@@ -217,11 +217,8 @@ def cmd_daseinise(args: argparse.Namespace) -> int:
     check_dimension(dim)
     context = context_algebra(seeds, dim, args.tolerance, seed=args.seed)
     proj = parse_matrix(load_json(args.projection))
-    chars = gelfand_spectrum(context, seed=args.seed)
-    if args.mode == "outer":
-        result = presheaf.outer_daseinisation(proj, context, chars)
-    else:
-        result = presheaf.inner_daseinisation(proj, context, chars)
+    daseinise = presheaf.outer_daseinisation if args.mode == "outer" else presheaf.inner_daseinisation
+    result = daseinise(proj, context)
     emit({"mode": args.mode, "context_seeds": names, "result": matrix_to_json(result)})
     return 0
 

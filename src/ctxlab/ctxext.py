@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError
 from .fincat import Diagram, discrete_category, poset_category
-from .linalg import as_matrix, require_state, span_leq, spectral_tol
-from .presheaf import build_spectral_presheaf
+from .linalg import as_matrix, require_state
 from .staralg import ContextCategory
 
 CARRIER_CAP = 10**6
@@ -110,11 +109,10 @@ def build_limit_extension(cc: ContextCategory, cap: int = CARRIER_CAP) -> Extend
 def embed(a, ctx_id: str, ext: ExtendedAlgebra) -> Element:
     """Component-wise embedding: the value at a point is the context
     character's value on ``a``; a unital *-homomorphism on that context.
-    ``a`` must lie in the context's span, which is its atoms: within
-    ``spectral_tol``, since atoms carry eigensolver error."""
+    ``a`` must lie in the context's span (``contains``)."""
     alg = ext.cc.algebra(ctx_id)
     m = as_matrix(a, alg.dim)
-    if not span_leq(m.reshape(1, -1), alg.ortho, spectral_tol(alg.tol)):
+    if not alg.contains(m):
         raise DomainError(f"matrix lies outside the span of context {ctx_id}")
     char_values = np.array([chi.value_of(m) for chi in ext.spectra[ctx_id]])
     axis = [1] * len(ext.carrier.sizes)
@@ -169,18 +167,17 @@ def spectrum_diagram(ext: ExtendedAlgebra, with_restrictions: bool = False) -> D
     """The context spectra as a concrete diagram.
 
     Discrete by default (its limit is the full product carrier); with
-    restriction arrows sup -> sub, mapped by the spectral presheaf's
-    restriction tables, the limit is the compatible-tuple subset.
+    restriction arrows sup -> sub, mapped by the category's restriction
+    tables, the limit is the compatible-tuple subset.
     """
     ids = ext.carrier.context_ids
     carriers = {cid: list(range(len(ext.spectra[cid]))) for cid in ids}
     if not with_restrictions:
         return Diagram(discrete_category(ids), carriers)
     index = poset_category(ids, lambda a, b: ext.cc.leq(b, a))
-    tables = build_spectral_presheaf(ext.cc).restrictions
     maps = {
         index.homs[(sup, sub)][0]: table
-        for (sub, sup), table in tables.items()
+        for (sub, sup), table in ext.cc.restrictions.items()
         if sub in carriers and sup in carriers
     }
     return Diagram(index, carriers, maps)

@@ -100,11 +100,10 @@ def discrete_category(objects: list) -> FinCategory:
 def check_category(c: FinCategory) -> ValidationReport:
     """Exhaustively verify identity and associativity laws.
 
-    Structural defects (repeated objects, duplicate labels, missing
-    identities, composition table gaps or mistyped composites) are
-    reported with kind ``category.structure`` naming the offending object
-    or pair.  A repeated object is reported once, and alone: every table
-    keyed by its name is ambiguous.
+    Structural defects (repeated objects, duplicate labels, missing identities,
+    missing, stray or mistyped composites) are reported with kind
+    ``category.structure`` naming the offending object or pair.  A repeated
+    object is reported once, and alone: every table keyed by its name is ambiguous.
     """
     report = ValidationReport()
     for o in _repeated(c.objects):
@@ -130,7 +129,10 @@ def check_category(c: FinCategory) -> ValidationReport:
     if not report.ok:
         return report
 
-    # composition total and well typed
+    # composition total, well typed, and over composable pairs only
+    for (g, f), gf in c.compose.items():
+        if not {g, f, gf} <= morphs.keys() or morphs[f][1] != morphs[g][0]:
+            report.add("category.structure", f"composite entry ({g!r}, {f!r}) names an unknown or non-composable pair")
     for g, (gs, gd) in morphs.items():
         for f, (fs, fd) in morphs.items():
             if fd != gs:
@@ -179,8 +181,10 @@ class Functor:
 
 
 def check_functor(f: Functor) -> ValidationReport:
-    """Verify totality, typing, and preservation of identities and composites."""
-    report = ValidationReport()
+    """Both categories (stopping at structure violations), then totality, typing and the functor laws."""
+    report = ValidationReport(check_category(f.source).violations + check_category(f.target).violations)
+    if any(v.kind == "category.structure" for v in report.violations):
+        return report
     src_morphs = f.source.morphisms()
     dst_morphs = f.target.morphisms()
 
@@ -236,8 +240,10 @@ class Diagram:
 
 
 def check_diagram(d: Diagram) -> ValidationReport:
-    """Functor laws for a concrete diagram: totality, typing, composition."""
-    report = ValidationReport()
+    """The index category (stopping at structure violations), then totality, typing, composition."""
+    report = check_category(d.index)
+    if any(v.kind == "category.structure" for v in report.violations):
+        return report
     morphs = d.index.morphisms()
     for o in d.index.objects:
         if o not in d.carriers:

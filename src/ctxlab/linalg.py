@@ -7,11 +7,14 @@ span test is basis independent.
 
 Every numerical threshold of the package is named below.  Each function
 takes one ``tol`` (the CLI's ``--tolerance``): structural comparisons
-(spans, commutators) use it as it is; tests on projections, characters
-and eigenvalue gaps carry eigensolver error and use ``spectral_tol(tol)``;
-the character relation and the rank test have floors of their own.  Bounds on outside input (states, +-1 observables,
-measure weights), the sign-search tie margin and the GFT context test
-are fixed, as are the CLI's report bounds, which live in ``cli``.
+(spans, commutators) use it as it is; tests on projections, characters,
+eigenvalue gaps and spans of atoms carry eigensolver error and use
+``spectral_tol(tol)``.  Contexts are ordered by the overlap of atoms at that
+threshold, atom by atom: a fine atom lies under the coarse atom it overlaps
+however many others it leaks into below it.  The character relation and the
+rank test have floors of their own.  Bounds on outside input (states, +-1
+observables, measure weights), the sign-search tie margin and the GFT context
+test are fixed, as are the CLI's report bounds, which live in ``cli``.
 """
 
 from __future__ import annotations

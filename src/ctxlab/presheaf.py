@@ -97,16 +97,16 @@ def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
 # daseinisation
 
 
-def _daseinise(p, v: MatrixStarAlgebra, spectrum: list | None, outer: bool) -> np.ndarray:
-    """Both daseinisations: the sum of the context's minimal projections P
-    that overlap ``p`` (outer) or lie below it (inner), verified spectrally."""
+def _daseinise(p, v: MatrixStarAlgebra, chars: list, outer: bool) -> np.ndarray:
+    """Both daseinisations: the sum of the characters' projections P that
+    overlap ``p`` (outer) or lie below it (inner), verified spectrally."""
     name = "outer" if outer else "inner"
     pm = as_matrix(p, v.dim)
     tol = spectral_tol(v.tol)
     if not is_projection(pm, tol):
         raise DomainError(f"{name}_daseinisation expects a projection")
     q = np.zeros((v.dim, v.dim), dtype=complex)
-    for chi in spectrum if spectrum is not None else gelfand_spectrum(v):
+    for chi in chars:
         if outer:
             keep = opnorm(chi.projection @ pm) > tol
         else:
@@ -120,18 +120,18 @@ def _daseinise(p, v: MatrixStarAlgebra, spectrum: list | None, outer: bool) -> n
     return q
 
 
-def outer_daseinisation(p, v: MatrixStarAlgebra, spectrum: list | None = None) -> np.ndarray:
+def outer_daseinisation(p, v: MatrixStarAlgebra) -> np.ndarray:
     """Smallest projection of the context dominating ``p``.
 
     Sum of the minimal projections with nonzero overlap; the result is
     verified to dominate ``p`` spectrally.
     """
-    return _daseinise(p, v, spectrum, outer=True)
+    return _daseinise(p, v, gelfand_spectrum(v), outer=True)
 
 
-def inner_daseinisation(p, v: MatrixStarAlgebra, spectrum: list | None = None) -> np.ndarray:
+def inner_daseinisation(p, v: MatrixStarAlgebra) -> np.ndarray:
     """Largest projection of the context dominated by ``p``."""
-    return _daseinise(p, v, spectrum, outer=False)
+    return _daseinise(p, v, gelfand_spectrum(v), outer=False)
 
 
 def _spectral_steps(a: np.ndarray, tol: float) -> list:
@@ -147,7 +147,7 @@ def _spectral_steps(a: np.ndarray, tol: float) -> list:
     return steps
 
 
-def operator_interval(a, v: MatrixStarAlgebra, chi: Character, spectrum: list | None = None) -> tuple:
+def operator_interval(a, v: MatrixStarAlgebra, chi: Character) -> tuple:
     """Interval [inner reading, outer reading] of ``a`` at a character.
 
     The spectral family of ``a`` is daseinised step by step (inner for the
@@ -158,7 +158,7 @@ def operator_interval(a, v: MatrixStarAlgebra, chi: Character, spectrum: list | 
     am = as_matrix(a, v.dim)
     if not is_selfadjoint(am, spectral_tol(v.tol)):
         raise DomainError("operator_interval expects a self-adjoint matrix")
-    chars = spectrum if spectrum is not None else gelfand_spectrum(v)
+    chars = gelfand_spectrum(v)
     steps = _spectral_steps(am, v.tol)
 
     def rebuild(daseinise) -> np.ndarray:
@@ -170,8 +170,8 @@ def operator_interval(a, v: MatrixStarAlgebra, chi: Character, spectrum: list | 
             prev = approx
         return out
 
-    outer_op = rebuild(lambda e: inner_daseinisation(e, v, chars))
-    inner_op = rebuild(lambda e: outer_daseinisation(e, v, chars))
+    outer_op = rebuild(lambda e: _daseinise(e, v, chars, outer=False))
+    inner_op = rebuild(lambda e: _daseinise(e, v, chars, outer=True))
     lo = float(chi.value_of(inner_op).real)
     hi = float(chi.value_of(outer_op).real)
     if lo > hi + INTERVAL_SLACK:

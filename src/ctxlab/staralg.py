@@ -47,8 +47,11 @@ class MatrixStarAlgebra:
     ``linalg`` rows: made once from a given ``basis``, or, for an algebra
     built from rows, those rows, with ``basis`` their views.  Such rows are
     built the first time ``ortho`` or ``basis`` is read; ``dimension`` and
-    the tests that need no rows never build them.
+    the tests that need no rows never build them.  An algebra built from
+    atoms holds them as its characters, and its ``contains`` tests at
+    ``spectral_tol``, since atoms carry eigensolver error.
     """
+    _characters = None  # the held characters of an algebra built from atoms
 
     def __init__(self, dim: int, basis: list, tol: float = DEFAULT_TOL):
         self.dim, self.tol = dim, tol
@@ -96,7 +99,7 @@ class MatrixStarAlgebra:
         m = as_matrix(m, self.dim)
         if self.dimension == self.dim * self.dim:  # the full matrix algebra holds every finite matrix
             return bool(np.all(np.isfinite(m)))
-        return span_leq(m.reshape(1, -1), self.ortho, self.tol)
+        return span_leq(m.reshape(1, -1), self.ortho, self.tol if self._characters is None else spectral_tol(self.tol))
 
     def validate(self) -> ValidationReport:
         """Check unitality and closure under adjoint and product."""
@@ -324,12 +327,21 @@ def _reading_order(readings: np.ndarray, tol: float) -> list:
     return [k for group in _cluster(first, tol) for k in sorted(group, key=lambda k: second[k])]
 
 
+def _ordered_characters(blocks: list, tol: float) -> list:
+    """The atoms onto the ranges of the isometries ``blocks``, as characters in reading order."""
+    projs = np.stack([iso @ dagger(iso) for iso in blocks])
+    ranks = [iso.shape[1] for iso in blocks]
+    return [Character(projection=projs[k], rank=ranks[k]) for k in _reading_order(_traces(projs) / ranks, tol)]
+
+
 def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
-    """Characters of a commutative algebra: the atoms that its basis
-    splits the space into (``_atoms``), in the fixed reading order.
-    Refuses a non-commutative basis, a split that leaves some basis matrix
-    no combination of the blocks, and a count of atoms other than the
-    dimension (a basis that is not product-closed)."""
+    """Characters of a commutative algebra in the fixed reading order: those
+    it holds if built from atoms, else the atoms its basis splits the space
+    into (``_atoms``).  Refuses a non-commutative basis, a split that leaves
+    some basis matrix no combination of the blocks, and a count of atoms
+    other than the dimension (a basis that is not product-closed)."""
+    if v._characters is not None:
+        return v._characters
     if not is_commutative(v):
         raise DomainError("gelfand_spectrum requires a commutative algebra")
     blocks = _atoms(_basis_stack(v), v.tol, seed, v.dimension)
@@ -337,10 +349,7 @@ def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
         raise DomainError("simultaneous diagonalization failed to isolate characters")
     if len(blocks) != v.dimension:
         raise DomainError(f"found {len(blocks)} characters for an algebra of dimension {v.dimension}")
-    projs = np.stack([iso @ dagger(iso) for iso in blocks])
-    ranks = [iso.shape[1] for iso in blocks]
-    order = _reading_order(_traces(projs) / ranks, v.tol)
-    return [Character(projection=projs[k], rank=ranks[k]) for k in order]
+    return _ordered_characters(blocks, v.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +360,7 @@ def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
 class ContextCategory:
     """A finite family of commutative subalgebras ordered by inclusion.
 
-    ``spectra[id]`` lists the context's characters, and
+    ``spectra[id]`` is the list of characters that the context holds, and
     ``restrictions[(sub, sup)]`` maps each character index of ``sup`` to
     the index of its restriction to ``sub``, for every strict pair.
     """
@@ -400,11 +409,13 @@ def _commutation_cliques(mats: list, tol: float) -> list:
     return sorted(cliques)
 
 
-def _atom_algebra(atoms: np.ndarray, ranks: np.ndarray, tol: float) -> MatrixStarAlgebra:
-    """The commutative algebra spanned by the atoms ``(count, d, d)`` of the
-    given ranks; its rows ``p / sqrt(rank)`` are Frobenius-orthonormal."""
-    d = atoms.shape[-1]
-    return MatrixStarAlgebra.from_rows(d, (atoms / np.sqrt(ranks)[:, None, None]).reshape(-1, d * d), tol)
+def _atom_algebra(chars: list, tol: float) -> MatrixStarAlgebra:
+    """The commutative algebra spanned by the atoms ``chars``, which it holds
+    as its characters; its rows ``p / sqrt(rank)`` are built when first read."""
+    alg = MatrixStarAlgebra._rows_on_first_read(chars[0].projection.shape[-1], len(chars), lambda: np.stack(
+        [chi.projection.reshape(-1) / np.sqrt(chi.rank) for chi in chars]), tol)
+    alg._characters = chars
+    return alg
 
 
 def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL, seed: int = 0) -> MatrixStarAlgebra:
@@ -416,8 +427,7 @@ def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL, seed: in
     blocks = _atoms(stack, tol, seed)
     if blocks is None:
         raise DomainError("the generators do not generate a commutative algebra")
-    projs = np.stack([iso @ dagger(iso) for iso in blocks])
-    return _atom_algebra(projs, np.array([iso.shape[1] for iso in blocks], dtype=float), tol)
+    return _atom_algebra(_ordered_characters(blocks, tol), tol)
 
 
 def _components(touch: np.ndarray) -> list:
@@ -446,8 +456,10 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
     the maximal contexts V0, V1, ...; the meet of each pair, whose atoms
     are the connected components of the pair's overlap graph, when it has
     more than one; then I.  A <= B iff every atom of B overlaps exactly one
-    atom of A, its restriction.  A candidate equal to an earlier kept one
-    is dropped.
+    atom of A, its restriction; each leak is judged alone, so the atom may
+    leak into several others at or below the threshold, even past it in
+    sum.  A candidate equal to an earlier kept one is dropped; each kept
+    one holds its atoms as its characters (``spectra``).
     """
     d, tol = ambient.dim, ambient.tol
     threshold = spectral_tol(tol) ** 2
@@ -495,7 +507,7 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
         sizes = covers[k] @ ranks
         atoms = (covers[k] @ projs).reshape(-1, d, d)
         spectra[names[k]] = [Character(projection=p, rank=int(r)) for p, r in zip(atoms, sizes)]
-        contexts[names[k]] = _atom_algebra(atoms, sizes, tol)
+        contexts[names[k]] = _atom_algebra(spectra[names[k]], tol)
     for a in kept:
         for b in kept:
             if a != b and below[b, a]:

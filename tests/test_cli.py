@@ -84,6 +84,38 @@ class TestSubcommands:
         assert code == 1
         assert json.loads(out)["violations"]
 
+    @pytest.mark.parametrize("entry", [["id_a", "ghost", "id_a"], ["f", "f", "f"]])
+    @pytest.mark.parametrize("mode", ["category", "diagram", "functor"])
+    def test_cat_check_stray_composite(self, capsys, specs, tmp_path, mode, entry):
+        """A total composition table with one entry more, on an unknown
+        morphism or a pair that does not compose: every mode reports it as
+        the category's structure and stops there."""
+        category = json.load(open(specs["category"]))
+        category["compose"].append(entry)
+        payload = {
+            "category": category,
+            "diagram": {"index": category, "carriers": {"a": ["x"], "b": ["y"]}, "maps": {"f": {"x": "y"}}},
+            "functor": {"source": category, "target": json.load(open(specs["category"])),
+                        "object_map": {"a": "a", "b": "b"}, "morphism_map": {m: m for m in ("id_a", "id_b", "f")}},
+        }[mode]
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(payload))
+        code, out = run(capsys, ["cat-check", f"--{mode}", str(path)])
+        message = f"composite entry ({entry[0]!r}, {entry[1]!r}) names an unknown or non-composable pair"
+        assert code == 1
+        assert json.loads(out) == {"check": mode, "ok": False,
+                                   "violations": [{"kind": "category.structure", "message": message}]}
+
+    def test_cat_check_diagram_on_a_repeated_object(self, capsys, tmp_path):
+        index = {"objects": ["V0", "V0"], "homs": [{"src": "V0", "dst": "V0", "morphisms": ["id_V0", "id_V0"]}],
+                 "identities": {"V0": "id_V0"}, "compose": [["id_V0", "id_V0", "id_V0"]]}
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps({"index": index, "carriers": {"V0": [0, 1]}, "maps": {}}))
+        code, out = run(capsys, ["cat-check", "--diagram", str(path)])
+        assert code == 1
+        assert json.loads(out)["violations"] == [
+            {"kind": "category.structure", "message": "object 'V0' is listed more than once"}]
+
     def test_limit(self, capsys, specs):
         code, out = run(capsys, ["limit", "--algebra", specs["algebra"], "--seeds", "z,x"])
         assert code == 0
@@ -133,6 +165,22 @@ class TestSubcommands:
         assert code == 0
         result = parse_matrix(json.loads(out)["result"])
         assert np.allclose(result, np.eye(2))
+
+    def test_daseinise_splits_the_space_once(self, capsys, specs, monkeypatch):
+        """The context holds the characters it was built from: no second
+        split and no commutation test of its atoms."""
+        calls = []
+        for name in ("_atoms", "is_commutative"):
+            def counted(*args, _name=name, _original=getattr(staralg, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(staralg, name, counted)
+        for mode in ("outer", "inner"):
+            code, _ = run(capsys, ["daseinise", "--projection", specs["projection"], "--algebra", specs["algebra"],
+                                   "--seeds", "z", "--mode", mode])
+            assert code == 0
+        assert calls == ["_atoms", "_atoms"]
 
     def test_daseinise_refuses_non_commuting_seeds(self, capsys, specs):
         code = main(["daseinise", "--projection", specs["projection"], "--algebra", specs["algebra"], "--seeds", "z,x"])

@@ -1686,10 +1686,8 @@ class TestThresholdPolicyOracle:
     @given(case=daseinisation_cases())
     def test_daseinisations(self, case):
         p, v = case
-        chars = gelfand_spectrum(v)
-        assert same_outcome(outer_daseinisation, reference_outer_daseinisation, p, v, chars)
-        assert same_outcome(inner_daseinisation, reference_inner_daseinisation, p, v, chars)
         assert same_outcome(outer_daseinisation, reference_outer_daseinisation, p, v)
+        assert same_outcome(inner_daseinisation, reference_inner_daseinisation, p, v)
 
     @settings(max_examples=100, deadline=None)
     @given(case=interval_cases())
@@ -1707,7 +1705,7 @@ class TestThresholdPolicyOracle:
             return
         chars = gelfand_spectrum(v)
         for chi in chars:
-            assert same_outcome(operator_interval, reference_operator_interval, a, v, chi, chars)
+            assert same_outcome(operator_interval, reference_operator_interval, a, v, chi)
 
     @settings(max_examples=150, deadline=None)
     @given(case=state_cases())
@@ -1770,7 +1768,7 @@ class TestDeliberateThresholdChanges:
         assert len(_spectral_steps(a, tol)) == (2 if new_merged else 3)
         closed, open_ = pytest.approx((gap / 2, gap / 2), abs=1e-14), pytest.approx((0.0, gap), abs=1e-14)
         assert reference_operator_interval(a, v, chi, chars) == (closed if old_merged else open_)
-        assert operator_interval(a, v, chi, chars) == (closed if new_merged else open_)
+        assert operator_interval(a, v, chi) == (closed if new_merged else open_)
 
 
 # ---------------------------------------------------------------------------
@@ -2314,6 +2312,39 @@ class TestContextAlgebraOracle:
     def test_non_commuting_generators_are_refused(self):
         with pytest.raises(DomainError, match="the generators do not generate a commutative algebra"):
             context_algebra([SX, SZ], 2)
+
+
+def assert_holds_the_reference_spectrum(v):
+    """The characters that an algebra built from atoms holds, against the
+    frozen one-algebra split of that algebra put in the fixed reading
+    order: the same count, ranks and order, projections within 1e-12, and
+    ``gelfand_spectrum`` returns the held list itself."""
+    held = v._characters
+    expected = reference_gelfand_spectrum(v)
+    projs = np.stack([chi.projection for chi in expected])
+    ranks = [chi.rank for chi in expected]
+    expected = [expected[k] for k in staralg._reading_order(staralg._traces(projs) / ranks, v.tol)]
+    assert len(held) == len(expected) == v.dimension
+    assert [chi.rank for chi in held] == [chi.rank for chi in expected]
+    assert all(opnorm(chi.projection - ref.projection) <= 1e-12 for chi, ref in zip(held, expected))
+    assert gelfand_spectrum(v) is held
+
+
+class TestHeldCharactersOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=commuting_families(), seed=st.sampled_from([0, 5]))
+    def test_context_algebras(self, case, seed):
+        d, gens, tol = case
+        assert_holds_the_reference_spectrum(context_algebra(gens, d, tol, seed=seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=seed_lists())
+    def test_context_categories(self, case):
+        dim, seeds = case
+        cc = context_category(full_matrix_algebra(dim), seeds)
+        for cid in cc.ids():
+            assert_holds_the_reference_spectrum(cc.algebra(cid))
+            assert cc.spectra[cid] is cc.algebra(cid)._characters
 
 
 # ---------------------------------------------------------------------------

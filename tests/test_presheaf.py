@@ -236,7 +236,7 @@ class TestOperatorInterval:
         chars = gelfand_spectrum(v)
         a = 2.0 * SZ + np.eye(2)
         for chi in chars:
-            lo, hi = operator_interval(a, v, chi, chars)
+            lo, hi = operator_interval(a, v, chi)
             assert abs(lo - hi) < 1e-9
             assert abs(lo - chi.value_of(a).real) < 1e-9
 
@@ -247,12 +247,12 @@ class TestOperatorInterval:
         v = generate_algebra([SZ], 2)
         chars = gelfand_spectrum(v)
         for chi in chars:
-            assert operator_interval(SX, v, chi, chars) == (-1.0, 1.0)
+            assert operator_interval(SX, v, chi) == (-1.0, 1.0)
 
     def test_identity_interval(self):
         v = generate_algebra([SZ], 2)
         chars = gelfand_spectrum(v)
-        lo, hi = operator_interval(np.eye(2), v, chars[0], chars)
+        lo, hi = operator_interval(np.eye(2), v, chars[0])
         assert abs(lo - 1.0) < 1e-9 and abs(hi - 1.0) < 1e-9
 
     def test_interval_contains_character_value(self, rng):
@@ -262,7 +262,7 @@ class TestOperatorInterval:
         a = sum(c * b for c, b in zip(coeffs, v.basis))
         a = (a + a.conj().T) / 2
         for chi in chars:
-            lo, hi = operator_interval(a, v, chi, chars)
+            lo, hi = operator_interval(a, v, chi)
             val = chi.value_of(a).real
             assert lo - 1e-9 <= val <= hi + 1e-9
 
@@ -272,7 +272,7 @@ class TestOperatorInterval:
         a = np.array([[0.3, 0.7], [0.7, -1.2]], dtype=complex)
         eigs = np.linalg.eigvalsh(a)
         for chi in chars:
-            lo, hi = operator_interval(a, v, chi, chars)
+            lo, hi = operator_interval(a, v, chi)
             assert min(abs(lo - w) for w in eigs) < 1e-9
             assert min(abs(hi - w) for w in eigs) < 1e-9
 

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, random_unitary
+from ctxlab import staralg
 from ctxlab.errors import DomainError, InputError
 from ctxlab.fincat import check_category, poset_category
+from ctxlab.locnet import Region, pauli_string, site_operator, spectrum_multiplicativity, standard_net
 from ctxlab.presheaf import ray_family_context_category
 from ctxlab.linalg import orthonormalize_span, span_leq, spectral_tol
 from ctxlab.staralg import (
     MatrixStarAlgebra,
     algebra_span_leq,
+    context_algebra,
     context_category,
     context_category_from_groups,
     full_matrix_algebra,
@@ -426,3 +429,52 @@ class TestContextsFromAtoms:
             for cid in first.ids():
                 for chi, rho in zip(first.spectra[cid], other.spectra[cid]):
                     assert np.allclose(chi.projection, rho.projection, atol=1e-12)
+
+
+def count_splits(monkeypatch) -> dict:
+    """Count the calls of ``staralg._atoms`` and ``staralg.is_commutative``
+    made from within ``staralg`` from here on."""
+    calls = {"_atoms": 0, "is_commutative": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(staralg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(staralg, name, counted)
+    return calls
+
+
+class TestHeldCharacters:
+    def test_an_algebra_built_from_atoms_is_not_split_again(self, monkeypatch):
+        gens = [kron(SZ, I2), kron(I2, SZ)]
+        alg = context_algebra(gens, 4)
+        cc = context_category(full_matrix_algebra(4), gens + [kron(SX, SX)])
+        calls = count_splits(monkeypatch)
+        assert len(gelfand_spectrum(alg)) == 4
+        for cid in cc.ids():
+            assert gelfand_spectrum(cc.algebra(cid)) is cc.spectra[cid]
+        assert calls == {"_atoms": 0, "is_commutative": 0}
+        assert len(gelfand_spectrum(generate_algebra(gens, 4))) == 4
+        assert calls == {"_atoms": 1, "is_commutative": 1}
+
+    def test_spectrum_multiplicativity_splits_only_to_build_the_composite(self, monkeypatch):
+        net = standard_net(2)
+        parts = [(Region(k, k), context_algebra([site_operator(m, k, 2)], 4)) for k, m in enumerate([SZ, SX])]
+        calls = count_splits(monkeypatch)
+        assert spectrum_multiplicativity(net, parts) == (4, 4)
+        assert calls == {"_atoms": 1, "is_commutative": 0}
+
+    def test_atom_spans_contain_their_generators_and_exact_atoms_at_tol_1e_13(self):
+        """Single-qubit Z strings on 2-3 qubits in a random frame, split with
+        a different seed each draw: some draws give close eigenvalues, and
+        atoms off the exact ones by up to about 1e-11, which a span test at
+        1e-13 refused; the spectral threshold accepts every generator and
+        every exact atom."""
+        rng = np.random.default_rng(0)
+        for seed in range(120):
+            qubits = int(rng.integers(2, 4))
+            u = random_unitary(rng, 2**qubits)
+            gens = [u @ pauli_string({q: "Z"}, qubits) @ u.conj().T for q in range(qubits)]
+            alg = context_algebra(gens, 2**qubits, 1e-13, seed=seed)
+            atoms = [np.outer(u[:, k], u[:, k].conj()) for k in range(2**qubits)]
+            assert all(alg.contains(m) for m in gens + atoms), seed
