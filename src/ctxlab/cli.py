@@ -1,14 +1,17 @@
 """Command-line surface: JSON specs in, JSON/DOT/text reports out.
 
 Exit status: 0 on success, 1 when a check reports violations (the report
-is still emitted), 2 on input errors.  All randomness is controlled by
-``--seed``, so identical inputs and seed give byte-identical reports.
+is still emitted), 2 on input errors, 141 when stdout is closed early.  All
+randomness is controlled by ``--seed``, so identical inputs and seed give
+byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
+import itertools
 import json
 import os
 import sys
@@ -110,8 +113,40 @@ def load_algebra_spec(path: str, wanted: str | None):
     return dim, [seed_map[n] for n in names], names
 
 
+EMIT_SLICE = 4096  # list items per call of the C encoder
+CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _encode(level: int):
+    """The C encoder at nesting ``level`` of an indent=2 dump; ``indent`` selects the Python one."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (level + 1), ": ")).encode
+
+
+def _emit(value, level: int, write) -> None:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``level``:
+    one C call per container of scalars, a list in slices of EMIT_SLICE."""
+    if not isinstance(value, CONTAINERS) or not value:
+        write(_encode(level)(value))
+        return
+    inner, mapping = "\n" + "  " * (level + 1), isinstance(value, dict)
+    write(("{" if mapping else "[") + inner)
+    if not any(map(isinstance, value.values() if mapping else value, itertools.repeat(CONTAINERS))):
+        slices = [value] if mapping else (value[k:k + EMIT_SLICE] for k in range(0, len(value), EMIT_SLICE))
+        for n, part in enumerate(slices):
+            write(("," + inner if n else "") + _encode(level)(part)[1:-1])
+    else:
+        for n, item in enumerate(sorted(value.items()) if mapping else value):
+            # a key as the encoder writes it: int, float, bool and None keys become strings
+            write(("," + inner if n else "") + (json.dumps({item[0]: 0})[1:-4] + ": " if mapping else ""))
+            _emit(item[1] if mapping else item, level + 1, write)
+    write("\n" + "  " * level + ("}" if mapping else "]"))
+
+
 def emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline to stdout."""
+    _emit(report, 0, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +524,15 @@ def main(argv: list | None = None) -> int:
         check_tolerance(args.tolerance)
         if min(args.carrier_cap, args.sign_cap, args.apex_bound) <= 0:
             raise InputError("caps must be positive")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: quiet the flush at exit, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -424,10 +424,9 @@ def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationRep
     # that embedding then permuting equals translating then embedding.
     ambient = full_matrix_algebra(net.dim, net.tol)
     cc = context_category_from_groups(ambient, [alg.basis for _, alg in contexts])
-    # the category's contexts are built from atoms, which carry eigensolver error
     ids_by_region = {}
     for region, alg in contexts:
-        equal = (cid for cid in cc.ids() if algebra_span_equal(cc.algebra(cid), alg, spectral_tol(net.tol)))
+        equal = (cid for cid in cc.ids() if algebra_span_equal(cc.algebra(cid), alg, cc.algebra(cid).span_tol))
         match = next(equal, None)
         if match is None:
             raise DomainError(f"context at {region.label()} matches no context built from its generators")

@@ -48,8 +48,8 @@ class MatrixStarAlgebra:
     built from rows, those rows, with ``basis`` their views.  Such rows are
     built the first time ``ortho`` or ``basis`` is read; ``dimension`` and
     the tests that need no rows never build them.  An algebra built from
-    atoms holds them as its characters, and its ``contains`` tests at
-    ``spectral_tol``, since atoms carry eigensolver error.
+    atoms holds them as its characters, and its spans are compared at
+    ``span_tol``: ``spectral_tol``, since atoms carry eigensolver error.
     """
     _characters = None  # the held characters of an algebra built from atoms
 
@@ -92,6 +92,11 @@ class MatrixStarAlgebra:
         return self._basis
 
     @property
+    def span_tol(self) -> float:
+        """The threshold at which a span is compared with this one."""
+        return self.tol if self._characters is None else spectral_tol(self.tol)
+
+    @property
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
@@ -99,7 +104,7 @@ class MatrixStarAlgebra:
         m = as_matrix(m, self.dim)
         if self.dimension == self.dim * self.dim:  # the full matrix algebra holds every finite matrix
             return bool(np.all(np.isfinite(m)))
-        return span_leq(m.reshape(1, -1), self.ortho, self.tol if self._characters is None else spectral_tol(self.tol))
+        return span_leq(m.reshape(1, -1), self.ortho, self.span_tol)
 
     def validate(self) -> ValidationReport:
         """Check unitality and closure under adjoint and product."""

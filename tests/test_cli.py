@@ -854,3 +854,46 @@ def test_cap_options_default_to_the_library_caps(dest, cap):
     """Each cap is written once, in its library module."""
     args = build_parser().parse_args(["cat-check", "--category", "category.json"])
     assert getattr(args, dest) == cap
+
+
+class TestReportWriting:
+    """Reports go to stdout in pieces, with no second copy of a long one,
+    and a reader that stops early ends the run quietly."""
+
+    def test_closed_stdout_exits_quietly(self, families):
+        import os
+        import subprocess
+        import sys
+
+        import ctxlab
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ctxlab.__file__)))
+        # about 650 kB of point records, far more than a pipe holds
+        argv = ["limit", "--algebra", families["pauli"], "--seeds", "ZI,XI,IZ,IX", "--points"]
+        proc = subprocess.Popen([sys.executable, "-m", "ctxlab.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(16) == b'{\n  "carrier_poi'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err and "BrokenPipeError" not in err and err == ""
+
+    def test_state_extend_peak_memory(self, families):
+        """The five-seed two-qubit family: a 131,072-point carrier, whose
+        state-extend report takes 2.6 MB; json.dumps(indent=2) peaked at
+        18 MB on it."""
+        import contextlib
+        import os
+        import tracemalloc
+
+        argv = ["state-extend", "--algebra", families["pauli"], "--seeds", "ZI,XI,YI,IZ,IX",
+                "--state", families["state"]]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 12 * 2**20

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import I2, SX, SZ, kron, random_density
+from conftest import I2, SX, SY, SZ, kron, random_density
 from ctxlab.ctxext import (
     ExtendedAlgebra,
     ProductSpectrum,
@@ -186,6 +186,25 @@ class TestEvaluate:
         mu = extend_state(np.diag([1.0, 0.0]).astype(complex), ext)
         zctx = next(cid for cid in cc.ids() if cc.algebra(cid).contains(SZ))
         assert abs(evaluate_state(mu, embed(SZ, zctx, ext)) - 1.0) < 1e-10
+
+    def test_integral_copies_no_weights(self, rng):
+        """Over 131,072 points, the integral of a complex element allocates
+        well under the 2 MB that a complex copy of the weights takes."""
+        import tracemalloc
+
+        seeds = [kron(SZ, I2), kron(SX, I2), kron(SY, I2), kron(I2, SZ), kron(I2, SX)]
+        ext = build_limit_extension(context_category(full_matrix_algebra(4), seeds))
+        mu = extend_state(random_density(rng, 4), ext)
+        e = embed(kron(SZ, I2), ext.carrier.context_ids[1], ext) * (1 + 2j)
+        assert ext.carrier.size == 131072 and e.values.dtype == complex
+        tracemalloc.start()
+        try:
+            value = evaluate_state(mu, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(value - complex(np.dot(e.values, mu.weights))) < 1e-12
+        assert peak < mu.weights.nbytes // 2
 
     def test_expectations_match_trace(self, rng):
         cc = context_category(full_matrix_algebra(4), [kron(SZ, I2), kron(I2, SZ), kron(SX, SX)])

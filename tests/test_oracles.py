@@ -11,10 +11,11 @@ per-point covariance loops, the restriction diagram with its own index
 category and tables, the list-based span functions with the closure and
 the pairwise context-category build, the one-algebra spectrum and the
 dominance tables, the per-mode Fock ladder loops, the Weyl action by
-``expm_multiply``, and the Pauli and full-algebra row stacks that were
-built with each algebra.  Outputs must be identical, in identical order, and
-minima bitwise equal; the Weyl action agrees within 1e-14, and the
-benchmark's gft-weyl reports byte for byte.  The contexts and spectra
+``expm_multiply``, the Pauli and full-algebra row stacks that were
+built with each algebra, the report writer ``json.dumps(indent=2)`` and the
+carrier integral by ``np.dot``.  Outputs must be identical, in identical
+order, and minima bitwise equal; the Weyl action agrees within 1e-14, the
+benchmark's gft-weyl reports byte for byte, and the integral within 1e-12.  The contexts and spectra
 are compared by report, not by bits: the same ids, order, fiber sizes,
 restriction tables and global sections, up to the bijection that matches
 projections within 1e-8.
@@ -22,6 +23,7 @@ projections within 1e-8.
 
 import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -34,12 +36,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, perfbench_module, random_density, random_unitary, reference_index
-from ctxlab import fincat, gft, realism, staralg
-from ctxlab.cli import main
+from ctxlab import cli, fincat, gft, realism, staralg
+from ctxlab.cli import emit, main
 from ctxlab.ctxext import (
+    Element,
     build_limit_extension,
     carrier_to_json,
     embed,
+    evaluate_state,
     extend_state,
     spectrum_diagram,
     state_to_json,
@@ -2565,3 +2569,106 @@ class TestRowsOnFirstReadOracle:
         ]
         assert check_locality(net).ok
         assert all(rows_built(alg) for alg in assignment.values())
+
+
+# ---------------------------------------------------------------------------
+# the streaming report writer against json.dumps(indent=2), and the carrier
+# integral against np.dot
+
+
+def reference_emit(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def reference_evaluate_state(mu, e) -> complex:
+    return complex(np.dot(e.values, mu.weights))
+
+
+def emitted(report) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(report)
+    return out.getvalue()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
+    st.text(), st.sampled_from(["", "\"\\\n\t\x00\x1f", "éü中😀", "\ud800"]),
+)
+# one kind of key per dict, or numbers of mixed kinds, which compare: keys
+# that do not (an int and a str, or None and anything) make both raise alike
+JSON_KEY_KINDS = [st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+                  st.one_of(st.integers(), st.booleans(), st.floats())]
+
+
+@st.composite
+def json_dicts(draw, children):
+    return draw(st.dictionaries(draw(st.sampled_from(JSON_KEY_KINDS)), children, max_size=5))
+
+
+json_values = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6), st.lists(children, max_size=6).map(tuple), json_dicts(children),
+        st.just([]), st.just({}), st.just(()),
+    ),
+    max_leaves=40,
+)
+
+
+class TestEmitOracle:
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @settings(max_examples=300, deadline=None)
+    @given(value=json_values)
+    def test_recursive_values(self, chunk, value):
+        """Small slices, so that lists of every length cross slice bounds."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "EMIT_SLICE", chunk)
+            assert emitted(value) == reference_emit(value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=json_values)
+    def test_recursive_values_at_the_real_slice(self, value):
+        assert emitted(value) == reference_emit(value)
+
+    @pytest.mark.parametrize("length", [cli.EMIT_SLICE - 1, cli.EMIT_SLICE, cli.EMIT_SLICE + 1, 3 * cli.EMIT_SLICE + 5])
+    def test_flat_lists_longer_than_a_slice(self, rng, length):
+        values = rng.standard_normal(length).tolist()
+        report = {"weights": values, "marginals": {"I": [1.0], "V0": values[:7]}, "points": [
+            {"V0": k % 3, "V1": k % 5} for k in range(length)], "tuple": tuple(values[:5]), "nested": [[values]]}
+        assert emitted(report) == reference_emit(report)
+        assert emitted(values) == reference_emit(values)
+
+    @pytest.mark.parametrize("report", [
+        {1: [1], 2.5: {}, 3: [[]], -(10**30): ((),)},
+        {2.5: [{}], float("nan"): [1], float("-inf"): {"a": []}, -0.0: 0},
+        {True: [1], False: {}}, {None: [[], {}, ()]}, {10**30: [-10**30], -3: [1.5]},
+        [[], {}, (), [[]], [{}], {"": []}], "\u2028", 0, None, [],
+    ])
+    def test_non_string_keys_and_empty_containers(self, report):
+        assert emitted(report) == reference_emit(report)
+
+    @pytest.mark.parametrize("report", [{1: [1], "a": [2]}, {None: [1], 0: [2]}, {(1, 2): [1]}, {"a": [object()]}])
+    def test_refusals_match(self, report):
+        """What json.dumps refuses, the writer refuses with the same error."""
+        with pytest.raises(TypeError) as expected:
+            reference_emit(report)
+        with pytest.raises(TypeError) as found:
+            emitted(report)
+        assert str(found.value) == str(expected.value)
+
+
+class TestEvaluateStateOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(case=seed_families())
+    def test_embedded_and_arbitrary_elements(self, case):
+        cc, rng = case
+        ext = build_limit_extension(cc)
+        mu = extend_state(random_density(rng, cc.ambient.dim), ext)
+        elements = [embed(b, cid, ext) for cid in ext.carrier.context_ids for b in cc.algebra(cid).basis]
+        elements.append(Element(ext.carrier, rng.standard_normal(ext.carrier.size)
+                                + 1j * rng.standard_normal(ext.carrier.size)))
+        elements.append(ext.unit())
+        for e in elements:
+            assert abs(evaluate_state(mu, e) - reference_evaluate_state(mu, e)) <= 1e-12
