@@ -1,9 +1,10 @@
-"""Command-line surface: JSON specs in, JSON/DOT/text reports out.
+"""Command-line surface: JSON specs in, JSON/DOT reports out.
 
 Exit status: 0 on success, 1 when a check reports violations (the report
-is still emitted), 2 on input errors, 141 when stdout is closed early.  All
-randomness is controlled by ``--seed``, so identical inputs and seed give
-byte-identical reports.
+is still emitted), 2 on input errors, 141 when stdout is closed early.
+Context splits draw from one fixed stream, so a context report depends on
+its input alone; ``--seed`` seeds only the random test functions of
+gft-ccr and gft-weyl.  Identical inputs and seed give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def cmd_cat_check(args: argparse.Namespace) -> int:
 def _context_category_from_args(args: argparse.Namespace):
     dim, seeds, names = load_algebra_spec(args.algebra, args.seeds)
     ambient = full_matrix_algebra(dim, args.tolerance)
-    return context_category(ambient, seeds, seed=args.seed), seeds, names
+    return context_category(ambient, seeds), seeds, names
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
@@ -179,7 +180,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     ext = build_limit_extension(cc, cap=args.carrier_cap)
     report = {
         "seeds": names,
-        "contexts": {cid: len(ext.spectra[cid]) for cid in cc.ids()},
+        "contexts": {cid: len(cc.spectra[cid]) for cid in cc.ids()},
         "carrier_points": ext.carrier.size,
     }
     if args.points:
@@ -204,8 +205,7 @@ def cmd_state_extend(args: argparse.Namespace) -> int:
     mu = extend_state(rho, ext)
     # the unit and the seeds of each context: neither is built from its
     # atoms, so a split that misses a seed shows here.  Their defects are
-    # rounding, up to about 1e-14 with the seeded draws, so the report
-    # gives 12 decimals and depends on no draw.
+    # rounding, up to about 1e-14, so the report gives 12 decimals.
     unit = np.eye(cc.ambient.dim, dtype=complex)
     checks = []
     for cid in cc.ids():
@@ -231,7 +231,7 @@ def cmd_ks_check(args: argparse.Namespace) -> int:
     else:
         data = presheaf.bundled_fixture(os.path.basename(args.fixture))
     dim, bases = presheaf.load_ray_fixture(data)
-    cc = presheaf.ray_family_context_category(dim, bases, args.tolerance, seed=args.seed)
+    cc = presheaf.ray_family_context_category(dim, bases, args.tolerance)
     sheaf = presheaf.build_spectral_presheaf(cc)
     sections = presheaf.global_sections(sheaf, limit=args.max_sections)
     report = {
@@ -250,7 +250,7 @@ def cmd_ks_check(args: argparse.Namespace) -> int:
 def cmd_daseinise(args: argparse.Namespace) -> int:
     dim, seeds, names = load_algebra_spec(args.algebra, args.seeds)
     check_dimension(dim)
-    context = context_algebra(seeds, dim, args.tolerance, seed=args.seed)
+    context = context_algebra(seeds, dim, args.tolerance)
     proj = parse_matrix(load_json(args.projection))
     daseinise = presheaf.outer_daseinisation if args.mode == "outer" else presheaf.inner_daseinisation
     result = daseinise(proj, context)
@@ -378,6 +378,17 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_numbers(data, what: str) -> np.ndarray:
+    """A JSON list of numbers as floats; a non-number, or a boolean, which
+    Python takes for 1 or 0, is refused (InputError)."""
+    if not isinstance(data, list):
+        raise InputError(f"{what} must be a list of numbers, got {data!r}")
+    for k, x in enumerate(data):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise InputError(f"{what} {k} is not a number: {x!r}")
+    return np.asarray(data, dtype=float)
+
+
 def _load_family(path: str):
     data = load_json(path)
     try:
@@ -394,7 +405,7 @@ def _load_family(path: str):
 def _load_observable(data: dict):
     kind = data.get("type")
     if kind == "carrier":
-        return realism.CarrierObservable(np.asarray(data["values"], dtype=float))
+        return realism.CarrierObservable(_parse_numbers(data["values"], "carrier observable value"))
     if kind == "matrix":
         return realism.MatrixObservable(parse_matrix(data["matrix"]))
     raise InputError(f"unknown observable type {kind!r}")
@@ -405,9 +416,9 @@ def cmd_inequality(args: argparse.Namespace) -> int:
     if args.provider == "measure":
         if "carrier_weights" not in data:
             raise InputError("measure provider needs 'carrier_weights' in the family file")
-        weights = np.asarray(data["carrier_weights"], dtype=float)
-        weights = weights / weights.sum()
-        provider = realism.MeasureProvider(weights)
+        # checked before normalising, which would hide a negative or zero total
+        weights = realism.MeasureProvider(_parse_numbers(data["carrier_weights"], "carrier weight")).weights
+        provider = realism.MeasureProvider(weights / weights.sum())
     else:
         if "state" not in data:
             raise InputError("quantum provider needs 'state' in the family file")
@@ -443,7 +454,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctxlab", description=__doc__)
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the gft-ccr and gft-weyl test functions")
     parser.add_argument("--carrier-cap", type=int, default=CARRIER_CAP)
     parser.add_argument("--sign-cap", type=int, default=realism.SIGN_SEARCH_CAP)
     parser.add_argument("--apex-bound", type=int, default=4)

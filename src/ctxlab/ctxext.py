@@ -53,38 +53,14 @@ class Element:
     carrier: ProductSpectrum
     values: np.ndarray
 
-    def _coerce(self, other):
-        if isinstance(other, Element):
-            if other.carrier is not self.carrier and other.carrier.sizes != self.carrier.sizes:
-                raise DomainError("elements live on different carriers")
-            return other.values
-        return complex(other)
-
-    def __mul__(self, other):
-        return Element(self.carrier, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return Element(self.carrier, self.values + self._coerce(other))
-
-    def __sub__(self, other):
-        return Element(self.carrier, self.values - self._coerce(other))
-
-    def conj(self) -> "Element":
-        return Element(self.carrier, self.values.conj())
-
 
 @dataclass
 class ExtendedAlgebra:
-    """Function algebra on the product of the context character spaces."""
+    """Function algebra on the product of the context character spaces,
+    which ``cc.spectra`` holds."""
 
     cc: ContextCategory
     carrier: ProductSpectrum
-    spectra: dict
-
-    def unit(self) -> Element:
-        return Element(self.carrier, np.ones(self.carrier.size, dtype=complex))
 
 
 @dataclass
@@ -99,11 +75,10 @@ class ExtendedState:
 def build_limit_extension(cc: ContextCategory, cap: int = CARRIER_CAP) -> ExtendedAlgebra:
     """Carrier = product of the context character spaces; refuses above cap."""
     ids = cc.ids()
-    spectra = dict(cc.spectra)
-    carrier = ProductSpectrum(ids, [len(spectra[cid]) for cid in ids])
+    carrier = ProductSpectrum(ids, [len(cc.spectra[cid]) for cid in ids])
     if carrier.size > cap:
         raise CapExceeded("product carrier", carrier.size, cap)
-    return ExtendedAlgebra(cc, carrier, spectra)
+    return ExtendedAlgebra(cc, carrier)
 
 
 def embed(a, ctx_id: str, ext: ExtendedAlgebra) -> Element:
@@ -114,7 +89,7 @@ def embed(a, ctx_id: str, ext: ExtendedAlgebra) -> Element:
     m = as_matrix(a, alg.dim)
     if not alg.contains(m):
         raise DomainError(f"matrix lies outside the span of context {ctx_id}")
-    char_values = np.array([chi.value_of(m) for chi in ext.spectra[ctx_id]])
+    char_values = np.array([chi.value_of(m) for chi in ext.cc.spectra[ctx_id]])
     axis = [1] * len(ext.carrier.sizes)
     axis[ext.carrier.position(ctx_id)] = len(char_values)
     return Element(ext.carrier, np.broadcast_to(char_values.reshape(axis), ext.carrier.sizes).flatten())
@@ -126,7 +101,7 @@ def extend_state(rho, ext: ExtendedAlgebra) -> ExtendedState:
     marginals = {}
     for cid in ext.carrier.context_ids:
         weights = np.array(
-            [float(np.trace(r @ chi.projection).real) for chi in ext.spectra[cid]]
+            [float(np.trace(r @ chi.projection).real) for chi in ext.cc.spectra[cid]]
         )
         marginals[cid] = np.clip(weights, 0.0, None)
     total = np.ones(())
@@ -168,16 +143,13 @@ def spectrum_diagram(ext: ExtendedAlgebra, with_restrictions: bool = False) -> D
 
     Discrete by default (its limit is the full product carrier); with
     restriction arrows sup -> sub, mapped by the category's restriction
-    tables, the limit is the compatible-tuple subset.
+    tables, the limit is the compatible-tuple subset.  The carrier's
+    contexts are those of the category.
     """
     ids = ext.carrier.context_ids
-    carriers = {cid: list(range(len(ext.spectra[cid]))) for cid in ids}
+    carriers = {cid: list(range(len(ext.cc.spectra[cid]))) for cid in ids}
     if not with_restrictions:
         return Diagram(discrete_category(ids), carriers)
     index = poset_category(ids, lambda a, b: ext.cc.leq(b, a))
-    maps = {
-        index.homs[(sup, sub)][0]: table
-        for (sub, sup), table in ext.cc.restrictions.items()
-        if sub in carriers and sup in carriers
-    }
+    maps = {index.homs[(sup, sub)][0]: table for (sub, sup), table in ext.cc.restrictions.items()}
     return Diagram(index, carriers, maps)

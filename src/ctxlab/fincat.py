@@ -516,10 +516,22 @@ def check_universal_property(
 # serialization
 
 
+def _labels(value, what: str) -> list:
+    """A JSON array of scalars.  A string is not read as its characters, and
+    an array or object element, which no table can key, is refused."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON array, got {value!r}")
+    for x in value:
+        if isinstance(x, (list, dict)):
+            raise InputError(f"{what} holds {x!r}: not a string, number, boolean or null")
+    return value
+
+
 def category_from_json(data: dict) -> FinCategory:
     try:
-        objects = list(data["objects"])
-        homs = {(h["src"], h["dst"]): list(h["morphisms"]) for h in data["homs"]}
+        objects = _labels(data["objects"], "objects")
+        homs = {(h["src"], h["dst"]): _labels(h["morphisms"], f"morphisms of ({h['src']},{h['dst']})")
+                for h in data["homs"]}
         identities = dict(data["identities"])
         compose = {(g, f): gf for g, f, gf in data["compose"]}
     except (KeyError, TypeError, ValueError) as exc:
@@ -542,8 +554,10 @@ def functor_from_json(data: dict) -> Functor:
 def diagram_from_json(data: dict) -> Diagram:
     try:
         index = category_from_json(data["index"])
-        carriers = {o: list(xs) for o, xs in data["carriers"].items()}
+        carriers = {o: _labels(xs, f"carrier of {o!r}") for o, xs in data["carriers"].items()}
         maps = {m: dict(t) for m, t in data["maps"].items()}
+        for m, table in maps.items():
+            _labels(list(table.values()), f"map of {m!r}")
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed diagram JSON: {exc}") from exc
     return Diagram(index, carriers, maps)

@@ -124,8 +124,8 @@ class TruncatedFock:
         return comb(self.modes + max_total, max_total)
 
 
-def fock_for(space: PolyhedronSpace, n_max: int, copies: int = 1) -> TruncatedFock:
-    return TruncatedFock(modes=copies * space.size, n_max=n_max, mode_weight=space.haar)
+def fock_for(space: PolyhedronSpace, n_max: int) -> TruncatedFock:
+    return TruncatedFock(modes=space.size, n_max=n_max, mode_weight=space.haar)
 
 
 def field_operator(f, fock: TruncatedFock):

@@ -438,11 +438,11 @@ def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationRep
     for region, image in targets.items():
         cid, tid = ids_by_region[region], ids_by_region[image]
         table = {}
-        for i, chi in enumerate(ext.spectra[cid]):
+        for i, chi in enumerate(cc.spectra[cid]):
             moved = alpha(chi.projection)
             hits = [
                 j
-                for j, tchi in enumerate(ext.spectra[tid])
+                for j, tchi in enumerate(cc.spectra[tid])
                 if opnorm(moved - tchi.projection) <= spectral_tol(net.tol)
             ]
             if len(hits) != 1:
@@ -507,11 +507,11 @@ def check_lc_square(sub: Region, whole: Region, net: LocalNet) -> ValidationRepo
     return report
 
 
-def spectrum_multiplicativity(net: LocalNet, parts: list, seed: int = 0) -> tuple:
+def spectrum_multiplicativity(net: LocalNet, parts: list) -> tuple:
     """(character count of the composite, product of the part counts)."""
     composite = composite_context(net, parts)
-    count = len(gelfand_spectrum(composite, seed=seed))
+    count = len(gelfand_spectrum(composite))
     expected = 1
     for _, alg in parts:
-        expected *= len(gelfand_spectrum(alg, seed=seed))
+        expected *= len(gelfand_spectrum(alg))
     return count, expected

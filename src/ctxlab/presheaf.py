@@ -222,13 +222,13 @@ def load_ray_fixture(data: dict) -> tuple:
     return dim, bases
 
 
-def ray_family_context_category(dim: int, bases: list, tol: float = DEFAULT_TOL, seed: int = 0) -> ContextCategory:
+def ray_family_context_category(dim: int, bases: list, tol: float = DEFAULT_TOL) -> ContextCategory:
     """One maximal context per basis of rays, plus intersections.  Refuses
     a dimension above ``staralg.DIM_CAP`` before building anything."""
     check_dimension(dim)
     ambient = full_matrix_algebra(dim, tol)
     groups = [rays_to_projectors(basis) for basis in bases]
-    return context_category_from_groups(ambient, groups, seed=seed)
+    return context_category_from_groups(ambient, groups)
 
 
 def bundled_fixture(name: str) -> dict:

@@ -34,7 +34,8 @@ class CarrierObservable:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if np.any(np.abs(np.abs(self.values) - 1.0) > OBSERVABLE_TOL):
+        # NaN compares false, so each value must be shown near +-1
+        if not np.all(np.abs(np.abs(self.values) - 1.0) <= OBSERVABLE_TOL):
             raise DomainError("carrier observable must take values +1 or -1")
 
 
@@ -87,9 +88,14 @@ class ObservableFamily:
 
 
 def _weights_of(mu) -> np.ndarray:
+    """The weights of a measure: finite, nonnegative, with a positive total."""
     w = mu.weights if isinstance(mu, ExtendedState) else np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise DomainError("measure weights must be finite")
     if np.any(w < -WEIGHT_FLOOR):
         raise DomainError("measure weights must be nonnegative")
+    if not w.sum() > 0:
+        raise DomainError("measure weights must have a positive total")
     return w
 
 

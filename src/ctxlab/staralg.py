@@ -32,7 +32,7 @@ from .linalg import (
 from .validation import ValidationReport
 
 DIM_CAP = 16
-# Random diagonalizing combinations tried before the exact refinement sweep.
+# Draws of the fixed stream tried as splits before the exact refinement sweep.
 SPECTRUM_RETRIES = 3
 # Matrix entries of one batch of pair commutators.
 COMMUTATOR_CHUNK = 1 << 16
@@ -282,27 +282,26 @@ def _spans(blocks: list, stack: np.ndarray, scales: np.ndarray, tol: float) -> b
     return bool(np.all(norms <= bound))
 
 
-def _atoms(stack: np.ndarray, tol: float, seed: int, count: int | None = None):
+def _atoms(stack: np.ndarray, tol: float):
     """The atoms of the algebra that the matrices of ``stack`` generate, as
     isometries onto their ranges, or None unless that algebra is
     commutative (within the character bound of ``_spans``).
 
-    A seeded random combination of the self-adjoint parts splits the space
-    by eigenvalue, grouped by ``_cluster``; the split stands when every
-    matrix is the combination of its blocks (and, if ``count`` is given,
-    there are that many).  A draw that merges two atoms fails that test,
-    and fresh coefficients follow, ``SPECTRUM_RETRIES`` times; then the
-    exact refinement sweep splits the space by each self-adjoint part in
-    turn.
+    A combination of the self-adjoint parts, with coefficients from the
+    fixed stream ``default_rng(0)``, splits the space by eigenvalue,
+    grouped by ``_cluster``; the split stands when every matrix is the
+    combination of its blocks.  A draw that merges two atoms fails that
+    test, and the stream's next draw follows, ``SPECTRUM_RETRIES`` times;
+    then the exact refinement sweep splits by each self-adjoint part.
     """
     parts, keep, scales = _selfadjoint_spanning(stack)
     herm = parts[keep]
     eye = np.eye(stack.shape[-1], dtype=complex)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(SPECTRUM_RETRIES):
         h = np.tensordot(rng.standard_normal(len(herm)), herm, axes=1)
         blocks = _blocks_from_vectors(h, eye, tol)
-        if count in (None, len(blocks)) and _spans(blocks, stack, scales, tol):
+        if _spans(blocks, stack, scales, tol):
             return blocks
     blocks = [eye]
     for s in herm:
@@ -339,7 +338,7 @@ def _ordered_characters(blocks: list, tol: float) -> list:
     return [Character(projection=projs[k], rank=ranks[k]) for k in _reading_order(_traces(projs) / ranks, tol)]
 
 
-def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
+def gelfand_spectrum(v: MatrixStarAlgebra) -> list:
     """Characters of a commutative algebra in the fixed reading order: those
     it holds if built from atoms, else the atoms its basis splits the space
     into (``_atoms``).  Refuses a non-commutative basis, a split that leaves
@@ -349,7 +348,7 @@ def gelfand_spectrum(v: MatrixStarAlgebra, seed: int = 0) -> list:
         return v._characters
     if not is_commutative(v):
         raise DomainError("gelfand_spectrum requires a commutative algebra")
-    blocks = _atoms(_basis_stack(v), v.tol, seed, v.dimension)
+    blocks = _atoms(_basis_stack(v), v.tol)
     if blocks is None:
         raise DomainError("simultaneous diagonalization failed to isolate characters")
     if len(blocks) != v.dimension:
@@ -423,13 +422,12 @@ def _atom_algebra(chars: list, tol: float) -> MatrixStarAlgebra:
     return alg
 
 
-def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL, seed: int = 0) -> MatrixStarAlgebra:
+def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """The commutative algebra that the generators generate, built from the
-    atoms they split the space into (``_atoms``, with draws seeded by
-    ``seed``).  Refuses (DomainError) generators whose algebra is not
+    atoms they split the space into (``_atoms``).  Refuses (DomainError) generators whose algebra is not
     commutative."""
     stack = np.asarray([as_matrix(g, d) for g in generators], dtype=complex).reshape(-1, d, d)
-    blocks = _atoms(stack, tol, seed)
+    blocks = _atoms(stack, tol)
     if blocks is None:
         raise DomainError("the generators do not generate a commutative algebra")
     return _atom_algebra(_ordered_characters(blocks, tol), tol)
@@ -523,11 +521,11 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
     return ContextCategory(ambient, contexts, order, generators, spectra, restrictions)
 
 
-def context_category(ambient: MatrixStarAlgebra, seeds: list, seed: int = 0) -> ContextCategory:
+def context_category(ambient: MatrixStarAlgebra, seeds: list) -> ContextCategory:
     """Contexts generated by the maximal pairwise-commuting subsets of seeds.
 
     Each clique's context is built from the atoms its seeds split the
-    space into (``_atoms``, with draws seeded by ``seed``); pairwise meets
+    space into (``_atoms``); pairwise meets
     of the maximal contexts and the trivial span of the identity are
     included, and the order is inclusion.  Refuses (InputError) a matrix
     dimension above ``DIM_CAP``.
@@ -543,14 +541,14 @@ def context_category(ambient: MatrixStarAlgebra, seeds: list, seed: int = 0) -> 
     cliques = _commutation_cliques(mats, tol)
     blocks = []
     for clique in cliques:
-        atoms = _atoms(np.stack([mats[i] for i in clique]), tol, seed)
+        atoms = _atoms(np.stack([mats[i] for i in clique]), tol)
         if atoms is None:
             raise DomainError("simultaneous diagonalization failed to isolate characters")
         blocks.append(atoms)
     return _assemble(ambient, blocks, [list(c) for c in cliques])
 
 
-def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list, seed: int = 0) -> ContextCategory:
+def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list) -> ContextCategory:
     """Contexts generated from explicit groups (one context per group), as
     ``context_category`` builds them from cliques."""
     d, tol = ambient.dim, ambient.tol
@@ -559,7 +557,7 @@ def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list, seed:
         mats = np.asarray([as_matrix(g, d) for g in group], dtype=complex).reshape(-1, d, d)
         if not all(ambient.contains(m) for m in mats):
             raise DomainError(f"group {k} contains a matrix outside the ambient algebra")
-        atoms = _atoms(mats, tol, seed)
+        atoms = _atoms(mats, tol)
         if atoms is None:
             raise DomainError(f"group {k} does not generate a commutative algebra")
         blocks.append(atoms)

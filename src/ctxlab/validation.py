@@ -53,8 +53,3 @@ class ValidationReport:
             "ok": self.ok,
             "violations": [{"kind": v.kind, "message": v.message} for v in self.violations],
         }
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(str(v) for v in self.violations)

@@ -106,6 +106,26 @@ class TestSubcommands:
         assert json.loads(out) == {"check": mode, "ok": False,
                                    "violations": [{"kind": "category.structure", "message": message}]}
 
+    @pytest.mark.parametrize("mode, message", [
+        ("category", "morphisms of (a,a) must be a JSON array, got 'id_a'"),
+        ("diagram", "carrier of 'a' holds ['x']"),
+    ])
+    def test_cat_check_refuses_labels_that_are_not_scalars(self, capsys, specs, tmp_path, mode, message):
+        """A hom's morphisms given as one string, and a carrier of arrays,
+        exit 2: neither is read as a list of labels."""
+        category = json.load(open(specs["category"]))
+        if mode == "category":
+            category["homs"][0]["morphisms"] = "id_a"
+            payload = category
+        else:
+            payload = {"index": category, "carriers": {"a": [["x"]], "b": ["y"]}, "maps": {"f": {"x": "y"}}}
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(payload))
+        code = main(["cat-check", f"--{mode}", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
     def test_cat_check_diagram_on_a_repeated_object(self, capsys, tmp_path):
         index = {"objects": ["V0", "V0"], "homs": [{"src": "V0", "dst": "V0", "morphisms": ["id_V0", "id_V0"]}],
                  "identities": {"V0": "id_V0"}, "compose": [["id_V0", "id_V0", "id_V0"]]}
@@ -135,7 +155,7 @@ class TestSubcommands:
         """The defect is taken on each context's unit and seeds, which no
         split builds: one that leaves a seed out of its context does not
         pass."""
-        monkeypatch.setattr(staralg, "_atoms", lambda stack, tol, seed, count=None: [np.eye(stack.shape[-1], dtype=complex)])
+        monkeypatch.setattr(staralg, "_atoms", lambda stack, tol: [np.eye(stack.shape[-1], dtype=complex)])
         code = main(["state-extend", "--algebra", specs["algebra"], "--seeds", "z,x", "--state", specs["state"]])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -579,6 +599,39 @@ class TestBooleanEntries:
         fixture.write_text(json.dumps({"dim": 2, "bases": [[[1, 0], [0, 1]], [[1, 1], [1, value]]]}))
         message = "basis 1, vector 1 of the ray fixture has a non-finite"
         self.refused(capsys, ["ks-check", "--fixture", str(fixture)], message)
+
+
+class TestInequalityMeasures:
+    """A measure family whose weights or carrier values are not numbers,
+    not finite, negative or all zero is refused with exit status 2 before
+    any weight is normalised: no such family reports a bound."""
+
+    FAMILY = {"groups": [{"A": [{"type": "carrier", "values": [1, -1]}], "B": []}]}
+
+    def refused(self, capsys, tmp_path, family, message):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(family))  # Python writes NaN as a bare NaN token
+        code = main(["inequality", "--family", str(path), "--provider", "measure"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, float("nan")], "measure weights must be finite"),
+        ([0.0, 0.0], "measure weights must have a positive total"),
+        ([-1, -3], "measure weights must be nonnegative"),
+        ([True, 1], "carrier weight 0 is not a number: True"),
+    ], ids=["nan", "zero", "negative", "boolean"])
+    def test_carrier_weights(self, capsys, tmp_path, weights, message):
+        self.refused(capsys, tmp_path, {**self.FAMILY, "carrier_weights": weights}, message)
+
+    @pytest.mark.parametrize("values, message", [
+        ([1, float("nan")], "carrier observable must take values +1 or -1"),
+        ([True, -1], "carrier observable value 0 is not a number: True"),
+    ], ids=["nan", "boolean"])
+    def test_carrier_values(self, capsys, tmp_path, values, message):
+        family = {"groups": [{"A": [{"type": "carrier", "values": values}], "B": []}], "carrier_weights": [1, 1]}
+        self.refused(capsys, tmp_path, family, message)
 
 
 def test_importing_the_cli_loads_no_scipy():

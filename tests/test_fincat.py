@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,11 @@ def parallel_pair(f_map, g_map, src_carrier, dst_carrier):
         identities={"s": "id_s", "t": "id_t"},
     )
     return Diagram(idx, {"s": src_carrier, "t": dst_carrier}, {"f": f_map, "g": g_map})
+
+
+def located(report) -> list:
+    """A report's violations as (kind, message) pairs, in report order."""
+    return [(v.kind, v.message) for v in report.violations]
 
 
 def oracle_limit(d: Diagram) -> set:
@@ -120,6 +126,29 @@ class TestCheckCategory:
         ]
 
 
+    def test_left_identity_law_located(self):
+        cat = FinCategory(
+            objects=["a", "b"],
+            homs={("a", "a"): ["id_a"], ("b", "b"): ["id_b"], ("a", "b"): ["f", "g"]},
+            compose={("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b", ("f", "id_a"): "f",
+                     ("g", "id_a"): "g", ("id_b", "f"): "g", ("id_b", "g"): "g"},
+            identities={"a": "id_a", "b": "id_b"},
+        )
+        assert located(check_category(cat)) == [("category.identity", "id_b o 'f' != 'f'")]
+
+    def test_associativity_located(self):
+        """A one-object table with two-sided identity whose x(xx) is x and (xx)x is y."""
+        cat = FinCategory(
+            objects=["*"],
+            homs={("*", "*"): ["id", "x", "y"]},
+            compose={("id", m): m for m in ("id", "x", "y")} | {(m, "id"): m for m in ("x", "y")}
+            | {("x", "x"): "y", ("x", "y"): "x", ("y", "x"): "y", ("y", "y"): "y"},
+            identities={"*": "id"},
+        )
+        assert ("category.assoc", "h='x' g='x' f='x': 'x' != 'y'") in located(check_category(cat))
+        assert {kind for kind, _ in located(check_category(cat))} == {"category.assoc"}
+
+
 class TestCheckFunctor:
     def test_identity_functor(self):
         cat = poset_category(["a", "b"], lambda x, y: x <= y)
@@ -152,6 +181,68 @@ class TestCheckFunctor:
             {m: g.morphism_map[v] for m, v in f.morphism_map.items()},
         )
         assert check_functor(g_after_f).ok
+
+
+    def identity_functor(self):
+        cat = poset_category(["a", "b"], lambda x, y: x <= y)
+        return Functor(cat, cat, {o: o for o in cat.objects}, {m: m for m in cat.morphisms()})
+
+    def test_unmapped_object_located(self):
+        f = self.identity_functor()
+        del f.object_map["b"]
+        assert ("functor.structure", "object 'b' unmapped") in located(check_functor(f))
+
+    def test_object_outside_the_target_located(self):
+        f = self.identity_functor()
+        f.object_map["b"] = "z"
+        assert ("functor.structure", "object 'b' maps outside the target") in located(check_functor(f))
+
+    def test_unmapped_morphism_located(self):
+        f = self.identity_functor()
+        del f.morphism_map["a<=b"]
+        assert located(check_functor(f)) == [("functor.structure", "morphism 'a<=b' unmapped")]
+
+    def test_identity_not_preserved_located(self):
+        """The identity sent to an idempotent x: every composite still holds."""
+        monoid = FinCategory(["*"], {("*", "*"): ["id", "x"]},
+                             {("id", "id"): "id", ("id", "x"): "x", ("x", "id"): "x", ("x", "x"): "x"}, {"*": "id"})
+        f = Functor(monoid, monoid, {"*": "*"}, {"id": "x", "x": "x"})
+        assert located(check_functor(f)) == [("functor.identity", "identity of '*' not preserved")]
+
+    def test_composite_not_preserved_located(self):
+        """The group of order two onto an idempotent: x x = id, but y y = y."""
+        group = FinCategory(["*"], {("*", "*"): ["id", "x"]},
+                            {("id", "id"): "id", ("id", "x"): "x", ("x", "id"): "x", ("x", "x"): "id"}, {"*": "id"})
+        monoid = FinCategory(["*"], {("*", "*"): ["id", "y"]},
+                             {("id", "id"): "id", ("id", "y"): "y", ("y", "id"): "y", ("y", "y"): "y"}, {"*": "id"})
+        f = Functor(group, monoid, {"*": "*"}, {"id": "id", "x": "y"})
+        assert located(check_functor(f)) == [("functor.compose", "composite ('x', 'x') not preserved")]
+
+
+class TestCheckDiagram:
+    def arrow(self, carriers, maps):
+        return Diagram(poset_category(["s", "t"], lambda a, b: a <= b), carriers, maps)
+
+    def test_missing_carrier_located(self):
+        d = self.arrow({"s": [0]}, {"s<=t": {0: "x"}})
+        assert located(check_diagram(d)) == [("diagram.structure", "object 't' has no carrier")]
+
+    def test_missing_map_located(self):
+        d = self.arrow({"s": [0], "t": ["x"]}, {})
+        assert located(check_diagram(d)) == [("diagram.structure", "morphism 's<=t' has no map")]
+
+    def test_map_undefined_on_an_element_located(self):
+        d = self.arrow({"s": [0, 1], "t": ["x"]}, {"s<=t": {0: "x"}})
+        assert located(check_diagram(d)) == [("diagram.structure", "map of 's<=t' undefined on 1")]
+
+    def test_map_outside_the_carrier_located(self):
+        d = self.arrow({"s": [0, 1], "t": ["x"]}, {"s<=t": {0: "x", 1: "y"}})
+        assert located(check_diagram(d)) == [("diagram.structure", "map of 's<=t' sends 1 outside carrier of 't'")]
+
+    def test_identity_that_moves_an_element_located(self):
+        d = self.arrow({"s": [0, 1], "t": ["x"]}, {"s<=t": {0: "x", 1: "x"}, "id_s": {0: 1, 1: 0}})
+        assert ("diagram.identity", "identity of 's' moves 0") in located(check_diagram(d))
+        assert {kind for kind, _ in located(check_diagram(d))} == {"diagram.identity", "diagram.compose"}
 
 
 class TestLimits:
@@ -198,6 +289,11 @@ class TestLimits:
         cone = Cone(apex=[0], legs={"p": {0: 0}})
         report = check_cone(cone, d)
         assert any(v.kind == "cone.structure" for v in report.violations)
+
+    def test_leg_outside_its_codomain_located(self):
+        d = Diagram(discrete_category(["o"]), {"o": ["a"]})
+        cone = Cone(apex=[0], legs={"o": {0: "z"}})
+        assert located(check_cone(cone, d)) == [("cone.structure", "leg at 'o' sends 0 outside its codomain")]
 
     def test_legs_into_apex_variance(self):
         """Legs run from the apex into the diagram, and a cone has no other
@@ -278,6 +374,30 @@ class TestSerialization:
     def test_malformed_category_json(self):
         with pytest.raises(InputError):
             category_from_json({"objects": ["a"]})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("objects", "ab", "objects must be a JSON array, got 'ab'"),
+        ("morphisms", "id_a", "morphisms of (a,a) must be a JSON array, got 'id_a'"),
+        ("morphisms", [["id_a"]], "morphisms of (a,a) holds ['id_a']"),
+    ])
+    def test_a_string_or_array_label_is_refused(self, field, value, message):
+        spec = category_spec(poset_category(["a"], lambda x, y: True))
+        if field == "objects":
+            spec["objects"] = value
+        else:
+            spec["homs"][0]["morphisms"] = value
+        with pytest.raises(InputError, match=re.escape(message)):
+            category_from_json(spec)
+
+    @pytest.mark.parametrize("carriers, maps, message", [
+        ({"a": [[1, 2], [3]]}, {}, "carrier of 'a' holds [1, 2]"),
+        ({"a": "xy"}, {}, "carrier of 'a' must be a JSON array, got 'xy'"),
+        ({"a": ["1"]}, {"id_a": {"1": ["1"]}}, "map of 'id_a' holds ['1']"),
+    ])
+    def test_array_elements_of_a_diagram_are_refused(self, carriers, maps, message):
+        spec = {"index": category_spec(poset_category(["a"], lambda x, y: True)), "carriers": carriers, "maps": maps}
+        with pytest.raises(InputError, match=re.escape(message)):
+            diagram_from_json(spec)
 
     def test_functor_json_round_trip(self):
         cat = poset_category(["a", "b"], lambda x, y: x <= y)

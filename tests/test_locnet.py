@@ -278,6 +278,31 @@ class TestCovariance:
         report = check_covariance(net, 1, family)
         assert any("orphan" in v.message for v in report.violations)
 
+    def test_a_character_without_a_unique_translate_is_located(self, monkeypatch):
+        """Were every translated atom within the threshold of every atom of
+        its target, no character would have a unique translate."""
+        monkeypatch.setattr(locnet, "opnorm", lambda m: 0.0)
+        report = check_covariance(standard_net(2), 1, single_site_family(2))
+        assert [(v.kind, v.message) for v in report.violations] == [
+            ("net.covariance", f"character {i} of the context at {r} has no unique translate")
+            for r in ("[0,0]", "[1,1]") for i in (0, 1)]
+
+    def test_a_failed_extension_automorphism_is_located(self, monkeypatch):
+        """Were the translate of each basis element embedded off by one, the
+        permuted carrier would not intertwine the embeddings."""
+        original, calls = locnet.embed, []
+
+        def off_on_the_translate(b, cid, ext):
+            e = original(b, cid, ext)
+            calls.append(cid)
+            return type(e)(e.carrier, e.values + (len(calls) % 2 == 0))
+
+        monkeypatch.setattr(locnet, "embed", off_on_the_translate)
+        report = check_covariance(standard_net(2), 1, single_site_family(2))
+        assert [(v.kind, v.message) for v in report.violations] == [
+            ("net.covariance", f"extension automorphism fails on basis element {b} of context at {r}")
+            for r in ("[0,0]", "[1,1]") for b in (0, 1)]
+
     def test_translation_is_automorphism_and_group_action(self):
         length = 3
         d = 2**length

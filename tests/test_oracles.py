@@ -256,13 +256,13 @@ class ReferenceProductSpectrum:
 
 def reference_carrier(ext) -> ReferenceProductSpectrum:
     ids = list(ext.carrier.context_ids)
-    sizes = [len(ext.spectra[cid]) for cid in ids]
+    sizes = [len(ext.cc.spectra[cid]) for cid in ids]
     return ReferenceProductSpectrum(ids, sizes, list(itertools.product(*[range(s) for s in sizes])))
 
 
 def reference_embed_values(a, ctx_id, ext, carrier) -> np.ndarray:
     m = as_matrix(a, ext.cc.algebra(ctx_id).dim)
-    char_values = np.array([chi.value_of(m) for chi in ext.spectra[ctx_id]])
+    char_values = np.array([chi.value_of(m) for chi in ext.cc.spectra[ctx_id]])
     return char_values[carrier.component[ctx_id]]
 
 
@@ -388,13 +388,13 @@ def reference_restriction_index_category(cc) -> FinCategory:
 
 def reference_restriction_diagram(ext) -> Diagram:
     ids = ext.carrier.context_ids
-    carriers = {cid: list(range(len(ext.spectra[cid]))) for cid in ids}
+    carriers = {cid: list(range(len(ext.cc.spectra[cid]))) for cid in ids}
     index = reference_restriction_index_category(ext.cc)
     maps = {}
     for sub, sup in ext.cc.strict_pairs():
         table = {
-            i: reference_dominating_character_index(chi, ext.spectra[sub], ext.cc.ambient.tol)
-            for i, chi in enumerate(ext.spectra[sup])
+            i: reference_dominating_character_index(chi, ext.cc.spectra[sub], ext.cc.ambient.tol)
+            for i, chi in enumerate(ext.cc.spectra[sup])
         }
         maps[f"{sup}->{sub}"] = table
     return Diagram(index, carriers, maps)
@@ -458,11 +458,11 @@ def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationR
     for region, image in targets.items():
         cid, tid = ids_by_region[region], ids_by_region[image]
         table = {}
-        for i, chi in enumerate(ext.spectra[cid]):
+        for i, chi in enumerate(ext.cc.spectra[cid]):
             moved = alpha(chi.projection)
             hits = [
                 j
-                for j, tchi in enumerate(ext.spectra[tid])
+                for j, tchi in enumerate(ext.cc.spectra[tid])
                 if opnorm(moved - tchi.projection) <= max(net.tol, 1e-8)
             ]
             if len(hits) != 1:
@@ -1835,10 +1835,12 @@ class ReferenceCharacter:
     rank: int
 
 
-def reference_gelfand_spectrum(v, seed=0, retries=3, slack=1.0) -> list:
-    """One algebra at a time: its own draws, eigendecomposition and
-    character residual per retry, then the refinement sweep.  ``slack``
-    scales the gap threshold and the character bound (exactly, at 1.0)."""
+def reference_gelfand_spectrum(v, retries=3, slack=1.0) -> list:
+    """One algebra at a time: its own draws from ``default_rng(0)``,
+    eigendecomposition and character residual per retry, then the
+    refinement sweep; a count of characters other than the dimension is
+    refused after whichever split stands.  ``slack`` scales the gap
+    threshold and the character bound (exactly, at 1.0)."""
     if not reference_is_commutative(v):
         raise DomainError("gelfand_spectrum requires a commutative algebra")
     d = v.dim
@@ -1864,16 +1866,14 @@ def reference_gelfand_spectrum(v, seed=0, retries=3, slack=1.0) -> list:
             return None
         return [ReferenceCharacter(projection=p, values=values, rank=r) for p, values, r in zip(projs, vals, ranks)]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     chars = None
     for _ in range(retries):
         coeffs = rng.standard_normal(len(herm))
         h = sum(c * s for c, s in zip(coeffs, herm)) if herm else np.zeros((d, d), dtype=complex)
-        candidate = blocks_from_vectors(h, np.eye(d, dtype=complex))
-        if len(candidate) == v.dimension:
-            chars = characters(candidate)
-            if chars is not None:
-                break
+        chars = characters(blocks_from_vectors(h, np.eye(d, dtype=complex)))
+        if chars is not None:
+            break
     if chars is None:
         blocks = [np.eye(d, dtype=complex)]
         for s in herm:
@@ -1881,8 +1881,8 @@ def reference_gelfand_spectrum(v, seed=0, retries=3, slack=1.0) -> list:
         chars = characters(blocks)
         if chars is None:
             raise DomainError("simultaneous diagonalization failed to isolate characters")
-        if len(chars) != v.dimension:
-            raise DomainError(f"found {len(chars)} characters for an algebra of dimension {v.dimension}")
+    if len(chars) != v.dimension:
+        raise DomainError(f"found {len(chars)} characters for an algebra of dimension {v.dimension}")
     chars.sort(key=lambda c: tuple(np.round(c.values.view(float), 8)))
     return chars
 
@@ -1918,7 +1918,7 @@ def block_residual_ratio(v, chars) -> float:
     return worst
 
 
-def assert_spectrum_matches(v, seed, retries=3):
+def assert_spectrum_matches(v, retries=3):
     """``gelfand_spectrum`` against the one-algebra reference: the same
     outcome, or the reference's with its gap and bound thresholds moved by
     a relative 1e-6, or a sound outcome where the reference is not to be
@@ -1932,11 +1932,11 @@ def assert_spectrum_matches(v, seed, retries=3):
     spectrum's refusals, or one character per dimension whose projections
     rebuild every basis matrix within the bound.  Returns the reference
     outcome."""
-    expected = outcome(reference_gelfand_spectrum, v, seed, retries)
-    found = outcome(gelfand_spectrum, v, seed)
+    expected = outcome(reference_gelfand_spectrum, v, retries)
+    found = outcome(gelfand_spectrum, v)
     if same_spectrum_outcome(found, expected):
         return expected
-    around = [outcome(reference_gelfand_spectrum, v, seed, retries, 1.0 + shift) for shift in (-1e-6, 1e-6)]
+    around = [outcome(reference_gelfand_spectrum, v, retries, 1.0 + shift) for shift in (-1e-6, 1e-6)]
     if any(same_spectrum_outcome(found, e) for e in around):
         return expected
     on_threshold = not all(same_spectrum_outcome(e, expected) for e in around)
@@ -2013,24 +2013,25 @@ def overcounted_algebra():
 
 class TestSpectrumOracle:
     @settings(max_examples=150, deadline=None)
-    @given(v=frame_algebras(), seed=st.sampled_from([0, 1, 7, 101]))
-    def test_frame_algebras(self, v, seed):
-        assert_spectrum_matches(v, seed)
+    @given(v=frame_algebras())
+    def test_frame_algebras(self, v):
+        assert_spectrum_matches(v)
         assert is_commutative(v) == reference_is_commutative(v)
 
     @settings(max_examples=40, deadline=None)
-    @given(v=frame_algebras(), seed=st.sampled_from([0, 1, 7, 101]), retries=st.sampled_from([0, 1, 2]))
-    def test_fewer_retries_take_the_sweep(self, v, seed, retries):
+    @given(v=frame_algebras(), retries=st.sampled_from([0, 1, 2]))
+    def test_fewer_retries_take_the_sweep(self, v, retries):
         with spectrum_retries(retries):
-            assert_spectrum_matches(v, seed, retries)
+            assert_spectrum_matches(v, retries)
 
-    @pytest.mark.parametrize("seed", [0, 1, 101])
-    def test_a_failed_draw_retries_and_the_sweep_follows_the_last(self, seed, monkeypatch):
-        """Two blocks whose eigenvalues under the first draw coincide: that
-        draw gives one block, and the next draw's two stand, or with one
-        draw allowed the sweep's; a generic algebra stands at the first draw."""
-        first = np.random.default_rng(seed).standard_normal(2)
-        rng = np.random.default_rng(17)
+    @pytest.mark.parametrize("frame", [0, 1, 101])
+    def test_a_failed_draw_retries_and_the_sweep_follows_the_last(self, frame, monkeypatch):
+        """Two blocks, in a random frame, whose eigenvalues under the first
+        draw of the fixed stream coincide: that draw gives one block, and
+        the next draw's two stand, or with one draw allowed the sweep's; a
+        generic algebra stands at the first draw."""
+        first = np.random.default_rng(0).standard_normal(2)
+        rng = np.random.default_rng(frame)
         # block values whose differences are (first[1], -first[0]): the first
         # draw gives both blocks the same eigenvalue
         merged = two_block_algebra(4, [(first[1], 0.0), (0.0, first[0])], rng)
@@ -2043,14 +2044,14 @@ class TestSpectrumOracle:
             return original(*args)
 
         monkeypatch.setattr(staralg, "_blocks_from_vectors", spy)
-        assert_spectrum_matches(generic, seed)
+        assert_spectrum_matches(generic)
         assert splits == [2]
         splits.clear()
-        assert_spectrum_matches(merged, seed)
+        assert_spectrum_matches(merged)
         assert splits == [1, 2]
         splits.clear()
         with spectrum_retries(1):
-            assert_spectrum_matches(merged, seed, retries=1)
+            assert_spectrum_matches(merged, retries=1)
         assert splits == [1, 2, 1, 1]  # the one draw, then the sweep by each basis matrix
 
     @pytest.mark.parametrize(
@@ -2064,7 +2065,7 @@ class TestSpectrumOracle:
     def test_refusals(self, name, message):
         v = {"non-commutative": full_matrix_algebra(2), "unsplittable": unsplittable_algebra(),
              "overcounted": overcounted_algebra()}[name]
-        assert assert_spectrum_matches(v, 0) == ("DomainError", message)
+        assert assert_spectrum_matches(v) == ("DomainError", message)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -2138,7 +2139,7 @@ class TestSpectrumOracle:
         nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
         x = 1e-9 * (1.0 + offset)
         v = MatrixStarAlgebra(2, [eye, eye / 2 + x * nilpotent], 1e-9)  # scale 1: the bound is 1e-9
-        expected = assert_spectrum_matches(v, 0)
+        expected = assert_spectrum_matches(v)
         assert expected[1] == (
             "simultaneous diagonalization failed to isolate characters"
             if offset > -1e-6
@@ -2293,10 +2294,12 @@ def composite_parts(draw):
 
 class TestContextAlgebraOracle:
     @settings(max_examples=150, deadline=None)
-    @given(case=commuting_families(), seed=st.sampled_from([0, 5]))
-    def test_spans_equal_the_closure(self, case, seed):
+    @given(case=commuting_families(), reverse=st.booleans())
+    def test_spans_equal_the_closure(self, case, reverse):
+        """The generators as drawn or in reverse order, which the split's
+        fixed draw combines otherwise."""
         d, gens, tol = case
-        found = context_algebra(gens, d, tol, seed=seed)
+        found = context_algebra(gens[::-1] if reverse else gens, d, tol)
         expected = generate_algebra(gens, d, tol, dim_cap=d)
         assert spans_equal(found.ortho, expected.ortho, spectral_tol(tol))
         assert is_commutative(found) and found.validate().ok
@@ -2336,10 +2339,10 @@ def assert_holds_the_reference_spectrum(v):
 
 class TestHeldCharactersOracle:
     @settings(max_examples=100, deadline=None)
-    @given(case=commuting_families(), seed=st.sampled_from([0, 5]))
-    def test_context_algebras(self, case, seed):
+    @given(case=commuting_families(), reverse=st.booleans())
+    def test_context_algebras(self, case, reverse):
         d, gens, tol = case
-        assert_holds_the_reference_spectrum(context_algebra(gens, d, tol, seed=seed))
+        assert_holds_the_reference_spectrum(context_algebra(gens[::-1] if reverse else gens, d, tol))
 
     @settings(max_examples=40, deadline=None)
     @given(case=seed_lists())
@@ -2669,6 +2672,6 @@ class TestEvaluateStateOracle:
         elements = [embed(b, cid, ext) for cid in ext.carrier.context_ids for b in cc.algebra(cid).basis]
         elements.append(Element(ext.carrier, rng.standard_normal(ext.carrier.size)
                                 + 1j * rng.standard_normal(ext.carrier.size)))
-        elements.append(ext.unit())
+        elements.append(Element(ext.carrier, np.ones(ext.carrier.size, dtype=complex)))
         for e in elements:
             assert abs(evaluate_state(mu, e) - reference_evaluate_state(mu, e)) <= 1e-12

@@ -26,6 +26,21 @@ def uniform(n):
     return np.full(n, 1.0 / n)
 
 
+class TestMeasureInputs:
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, np.nan], "finite"),
+        ([0.0, 0.0], "positive total"),
+        ([-0.25, -0.75], "nonnegative"),
+    ])
+    def test_garbage_weights_are_refused(self, weights, message):
+        with pytest.raises(DomainError, match=message):
+            MeasureProvider(np.array(weights))
+
+    def test_a_nan_carrier_value_is_refused(self):
+        with pytest.raises(DomainError, match="values \\+1 or -1"):
+            CarrierObservable(np.array([1.0, np.nan]))
+
+
 class TestMeasureCorrelation:
     def test_constants_correlate_to_one(self):
         w = uniform(4)

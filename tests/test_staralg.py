@@ -62,6 +62,29 @@ class TestGenerateAlgebra:
             generate_algebra([np.ones((2, 3))], 2)
 
 
+class TestValidate:
+    """Each closure defect is reported by kind, naming the basis elements."""
+
+    E00 = np.diag([1.0, 0.0]).astype(complex)
+    E01 = np.array([[0, 1], [0, 0]], dtype=complex)
+
+    def located(self, alg):
+        return [(v.kind, v.message) for v in alg.validate().violations]
+
+    def test_missing_unit(self):
+        assert self.located(MatrixStarAlgebra(2, [self.E00])) == [("algebra.unit", "identity matrix not in span")]
+
+    def test_adjoint_leaves_the_span(self):
+        assert self.located(MatrixStarAlgebra(2, [I2, self.E01])) == [
+            ("algebra.adjoint", "adjoint of basis element 1 leaves span")]
+
+    def test_product_leaves_the_span(self):
+        assert self.located(MatrixStarAlgebra(2, [I2, SX, SZ])) == [
+            ("algebra.product", "product of basis elements (1,2) leaves span"),
+            ("algebra.product", "product of basis elements (2,1) leaves span"),
+        ]
+
+
 class TestCommutativity:
     def test_diagonal_commutes(self):
         assert is_commutative(generate_algebra([np.diag([1.0, 2.0, 3.0]).astype(complex)], 3))
@@ -309,15 +332,22 @@ def test_character_count_must_match_the_dimension():
         gelfand_spectrum(alg)
 
 
+def rescaled(alg: MatrixStarAlgebra, factors) -> MatrixStarAlgebra:
+    """The same span with its basis matrices scaled by ``factors``: the
+    split's fixed draw then meets another combination of the basis."""
+    return MatrixStarAlgebra(alg.dim, [f * b for f, b in zip(factors, alg.basis)], alg.tol)
+
+
 @pytest.mark.parametrize("tol", np.logspace(-7, -5, 6))
 def test_near_degenerate_spectra_cluster_at_the_algebra_tolerance(tol):
     # the closure rounds the gap away (dimension 2); eigenvalues of the
-    # random combination closer than the tolerance are one character
+    # random combination closer than the tolerance are one character, for
+    # the basis as closed and two rescalings of it
     for gap in np.logspace(np.log10(2e-7), np.log10(2 * tol), 6):
         alg = generate_algebra([np.diag([1.0, 1.0 + gap, -1.0]).astype(complex)], 3, tol)
         assert alg.dimension == 2
-        for seed in range(3):
-            chars = gelfand_spectrum(alg, seed=seed)
+        for factors in ([1.0, 1.0], [-0.5, 2.0], [1.5, -0.7]):
+            chars = gelfand_spectrum(rescaled(alg, factors))
             assert len(chars) == 2
             assert sorted(chi.rank for chi in chars) == [1, 2]
 
@@ -352,7 +382,9 @@ def test_near_degenerate_spectra_never_miscount(data):
     never a wrong count.  The count refusal is not the only one: below the
     spectral floor the closure keeps the gap and amplifies its rounding,
     which can leave the algebra non-commutative, and a gap near the
-    threshold can leave a block on which some basis matrix is no scalar."""
+    threshold can leave a block on which some basis matrix is no scalar.
+    The basis is rescaled at random, so the split's fixed draw meets many
+    combinations of it."""
     draw = data.draw
     tol = draw(st.sampled_from([1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3]))
     start = float(draw(st.integers(-2, 2)))
@@ -364,8 +396,11 @@ def test_near_degenerate_spectra_never_miscount(data):
     d = len(values)
     u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**16))), d) if draw(st.booleans()) else np.eye(d)
     alg = generate_algebra([(u * np.array(values)) @ u.conj().T], d, tol)
+    factors = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                            min_size=alg.dimension, max_size=alg.dimension))
+    alg = rescaled(alg, factors)
     try:
-        chars = gelfand_spectrum(alg, seed=draw(st.integers(0, 3)))
+        chars = gelfand_spectrum(alg)
     except DomainError as exc:
         assert re.fullmatch(r"found \d+ characters for an algebra of dimension \d+", str(exc)) or str(exc) in (
             "gelfand_spectrum requires a commutative algebra",
@@ -420,12 +455,16 @@ class TestContextsFromAtoms:
                 p, q = cc.spectra[sup][i].projection, cc.spectra[sub][j].projection
                 assert np.allclose(q @ p, p)
 
-    def test_character_order_does_not_depend_on_the_seed_or_the_frame(self, rng):
+    def test_character_order_does_not_depend_on_the_split(self, rng):
+        """Seeds listed in another order, or scaled, meet the split's fixed
+        draw in other combinations, whose eigenvalues order the atoms
+        otherwise; the characters come out in the same order."""
         u = random_unitary(rng, 4)
         seeds = [u @ kron(SZ, I2) @ u.conj().T, u @ kron(I2, SZ) @ u.conj().T]
-        first = context_category(full_matrix_algebra(4), seeds, seed=0)
-        for seed in (1, 5, 101):
-            other = context_category(full_matrix_algebra(4), seeds, seed=seed)
+        first = context_category(full_matrix_algebra(4), seeds)
+        for other_seeds in (seeds[::-1], [-2.0 * seeds[0], 0.5 * seeds[1]], [seeds[0], seeds[0] + 3.0 * seeds[1]]):
+            other = context_category(full_matrix_algebra(4), other_seeds)
+            assert other.ids() == first.ids()
             for cid in first.ids():
                 for chi, rho in zip(first.spectra[cid], other.spectra[cid]):
                     assert np.allclose(chi.projection, rho.projection, atol=1e-12)
@@ -465,16 +504,18 @@ class TestHeldCharacters:
         assert calls == {"_atoms": 1, "is_commutative": 0}
 
     def test_atom_spans_contain_their_generators_and_exact_atoms_at_tol_1e_13(self):
-        """Single-qubit Z strings on 2-3 qubits in a random frame, split with
-        a different seed each draw: some draws give close eigenvalues, and
-        atoms off the exact ones by up to about 1e-11, which a span test at
-        1e-13 refused; the spectral threshold accepts every generator and
-        every exact atom."""
+        """Single-qubit Z strings on 2-3 qubits in a random frame, each
+        scaled at random, so the split's fixed draw meets another
+        combination each time: some give close eigenvalues, and atoms off
+        the exact ones by up to about 1e-11, which a span test at 1e-13
+        refused; the spectral threshold accepts every generator and every
+        exact atom."""
         rng = np.random.default_rng(0)
-        for seed in range(120):
+        for case in range(120):
             qubits = int(rng.integers(2, 4))
             u = random_unitary(rng, 2**qubits)
-            gens = [u @ pauli_string({q: "Z"}, qubits) @ u.conj().T for q in range(qubits)]
-            alg = context_algebra(gens, 2**qubits, 1e-13, seed=seed)
+            scales = rng.choice([-1.0, 1.0], qubits) * rng.uniform(0.5, 2.0, qubits)
+            gens = [s * u @ pauli_string({q: "Z"}, qubits) @ u.conj().T for q, s in zip(range(qubits), scales)]
+            alg = context_algebra(gens, 2**qubits, 1e-13)
             atoms = [np.outer(u[:, k], u[:, k].conj()) for k in range(2**qubits)]
-            assert all(alg.contains(m) for m in gens + atoms), seed
+            assert all(alg.contains(m) for m in gens + atoms), case
