@@ -52,8 +52,8 @@ def parse_matrix(data) -> np.ndarray:
     """Row-major entries, each a finite number or an [re, im] pair of them.
 
     JSON from Python may hold NaN and +-Infinity, and Python takes ``true``
-    and ``false`` for the numbers 1 and 0; such an entry is refused
-    (InputError) with its row and column.
+    and ``false`` for the numbers 1 and 0; such an entry, and an integer
+    beyond the float range, is refused (InputError) with its row and column.
     """
     try:
         rows = []
@@ -74,6 +74,8 @@ def parse_matrix(data) -> np.ndarray:
                 out.append(value)
             rows.append(out)
         mat = np.array(rows, dtype=complex)
+    except OverflowError:  # complex() of a JSON integer beyond the float range, at (i, j)
+        raise InputError(f"matrix entry at row {i}, column {j} is an integer beyond the float range") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -379,14 +381,27 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
 
 
 def _parse_numbers(data, what: str) -> np.ndarray:
-    """A JSON list of numbers as floats; a non-number, or a boolean, which
-    Python takes for 1 or 0, is refused (InputError)."""
+    """A JSON list of numbers as floats; a non-number, a boolean, which
+    Python takes for 1 or 0, and an integer beyond the float range are
+    refused (InputError)."""
     if not isinstance(data, list):
         raise InputError(f"{what} must be a list of numbers, got {data!r}")
     for k, x in enumerate(data):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise InputError(f"{what} {k} is not a number: {x!r}")
-    return np.asarray(data, dtype=float)
+    try:
+        return np.asarray(data, dtype=float)
+    except OverflowError:  # a JSON integer beyond the float range
+        k = next(k for k, x in enumerate(data) if isinstance(x, int) and not _fits_a_float(x))
+        raise InputError(f"{what} {k} is an integer beyond the float range") from None
+
+
+def _fits_a_float(x: int) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _load_family(path: str):

@@ -533,7 +533,9 @@ def category_from_json(data: dict) -> FinCategory:
         homs = {(h["src"], h["dst"]): _labels(h["morphisms"], f"morphisms of ({h['src']},{h['dst']})")
                 for h in data["homs"]}
         identities = dict(data["identities"])
+        _labels(list(identities.values()), "identities")
         compose = {(g, f): gf for g, f, gf in data["compose"]}
+        _labels(list(compose.values()), "composites")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed category JSON: {exc}") from exc
     return FinCategory(objects, homs, compose, identities)
@@ -541,12 +543,14 @@ def category_from_json(data: dict) -> FinCategory:
 
 def functor_from_json(data: dict) -> Functor:
     try:
-        return Functor(
+        functor = Functor(
             source=category_from_json(data["source"]),
             target=category_from_json(data["target"]),
             object_map=dict(data["object_map"]),
             morphism_map=dict(data["morphism_map"]),
         )
+        _labels(list(functor.morphism_map.values()), "morphism map")
+        return functor
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed functor JSON: {exc}") from exc
 

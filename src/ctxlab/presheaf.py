@@ -75,17 +75,14 @@ def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
     are the same.  An empty result certifies the obstruction for this
     family.
     """
-    ids = p.base.ids()
+    ids, pairs = p.base.ids(), p.base.strict_pairs()
     degree = {cid: 0 for cid in ids}
-    for sub, sup in p.base.strict_pairs():
+    for sub, sup in pairs:
         degree[sub] += 1
         degree[sup] += 1
     order = sorted(ids, key=lambda cid: (-degree[cid], cid))
     position = {cid: i for i, cid in enumerate(order)}
-    arrows = [
-        (position[sup], position[sub], p.restrictions[(sub, sup)])
-        for sub, sup in p.base.strict_pairs()
-    ]
+    arrows = [(position[sup], position[sub], p.restrictions[(sub, sup)]) for sub, sup in pairs]
     domains = [range(len(p.fibers[cid])) for cid in order]
     return [
         GlobalSection({cid: choice[position[cid]] for cid in ids})
@@ -183,17 +180,18 @@ def operator_interval(a, v: MatrixStarAlgebra, chi: Character) -> tuple:
 # ray-family fixtures
 
 
-def rays_to_projectors(basis_vectors: list) -> list:
-    """Rank-1 projectors of a list of (unnormalized) vectors."""
-    projs = []
-    for v in basis_vectors:
-        vec = np.asarray(v, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise InputError("zero vector in ray fixture")
-        vec = vec / norm
-        projs.append(np.outer(vec, vec.conj()))
-    return projs
+def rays_to_projectors(basis_vectors: list) -> np.ndarray:
+    """Rank-1 projectors of a list of (unnormalized) vectors, as one stack.
+    Each norm is the one-vector ``np.linalg.norm``'s, bit for bit: the dot
+    products of the real and of the imaginary parts, summed."""
+    vecs = np.asarray(basis_vectors, dtype=complex)
+    vecs = vecs.reshape(len(vecs), -1 if len(vecs) else 0)
+    re, im = vecs.real[:, None], vecs.imag[:, None]
+    norms = np.sqrt((re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
+    if np.any(norms == 0):
+        raise InputError("zero vector in ray fixture")
+    vecs = vecs / norms[:, None]
+    return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
 def load_ray_fixture(data: dict) -> tuple:

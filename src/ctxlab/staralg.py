@@ -10,7 +10,7 @@ the restriction tables from one overlap matrix of those atoms.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +101,12 @@ class MatrixStarAlgebra:
         return np.eye(self.dim, dtype=complex)
 
     def contains(self, m) -> bool:
-        m = as_matrix(m, self.dim)
+        """Whether a matrix, or every matrix of a stack ``(n, d, d)``, lies in the span."""
+        m = np.asarray(m, dtype=complex)
+        stack = m if m.ndim == 3 and m.shape[1:] == (self.dim, self.dim) else as_matrix(m, self.dim)[None]
         if self.dimension == self.dim * self.dim:  # the full matrix algebra holds every finite matrix
-            return bool(np.all(np.isfinite(m)))
-        return span_leq(m.reshape(1, -1), self.ortho, self.span_tol)
+            return bool(np.all(np.isfinite(stack)))
+        return span_leq(stack.reshape(len(stack), self.dim * self.dim), self.ortho, self.span_tol)
 
     def validate(self) -> ValidationReport:
         """Check unitality and closure under adjoint and product."""
@@ -256,67 +258,110 @@ def _cluster(values: np.ndarray, tol: float) -> list:
 
 
 def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray, tol: float) -> list:
-    """Split an invariant subspace (columns of ``isometry``) by eigenvalue of h."""
+    """Split an invariant subspace (columns of ``isometry``) by eigenvalue of
+    each matrix of the stack ``h``, by one ``eigh`` of the stack: one list of
+    blocks per matrix."""
     compressed = dagger(isometry) @ h @ isometry
-    w, vecs = np.linalg.eigh((compressed + dagger(compressed)) / 2.0)
-    return [isometry @ vecs[:, group] for group in _cluster(w, tol)]
+    w, vecs = np.linalg.eigh((compressed + np.swapaxes(compressed.conj(), -2, -1)) / 2.0)
+    return [[isometry @ v[:, group] for group in _cluster(row, tol)] for row, v in zip(w, vecs)]
 
 
-def _spans(blocks: list, stack: np.ndarray, scales: np.ndarray, tol: float) -> bool:
-    """Whether every matrix b of the stack is the sum of the block
-    projections p, each times its scalar ``tr(p b) / rank``: within the
-    character bound ``max(tol, CHARACTER_FLOOR) * max(1, ‖b‖)``.  On each
-    block this is the character relation ``p b p = val p``; off the blocks
-    it asks that b leave every block's range invariant.  A residual whose
-    Frobenius norm is at most half the bound passes whatever the rounding
-    of its operator norm, which the Frobenius norm bounds; only the others
-    take the SVD."""
-    projs = np.stack([iso @ dagger(iso) for iso in blocks])
-    ranks = np.array([iso.shape[1] for iso in blocks])
-    vals = np.einsum("kij,nji->nk", projs, stack) / ranks
-    residual = stack - np.einsum("nk,kij->nij", vals, projs)
+def _projections(isometries: list) -> np.ndarray:
+    """``iso @ iso^H`` of each isometry, stacked: one batched product per
+    rank, each bitwise the isometry's own product."""
+    d, ranks = isometries[0].shape[0], np.array([iso.shape[1] for iso in isometries])
+    projs = np.empty((len(isometries), d, d), dtype=complex)
+    for rank in np.unique(ranks):
+        at = np.flatnonzero(ranks == rank)
+        v = np.stack([isometries[k] for k in at])
+        projs[at] = v @ np.swapaxes(v.conj(), -2, -1)
+    return projs
+
+
+def _spans(splits: list, stacks: list, scales: np.ndarray, tol: float) -> np.ndarray:
+    """For each split (a list of isometries) and its stack: whether every
+    matrix b of the stack is the sum of the block projections p, each times
+    its scalar ``tr(p b) / rank``, within the character bound
+    ``max(tol, CHARACTER_FLOOR) * max(1, ‖b‖)`` (``scales``, all stacks'
+    in turn).  On each block this is the character relation
+    ``p b p = val p``; off the blocks it asks that b leave every block's
+    range invariant.  A residual whose Frobenius norm is at most half the
+    bound passes whatever the rounding of its operator norm, which the
+    Frobenius norm bounds; only the others take the SVD.  One batch for all
+    stacks: each matrix is paired with the blocks of its own split."""
+    isometries = [iso for split in splits for iso in split]
+    projs = _projections(isometries)
+    ranks = np.array([iso.shape[1] for iso in isometries])
+    mats = np.concatenate(stacks)
+    owner = np.repeat(np.arange(len(stacks)), [len(stack) for stack in stacks])
+    at, block = np.nonzero(owner[:, None] == np.repeat(np.arange(len(splits)), [len(split) for split in splits]))
+    vals = np.einsum("pij,pji->p", projs[block], mats[at]) / ranks[block]
+    residual = mats - np.add.reduceat(vals[:, None, None] * projs[block], np.searchsorted(at, np.arange(len(mats))))
     bound = max(tol, CHARACTER_FLOOR) * scales
     norms = np.linalg.norm(residual, axis=(-2, -1))
     unsure = ~(norms <= bound / 2)
     norms[unsure] = opnorms(residual[unsure])
-    return bool(np.all(norms <= bound))
+    return np.bincount(owner[~(norms <= bound)], minlength=len(stacks)) == 0
 
 
-def _atoms(stack: np.ndarray, tol: float):
-    """The atoms of the algebra that the matrices of ``stack`` generate, as
-    isometries onto their ranges, or None unless that algebra is
-    commutative (within the character bound of ``_spans``).
+def _atoms(stacks: list, tol: float) -> list:
+    """For each stack of matrices, the atoms of the algebra that they
+    generate, as isometries onto their ranges, or None unless that algebra
+    is commutative (within the character bound of ``_spans``).
 
-    A combination of the self-adjoint parts, with coefficients from the
-    fixed stream ``default_rng(0)``, splits the space by eigenvalue,
+    A combination of a stack's self-adjoint parts, with coefficients from
+    the fixed stream ``default_rng(0)``, splits the space by eigenvalue,
     grouped by ``_cluster``; the split stands when every matrix is the
     combination of its blocks.  A draw that merges two atoms fails that
     test, and the stream's next draw follows, ``SPECTRUM_RETRIES`` times;
-    then the exact refinement sweep splits by each self-adjoint part.
+    then the exact refinement sweep splits by each self-adjoint part.  The
+    stacks are split together: one SVD gives every part's norm, and each
+    draw round takes one ``eigh`` and one span test for the stacks still
+    pending.  Each stack draws from its own stream, so its split does not
+    depend on the others; the sweep runs per stack.
     """
-    parts, keep, scales = _selfadjoint_spanning(stack)
-    herm = parts[keep]
-    eye = np.eye(stack.shape[-1], dtype=complex)
-    rng = np.random.default_rng(0)
-    for _ in range(SPECTRUM_RETRIES):
-        h = np.tensordot(rng.standard_normal(len(herm)), herm, axes=1)
-        blocks = _blocks_from_vectors(h, eye, tol)
-        if _spans(blocks, stack, scales, tol):
-            return blocks
-    blocks = [eye]
-    for s in herm:
-        blocks = [sub for iso in blocks for sub in _blocks_from_vectors(s, iso, tol)]
-    return blocks if _spans(blocks, stack, scales, tol) else None
+    if not stacks:
+        return []
+    eye = np.eye(stacks[0].shape[-1], dtype=complex)
+    ends = np.cumsum([len(stack) for stack in stacks])[:-1]
+    parts, keep, scales = _selfadjoint_spanning(np.concatenate(stacks))
+    herm = [p[k] for p, k in zip(np.split(parts, 2 * ends), np.split(keep, 2 * ends))]
+    scales = np.split(scales, ends)
+    draws = {}
+    for count in {len(h) for h in herm}:
+        rng = np.random.default_rng(0)
+        draws[count] = [rng.standard_normal(count) for _ in range(SPECTRUM_RETRIES)]
+    atoms, pending = [None] * len(stacks), list(range(len(stacks)))
+    for r in range(SPECTRUM_RETRIES):
+        if not pending:
+            break
+        combos = np.stack([np.tensordot(draws[len(herm[k])][r], herm[k], axes=1) for k in pending])
+        splits = _blocks_from_vectors(combos, eye, tol)
+        stands = _spans(splits, [stacks[k] for k in pending], np.concatenate([scales[k] for k in pending]), tol)
+        for k, split, ok in zip(pending, splits, stands):
+            if ok:
+                atoms[k] = split
+        pending = [k for k, ok in zip(pending, stands) if not ok]
+    for k in pending:
+        split = [eye]
+        for s in herm[k]:
+            split = [sub for iso in split for sub in _blocks_from_vectors(s[None], iso, tol)[0]]
+        atoms[k] = split if _spans([split], [stacks[k]], scales[k], tol)[0] else None
+    return atoms
 
 
+@functools.cache
 def _functionals(d: int) -> np.ndarray:
     """Two fixed generic Hermitian d x d matrices H, whose readings
     ``tr(p H) / rank`` order the atoms of every context.  They come from
     the legacy Mersenne Twister stream, which numpy keeps unchanged across
-    versions, seeded by d alone: the order depends on no seed and no frame."""
+    versions, seeded by d alone: the order depends on no seed and no frame.
+    Drawn once per d, and read-only."""
     z = np.random.RandomState(d).standard_normal((2, 2, d, d))
     h = z[:, 0] + 1j * z[:, 1]
-    return (h + np.swapaxes(h.conj(), -2, -1)) / 2.0
+    h = (h + np.swapaxes(h.conj(), -2, -1)) / 2.0
+    h.flags.writeable = False
+    return h
 
 
 def _traces(projs: np.ndarray) -> np.ndarray:
@@ -324,16 +369,24 @@ def _traces(projs: np.ndarray) -> np.ndarray:
     return np.einsum("kij,fji->fk", projs, _functionals(projs.shape[-1])).real
 
 
-def _reading_order(readings: np.ndarray, tol: float) -> list:
-    """Atom indices by their first reading; readings that ``_cluster``
-    groups at the spectral tolerance are ties, ordered by the second."""
+def _reading_order(readings: np.ndarray, tol: float, starts=None) -> np.ndarray:
+    """Atom indices by their first reading, within each run
+    ``starts[k]:starts[k + 1]`` of atoms (by default one run of all): first
+    readings that ``_cluster`` groups at the spectral tolerance, scaled by
+    the run's largest magnitude, are ties, ordered by the second."""
     first, second = readings
-    return [k for group in _cluster(first, tol) for k in sorted(group, key=lambda k: second[k])]
+    starts = np.array([0, len(first)]) if starts is None else starts
+    run = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    order = np.lexsort((first, run))
+    gap = spectral_tol(tol) * np.maximum(1.0, np.maximum.reduceat(np.abs(first), starts[:-1]))
+    ties = (np.diff(first[order]) <= gap[run[order]][1:]) & (np.diff(run[order]) == 0)
+    group = np.cumsum(np.concatenate([[True], ~ties]))
+    return order[np.lexsort((second[order], group))]
 
 
 def _ordered_characters(blocks: list, tol: float) -> list:
     """The atoms onto the ranges of the isometries ``blocks``, as characters in reading order."""
-    projs = np.stack([iso @ dagger(iso) for iso in blocks])
+    projs = _projections(blocks)
     ranks = [iso.shape[1] for iso in blocks]
     return [Character(projection=projs[k], rank=ranks[k]) for k in _reading_order(_traces(projs) / ranks, tol)]
 
@@ -348,7 +401,7 @@ def gelfand_spectrum(v: MatrixStarAlgebra) -> list:
         return v._characters
     if not is_commutative(v):
         raise DomainError("gelfand_spectrum requires a commutative algebra")
-    blocks = _atoms(_basis_stack(v), v.tol)
+    blocks = _atoms([_basis_stack(v)], v.tol)[0]
     if blocks is None:
         raise DomainError("simultaneous diagonalization failed to isolate characters")
     if len(blocks) != v.dimension:
@@ -386,9 +439,9 @@ class ContextCategory:
         return a == b or (a, b) in self.order
 
     def strict_pairs(self) -> list:
-        """(sub, sup) pairs with sub strictly below sup, deterministic order."""
-        ids = self.ids()
-        return [(a, b) for a in ids for b in ids if a != b and (a, b) in self.order]
+        """(sub, sup) pairs with sub strictly below sup, sub-major in id
+        order: the keys of ``restrictions``, which are built in that order."""
+        return list(self.restrictions)
 
 
 def _commutation_cliques(mats: list, tol: float) -> list:
@@ -427,24 +480,10 @@ def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL) -> Matri
     atoms they split the space into (``_atoms``).  Refuses (DomainError) generators whose algebra is not
     commutative."""
     stack = np.asarray([as_matrix(g, d) for g in generators], dtype=complex).reshape(-1, d, d)
-    blocks = _atoms(stack, tol)
+    blocks = _atoms([stack], tol)[0]
     if blocks is None:
         raise DomainError("the generators do not generate a commutative algebra")
     return _atom_algebra(_ordered_characters(blocks, tol), tol)
-
-
-def _components(touch: np.ndarray) -> list:
-    """Connected components of the bipartite graph whose rows and columns
-    are the atoms of two contexts and whose edges are ``touch``: each
-    component as its sorted row indices, ordered by their first."""
-    reach = (touch @ touch.T) | np.eye(len(touch), dtype=bool)
-    while True:
-        wider = reach @ reach
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    first = reach.argmax(axis=1).tolist()
-    return [[row for row, label in enumerate(first) if label == k] for k in dict.fromkeys(first)]
 
 
 def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) -> ContextCategory:
@@ -463,6 +502,12 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
     leak into several others at or below the threshold, even past it in
     sum.  A candidate equal to an earlier kept one is dropped; each kept
     one holds its atoms as its characters (``spectra``).
+
+    All pairs are decided in one batch: each pair's overlap graph, padded to
+    the largest atom count, is closed by boolean squaring, and each atom is
+    labelled by the first atom of its component.  One cover matrix holds
+    every candidate's atoms as rows of sums over the maximal atoms, put in
+    reading order by one sort.
     """
     d, tol = ambient.dim, ambient.tol
     threshold = spectral_tol(tol) ** 2
@@ -471,31 +516,40 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
     columns = np.concatenate(isometries, axis=1)
     owner = np.repeat(np.eye(len(isometries)), ranks, axis=0)
     overlaps = owner.T @ (np.abs(dagger(columns) @ columns) ** 2) @ owner
-    projs = np.stack([iso @ dagger(iso) for iso in isometries]).reshape(len(isometries), d * d)
+    projs = _projections(isometries).reshape(len(isometries), d * d)
     traces = _traces(projs.reshape(-1, d, d))
 
     n = len(blocks)
     first = np.cumsum([0] + [len(group) for group in blocks])
-    names = [f"V{k}" for k in range(n)]
-    candidates = [[[t] for t in range(first[k], first[k + 1])] for k in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        parts = _components(overlaps[first[i] : first[i + 1], first[j] : first[j + 1]] > threshold)
-        if len(parts) > 1:
-            names.append(f"V{i}^V{j}")
-            candidates.append([[first[i] + a for a in part] for part in parts])
-    names.append("I")
-    candidates.append([[len(isometries) - 1]])
+    counts = np.diff(first)
+    left, right = np.triu_indices(n, 1)
+    slot = np.arange(counts.max(initial=1))
+    real = slot < counts[left][:, None]
+    rows = np.minimum(first[left][:, None] + slot, first[n])[:, :, None]
+    cols = np.minimum(first[right][:, None] + slot, first[n])[:, None, :]
+    touch = (overlaps[rows, cols] > threshold) & real[:, :, None] & (slot < counts[right][:, None])[:, None, :]
+    reach = (touch @ np.swapaxes(touch, 1, 2)) | np.eye(len(slot), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    label = reach.argmax(axis=2)
+    root = (label == slot) & real
+    meets = np.flatnonzero(root.sum(axis=1) > 1)
+    names = [f"V{k}" for k in range(n)] + [f"V{i}^V{j}" for i, j in zip(left[meets], right[meets])] + ["I"]
 
-    # each candidate's atoms as rows of sums over the maximal atoms, in
-    # reading order, one block of rows per candidate
-    covers = []
-    for atoms in candidates:
-        cover = np.zeros((len(atoms), len(isometries)))
-        for a, atom in enumerate(atoms):
-            cover[a, atom] = 1.0
-        covers.append(cover[_reading_order(traces @ cover.T / (cover @ ranks), tol)])
-    starts = np.cumsum([0] + [len(cover) for cover in covers])
-    cover = np.concatenate(covers)
+    # each candidate's atoms as rows of sums over the maximal atoms, one
+    # block of rows per candidate, then in reading order within each block
+    sizes = np.concatenate([counts, root[meets].sum(axis=1), [1]])
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    cover = np.zeros((starts[-1], len(isometries)))
+    cover[np.arange(first[n]), np.arange(first[n])] = 1.0
+    pair, atom = np.nonzero(real[meets])
+    component = (np.cumsum(root, axis=1) - 1)[meets[pair], label[meets[pair], atom]]
+    cover[starts[n + pair] + component, first[left[meets[pair]]] + atom] = 1.0
+    cover[-1, -1] = 1.0
+    cover = cover[_reading_order(traces @ cover.T / (cover @ ranks), tol, starts)]
     hits = cover @ overlaps @ cover.T > threshold
     # below[m, k]: every atom of candidate m overlaps exactly one of k's
     below = np.logical_and.reduceat(np.add.reduceat(hits, starts[:-1], axis=1, dtype=int) == 1, starts[:-1], axis=0)
@@ -505,18 +559,22 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
         if not equal[k, kept].any():
             kept.append(k)
 
-    contexts, spectra, order, restrictions = {}, {}, set(), {}
+    contexts, spectra = {}, {}
     for k in kept:
-        sizes = covers[k] @ ranks
-        atoms = (covers[k] @ projs).reshape(-1, d, d)
-        spectra[names[k]] = [Character(projection=p, rank=int(r)) for p, r in zip(atoms, sizes)]
+        atoms = cover[starts[k] : starts[k + 1]]
+        spectra[names[k]] = [Character(projection=p, rank=int(r))
+                             for p, r in zip((atoms @ projs).reshape(-1, d, d), atoms @ ranks)]
         contexts[names[k]] = _atom_algebra(spectra[names[k]], tol)
-    for a in kept:
-        for b in kept:
-            if a != b and below[b, a]:
-                order.add((names[a], names[b]))
-                table = hits[starts[b] : starts[b + 1], starts[a] : starts[a + 1]].argmax(axis=1)
-                restrictions[(names[a], names[b])] = dict(enumerate(table.tolist()))
+    # table[row, k]: the index of the atom of kept candidate k that a kept
+    # row overlaps, where it overlaps exactly one
+    rows = np.flatnonzero(np.repeat(np.isin(np.arange(len(names)), kept), sizes))
+    local = (np.arange(starts[-1]) - np.repeat(starts[:-1], sizes))[rows]
+    bounds = np.concatenate([[0], np.cumsum(sizes[kept])])
+    table = np.add.reduceat(hits[np.ix_(rows, rows)] * local, bounds[:-1], axis=1)
+    order, restrictions = set(), {}
+    for a, b in zip(*np.nonzero(below[np.ix_(kept, kept)].T & ~np.eye(len(kept), dtype=bool))):
+        order.add((names[kept[a]], names[kept[b]]))
+        restrictions[(names[kept[a]], names[kept[b]])] = dict(enumerate(table[bounds[b] : bounds[b + 1], a].tolist()))
     generators = {names[k]: group_generators[k] if k < n else [] for k in kept}
     return ContextCategory(ambient, contexts, order, generators, spectra, restrictions)
 
@@ -539,12 +597,9 @@ def context_category(ambient: MatrixStarAlgebra, seeds: list) -> ContextCategory
         if not ambient.contains(m):
             raise DomainError(f"seed {k} lies outside the ambient algebra")
     cliques = _commutation_cliques(mats, tol)
-    blocks = []
-    for clique in cliques:
-        atoms = _atoms(np.stack([mats[i] for i in clique]), tol)
-        if atoms is None:
-            raise DomainError("simultaneous diagonalization failed to isolate characters")
-        blocks.append(atoms)
+    blocks = _atoms([np.stack([mats[i] for i in clique]) for clique in cliques], tol)
+    if any(atoms is None for atoms in blocks):
+        raise DomainError("simultaneous diagonalization failed to isolate characters")
     return _assemble(ambient, blocks, [list(c) for c in cliques])
 
 
@@ -552,13 +607,12 @@ def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list) -> Co
     """Contexts generated from explicit groups (one context per group), as
     ``context_category`` builds them from cliques."""
     d, tol = ambient.dim, ambient.tol
-    blocks = []
-    for k, group in enumerate(groups):
-        mats = np.asarray([as_matrix(g, d) for g in group], dtype=complex).reshape(-1, d, d)
-        if not all(ambient.contains(m) for m in mats):
-            raise DomainError(f"group {k} contains a matrix outside the ambient algebra")
-        atoms = _atoms(mats, tol)
+    stacks = [np.asarray([as_matrix(g, d) for g in group], dtype=complex).reshape(-1, d, d) for group in groups]
+    outside = next((k for k, mats in enumerate(stacks) if not ambient.contains(mats)), len(stacks))
+    blocks = _atoms(stacks[:outside], tol)
+    for k, atoms in enumerate(blocks):
         if atoms is None:
             raise DomainError(f"group {k} does not generate a commutative algebra")
-        blocks.append(atoms)
+    if outside < len(stacks):
+        raise DomainError(f"group {outside} contains a matrix outside the ambient algebra")
     return _assemble(ambient, blocks, [[] for _ in groups])

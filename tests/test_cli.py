@@ -126,6 +126,29 @@ class TestSubcommands:
         assert code == 2 and captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("mode, field, message", [
+        ("category", "identities", "identities holds ['id_a']"),
+        ("category", "compose", "composites holds ['f']"),
+        ("functor", "morphism_map", "morphism map holds ['f']"),
+    ], ids=["identity", "composite", "morphism-map"])
+    def test_cat_check_refuses_an_array_where_a_label_belongs(self, capsys, specs, tmp_path, mode, field, message):
+        """An array as an identity, a composite or a functor's image of a
+        morphism exits 2: no table can key it."""
+        category = json.load(open(specs["category"]))
+        if field == "identities":
+            category["identities"]["a"] = ["id_a"]
+        elif field == "compose":
+            category["compose"][2][2] = ["f"]
+        payload = category if mode == "category" else {
+            "source": category, "target": category, "object_map": {"a": "a", "b": "b"},
+            "morphism_map": {"id_a": "id_a", "id_b": "id_b", "f": ["f"]}}
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(payload))
+        code = main(["cat-check", f"--{mode}", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
     def test_cat_check_diagram_on_a_repeated_object(self, capsys, tmp_path):
         index = {"objects": ["V0", "V0"], "homs": [{"src": "V0", "dst": "V0", "morphisms": ["id_V0", "id_V0"]}],
                  "identities": {"V0": "id_V0"}, "compose": [["id_V0", "id_V0", "id_V0"]]}
@@ -155,7 +178,7 @@ class TestSubcommands:
         """The defect is taken on each context's unit and seeds, which no
         split builds: one that leaves a seed out of its context does not
         pass."""
-        monkeypatch.setattr(staralg, "_atoms", lambda stack, tol: [np.eye(stack.shape[-1], dtype=complex)])
+        monkeypatch.setattr(staralg, "_atoms", lambda stacks, tol: [[np.eye(s.shape[-1], dtype=complex)] for s in stacks])
         code = main(["state-extend", "--algebra", specs["algebra"], "--seeds", "z,x", "--state", specs["state"]])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -599,6 +622,33 @@ class TestBooleanEntries:
         fixture.write_text(json.dumps({"dim": 2, "bases": [[[1, 0], [0, 1]], [[1, 1], [1, value]]]}))
         message = "basis 1, vector 1 of the ray fixture has a non-finite"
         self.refused(capsys, ["ks-check", "--fixture", str(fixture)], message)
+
+
+class TestIntegersBeyondTheFloatRange:
+    """JSON integers have no size limit; one too large for a float is
+    refused with exit status 2 where it stands, not with a traceback."""
+
+    HUGE = 10**400
+
+    def refused(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+    def test_carrier_weight(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"groups": [{"A": [{"type": "carrier", "values": [1, -1]}], "B": []}],
+                                    "carrier_weights": [0.5, self.HUGE]}))
+        self.refused(capsys, ["inequality", "--family", str(path), "--provider", "measure"],
+                     "carrier weight 1 is an integer beyond the float range")
+
+    @pytest.mark.parametrize("cell", [HUGE, [0, -HUGE]], ids=["bare", "pair"])
+    def test_state_entry(self, capsys, specs, tmp_path, cell):
+        state = tmp_path / "rho.json"
+        state.write_text(json.dumps([[[1, 0], [0, 0]], [cell, [0, 0]]]))
+        argv = ["state-extend", "--algebra", specs["algebra"], "--seeds", "z,x", "--state", str(state)]
+        self.refused(capsys, argv, "matrix entry at row 1, column 0 is an integer beyond the float range")
 
 
 class TestInequalityMeasures:

@@ -11,7 +11,7 @@ from ctxlab import staralg
 from ctxlab.errors import DomainError, InputError
 from ctxlab.fincat import check_category, poset_category
 from ctxlab.locnet import Region, pauli_string, site_operator, spectrum_multiplicativity, standard_net
-from ctxlab.presheaf import ray_family_context_category
+from ctxlab.presheaf import ray_family_context_category, rays_to_projectors
 from ctxlab.linalg import orthonormalize_span, span_leq, spectral_tol
 from ctxlab.staralg import (
     MatrixStarAlgebra,
@@ -519,3 +519,383 @@ class TestHeldCharacters:
             alg = context_algebra(gens, 2**qubits, 1e-13)
             atoms = [np.outer(u[:, k], u[:, k].conj()) for k in range(2**qubits)]
             assert all(alg.contains(m) for m in gens + atoms), case
+
+
+# ---------------------------------------------------------------------------
+# the batched category build against the per-stack and per-candidate code
+# it replaced, frozen here as the oracle
+
+
+def old_blocks_from_vectors(h, isometry, tol):
+    compressed = isometry.conj().T @ h @ isometry
+    w, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+    return [isometry @ vecs[:, group] for group in staralg._cluster(w, tol)]
+
+
+def old_spans(blocks, stack, scales, tol):
+    projs = np.stack([iso @ iso.conj().T for iso in blocks])
+    ranks = np.array([iso.shape[1] for iso in blocks])
+    vals = np.einsum("kij,nji->nk", projs, stack) / ranks
+    residual = stack - np.einsum("nk,kij->nij", vals, projs)
+    bound = max(tol, staralg.CHARACTER_FLOOR) * scales
+    norms = np.linalg.norm(residual, axis=(-2, -1))
+    unsure = ~(norms <= bound / 2)
+    norms[unsure] = staralg.opnorms(residual[unsure])
+    return bool(np.all(norms <= bound))
+
+
+def old_atoms(stack, tol):
+    """One stack's split: a fresh ``default_rng(0)`` per call."""
+    parts, keep, scales = staralg._selfadjoint_spanning(stack)
+    herm = parts[keep]
+    eye = np.eye(stack.shape[-1], dtype=complex)
+    rng = np.random.default_rng(0)
+    for _ in range(staralg.SPECTRUM_RETRIES):
+        h = np.tensordot(rng.standard_normal(len(herm)), herm, axes=1)
+        blocks = old_blocks_from_vectors(h, eye, tol)
+        if old_spans(blocks, stack, scales, tol):
+            return blocks
+    blocks = [eye]
+    for s in herm:
+        blocks = [sub for iso in blocks for sub in old_blocks_from_vectors(s, iso, tol)]
+    return blocks if old_spans(blocks, stack, scales, tol) else None
+
+
+def old_reading_order(readings, tol):
+    first, second = readings
+    return [k for group in staralg._cluster(first, tol) for k in sorted(group, key=lambda k: second[k])]
+
+
+def old_components(touch):
+    reach = (touch @ touch.T) | np.eye(len(touch), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    first = reach.argmax(axis=1).tolist()
+    return [[row for row, label in enumerate(first) if label == k] for k in dict.fromkeys(first)]
+
+
+def old_assemble(ambient, blocks, group_generators):
+    d, tol = ambient.dim, ambient.tol
+    threshold = spectral_tol(tol) ** 2
+    isometries = [iso for group in blocks for iso in group] + [np.eye(d, dtype=complex)]
+    ranks = np.array([iso.shape[1] for iso in isometries])
+    columns = np.concatenate(isometries, axis=1)
+    owner = np.repeat(np.eye(len(isometries)), ranks, axis=0)
+    overlaps = owner.T @ (np.abs(columns.conj().T @ columns) ** 2) @ owner
+    projs = np.stack([iso @ iso.conj().T for iso in isometries]).reshape(len(isometries), d * d)
+    traces = staralg._traces(projs.reshape(-1, d, d))
+    n = len(blocks)
+    first = np.cumsum([0] + [len(group) for group in blocks])
+    names = [f"V{k}" for k in range(n)]
+    candidates = [[[t] for t in range(first[k], first[k + 1])] for k in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        parts = old_components(overlaps[first[i] : first[i + 1], first[j] : first[j + 1]] > threshold)
+        if len(parts) > 1:
+            names.append(f"V{i}^V{j}")
+            candidates.append([[first[i] + a for a in part] for part in parts])
+    names.append("I")
+    candidates.append([[len(isometries) - 1]])
+    covers = []
+    for atoms in candidates:
+        cover = np.zeros((len(atoms), len(isometries)))
+        for a, atom in enumerate(atoms):
+            cover[a, atom] = 1.0
+        covers.append(cover[old_reading_order(traces @ cover.T / (cover @ ranks), tol)])
+    starts = np.cumsum([0] + [len(cover) for cover in covers])
+    cover = np.concatenate(covers)
+    hits = cover @ overlaps @ cover.T > threshold
+    below = np.logical_and.reduceat(np.add.reduceat(hits, starts[:-1], axis=1, dtype=int) == 1, starts[:-1], axis=0)
+    equal = below & below.T
+    kept = []
+    for k in range(len(names)):
+        if not equal[k, kept].any():
+            kept.append(k)
+    contexts, spectra, order, restrictions = {}, {}, set(), {}
+    for k in kept:
+        sizes = covers[k] @ ranks
+        atoms = (covers[k] @ projs).reshape(-1, d, d)
+        spectra[names[k]] = [staralg.Character(projection=p, rank=int(r)) for p, r in zip(atoms, sizes)]
+        contexts[names[k]] = staralg._atom_algebra(spectra[names[k]], tol)
+    for a in kept:
+        for b in kept:
+            if a != b and below[b, a]:
+                order.add((names[a], names[b]))
+                table = hits[starts[b] : starts[b + 1], starts[a] : starts[a + 1]].argmax(axis=1)
+                restrictions[(names[a], names[b])] = dict(enumerate(table.tolist()))
+    generators = {names[k]: group_generators[k] if k < n else [] for k in kept}
+    return staralg.ContextCategory(ambient, contexts, order, generators, spectra, restrictions)
+
+
+def old_context_category_from_groups(ambient, groups):
+    d, tol = ambient.dim, ambient.tol
+    blocks = []
+    for k, group in enumerate(groups):
+        mats = np.asarray([staralg.as_matrix(g, d) for g in group], dtype=complex).reshape(-1, d, d)
+        if not all(ambient.contains(m) for m in mats):
+            raise DomainError(f"group {k} contains a matrix outside the ambient algebra")
+        atoms = old_atoms(mats, tol)
+        if atoms is None:
+            raise DomainError(f"group {k} does not generate a commutative algebra")
+        blocks.append(atoms)
+    return old_assemble(ambient, blocks, [[] for _ in groups])
+
+
+def old_context_category(ambient, seeds):
+    mats = [staralg.as_matrix(s, ambient.dim) for s in seeds]
+    cliques = staralg._commutation_cliques(mats, ambient.tol)
+    blocks = []
+    for clique in cliques:
+        atoms = old_atoms(np.stack([mats[i] for i in clique]), ambient.tol)
+        if atoms is None:
+            raise DomainError("simultaneous diagonalization failed to isolate characters")
+        blocks.append(atoms)
+    return old_assemble(ambient, blocks, [list(c) for c in cliques])
+
+
+def old_gelfand_spectrum(v):
+    if not is_commutative(v):
+        raise DomainError("gelfand_spectrum requires a commutative algebra")
+    blocks = old_atoms(staralg._basis_stack(v), v.tol)
+    if blocks is None:
+        raise DomainError("simultaneous diagonalization failed to isolate characters")
+    if len(blocks) != v.dimension:
+        raise DomainError(f"found {len(blocks)} characters for an algebra of dimension {v.dimension}")
+    projs = np.stack([iso @ iso.conj().T for iso in blocks])
+    ranks = [iso.shape[1] for iso in blocks]
+    return [staralg.Character(projection=projs[k], rank=ranks[k])
+            for k in old_reading_order(staralg._traces(projs) / ranks, v.tol)]
+
+
+def old_rays_to_projectors(basis_vectors):
+    projs = []
+    for v in basis_vectors:
+        vec = np.asarray(v, dtype=complex).reshape(-1)
+        vec = vec / np.linalg.norm(vec)
+        projs.append(np.outer(vec, vec.conj()))
+    return projs
+
+
+def built(fn, *args):
+    """A builder's value, or its refusal as (type, message)."""
+    try:
+        return "value", fn(*args)
+    except (DomainError, InputError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def character_bytes(chars) -> list:
+    return [(chi.rank, chi.projection.tobytes()) for chi in chars]
+
+
+def assert_same_category(found, expected):
+    """The same refusal, or the same ids, order, restriction tables (keys
+    in order), generators and character bytes; ``strict_pairs`` is the old
+    quadratic scan of the order."""
+    assert found[0] == expected[0]
+    if found[0] != "value":
+        assert found == expected
+        return
+    new, old = found[1], expected[1]
+    assert new.ids() == old.ids()
+    assert new.order == old.order
+    assert list(new.restrictions.items()) == list(old.restrictions.items())
+    assert new.generators == old.generators
+    for cid in old.ids():
+        assert character_bytes(new.spectra[cid]) == character_bytes(old.spectra[cid])
+        assert new.algebra(cid)._characters is new.spectra[cid]
+    ids = old.ids()
+    assert new.strict_pairs() == [(a, b) for a in ids for b in ids if a != b and (a, b) in old.order]
+
+
+@st.composite
+def ray_families(draw):
+    """Bases of rays from two or three random unitary frames of dimension
+    2-5, the later frames rotating some column pairs of the first, so bases
+    share rays and their meets have atoms of several rays.  A basis may be
+    incomplete or empty; its rays are scaled by random complex factors; a
+    basis may hold a ray of another frame, which need not be orthogonal to
+    the rest."""
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frames = [random_unitary(rng, d)]
+    for _ in range(draw(st.integers(1, 2))):
+        pairs = draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), max_size=2))
+        frame = frames[0].copy()
+        for a, b in pairs:
+            if a != b:
+                c, s = np.cos(0.3 + a), np.sin(0.3 + a)
+                frame[:, [a, b]] = frame[:, [a, b]] @ np.array([[c, -s], [s, c]])
+        frames.append(frame)
+    bases = []
+    for _ in range(draw(st.integers(1, 6))):
+        frame = frames[draw(st.integers(0, len(frames) - 1))]
+        cols = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+        rays = [frame[:, c] * (rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 6.3))) for c in cols]
+        if rays and draw(st.integers(0, 9)) == 0:
+            rays[0] = frames[-1][:, cols[0]]
+        bases.append(rays)
+    return d, bases
+
+
+def pauli_seeds(draw, rng):
+    labels = draw(st.lists(st.sampled_from([a + b for a in "IXYZ" for b in "IXYZ"][1:]), min_size=1, max_size=7))
+    u = random_unitary(rng, 4) if draw(st.booleans()) else np.eye(4)
+    single = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+    return [float(draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]))) * u @ kron(single[a], single[b]) @ u.conj().T
+            for a, b in labels]
+
+
+class TestBatchedBuildOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(family=ray_families(), tol=st.sampled_from([1e-13, 1e-9, 1e-6]))
+    def test_ray_families(self, family, tol):
+        d, bases = family
+        found = built(ray_family_context_category, d, bases, tol)
+        expected = built(old_context_category_from_groups, full_matrix_algebra(d, tol),
+                         [old_rays_to_projectors(basis) for basis in bases])
+        assert_same_category(found, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 16), count=st.integers(0, 6), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]), real=st.booleans())
+    def test_ray_projectors_are_the_per_vector_ones(self, d, count, seed, scale, real):
+        rng = np.random.default_rng(seed)
+        rays = scale * (rng.standard_normal((count, d)) + (0 if real else 1j) * rng.standard_normal((count, d)))
+        found = rays_to_projectors(list(rays))
+        assert len(found) == count
+        assert [p.tobytes() for p in found] == [p.tobytes() for p in old_rays_to_projectors(rays)]
+
+    def test_strict_pairs_are_the_quadratic_scan_of_the_order(self):
+        from ctxlab.fixtures import peres24_fixture
+
+        for cc in (ray_family_context_category(4, peres24_fixture()["bases"][:9]),
+                   context_category(full_matrix_algebra(4), [kron(a, b) for a in (SX, SZ, I2) for b in (SX, SZ)])):
+            ids = cc.ids()
+            assert cc.strict_pairs() == [(a, b) for a in ids for b in ids if a != b and (a, b) in cc.order]
+            assert len(cc.strict_pairs()) == len(cc.order) > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 101])
+    def test_peres_and_cabello_families(self, seed):
+        from ctxlab.fixtures import peres24_fixture
+        from ctxlab.presheaf import bundled_fixture, load_ray_fixture
+
+        bases = peres24_fixture()["bases"]
+        rng = np.random.default_rng(seed)
+        families = [bases, load_ray_fixture(bundled_fixture("cabello18.json"))[1]]
+        families += [[bases[i] for i in sorted(rng.choice(24, size, replace=False))] for size in (6, 12, 16, 17)]
+        for family in families:
+            found = built(ray_family_context_category, 4, family)
+            expected = built(old_context_category_from_groups, full_matrix_algebra(4),
+                             [old_rays_to_projectors(basis) for basis in family])
+            assert_same_category(found, expected)
+
+    def test_an_empty_group_and_groups_refused_in_order(self):
+        """No group, or an empty one, leaves one context; a non-commutative
+        group before a group outside the ambient is refused first, and
+        after it, not."""
+        ambient = generate_algebra([kron(SX, I2), kron(SZ, I2)], 4)
+        inside, outside = [kron(SX, I2), kron(SZ, I2)], [kron(I2, SZ)]
+        cases = [[], [[]], [inside[:1], []], [inside, outside], [outside, inside], [inside[1:], inside, outside]]
+        for groups in cases:
+            found = built(context_category_from_groups, ambient, groups)
+            assert_same_category(found, built(old_context_category_from_groups, ambient, groups))
+        assert found == ("DomainError", "group 1 does not generate a commutative algebra")
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_atoms_whose_first_readings_tie(self, d):
+        """Rays (e0 ± e1) / sqrt(2) on two eigenvectors of the first fixed
+        functional read its mean eigenvalue both, to rounding: a tie, which
+        the second reading orders, here and in every meet they reach."""
+        _, e = np.linalg.eigh(staralg._functionals(d)[0])
+        plus, minus = (e[:, 0] + e[:, 1]) / np.sqrt(2), (e[:, 0] - e[:, 1]) / np.sqrt(2)
+        tied = [plus, minus] + [e[:, k] for k in range(2, d)]
+        families = [[tied], [tied[::-1], list(e.T)], [[plus, minus], tied[1:], [1j * minus, plus]]]
+        for bases in families:
+            found = built(ray_family_context_category, d, bases)
+            expected = built(old_context_category_from_groups, full_matrix_algebra(d),
+                             [old_rays_to_projectors(basis) for basis in bases])
+            assert_same_category(found, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), tol=st.sampled_from([1e-9, 1e-6]))
+    def test_reading_order_of_runs(self, data, tol):
+        """Runs of readings of several magnitudes, each a few clusters of
+        values 0 to 2 gaps apart at its own scale: each run is ordered as
+        the old per-candidate sort ordered it.  Two atoms of one context
+        never read alike on both generic functionals, so the second
+        readings of a run are distinct: the order of such a double tie
+        would follow each sort's own tie rule."""
+        draw = data.draw
+        runs = []
+        for _ in range(draw(st.integers(1, 5))):
+            base = draw(st.sampled_from([0.1, 1.0, 30.0, -500.0]))
+            steps = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.1, 2.0, 1e3]), min_size=0, max_size=6))
+            first = base + spectral_tol(tol) * max(1.0, abs(base)) * np.cumsum([0.0] + steps)
+            order = draw(st.permutations(range(len(first))))
+            second = np.array(draw(st.permutations(range(len(first)))), dtype=float) - 1.5
+            runs.append((first[list(order)], second))
+        readings = np.array([np.concatenate([r[0] for r in runs]), np.concatenate([r[1] for r in runs])])
+        starts = np.cumsum([0] + [len(r[0]) for r in runs])
+        expected = [start + k for start, r in zip(starts, runs) for k in old_reading_order(np.array(r), tol)]
+        assert staralg._reading_order(readings, tol, starts).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), tol=st.sampled_from([1e-9, 1e-7]))
+    def test_pauli_cliques_on_two_qubits(self, data, tol):
+        seeds = pauli_seeds(data.draw, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+        ambient = full_matrix_algebra(4, tol)
+        assert_same_category(built(context_category, ambient, seeds), built(old_context_category, ambient, seeds))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_near_degenerate_spectra(self, data):
+        """The algebras of ``test_near_degenerate_spectra_never_miscount``."""
+        draw = data.draw
+        tol = draw(st.sampled_from([1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3]))
+        start = float(draw(st.integers(-2, 2)))
+        factors = draw(st.lists(st.none() | st.floats(0.5, 2.0), min_size=1, max_size=4))
+        scale = max(1.0, abs(start), abs(start + sum(f is None for f in factors)))
+        values = [start]
+        for f in factors:
+            values.append(values[-1] + (1.0 if f is None else f * spectral_tol(tol) * scale))
+        d = len(values)
+        u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**16))), d) if draw(st.booleans()) else np.eye(d)
+        alg = generate_algebra([(u * np.array(values)) @ u.conj().T], d, tol)
+        alg = rescaled(alg, draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                                          min_size=alg.dimension, max_size=alg.dimension)))
+        found, expected = built(gelfand_spectrum, alg), built(old_gelfand_spectrum, alg)
+        assert found[0] == expected[0]
+        assert (character_bytes(found[1]) == character_bytes(expected[1]) if found[0] == "value"
+                else found == expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), tol=st.sampled_from([1e-9, 1e-6]), retries=st.sampled_from([0, 1, 3]))
+    def test_stacks_of_different_sizes_in_one_call(self, data, tol, retries):
+        """Commuting stacks of 0-4 matrices on the column groups of random
+        frames, some with degenerate blocks whose first draw may merge
+        them, and non-commuting ones; with fewer draws allowed, more stacks
+        take the sweep.  Each stack splits as it did alone."""
+        draw = data.draw
+        d = draw(st.integers(1, 5))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        stacks = []
+        for _ in range(draw(st.integers(1, 5))):
+            u = random_unitary(rng, d)
+            cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=d - 1))) if d > 1 else []
+            projs = [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip([0] + cuts, cuts + [d])]
+            mats = [sum(c * p for c, p in zip(rng.choice([-1.0, 0.0, 1.0, 2.0], len(projs)), projs))
+                    for _ in range(draw(st.integers(0, 4)))]
+            if d > 1 and draw(st.integers(0, 4)) == 0:
+                mats.append(u[:, :2] @ np.array([[0, 1], [1, 0]]) @ u[:, :2].conj().T)
+            stacks.append(np.asarray(mats, dtype=complex).reshape(-1, d, d))
+        saved, staralg.SPECTRUM_RETRIES = staralg.SPECTRUM_RETRIES, retries
+        try:
+            found = staralg._atoms(stacks, tol)
+            expected = [old_atoms(stack, tol) for stack in stacks]
+        finally:
+            staralg.SPECTRUM_RETRIES = saved
+        assert [None if b is None else [iso.tobytes() for iso in b] for b in found] == [
+            None if b is None else [iso.tobytes() for iso in b] for b in expected]
