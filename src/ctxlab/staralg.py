@@ -269,10 +269,10 @@ def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray, tol: float) -> lis
 def _projections(isometries: list) -> np.ndarray:
     """``iso @ iso^H`` of each isometry, stacked: one batched product per
     rank, each bitwise the isometry's own product."""
-    d, ranks = isometries[0].shape[0], np.array([iso.shape[1] for iso in isometries])
+    d, ranks = isometries[0].shape[0], [iso.shape[1] for iso in isometries]
     projs = np.empty((len(isometries), d, d), dtype=complex)
-    for rank in np.unique(ranks):
-        at = np.flatnonzero(ranks == rank)
+    for rank in set(ranks):
+        at = [k for k, r in enumerate(ranks) if r == rank]
         v = np.stack([isometries[k] for k in at])
         projs[at] = v @ np.swapaxes(v.conj(), -2, -1)
     return projs
@@ -565,16 +565,18 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
         spectra[names[k]] = [Character(projection=p, rank=int(r))
                              for p, r in zip((atoms @ projs).reshape(-1, d, d), atoms @ ranks)]
         contexts[names[k]] = _atom_algebra(spectra[names[k]], tol)
-    # table[row, k]: the index of the atom of kept candidate k that a kept
-    # row overlaps, where it overlaps exactly one
-    rows = np.flatnonzero(np.repeat(np.isin(np.arange(len(names)), kept), sizes))
-    local = (np.arange(starts[-1]) - np.repeat(starts[:-1], sizes))[rows]
-    bounds = np.concatenate([[0], np.cumsum(sizes[kept])])
-    table = np.add.reduceat(hits[np.ix_(rows, rows)] * local, bounds[:-1], axis=1)
+    # each strict pair (a, b), a-major: the atom of a that each atom of b
+    # overlaps, from the pair's hits padded with columns that overlap none
+    kept = np.array(kept)
+    sub, sup = (kept[k] for k in np.nonzero(below[np.ix_(kept, kept)].T & ~np.eye(len(kept), dtype=bool)))
+    slot = np.arange(sizes.max())
+    rows = np.minimum(starts[sup][:, None] + slot, starts[-1] - 1)[:, :, None]
+    cols = np.minimum(starts[sub][:, None] + slot, starts[-1] - 1)[:, None, :]
+    tables = (hits[rows, cols] & (slot < sizes[sub][:, None])[:, None, :]).argmax(axis=2)
     order, restrictions = set(), {}
-    for a, b in zip(*np.nonzero(below[np.ix_(kept, kept)].T & ~np.eye(len(kept), dtype=bool))):
-        order.add((names[kept[a]], names[kept[b]]))
-        restrictions[(names[kept[a]], names[kept[b]])] = dict(enumerate(table[bounds[b] : bounds[b + 1], a].tolist()))
+    for a, b, table in zip(sub, sup, tables):
+        order.add((names[a], names[b]))
+        restrictions[(names[a], names[b])] = dict(enumerate(table[: sizes[b]].tolist()))
     generators = {names[k]: group_generators[k] if k < n else [] for k in kept}
     return ContextCategory(ambient, contexts, order, generators, spectra, restrictions)
 
