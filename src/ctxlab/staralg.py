@@ -573,12 +573,10 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
     rows = np.minimum(starts[sup][:, None] + slot, starts[-1] - 1)[:, :, None]
     cols = np.minimum(starts[sub][:, None] + slot, starts[-1] - 1)[:, None, :]
     tables = (hits[rows, cols] & (slot < sizes[sub][:, None])[:, None, :]).argmax(axis=2)
-    order, restrictions = set(), {}
-    for a, b, table in zip(sub, sup, tables):
-        order.add((names[a], names[b]))
-        restrictions[(names[a], names[b])] = dict(enumerate(table[: sizes[b]].tolist()))
+    restrictions = {(names[a], names[b]): dict(enumerate(table[: sizes[b]].tolist()))
+                    for a, b, table in zip(sub, sup, tables)}
     generators = {names[k]: group_generators[k] if k < n else [] for k in kept}
-    return ContextCategory(ambient, contexts, order, generators, spectra, restrictions)
+    return ContextCategory(ambient, contexts, set(restrictions), generators, spectra, restrictions)
 
 
 def context_category(ambient: MatrixStarAlgebra, seeds: list) -> ContextCategory:
