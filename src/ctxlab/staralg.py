@@ -278,30 +278,34 @@ def _projections(isometries: list) -> np.ndarray:
     return projs
 
 
-def _spans(splits: list, stacks: list, scales: np.ndarray, tol: float) -> np.ndarray:
+def _spans(splits: list, stacks: list, scales: list, tol: float) -> np.ndarray:
     """For each split (a list of isometries) and its stack: whether every
     matrix b of the stack is the sum of the block projections p, each times
     its scalar ``tr(p b) / rank``, within the character bound
-    ``max(tol, CHARACTER_FLOOR) * max(1, ‖b‖)`` (``scales``, all stacks'
-    in turn).  On each block this is the character relation
+    ``max(tol, CHARACTER_FLOOR) * max(1, ‖b‖)`` (``scales``, one array per
+    stack).  On each block this is the character relation
     ``p b p = val p``; off the blocks it asks that b leave every block's
     range invariant.  A residual whose Frobenius norm is at most half the
     bound passes whatever the rounding of its operator norm, which the
-    Frobenius norm bounds; only the others take the SVD.  One batch for all
-    stacks: each matrix is paired with the blocks of its own split."""
-    isometries = [iso for split in splits for iso in split]
-    projs = _projections(isometries)
-    ranks = np.array([iso.shape[1] for iso in isometries])
-    mats = np.concatenate(stacks)
-    owner = np.repeat(np.arange(len(stacks)), [len(stack) for stack in stacks])
-    at, block = np.nonzero(owner[:, None] == np.repeat(np.arange(len(splits)), [len(split) for split in splits]))
-    vals = np.einsum("pij,pji->p", projs[block], mats[at]) / ranks[block]
-    residual = mats - np.add.reduceat(vals[:, None, None] * projs[block], np.searchsorted(at, np.arange(len(mats))))
-    bound = max(tol, CHARACTER_FLOOR) * scales
-    norms = np.linalg.norm(residual, axis=(-2, -1))
-    unsure = ~(norms <= bound / 2)
-    norms[unsure] = opnorms(residual[unsure])
-    return np.bincount(owner[~(norms <= bound)], minlength=len(stacks)) == 0
+    Frobenius norm bounds; only the others take the SVD.  The stacks of one
+    shape (block count, matrix count) are tested in one batch."""
+    stands = np.ones(len(stacks), dtype=bool)
+    shapes = {}
+    for k, (split, stack) in enumerate(zip(splits, stacks)):
+        shapes.setdefault((len(split), len(stack)), []).append(k)
+    for ks in shapes.values():
+        projs = _projections([iso for k in ks for iso in splits[k]])
+        projs = projs.reshape(len(ks), -1, *projs.shape[1:])
+        ranks = np.array([[iso.shape[1] for iso in splits[k]] for k in ks])
+        mats = np.stack([stacks[k] for k in ks])
+        vals = np.einsum("gkij,gnji->gnk", projs, mats) / ranks[:, None, :]
+        residual = mats - np.einsum("gnk,gkij->gnij", vals, projs)
+        bound = max(tol, CHARACTER_FLOOR) * np.stack([scales[k] for k in ks])
+        norms = np.linalg.norm(residual, axis=(-2, -1))
+        unsure = ~(norms <= bound / 2)
+        norms[unsure] = opnorms(residual[unsure])
+        stands[ks] = np.all(norms <= bound, axis=1)
+    return stands
 
 
 def _atoms(stacks: list, tol: float) -> list:
@@ -337,7 +341,7 @@ def _atoms(stacks: list, tol: float) -> list:
             break
         combos = np.stack([np.tensordot(draws[len(herm[k])][r], herm[k], axes=1) for k in pending])
         splits = _blocks_from_vectors(combos, eye, tol)
-        stands = _spans(splits, [stacks[k] for k in pending], np.concatenate([scales[k] for k in pending]), tol)
+        stands = _spans(splits, [stacks[k] for k in pending], [scales[k] for k in pending], tol)
         for k, split, ok in zip(pending, splits, stands):
             if ok:
                 atoms[k] = split
@@ -346,7 +350,7 @@ def _atoms(stacks: list, tol: float) -> list:
         split = [eye]
         for s in herm[k]:
             split = [sub for iso in split for sub in _blocks_from_vectors(s[None], iso, tol)[0]]
-        atoms[k] = split if _spans([split], [stacks[k]], scales[k], tol)[0] else None
+        atoms[k] = split if _spans([split], [stacks[k]], [scales[k]], tol)[0] else None
     return atoms
 
 

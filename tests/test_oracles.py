@@ -1329,7 +1329,7 @@ class TestCharacterTestOracle:
         assert all(np.array_equal(a, b) for a, b in zip(herm, expected))
         assert scales.tolist() == [max(1.0, opnorm(b)) for b in basis]
         blocks = [u[:, g] for g in groups]
-        assert _spans([blocks], [stack], scales, tol)[0] == reference_validate_blocks(blocks, basis, tol)
+        assert _spans([blocks], [stack], [scales], tol)[0] == reference_validate_blocks(blocks, basis, tol)
 
 
 # ---------------------------------------------------------------------------
