@@ -10,7 +10,6 @@ gft-ccr and gft-weyl.  Identical inputs and seed give byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import itertools
 import json
@@ -33,7 +32,7 @@ from .ctxext import (
 from .errors import InputError, ToolError
 from .linalg import DEFAULT_TOL, check_tolerance
 from .staralg import check_dimension, context_algebra, context_category, full_matrix_algebra
-from .validation import whole_number
+from .validation import array, load_json, member, members, numbers, parse_json, parse_matrix, whole_number
 
 
 # Report bounds, fixed because they mirror the acceptance criteria: the
@@ -45,42 +44,7 @@ CLASSICAL_BOUND_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# JSON matrix formats
-
-
-def parse_matrix(data) -> np.ndarray:
-    """Row-major entries, each a finite number or an [re, im] pair of them.
-
-    JSON from Python may hold NaN and +-Infinity, and Python takes ``true``
-    and ``false`` for the numbers 1 and 0; such an entry, and an integer
-    beyond the float range, is refused (InputError) with its row and column.
-    """
-    try:
-        rows = []
-        for i, row in enumerate(data):
-            out = []
-            for j, cell in enumerate(row):
-                if isinstance(cell, (int, float)):
-                    boolean = cell is True or cell is False
-                    value = complex(cell)
-                else:
-                    re, im = cell
-                    boolean = re is True or re is False or im is True or im is False
-                    value = complex(re, im)
-                if boolean:
-                    raise InputError(f"matrix entry at row {i}, column {j} is a boolean, not a number: {cell!r}")
-                if not cmath.isfinite(value):
-                    raise InputError(f"matrix entry at row {i}, column {j} is not finite: {cell!r}")
-                out.append(value)
-            rows.append(out)
-        mat = np.array(rows, dtype=complex)
-    except OverflowError:  # complex() of a JSON integer beyond the float range, at (i, j)
-        raise InputError(f"matrix entry at row {i}, column {j} is an integer beyond the float range") from None
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix JSON: {exc}") from exc
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InputError(f"matrix JSON is not square: shape {mat.shape}")
-    return mat
+# JSON formats
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -88,24 +52,12 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(np.round(c.real, 12)) + 0.0, float(np.round(c.imag, 12)) + 0.0] for c in row] for row in m]
 
 
-def load_json(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except FileNotFoundError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path!r}: {exc}") from exc
-
-
 def load_algebra_spec(path: str, wanted: str | None):
     """Algebra spec: {'dim': d, 'seeds': {name: matrix, ...}}."""
     data = load_json(path)
-    try:
-        dim = whole_number(data["dim"], "algebra spec dim", least=1)
-        seed_map = {name: parse_matrix(m) for name, m in data["seeds"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed algebra spec {path!r}: {exc}") from exc
+    dim = whole_number(member(data, "dim", "algebra spec"), "algebra spec dim", least=1)
+    seeds = members(member(data, "seeds", "algebra spec"), "algebra spec seeds")
+    seed_map = {name: parse_matrix(m) for name, m in seeds.items()}
     if wanted is None:
         names = sorted(seed_map)
     else:
@@ -228,10 +180,8 @@ def cmd_state_extend(args: argparse.Namespace) -> int:
 def cmd_ks_check(args: argparse.Namespace) -> int:
     if args.max_sections < 1:
         raise InputError(f"--max-sections must be at least 1, got {args.max_sections}")
-    if os.path.exists(args.fixture):
-        data = load_json(args.fixture)
-    else:
-        data = presheaf.bundled_fixture(os.path.basename(args.fixture))
+    local = os.path.exists(args.fixture)
+    data = load_json(args.fixture) if local else presheaf.bundled_fixture(os.path.basename(args.fixture))
     dim, bases = presheaf.load_ray_fixture(data)
     cc = presheaf.ray_family_context_category(dim, bases, args.tolerance)
     sheaf = presheaf.build_spectral_presheaf(cc)
@@ -264,26 +214,23 @@ def load_net_spec(path: str, tol: float) -> "locnet.LocalNet":
     """Custom net spec: {'length': L, 'regions': [{'start', 'stop', 'generators'}]};
     each region closed by ``locnet.region_algebra``, exactly for Pauli strings."""
     data = load_json(path)
-    try:
-        length = whole_number(data["length"], "net spec length", least=1)
-        locnet.refuse_long_chain(length)
-        d = 2**length
-        assignment = {}
-        for entry in data["regions"]:
-            start, stop = (whole_number(entry[end], f"net spec {end}") for end in ("start", "stop"))
-            region = locnet.Region(start, stop)
-            if region.start < 0 or region.stop >= length:
-                raise InputError(f"net spec {path!r}: region {region.label()} lies outside the chain [0,{length - 1}]")
-            if region in assignment:
-                raise InputError(f"net spec {path!r}: region {region.label()} is listed twice")
-            gens = [parse_matrix(m) for m in entry["generators"]]
-            for k, g in enumerate(gens):
-                if len(g) != d:
-                    raise InputError(f"net spec {path!r}: generator {k} of region {region.label()} "
-                                     f"is {len(g)}x{len(g)}, expected {d}x{d}")
-            assignment[region] = locnet.region_algebra(gens, length, tol)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed net spec {path!r}: {exc}") from exc
+    length = whole_number(member(data, "length", "net spec"), "net spec length", least=1)
+    locnet.refuse_long_chain(length)
+    d = 2**length
+    assignment = {}
+    for entry in array(member(data, "regions", "net spec"), "net spec regions"):
+        start, stop = (whole_number(member(entry, e, "net spec region"), f"net spec {e}") for e in ("start", "stop"))
+        region = locnet.Region(start, stop)
+        if region.start < 0 or region.stop >= length:
+            raise InputError(f"net spec {path!r}: region {region.label()} lies outside the chain [0,{length - 1}]")
+        if region in assignment:
+            raise InputError(f"net spec {path!r}: region {region.label()} is listed twice")
+        gens = [parse_matrix(m) for m in array(member(entry, "generators", "net spec region"), "generators")]
+        for k, g in enumerate(gens):
+            if len(g) != d:
+                raise InputError(f"net spec {path!r}: generator {k} of region {region.label()} "
+                                 f"is {len(g)}x{len(g)}, expected {d}x{d}")
+        assignment[region] = locnet.region_algebra(gens, length, tol)
     return locnet.LocalNet(length, assignment, tol=tol)
 
 
@@ -353,10 +300,8 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
     if not (np.isfinite(args.norm) and args.norm > 0):
         raise InputError(f"--norm must be positive and finite, got {args.norm!r}")
     space = gft.PolyhedronSpace(args.m, args.n)
-    try:
-        cutoffs = [int(x) for x in args.sweep.split(",")] if args.sweep else [args.nmax]
-    except ValueError as exc:
-        raise InputError(f"malformed sweep {args.sweep!r}: {exc}") from exc
+    cutoffs = [whole_number(parse_json(x, f"--sweep cutoff {x!r}"), "--sweep cutoff")
+               for x in args.sweep.split(",")] if args.sweep else [args.nmax]
     # every Fock space is built and its sector checked before the draws
     focks = []
     for nmax in cutoffs:
@@ -380,64 +325,33 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_numbers(data, what: str) -> np.ndarray:
-    """A JSON list of numbers as floats; a non-number, a boolean, which
-    Python takes for 1 or 0, and an integer beyond the float range are
-    refused (InputError)."""
-    if not isinstance(data, list):
-        raise InputError(f"{what} must be a list of numbers, got {data!r}")
-    for k, x in enumerate(data):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise InputError(f"{what} {k} is not a number: {x!r}")
-    try:
-        return np.asarray(data, dtype=float)
-    except OverflowError:  # a JSON integer beyond the float range
-        k = next(k for k, x in enumerate(data) if isinstance(x, int) and not _fits_a_float(x))
-        raise InputError(f"{what} {k} is an integer beyond the float range") from None
-
-
-def _fits_a_float(x: int) -> bool:
-    try:
-        float(x)
-    except OverflowError:
-        return False
-    return True
-
-
 def _load_family(path: str):
     data = load_json(path)
-    try:
-        groups = []
-        for g in data["groups"]:
-            a_side = [_load_observable(o) for o in g.get("A", [])]
-            b_side = [_load_observable(o) for o in g.get("B", [])]
-            groups.append(realism.ObservableGroup(a_side, b_side))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed family file {path!r}: {exc}") from exc
+    groups = []
+    for g, group in enumerate(array(member(data, "groups", "family file"), "family groups")):
+        sides = [array(members(group, f"group {g}").get(s, []), f"side {s} of group {g}") for s in "AB"]
+        groups.append(realism.ObservableGroup(*[[_load_observable(o, f"observable {k} of side {s} of group {g}")
+                                                 for k, o in enumerate(obs)] for s, obs in zip("AB", sides)]))
     return data, realism.ObservableFamily(groups)
 
 
-def _load_observable(data: dict):
-    kind = data.get("type")
+def _load_observable(data, what: str):
+    kind = member(data, "type", what)
     if kind == "carrier":
-        return realism.CarrierObservable(_parse_numbers(data["values"], "carrier observable value"))
+        return realism.CarrierObservable(numbers(member(data, "values", what), "carrier observable value"))
     if kind == "matrix":
-        return realism.MatrixObservable(parse_matrix(data["matrix"]))
+        return realism.MatrixObservable(parse_matrix(member(data, "matrix", what)))
     raise InputError(f"unknown observable type {kind!r}")
 
 
 def cmd_inequality(args: argparse.Namespace) -> int:
     data, family = _load_family(args.family)
     if args.provider == "measure":
-        if "carrier_weights" not in data:
-            raise InputError("measure provider needs 'carrier_weights' in the family file")
-        # checked before normalising, which would hide a negative or zero total
-        weights = realism.MeasureProvider(_parse_numbers(data["carrier_weights"], "carrier weight")).weights
+        weights = numbers(member(data, "carrier_weights", "measure family"), "carrier weight")
+        realism.MeasureProvider(weights)  # checked before normalising, which would hide a negative or zero total
         provider = realism.MeasureProvider(weights / weights.sum())
     else:
-        if "state" not in data:
-            raise InputError("quantum provider needs 'state' in the family file")
-        provider = realism.QuantumProvider(parse_matrix(data["state"]))
+        provider = realism.QuantumProvider(parse_matrix(member(data, "state", "quantum family")))
     signs, minimum = realism.search_signs(family, provider, cap=args.sign_cap)
     report = {
         "provider": args.provider,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, InputError
-from .validation import ValidationReport
+from .validation import ValidationReport, array, label_table, labels, member, members
 
 DEFAULT_SEARCH_CAP = 5_000_000
 # raw leg assignments, or candidate mediating maps, evaluated per array step
@@ -516,54 +516,37 @@ def check_universal_property(
 # serialization
 
 
-def _labels(value, what: str) -> list:
-    """A JSON array of scalars.  A string is not read as its characters, and
-    an array or object element, which no table can key, is refused."""
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a JSON array, got {value!r}")
-    for x in value:
-        if isinstance(x, (list, dict)):
-            raise InputError(f"{what} holds {x!r}: not a string, number, boolean or null")
-    return value
-
-
-def category_from_json(data: dict) -> FinCategory:
-    try:
-        objects = _labels(data["objects"], "objects")
-        homs = {(h["src"], h["dst"]): _labels(h["morphisms"], f"morphisms of ({h['src']},{h['dst']})")
-                for h in data["homs"]}
-        identities = dict(data["identities"])
-        _labels(list(identities.values()), "identities")
-        compose = {(g, f): gf for g, f, gf in data["compose"]}
-        _labels(list(compose.values()), "composites")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed category JSON: {exc}") from exc
+def category_from_json(data) -> FinCategory:
+    objects = labels(member(data, "objects", "category"), "objects")
+    homs = {}
+    for h in array(member(data, "homs", "category"), "homs"):
+        src, dst = labels([member(h, "src", "hom"), member(h, "dst", "hom")], "hom ends")
+        homs[(src, dst)] = labels(member(h, "morphisms", "hom"), f"morphisms of ({src},{dst})")
+    identities = label_table(member(data, "identities", "category"), "identities")
+    triples = array(member(data, "compose", "category"), "compose")
+    if any(len(array(t, "compose entry")) != 3 for t in triples):
+        raise InputError(f"compose entries must be triples [g, f, gf], got {triples!r}")
+    labels([x for t in triples for x in t[:2]], "composed pairs")
+    compose = {(g, f): gf for g, f, gf in triples}
+    labels(list(compose.values()), "composites")
     return FinCategory(objects, homs, compose, identities)
 
 
-def functor_from_json(data: dict) -> Functor:
-    try:
-        functor = Functor(
-            source=category_from_json(data["source"]),
-            target=category_from_json(data["target"]),
-            object_map=dict(data["object_map"]),
-            morphism_map=dict(data["morphism_map"]),
-        )
-        _labels(list(functor.morphism_map.values()), "morphism map")
-        return functor
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed functor JSON: {exc}") from exc
+def functor_from_json(data) -> Functor:
+    return Functor(
+        source=category_from_json(member(data, "source", "functor")),
+        target=category_from_json(member(data, "target", "functor")),
+        object_map=label_table(member(data, "object_map", "functor"), "object map"),
+        morphism_map=label_table(member(data, "morphism_map", "functor"), "morphism map"),
+    )
 
 
-def diagram_from_json(data: dict) -> Diagram:
-    try:
-        index = category_from_json(data["index"])
-        carriers = {o: _labels(xs, f"carrier of {o!r}") for o, xs in data["carriers"].items()}
-        maps = {m: dict(t) for m, t in data["maps"].items()}
-        for m, table in maps.items():
-            _labels(list(table.values()), f"map of {m!r}")
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed diagram JSON: {exc}") from exc
+def diagram_from_json(data) -> Diagram:
+    index = category_from_json(member(data, "index", "diagram"))
+    carriers = {o: labels(xs, f"carrier of {o!r}")
+                for o, xs in members(member(data, "carriers", "diagram"), "diagram carriers").items()}
+    maps = {m: label_table(t, f"map of {m!r}")
+            for m, t in members(member(data, "maps", "diagram"), "diagram maps").items()}
     return Diagram(index, carriers, maps)
 
 

@@ -10,7 +10,6 @@ interval-valued readings per character.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
@@ -31,7 +30,7 @@ from .staralg import (
     full_matrix_algebra,
     gelfand_spectrum,
 )
-from .validation import whole_number
+from .validation import array, load_json, member, numbers, whole_number
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +193,23 @@ def rays_to_projectors(basis_vectors: list) -> np.ndarray:
     return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
-def load_ray_fixture(data: dict) -> tuple:
+def load_ray_fixture(data) -> tuple:
     """Parse a ray-family fixture: {'dim': d, 'bases': [[vector, ...], ...]}.
-
-    The dimension is a whole number of at least 1 and coordinates are
-    finite numbers.
-    Python takes JSON ``true`` and ``false`` for 1 and 0, and reads NaN and
-    +-Infinity; such a coordinate is refused (InputError) with its basis
-    and vector.
-    """
-    try:
-        dim = whole_number(data["dim"], "ray fixture dim", least=1)
-        raw = [list(basis) for basis in data["bases"]]
-        bases = [[np.asarray(v, dtype=float) for v in basis] for basis in raw]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed ray fixture: {exc}") from exc
-    for b, basis in enumerate(bases):
-        for k, v in enumerate(basis):
+    A boolean or non-finite coordinate is refused with its basis and vector."""
+    dim = whole_number(member(data, "dim", "ray fixture"), "ray fixture dim", least=1)
+    bases = []
+    for b, basis in enumerate(array(member(data, "bases", "ray fixture"), "ray fixture bases")):
+        bases.append([])
+        for k, raw in enumerate(array(basis, f"basis {b} of the ray fixture")):
+            where = f"basis {b}, vector {k} of the ray fixture"
+            if any(x is True or x is False for x in array(raw, where)):
+                raise InputError(f"{where} has a boolean coordinate: {raw!r}")
+            v = numbers(raw, f"{where}: coordinate")
             if v.shape != (dim,):
                 raise InputError(f"ray of shape {v.shape} in dimension-{dim} fixture")
-            if any(isinstance(x, bool) for x in raw[b][k]):
-                raise InputError(f"basis {b}, vector {k} of the ray fixture has a boolean coordinate: {raw[b][k]!r}")
             if not np.all(np.isfinite(v)):
-                raise InputError(f"basis {b}, vector {k} of the ray fixture has a non-finite coordinate: {raw[b][k]!r}")
+                raise InputError(f"{where} has a non-finite coordinate: {raw!r}")
+            bases[-1].append(v)
     return dim, bases
 
 
@@ -229,10 +222,6 @@ def ray_family_context_category(dim: int, bases: list, tol: float = DEFAULT_TOL)
     return context_category_from_groups(ambient, groups)
 
 
-def bundled_fixture(name: str) -> dict:
+def bundled_fixture(name: str):
     """Load a fixture shipped with the package (e.g. 'cabello18.json')."""
-    try:
-        text = resources.files("ctxlab.data").joinpath(name).read_text()
-    except FileNotFoundError as exc:
-        raise InputError(f"no bundled fixture named {name!r}") from exc
-    return json.loads(text)
+    return load_json(resources.files("ctxlab.data") / name)

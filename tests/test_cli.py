@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxlab import cli, ctxext, realism, staralg
 from ctxlab.cli import build_parser, main, matrix_to_json, parse_matrix
@@ -130,10 +137,13 @@ class TestSubcommands:
         ("category", "identities", "identities holds ['id_a']"),
         ("category", "compose", "composites holds ['f']"),
         ("functor", "morphism_map", "morphism map holds ['f']"),
-    ], ids=["identity", "composite", "morphism-map"])
+        ("diagram", "carriers", "diagram carriers must be a JSON object, got [['x']]"),
+        ("diagram", "maps", "diagram maps must be a JSON object, got [['x']]"),
+    ], ids=["identity", "composite", "morphism-map", "carriers-array", "maps-array"])
     def test_cat_check_refuses_an_array_where_a_label_belongs(self, capsys, specs, tmp_path, mode, field, message):
         """An array as an identity, a composite or a functor's image of a
-        morphism exits 2: no table can key it."""
+        morphism exits 2: no table can key it; and so do a diagram's
+        carriers or maps given as an array, not as an object."""
         category = json.load(open(specs["category"]))
         if field == "identities":
             category["identities"]["a"] = ["id_a"]
@@ -142,6 +152,9 @@ class TestSubcommands:
         payload = category if mode == "category" else {
             "source": category, "target": category, "object_map": {"a": "a", "b": "b"},
             "morphism_map": {"id_a": "id_a", "id_b": "id_b", "f": ["f"]}}
+        if mode == "diagram":
+            payload = {"index": category, "carriers": {"a": ["x"], "b": ["y"]}, "maps": {"f": {"x": "y"}}}
+            payload[field] = [["x"]]
         path = tmp_path / f"{mode}.json"
         path.write_text(json.dumps(payload))
         code = main(["cat-check", f"--{mode}", str(path)])
@@ -312,11 +325,40 @@ class TestDeterminismAndErrors:
         code, _ = run(capsys, ["limit", "--algebra", "no-such-file.json"])
         assert code == 2
 
-    def test_malformed_json_exits_two(self, capsys, tmp_path):
-        bad = tmp_path / "broken.json"
-        bad.write_text("{not json")
-        code, _ = run(capsys, ["cat-check", "--category", str(bad)])
-        assert code == 2
+    @pytest.mark.parametrize("argv, content, message", [
+        (["cat-check", "--category", "{}"], "{not json", "malformed JSON in"),
+        (["cat-check", "--category", "{}"], b'{"objects": ["\xff"]}', "can't decode byte 0xff in position 14"),
+        (["cat-check", "--category", "{}"], "[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+        (["cat-check", "--category", "{}"], None, "Is a directory"),
+        (["ks-check", "--fixture", "nope/"], None, "ctxlab/data': Is a directory"),
+        (["limit", "--algebra", "{}"], {"dim": 2, "seeds": [[[1, 0], [0, -1]]]},
+         "algebra spec seeds must be a JSON object"),
+        (["state-extend", "--state", "unread.json", "--algebra", "{}"], {"dim": 2, "seeds": [[[1, 0], [0, -1]]]},
+         "algebra spec seeds must be a JSON object"),
+        (["daseinise", "--projection", "unread.json", "--algebra", "{}"], {"dim": 2, "seeds": [[[1, 0], [0, -1]]]},
+         "algebra spec seeds must be a JSON object"),
+        (["inequality", "--provider", "measure", "--family", "{}"], {"groups": [5], "carrier_weights": [1]},
+         "group 0 must be a JSON object, got 5"),
+        (["inequality", "--provider", "measure", "--family", "{}"], {"groups": [{"A": [7]}], "carrier_weights": [1]},
+         "observable 0 of side A of group 0 must be a JSON object, got 7"),
+    ], ids=["syntax", "not-utf8", "deep-nest", "directory", "bundled-directory", "limit-seeds-array",
+            "state-extend-seeds-array", "daseinise-seeds-array", "group-not-object", "observable-not-object"])
+    def test_malformed_json_exits_two(self, capsys, tmp_path, argv, content, message):
+        """An input file that is not JSON, not UTF-8, nested past the
+        parser's depth, a directory, or whose JSON has the wrong shape, exits
+        2 with one error line naming the file or the field; ``{}`` stands for
+        the file, or for the directory when there is no content."""
+        path = tmp_path / "input.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv = [str(path if content is not None else tmp_path) if a == "{}" else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_unknown_seed_name_exits_two(self, capsys, specs):
         code, _ = run(capsys, ["limit", "--algebra", specs["algebra"], "--seeds", "nope"])
@@ -1000,3 +1042,142 @@ class TestReportWriting:
                 tracemalloc.stop()
         assert code == 0
         assert peak < 12 * 2**20
+
+
+
+SUBCOMMANDS = {"cat-check", "limit", "state-extend", "ks-check", "daseinise", "net-check", "gft-ccr", "gft-weyl",
+               "inequality", "export-dot"}
+JSON_OPTIONS = {"--fixture", "--algebra", "--state", "--projection", "--net", "--family", "--category", "--functor",
+                "--diagram"}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """(argv, {argv index of a JSON input: its value}) of valid runs of
+    every subcommand that reads JSON: the bundled cabello18, both benchmark
+    workloads at their tiny size, and a category, functor, diagram and
+    daseinise projection."""
+    from conftest import perfbench_module
+    from ctxlab.fincat import poset_category
+    from ctxlab.presheaf import bundled_fixture
+    from ctxlab.validation import load_json
+
+    out = tmp_path_factory.mktemp("valid")
+    workloads = perfbench_module("workloads")
+    argvs = [c["argv"] for w in ("ks-carrier", "net-fock") for c in workloads.build(w, 3, "tiny", str(out))]
+    cat = poset_category(["a", "b"], lambda x, y: x <= y)
+    category = {"objects": cat.objects, "identities": cat.identities,
+                "homs": [{"src": s, "dst": d, "morphisms": ms} for (s, d), ms in cat.homs.items()],
+                "compose": [[g, f, gf] for (g, f), gf in cat.compose.items()]}
+    maps = {m: {"0": 0, "1": 0} for m, _, _ in cat.arrows()}
+    maps.update({cat.identities["a"]: {"0": 0, "1": 1}, cat.identities["b"]: {"0": 0}})
+    files = {
+        "category": category,
+        "functor": {"source": category, "target": category, "object_map": {"a": "a", "b": "b"},
+                    "morphism_map": {m: m for m in cat.morphisms()}},
+        "diagram": {"index": category, "carriers": {"a": [0, 1], "b": [0]}, "maps": maps},
+        "algebra": {"dim": 2, "seeds": {"z": [[1, 0], [0, -1]], "x": [[0, 1], [1, 0]]}},
+        "projection": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
+    }
+    for name, value in files.items():
+        workloads.write_json(str(out / f"{name}.json"), value)
+    argvs += [["ks-check", "--fixture", "cabello18.json"]] + [
+        ["cat-check", f"--{mode}", str(out / f"{mode}.json")] for mode in ("category", "functor", "diagram")] + [
+        ["export-dot", "--category", str(out / "category.json")],
+        ["daseinise", "--algebra", str(out / "algebra.json"), "--projection", str(out / "projection.json")]]
+    cases = []
+    for argv in argvs:
+        inputs = {k + 1: json.loads(f"[{argv[k + 1]}]") for k, a in enumerate(argv) if a == "--sweep"}
+        inputs.update({k + 1: bundled_fixture(argv[k + 1]) if argv[k + 1] == "cabello18.json" else
+                       load_json(argv[k + 1]) for k, a in enumerate(argv) if a in JSON_OPTIONS})
+        if inputs:
+            cases.append((argv, inputs))
+    assert {next(a for a in argv if a in SUBCOMMANDS) for argv, _ in cases} == SUBCOMMANDS - {"gft-ccr"}
+    return cases
+
+
+class TestMalformedInputs:
+    """One JSON node of a valid input changed or deleted, or the input file
+    made unreadable: every subcommand exits 0, 1 or 2 and raises nothing
+    else.  Exit 1 comes only after a whole report whose verdict is false,
+    exit 2 with exactly one ``error:`` line.  gft-ccr reads no JSON, and
+    gft-weyl's ``--sweep`` is mutated as the items of a JSON array."""
+
+    DEEP = 200_000  # array levels, far past the JSON parser's recursion limit
+    NEST = "\x00nest"  # stands for the deep nest until the input is written
+    DELETE = "\x00delete"
+    REPLACEMENTS = ["x", True, None, 2.5, -3, 10**400, float("nan"), float("inf"), float("-inf"), [], {},
+                    functools.reduce(lambda inner, _: [inner], range(40), 1), NEST, DELETE]
+    UNREADABLE = ["directory", "not UTF-8", "trailing slash"]
+    # exit 1 means violations found: the verdict each such report shows
+    VERDICTS = {
+        "cat-check": lambda r: r["ok"],
+        "limit": lambda r: r.get("universal", True),
+        "state-extend": lambda r: r["max_expectation_defect"] <= cli.STATE_EXTEND_BOUND,
+        "net-check": lambda r: not r["violations"],
+    }
+
+    def mutated(self, value, path, replacement):
+        """``value`` with the node at ``path`` replaced, or deleted; a
+        deleted root is None."""
+        if not path:
+            return None if replacement == self.DELETE else replacement
+        value = copy.deepcopy(value)
+        parent = functools.reduce(operator.getitem, path[:-1], value)
+        if replacement == self.DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = replacement
+        return value
+
+    def text(self, value, sweep: bool) -> str:
+        """The JSON text of ``value``; a sweep's array without its brackets."""
+        if value is None:
+            return ""
+        text = ",".join(map(json.dumps, value)) if sweep and isinstance(value, list) else json.dumps(value)
+        return text.replace(json.dumps(self.NEST), "[" * self.DEEP + "]" * self.DEEP)
+
+    def check(self, argv) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            return
+        assert err == ""
+        subcommand = next(a for a in argv if a in SUBCOMMANDS)
+        if subcommand != "export-dot":
+            report = json.loads(out)
+            assert code == 0 or subcommand in self.VERDICTS and not self.VERDICTS[subcommand](report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_malformed_input_exits_cleanly(self, valid_inputs, data, tmp_path_factory):
+        argv, inputs = data.draw(st.sampled_from(valid_inputs), label="case")
+        k = data.draw(st.sampled_from(sorted(inputs)), label="input")
+        argv, value, sweep = list(argv), inputs[k], argv[k - 1] == "--sweep"
+        scratch = tmp_path_factory.mktemp("mutated")
+        unreadable = None if sweep else data.draw(st.sampled_from([None, None, None, *self.UNREADABLE]))
+        if unreadable == "trailing slash":
+            argv[k] += "/"
+        elif unreadable == "directory":
+            argv[k] = str(scratch)
+        elif unreadable == "not UTF-8":
+            (scratch / "input.json").write_bytes(b'{"dim": "\xff"}')
+            argv[k] = str(scratch / "input.json")
+        else:
+            # a walk from the root that stops at each node with even odds,
+            # so the structure that readers take apart is hit most often
+            path, node = (), value
+            while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+                path += (data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node)))),)
+                node = node[path[-1]]
+            text = self.text(self.mutated(value, path, data.draw(st.sampled_from(self.REPLACEMENTS))), sweep)
+            if sweep:
+                argv[k - 1:k + 1] = [f"--sweep={text}"]  # a cutoff may start with "-"
+            else:
+                (scratch / "input.json").write_text(text)
+                argv[k] = str(scratch / "input.json")
+        self.check(argv)

@@ -10,9 +10,14 @@ And scipy enters the package only as ``scipy.sparse``: no module imports
 ``scipy.linalg``, ``scipy.sparse.linalg`` or any other part of it.  And
 no public definition of the package is reached by tests alone: each is
 read by another definition of the package, by the benchmark or by the
-acceptance tests, or is kept, with its reason, in ``KEPT_TEST_ONLY``."""
+acceptance tests, or is kept, with its reason, in ``KEPT_TEST_ONLY``.
+And whether an input value is well formed is decided in ``validation``
+alone: no except clause elsewhere is bare or catches ``KeyError``,
+``TypeError``, ``ValueError``, ``OverflowError``, ``AttributeError``,
+``IndexError`` or a class they derive from."""
 
 import ast
+import builtins
 import collections
 import importlib.util
 import pathlib
@@ -199,3 +204,53 @@ def test_the_lint_finds_definitions_reached_by_tests_alone():
     assert reached_by_tests_alone(package, ["Box().opened()\n"]) == []
     assert reached_by_tests_alone({"c": "def loop(n):\n    return loop(n - 1)\n"}, []) == ["c.loop"]
     assert reached_by_tests_alone({"cli": "def main():\n    return 0\n\nmain()\n"}, []) == []
+
+
+READING_ERRORS = (KeyError, TypeError, ValueError, OverflowError, AttributeError, IndexError)
+
+
+def reading_catches(source: str, name: str) -> list:
+    """``name:line: exception`` for each except clause of module ``name``
+    that is bare or names one of ``READING_ERRORS`` or a base class of one,
+    unless ``name`` is ``validation.py``."""
+    if name == "validation.py":
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            found.append(f"{name}:{node.lineno}: bare except")
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        for exc in caught:
+            label = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            cls = getattr(builtins, label or "", None)
+            if isinstance(cls, type) and any(issubclass(error, cls) for error in READING_ERRORS):
+                found.append(f"{name}:{node.lineno}: {label}")
+    return found
+
+
+def test_only_validation_decides_what_input_is_well_formed():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found += reading_catches(path.read_text(), str(path.relative_to(PACKAGE)))
+    assert found == []
+
+
+def test_the_lint_finds_reading_catches():
+    def catching(clause):
+        return f"try:\n    f()\n{clause}:\n    pass\n"
+
+    assert reading_catches(catching("except KeyError"), "cli.py") == ["cli.py:3: KeyError"]
+    assert reading_catches(catching("except (OSError, TypeError, ValueError) as exc"), "fincat.py") == [
+        "fincat.py:3: TypeError",
+        "fincat.py:3: ValueError",
+    ]
+    assert reading_catches(catching("except builtins.AttributeError"), "cli.py") == ["cli.py:3: AttributeError"]
+    assert reading_catches(catching("except LookupError"), "cli.py") == ["cli.py:3: LookupError"]
+    assert reading_catches(catching("except Exception"), "cli.py") == ["cli.py:3: Exception"]
+    assert reading_catches(catching("except"), "cli.py") == ["cli.py:3: bare except"]
+    assert reading_catches(catching("except (OSError, json.JSONDecodeError, UnicodeDecodeError)"), "cli.py") == []
+    assert reading_catches(catching("except InputError"), "fincat.py") == []
+    assert reading_catches(catching("except (KeyError, IndexError)"), "validation.py") == []
