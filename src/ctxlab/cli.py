@@ -180,8 +180,10 @@ def cmd_state_extend(args: argparse.Namespace) -> int:
 def cmd_ks_check(args: argparse.Namespace) -> int:
     if args.max_sections < 1:
         raise InputError(f"--max-sections must be at least 1, got {args.max_sections}")
-    local = os.path.exists(args.fixture)
-    data = load_json(args.fixture) if local else presheaf.bundled_fixture(os.path.basename(args.fixture))
+    if os.path.exists(args.fixture):
+        data = load_json(args.fixture)
+    else:
+        data = presheaf.bundled_fixture(args.fixture)
     dim, bases = presheaf.load_ray_fixture(data)
     cc = presheaf.ray_family_context_category(dim, bases, args.tolerance)
     sheaf = presheaf.build_spectral_presheaf(cc)
@@ -329,9 +331,12 @@ def _load_family(path: str):
     data = load_json(path)
     groups = []
     for g, group in enumerate(array(member(data, "groups", "family file"), "family groups")):
-        sides = [array(members(group, f"group {g}").get(s, []), f"side {s} of group {g}") for s in "AB"]
-        groups.append(realism.ObservableGroup(*[[_load_observable(o, f"observable {k} of side {s} of group {g}")
-                                                 for k, o in enumerate(obs)] for s, obs in zip("AB", sides)]))
+        members(group, f"group {g}")
+        sides = []
+        for s in "AB":
+            side = array(group.get(s, []), f"side {s} of group {g}")
+            sides.append([_load_observable(o, f"observable {k} of side {s} of group {g}") for k, o in enumerate(side)])
+        groups.append(realism.ObservableGroup(*sides))
     return data, realism.ObservableFamily(groups)
 
 

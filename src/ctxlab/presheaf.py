@@ -10,6 +10,7 @@ interval-valued readings per character.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -222,6 +223,12 @@ def ray_family_context_category(dim: int, bases: list, tol: float = DEFAULT_TOL)
     return context_category_from_groups(ambient, groups)
 
 
-def bundled_fixture(name: str):
-    """Load a fixture shipped with the package (e.g. 'cabello18.json')."""
-    return load_json(resources.files("ctxlab.data") / name)
+def bundled_fixture(path: str):
+    """Load the fixture shipped with the package whose name is the last
+    component of ``path`` (e.g. 'cabello18.json'); ks-check reads it when
+    ``path`` names no file."""
+    name = os.path.basename(path)
+    fixture = resources.files("ctxlab.data") / name
+    if not fixture.is_file():
+        raise InputError(f"no file {path!r} and no bundled fixture {name!r}")
+    return load_json(fixture)

@@ -75,11 +75,8 @@ def number(value, what: str) -> float:
 
 
 def numbers(data, what: str) -> np.ndarray:
-    """A JSON array of numbers as floats: taken at once when every item is a
-    float or an int below 1e308 in magnitude, else item ``k`` read by ``number`` as ``{what} {k}``."""
-    values = array(data, f"list of {what}s")
-    fast = all(type(x) is float or type(x) is int and -1e308 < x < 1e308 for x in values)
-    return np.array(values if fast else [number(x, f"{what} {k}") for k, x in enumerate(values)], dtype=float)
+    """A JSON array of numbers as floats, item ``k`` read by ``number`` as ``{what} {k}``."""
+    return np.array([number(x, f"{what} {k}") for k, x in enumerate(array(data, f"list of {what}s"))], dtype=float)
 
 
 def parse_matrix(data) -> np.ndarray:

@@ -330,7 +330,8 @@ class TestDeterminismAndErrors:
         (["cat-check", "--category", "{}"], b'{"objects": ["\xff"]}', "can't decode byte 0xff in position 14"),
         (["cat-check", "--category", "{}"], "[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
         (["cat-check", "--category", "{}"], None, "Is a directory"),
-        (["ks-check", "--fixture", "nope/"], None, "ctxlab/data': Is a directory"),
+        (["ks-check", "--fixture", "nope/"], None, "no file 'nope/' and no bundled fixture ''"),
+        (["ks-check", "--fixture", "mine.json"], None, "no file 'mine.json' and no bundled fixture 'mine.json'"),
         (["limit", "--algebra", "{}"], {"dim": 2, "seeds": [[[1, 0], [0, -1]]]},
          "algebra spec seeds must be a JSON object"),
         (["state-extend", "--state", "unread.json", "--algebra", "{}"], {"dim": 2, "seeds": [[[1, 0], [0, -1]]]},
@@ -341,8 +342,9 @@ class TestDeterminismAndErrors:
          "group 0 must be a JSON object, got 5"),
         (["inequality", "--provider", "measure", "--family", "{}"], {"groups": [{"A": [7]}], "carrier_weights": [1]},
          "observable 0 of side A of group 0 must be a JSON object, got 7"),
-    ], ids=["syntax", "not-utf8", "deep-nest", "directory", "bundled-directory", "limit-seeds-array",
-            "state-extend-seeds-array", "daseinise-seeds-array", "group-not-object", "observable-not-object"])
+    ], ids=["syntax", "not-utf8", "deep-nest", "directory", "bundled-directory", "bundled-missing",
+            "limit-seeds-array", "state-extend-seeds-array", "daseinise-seeds-array", "group-not-object",
+            "observable-not-object"])
     def test_malformed_json_exits_two(self, capsys, tmp_path, argv, content, message):
         """An input file that is not JSON, not UTF-8, nested past the
         parser's depth, a directory, or whose JSON has the wrong shape, exits

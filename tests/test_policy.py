@@ -14,7 +14,7 @@ acceptance tests, or is kept, with its reason, in ``KEPT_TEST_ONLY``.
 And whether an input value is well formed is decided in ``validation``
 alone: no except clause elsewhere is bare or catches ``KeyError``,
 ``TypeError``, ``ValueError``, ``OverflowError``, ``AttributeError``,
-``IndexError`` or a class they derive from."""
+``IndexError``, a class derived from one or a class they derive from."""
 
 import ast
 import builtins
@@ -209,12 +209,33 @@ def test_the_lint_finds_definitions_reached_by_tests_alone():
 READING_ERRORS = (KeyError, TypeError, ValueError, OverflowError, AttributeError, IndexError)
 
 
+def caught_class(node, namespace: dict):
+    """The object an except clause names: a name looked up in ``namespace``
+    (the module's globals), then in builtins, then as a module, and each
+    ``.attr`` after it; None where a lookup fails."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.insert(0, node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    value = namespace.get(node.id, vars(builtins).get(node.id))
+    if value is None and importlib.util.find_spec(node.id) is not None:
+        value = importlib.import_module(node.id)
+    for attr in attrs:
+        value = getattr(value, attr, None)
+    return value
+
+
 def reading_catches(source: str, name: str) -> list:
     """``name:line: exception`` for each except clause of module ``name``
-    that is bare or names one of ``READING_ERRORS`` or a base class of one,
-    unless ``name`` is ``validation.py``."""
+    that is bare or names one of ``READING_ERRORS``, a subclass of one (such
+    as ``json.JSONDecodeError``) or a base class of one, unless ``name`` is
+    ``validation.py``."""
     if name == "validation.py":
         return []
+    module = "ctxlab." + name.removesuffix(".py").replace("/", ".")
+    namespace = vars(importlib.import_module(module)) if importlib.util.find_spec(module) else {}
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ExceptHandler):
@@ -224,10 +245,9 @@ def reading_catches(source: str, name: str) -> list:
             continue
         caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
         for exc in caught:
-            label = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
-            cls = getattr(builtins, label or "", None)
-            if isinstance(cls, type) and any(issubclass(error, cls) for error in READING_ERRORS):
-                found.append(f"{name}:{node.lineno}: {label}")
+            cls = caught_class(exc, namespace)
+            if isinstance(cls, type) and any(issubclass(e, cls) or issubclass(cls, e) for e in READING_ERRORS):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(exc)}")
     return found
 
 
@@ -247,10 +267,24 @@ def test_the_lint_finds_reading_catches():
         "fincat.py:3: TypeError",
         "fincat.py:3: ValueError",
     ]
-    assert reading_catches(catching("except builtins.AttributeError"), "cli.py") == ["cli.py:3: AttributeError"]
+    assert reading_catches(catching("except builtins.AttributeError"), "cli.py") == [
+        "cli.py:3: builtins.AttributeError"
+    ]
     assert reading_catches(catching("except LookupError"), "cli.py") == ["cli.py:3: LookupError"]
     assert reading_catches(catching("except Exception"), "cli.py") == ["cli.py:3: Exception"]
     assert reading_catches(catching("except"), "cli.py") == ["cli.py:3: bare except"]
-    assert reading_catches(catching("except (OSError, json.JSONDecodeError, UnicodeDecodeError)"), "cli.py") == []
+    assert reading_catches(catching("except (OSError, json.JSONDecodeError, UnicodeDecodeError)"), "cli.py") == [
+        "cli.py:3: json.JSONDecodeError",
+        "cli.py:3: UnicodeDecodeError",
+    ]
+    # np is found among the module's globals, json.decoder by import
+    assert reading_catches(catching("except np.linalg.LinAlgError"), "fincat.py") == [
+        "fincat.py:3: np.linalg.LinAlgError"
+    ]
+    assert reading_catches(catching("except json.decoder.JSONDecodeError"), "new.py") == [
+        "new.py:3: json.decoder.JSONDecodeError"
+    ]
+    assert reading_catches(catching("except (OSError, RecursionError, BrokenPipeError)"), "cli.py") == []
     assert reading_catches(catching("except InputError"), "fincat.py") == []
+    assert reading_catches(catching("except Undefined"), "cli.py") == []
     assert reading_catches(catching("except (KeyError, IndexError)"), "validation.py") == []
