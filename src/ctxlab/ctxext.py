@@ -42,9 +42,6 @@ class ProductSpectrum:
     def points(self) -> list:
         return list(itertools.product(*[range(s) for s in self.sizes]))
 
-    def position(self, ctx_id: str) -> int:
-        return self.context_ids.index(ctx_id)
-
 
 @dataclass
 class Element:
@@ -91,7 +88,7 @@ def embed(a, ctx_id: str, ext: ExtendedAlgebra) -> Element:
         raise DomainError(f"matrix lies outside the span of context {ctx_id}")
     char_values = np.array([chi.value_of(m) for chi in ext.cc.spectra[ctx_id]])
     axis = [1] * len(ext.carrier.sizes)
-    axis[ext.carrier.position(ctx_id)] = len(char_values)
+    axis[ext.carrier.context_ids.index(ctx_id)] = len(char_values)
     return Element(ext.carrier, np.broadcast_to(char_values.reshape(axis), ext.carrier.sizes).flatten())
 
 

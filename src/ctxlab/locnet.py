@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctxext import build_limit_extension, embed
 from .errors import CapExceeded, DomainError, InputError
 from .linalg import DEFAULT_TOL, as_matrix, opnorm, spectral_tol
 from .staralg import (
@@ -41,8 +40,6 @@ from .staralg import (
     algebra_span_leq,
     commuting,
     context_algebra,
-    context_category_from_groups,
-    full_matrix_algebra,
     generate_algebra,
     gelfand_spectrum,
     is_commutative,
@@ -389,8 +386,11 @@ def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationRep
     """Translation covariance of a context family and of its extension.
 
     The conjugation by the shift permutation must map every context algebra
-    onto the context at the shifted region, and the induced permutation of
-    the product-spectrum components must intertwine the embeddings.
+    onto the context at the shifted region, and each of its characters
+    (from the split of its basis, ``context_algebra``) onto one character
+    of the translate.  The permuted product carrier then intertwines the
+    embeddings iff, as checked, each character's reading of a basis element
+    ``b`` equals its translate's reading of ``alpha(b)``.
     """
     report = ValidationReport()
     u = translation_unitary(shift, net.length)
@@ -420,62 +420,45 @@ def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationRep
     if not report.ok:
         return report
 
-    # extension part: build the product carrier over the family and check
-    # that embedding then permuting equals translating then embedding.
-    ambient = full_matrix_algebra(net.dim, net.tol)
-    cc = context_category_from_groups(ambient, [alg.basis for _, alg in contexts])
-    ids_by_region = {}
+    split = {}
     for region, alg in contexts:
-        equal = (cid for cid in cc.ids() if algebra_span_equal(cc.algebra(cid), alg, cc.algebra(cid).span_tol))
-        match = next(equal, None)
-        if match is None:
+        split[region] = context_algebra(alg.basis, net.dim, net.tol)
+        if not algebra_span_equal(split[region], alg, split[region].span_tol):
             raise DomainError(f"context at {region.label()} matches no context built from its generators")
-        ids_by_region[region] = match
-    ext = build_limit_extension(cc)
-    positions = {cid: ext.carrier.position(cid) for cid in ext.carrier.context_ids}
-
-    char_maps = {}
+    chars = {region: gelfand_spectrum(alg) for region, alg in split.items()}
+    translates = {}
     for region, image in targets.items():
-        cid, tid = ids_by_region[region], ids_by_region[image]
-        table = {}
-        for i, chi in enumerate(cc.spectra[cid]):
+        translates[region] = []
+        for i, chi in enumerate(chars[region]):
             moved = alpha(chi.projection)
-            hits = [
-                j
-                for j, tchi in enumerate(cc.spectra[tid])
-                if opnorm(moved - tchi.projection) <= spectral_tol(net.tol)
-            ]
+            hits = [tchi for tchi in chars[image] if opnorm(moved - tchi.projection) <= spectral_tol(net.tol)]
             if len(hits) != 1:
                 report.add(
                     "net.covariance",
                     f"character {i} of the context at {region.label()} has no unique translate",
                 )
-            else:
-                table[i] = hits[0]
-        char_maps[region] = table
+            translates[region] += hits[:1]
     if not report.ok:
         return report
 
-    # position of each point's translate: remap the translated components
-    components = np.unravel_index(np.arange(ext.carrier.size), ext.carrier.sizes)
-    moved_components = list(components)
     for region, image in targets.items():
-        cid, tid = ids_by_region[region], ids_by_region[image]
-        table = np.array(list(char_maps[region].values()), dtype=np.intp)
-        moved_components[positions[tid]] = table[components[positions[cid]]]
-    moved = np.ravel_multi_index(moved_components, ext.carrier.sizes)
-
-    for region, image in targets.items():
-        cid, tid = ids_by_region[region], ids_by_region[image]
-        for b_idx, b in enumerate(cc.algebra(cid).basis):
-            before = embed(b, cid, ext).values
-            after = embed(alpha(b), tid, ext).values
-            if np.any(np.abs(after[moved] - before) > spectral_tol(net.tol)):
+        basis = split[region].basis
+        moved = np.stack([alpha(b) for b in basis])
+        if not split[image].contains(moved):
+            raise DomainError(f"translated basis of the context at {region.label()} leaves {image.label()}")
+        for b_idx, (b, m) in enumerate(zip(basis, moved)):
+            before, after = _readings(chars[region], b), _readings(translates[region], m)
+            if np.any(np.abs(after - before) > spectral_tol(net.tol)):
                 report.add(
                     "net.covariance",
                     f"extension automorphism fails on basis element {b_idx} of context at {region.label()}",
                 )
     return report
+
+
+def _readings(chars: list, m: np.ndarray) -> np.ndarray:
+    """Each character's value on ``m``."""
+    return np.array([chi.value_of(m) for chi in chars])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -70,11 +71,20 @@ def reference_index(fock) -> dict:
     return {occ: i for i, occ in enumerate(reference_occupations(fock.modes, fock.n_max))}
 
 
+@pytest.fixture(scope="module")
+def repository_root():
+    """Run the module in the repository root: the benchmark's workloads
+    open the bundled ``cabello18`` by its path from there."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.chdir(ROOT)
+        yield ROOT
+
+
 @functools.cache
 def perfbench_module(name):
     """A module of the benchmark harness, loaded from its file under
     ``perfbench/``; the harness stays read-only to the tests."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    path = ROOT / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

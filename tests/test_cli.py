@@ -338,18 +338,22 @@ class TestDeterminismAndErrors:
          "algebra spec seeds must be a JSON object"),
         (["daseinise", "--projection", "unread.json", "--algebra", "{}"], {"dim": 2, "seeds": [[[1, 0], [0, -1]]]},
          "algebra spec seeds must be a JSON object"),
+        (["limit", "--algebra", "{}"], {"dim": 2, "seeds": [[[1, 0], [0, -1]]] * 10_000},
+         "algebra spec seeds must be a JSON object, got [[[1, 0], [0, -1]], [[1, 0], [0, -1]], "),
         (["inequality", "--provider", "measure", "--family", "{}"], {"groups": [5], "carrier_weights": [1]},
          "group 0 must be a JSON object, got 5"),
         (["inequality", "--provider", "measure", "--family", "{}"], {"groups": [{"A": [7]}], "carrier_weights": [1]},
          "observable 0 of side A of group 0 must be a JSON object, got 7"),
     ], ids=["syntax", "not-utf8", "deep-nest", "directory", "bundled-directory", "bundled-missing",
-            "limit-seeds-array", "state-extend-seeds-array", "daseinise-seeds-array", "group-not-object",
+            "limit-seeds-array", "state-extend-seeds-array", "daseinise-seeds-array", "long-seeds-array",
+            "group-not-object",
             "observable-not-object"])
     def test_malformed_json_exits_two(self, capsys, tmp_path, argv, content, message):
         """An input file that is not JSON, not UTF-8, nested past the
         parser's depth, a directory, or whose JSON has the wrong shape, exits
-        2 with one error line naming the file or the field; ``{}`` stands for
-        the file, or for the directory when there is no content."""
+        2 with one short error line naming the file or the field, however
+        long the offending value; ``{}`` stands for the file, or for the
+        directory when there is no content."""
         path = tmp_path / "input.json"
         if isinstance(content, bytes):
             path.write_bytes(content)
@@ -360,7 +364,7 @@ class TestDeterminismAndErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert message in captured.err
+        assert message in captured.err and len(captured.err) < 500
 
     def test_unknown_seed_name_exits_two(self, capsys, specs):
         code, _ = run(capsys, ["limit", "--algebra", specs["algebra"], "--seeds", "nope"])
@@ -1054,7 +1058,7 @@ JSON_OPTIONS = {"--fixture", "--algebra", "--state", "--projection", "--net", "-
 
 
 @pytest.fixture(scope="module")
-def valid_inputs(tmp_path_factory):
+def valid_inputs(tmp_path_factory, repository_root):
     """(argv, {argv index of a JSON input: its value}) of valid runs of
     every subcommand that reads JSON: the bundled cabello18, both benchmark
     workloads at their tiny size, and a category, functor, diagram and

@@ -79,7 +79,7 @@ class TestEmbed:
         zctx = next(cid for cid in cc.ids() if cc.algebra(cid).contains(SZ))
         e = embed(SZ, zctx, ext)
         assert sorted(np.round(e.values.real, 9)) == [-1.0, -1.0, 1.0, 1.0]
-        pos = ext.carrier.position(zctx)
+        pos = ext.carrier.context_ids.index(zctx)
         comps = {pt[pos] for pt, v in zip(ext.carrier.points, e.values) if v.real > 0}
         assert len(comps) == 1  # value depends only on that context's component
 
@@ -232,7 +232,7 @@ class TestPointValuation:
         ext = build_limit_extension(cc)
         vid = next(cid for cid in cc.ids() if cc.algebra(cid).contains(p))
         values = embed(p, vid, ext).values
-        pos = ext.carrier.position(vid)
+        pos = ext.carrier.context_ids.index(vid)
         by_component = {}
         for pt, value in zip(ext.carrier.points, values):
             assert by_component.setdefault(pt[pos], value) == value

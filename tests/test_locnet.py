@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import SX, SZ, random_unitary
 from ctxlab import locnet
+from ctxlab.ctxext import CARRIER_CAP
 from ctxlab.errors import DomainError
 from ctxlab.linalg import opnorm
 from ctxlab.locnet import (
@@ -288,20 +290,30 @@ class TestCovariance:
             for r in ("[0,0]", "[1,1]") for i in (0, 1)]
 
     def test_a_failed_extension_automorphism_is_located(self, monkeypatch):
-        """Were the translate of each basis element embedded off by one, the
-        permuted carrier would not intertwine the embeddings."""
-        original, calls = locnet.embed, []
+        """Were every character's translate read off by one, the permuted
+        carrier would not intertwine the embeddings."""
+        original, calls = locnet._readings, []
 
-        def off_on_the_translate(b, cid, ext):
-            e = original(b, cid, ext)
-            calls.append(cid)
-            return type(e)(e.carrier, e.values + (len(calls) % 2 == 0))
+        def off_on_the_translate(chars, m):
+            calls.append(m)
+            return original(chars, m) + (len(calls) % 2 == 0)
 
-        monkeypatch.setattr(locnet, "embed", off_on_the_translate)
+        monkeypatch.setattr(locnet, "_readings", off_on_the_translate)
         report = check_covariance(standard_net(2), 1, single_site_family(2))
         assert [(v.kind, v.message) for v in report.violations] == [
             ("net.covariance", f"extension automorphism fails on basis element {b} of context at {r}")
             for r in ("[0,0]", "[1,1]") for b in (0, 1)]
+
+    def test_a_family_past_the_carrier_cap_is_checked(self):
+        """One context per interval of a 6-site chain (``Z_a`` on ``[a,a]``,
+        ``Z_a Z_b`` on ``[a,b]``): its product carrier of 2**21 points
+        passes ``CARRIER_CAP``, but the check reads characters, not points."""
+        net = standard_net(6)
+        z = [site_operator(SZ, k, 6) for k in range(6)]
+        family = [(r, generate_algebra([z[r.start] @ z[r.stop] if r.start < r.stop else z[r.start]], 64, dim_cap=64))
+                  for r in net.regions()]
+        assert len(family) == 21 and math.prod(len(gelfand_spectrum(alg)) for _, alg in family) > CARRIER_CAP
+        assert check_covariance(net, 0, family).ok
 
     def test_translation_is_automorphism_and_group_action(self):
         length = 3

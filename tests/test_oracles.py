@@ -39,7 +39,10 @@ from conftest import I2, SX, SY, SZ, kron, perfbench_module, random_density, ran
 from ctxlab import cli, fincat, gft, realism, staralg
 from ctxlab.cli import emit, main
 from ctxlab.ctxext import (
+    CARRIER_CAP,
     Element,
+    ExtendedAlgebra,
+    ProductSpectrum,
     build_limit_extension,
     carrier_to_json,
     embed,
@@ -1107,6 +1110,51 @@ class TestAtomCategoryOracle:
             for b, qb in zip(algebras, lists):
                 assert span_leq(a.ortho, b.ortho) == reference_span_leq(qa, qb)
                 assert spans_equal(a.ortho, b.ortho) == reference_spans_equal(qa, qb)
+
+
+# ---------------------------------------------------------------------------
+# the limit of the restriction diagram against the global sections: one
+# object reached by two adapters over one search
+
+
+def limit_families(cc) -> list:
+    """The families of the limit of ``cc``'s restriction diagram, as tuples
+    in ``cc.ids()`` order.  A product carrier past ``CARRIER_CAP`` is made
+    without ``build_limit_extension``'s refusal: no point is listed."""
+    ids = cc.ids()
+    carrier = ProductSpectrum(ids, [len(cc.spectra[cid]) for cid in ids])
+    ext = build_limit_extension(cc) if carrier.size <= CARRIER_CAP else ExtendedAlgebra(cc, carrier)
+    diagram = spectrum_diagram(ext, with_restrictions=True)
+    assert list(diagram.index.objects) == ids
+    return limit_of_diagram(diagram).apex
+
+
+def assert_limit_is_the_global_sections(cc) -> int:
+    families = limit_families(cc)
+    sections = [tuple(s.assignment[cid] for cid in cc.ids()) for s in global_sections(build_spectral_presheaf(cc))]
+    assert len(set(families)) == len(families) and len(set(sections)) == len(sections)
+    assert set(families) == set(sections)
+    return len(families)
+
+
+class TestLimitAgainstGlobalSections:
+    @settings(max_examples=60, deadline=None)
+    @given(case=seed_families())
+    def test_seed_families(self, case):
+        cc, _ = case
+        assert_limit_is_the_global_sections(cc)
+
+    @pytest.mark.parametrize("name, count", [("cabello18", None), ("peres24", None),
+                                             ("peres6", 6), ("peres9", 9), ("peres12", 12), ("peres15", 15)])
+    def test_ray_families(self, name, count):
+        """cabello18 and Peres-24, which have no section, and the first 6,
+        9, 12 and 15 Peres bases; every product carrier here passes the
+        cap."""
+        dim, bases = CABELLO if name == "cabello18" else PERES
+        cc = ray_family_context_category(dim, bases[:count])
+        assert math.prod(len(chars) for chars in cc.spectra.values()) > CARRIER_CAP
+        sections = assert_limit_is_the_global_sections(cc)
+        assert (sections == 0) == (count is None)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ SEED_101_DIGESTS = {
     "net-fock": "b5c7835b38d5f7117bc97222ea1eb4b66ecf2d3de76fbb491405df35ee944f2f",
 }
 
+pytestmark = pytest.mark.usefixtures("repository_root")
+
 
 @pytest.mark.parametrize("workload", sorted(SEED_101_DIGESTS))
 def test_seed_101_reports_are_pinned(workload, tmp_path):
@@ -27,7 +29,7 @@ def test_seed_101_reports_are_pinned(workload, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def ks_carrier_101(tmp_path_factory):
+def ks_carrier_101(tmp_path_factory, repository_root):
     return perfbench_module("workloads").build("ks-carrier", 101, "full", str(tmp_path_factory.mktemp("inputs")))
 
 
