@@ -32,7 +32,7 @@ from .ctxext import (
 from .errors import InputError, ToolError
 from .linalg import DEFAULT_TOL, check_tolerance
 from .staralg import check_dimension, context_algebra, context_category, full_matrix_algebra
-from .validation import array, load_json, member, members, numbers, parse_json, parse_matrix, whole_number
+from .validation import array, load_json, member, members, numbers, parse_json, parse_matrix, shown, whole_number
 
 
 # Report bounds, fixed because they mirror the acceptance criteria: the
@@ -346,7 +346,7 @@ def _load_observable(data, what: str):
         return realism.CarrierObservable(numbers(member(data, "values", what), "carrier observable value"))
     if kind == "matrix":
         return realism.MatrixObservable(parse_matrix(member(data, "matrix", what)))
-    raise InputError(f"unknown observable type {kind!r}")
+    raise InputError(f"unknown observable type {shown(kind)}")
 
 
 def cmd_inequality(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ from .errors import InputError
 SHOWN_CHARS = 200
 
 
-def _shown(value) -> str:
+def shown(value) -> str:
     """``repr(value)``, or its first ``SHOWN_CHARS`` characters and the count
     of those left out, so one refusal stays one short line."""
     text = repr(value)
@@ -58,7 +58,7 @@ def parse_json(text, source: str):
 def members(data, what: str) -> dict:
     """``data``, which must be a JSON object."""
     if not isinstance(data, dict):
-        raise InputError(f"{what} must be a JSON object, got {_shown(data)}")
+        raise InputError(f"{what} must be a JSON object, got {shown(data)}")
     return data
 
 
@@ -72,7 +72,7 @@ def member(data, key: str, what: str):
 def array(data, what: str) -> list:
     """``data``, which must be a JSON array; a string is not read as its characters."""
     if not isinstance(data, list):
-        raise InputError(f"{what} must be a JSON array, got {_shown(data)}")
+        raise InputError(f"{what} must be a JSON array, got {shown(data)}")
     return data
 
 
@@ -80,7 +80,7 @@ def number(value, what: str) -> float:
     """``value`` as a float: a number, not a boolean (which Python takes for
     1 or 0), within the float range.  NaN and +-Infinity pass."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what} is not a number: {_shown(value)}")
+        raise InputError(f"{what} is not a number: {shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -102,12 +102,12 @@ def parse_matrix(data) -> np.ndarray:
         raise InputError("matrix JSON has no rows")
     for i, row in enumerate(data):
         if type(row) is not list or len(row) != n:
-            raise InputError(f"matrix JSON row {i} is not an array of {n} entries: {_shown(row)}")
+            raise InputError(f"matrix JSON row {i} is not an array of {n} entries: {shown(row)}")
     mat = np.array([[complex(*c) if type(c) is list and len(c) == 2 and type(c[0]) is type(c[1]) is float
                      else _entry(c, i, j) for j, c in enumerate(row)] for i, row in enumerate(data)], dtype=complex)
     if not np.isfinite(mat).all():
         i, j = np.argwhere(~np.isfinite(mat))[0]
-        raise InputError(f"matrix entry at row {i}, column {j} is not finite: {_shown(data[i][j])}")
+        raise InputError(f"matrix entry at row {i}, column {j} is not finite: {shown(data[i][j])}")
     return mat
 
 
@@ -116,7 +116,7 @@ def _entry(cell, i: int, j: int) -> complex:
     where = f"matrix entry at row {i}, column {j}"
     parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell]
     if any(x is True or x is False for x in parts):
-        raise InputError(f"{where} is a boolean, not a number: {_shown(cell)}")
+        raise InputError(f"{where} is a boolean, not a number: {shown(cell)}")
     return complex(*(number(x, where) for x in parts))
 
 
@@ -125,7 +125,7 @@ def labels(data, what: str) -> list:
     element is refused."""
     for x in array(data, what):
         if isinstance(x, (list, dict)):
-            raise InputError(f"{what} holds {_shown(x)}: not a string, number, boolean or null")
+            raise InputError(f"{what} holds {shown(x)}: not a string, number, boolean or null")
     return data
 
 
@@ -145,7 +145,7 @@ def whole_number(value, what: str, least: int | None = None) -> int:
         whole = False
     if not whole or (least is not None and value < least):
         bound = "" if least is None else f" of at least {least}"
-        raise InputError(f"{what} must be a whole number{bound}, got {_shown(value)}")
+        raise InputError(f"{what} must be a whole number{bound}, got {shown(value)}")
     return int(value)
 
 

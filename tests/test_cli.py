@@ -344,10 +344,13 @@ class TestDeterminismAndErrors:
          "group 0 must be a JSON object, got 5"),
         (["inequality", "--provider", "measure", "--family", "{}"], {"groups": [{"A": [7]}], "carrier_weights": [1]},
          "observable 0 of side A of group 0 must be a JSON object, got 7"),
+        (["inequality", "--provider", "measure", "--family", "{}"],
+         {"groups": [{"A": [{"type": "x" * 10_000, "values": [1, -1]}]}], "carrier_weights": [1]},
+         "unknown observable type 'xxxxxxxxxx"),
     ], ids=["syntax", "not-utf8", "deep-nest", "directory", "bundled-directory", "bundled-missing",
             "limit-seeds-array", "state-extend-seeds-array", "daseinise-seeds-array", "long-seeds-array",
             "group-not-object",
-            "observable-not-object"])
+            "observable-not-object", "long-observable-type"])
     def test_malformed_json_exits_two(self, capsys, tmp_path, argv, content, message):
         """An input file that is not JSON, not UTF-8, nested past the
         parser's depth, a directory, or whose JSON has the wrong shape, exits
