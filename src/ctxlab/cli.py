@@ -283,9 +283,9 @@ def cmd_gft_ccr(args: argparse.Namespace) -> int:
     # refused before the draws, which take space.size values per function
     gft.ccr_sector_size(fock)
     rng = np.random.default_rng(args.seed)
-    pairs = [(_random_function(rng, space), _random_function(rng, space)) for _ in range(args.trials)]
-    defects = [gft.ccr_defect(f, g, fock) for f, g in pairs]
-    worst = max(defects)
+    # each pair is drawn just before its test, so memory does not grow with --trials
+    pairs = ((_random_function(rng, space), _random_function(rng, space)) for _ in range(args.trials))
+    worst = max(gft.ccr_defect(f, g, fock) for f, g in pairs)
     report = {
         "m": args.m,
         "n": args.n,

@@ -16,10 +16,10 @@ from math import ceil, comb
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, InputError
+from .errors import SHOWN_CHARS, CapExceeded, DomainError, InputError
 from .fincat import Cone, Diagram, check_cone, poset_category
 from .linalg import GFT_CONTEXT_TOL, dagger, opnorm
-from .validation import ValidationReport
+from .validation import ValidationReport, shown
 
 # Largest Fock dimension built, about ten times the benchmark's largest (1,001).
 FOCK_CAP = 10_000
@@ -93,8 +93,9 @@ class TruncatedFock:
             raise InputError("need at least one mode")
         if self.n_max < 0:
             raise InputError("occupation cutoff must be nonnegative")
-        if self.dim > FOCK_CAP:
-            raise CapExceeded("Fock dimension", self.dim, FOCK_CAP)
+        size = _dimension_below(self.modes, self.n_max, 10**SHOWN_CHARS)
+        if size > FOCK_CAP:
+            raise CapExceeded("Fock dimension", size, FOCK_CAP)
         # a state is the sorted tuple of its particles' modes, listed by
         # total count; reversed, each sector's combinations list its
         # occupations in ascending order.  The vacuum, state 0, is listed
@@ -124,7 +125,26 @@ class TruncatedFock:
         return comb(self.modes + max_total, max_total)
 
 
+def _dimension_below(modes: int, n_max: int, bound: int) -> int:
+    """comb(modes + n_max, n_max) if it is below ``bound``, else a number
+    between ``bound`` and it.  Each step of the product at least doubles
+    it, so a dimension too large to form takes about log2(bound) steps."""
+    small, large = sorted((modes, n_max))
+    size = 1
+    for j in range(1, small + 1):
+        size = size * (large + j) // j  # comb(large + j, j)
+        if size >= bound:
+            break
+    return size
+
+
 def fock_for(space: PolyhedronSpace, n_max: int) -> TruncatedFock:
+    """The Fock space over ``space``'s modes at cutoff ``n_max``.  Above the
+    vacuum every mode is a state, so a mode count too long to show is
+    refused before m**n, whose digits grow with the face count, is formed."""
+    bound = 10**SHOWN_CHARS
+    if n_max > 0 and space.m ** min(space.n, bound.bit_length()) >= bound:
+        raise CapExceeded("Fock dimension", f"more than {shown(space.m)}**{shown(space.n)}", FOCK_CAP)
     return TruncatedFock(modes=space.size, n_max=n_max, mode_weight=space.haar)
 
 
@@ -158,18 +178,37 @@ def ccr_sector_size(fock: TruncatedFock, guard: int = 1) -> int:
     return fock.sector_size(fock.n_max - guard)
 
 
+def _sector_norm(block: np.ndarray, edges: list) -> float:
+    """Spectral norm of ``block`` read sector by sector, sector t being the
+    index range [edges[t], edges[t + 1]): the largest norm of a diagonal
+    sector block plus the Frobenius norm of every entry between two sectors.
+
+    The sum bounds the norm of the whole block from above (triangle
+    inequality), and equals it when no entry couples two sectors.
+    """
+    sectors = list(zip(edges, edges[1:]))
+    cross = sum(np.vdot(part, part).real for lo, hi in sectors for part in (block[lo:hi, :lo], block[lo:hi, hi:]))
+    return max(opnorm(block[lo:hi, lo:hi]) for lo, hi in sectors) + float(np.sqrt(cross))
+
+
 def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
     """Norm of ([field(f), field(fp)*] - (f, fp)) on sectors <= n_max - guard.
 
     Zero (to rounding) with the default guard; the top sector feels the
-    cutoff, so guard=0 reports the truncation artifact instead.
+    cutoff, so guard=0 reports the truncation artifact instead.  The
+    commutator conserves particle number, and states are listed by total
+    count, so the norm is read one particle-number sector at a time: the
+    largest sector block's norm, plus the measured norm of the entries
+    between sectors (zero here), which keeps the value an upper bound of
+    the whole block's norm whatever those entries are.
     """
     keep = ccr_sector_size(fock, guard)
     a = field_operator(f, fock)
     b = field_operator(fp, fock)
     ip = weighted_inner(f, fp, fock.mode_weight)
     block = (a @ dagger(b) - dagger(b) @ a)[:keep, :keep].toarray()
-    return opnorm(block - ip * np.eye(keep))
+    edges = [0] + [fock.sector_size(total) for total in range(fock.n_max - guard + 1)]
+    return _sector_norm(block - ip * np.eye(keep), edges)
 
 
 def weyl_sector_size(fock: TruncatedFock, sector_cap: int) -> int:

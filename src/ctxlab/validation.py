@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-
-
-# Longest ``repr`` of an offending value that a refusal shows whole.
-SHOWN_CHARS = 200
+from .errors import SHOWN_CHARS, InputError
 
 
 def shown(value) -> str:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxlab import cli, ctxext, realism, staralg
+from ctxlab import cli, ctxext, gft, realism, staralg
 from ctxlab.cli import build_parser, main, matrix_to_json, parse_matrix
 from ctxlab.errors import DomainError, InputError
 from ctxlab.linalg import require_state
@@ -474,6 +474,43 @@ class TestGftArguments:
         self.refused(capsys, ["gft-ccr", "--m", "4", "--n", "4", "--nmax", "5"],
                      "Fock dimension (size 9711475137 exceeds cap 10000)")
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv, size", [
+        (["gft-ccr", "--m", "10", "--n", "4300", "--nmax", "1"], "more than 10**4300"),
+        (["gft-weyl", "--m", "10", "--n", "5000", "--nmax", "2"], "more than 10**5000"),
+        (["gft-ccr", "--m", "10", "--n", "4299", "--nmax", "1"], "more than 10**4299"),
+        (["gft-ccr", "--m", "10", "--n", "10000000", "--nmax", "1"], "more than 10**10000000"),
+        (["gft-ccr", "--m", "600", "--n", "1", "--nmax", "1" + "0" * 4000], "at least 2**13287"),
+        (["gft-ccr", "--m", "2", "--n", "13", "--nmax", "9999"], "at least 2**668"),
+        (["gft-ccr", "--m", "2", "--n", "60", "--nmax", "1"], "1152921504606846977"),
+    ], ids=["ccr-4300-faces", "weyl-5000-faces", "ccr-4299-faces", "ccr-ten-million-faces", "ccr-4001-digit-cutoff",
+            "ccr-5400-digit-dimension", "ccr-shown-in-full"])
+    def test_a_size_too_long_to_show_is_refused_in_one_short_line(self, capsys, argv, size):
+        """The Fock dimension, or for a mode count too long to show the
+        mode count, is named in bounded form, and nothing of that length
+        is formed: one short error line, at once."""
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, capsys.readouterr()) == (2, ("", f"error: Fock dimension (size {size} exceeds cap 10000)\n"))
+
+    def test_ccr_pairs_are_drawn_just_before_their_test(self, capsys, monkeypatch):
+        draws, seen = [], []
+        drawn = cli._random_function
+        tested = gft.ccr_defect
+
+        def draw(*args):
+            draws.append(None)
+            return drawn(*args)
+
+        def defect(*args, **kwargs):
+            seen.append(len(draws))
+            return tested(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_random_function", draw)
+        monkeypatch.setattr(gft, "ccr_defect", defect)
+        assert run(capsys, ["gft-ccr", "--trials", "4"])[0] == 0
+        assert seen == [2, 4, 6, 8]
 
 
 class TestNetSpecRegions:

@@ -149,6 +149,28 @@ class TestFockSpace:
         with pytest.raises(CapExceeded):
             TruncatedFock(modes=16, n_max=5)
 
+    @pytest.mark.parametrize("modes, n_max, size, shown", [
+        (2, 10**300, 10**300 + 1, "at least 2**996"),
+        (10**150, 300, comb(10**150 + 2, 2), "at least 2**995"),
+        (2**60, 1, 2**60 + 1, "1152921504606846977"),
+    ], ids=["huge-cutoff", "huge-mode-count", "shown-in-full"])
+    def test_a_dimension_too_long_to_show_is_refused_by_a_bound(self, modes, n_max, size, shown):
+        """Past 200 digits the refusal carries a number between 10**200 and
+        the dimension, reached in a few steps, and shows the power of two
+        below it."""
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as refused:
+            TruncatedFock(modes=modes, n_max=n_max)
+        assert time.perf_counter() - start < 0.1
+        assert refused.value.size == size
+        assert str(refused.value) == f"Fock dimension (size {shown} exceeds cap {FOCK_CAP})"
+
+    def test_a_size_cap_never_shows_an_unbounded_integer(self):
+        refused = CapExceeded("product carrier", 10**5000, 10**6)
+        assert str(refused) == "product carrier (size at least 2**16609 exceeds cap 1000000)"
+        assert refused.size == 10**5000
+        assert str(CapExceeded("sign search", 10**199, 4)).endswith(f"(size {10**199} exceeds cap 4)")
+
     @pytest.mark.parametrize("m, n, n_max", [(2, 2, 3), (3, 2, 2), (2, 3, 1)])
     def test_sectors_are_prefixes_of_the_states(self, m, n, n_max):
         fock = fock_for(PolyhedronSpace(m, n), n_max)

@@ -2518,6 +2518,60 @@ class TestWeylActionOracle:
             assert capsys.readouterr().out == report, argv
 
 
+def reference_ccr_block(f, fp, fock, guard) -> np.ndarray:
+    """[field(f), field(fp)*] - (f, fp) on the sectors <= n_max - guard, dense."""
+    keep = gft.ccr_sector_size(fock, guard)
+    a, b = gft.field_operator(f, fock), gft.field_operator(fp, fock)
+    block = (a @ dagger(b) - dagger(b) @ a)[:keep, :keep].toarray()
+    return block - gft.weighted_inner(f, fp, fock.mode_weight) * np.eye(keep)
+
+
+@st.composite
+def ccr_cases(draw):
+    """A ``fock_cases`` shape and function at a cutoff of at least 1, or the
+    four modes of (2, 2) at a cutoff up to 9 (ten sectors, 715 states) and a
+    drawn function; and a second function drawn from a seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        space, n_max, f = draw(fock_cases())
+    else:
+        space, n_max = gft.PolyhedronSpace(2, 2), draw(st.integers(1, 9))
+        f = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+    g = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+    return gft.fock_for(space, max(n_max, 1)), f, g
+
+
+class TestSectorNormOracle:
+    """``ccr_defect`` reads the norm one particle-number sector at a time,
+    against the norm of the whole guarded block, one dense SVD."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=ccr_cases())
+    def test_the_sector_norm_is_the_whole_block_norm(self, case):
+        fock, f, g = case
+        for guard in (0, 1):
+            found = gft.ccr_defect(f, g, fock, guard)
+            assert type(found) is float
+            assert abs(found - opnorm(reference_ccr_block(f, g, fock, guard))) < 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=ccr_cases(), at=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+           size=st.floats(1e-3, 10.0), phase=st.floats(0, 2 * math.pi))
+    def test_an_entry_between_sectors_keeps_an_upper_bound(self, case, at, size, phase):
+        """One entry coupling two sectors, injected into the guard-0 block of
+        (g, g): the sector norm counts it, so it stays at least the whole
+        block's norm."""
+        fock, _, g = case
+        block = reference_ccr_block(g, g, fock, 0)
+        edges = [0] + [fock.sector_size(total) for total in range(fock.n_max + 1)]
+        row = int(at[0] * len(block))
+        sector = np.searchsorted(edges, row, side="right") - 1
+        cols = [j for j in range(len(block)) if not edges[sector] <= j < edges[sector + 1]]
+        block[row, cols[int(at[1] * len(cols))]] += size * np.exp(1j * phase)
+        found = gft._sector_norm(block, edges)
+        assert found > 0 and found >= opnorm(block)
+
+
 # ---------------------------------------------------------------------------
 # the Pauli and full-algebra rows, built on first read, against the stacks
 # that were built with each algebra
