@@ -279,9 +279,9 @@ def cmd_gft_ccr(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     space = gft.PolyhedronSpace(args.m, args.n)
+    # refused before fock_for forms the mode count m**n, which each draw takes
+    gft.ccr_top_sector(args.nmax)
     fock = gft.fock_for(space, args.nmax)
-    # refused before the draws, which take space.size values per function
-    gft.ccr_sector_size(fock)
     rng = np.random.default_rng(args.seed)
     # each pair is drawn just before its test, so memory does not grow with --trials
     pairs = ((_random_function(rng, space), _random_function(rng, space)) for _ in range(args.trials))
@@ -304,11 +304,11 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
     space = gft.PolyhedronSpace(args.m, args.n)
     cutoffs = [whole_number(parse_json(x, f"--sweep cutoff {x!r}"), "--sweep cutoff")
                for x in args.sweep.split(",")] if args.sweep else [args.nmax]
-    # every Fock space is built and its sector checked before the draws
+    # each sector is checked before its Fock space forms the mode count, all before the draws
     focks = []
     for nmax in cutoffs:
+        gft.weyl_top_sector(nmax, args.sector_cap)
         focks.append(gft.fock_for(space, nmax))
-        gft.weyl_sector_size(focks[-1], args.sector_cap)
     rng = np.random.default_rng(args.seed)
     f, g = _random_function(rng, space), _random_function(rng, space)
     f *= args.norm / np.sqrt(abs(gft.inner_product(f, f, space)))

@@ -167,15 +167,15 @@ def field_operator(f, fock: TruncatedFock):
     return csr_array((vals, (rows[at], cols[at])), shape=(fock.dim, fock.dim))
 
 
-def ccr_sector_size(fock: TruncatedFock, guard: int = 1) -> int:
-    """Number of states in the sectors <= n_max - guard, which ``ccr_defect``
-    tests; refuses a cutoff of 0, which leaves no sector below it, and a
-    guard outside [0, n_max]."""
-    if fock.n_max == 0:
+def ccr_top_sector(n_max: int, guard: int = 1) -> int:
+    """The largest particle number that ``ccr_defect`` tests, n_max - guard;
+    refuses a cutoff of 0 or below, which leaves no sector below it, and a
+    guard outside [0, n_max], with no mode count formed."""
+    if n_max <= 0:
         raise DomainError("no sector below the cutoff to test")
-    if not 0 <= guard <= fock.n_max:
-        raise InputError(f"guard must be between 0 and the cutoff {fock.n_max}, got {guard}")
-    return fock.sector_size(fock.n_max - guard)
+    if not 0 <= guard <= n_max:
+        raise InputError(f"guard must be between 0 and the cutoff {n_max}, got {guard}")
+    return n_max - guard
 
 
 def _sector_norm(block: np.ndarray, edges: list) -> float:
@@ -202,28 +202,28 @@ def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
     between sectors (zero here), which keeps the value an upper bound of
     the whole block's norm whatever those entries are.
     """
-    keep = ccr_sector_size(fock, guard)
+    edges = [0] + [fock.sector_size(total) for total in range(ccr_top_sector(fock.n_max, guard) + 1)]
+    keep = edges[-1]
     a = field_operator(f, fock)
     b = field_operator(fp, fock)
     ip = weighted_inner(f, fp, fock.mode_weight)
     block = (a @ dagger(b) - dagger(b) @ a)[:keep, :keep].toarray()
-    edges = [0] + [fock.sector_size(total) for total in range(fock.n_max - guard + 1)]
     return _sector_norm(block - ip * np.eye(keep), edges)
 
 
-def weyl_sector_size(fock: TruncatedFock, sector_cap: int) -> int:
-    """Number of states in the sector <= sector_cap, which the Weyl defects
-    test; refuses a negative cap and one at or above the cutoff."""
+def weyl_top_sector(n_max: int, sector_cap: int) -> int:
+    """The largest particle number that the Weyl defects test, sector_cap;
+    refuses a negative cap and one at or above the cutoff, with no mode count formed."""
     if sector_cap < 0:
         raise InputError(f"sector cap must be nonnegative, got {sector_cap}")
-    if sector_cap >= fock.n_max:
+    if sector_cap >= n_max:
         raise DomainError("sector cap must stay below the occupation cutoff")
-    return fock.sector_size(sector_cap)
+    return sector_cap
 
 
 def _sector_columns(fock: TruncatedFock, sector_cap: int) -> tuple:
     """Size of the sector <= sector_cap and the identity's columns there."""
-    keep = weyl_sector_size(fock, sector_cap)
+    keep = fock.sector_size(weyl_top_sector(fock.n_max, sector_cap))
     return keep, np.eye(fock.dim, keep, dtype=complex)
 
 
@@ -292,16 +292,12 @@ def weyl_commutator_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float
     return opnorm((lhs - rhs)[:keep])
 
 
-def is_gft_context(fs: list, space: PolyhedronSpace, tol: float = GFT_CONTEXT_TOL) -> bool:
-    """True iff all pairwise inner products are real (commuting smearings)."""
+def is_gft_context(fs: list, space: PolyhedronSpace) -> bool:
+    """True iff all pairwise inner products are real to ``GFT_CONTEXT_TOL`` (commuting smearings)."""
     if not fs:
         raise InputError("a context needs at least one test function")
     fns = [_coerce_fn(f, space.size) for f in fs]
-    for i, a in enumerate(fns):
-        for b in fns[i + 1 :]:
-            if abs(inner_product(a, b, space).imag) > tol:
-                return False
-    return True
+    return not any(abs(inner_product(a, b, space).imag) > GFT_CONTEXT_TOL for a, b in itertools.combinations(fns, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, DomainError, InputError
-from .linalg import DEFAULT_TOL, as_matrix, opnorm, spectral_tol
+from .linalg import DEFAULT_TOL, as_matrix, opnorm
 from .staralg import (
     MatrixStarAlgebra,
     algebra_span_equal,
     algebra_span_leq,
     commuting,
+    comparison_tol,
     context_algebra,
     generate_algebra,
     gelfand_spectrum,
@@ -249,7 +250,7 @@ class LocalNet:
         sub, sup = self.support(small), self.support(big)
         if sub is not None and sup is not None:
             return sub <= sup
-        return algebra_span_leq(self.algebra(small), self.algebra(big), self.tol)
+        return algebra_span_leq(self.algebra(small), self.algebra(big))
 
     def matches_reference(self, region: Region) -> bool:
         """Whether the assigned algebra of ``region`` spans the builder's
@@ -260,7 +261,7 @@ class LocalNet:
             if mine is not None and theirs is not None:
                 self._matches[region] = mine == theirs
             else:
-                self._matches[region] = algebra_span_equal(self.algebra(region), reference, self.tol)
+                self._matches[region] = algebra_span_equal(self.algebra(region), reference)
         return self._matches[region]
 
     @property
@@ -311,8 +312,8 @@ def check_isotony(net: LocalNet) -> ValidationReport:
 def check_locality(net: LocalNet) -> ValidationReport:
     """Algebras of disjoint regions must commute elementwise: a pair of
     ``PauliAlgebra``s by ``anticommuting_pairs``, any other pair by
-    ``commuting`` on their bases.  Each clashing basis pair is reported,
-    row-major."""
+    ``commuting`` on their bases at the pair's ``comparison_tol``.  Each
+    clashing basis pair is reported, row-major."""
     report = ValidationReport()
     regions = net.regions()
     for i, left in enumerate(regions):
@@ -323,7 +324,7 @@ def check_locality(net: LocalNet) -> ValidationReport:
             if net.support(left) is not None and net.support(right) is not None:
                 clashes = anticommuting_pairs(a, b, net.length)
             else:
-                clashes = np.argwhere(~commuting(a.basis, b.basis, net.tol))
+                clashes = np.argwhere(~commuting(a.basis, b.basis, comparison_tol(a, b)))
             for ai, bi in clashes:
                 report.add(
                     "net.locality",
@@ -350,7 +351,7 @@ def composite_context(net: LocalNet, parts: list) -> MatrixStarAlgebra:
             raise DomainError(f"region {region.label()} is not in the net")
         if not is_commutative(alg):
             raise DomainError(f"context on {region.label()} is not commutative")
-        if not algebra_span_leq(alg, net.algebra(region), net.tol):
+        if not algebra_span_leq(alg, net.algebra(region)):
             raise DomainError(f"context on {region.label()} leaves its region algebra")
         gens.extend(alg.basis)
     return context_algebra(gens, net.dim, net.tol)
@@ -362,15 +363,10 @@ def composite_context(net: LocalNet, parts: list) -> MatrixStarAlgebra:
 
 def translation_unitary(shift: int, length: int) -> np.ndarray:
     """Permutation matrix moving site j to site (j + shift) mod length."""
-    d = 2**length
+    d, weights = 2**length, 1 << np.arange(length - 1, -1, -1)  # site 0 the high bit
+    bits = (np.arange(d)[:, None] & weights) != 0
     u = np.zeros((d, d), dtype=complex)
-    for idx in range(d):
-        bits = [(idx >> (length - 1 - j)) & 1 for j in range(length)]
-        moved = [0] * length
-        for j in range(length):
-            moved[(j + shift) % length] = bits[j]
-        new_idx = sum(b << (length - 1 - j) for j, b in enumerate(moved))
-        u[new_idx, idx] = 1.0
+    u[np.roll(bits, shift, axis=1) @ weights, np.arange(d)] = 1.0
     return u
 
 
@@ -390,7 +386,7 @@ def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationRep
     (from the split of its basis, ``context_algebra``) onto one character
     of the translate.  The permuted product carrier then intertwines the
     embeddings iff, as checked, each character's reading of a basis element
-    ``b`` equals its translate's reading of ``alpha(b)``.
+    ``b`` equals its translate's reading of ``alpha(b)``, all at ``comparison_tol``.
     """
     report = ValidationReport()
     u = translation_unitary(shift, net.length)
@@ -410,7 +406,7 @@ def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationRep
             )
             continue
         moved = MatrixStarAlgebra(net.dim, [alpha(b) for b in alg.basis], net.tol)
-        if not algebra_span_equal(moved, family[image], net.tol):
+        if not algebra_span_equal(moved, family[image]):
             report.add(
                 "net.covariance",
                 f"translate of the context at {region.label()} differs from the context at {image.label()}",
@@ -423,15 +419,15 @@ def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationRep
     split = {}
     for region, alg in contexts:
         split[region] = context_algebra(alg.basis, net.dim, net.tol)
-        if not algebra_span_equal(split[region], alg, split[region].span_tol):
+        if not algebra_span_equal(split[region], alg):
             raise DomainError(f"context at {region.label()} matches no context built from its generators")
     chars = {region: gelfand_spectrum(alg) for region, alg in split.items()}
     translates = {}
     for region, image in targets.items():
-        translates[region] = []
+        translates[region], limit = [], comparison_tol(split[region], split[image])
         for i, chi in enumerate(chars[region]):
             moved = alpha(chi.projection)
-            hits = [tchi for tchi in chars[image] if opnorm(moved - tchi.projection) <= spectral_tol(net.tol)]
+            hits = [tchi for tchi in chars[image] if opnorm(moved - tchi.projection) <= limit]
             if len(hits) != 1:
                 report.add(
                     "net.covariance",
@@ -448,7 +444,7 @@ def check_covariance(net: LocalNet, shift: int, contexts: list) -> ValidationRep
             raise DomainError(f"translated basis of the context at {region.label()} leaves {image.label()}")
         for b_idx, (b, m) in enumerate(zip(basis, moved)):
             before, after = _readings(chars[region], b), _readings(translates[region], m)
-            if np.any(np.abs(after - before) > spectral_tol(net.tol)):
+            if np.any(np.abs(after - before) > comparison_tol(split[region], split[image])):
                 report.add(
                     "net.covariance",
                     f"extension automorphism fails on basis element {b_idx} of context at {region.label()}",

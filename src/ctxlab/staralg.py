@@ -128,12 +128,20 @@ def full_matrix_algebra(d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     return MatrixStarAlgebra._rows_on_first_read(d, d * d, lambda: np.eye(d * d, dtype=complex), tol)
 
 
-def algebra_span_equal(a: MatrixStarAlgebra, b: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> bool:
-    return a.dim == b.dim and spans_equal(a.ortho, b.ortho, tol)
+def comparison_tol(a: MatrixStarAlgebra, b: MatrixStarAlgebra) -> float:
+    """The threshold at which two algebras are compared: the larger ``span_tol``,
+    since a residual between their rows carries the error of both."""
+    return max(a.span_tol, b.span_tol)
 
 
-def algebra_span_leq(sub: MatrixStarAlgebra, sup: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> bool:
-    return sub.dim == sup.dim and span_leq(sub.ortho, sup.ortho, tol)
+def algebra_span_equal(a: MatrixStarAlgebra, b: MatrixStarAlgebra) -> bool:
+    """Whether the two algebras span the same matrices, at ``comparison_tol``."""
+    return a.dim == b.dim and spans_equal(a.ortho, b.ortho, comparison_tol(a, b))
+
+
+def algebra_span_leq(sub: MatrixStarAlgebra, sup: MatrixStarAlgebra) -> bool:
+    """Whether ``sub`` lies in the span of ``sup``, at ``comparison_tol``."""
+    return sub.dim == sup.dim and span_leq(sub.ortho, sup.ortho, comparison_tol(sub, sup))
 
 
 def check_dimension(d: int, cap: int = DIM_CAP) -> None:

@@ -469,6 +469,25 @@ class TestGftArguments:
         monkeypatch.setattr(cli, "_random_function", refuse)
         self.refused(capsys, argv, message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gft-ccr", "--nmax", "0"], "no sector below the cutoff to test"),
+        (["gft-ccr", "--nmax", "-1"], "no sector below the cutoff to test"),
+        (["gft-weyl", "--nmax", "0"], "sector cap must stay below the occupation cutoff"),
+        (["gft-weyl", "--sweep", "0,2"], "sector cap must stay below the occupation cutoff"),
+        (["gft-weyl", "--nmax", "-1"], "sector cap must stay below the occupation cutoff"),
+        (["gft-weyl", "--nmax", "0", "--sector-cap", "-1"], "sector cap must be nonnegative, got -1"),
+    ], ids=["ccr-cutoff-0", "ccr-negative-cutoff", "weyl-cutoff-0", "weyl-sweep-from-0", "weyl-negative-cutoff",
+            "weyl-negative-cap"])
+    def test_a_cutoff_refusal_forms_no_mode_count(self, capsys, monkeypatch, argv, message):
+        """The mode count m**n of ``--m 10 --n 10000000`` has ten million
+        digits; a refusal that reads only the cutoff never forms it."""
+        def refuse(space):
+            raise AssertionError("the mode count was formed")
+
+        monkeypatch.setattr(gft.PolyhedronSpace, "size", property(refuse))
+        code = main(argv + ["--m", "10", "--n", "10000000"])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
     def test_fock_dimension_over_the_cap_returns_at_once(self, capsys):
         start = time.perf_counter()
         self.refused(capsys, ["gft-ccr", "--m", "4", "--n", "4", "--nmax", "5"],

@@ -36,6 +36,7 @@ from ctxlab.staralg import (
     MatrixStarAlgebra,
     algebra_span_equal,
     algebra_span_leq,
+    context_algebra,
     generate_algebra,
     gelfand_spectrum,
     is_commutative,
@@ -361,6 +362,42 @@ class TestCovariance:
         assert shifted_region(Region(2, 2), 1, 3) == Region(0, 0)
 
 
+FRAME = np.linalg.qr(np.array([[1, 0.7j], [0.4, 1]]))[0]
+
+
+def near_degenerate_family(gap: float, tol: float) -> list:
+    """The context of ``h1 = u diag(1, 1 + gap) u*`` at each site of a
+    3-site chain, built from its atoms: covariant and local by construction."""
+    h1 = FRAME @ np.diag([1, 1 + gap]) @ FRAME.conj().T
+    return [(Region(k, k), context_algebra([site_operator(h1, k, 3)], 8, tol)) for k in range(3)]
+
+
+class TestAtomBuiltContextsAreComparedAtTheirThreshold:
+    """Atoms split off a gap of ``gap`` carry eigensolver error of about
+    ``tol |h| / gap``, above ``tol``; two algebras are compared at the
+    larger ``span_tol`` of the two, so no spurious verdict follows."""
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9])
+    @pytest.mark.parametrize("gap", [3e-8, 1e-7, 1e-6, 1e-5, 1e-3])
+    def test_covariance_holds(self, gap, tol):
+        net = standard_net(3, tol)
+        for shift in (1, 2):
+            assert check_covariance(net, shift, near_degenerate_family(gap, tol)).violations == []
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9])
+    @pytest.mark.parametrize("gap", [3e-8, 1e-7, 1e-6, 1e-5, 1e-3])
+    def test_disjoint_sites_commute(self, gap, tol):
+        net = LocalNet(3, dict(near_degenerate_family(gap, tol)), tol=tol)
+        assert check_locality(net).violations == []
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-5, 1e-3])
+    def test_composite_context_is_built(self, gap, tol):
+        z2 = context_algebra([site_operator(SZ, 2, 3)], 8, tol)
+        parts = [near_degenerate_family(gap, tol)[0], (Region(2, 2), z2)]
+        assert composite_context(standard_net(3, tol), parts).dimension == 4
+
+
 def local_generators(net: LocalNet) -> list:
     """Every basis matrix of every local algebra of the net: the generators
     of its inductive limit."""
@@ -425,9 +462,9 @@ class TestLocallyCovariantSquare:
         # each pair compared afresh and densely, as before the comparison was kept per region
         expected = []
         for s, b in pairs:
-            if not algebra_span_leq(bad.algebra(s), bad.algebra(b), bad.tol):
+            if not algebra_span_leq(bad.algebra(s), bad.algebra(b)):
                 expected.append(f"algebra of {s.label()} does not include into algebra of {b.label()}")
-            if not algebra_span_equal(bad.algebra(s), net.builder(s), bad.tol):
+            if not algebra_span_equal(bad.algebra(s), net.builder(s)):
                 expected.append(
                     f"assigned algebra of {s.label()} differs from the region rule applied inside {b.label()}"
                 )
@@ -485,9 +522,9 @@ class TestInclusionTable:
         for region in regions:
             assert (net.support(region) is None) == (region in rotated)
         for small, big in itertools.product(regions, repeat=2):
-            assert net.includes(small, big) == algebra_span_leq(net.algebra(small), net.algebra(big), net.tol)
+            assert net.includes(small, big) == algebra_span_leq(net.algebra(small), net.algebra(big))
         for region in regions:
-            expected = algebra_span_equal(net.algebra(region), net.builder(region), net.tol)
+            expected = algebra_span_equal(net.algebra(region), net.builder(region))
             assert net.matches_reference(region) == expected
 
     def test_isotony_and_squares_decide_each_inclusion_once(self, monkeypatch):

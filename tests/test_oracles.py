@@ -122,7 +122,6 @@ from ctxlab.staralg import (
     _commutation_cliques,
     _selfadjoint_spanning,
     _spans,
-    algebra_span_equal,
     algebra_span_leq,
     commuting,
     context_algebra,
@@ -414,6 +413,19 @@ def reference_shifted_region(region, shift, length, cyclic=True):
     return None
 
 
+def reference_translation_unitary(shift, length) -> np.ndarray:
+    d = 2**length
+    u = np.zeros((d, d), dtype=complex)
+    for idx in range(d):
+        bits = [(idx >> (length - 1 - j)) & 1 for j in range(length)]
+        moved = [0] * length
+        for j in range(length):
+            moved[(j + shift) % length] = bits[j]
+        new_idx = sum(b << (length - 1 - j) for j, b in enumerate(moved))
+        u[new_idx, idx] = 1.0
+    return u
+
+
 def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationReport:
     report = ValidationReport()
     u = translation_unitary(shift, net.length)
@@ -433,7 +445,7 @@ def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationR
             )
             continue
         moved = MatrixStarAlgebra(net.dim, [alpha(b) for b in alg.basis], net.tol)
-        if not algebra_span_equal(moved, family[image], net.tol):
+        if not spans_equal(moved.ortho, family[image].ortho, net.tol):
             report.add(
                 "net.covariance",
                 f"translate of the context at {region.label()} differs from the context at {image.label()}",
@@ -448,7 +460,7 @@ def reference_check_covariance(net, shift, contexts, cyclic=True) -> ValidationR
     ids_by_region = {}
     for region, alg in contexts:
         for cid in cc.ids():
-            if algebra_span_equal(cc.algebra(cid), alg, max(net.tol, 1e-8)):
+            if spans_equal(cc.algebra(cid).ortho, alg.ortho, max(net.tol, 1e-8)):
                 ids_by_region[region] = cid
                 break
         else:
@@ -827,6 +839,15 @@ class TestCovarianceOracle:
         found = [str(v) for v in check_covariance(net, shift, family).violations]
         expected = [str(v) for v in reference_check_covariance(net, shift, family).violations]
         assert found == expected
+
+
+class TestTranslationUnitaryOracle:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+    def test_the_index_arrays_match_the_bit_loop(self, length):
+        """Bit for bit, under every shift of up to two turns either way."""
+        for shift in range(-2 * length, 2 * length + 1):
+            found, expected = translation_unitary(shift, length), reference_translation_unitary(shift, length)
+            assert found.dtype == expected.dtype and found.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -2520,7 +2541,7 @@ class TestWeylActionOracle:
 
 def reference_ccr_block(f, fp, fock, guard) -> np.ndarray:
     """[field(f), field(fp)*] - (f, fp) on the sectors <= n_max - guard, dense."""
-    keep = gft.ccr_sector_size(fock, guard)
+    keep = fock.sector_size(gft.ccr_top_sector(fock.n_max, guard))
     a, b = gft.field_operator(f, fock), gft.field_operator(fp, fock)
     block = (a @ dagger(b) - dagger(b) @ a)[:keep, :keep].toarray()
     return block - gft.weighted_inner(f, fp, fock.mode_weight) * np.eye(keep)
