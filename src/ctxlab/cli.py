@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from types import GeneratorType
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def load_algebra_spec(path: str, wanted: str | None):
 
 
 EMIT_SLICE = 4096  # list items per call of the C encoder
-CONTAINERS = (dict, list, tuple)
+CONTAINERS = (dict, list, tuple, GeneratorType)
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,11 +81,21 @@ def _encode(level: int):
 
 def _emit(value, level: int, write) -> None:
     """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``level``:
-    one C call per container of scalars, a list in slices of EMIT_SLICE."""
+    one C call per container of scalars, a list in slices of EMIT_SLICE.
+    A generator is written as the list of its items, each as it is made,
+    so the list is never held."""
     if not isinstance(value, CONTAINERS) or not value:
         write(_encode(level)(value))
         return
     inner, mapping = "\n" + "  " * (level + 1), isinstance(value, dict)
+    if isinstance(value, GeneratorType):
+        opened = False
+        for item in value:
+            write(("," if opened else "[") + inner)
+            _emit(item, level + 1, write)
+            opened = True
+        write("\n" + "  " * level + "]" if opened else "[]")
+        return
     write(("{" if mapping else "[") + inner)
     if not any(map(isinstance, value.values() if mapping else value, itertools.repeat(CONTAINERS))):
         slices = [value] if mapping else (value[k:k + EMIT_SLICE] for k in range(0, len(value), EMIT_SLICE))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +119,11 @@ def evaluate_state(mu: ExtendedState, e: Element) -> complex:
 # JSON views
 
 
-def carrier_to_json(ext: ExtendedAlgebra) -> list:
-    """Carrier points as {context id: character index} records."""
+def carrier_to_json(ext: ExtendedAlgebra) -> Iterator[dict]:
+    """Carrier points as {context id: character index} records, in point
+    order, each made as it is read: a carrier may hold a million points."""
     ids = ext.carrier.context_ids
-    return [dict(zip(ids, pt)) for pt in ext.carrier.points]
+    return (dict(zip(ids, pt)) for pt in itertools.product(*map(range, ext.carrier.sizes)))
 
 
 def state_to_json(mu: ExtendedState) -> dict:

@@ -78,9 +78,11 @@ class TruncatedFock:
 
     ``mode_weight`` is the measure weight of one mode; mode operators carry
     the matching delta normalization so that smeared fields reproduce the
-    weighted inner product in their commutator.  ``lowerings`` holds every
-    ladder entry ``a_k |col> = sqrt(n_k) |row>`` as the arrays ``(rows,
-    cols, modes, amps)``, from which every ladder and field is read.
+    weighted inner product in their commutator.  States are listed by total
+    count, each sector's occupation vectors in ascending lexicographic
+    order.  ``lowerings`` holds every ladder entry ``a_k |col> = sqrt(n_k)
+    |row>``, by column and then mode, as the arrays ``(rows, cols, modes,
+    amps)``, from which every ladder and field is read.
     """
 
     modes: int
@@ -96,24 +98,7 @@ class TruncatedFock:
         size = _dimension_below(self.modes, self.n_max, 10**SHOWN_CHARS)
         if size > FOCK_CAP:
             raise CapExceeded("Fock dimension", size, FOCK_CAP)
-        # a state is the sorted tuple of its particles' modes, listed by
-        # total count; reversed, each sector's combinations list its
-        # occupations in ascending order.  The vacuum, state 0, is listed
-        # directly: its sector would copy the whole mode range first.
-        states = [()] + [
-            state
-            for total in range(1, self.n_max + 1)
-            for state in reversed(list(itertools.combinations_with_replacement(range(self.modes), total)))
-        ]
-        position = {state: i for i, state in enumerate(states)}
-        entries = []
-        for col, state in enumerate(states):
-            # one lowering per occupied mode: drop the first copy of k
-            for i, k in enumerate(state):
-                if i == 0 or state[i - 1] != k:
-                    entries.append((position[state[:i] + state[i + 1 :]], col, k, state.count(k)))
-        rows, cols, modes, counts = np.array(entries, dtype=np.int64).reshape(-1, 4).T
-        self.lowerings = (rows, cols, modes, np.sqrt(counts))
+        self.lowerings = _lowerings(self.modes, self.n_max)
 
     @property
     def dim(self) -> int:
@@ -136,6 +121,61 @@ def _dimension_below(modes: int, n_max: int, bound: int) -> int:
         if size >= bound:
             break
     return size
+
+
+def _compositions(rows: int, cols: int) -> np.ndarray:
+    """comb(r + m, m) at [r, m]: the occupations of m + 1 modes by r
+    particles.  Each line is the running sum of the one before, and the
+    table is built along its longer side; below FOCK_CAP, with rows =
+    n_max + 1 and cols = modes, the shorter side has at most 8 entries."""
+    short, long = sorted((rows, cols))
+    table = np.ones((short, long), dtype=np.int64)
+    for j in range(1, short):
+        table[j] = np.cumsum(table[j - 1])
+    return table if short == rows else table.T
+
+
+def _lowerings(modes: int, n_max: int) -> tuple:
+    """The ladder entries ``(rows, cols, modes, amps)`` of the Fock space,
+    one for each raising u -> u + e_k of a state u below the top sector,
+    read in reverse: modes * sector_size(n_max - 1) of them.
+
+    A state's rank in its sector is a sum of binomials over its modes:
+    sum_i comb(r_i + m_i, m_i) - comb(r_{i+1} + m_i, m_i), with r_i the
+    particles in modes i and after and m_i = modes - 1 - i.  A particle
+    added at k raises that rank by sum_{i<k} (g_i - h_i) + g_k, with g_i =
+    comb(r_i + m_i, m_i - 1) and h_i = comb(r_{i+1} + m_i, m_i - 1); so
+    u + e_k sits at u's position, plus the size of u's sector, plus that.
+    """
+    if n_max == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none, np.sqrt(none)
+    comps = _compositions(n_max + 1, modes)
+    # m_i, which also lists the modes from the last to the first
+    m = np.arange(modes - 1, -1, -1)
+    # a sector in ascending order: the states of the one below that leave
+    # modes < k empty, a prefix of it comps[t - 1, modes - 1 - k] long,
+    # raised at k, for k from the last mode to the first
+    sectors = [np.zeros((1, modes), dtype=np.int64)]
+    for total in range(1, n_max):
+        lengths = comps[total - 1]
+        ends = np.cumsum(lengths)
+        raised = sectors[-1][np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)]
+        raised[np.arange(ends[-1]), np.repeat(m, lengths)] += 1
+        sectors.append(raised)
+    occ = np.concatenate(sectors)
+    r = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    after = np.zeros_like(r)
+    after[:, :-1] = r[:, 1:]
+    # steps[r, m] = comb(r + m, m - 1), 0 at m = 0
+    steps = np.zeros((n_max, modes), dtype=np.int64)
+    steps[:, 1:] = comps[1:, :-1]
+    g, h = steps[r, m], steps[after, m]
+    start = np.arange(len(occ))[:, None] + comps[r[:, 0], modes - 1][:, None]
+    key = ((start + np.cumsum(g - h, axis=1) + h) * modes + np.arange(modes)).ravel()
+    order = np.argsort(key)
+    rows, ks = np.divmod(order, modes)
+    return rows, key[order] // modes, ks, np.sqrt(occ.ravel()[order] + 1)
 
 
 def fock_for(space: PolyhedronSpace, n_max: int) -> TruncatedFock:
@@ -178,17 +218,27 @@ def ccr_top_sector(n_max: int, guard: int = 1) -> int:
     return n_max - guard
 
 
-def _sector_norm(block: np.ndarray, edges: list) -> float:
-    """Spectral norm of ``block`` read sector by sector, sector t being the
-    index range [edges[t], edges[t + 1]): the largest norm of a diagonal
-    sector block plus the Frobenius norm of every entry between two sectors.
+def _sector_norm(block, shift: complex, edges: list) -> float:
+    """Spectral norm of ``block - shift * I``, ``block`` a scipy.sparse
+    array, read sector by sector from its entries, sector t being the index
+    range [edges[t], edges[t + 1]): the largest norm of a diagonal sector
+    block plus the Frobenius norm of every entry between two sectors.
 
-    The sum bounds the norm of the whole block from above (triangle
-    inequality), and equals it when no entry couples two sectors.
+    A sector block with no nonzero entry off its diagonal has the largest
+    |block_ii - shift| as its norm; each other one is formed dense and
+    takes one SVD.  The sum bounds the norm of the whole block from above
+    (triangle inequality), and equals it when no entry couples two sectors.
     """
-    sectors = list(zip(edges, edges[1:]))
-    cross = sum(np.vdot(part, part).real for lo, hi in sectors for part in (block[lo:hi, :lo], block[lo:hi, hi:]))
-    return max(opnorm(block[lo:hi, lo:hi]) for lo, hi in sectors) + float(np.sqrt(cross))
+    entries = block.tocoo()
+    rows, cols = np.searchsorted(edges, np.stack([entries.row, entries.col]), side="right") - 1
+    off = (entries.row != entries.col) & (entries.data != 0)
+    between = entries.data[off & (rows != cols)]
+    dense = np.unique(rows[off & (rows == cols)])
+    read = np.repeat(~np.isin(np.arange(len(edges) - 1), dense), np.diff(edges))
+    norms = [float(np.abs(block.diagonal()[read] - shift).max(initial=0.0))]
+    for lo, hi in ((edges[t], edges[t + 1]) for t in dense):
+        norms.append(opnorm(block[lo:hi, lo:hi].toarray() - shift * np.eye(hi - lo)))
+    return max(norms) + float(np.sqrt(np.vdot(between, between).real))
 
 
 def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
@@ -196,19 +246,18 @@ def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
 
     Zero (to rounding) with the default guard; the top sector feels the
     cutoff, so guard=0 reports the truncation artifact instead.  The
-    commutator conserves particle number, and states are listed by total
-    count, so the norm is read one particle-number sector at a time: the
-    largest sector block's norm, plus the measured norm of the entries
-    between sectors (zero here), which keeps the value an upper bound of
-    the whole block's norm whatever those entries are.
+    commutator is formed on the guarded rows and columns only, and read
+    one particle-number sector at a time (states are listed by total
+    count): the largest sector block's norm, plus the measured norm of the
+    entries between sectors, which keeps the value an upper bound of the
+    whole block's norm whatever those entries are.
     """
     edges = [0] + [fock.sector_size(total) for total in range(ccr_top_sector(fock.n_max, guard) + 1)]
     keep = edges[-1]
     a = field_operator(f, fock)
-    b = field_operator(fp, fock)
-    ip = weighted_inner(f, fp, fock.mode_weight)
-    block = (a @ dagger(b) - dagger(b) @ a)[:keep, :keep].toarray()
-    return _sector_norm(block - ip * np.eye(keep), edges)
+    b = dagger(field_operator(fp, fock))
+    commutator = a[:keep] @ b[:, :keep] - b[:keep] @ a[:, :keep]
+    return _sector_norm(commutator, weighted_inner(f, fp, fock.mode_weight), edges)
 
 
 def weyl_top_sector(n_max: int, sector_cap: int) -> int:

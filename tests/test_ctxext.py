@@ -243,7 +243,7 @@ class TestJsonViews:
         from ctxlab.ctxext import carrier_to_json, state_to_json
 
         cc, ext = two_context_extension()
-        points = carrier_to_json(ext)
+        points = list(carrier_to_json(ext))
         assert len(points) == 4 and all(set(p) == set(cc.ids()) for p in points)
         mu = extend_state(random_density(rng, 2), ext)
         view = state_to_json(mu)

@@ -1,4 +1,3 @@
-import itertools
 import time
 import tracemalloc
 from math import comb
@@ -202,26 +201,6 @@ class TestFockSpace:
             tracemalloc.stop()
         assert fock.dim == 1 and all(len(part) == 0 for part in fock.lowerings)
         assert peak < 2**20
-
-    @pytest.mark.parametrize("m, n, n_max", [(2, 2, 0), (2, 2, 3), (3, 2, 2), (2, 3, 1), (1, 1, 0), (2, 1, 6)])
-    def test_lowerings_are_the_sector_listing_bit_for_bit(self, m, n, n_max):
-        """Against the listing that enumerated every sector, the vacuum's too."""
-        fock = fock_for(PolyhedronSpace(m, n), n_max)
-        states = [
-            state
-            for total in range(n_max + 1)
-            for state in reversed(list(itertools.combinations_with_replacement(range(fock.modes), total)))
-        ]
-        position = {state: i for i, state in enumerate(states)}
-        entries = [
-            (position[state[:i] + state[i + 1 :]], col, k, state.count(k))
-            for col, state in enumerate(states)
-            for i, k in enumerate(state)
-            if i == 0 or state[i - 1] != k
-        ]
-        rows, cols, modes, counts = np.array(entries, dtype=np.int64).reshape(-1, 4).T
-        for found, expected in zip(fock.lowerings, (rows, cols, modes, np.sqrt(counts))):
-            assert found.dtype == expected.dtype and found.tobytes() == expected.tobytes()
 
     def test_vacuum_is_the_whole_annihilator_kernel(self):
         fock = fock_for(SPACE, 2)

@@ -28,11 +28,13 @@ import itertools
 import json
 import math
 import re
+import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, perfbench_module, random_density, random_unitary, reference_index
@@ -753,7 +755,7 @@ class TestIndexCarrierOracle:
         assert mu.weights.dtype == expected.dtype
         assert np.array_equal(mu.weights, expected)
 
-        records = carrier_to_json(ext)
+        records = list(carrier_to_json(ext))
         assert records == [dict(zip(ids, pt)) for pt in carrier.points]
         assert json.dumps(records) == json.dumps([dict(zip(ids, pt)) for pt in carrier.points])
 
@@ -2497,6 +2499,63 @@ def fock_cases(draw):
     return space, n_max, f
 
 
+def reference_lowerings(modes, n_max) -> tuple:
+    """The ladder table listed from the states as sorted tuples of their
+    particles' modes, by total count, each sector's combinations reversed;
+    one lowering per occupied mode, dropping the first copy of k."""
+    states = [()] + [
+        state
+        for total in range(1, n_max + 1)
+        for state in reversed(list(itertools.combinations_with_replacement(range(modes), total)))
+    ]
+    position = {state: i for i, state in enumerate(states)}
+    entries = []
+    for col, state in enumerate(states):
+        for i, k in enumerate(state):
+            if i == 0 or state[i - 1] != k:
+                entries.append((position[state[:i] + state[i + 1 :]], col, k, state.count(k)))
+    rows, cols, ks, counts = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+    return rows, cols, ks, np.sqrt(counts)
+
+
+# every shape with 1-40 modes and cutoff 0-12 under the cap, a deep cutoff
+# over one to three modes, many modes at cutoff 2, and 9,999 modes at cutoff 1
+TABLE_SHAPES = [(modes, n_max) for modes in range(1, 41) for n_max in range(13)
+                if math.comb(modes + n_max, n_max) <= gft.FOCK_CAP]
+TABLE_SHAPES += [(1, 2000), (2, 60), (139, 2), (3, 30), (9999, 1)]
+DEEP_SHAPES = [(1, 9999), (2, 139), (9999, 1)]
+
+
+class TestFockTableOracle:
+    """The lowering table built by rank against the tuple listing, and the
+    build's bounds at shapes whose listing is long: (1, 9999) took 7.7 s and
+    589 MB to list."""
+
+    def test_the_table_is_the_tuple_listing_bit_for_bit(self):
+        assert len(TABLE_SHAPES) == 241
+        for modes, n_max in TABLE_SHAPES:
+            found = gft.TruncatedFock(modes=modes, n_max=n_max).lowerings
+            for part, expected in zip(found, reference_lowerings(modes, n_max)):
+                assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes(), (modes, n_max)
+
+    @pytest.mark.parametrize("modes, n_max", DEEP_SHAPES)
+    def test_a_deep_table_builds_in_bounded_time(self, modes, n_max):
+        start = time.perf_counter()
+        fock = gft.TruncatedFock(modes=modes, n_max=n_max)
+        assert time.perf_counter() - start < 2.0
+        assert len(fock.lowerings[0]) == modes * fock.sector_size(n_max - 1)
+
+    @pytest.mark.parametrize("modes, n_max", DEEP_SHAPES)
+    def test_a_deep_table_builds_in_bounded_memory(self, modes, n_max):
+        tracemalloc.start()
+        try:
+            gft.TruncatedFock(modes=modes, n_max=n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 10**6
+
+
 class TestFockLadderOracle:
     @settings(max_examples=80, deadline=None)
     @given(case=fock_cases())
@@ -2564,16 +2623,46 @@ def ccr_cases(draw):
 
 class TestSectorNormOracle:
     """``ccr_defect`` reads the norm one particle-number sector at a time,
-    against the norm of the whole guarded block, one dense SVD."""
+    from the commutator's entries: a sector block with no entry off its
+    diagonal by its largest diagonal entry, any other by one SVD; against
+    the norm of the whole guarded block, one dense SVD."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=ccr_cases())
     def test_the_sector_norm_is_the_whole_block_norm(self, case):
+        """Guard 0 takes the SVD at the top sector, which feels the cutoff;
+        guard 1 reads every sector by its diagonal."""
         fock, f, g = case
         for guard in (0, 1):
             found = gft.ccr_defect(f, g, fock, guard)
             assert type(found) is float
             assert abs(found - opnorm(reference_ccr_block(f, g, fock, guard))) < 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=ccr_cases(), at=st.tuples(*[st.floats(0, 1, exclude_max=True)] * 3),
+           size=st.floats(1e-3, 1.0), phase=st.floats(0, 2 * math.pi))
+    def test_an_entry_inside_a_sector_takes_the_svd(self, case, at, size, phase):
+        """One entry off the diagonal of a sector block, injected into the
+        guard-1 block: that sector alone is formed dense, and the value is
+        still the whole block's norm."""
+        from scipy.sparse import csr_array
+
+        fock, f, g = case
+        block = reference_ccr_block(f, g, fock, 1)
+        edges = [0] + [fock.sector_size(total) for total in range(fock.n_max)]
+        wide = [t for t in range(len(edges) - 1) if edges[t + 1] - edges[t] > 1]
+        assume(wide)
+        sector = wide[int(at[0] * len(wide))]
+        lo, hi = edges[sector], edges[sector + 1]
+        row = lo + int(at[1] * (hi - lo))
+        cols = [j for j in range(lo, hi) if j != row]
+        block[row, cols[int(at[2] * len(cols))]] += size * np.exp(1j * phase)
+        dense = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gft, "opnorm", lambda m: dense.append(m.shape) or opnorm(m))
+            found = gft._sector_norm(csr_array(block), 0.0, edges)
+        assert dense == [(hi - lo, hi - lo)]
+        assert abs(found - opnorm(block)) < 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(case=ccr_cases(), at=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
@@ -2582,6 +2671,8 @@ class TestSectorNormOracle:
         """One entry coupling two sectors, injected into the guard-0 block of
         (g, g): the sector norm counts it, so it stays at least the whole
         block's norm."""
+        from scipy.sparse import csr_array
+
         fock, _, g = case
         block = reference_ccr_block(g, g, fock, 0)
         edges = [0] + [fock.sector_size(total) for total in range(fock.n_max + 1)]
@@ -2589,8 +2680,24 @@ class TestSectorNormOracle:
         sector = np.searchsorted(edges, row, side="right") - 1
         cols = [j for j in range(len(block)) if not edges[sector] <= j < edges[sector + 1]]
         block[row, cols[int(at[1] * len(cols))]] += size * np.exp(1j * phase)
-        found = gft._sector_norm(block, edges)
+        found = gft._sector_norm(csr_array(block), 0.0, edges)
         assert found > 0 and found >= opnorm(block)
+
+    def test_a_deep_cutoff_is_read_in_bounded_memory(self):
+        """Two modes at cutoff 139: the guarded block has 9,730 rows, 1.5 GB
+        as a dense complex array."""
+        fock = gft.fock_for(gft.PolyhedronSpace(2, 1), 139)
+        rng = np.random.default_rng(139)
+        f, g = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+        gft.field_operator(f, fock)  # scipy.sparse is imported outside the trace
+        tracemalloc.start()
+        try:
+            found = gft.ccr_defect(f, g, fock)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fock.sector_size(gft.ccr_top_sector(fock.n_max)) == 9730
+        assert found < 1e-10 and peak < 32 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -2757,6 +2864,21 @@ class TestEmitOracle:
     @given(value=json_values)
     def test_recursive_values_at_the_real_slice(self, value):
         assert emitted(value) == reference_emit(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=json_values)
+    def test_generators_are_written_as_their_lists(self, value):
+        """Every list handed over as a generator of its items, the empty
+        ones too: the same bytes as the lists."""
+
+        def generated(x):
+            if isinstance(x, list):
+                return (generated(item) for item in x)
+            if isinstance(x, dict):
+                return {key: generated(item) for key, item in x.items()}
+            return tuple(map(generated, x)) if isinstance(x, tuple) else x
+
+        assert emitted(generated(value)) == reference_emit(value)
 
     @pytest.mark.parametrize("length", [cli.EMIT_SLICE - 1, cli.EMIT_SLICE, cli.EMIT_SLICE + 1, 3 * cli.EMIT_SLICE + 5])
     def test_flat_lists_longer_than_a_slice(self, rng, length):
