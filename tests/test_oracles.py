@@ -10,7 +10,8 @@ and the point-list carrier with its component arrays, together with the
 per-point covariance loops, the restriction diagram with its own index
 category and tables, the list-based span functions with the closure and
 the pairwise context-category build, the one-algebra spectrum and the
-dominance tables, the per-mode Fock ladder loops, the Weyl action by
+dominance tables, the tuple listing of the Fock lowering table, the
+per-mode Fock ladder loops, the dense guarded CCR block, the Weyl action by
 ``expm_multiply``, the Pauli and full-algebra row stacks that were
 built with each algebra, the report writer ``json.dumps(indent=2)`` and the
 carrier integral by ``np.dot``.  Outputs must be identical, in identical
