@@ -385,8 +385,11 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     category = fincat.category_from_json(load_json(args.category))
     text = fincat.category_to_dot(category, name=args.name)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -135,18 +135,21 @@ class QuantumProvider:
     def __init__(self, rho):
         self.rho = require_state(rho)
 
+    def _matrix(self, obs, verb: str) -> np.ndarray:
+        if not isinstance(obs, MatrixObservable):
+            raise MixedObservableError(f"quantum provider {verb} matrix observables only")
+        if obs.matrix.shape != self.rho.shape:
+            raise DomainError("observable is not defined on the state's space")
+        return obs.matrix
+
     def correlation(self, o1, o2) -> float:
-        if not isinstance(o1, MatrixObservable) or not isinstance(o2, MatrixObservable):
-            raise MixedObservableError("quantum provider correlates matrix observables only")
-        sym = (o1.matrix @ o2.matrix + o2.matrix @ o1.matrix) / 2.0
-        return float(np.trace(self.rho @ sym).real)
+        a, b = self._matrix(o1, "correlates"), self._matrix(o2, "correlates")
+        return float(np.trace(self.rho @ ((a @ b + b @ a) / 2.0)).real)
 
     def group_square_expectation(self, observables: list, signs: list) -> float:
         total = np.zeros_like(self.rho)
         for s, obs in zip(signs, observables):
-            if not isinstance(obs, MatrixObservable):
-                raise MixedObservableError("quantum provider squares matrix observables only")
-            total = total + s * obs.matrix
+            total = total + s * self._matrix(obs, "squares")
         return float(np.trace(self.rho @ total @ total).real)
 
 
@@ -182,27 +185,22 @@ def roy_singh_lhs(fam: ObservableFamily, signs, provider) -> float:
     return float(lhs)
 
 
-# flat sign vectors scanned per step, a power of two; bounds the scan's
-# memory whatever the cap
-SIGN_CHUNK = 1 << 16
-
-
 def search_signs(fam: ObservableFamily, provider, cap: int = SIGN_SEARCH_CAP) -> tuple:
-    """Exhaustive minimum of the bound's left side over all sign vectors.
+    """Exact minimum of the bound's left side over all sign vectors.
 
     Groups are independent, so each gets one table of its quadratic form
-    ``s @ mat @ s`` over its own sign vectors.  Flat sign vectors are then
-    scanned in ``itertools.product`` order (+1 before -1 per slot), in
-    chunks of ``SIGN_CHUNK``, summing the group tables in group order, so
-    every value is the same float as the per-vector sum.  The best value
-    is replaced only by one below it by more than ``SIGN_TIE_MARGIN``, so the first
-    minimizer in that order is returned.
+    ``s @ mat @ s`` over its own sign vectors.  A depth-first search takes
+    one entry per group, in group order and each table in index order: its
+    leaves come in ``itertools.product`` order (+1 before -1 per slot), each
+    the same float as the per-vector sum.  A leaf replaces the best only if
+    below it by more than ``SIGN_TIE_MARGIN``, so the first minimizer is
+    returned.  A subtree is skipped when its partial sum plus each later
+    table's minimum, added left to right, is not below that threshold: IEEE
+    addition is monotone, so no leaf in it could replace the best.
     """
     if fam.total > cap:
         raise CapExceeded("sign search", fam.total, cap)
-    # (table, bit shift of the group's slots in the flat index, slot mask)
-    tables = []
-    shift = fam.total
+    rows, tables = [], []
     for group in fam.groups:
         obs = group.observables()
         mat = np.zeros((group.size, group.size))
@@ -211,29 +209,27 @@ def search_signs(fam: ObservableFamily, provider, cap: int = SIGN_SEARCH_CAP) ->
                 # the quantum correlation is symmetrized, so the quadratic
                 # form reproduces the operator-square value exactly
                 mat[i, j] = provider.correlation(oi, oj)
-        vectors = np.array(list(itertools.product((1, -1), repeat=group.size)), dtype=float)
-        table = np.array([float(s @ mat @ s) for s in vectors])
-        shift -= group.size
-        tables.append((table, shift, (1 << group.size) - 1))
+        rows.append(list(itertools.product((1, -1), repeat=group.size)))
+        tables.append([float(s @ mat @ s) for s in np.array(rows[-1], dtype=float)])
+    floors = [min(table) for table in tables]
 
-    chunk = min(SIGN_CHUNK, 2**fam.total)
-    offsets = np.arange(chunk, dtype=np.int64)
-    best_index, best_value = 0, None
-    for start in range(0, 2**fam.total, chunk):
-        values = 0.0
-        for table, shift, mask in tables:
-            # start is a multiple of chunk, so its bits and the offsets' never carry
-            values = values + table[((start >> shift) & mask) | ((offsets >> shift) & mask)]
-        if best_value is None:
-            best_value = float(values[0])
-        # every value scanned so far is >= best_value - SIGN_TIE_MARGIN, so the first
-        # value below that threshold is where the running minimum first
-        # drops below it: a binary search on the negated running minimum
-        falls = -np.minimum.accumulate(values)
-        while True:
-            at = int(np.searchsorted(falls, -(best_value - SIGN_TIE_MARGIN), side="right"))
-            if at == chunk:
-                break
-            best_index, best_value = start + at, float(values[at])
-    signs = [-1 if (best_index >> (fam.total - 1 - k)) & 1 else 1 for k in range(fam.total)]
+    best_value, best_path = None, None
+    path = [0] * fam.q
+    # (group, table index, sum of the groups before it): a stack, as a raised
+    # cap may allow more groups than Python's recursion limit
+    stack = [(0, k, 0.0) for k in reversed(range(len(tables[0])))]
+    while stack:
+        p, k, partial = stack.pop()
+        path[p] = k
+        value = partial + tables[p][k]
+        bound = value
+        for floor in floors[p + 1 :]:
+            bound += floor
+        if best_value is not None and not bound < best_value - SIGN_TIE_MARGIN:
+            continue
+        if p + 1 < fam.q:
+            stack.extend((p + 1, j, value) for j in reversed(range(len(tables[p + 1]))))
+        else:
+            best_value, best_path = value, list(path)
+    signs = [s for row, k in zip(rows, best_path) for s in row[k]]
     return signs, best_value

@@ -792,6 +792,36 @@ class TestInequalityMeasures:
         self.refused(capsys, tmp_path, family, message)
 
 
+class TestQuantumFamilySpaces:
+    """A quantum family whose observables are not all matrices of the
+    state's size is refused with exit status 2 and one ``error:`` line."""
+
+    Z2 = [[1, 0], [0, -1]]
+    Z4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+
+    @pytest.mark.parametrize("matrices, state", [
+        ([Z4], [[0.5, 0], [0, 0.5]]),
+        ([Z2, Z4, Z2], [[0.5, 0], [0, 0.5]]),
+    ], ids=["wider-than-the-state", "mixed-sizes-in-a-group"])
+    def test_refused(self, capsys, tmp_path, matrices, state):
+        group = {"A": [{"type": "matrix", "matrix": m} for m in matrices], "B": []}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"groups": [group], "state": state}))
+        code = main(["inequality", "--family", str(path), "--provider", "quantum"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: observable is not defined on the state's space\n"
+
+
+@pytest.mark.parametrize("target", ["missing/category.dot", "."], ids=["missing-directory", "a-directory"])
+def test_export_dot_to_an_unwritable_path(capsys, specs, tmp_path, target):
+    out = tmp_path / target
+    code = main(["export-dot", "--category", specs["category"], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {str(out)!r}: ") and captured.err.count("\n") == 1
+
+
 def test_importing_the_cli_loads_no_scipy():
     """The CLI imports scipy only when a command needs it, and then only
     ``scipy.sparse``: a gft-weyl run loads neither ``scipy.sparse.linalg``

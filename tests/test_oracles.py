@@ -1,11 +1,11 @@
-"""Differential tests of the constraint engine, the table-driven sign search,
-the whole-array carrier views, the index-arithmetic carrier, the contexts
+"""Differential tests of the constraint engine, the branch-and-bound sign
+search, the whole-array carrier views, the index-arithmetic carrier, the contexts
 built from atoms, the spectra and the array cone oracles against the
 implementations they replaced.
 
 The references below are those implementations, frozen: plain
 backtracking for global sections and limits, one quadratic form per flat
-sign vector for the sign search, per-point loops for the state's JSON view,
+sign vector and the chunked table scan for the sign search, per-point loops for the state's JSON view,
 and the point-list carrier with its component arrays, together with the
 per-point covariance loops, the restriction diagram with its own index
 category and tables, the list-based span functions with the closure and
@@ -68,6 +68,7 @@ from ctxlab.fincat import (
 )
 from ctxlab.fixtures import peres24_fixture
 from ctxlab.linalg import (
+    SIGN_TIE_MARGIN,
     as_matrix,
     dagger,
     is_projection,
@@ -224,6 +225,54 @@ def reference_search_signs(fam, provider) -> tuple:
             best_value = value
             best_signs = flat
     return list(best_signs), float(best_value)
+
+
+# flat sign vectors scanned per step by the chunked scan, a power of two
+REFERENCE_SIGN_CHUNK = 1 << 16
+
+
+def reference_chunked_search_signs(fam, provider, cap: int = realism.SIGN_SEARCH_CAP) -> tuple:
+    """The scan that the branch and bound replaced: every flat sign vector
+    in ``itertools.product`` order, in chunks of ``REFERENCE_SIGN_CHUNK``,
+    summing the group tables in group order.  The best value is replaced
+    only by one below it by more than ``SIGN_TIE_MARGIN``."""
+    if fam.total > cap:
+        raise CapExceeded("sign search", fam.total, cap)
+    # (table, bit shift of the group's slots in the flat index, slot mask)
+    tables = []
+    shift = fam.total
+    for group in fam.groups:
+        obs = group.observables()
+        mat = np.zeros((group.size, group.size))
+        for i, oi in enumerate(obs):
+            for j, oj in enumerate(obs):
+                mat[i, j] = provider.correlation(oi, oj)
+        vectors = np.array(list(itertools.product((1, -1), repeat=group.size)), dtype=float)
+        table = np.array([float(s @ mat @ s) for s in vectors])
+        shift -= group.size
+        tables.append((table, shift, (1 << group.size) - 1))
+
+    chunk = min(REFERENCE_SIGN_CHUNK, 2**fam.total)
+    offsets = np.arange(chunk, dtype=np.int64)
+    best_index, best_value = 0, None
+    for start in range(0, 2**fam.total, chunk):
+        values = 0.0
+        for table, shift, mask in tables:
+            # start is a multiple of chunk, so its bits and the offsets' never carry
+            values = values + table[((start >> shift) & mask) | ((offsets >> shift) & mask)]
+        if best_value is None:
+            best_value = float(values[0])
+        # every value scanned so far is >= best_value - SIGN_TIE_MARGIN, so the first
+        # value below that threshold is where the running minimum first
+        # drops below it: a binary search on the negated running minimum
+        falls = -np.minimum.accumulate(values)
+        while True:
+            at = int(np.searchsorted(falls, -(best_value - SIGN_TIE_MARGIN), side="right"))
+            if at == chunk:
+                break
+            best_index, best_value = start + at, float(values[at])
+    signs = [-1 if (best_index >> (fam.total - 1 - k)) & 1 else 1 for k in range(fam.total)]
+    return signs, best_value
 
 
 def reference_state_to_json(mu) -> dict:
@@ -665,6 +714,25 @@ def tied_families(draw):
     return fam, provider
 
 
+class TableProvider:
+    """Correlations read from a matrix; the observables are its indices."""
+
+    def __init__(self, corr):
+        self.corr = corr
+
+    def correlation(self, i, j) -> float:
+        return float(self.corr[i, j])
+
+
+def inequality_input(argv: list) -> tuple:
+    """The family and the provider that ``ctxlab inequality`` builds from ``argv``."""
+    data, fam = cli._load_family(argv[argv.index("--family") + 1])
+    if argv[argv.index("--provider") + 1] == "measure":
+        weights = cli.numbers(data["carrier_weights"], "carrier weight")
+        return fam, MeasureProvider(weights / weights.sum())
+    return fam, QuantumProvider(cli.parse_matrix(data["state"]))
+
+
 class TestSignSearchOracle:
     @settings(max_examples=60, deadline=None)
     @given(case=tied_families())
@@ -672,19 +740,39 @@ class TestSignSearchOracle:
         fam, provider = case
         assert_same_signs(search_signs(fam, provider), reference_search_signs(fam, provider))
 
-    @pytest.mark.parametrize("chunk", [1, 4, 64])
-    @settings(max_examples=20, deadline=None)
-    @given(case=tied_families())
-    def test_scan_across_chunk_boundaries(self, chunk, case):
-        fam, provider = case
-        expected = reference_search_signs(fam, provider)
-        saved = realism.SIGN_CHUNK
-        realism.SIGN_CHUNK = chunk
-        try:
-            found = search_signs(fam, provider)
-        finally:
-            realism.SIGN_CHUNK = saved
-        assert_same_signs(found, expected)
+    def test_ties_within_the_margin(self):
+        """Two groups of three whose tables hold near-equal minima, a step
+        of ``d`` ulps of 0.5 apart in an off-diagonal correlation, with a
+        single observable between them.  Steps of one or two ulps make
+        leaves that differ by less than ``SIGN_TIE_MARGIN``, three or more
+        by more."""
+        ulp = 2.0**-53
+        gaps = set()
+        for d1, d2 in itertools.product(range(-3, 4), repeat=2):
+            block = [[1.0, 0.5, 0.5 + d1 * ulp], [0.5, 1.0, 0.5 + d2 * ulp], [0.5 + d1 * ulp, 0.5 + d2 * ulp, 1.0]]
+            corr = np.zeros((7, 7))
+            corr[:3, :3] = block
+            corr[3, 3] = 0.75
+            corr[4:, 4:] = np.array(block)[::-1, ::-1]
+            provider = TableProvider(corr)
+            fam = ObservableFamily([ObservableGroup([0, 1], [2]), ObservableGroup([3], []), ObservableGroup([4], [5, 6])])
+            assert_same_signs(search_signs(fam, provider), reference_search_signs(fam, provider))
+            signs = np.array(list(itertools.product((1, -1), repeat=3)), dtype=float)
+            low = sorted({v for v in (float(s @ np.array(block) @ s) for s in signs) if v < 3.0})  # the three near 2
+            gaps.update(b - a > SIGN_TIE_MARGIN for a, b in zip(low, low[1:]))
+        assert gaps == {True, False}
+
+    def test_benchmark_inputs_match_the_chunked_scan(self, repository_root, tmp_path):
+        """Every ``inequality`` input of the ks-carrier batch at two seeds."""
+        workloads = perfbench_module("workloads")
+        count = 0
+        for seed in (101, 2701):
+            for check in workloads.build("ks-carrier", seed, "full", str(tmp_path / str(seed))):
+                if check["kind"] == "inequality":
+                    fam, provider = inequality_input(check["argv"])
+                    assert_same_signs(search_signs(fam, provider), reference_chunked_search_signs(fam, provider))
+                    count += 1
+        assert count == 24
 
 
 # ---------------------------------------------------------------------------

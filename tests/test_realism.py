@@ -1,10 +1,15 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctxlab
 from conftest import I2, SX, SY, SZ, kron, random_density
 from ctxlab.ctxext import build_limit_extension, extend_state
 from ctxlab.errors import CapExceeded, DomainError, InputError, MixedObservableError
@@ -205,6 +210,48 @@ class TestClassicalBound:
             search_signs(fam, MeasureProvider(uniform(2)), cap=2)
 
 
+# reads the weights and each group's carrier values as JSON on stdin, and
+# writes the signs and the minimum (as a float's hex) that the search finds
+# with the cap raised to the family's total
+PAST_THE_CAP = """
+import json, sys
+import numpy as np
+from ctxlab.realism import CarrierObservable, MeasureProvider, ObservableFamily, ObservableGroup, search_signs
+data = json.load(sys.stdin)
+fam = ObservableFamily([ObservableGroup([CarrierObservable(v) for v in g], []) for g in data["groups"]])
+signs, minimum = search_signs(fam, MeasureProvider(np.array(data["weights"])), cap=fam.total)
+json.dump({"signs": signs, "minimum": minimum.hex()}, sys.stdout)
+"""
+
+
+class TestPastTheDefaultCap:
+    """Measure families far past ``SIGN_SEARCH_CAP``, each searched in a
+    child process under a 20 s timeout, so that a search of all 2**total
+    sign vectors fails rather than hangs."""
+
+    @pytest.mark.parametrize("sizes", [(5,) * 12, (1,) * 1200], ids=["12x5", "1200x1"])
+    def test_the_minimum_is_the_sum_of_the_group_minima(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        weights = rng.random(32) + 0.05
+        weights /= weights.sum()
+        groups = [rng.choice([-1.0, 1.0], (size, 32)) for size in sizes]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ctxlab.__file__)))
+        data = json.dumps({"weights": weights.tolist(), "groups": [g.tolist() for g in groups]})
+        result = subprocess.run([sys.executable, "-c", PAST_THE_CAP], input=data, capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=20, check=True)
+        found = json.loads(result.stdout)
+        minimum = float.fromhex(found["minimum"])
+        # the groups share no observable, so the minimum is the sum of each
+        # group's own minimum, here by brute force over its sign vectors
+        expected = 0.0
+        for g in groups:
+            expected += min(float(np.sum(weights * (np.array(s) @ g) ** 2))
+                            for s in itertools.product((1, -1), repeat=len(g)))
+        assert abs(minimum - expected) <= 1e-12
+        fam = ObservableFamily([ObservableGroup([CarrierObservable(v) for v in g], []) for g in groups])
+        assert abs(roy_singh_lhs(fam, found["signs"], MeasureProvider(weights)) - minimum) <= 1e-12
+
+
 class TestTypedRefusals:
     def test_cross_type_pair_refused(self):
         carrier, matrix = CarrierObservable(np.ones(2)), MatrixObservable(SZ)
@@ -217,6 +264,16 @@ class TestTypedRefusals:
         c = MeasureProvider(uniform(2)).correlation(CarrierObservable(np.ones(2)), CarrierObservable(np.ones(2)))
         q = QuantumProvider(np.eye(2, dtype=complex) / 2).correlation(MatrixObservable(SZ), MatrixObservable(SZ))
         assert abs(c - 1.0) < 1e-12 and abs(q - 1.0) < 1e-12
+
+    def test_observables_off_the_state_space_are_refused(self):
+        prov = QuantumProvider(np.eye(2, dtype=complex) / 2)
+        wide = MatrixObservable(kron(SZ, I2))
+        with pytest.raises(DomainError, match="not defined on the state's space"):
+            prov.correlation(wide, wide)
+        with pytest.raises(DomainError, match="not defined on the state's space"):
+            prov.group_square_expectation([MatrixObservable(SZ), wide, MatrixObservable(SX)], [1, 1, 1])
+        with pytest.raises(DomainError, match="not defined on the state's space"):
+            prov.group_square_expectation([MatrixObservable(np.eye(1))], [1])
 
     def test_measure_provider_rejects_matrices(self):
         fam = ObservableFamily([ObservableGroup([MatrixObservable(SZ)], [])])
