@@ -741,24 +741,25 @@ class TestSignSearchOracle:
         assert_same_signs(search_signs(fam, provider), reference_search_signs(fam, provider))
 
     def test_ties_within_the_margin(self):
-        """Two groups of three whose tables hold near-equal minima, a step
-        of ``d`` ulps of 0.5 apart in an off-diagonal correlation, with a
-        single observable between them.  Steps of one or two ulps make
-        leaves that differ by less than ``SIGN_TIE_MARGIN``, three or more
-        by more."""
+        """Two groups of three, with one observable between them, whose
+        off-diagonal correlations are 0.5 plus d1 and d2 ulps of 0.5.  Each
+        table's three low values (near 2) then differ by four times a
+        difference of those steps: one or two ulps is less than
+        ``SIGN_TIE_MARGIN`` apart, three or more is more."""
         ulp = 2.0**-53
+        signs = np.array(list(itertools.product((1, -1), repeat=3)), dtype=float)
+        fam = ObservableFamily([ObservableGroup([0, 1], [2]), ObservableGroup([3], []), ObservableGroup([4], [5, 6])])
         gaps = set()
         for d1, d2 in itertools.product(range(-3, 4), repeat=2):
-            block = [[1.0, 0.5, 0.5 + d1 * ulp], [0.5, 1.0, 0.5 + d2 * ulp], [0.5 + d1 * ulp, 0.5 + d2 * ulp, 1.0]]
+            b, c = 0.5 + d1 * ulp, 0.5 + d2 * ulp
+            block = np.array([[1.0, 0.5, b], [0.5, 1.0, c], [b, c, 1.0]])
             corr = np.zeros((7, 7))
             corr[:3, :3] = block
             corr[3, 3] = 0.75
-            corr[4:, 4:] = np.array(block)[::-1, ::-1]
+            corr[4:, 4:] = block[::-1, ::-1]
             provider = TableProvider(corr)
-            fam = ObservableFamily([ObservableGroup([0, 1], [2]), ObservableGroup([3], []), ObservableGroup([4], [5, 6])])
             assert_same_signs(search_signs(fam, provider), reference_search_signs(fam, provider))
-            signs = np.array(list(itertools.product((1, -1), repeat=3)), dtype=float)
-            low = sorted({v for v in (float(s @ np.array(block) @ s) for s in signs) if v < 3.0})  # the three near 2
+            low = sorted({v for v in (float(s @ block @ s) for s in signs) if v < 3.0})
             gaps.update(b - a > SIGN_TIE_MARGIN for a, b in zip(low, low[1:]))
         assert gaps == {True, False}
 
