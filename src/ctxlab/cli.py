@@ -315,6 +315,11 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
     space = gft.PolyhedronSpace(args.m, args.n)
     cutoffs = [whole_number(parse_json(x, f"--sweep cutoff {x!r}"), "--sweep cutoff")
                for x in args.sweep.split(",")] if args.sweep else [args.nmax]
+    seen = set()
+    for nmax in cutoffs:
+        if nmax in seen:
+            raise InputError(f"--sweep cutoff {nmax} is listed more than once")
+        seen.add(nmax)
     # each sector is checked before its Fock space forms the mode count, all before the draws
     focks = []
     for nmax in cutoffs:
@@ -483,6 +488,8 @@ def main(argv: list | None = None) -> int:
         check_tolerance(args.tolerance)
         if min(args.carrier_cap, args.sign_cap, args.apex_bound) <= 0:
             raise InputError("caps must be positive")
+        if args.seed < 0:
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         status = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return status

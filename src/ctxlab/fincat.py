@@ -4,7 +4,8 @@ Categories are given by exhaustive data: object labels, hom-sets as lists
 of morphism labels, a composition table, and identity assignments.  All
 laws are checked by enumeration, never assumed.  Diagrams land in the
 concrete setting of finite carrier sets and total maps, which makes limits
-computable and the universal property a bounded brute-force search.
+computable, cones enumerable by brute force, and the universal property a
+count of matching apex elements.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import numpy as np
 from .errors import CapExceeded, InputError
 from .validation import ValidationReport, array, label_table, labels, member, members
 
-DEFAULT_SEARCH_CAP = 5_000_000
-# raw leg assignments, or candidate mediating maps, evaluated per array step
+# raw leg assignments that cone enumeration may test
+SEARCH_CAP = 5_000_000
+# raw leg assignments evaluated per array step
 CONE_CHUNK = 1 << 14
 
 
@@ -446,13 +448,13 @@ def _cone_mask(digits: np.ndarray, k: int, tables: list) -> np.ndarray:
     return keep
 
 
-def enumerate_cones(d: Diagram, max_apex_size: int, search_cap: int = DEFAULT_SEARCH_CAP) -> list[Cone]:
+def enumerate_cones(d: Diagram, max_apex_size: int) -> list[Cone]:
     """All cones with abstract apex {0..k-1}, k <= max_apex_size.
 
     Legs are enumerated exhaustively, in ``itertools.product`` order over
     the objects' leg tuples, and filtered by the cone condition, evaluated
     as integer arrays in chunks of ``CONE_CHUNK`` assignments.  Refuses
-    (CapExceeded) when the raw leg count would pass ``search_cap``.
+    (CapExceeded) when the raw leg count would pass ``SEARCH_CAP``.
     """
     objects = list(d.index.objects)
     carriers = [d.carriers[o] for o in objects]
@@ -462,8 +464,8 @@ def enumerate_cones(d: Diagram, max_apex_size: int, search_cap: int = DEFAULT_SE
         total = 1
         for carrier in carriers:
             total *= max(1, len(carrier)) ** k
-        if total > search_cap:
-            raise CapExceeded(f"cone enumeration at apex size {k}", total, search_cap)
+        if total > SEARCH_CAP:
+            raise CapExceeded(f"cone enumeration at apex size {k}", total, SEARCH_CAP)
         if tables is None:  # after the first cap test, which refuses before any map is read
             tables = _arrow_tables(d, objects)
         apex = list(range(k))
@@ -477,39 +479,21 @@ def enumerate_cones(d: Diagram, max_apex_size: int, search_cap: int = DEFAULT_SE
     return cones
 
 
-def check_universal_property(
-    candidate: Cone,
-    d: Diagram,
-    cones: list[Cone],
-    search_cap: int = DEFAULT_SEARCH_CAP,
-) -> bool:
-    """Brute-force universality: exactly one mediating map per listed cone.
+def check_universal_property(candidate: Cone, d: Diagram, cones: list[Cone]) -> bool:
+    """Universality: exactly one mediating map into the candidate per listed cone.
 
-    Every function from a cone's apex to the candidate's apex is tried, in
-    ``itertools.product`` order and as integer arrays in chunks, through
-    the table of which candidate apex elements have the same legs as which
-    cone apex elements; the search stops at the second mediating map.
-    Refuses (CapExceeded) when a single search would exceed ``search_cap``.
+    A map h from a cone's apex to the candidate's mediates iff, at each
+    apex element a alone, the candidate's legs at h(a) equal the cone's
+    legs at a.  So the mediating maps number the product of each apex
+    element's count of such candidate elements, and there is exactly one
+    iff every count is one; an empty apex has one map, the empty one.
     """
     objects = list(d.index.objects)
-    for cone in cones:
-        space = len(candidate.apex) ** len(cone.apex) if cone.apex else 1
-        if space > search_cap:
-            raise CapExceeded("mediating-map search", space, search_cap)
-        # same[a, c]: the candidate's legs at c equal the cone's legs at a
-        same = np.array(
-            [[all(candidate.legs[o][c] == cone.legs[o][a] for o in objects) for c in candidate.apex]
-             for a in cone.apex],
-            dtype=bool,
-        ).reshape(len(cone.apex), len(candidate.apex))
-        found = 0
-        for images in _product_digits([len(candidate.apex)] * len(cone.apex)):
-            found += int(same[np.arange(len(cone.apex)), images].all(axis=1).sum())
-            if found > 1:
-                break
-        if found != 1:
-            return False
-    return True
+    return all(
+        sum(all(candidate.legs[o][c] == cone.legs[o][a] for o in objects) for c in candidate.apex) == 1
+        for cone in cones
+        for a in cone.apex
+    )
 
 
 # ---------------------------------------------------------------------------

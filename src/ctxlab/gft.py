@@ -23,6 +23,8 @@ from .validation import ValidationReport, shown
 
 # Largest Fock dimension built, about ten times the benchmark's largest (1,001).
 FOCK_CAP = 10_000
+# Largest Taylor work m * s of one Weyl action; the benchmark's norms need at most 55.
+WEYL_MATVEC_CAP = 100_000
 
 
 @dataclass
@@ -293,13 +295,19 @@ def _weyl_apply(fv: np.ndarray, fock: TruncatedFock, cols: np.ndarray) -> np.nda
     step stops early once two successive terms fall below the unit roundoff
     of the partial sum: algorithm 3.2 of Al-Mohy and Higham, as scipy runs
     it, but on the exact 1-norm at every norm, so it draws no random numbers.
+    Refuses (CapExceeded) a non-finite ||G||_1, or m * s above
+    ``WEYL_MATVEC_CAP``, before the first matvec: s grows with ||G||_1.
     """
     psi = field_operator(fv, fock)
     g = 1j / np.sqrt(2.0) * (psi + dagger(psi))
     norm = abs(g).sum(axis=0).max()
     if norm == 0:
         return cols
+    if not np.isfinite(norm):
+        raise CapExceeded("Weyl action matvecs", f"unbounded at generator 1-norm {norm}", WEYL_MATVEC_CAP)
     m, s = min(((m, ceil(norm / theta)) for m, theta in _THETA.items()), key=lambda ms: ms[0] * ms[1])
+    if m * s > WEYL_MATVEC_CAP:
+        raise CapExceeded("Weyl action matvecs", m * s, WEYL_MATVEC_CAP)
     out = term = cols
     for _ in range(s):
         c1 = abs(term).sum(axis=1).max()  # the infinity norm, as np.linalg.norm sums it
@@ -325,9 +333,9 @@ def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
     keep, cols = _sector_columns(fock, sector_cap)
     fv = _coerce_fn(f, fock.modes)
     gv = _coerce_fn(fp, fock.modes)
-    phase = np.exp(-0.5j * weighted_inner(fv, gv, fock.mode_weight).imag)
     lhs = _weyl_apply(fv, fock, _weyl_apply(gv, fock, cols))
     rhs = _weyl_apply(fv + gv, fock, cols)
+    phase = np.exp(-0.5j * weighted_inner(fv, gv, fock.mode_weight).imag)
     return opnorm((lhs - phase * rhs)[:keep])
 
 

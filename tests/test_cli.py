@@ -456,6 +456,29 @@ class TestGftArguments:
     def test_weyl_norm_not_positive_and_finite(self, capsys, norm):
         self.refused(capsys, ["gft-weyl", "--norm", norm], f"--norm must be positive and finite, got {float(norm)!r}")
 
+    @pytest.mark.parametrize("argv", [["gft-ccr", "--trials", "1"], ["gft-weyl"],
+                                      ["ks-check", "--fixture", "cabello18.json"]])
+    def test_negative_seed(self, capsys, argv):
+        """numpy refuses a negative seed with a traceback; every subcommand refuses it alike."""
+        self.refused(capsys, ["--seed", "-1", *argv], "--seed must be nonnegative, got -1")
+
+    @pytest.mark.parametrize("sweep, cutoff", [("3,3,3", 3), ("2,3,2", 2), ("2,3,3.0", 3)])
+    def test_weyl_sweep_cutoff_listed_twice(self, capsys, monkeypatch, sweep, cutoff):
+        """A repeated cutoff was computed again and merged into one report entry."""
+        def refuse(*args):
+            raise AssertionError("a Fock space was built")
+
+        monkeypatch.setattr(gft, "fock_for", refuse)
+        self.refused(capsys, ["gft-weyl", "--sweep", sweep], f"--sweep cutoff {cutoff} is listed more than once")
+
+    @pytest.mark.parametrize("norm, size", [("1e5", "1620300"), ("1e308", "unbounded at generator 1-norm inf")])
+    def test_weyl_norm_past_the_matvec_cap(self, capsys, norm, size):
+        """The Taylor steps grow with the norm, and at 1e308 its 1-norm overflows to infinity."""
+        start = time.perf_counter()
+        self.refused(capsys, ["gft-weyl", "--norm", norm],
+                     f"Weyl action matvecs (size {size} exceeds cap {gft.WEYL_MATVEC_CAP})")
+        assert time.perf_counter() - start < 5.0
+
     @pytest.mark.parametrize("argv, message", [
         (["gft-ccr", "--m", "2", "--n", "20", "--nmax", "0", "--trials", "20"], "no sector below the cutoff to test"),
         (["gft-weyl", "--m", "2", "--n", "20", "--nmax", "4"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxlab.errors import CapExceeded, InputError
+from ctxlab.errors import InputError
 from ctxlab.fincat import (
     Cone,
     Diagram,
@@ -345,12 +345,18 @@ class TestUniversalProperty:
         candidate = Cone(apex=["*"], legs={})
         assert check_universal_property(candidate, d, [Cone(apex=[0, 1], legs={})])
 
-    def test_search_cap_refusal(self):
+    def test_ten_element_limit_against_a_nine_element_cone(self):
+        """10**9 maps from the cone's apex, which a search over them would
+        refuse: element i maps to the family (i,) alone, so the limit is
+        universal, and a padded copy of (0,) gives element 0 two images."""
         d = Diagram(discrete_category(["p"]), {"p": list(range(10))})
         lim = limit_of_diagram(d)
         big = Cone(apex=list(range(9)), legs={"p": {i: i for i in range(9)}})
-        with pytest.raises(CapExceeded):
-            check_universal_property(lim, d, [big], search_cap=10)
+        assert check_cone(big, d).ok
+        assert check_universal_property(lim, d, [big])
+        padded = Cone(apex=lim.apex + ["pad"], legs={"p": {**lim.legs["p"], "pad": 0}})
+        assert check_cone(padded, d).ok
+        assert not check_universal_property(padded, d, [big])
 
 
 def category_spec(c: FinCategory) -> dict:

@@ -11,6 +11,7 @@ from ctxlab.errors import CapExceeded, DomainError, InputError
 from ctxlab.fincat import check_cone, check_diagram
 from ctxlab.gft import (
     FOCK_CAP,
+    WEYL_MATVEC_CAP,
     PolyhedronSpace,
     TruncatedFock,
     _weyl_apply,
@@ -319,6 +320,18 @@ class TestWeyl:
             commutator = sector_norm(wf @ wg - wg @ wf, fock, cap)
             assert abs(weyl_relation_defect(f, g, fock, cap) - relation) < 1e-12
             assert abs(weyl_commutator_defect(f, g, fock, cap) - commutator) < 1e-12
+
+    @pytest.mark.parametrize("norm, size", [(1e4, int), (1e300, int), (1e308, str)])
+    def test_taylor_work_over_the_cap_is_refused_before_any_matvec(self, rng, norm, size):
+        """The Taylor steps grow with ||G||_1, so with the norm, and at 1e308
+        ||G||_1 overflows to infinity.  ``cols`` is None, so a matvec, or the
+        first step's norm of it, would raise TypeError."""
+        f = random_fn(rng, norm=norm)
+        with pytest.raises(CapExceeded) as refused:
+            _weyl_apply(f, fock_for(SPACE, 4), None)
+        assert refused.value.cap == WEYL_MATVEC_CAP
+        assert isinstance(refused.value.size, size)
+        assert size is str or refused.value.size > WEYL_MATVEC_CAP
 
     def test_sector_cap_must_sit_below_cutoff(self, rng):
         fock = fock_for(SPACE, 2)
