@@ -156,7 +156,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
         if args.restrictions:
             report["compatible_points"] = len(cone.apex)
         if args.check_universal:
-            cones = fincat.enumerate_cones(diagram, args.apex_bound)
+            cones = fincat.enumerate_cones(diagram, 1)
             report["universal"] = fincat.check_universal_property(cone, diagram, cones)
             report["apex_bound"] = args.apex_bound
     emit(report)
@@ -330,7 +330,7 @@ def cmd_gft_weyl(args: argparse.Namespace) -> int:
     f *= args.norm / np.sqrt(abs(gft.inner_product(f, f, space)))
     g *= args.norm / np.sqrt(abs(gft.inner_product(g, g, space)))
     table = {}
-    for nmax, fock in zip(cutoffs, focks):
+    for nmax, fock in sorted(zip(cutoffs, focks), reverse=True):  # largest ||G||_1 first: refuse before any work
         table[str(nmax)] = float(np.round(gft.weyl_relation_defect(f, g, fock, args.sector_cap), 14))
     report = {
         "m": args.m,
@@ -410,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed of the gft-ccr and gft-weyl test functions")
     parser.add_argument("--carrier-cap", type=int, default=CARRIER_CAP)
     parser.add_argument("--sign-cap", type=int, default=realism.SIGN_SEARCH_CAP)
-    parser.add_argument("--apex-bound", type=int, default=4)
+    parser.add_argument("--apex-bound", type=int, default=4,
+                        help="reported by limit --check-universal; changes no work: one-point cones decide every size")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("cat-check", help="validate a category, functor, or diagram JSON file")

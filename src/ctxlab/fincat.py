@@ -4,15 +4,17 @@ Categories are given by exhaustive data: object labels, hom-sets as lists
 of morphism labels, a composition table, and identity assignments.  All
 laws are checked by enumeration, never assumed.  Diagrams land in the
 concrete setting of finite carrier sets and total maps, which makes limits
-computable, cones enumerable by brute force, and the universal property a
-count of matching apex elements.
+computable, one-point cones enumerable by brute force, every cone a tuple
+of them, and the universal property a count of leg tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import CapExceeded, InputError
 from .validation import ValidationReport, array, label_table, labels, member, members
 
-# raw leg assignments that cone enumeration may test
+# raw one-point leg assignments that cone enumeration may test, and cones of one apex size it may list
 SEARCH_CAP = 5_000_000
 # raw leg assignments evaluated per array step
 CONE_CHUNK = 1 << 14
@@ -438,44 +440,43 @@ def _arrow_tables(d: Diagram, objects: list) -> list:
     return tables
 
 
-def _cone_mask(digits: np.ndarray, k: int, tables: list) -> np.ndarray:
-    """Which raw leg assignments are cones.  A row holds, object by object,
-    the carrier positions of the legs at apex elements 0..k-1; it is a cone
-    iff every arrow's table agrees at every apex element."""
-    keep = np.ones(len(digits), dtype=bool)
-    for i, j, agrees in tables:
-        keep &= agrees[digits[:, i * k : (i + 1) * k], digits[:, j * k : (j + 1) * k]].all(axis=1)
-    return keep
+def _one_point_cones(d: Diagram, objects: list) -> list[tuple]:
+    """The cones with apex {0}, as carrier positions ordered like ``objects``,
+    in ``itertools.product`` order: the raw position tuples at which every
+    arrow's table agrees, in chunks of ``CONE_CHUNK``.  Refuses (CapExceeded)
+    a raw count above ``SEARCH_CAP`` before any map is read."""
+    radices = [len(d.carriers[o]) for o in objects]
+    total = math.prod(max(1, n) for n in radices)
+    if total > SEARCH_CAP:
+        raise CapExceeded("cone enumeration at apex size 1", total, SEARCH_CAP)
+    tables = _arrow_tables(d, objects)
+    points = []
+    for digits in _product_digits(radices):
+        keep = np.ones(len(digits), dtype=bool)
+        for i, j, agrees in tables:
+            keep &= agrees[digits[:, i], digits[:, j]]
+        points += map(tuple, digits[keep].tolist())
+    return points
 
 
 def enumerate_cones(d: Diagram, max_apex_size: int) -> list[Cone]:
     """All cones with abstract apex {0..k-1}, k <= max_apex_size.
 
-    Legs are enumerated exhaustively, in ``itertools.product`` order over
-    the objects' leg tuples, and filtered by the cone condition, evaluated
-    as integer arrays in chunks of ``CONE_CHUNK`` assignments.  Refuses
-    (CapExceeded) when the raw leg count would pass ``SEARCH_CAP``.
+    A k-cone's legs at each apex element form a one-point cone, so the
+    k-cones are the k-tuples of one-point cones, listed in the order of a
+    raw scan over the objects' leg tuples.  Refuses (CapExceeded) when the
+    one-point scan, or the k-tuples at some k, would pass ``SEARCH_CAP``.
     """
     objects = list(d.index.objects)
-    carriers = [d.carriers[o] for o in objects]
+    points = _one_point_cones(d, objects) if max_apex_size > 0 else []
     cones = []
-    tables = None
     for k in range(max_apex_size + 1):
-        total = 1
-        for carrier in carriers:
-            total *= max(1, len(carrier)) ** k
-        if total > SEARCH_CAP:
-            raise CapExceeded(f"cone enumeration at apex size {k}", total, SEARCH_CAP)
-        if tables is None:  # after the first cap test, which refuses before any map is read
-            tables = _arrow_tables(d, objects)
+        if len(points) ** k > SEARCH_CAP:
+            raise CapExceeded(f"cone enumeration at apex size {k}", len(points) ** k, SEARCH_CAP)
         apex = list(range(k))
-        for digits in _product_digits([len(c) for c in carriers for _ in apex]):
-            for row in digits[_cone_mask(digits, k, tables)].tolist():
-                legs = {
-                    o: dict(zip(apex, [carrier[p] for p in row[i * k : (i + 1) * k]]))
-                    for i, (o, carrier) in enumerate(zip(objects, carriers))
-                }
-                cones.append(Cone(apex=apex, legs=legs))
+        for t in sorted(itertools.product(points, repeat=k), key=lambda t: list(zip(*t))):
+            legs = {o: {a: d.carriers[o][p[i]] for a, p in enumerate(t)} for i, o in enumerate(objects)}
+            cones.append(Cone(apex=apex, legs=legs))
     return cones
 
 
@@ -484,16 +485,13 @@ def check_universal_property(candidate: Cone, d: Diagram, cones: list[Cone]) -> 
 
     A map h from a cone's apex to the candidate's mediates iff, at each
     apex element a alone, the candidate's legs at h(a) equal the cone's
-    legs at a.  So the mediating maps number the product of each apex
-    element's count of such candidate elements, and there is exactly one
-    iff every count is one; an empty apex has one map, the empty one.
+    legs at a.  So there is exactly one iff each apex element's legs are
+    those of exactly one candidate element; an empty apex has one map, the
+    empty one.  Legs are hashable labels, counted once per candidate.
     """
     objects = list(d.index.objects)
-    return all(
-        sum(all(candidate.legs[o][c] == cone.legs[o][a] for o in objects) for c in candidate.apex) == 1
-        for cone in cones
-        for a in cone.apex
-    )
+    counts = Counter(tuple(candidate.legs[o][c] for o in objects) for c in candidate.apex)
+    return all(counts[tuple(cone.legs[o][a] for o in objects)] == 1 for cone in cones for a in cone.apex)
 
 
 # ---------------------------------------------------------------------------

@@ -287,39 +287,43 @@ _THETA = {
 }
 
 
-def _weyl_apply(fv: np.ndarray, fock: TruncatedFock, cols: np.ndarray) -> np.ndarray:
-    """W(f) @ cols, W(f) = exp(G) with G = i/sqrt(2) (field(f) + field(f)*),
-    by s steps of a degree-m Taylor series of exp(G / s).
+def _weyl_action(fv: np.ndarray, fock: TruncatedFock):
+    """The map cols -> W(f) @ cols, W(f) = exp(G) with G = i/sqrt(2) (field(f)
+    + field(f)*), by s steps of a degree-m Taylor series of exp(G / s).
 
     (m, s) takes the fewest matvecs m * s with ||G||_1 / s <= theta_m, and a
     step stops early once two successive terms fall below the unit roundoff
     of the partial sum: algorithm 3.2 of Al-Mohy and Higham, as scipy runs
     it, but on the exact 1-norm at every norm, so it draws no random numbers.
     Refuses (CapExceeded) a non-finite ||G||_1, or m * s above
-    ``WEYL_MATVEC_CAP``, before the first matvec: s grows with ||G||_1.
+    ``WEYL_MATVEC_CAP``, here, before the map runs: s grows with ||G||_1.
     """
     psi = field_operator(fv, fock)
     g = 1j / np.sqrt(2.0) * (psi + dagger(psi))
     norm = abs(g).sum(axis=0).max()
     if norm == 0:
-        return cols
+        return lambda cols: cols
     if not np.isfinite(norm):
         raise CapExceeded("Weyl action matvecs", f"unbounded at generator 1-norm {norm}", WEYL_MATVEC_CAP)
     m, s = min(((m, ceil(norm / theta)) for m, theta in _THETA.items()), key=lambda ms: ms[0] * ms[1])
     if m * s > WEYL_MATVEC_CAP:
         raise CapExceeded("Weyl action matvecs", m * s, WEYL_MATVEC_CAP)
-    out = term = cols
-    for _ in range(s):
-        c1 = abs(term).sum(axis=1).max()  # the infinity norm, as np.linalg.norm sums it
-        for j in range(1, m + 1):
-            term = (1.0 / (s * j)) * (g @ term)
-            c2 = abs(term).sum(axis=1).max()
-            out = out + term
-            if c1 + c2 <= 2.0**-53 * abs(out).sum(axis=1).max():
-                break
-            c1 = c2
-        term = out
-    return out
+
+    def apply(cols: np.ndarray) -> np.ndarray:
+        out = term = cols
+        for _ in range(s):
+            c1 = abs(term).sum(axis=1).max()  # the infinity norm, as np.linalg.norm sums it
+            for j in range(1, m + 1):
+                term = (1.0 / (s * j)) * (g @ term)
+                c2 = abs(term).sum(axis=1).max()
+                out = out + term
+                if c1 + c2 <= 2.0**-53 * abs(out).sum(axis=1).max():
+                    break
+                c1 = c2
+            term = out
+        return out
+
+    return apply
 
 
 def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
@@ -328,25 +332,22 @@ def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
     The phase is exp(-i Im(f, fp) / 2); the defect shrinks toward zero as
     the occupation cutoff grows at fixed arguments and sector cap.  Both
     sides act on the sector's columns only: W(f) (W(fp) P) and W(f + fp) P,
-    whose rows in the sector form the compressed difference.
+    whose rows in the sector form the compressed difference.  All three
+    actions are formed, and any refused, before the first matvec.
     """
     keep, cols = _sector_columns(fock, sector_cap)
     fv = _coerce_fn(f, fock.modes)
     gv = _coerce_fn(fp, fock.modes)
-    lhs = _weyl_apply(fv, fock, _weyl_apply(gv, fock, cols))
-    rhs = _weyl_apply(fv + gv, fock, cols)
+    wg, wf, wsum = (_weyl_action(v, fock) for v in (gv, fv, fv + gv))  # in the order they are applied
     phase = np.exp(-0.5j * weighted_inner(fv, gv, fock.mode_weight).imag)
-    return opnorm((lhs - phase * rhs)[:keep])
+    return opnorm((wf(wg(cols)) - phase * wsum(cols))[:keep])
 
 
 def weyl_commutator_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
     """Compressed norm of W(f) W(fp) - W(fp) W(f), on the sector's columns."""
     keep, cols = _sector_columns(fock, sector_cap)
-    fv = _coerce_fn(f, fock.modes)
-    gv = _coerce_fn(fp, fock.modes)
-    lhs = _weyl_apply(fv, fock, _weyl_apply(gv, fock, cols))
-    rhs = _weyl_apply(gv, fock, _weyl_apply(fv, fock, cols))
-    return opnorm((lhs - rhs)[:keep])
+    wg, wf = (_weyl_action(_coerce_fn(v, fock.modes), fock) for v in (fp, f))
+    return opnorm((wf(wg(cols)) - wg(wf(cols)))[:keep])
 
 
 def is_gft_context(fs: list, space: PolyhedronSpace) -> bool:

@@ -286,6 +286,25 @@ class TestSubcommands:
         assert report["universal"] is True
         assert report["compatible_points"] == 4
 
+    def test_limit_of_four_seeds_at_the_default_apex_bound(self, capsys, families):
+        """16 compatible families: cones of apex size 2 were 16,777,216 raw
+        assignments, over the cone cap, so this exited 2."""
+        code, out = run(capsys, ["limit", "--algebra", families["pauli"], "--seeds", "ZI,IZ,XI,IX",
+                                 "--restrictions", "--check-universal"])
+        report = json.loads(out)
+        assert code == 0 and report["universal"] is True and report["compatible_points"] == 16
+        assert report["apex_bound"] == 4
+
+    def test_universality_of_4096_discrete_families_in_bounded_time(self, capsys, families):
+        """Without restrictions the diagram is discrete: 4,096 families
+        against 4,097 cones took 21 s when each cone element was compared
+        with every family."""
+        start = time.perf_counter()
+        code, out = run(capsys, ["--apex-bound", "1", "limit", "--algebra", families["pauli"],
+                                 "--seeds", "ZI,IZ,XI,IX", "--check-universal"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and json.loads(out)["universal"] is True
+
     def test_custom_net_spec(self, capsys, tmp_path):
         z0 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
         z1 = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
@@ -478,6 +497,23 @@ class TestGftArguments:
         self.refused(capsys, ["gft-weyl", "--norm", norm],
                      f"Weyl action matvecs (size {size} exceeds cap {gft.WEYL_MATVEC_CAP})")
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("argv", [["gft-weyl", "--norm", "6000"], ["gft-weyl", "--sweep", "2,4", "--norm", "6000"]],
+                             ids=["sum-alone", "sweep-largest-cutoff"])
+    def test_a_refused_weyl_run_applies_no_action(self, capsys, monkeypatch, argv):
+        """At --norm 6000 only W(f + fp) at cutoff 4 passes the matvec cap.
+        W(fp) and W(f), and the whole of cutoff 2, were applied before the
+        refusal: 4.5 s at the default cutoff."""
+        applied = []
+        action = gft._weyl_action
+
+        def counted(fv, fock):
+            apply = action(fv, fock)
+            return lambda cols: applied.append(fock.n_max) or apply(cols)
+
+        monkeypatch.setattr(gft, "_weyl_action", counted)
+        self.refused(capsys, argv, f"Weyl action matvecs (size 119130 exceeds cap {gft.WEYL_MATVEC_CAP})")
+        assert applied == []
 
     @pytest.mark.parametrize("argv, message", [
         (["gft-ccr", "--m", "2", "--n", "20", "--nmax", "0", "--trials", "20"], "no sector below the cutoff to test"),

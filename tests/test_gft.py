@@ -14,7 +14,7 @@ from ctxlab.gft import (
     WEYL_MATVEC_CAP,
     PolyhedronSpace,
     TruncatedFock,
-    _weyl_apply,
+    _weyl_action,
     ccr_defect,
     copy_padding,
     field_operator,
@@ -256,19 +256,19 @@ class TestCCR:
 
 
 class TestWeyl:
-    """The Taylor action ``_weyl_apply`` on identity or vacuum columns,
+    """The Taylor action ``_weyl_action`` on identity or vacuum columns,
     against the Weyl relations and the dense ``expm`` oracle."""
 
     def test_zero_function_gives_identity(self):
         fock = fock_for(SPACE, 2)
         eye = np.eye(fock.dim, dtype=complex)
-        assert np.array_equal(_weyl_apply(np.zeros(SPACE.size, dtype=complex), fock, eye), eye)
+        assert np.array_equal(_weyl_action(np.zeros(SPACE.size, dtype=complex), fock)(eye), eye)
 
     def test_unitarity(self, rng):
         fock = fock_for(SPACE, 3)
         for _ in range(3):
             f = random_fn(rng)
-            w = _weyl_apply(f, fock, np.eye(fock.dim, dtype=complex))
+            w = _weyl_action(f, fock)(np.eye(fock.dim, dtype=complex))
             assert opnorm(w @ dagger(w) - np.eye(fock.dim)) < 1e-10
             assert np.abs(w - dense_weyl(f, fock)).max() < 1e-12
 
@@ -280,7 +280,7 @@ class TestWeyl:
         for n_max in (2, 4, 6):
             fock = fock_for(SPACE, n_max)
             vac = unit_fn(0, fock.dim)
-            errors.append(abs(np.vdot(vac, _weyl_apply(f, fock, vac[:, None])[:, 0]) - target))
+            errors.append(abs(np.vdot(vac, _weyl_action(f, fock)(vac[:, None])[:, 0]) - target))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-8
 
@@ -324,11 +324,11 @@ class TestWeyl:
     @pytest.mark.parametrize("norm, size", [(1e4, int), (1e300, int), (1e308, str)])
     def test_taylor_work_over_the_cap_is_refused_before_any_matvec(self, rng, norm, size):
         """The Taylor steps grow with ||G||_1, so with the norm, and at 1e308
-        ||G||_1 overflows to infinity.  ``cols`` is None, so a matvec, or the
-        first step's norm of it, would raise TypeError."""
+        ||G||_1 overflows to infinity.  The action is refused as it is
+        formed, before it is given any columns."""
         f = random_fn(rng, norm=norm)
         with pytest.raises(CapExceeded) as refused:
-            _weyl_apply(f, fock_for(SPACE, 4), None)
+            _weyl_action(f, fock_for(SPACE, 4))
         assert refused.value.cap == WEYL_MATVEC_CAP
         assert isinstance(refused.value.size, size)
         assert size is str or refused.value.size > WEYL_MATVEC_CAP

@@ -1528,14 +1528,27 @@ class TestConeOracle:
     @settings(max_examples=60, deadline=None)
     @given(d=small_diagrams(), cap=st.sampled_from([SEARCH_CAP, 0, 1, 4, 16, 64]))
     def test_enumerated_cones(self, chunk, d, cap):
+        """The reference's cones in its order, which the 2,000 budget keeps
+        under ``SEARCH_CAP``.  At a patched cap, the refusal of the first size
+        over it: the one-point scan's raw count, then n**k for n one-point
+        cones and k up to the bound; and an answer wherever the reference
+        answers at that cap."""
         k = apex_bound([len(c) for c in d.carriers.values()])
-        kind, expected = outcome(reference_enumerate_cones, d, k, cap)
+        expected = reference_enumerate_cones(d, k)
         with fincat_constant("CONE_CHUNK", chunk), fincat_constant("SEARCH_CAP", cap):
             found_kind, found = outcome(enumerate_cones, d, k)
-        assert found_kind == kind
-        assert (cone_record(found) if kind == "value" else found) == (
-            cone_record(expected) if kind == "value" else expected
-        )
+        raw = math.prod(max(1, len(c)) for c in d.carriers.values())
+        n = sum(len(c.apex) == 1 for c in expected)
+        sizes = [(1, raw)] * (k > 0) + [(j, n**j) for j in range(k + 1)]
+        refusal = next(((j, size) for j, size in sizes if size > cap), None)
+        if refusal is None:
+            assert found_kind == "value" and cone_record(found) == cone_record(expected)
+        else:
+            j, size = refusal
+            assert found_kind == "CapExceeded"
+            assert found == f"cone enumeration at apex size {j} (size {size} exceeds cap {cap})"
+        if outcome(reference_enumerate_cones, d, k, cap)[0] == "value":
+            assert found_kind == "value"
 
     @settings(max_examples=150, deadline=None)
     @given(d=small_diagrams(), data=st.data())
@@ -1549,25 +1562,21 @@ class TestConeOracle:
         # at most 300 maps per listed cone, so the search never reaches its cap
         expected = reference_check_universal_property(candidate, d, listed, SEARCH_CAP)
         assert check_universal_property(candidate, d, listed) == expected
+        # every cone's apex elements are one-point cones: those alone decide the verdict
+        one_point = [c for c in cones if len(c.apex) == 1]
+        assert check_universal_property(candidate, d, cones) == check_universal_property(candidate, d, one_point)
 
     @settings(max_examples=100, deadline=None)
     @given(d=small_diagrams())
     def test_array_filter_matches_check_cone_on_every_raw_assignment(self, d):
+        """At apex size 1, the size every cone is a tuple of: a raw position
+        tuple is kept, in product order, iff ``check_cone`` accepts its cone."""
         objects = list(d.index.objects)
-        tables = fincat._arrow_tables(d, objects)
-        for k in range(apex_bound([len(d.carriers[o]) for o in objects]) + 1):
-            apex = list(range(k))
-            raw = list(itertools.product(*[list(itertools.product(d.carriers[o], repeat=k)) for o in objects]))
-            chunks = list(fincat._product_digits([len(d.carriers[o]) for o in objects for _ in apex]))
-            digits = np.concatenate(chunks) if chunks else np.zeros((0, len(objects) * k), dtype=np.int64)
-            assert len(digits) == len(raw)
-            mask = fincat._cone_mask(digits, k, tables)
-            for row, combo, keep in zip(digits.tolist(), raw, mask.tolist()):
-                assert [d.carriers[o][p] for i, o in enumerate(objects) for p in row[i * k : (i + 1) * k]] == [
-                    x for leg in combo for x in leg
-                ]
-                cone = Cone(apex=apex, legs={o: dict(zip(apex, combo[i])) for i, o in enumerate(objects)})
-                assert keep == check_cone(cone, d).ok
+        raw = itertools.product(*[range(len(d.carriers[o])) for o in objects])
+        kept = [row for row in raw
+                if check_cone(Cone(apex=[0], legs={o: {0: d.carriers[o][p]} for o, p in zip(objects, row)}), d).ok]
+        with fincat_constant("CONE_CHUNK", 7):
+            assert fincat._one_point_cones(d, objects) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -2668,7 +2677,7 @@ class TestWeylActionOracle:
         f = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
         f *= norm / np.sqrt(abs(gft.inner_product(f, f, space)))
         _, cols = gft._sector_columns(fock, min(cap, fock.n_max - 1))
-        found = gft._weyl_apply(f, fock, cols)
+        found = gft._weyl_action(f, fock)(cols)
         assert np.abs(found - reference_weyl_apply(f, fock, cols)).max() <= 1e-14
 
     def test_benchmark_reports_are_byte_equal(self, capsys, monkeypatch):
@@ -2681,7 +2690,7 @@ class TestWeylActionOracle:
         for argv in argvs:
             assert main(argv) == 0
             found.append(capsys.readouterr().out)
-        monkeypatch.setattr(gft, "_weyl_apply", reference_weyl_apply)
+        monkeypatch.setattr(gft, "_weyl_action", lambda fv, fock: functools.partial(reference_weyl_apply, fv, fock))
         for argv, report in zip(argvs, found):
             assert main(argv) == 0
             assert capsys.readouterr().out == report, argv
