@@ -338,7 +338,9 @@ def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
     keep, cols = _sector_columns(fock, sector_cap)
     fv = _coerce_fn(f, fock.modes)
     gv = _coerce_fn(fp, fock.modes)
-    wg, wf, wsum = (_weyl_action(v, fock) for v in (gv, fv, fv + gv))  # in the order they are applied
+    with np.errstate(over="ignore"):  # an overflowed sum has an infinite 1-norm, which _weyl_action refuses
+        total = fv + gv
+    wg, wf, wsum = (_weyl_action(v, fock) for v in (gv, fv, total))  # in the order they are applied
     phase = np.exp(-0.5j * weighted_inner(fv, gv, fock.mode_weight).imag)
     return opnorm((wf(wg(cols)) - phase * wsum(cols))[:keep])
 
