@@ -156,8 +156,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
         if args.restrictions:
             report["compatible_points"] = len(cone.apex)
         if args.check_universal:
-            cones = fincat.enumerate_cones(diagram, 1)
-            report["universal"] = fincat.check_universal_property(cone, diagram, cones)
+            points = fincat.one_point_cone_tuple(diagram)
+            report["universal"] = fincat.check_universal_property(cone, diagram, [points])
             report["apex_bound"] = args.apex_bound
     emit(report)
     return 0 if report.get("universal", True) else 1

@@ -4,15 +4,15 @@ Categories are given by exhaustive data: object labels, hom-sets as lists
 of morphism labels, a composition table, and identity assignments.  All
 laws are checked by enumeration, never assumed.  Diagrams land in the
 concrete setting of finite carrier sets and total maps, which makes limits
-computable, one-point cones enumerable by brute force, every cone a tuple
-of them, and the universal property a count of leg tuples.
+computable, one-point cones enumerable by an ordered join over the
+objects, every cone a tuple of them, and the universal property a count of
+leg tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,10 +22,8 @@ import numpy as np
 from .errors import CapExceeded, InputError
 from .validation import ValidationReport, array, label_table, labels, member, members
 
-# raw one-point leg assignments that cone enumeration may test, and cones of one apex size it may list
+# rows that one step of the one-point cone join may form, and cones of one apex size it may list
 SEARCH_CAP = 5_000_000
-# raw leg assignments evaluated per array step
-CONE_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +406,6 @@ def limit_of_diagram(d: Diagram) -> Cone:
     return Cone(apex=families, legs=legs)
 
 
-def _product_digits(radices: list):
-    """The tuples of ``itertools.product(*map(range, radices))``, in that
-    order, as rows of integer arrays of at most ``CONE_CHUNK`` rows."""
-    total = math.prod(radices)
-    for start in range(0, total, CONE_CHUNK):
-        rest = np.arange(start, min(total, start + CONE_CHUNK), dtype=np.int64)
-        digits = np.empty((len(rest), len(radices)), dtype=np.int64)
-        for col in range(len(radices) - 1, -1, -1):
-            rest, digits[:, col] = np.divmod(rest, radices[col])
-        yield digits
-
-
 def _arrow_tables(d: Diagram, objects: list) -> list:
     """``(src, dst, agrees)`` per non-identity arrow, with object positions
     and ``agrees[p, q]`` true iff the arrow's map sends carrier element p of
@@ -440,23 +426,33 @@ def _arrow_tables(d: Diagram, objects: list) -> list:
     return tables
 
 
-def _one_point_cones(d: Diagram, objects: list) -> list[tuple]:
-    """The cones with apex {0}, as carrier positions ordered like ``objects``,
-    in ``itertools.product`` order: the raw position tuples at which every
-    arrow's table agrees, in chunks of ``CONE_CHUNK``.  Refuses (CapExceeded)
-    a raw count above ``SEARCH_CAP`` before any map is read."""
-    radices = [len(d.carriers[o]) for o in objects]
-    total = math.prod(max(1, n) for n in radices)
-    if total > SEARCH_CAP:
-        raise CapExceeded("cone enumeration at apex size 1", total, SEARCH_CAP)
+def one_point_cone_tuple(d: Diagram) -> Cone:
+    """The cone whose apex is every cone with apex {0}, each given as its
+    carrier positions ordered like ``d.index.objects``, in
+    ``itertools.product`` order; each leg reads its position's element.
+
+    An ordered join: the objects are added in index order, and after each
+    one the rows on which an arrow whose later end it is disagrees are
+    dropped, so every prefix kept passes the arrows among its objects.
+    Refuses (CapExceeded) a step whose rows times the next carrier would
+    pass ``SEARCH_CAP``, before forming it."""
+    objects = list(d.index.objects)
+    sizes = [len(d.carriers[o]) for o in objects]
     tables = _arrow_tables(d, objects)
-    points = []
-    for digits in _product_digits(radices):
-        keep = np.ones(len(digits), dtype=bool)
-        for i, j, agrees in tables:
-            keep &= agrees[digits[:, i], digits[:, j]]
-        points += map(tuple, digits[keep].tolist())
-    return points
+    dtype = np.min_scalar_type(max(sizes, default=0))
+    rows = np.zeros((1, 0), dtype=dtype)
+    for j, n in enumerate(sizes):
+        if len(rows) * n > SEARCH_CAP:
+            raise CapExceeded("cone enumeration at apex size 1", len(rows) * n, SEARCH_CAP)
+        grown = np.empty((len(rows), n, j + 1), dtype=dtype)
+        grown[:, :, :j] = rows[:, None]
+        grown[:, :, j] = np.arange(n)
+        rows = grown.reshape(-1, j + 1)
+        for src, dst, agrees in tables:
+            if max(src, dst) == j:
+                rows = rows[agrees[rows[:, src], rows[:, dst]]]
+    apex = list(map(tuple, rows.tolist()))
+    return Cone(apex=apex, legs={o: {t: d.carriers[o][t[i]] for t in apex} for i, o in enumerate(objects)})
 
 
 def enumerate_cones(d: Diagram, max_apex_size: int) -> list[Cone]:
@@ -464,11 +460,12 @@ def enumerate_cones(d: Diagram, max_apex_size: int) -> list[Cone]:
 
     A k-cone's legs at each apex element form a one-point cone, so the
     k-cones are the k-tuples of one-point cones, listed in the order of a
-    raw scan over the objects' leg tuples.  Refuses (CapExceeded) when the
-    one-point scan, or the k-tuples at some k, would pass ``SEARCH_CAP``.
+    raw scan over the objects' leg tuples.  Refuses (CapExceeded) when a
+    step of the one-point join, or the k-tuples at some k, would pass
+    ``SEARCH_CAP``.
     """
     objects = list(d.index.objects)
-    points = _one_point_cones(d, objects) if max_apex_size > 0 else []
+    points = one_point_cone_tuple(d).apex if max_apex_size > 0 else []
     cones = []
     for k in range(max_apex_size + 1):
         if len(points) ** k > SEARCH_CAP:

@@ -305,6 +305,14 @@ class TestSubcommands:
         assert time.perf_counter() - start < 5.0
         assert code == 0 and json.loads(out)["universal"] is True
 
+    def test_universality_of_mermin_peres_with_yi(self, capsys, families):
+        """The Mermin-Peres square and YI: 268,435,456 raw leg assignments,
+        which the raw scan refused with exit 2, and no compatible family."""
+        code, out = run(capsys, ["--carrier-cap", "300000000", "limit", "--algebra", families["pauli"],
+                                 "--seeds", "XI,IX,XX,IZ,ZI,ZZ,XZ,ZX,YY,YI", "--restrictions", "--check-universal"])
+        report = json.loads(out)
+        assert code == 0 and report["universal"] is True and report["compatible_points"] == 0
+
     def test_custom_net_spec(self, capsys, tmp_path):
         z0 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
         z1 = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]

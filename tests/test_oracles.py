@@ -64,6 +64,7 @@ from ctxlab.fincat import (
     check_universal_property,
     enumerate_cones,
     limit_of_diagram,
+    one_point_cone_tuple,
     solve_constraints,
 )
 from ctxlab.fixtures import peres24_fixture
@@ -1230,16 +1231,22 @@ class TestAtomCategoryOracle:
 # object reached by two adapters over one search
 
 
-def limit_families(cc) -> list:
-    """The families of the limit of ``cc``'s restriction diagram, as tuples
-    in ``cc.ids()`` order.  A product carrier past ``CARRIER_CAP`` is made
-    without ``build_limit_extension``'s refusal: no point is listed."""
+def restriction_diagram(cc) -> Diagram:
+    """``cc``'s restriction diagram, its objects in ``cc.ids()`` order.  A
+    product carrier past ``CARRIER_CAP`` is made without
+    ``build_limit_extension``'s refusal: no point is listed."""
     ids = cc.ids()
     carrier = ProductSpectrum(ids, [len(cc.spectra[cid]) for cid in ids])
     ext = build_limit_extension(cc) if carrier.size <= CARRIER_CAP else ExtendedAlgebra(cc, carrier)
     diagram = spectrum_diagram(ext, with_restrictions=True)
     assert list(diagram.index.objects) == ids
-    return limit_of_diagram(diagram).apex
+    return diagram
+
+
+def limit_families(cc) -> list:
+    """The families of the limit of ``cc``'s restriction diagram, as tuples
+    in ``cc.ids()`` order."""
+    return limit_of_diagram(restriction_diagram(cc)).apex
 
 
 def assert_limit_is_the_global_sections(cc) -> int:
@@ -1248,6 +1255,20 @@ def assert_limit_is_the_global_sections(cc) -> int:
     assert len(set(families)) == len(families) and len(set(sections)) == len(sections)
     assert set(families) == set(sections)
     return len(families)
+
+
+# the Mermin-Peres square (Mermin 1990; Peres 1990): rows, then columns, of two-qubit strings
+MERMIN_PERES_LINES = [("XI", "IX", "XX"), ("IZ", "ZI", "ZZ"), ("XZ", "ZX", "YY"),
+                      ("XI", "IZ", "XZ"), ("IX", "ZI", "ZX"), ("XX", "ZZ", "YY")]
+MERMIN_PERES = ["XI", "IX", "XX", "IZ", "ZI", "ZZ", "XZ", "ZX", "YY"]
+
+
+def pauli_seeds(words) -> list:
+    return [pauli_string(dict(enumerate(w)), len(w)) for w in words]
+
+
+def pauli_category(words):
+    return context_category(full_matrix_algebra(2 ** len(words[0])), pauli_seeds(words))
 
 
 class TestLimitAgainstGlobalSections:
@@ -1268,6 +1289,51 @@ class TestLimitAgainstGlobalSections:
         assert math.prod(len(chars) for chars in cc.spectra.values()) > CARRIER_CAP
         sections = assert_limit_is_the_global_sections(cc)
         assert (sections == 0) == (count is None)
+
+    def test_mermin_peres_square(self):
+        """The square's rows and columns are its maximal contexts.  Each
+        string lies in two lines and the line products multiply to -I, so
+        no +-1 assignment fits every line (Mermin 1990; Peres 1990): no
+        family, no section and no one-point cone."""
+        cc = pauli_category(MERMIN_PERES)
+        assert sorted(sorted(MERMIN_PERES[i] for i in cc.generators[cid]) for cid in cc.ids()
+                      if cc.generators[cid]) == sorted(sorted(line) for line in MERMIN_PERES_LINES)
+        assert all(sum(w in line for line in MERMIN_PERES_LINES) % 2 == 0 for w in MERMIN_PERES)
+        signs = []
+        for line in MERMIN_PERES_LINES:
+            product = functools.reduce(np.matmul, pauli_seeds(line))
+            signs.append(product[0, 0].real)
+            assert np.array_equal(product, signs[-1] * np.eye(4))
+        assert math.prod(signs) == -1
+        assert assert_limit_is_the_global_sections(cc) == 0
+        assert one_point_cone_tuple(restriction_diagram(cc)).apex == []
+
+
+class TestOnePointConesPastTheRawScan:
+    """Cone listings whose raw leg product is past ``SEARCH_CAP`` while the
+    join's steps are not, or are past it by far less."""
+
+    def test_mermin_peres_with_yi_has_no_one_point_cone(self):
+        """268,435,456 raw leg assignments, which the raw scan refused."""
+        d = restriction_diagram(pauli_category(MERMIN_PERES + ["YI"]))
+        assert math.prod(len(c) for c in d.carriers.values()) == 268_435_456
+        assert [len(c.apex) for c in enumerate_cones(d, 1)] == [0]
+
+    def test_mermin_peres_with_yi_and_iy_is_refused_at_a_join_step(self):
+        """The raw product is 8,589,934,592; the join is refused at the
+        first step that would form more than ``SEARCH_CAP`` rows, in bounded
+        time and memory."""
+        d = restriction_diagram(pauli_category(MERMIN_PERES + ["YI", "IY"]))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapExceeded, match=re.escape("apex size 1 (size 8388608 exceeds cap 5000000)")):
+                enumerate_cones(d, 1)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 2.0 and peak < 200 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -1520,26 +1586,44 @@ def cone_record(cones) -> list:
     return [(c.apex, c.legs) for c in cones]
 
 
-CHUNKS = [1, 7, 64]  # 64 splits the larger searches and holds the smaller ones whole
+def passes_arrows(d, objects, row) -> bool:
+    """Whether the carrier positions ``row`` of ``objects`` pass every
+    non-identity arrow with both ends among them, as ``check_cone`` reads
+    a triangle."""
+    legs = {o: d.carriers[o][p] for o, p in zip(objects, row)}
+    idents = set(d.index.identities.values())
+    return all(legs[src] in d.map_of(m) and not legs[dst] != d.map_of(m)[legs[src]]
+               for m, (src, dst) in d.index.morphisms().items()
+               if m not in idents and src in legs and dst in legs)
+
+
+def join_steps(d) -> list:
+    """The rows each step of the one-point join forms: the raw prefixes
+    over the earlier objects that pass the arrows among them, times the
+    next object's carrier."""
+    objects = list(d.index.objects)
+    steps = []
+    for j, o in enumerate(objects):
+        prefixes = itertools.product(*[range(len(d.carriers[p])) for p in objects[:j]])
+        steps.append(sum(passes_arrows(d, objects[:j], row) for row in prefixes) * len(d.carriers[o]))
+    return steps
 
 
 class TestConeOracle:
-    @pytest.mark.parametrize("chunk", CHUNKS)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=180, deadline=None)
     @given(d=small_diagrams(), cap=st.sampled_from([SEARCH_CAP, 0, 1, 4, 16, 64]))
-    def test_enumerated_cones(self, chunk, d, cap):
+    def test_enumerated_cones(self, d, cap):
         """The reference's cones in its order, which the 2,000 budget keeps
         under ``SEARCH_CAP``.  At a patched cap, the refusal of the first size
-        over it: the one-point scan's raw count, then n**k for n one-point
-        cones and k up to the bound; and an answer wherever the reference
-        answers at that cap."""
+        over it: the rows of each step of the one-point join, then n**k for
+        n one-point cones and k up to the bound; and an answer wherever the
+        reference answers at that cap."""
         k = apex_bound([len(c) for c in d.carriers.values()])
         expected = reference_enumerate_cones(d, k)
-        with fincat_constant("CONE_CHUNK", chunk), fincat_constant("SEARCH_CAP", cap):
+        with fincat_constant("SEARCH_CAP", cap):
             found_kind, found = outcome(enumerate_cones, d, k)
-        raw = math.prod(max(1, len(c)) for c in d.carriers.values())
         n = sum(len(c.apex) == 1 for c in expected)
-        sizes = [(1, raw)] * (k > 0) + [(j, n**j) for j in range(k + 1)]
+        sizes = [(1, rows) for rows in (join_steps(d) if k > 0 else [])] + [(j, n**j) for j in range(k + 1)]
         refusal = next(((j, size) for j, size in sizes if size > cap), None)
         if refusal is None:
             assert found_kind == "value" and cone_record(found) == cone_record(expected)
@@ -1570,13 +1654,17 @@ class TestConeOracle:
     @given(d=small_diagrams())
     def test_array_filter_matches_check_cone_on_every_raw_assignment(self, d):
         """At apex size 1, the size every cone is a tuple of: a raw position
-        tuple is kept, in product order, iff ``check_cone`` accepts its cone."""
+        tuple is in the one-point cone tuple's apex, in product order, iff
+        ``check_cone`` accepts its cone; each leg reads the tuple's element,
+        and the tuple is itself a cone."""
         objects = list(d.index.objects)
         raw = itertools.product(*[range(len(d.carriers[o])) for o in objects])
         kept = [row for row in raw
                 if check_cone(Cone(apex=[0], legs={o: {0: d.carriers[o][p]} for o, p in zip(objects, row)}), d).ok]
-        with fincat_constant("CONE_CHUNK", 7):
-            assert fincat._one_point_cones(d, objects) == kept
+        cone = one_point_cone_tuple(d)
+        assert cone.apex == kept
+        assert cone.legs == {o: {t: d.carriers[o][t[i]] for t in kept} for i, o in enumerate(objects)}
+        assert check_cone(cone, d).ok
 
 
 # ---------------------------------------------------------------------------
