@@ -206,7 +206,7 @@ def cmd_ks_check(args: argparse.Namespace) -> int:
         "sections": len(sections),
         "section_limit": args.max_sections,
         "obstructed": len(sections) == 0,
-        "assignments": [s.assignment for s in sections],
+        "assignments": sections,
     }
     emit(report)
     return 0

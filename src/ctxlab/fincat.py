@@ -293,7 +293,6 @@ class Cone:
 def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
     """Verify every triangle over a diagram arrow commutes."""
     report = ValidationReport()
-    morphs = d.index.morphisms()
     for o in d.index.objects:
         if o not in cone.legs:
             report.add("cone.structure", f"missing leg at {o!r}")
@@ -311,10 +310,7 @@ def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
     if not report.ok:
         return report
 
-    idents = set(d.index.identities.values())
-    for m, (src, dst) in morphs.items():
-        if m in idents:
-            continue
+    for m, src, dst in d.index.arrows():
         table = d.map_of(m)
         for a in cone.apex:
             if cone.legs[src][a] not in table:
@@ -395,12 +391,7 @@ def limit_of_diagram(d: Diagram) -> Cone:
     """
     objects = list(d.index.objects)
     position = {o: i for i, o in enumerate(objects)}
-    idents = set(d.index.identities.values())
-    arrows = [
-        (position[src], position[dst], d.map_of(m))
-        for m, (src, dst) in d.index.morphisms().items()
-        if m not in idents
-    ]
+    arrows = [(position[src], position[dst], d.map_of(m)) for m, src, dst in d.index.arrows()]
     families = solve_constraints([d.carriers[o] for o in objects], arrows)
     legs = {o: {fam: fam[position[o]] for fam in families} for o in objects}
     return Cone(apex=families, legs=legs)
@@ -412,11 +403,8 @@ def _arrow_tables(d: Diagram, objects: list) -> list:
     src to carrier element q of dst; an element outside the map's table
     agrees with nothing, as in ``check_cone``."""
     position = {o: i for i, o in enumerate(objects)}
-    idents = set(d.index.identities.values())
     tables = []
-    for m, (src, dst) in d.index.morphisms().items():
-        if m in idents:
-            continue
+    for m, src, dst in d.index.arrows():
         table = d.map_of(m)
         agrees = np.zeros((len(d.carriers[src]), len(d.carriers[dst])), dtype=bool)
         for p, x in enumerate(d.carriers[src]):

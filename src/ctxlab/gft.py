@@ -57,9 +57,7 @@ def _coerce_fn(f, dim: int) -> np.ndarray:
 
 def inner_product(f, fp, space: PolyhedronSpace) -> complex:
     """Haar-weighted product sum, linear in the first argument."""
-    fv = _coerce_fn(f, space.size)
-    gv = _coerce_fn(fp, space.size)
-    return complex(space.haar * np.sum(fv * gv.conj()))
+    return weighted_inner(_coerce_fn(f, space.size), _coerce_fn(fp, space.size), space.haar)
 
 
 def weighted_inner(f, fp, weight: float) -> complex:

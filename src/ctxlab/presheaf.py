@@ -25,7 +25,7 @@ from .staralg import (
     Character,
     ContextCategory,
     MatrixStarAlgebra,
-    _cluster,
+    _gap_groups,
     check_dimension,
     context_category_from_groups,
     full_matrix_algebra,
@@ -51,13 +51,6 @@ class SpectralPresheaf:
     restrictions: dict
 
 
-@dataclass
-class GlobalSection:
-    """A choice of one character per context, consistent under restriction."""
-
-    assignment: dict
-
-
 def build_spectral_presheaf(cc: ContextCategory) -> SpectralPresheaf:
     """Fibers are the context spectra; a finer context's character
     restricts to the one coarser character whose projection overlaps its
@@ -66,7 +59,8 @@ def build_spectral_presheaf(cc: ContextCategory) -> SpectralPresheaf:
 
 
 def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
-    """Context-consistent character choices, by ``fincat.solve_constraints``.
+    """Context-consistent character choices, by ``fincat.solve_constraints``:
+    each a dict from context id to character index.
 
     Contexts are assigned most-constrained first (by comparability degree,
     ties by id), characters in index order.  Forward checking through the
@@ -84,10 +78,7 @@ def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
     position = {cid: i for i, cid in enumerate(order)}
     arrows = [(position[sup], position[sub], p.restrictions[(sub, sup)]) for sub, sup in pairs]
     domains = [range(len(p.fibers[cid])) for cid in order]
-    return [
-        GlobalSection({cid: choice[position[cid]] for cid in ids})
-        for choice in solve_constraints(domains, arrows, limit)
-    ]
+    return [{cid: choice[position[cid]] for cid in ids} for choice in solve_constraints(domains, arrows, limit)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +124,15 @@ def inner_daseinisation(p, v: MatrixStarAlgebra) -> np.ndarray:
 
 def _spectral_steps(a: np.ndarray, tol: float) -> list:
     """(eigenvalue, cumulative spectral projection) pairs, ascending; the
-    eigenvalues are grouped as characters are (``staralg._cluster``)."""
+    eigenvalues are grouped as characters are (``staralg._gap_groups``)."""
     w, vecs = np.linalg.eigh(a)
+    order, group = _gap_groups(w, tol)
     steps = []
     cum = np.zeros_like(a)
-    for group in _cluster(w, tol):
-        block = vecs[:, group]
+    for members in np.split(order, np.flatnonzero(np.diff(group)) + 1):
+        block = vecs[:, members]
         cum = cum + block @ dagger(block)
-        steps.append((float(w[group].mean()), cum.copy()))
+        steps.append((float(w[members].mean()), cum.copy()))
     return steps
 
 

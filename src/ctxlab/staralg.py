@@ -250,28 +250,33 @@ def _selfadjoint_spanning(stack: np.ndarray) -> tuple:
     return parts, norms[n:] > RANK_FLOOR, np.maximum(1.0, norms[:n])
 
 
-def _cluster(values: np.ndarray, tol: float) -> list:
-    """Group sorted real values whose gaps stay below ``spectral_tol(tol)``
-    times the larger of 1 and the largest magnitude."""
-    order = np.argsort(values)
-    scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
-    gap = spectral_tol(tol) * scale
-    groups = [[order[0]]] if values.size else []
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
+def _gap_groups(values: np.ndarray, tol: float, starts=None) -> tuple:
+    """The grouping of eigenvalues and readings, within each run
+    ``starts[k]:starts[k + 1]`` of ``values`` (by default one run of all):
+    ``order``, the indices ascending by value within each run, exact ties
+    in index order; and ``group``, the group number at each position of
+    ``order``.  Neighbours share a group while their gap is at most
+    ``spectral_tol(tol)`` times the larger of 1 and the run's largest magnitude."""
+    starts = np.array([0, len(values)]) if starts is None else starts
+    run = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    order = np.lexsort((values, run))
+    gap = spectral_tol(tol) * np.maximum(1.0, np.maximum.reduceat(np.abs(values), starts[:-1]))
+    ties = (np.diff(values[order]) <= gap[run[order]][1:]) & (np.diff(run[order]) == 0)
+    return order, np.cumsum(np.concatenate([[True], ~ties]))
 
 
 def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray, tol: float) -> list:
     """Split an invariant subspace (columns of ``isometry``) by eigenvalue of
     each matrix of the stack ``h``, by one ``eigh`` of the stack: one list of
-    blocks per matrix."""
+    blocks per matrix, grouped by one ``_gap_groups`` call over every row."""
     compressed = dagger(isometry) @ h @ isometry
     w, vecs = np.linalg.eigh((compressed + np.swapaxes(compressed.conj(), -2, -1)) / 2.0)
-    return [[isometry @ v[:, group] for group in _cluster(row, tol)] for row, v in zip(w, vecs)]
+    order, group = _gap_groups(w.reshape(-1), tol, np.arange(0, w.size + 1, w.shape[1]))
+    blocks = [[] for _ in w]
+    for members in np.split(order, np.flatnonzero(np.diff(group)) + 1):
+        row, columns = divmod(members, w.shape[1])
+        blocks[row[0]].append(isometry @ vecs[row[0]][:, columns])
+    return blocks
 
 
 def _projections(isometries: list) -> np.ndarray:
@@ -318,12 +323,12 @@ def _spans(splits: list, stacks: list, scales: list, tol: float) -> np.ndarray:
 
 def _atoms(stacks: list, tol: float) -> list:
     """For each stack of matrices, the atoms of the algebra that they
-    generate, as isometries onto their ranges, or None unless that algebra
-    is commutative (within the character bound of ``_spans``).
+    generate, as isometries onto their ranges, or None when no split stands
+    within the character bound of ``_spans``, commutative or not.
 
     A combination of a stack's self-adjoint parts, with coefficients from
     the fixed stream ``default_rng(0)``, splits the space by eigenvalue,
-    grouped by ``_cluster``; the split stands when every matrix is the
+    grouped by ``_gap_groups``; the split stands when every matrix is the
     combination of its blocks.  A draw that merges two atoms fails that
     test, and the stream's next draw follows, ``SPECTRUM_RETRIES`` times;
     then the exact refinement sweep splits by each self-adjoint part.  The
@@ -384,15 +389,9 @@ def _traces(projs: np.ndarray) -> np.ndarray:
 def _reading_order(readings: np.ndarray, tol: float, starts=None) -> np.ndarray:
     """Atom indices by their first reading, within each run
     ``starts[k]:starts[k + 1]`` of atoms (by default one run of all): first
-    readings that ``_cluster`` groups at the spectral tolerance, scaled by
-    the run's largest magnitude, are ties, ordered by the second."""
+    readings that ``_gap_groups`` groups are ties, ordered by the second."""
     first, second = readings
-    starts = np.array([0, len(first)]) if starts is None else starts
-    run = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    order = np.lexsort((first, run))
-    gap = spectral_tol(tol) * np.maximum(1.0, np.maximum.reduceat(np.abs(first), starts[:-1]))
-    ties = (np.diff(first[order]) <= gap[run[order]][1:]) & (np.diff(run[order]) == 0)
-    group = np.cumsum(np.concatenate([[True], ~ties]))
+    order, group = _gap_groups(first, tol, starts)
     return order[np.lexsort((second[order], group))]
 
 
@@ -489,10 +488,13 @@ def _atom_algebra(chars: list, tol: float) -> MatrixStarAlgebra:
 
 def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """The commutative algebra that the generators generate, built from the
-    atoms they split the space into (``_atoms``).  Refuses (DomainError) generators whose algebra is not
-    commutative."""
+    atoms they split the space into (``_atoms``).  Refuses (DomainError)
+    generators that do not commute (``commuting``), and commuting ones whose
+    split fails, each by its own message."""
     stack = np.asarray([as_matrix(g, d) for g in generators], dtype=complex).reshape(-1, d, d)
     blocks = _atoms([stack], tol)[0]
+    if blocks is None and commuting(stack, stack, tol).all():
+        raise DomainError("simultaneous diagonalization failed to isolate characters")
     if blocks is None:
         raise DomainError("the generators do not generate a commutative algebra")
     return _atom_algebra(_ordered_characters(blocks, tol), tol)
@@ -617,12 +619,15 @@ def context_category(ambient: MatrixStarAlgebra, seeds: list) -> ContextCategory
 
 def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list) -> ContextCategory:
     """Contexts generated from explicit groups (one context per group), as
-    ``context_category`` builds them from cliques."""
+    ``context_category`` builds them from cliques.  A group whose split
+    fails is refused as ``context_algebra`` refuses its generators."""
     d, tol = ambient.dim, ambient.tol
     stacks = [np.asarray([as_matrix(g, d) for g in group], dtype=complex).reshape(-1, d, d) for group in groups]
     outside = next((k for k, mats in enumerate(stacks) if not ambient.contains(mats)), len(stacks))
     blocks = _atoms(stacks[:outside], tol)
     for k, atoms in enumerate(blocks):
+        if atoms is None and commuting(stacks[k], stacks[k], tol).all():
+            raise DomainError("simultaneous diagonalization failed to isolate characters")
         if atoms is None:
             raise DomainError(f"group {k} does not generate a commutative algebra")
     if outside < len(stacks):

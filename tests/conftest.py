@@ -25,6 +25,16 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def unsplit_seed():
+    """``U diag(1, 1 + 5e-9, -1) U^H``, U the Q factor of a 3 x 3 complex
+    Gaussian from ``default_rng(7)``: one seed, so it commutes, whose gap
+    of 5e-9 is grouped (below 1e-8) yet breaks the character bound (1e-9),
+    so no split of it stands."""
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    return u @ np.diag([1.0, 1.0 + 5e-9, -1.0]) @ u.conj().T
+
+
 def random_density(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = z @ z.conj().T

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import unsplit_seed
 from ctxlab import cli, ctxext, gft, realism, staralg
 from ctxlab.cli import build_parser, main, matrix_to_json, parse_matrix
 from ctxlab.errors import DomainError, InputError
@@ -244,6 +245,16 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "the generators do not generate a commutative algebra" in captured.err
+
+    def test_daseinise_refuses_an_unsplit_seed_by_its_split(self, capsys, tmp_path):
+        """One seed generates a commutative algebra: the refusal names the split."""
+        algebra, projection = tmp_path / "unsplit.json", tmp_path / "e0.json"
+        algebra.write_text(json.dumps({"dim": 3, "seeds": {"h": [[[z.real, z.imag] for z in row] for row in unsplit_seed()]}}))
+        projection.write_text(json.dumps(matrix_to_json(np.diag([1.0, 0.0, 0.0]))))
+        code = main(["daseinise", "--projection", str(projection), "--algebra", str(algebra)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "failed to isolate characters" in captured.err and "commutative" not in captured.err
 
     def test_net_check(self, capsys):
         code, out = run(capsys, ["net-check", "--chain", "2"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, SX, SY, SZ, kron, random_unitary
+from conftest import I2, SX, SY, SZ, kron, random_unitary, unsplit_seed
 from ctxlab import staralg
 from ctxlab.errors import DomainError, InputError
 from ctxlab.fincat import check_category, poset_category
@@ -425,6 +425,14 @@ class TestContextsFromAtoms:
         with pytest.raises(DomainError, match="group 1 does not generate a commutative algebra"):
             context_category_from_groups(full_matrix_algebra(2), [[rays[0]], rays])
 
+    def test_a_commuting_seed_that_fails_to_split_is_refused_as_such(self):
+        """One seed generates a commutative algebra: the refusal names the split."""
+        h = unsplit_seed()
+        with pytest.raises(DomainError, match="^simultaneous diagonalization failed to isolate characters$"):
+            context_algebra([h], 3)
+        with pytest.raises(DomainError, match="^simultaneous diagonalization failed to isolate characters$"):
+            context_category_from_groups(full_matrix_algebra(3), [[h]])
+
     def test_group_outside_the_ambient_is_refused(self):
         with pytest.raises(DomainError, match="group 0 contains a matrix outside the ambient algebra"):
             context_category_from_groups(generate_algebra([SZ], 2), [[SX]])
@@ -526,10 +534,23 @@ class TestHeldCharacters:
 # it replaced, frozen here as the oracle
 
 
+def old_cluster(values, tol):
+    order = np.argsort(values)
+    scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
+    gap = spectral_tol(tol) * scale
+    groups = [[order[0]]] if values.size else []
+    for idx in order[1:]:
+        if values[idx] - values[groups[-1][-1]] <= gap:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    return groups
+
+
 def old_blocks_from_vectors(h, isometry, tol):
     compressed = isometry.conj().T @ h @ isometry
     w, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-    return [isometry @ vecs[:, group] for group in staralg._cluster(w, tol)]
+    return [isometry @ vecs[:, group] for group in old_cluster(w, tol)]
 
 
 def old_spans(blocks, stack, scales, tol):
@@ -563,7 +584,7 @@ def old_atoms(stack, tol):
 
 def old_reading_order(readings, tol):
     first, second = readings
-    return [k for group in staralg._cluster(first, tol) for k in sorted(group, key=lambda k: second[k])]
+    return [k for group in old_cluster(first, tol) for k in sorted(group, key=lambda k: second[k])]
 
 
 def old_components(touch):
@@ -637,6 +658,8 @@ def old_context_category_from_groups(ambient, groups):
         if not all(ambient.contains(m) for m in mats):
             raise DomainError(f"group {k} contains a matrix outside the ambient algebra")
         atoms = old_atoms(mats, tol)
+        if atoms is None and staralg.commuting(mats, mats, tol).all():
+            raise DomainError("simultaneous diagonalization failed to isolate characters")
         if atoms is None:
             raise DomainError(f"group {k} does not generate a commutative algebra")
         blocks.append(atoms)
