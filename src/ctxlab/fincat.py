@@ -259,10 +259,11 @@ def check_diagram(d: Diagram) -> ValidationReport:
         except InputError:
             report.add("diagram.structure", f"morphism {m!r} has no map")
             continue
+        cod = set(d.carriers[dst])
         for x in d.carriers[src]:
             if x not in table:
                 report.add("diagram.structure", f"map of {m!r} undefined on {x!r}")
-            elif table[x] not in set(d.carriers[dst]):
+            elif table[x] not in cod:
                 report.add("diagram.structure", f"map of {m!r} sends {x!r} outside carrier of {dst!r}")
     if not report.ok:
         return report

@@ -174,7 +174,7 @@ class PauliAlgebra(MatrixStarAlgebra):
     def generated(cls, strings, length: int, tol: float = DEFAULT_TOL) -> "PauliAlgebra":
         """The *-algebra that the strings (``(x, z)`` masks) generate."""
         group = _pauli_subgroup(strings, length)
-        alg = cls._rows_on_first_read(2**length, len(group), lambda: _string_rows(group, length), tol)
+        alg = cls.from_rows(2**length, len(group), lambda: _string_rows(group, length), tol)
         alg.strings = tuple(group)
         return alg
 

@@ -130,27 +130,19 @@ class MeasureProvider:
 
 
 class QuantumProvider:
-    """Correlations and group squares of matrix observables in one state."""
+    """Correlations of matrix observables in one state."""
 
     def __init__(self, rho):
         self.rho = require_state(rho)
 
-    def _matrix(self, obs, verb: str) -> np.ndarray:
-        if not isinstance(obs, MatrixObservable):
-            raise MixedObservableError(f"quantum provider {verb} matrix observables only")
-        if obs.matrix.shape != self.rho.shape:
-            raise DomainError("observable is not defined on the state's space")
-        return obs.matrix
-
     def correlation(self, o1, o2) -> float:
-        a, b = self._matrix(o1, "correlates"), self._matrix(o2, "correlates")
+        for obs in (o1, o2):
+            if not isinstance(obs, MatrixObservable):
+                raise MixedObservableError("quantum provider correlates matrix observables only")
+            if obs.matrix.shape != self.rho.shape:
+                raise DomainError("observable is not defined on the state's space")
+        a, b = o1.matrix, o2.matrix
         return float(np.trace(self.rho @ ((a @ b + b @ a) / 2.0)).real)
-
-    def group_square_expectation(self, observables: list, signs: list) -> float:
-        total = np.zeros_like(self.rho)
-        for s, obs in zip(signs, observables):
-            total = total + s * self._matrix(obs, "squares")
-        return float(np.trace(self.rho @ total @ total).real)
 
 
 def _split_signs(fam: ObservableFamily, signs) -> list:
@@ -167,22 +159,23 @@ def _split_signs(fam: ObservableFamily, signs) -> list:
     return out
 
 
-def roy_singh_lhs(fam: ObservableFamily, signs, provider) -> float:
-    """Sum over groups of the expected square of the signed observable sum.
+def _group_form(group: ObservableGroup, provider) -> np.ndarray:
+    """The correlation matrix of one group's observables.  The quantum
+    correlation is symmetrized, so ``s @ form @ s`` is the expected square
+    of the signed sum in either provider."""
+    obs = group.observables()
+    return np.array([[provider.correlation(oi, oj) for oj in obs] for oi in obs], dtype=float)
 
-    Measure-type groups expand the square into pairwise correlations;
-    matrix-type groups are evaluated as literal operator squares.
-    """
-    per_group = _split_signs(fam, signs)
+
+def roy_singh_lhs(fam: ObservableFamily, signs, provider) -> float:
+    """Sum over groups, in group order from 0.0, of the expected square of
+    the signed observable sum: ``s @ form @ s`` of each ``_group_form``, the
+    same floats that ``search_signs`` tabulates."""
     lhs = 0.0
-    for group, gsigns in zip(fam.groups, per_group):
-        obs = group.observables()
-        if isinstance(provider, QuantumProvider):
-            lhs += provider.group_square_expectation(obs, gsigns)
-        else:
-            for (i, oi), (j, oj) in itertools.product(enumerate(obs), repeat=2):
-                lhs += gsigns[i] * gsigns[j] * provider.correlation(oi, oj)
-    return float(lhs)
+    for group, gsigns in zip(fam.groups, _split_signs(fam, signs)):
+        s = np.array(gsigns, dtype=float)
+        lhs += float(s @ _group_form(group, provider) @ s)
+    return lhs
 
 
 def search_signs(fam: ObservableFamily, provider, cap: int = SIGN_SEARCH_CAP) -> tuple:
@@ -202,15 +195,9 @@ def search_signs(fam: ObservableFamily, provider, cap: int = SIGN_SEARCH_CAP) ->
         raise CapExceeded("sign search", fam.total, cap)
     rows, tables = [], []
     for group in fam.groups:
-        obs = group.observables()
-        mat = np.zeros((group.size, group.size))
-        for i, oi in enumerate(obs):
-            for j, oj in enumerate(obs):
-                # the quantum correlation is symmetrized, so the quadratic
-                # form reproduces the operator-square value exactly
-                mat[i, j] = provider.correlation(oi, oj)
+        form = _group_form(group, provider)
         rows.append(list(itertools.product((1, -1), repeat=group.size)))
-        tables.append([float(s @ mat @ s) for s in np.array(rows[-1], dtype=float)])
+        tables.append([float(s @ form @ s) for s in np.array(rows[-1], dtype=float)])
     floors = [min(table) for table in tables]
 
     best_value, best_path = None, None

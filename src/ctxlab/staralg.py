@@ -45,11 +45,11 @@ class MatrixStarAlgebra:
     produced by this module); the span, not the individual basis matrices,
     is what carries the algebraic structure.  ``ortho`` is the span as
     ``linalg`` rows: made once from a given ``basis``, or, for an algebra
-    built from rows, those rows, with ``basis`` their views.  Such rows are
-    built the first time ``ortho`` or ``basis`` is read; ``dimension`` and
-    the tests that need no rows never build them.  An algebra built from
-    atoms holds them as its characters, and its spans are compared at
-    ``span_tol``: ``spectral_tol``, since atoms carry eigensolver error.
+    built by ``from_rows``, those rows, with ``basis`` their views.  Such
+    rows are built the first time ``ortho`` or ``basis`` is read;
+    ``dimension`` and the tests that need no rows never build them.  An
+    algebra built from atoms holds them as its characters; its spans are
+    compared at ``span_tol``: ``spectral_tol``, for eigensolver error.
     """
     _characters = None  # the held characters of an algebra built from atoms
 
@@ -59,18 +59,14 @@ class MatrixStarAlgebra:
         self._ortho = self._make_rows = None
 
     @classmethod
-    def _rows_on_first_read(cls, d: int, count: int, make_rows, tol: float = DEFAULT_TOL):
+    def from_rows(cls, d: int, count: int, make_rows, tol: float = DEFAULT_TOL):
         """The algebra whose basis is the ``count`` Frobenius-orthonormal
-        rows that ``make_rows()`` returns, called when they are first read."""
+        rows that ``make_rows()`` returns, called when they are first read:
+        the one constructor from rows, for given rows ``lambda: rows``."""
         alg = cls.__new__(cls)
         alg.dim, alg.tol = d, tol
         alg._basis, alg._count, alg._ortho, alg._make_rows = None, count, None, make_rows
         return alg
-
-    @classmethod
-    def from_rows(cls, d: int, rows: np.ndarray, tol: float = DEFAULT_TOL) -> "MatrixStarAlgebra":
-        """The algebra whose basis is the given Frobenius-orthonormal rows."""
-        return cls._rows_on_first_read(d, len(rows), lambda: rows, tol)
 
     @property
     def dimension(self) -> int:
@@ -125,7 +121,7 @@ class MatrixStarAlgebra:
 def full_matrix_algebra(d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """All d x d matrices, with the matrix units as orthonormal basis, built
     when first read: as an ambient, only its ``dim`` and ``contains`` are."""
-    return MatrixStarAlgebra._rows_on_first_read(d, d * d, lambda: np.eye(d * d, dtype=complex), tol)
+    return MatrixStarAlgebra.from_rows(d, d * d, lambda: np.eye(d * d, dtype=complex), tol)
 
 
 def comparison_tol(a: MatrixStarAlgebra, b: MatrixStarAlgebra) -> float:
@@ -180,7 +176,7 @@ def generate_algebra(
             rows = enlarged
             break
         rows = enlarged
-    return MatrixStarAlgebra.from_rows(d, rows, tol)
+    return MatrixStarAlgebra.from_rows(d, len(rows), lambda: rows, tol)
 
 
 def _basis_stack(a: MatrixStarAlgebra) -> np.ndarray:
@@ -395,29 +391,33 @@ def _reading_order(readings: np.ndarray, tol: float, starts=None) -> np.ndarray:
     return order[np.lexsort((second[order], group))]
 
 
-def _ordered_characters(blocks: list, tol: float) -> list:
-    """The atoms onto the ranges of the isometries ``blocks``, as characters in reading order."""
-    projs = _projections(blocks)
-    ranks = [iso.shape[1] for iso in blocks]
-    return [Character(projection=projs[k], rank=ranks[k]) for k in _reading_order(_traces(projs) / ranks, tol)]
+def _split(stacks: list, tol: float, refusals) -> list:
+    """The atoms of each stack (``_atoms``), refusing (DomainError) the first
+    stack with no split: one that commutes (``commuting``) as a split that
+    failed to isolate its characters, any other by its entry of ``refusals``,
+    which a caller whose stacks all commute need not fill."""
+    blocks = _atoms(stacks, tol)
+    for k, atoms in enumerate(blocks):
+        if atoms is None:
+            commute = commuting(stacks[k], stacks[k], tol).all()
+            raise DomainError("simultaneous diagonalization failed to isolate characters" if commute else refusals[k])
+    return blocks
 
 
 def gelfand_spectrum(v: MatrixStarAlgebra) -> list:
     """Characters of a commutative algebra in the fixed reading order: those
-    it holds if built from atoms, else the atoms its basis splits the space
-    into (``_atoms``).  Refuses a non-commutative basis, a split that leaves
-    some basis matrix no combination of the blocks, and a count of atoms
-    other than the dimension (a basis that is not product-closed)."""
+    it holds if built from atoms, else those of the ``context_algebra`` of
+    its basis.  Refuses a non-commutative basis, a split that leaves some
+    basis matrix no combination of the blocks (``_split``), and a count of
+    atoms other than the dimension (a basis that is not product-closed)."""
     if v._characters is not None:
         return v._characters
     if not is_commutative(v):
         raise DomainError("gelfand_spectrum requires a commutative algebra")
-    blocks = _atoms([_basis_stack(v)], v.tol)[0]
-    if blocks is None:
-        raise DomainError("simultaneous diagonalization failed to isolate characters")
-    if len(blocks) != v.dimension:
-        raise DomainError(f"found {len(blocks)} characters for an algebra of dimension {v.dimension}")
-    return _ordered_characters(blocks, v.tol)
+    chars = context_algebra(_basis_stack(v), v.dim, v.tol)._characters
+    if len(chars) != v.dimension:
+        raise DomainError(f"found {len(chars)} characters for an algebra of dimension {v.dimension}")
+    return chars
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,7 @@ def _commutation_cliques(mats: list, tol: float) -> list:
 def _atom_algebra(chars: list, tol: float) -> MatrixStarAlgebra:
     """The commutative algebra spanned by the atoms ``chars``, which it holds
     as its characters; its rows ``p / sqrt(rank)`` are built when first read."""
-    alg = MatrixStarAlgebra._rows_on_first_read(chars[0].projection.shape[-1], len(chars), lambda: np.stack(
+    alg = MatrixStarAlgebra.from_rows(chars[0].projection.shape[-1], len(chars), lambda: np.stack(
         [chi.projection.reshape(-1) / np.sqrt(chi.rank) for chi in chars]), tol)
     alg._characters = chars
     return alg
@@ -488,16 +488,14 @@ def _atom_algebra(chars: list, tol: float) -> MatrixStarAlgebra:
 
 def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """The commutative algebra that the generators generate, built from the
-    atoms they split the space into (``_atoms``).  Refuses (DomainError)
-    generators that do not commute (``commuting``), and commuting ones whose
-    split fails, each by its own message."""
+    atoms they split the space into (``_split``), as characters in reading
+    order.  Refuses (DomainError) generators that do not commute, and
+    commuting ones whose split fails, each by its own message."""
     stack = np.asarray([as_matrix(g, d) for g in generators], dtype=complex).reshape(-1, d, d)
-    blocks = _atoms([stack], tol)[0]
-    if blocks is None and commuting(stack, stack, tol).all():
-        raise DomainError("simultaneous diagonalization failed to isolate characters")
-    if blocks is None:
-        raise DomainError("the generators do not generate a commutative algebra")
-    return _atom_algebra(_ordered_characters(blocks, tol), tol)
+    blocks = _split([stack], tol, ["the generators do not generate a commutative algebra"])[0]
+    projs, ranks = _projections(blocks), [iso.shape[1] for iso in blocks]
+    order = _reading_order(_traces(projs) / ranks, tol)
+    return _atom_algebra([Character(projection=projs[k], rank=ranks[k]) for k in order], tol)
 
 
 def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) -> ContextCategory:
@@ -597,10 +595,10 @@ def context_category(ambient: MatrixStarAlgebra, seeds: list) -> ContextCategory
     """Contexts generated by the maximal pairwise-commuting subsets of seeds.
 
     Each clique's context is built from the atoms its seeds split the
-    space into (``_atoms``); pairwise meets
-    of the maximal contexts and the trivial span of the identity are
-    included, and the order is inclusion.  Refuses (InputError) a matrix
-    dimension above ``DIM_CAP``.
+    space into (``_split``: a clique commutes, so a failed split is refused
+    as such); pairwise meets of the maximal contexts and the trivial span of
+    the identity are included, and the order is inclusion.  Refuses
+    (InputError) a matrix dimension above ``DIM_CAP``.
     """
     check_dimension(ambient.dim)
     tol = ambient.tol
@@ -611,25 +609,20 @@ def context_category(ambient: MatrixStarAlgebra, seeds: list) -> ContextCategory
         if not ambient.contains(m):
             raise DomainError(f"seed {k} lies outside the ambient algebra")
     cliques = _commutation_cliques(mats, tol)
-    blocks = _atoms([np.stack([mats[i] for i in clique]) for clique in cliques], tol)
-    if any(atoms is None for atoms in blocks):
-        raise DomainError("simultaneous diagonalization failed to isolate characters")
+    blocks = _split([np.stack([mats[i] for i in clique]) for clique in cliques], tol, ())
     return _assemble(ambient, blocks, [list(c) for c in cliques])
 
 
 def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list) -> ContextCategory:
     """Contexts generated from explicit groups (one context per group), as
     ``context_category`` builds them from cliques.  A group whose split
-    fails is refused as ``context_algebra`` refuses its generators."""
+    fails is refused by ``_split`` as ``context_algebra`` refuses its
+    generators, before a later group outside the ambient algebra."""
     d, tol = ambient.dim, ambient.tol
     stacks = [np.asarray([as_matrix(g, d) for g in group], dtype=complex).reshape(-1, d, d) for group in groups]
     outside = next((k for k, mats in enumerate(stacks) if not ambient.contains(mats)), len(stacks))
-    blocks = _atoms(stacks[:outside], tol)
-    for k, atoms in enumerate(blocks):
-        if atoms is None and commuting(stacks[k], stacks[k], tol).all():
-            raise DomainError("simultaneous diagonalization failed to isolate characters")
-        if atoms is None:
-            raise DomainError(f"group {k} does not generate a commutative algebra")
+    refusals = [f"group {k} does not generate a commutative algebra" for k in range(outside)]
+    blocks = _split(stacks[:outside], tol, refusals)
     if outside < len(stacks):
         raise DomainError(f"group {outside} contains a matrix outside the ambient algebra")
     return _assemble(ambient, blocks, [[] for _ in groups])

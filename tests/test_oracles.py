@@ -2234,7 +2234,8 @@ def frame_algebras(draw, dims=(1, 2, 3, 4, 5, 6)):
     if kind == "projections":
         return MatrixStarAlgebra(d, projs, tol)
     if kind == "rows":
-        return MatrixStarAlgebra.from_rows(d, orthonormalize_span(projs, tol), tol)
+        rows = orthonormalize_span(projs, tol)
+        return MatrixStarAlgebra.from_rows(d, len(rows), lambda: rows, tol)
     if kind in ("near-degenerate", "one matrix"):
         gaps = [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e8])) * max(tol, 1e-8) for _ in range(d - 1)]
         element = (u * np.cumsum([1.0] + gaps)) @ u.conj().T
@@ -2969,7 +2970,8 @@ class TestRowsOnFirstReadOracle:
         for r in chain(length).regions():
             lazy = standard_region_algebra(r, length)
             group = reference_pauli_subgroup(lazy.strings, length)
-            eager = MatrixStarAlgebra.from_rows(d, reference_string_rows(group, length), lazy.tol)
+            rows = reference_string_rows(group, length)
+            eager = MatrixStarAlgebra.from_rows(d, len(rows), lambda: rows, lazy.tol)
             assert not rows_built(lazy)
             assert algebra_span_leq(dense, lazy) == algebra_span_leq(dense, eager) == (r.start == 0)
             assert rows_built(lazy)

@@ -210,6 +210,31 @@ class TestClassicalBound:
             search_signs(fam, MeasureProvider(uniform(2)), cap=2)
 
 
+def random_involution(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return MatrixObservable((q * rng.choice([-1.0, 1.0], d)) @ q.conj().T)
+
+
+class TestTheBoundAtTheSearchedSigns:
+    """``roy_singh_lhs`` at the signs that ``search_signs`` returns is the
+    minimum it reports, bit for bit: both read one table per group."""
+
+    @pytest.mark.parametrize("kind", ["quantum", "measure"])
+    def test_the_lhs_at_the_argmin_is_the_minimum(self, kind):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            if kind == "quantum":
+                provider = QuantumProvider(random_density(rng, 4))
+            else:
+                weights = rng.random(6)
+                provider = MeasureProvider(weights / weights.sum())
+            groups = [[random_involution(rng, 4) if kind == "quantum" else CarrierObservable(rng.choice([-1.0, 1.0], 6))
+                       for _ in range(n)] for n in (3, 1, 1, 3)]
+            fam = ObservableFamily([ObservableGroup(g, []) for g in groups])
+            signs, minimum = search_signs(fam, provider)
+            assert roy_singh_lhs(fam, signs, provider) == minimum
+
+
 # reads the weights and each group's carrier values as JSON on stdin, and
 # writes the signs and the minimum (as a float's hex) that the search finds
 # with the cap raised to the family's total
@@ -270,10 +295,12 @@ class TestTypedRefusals:
         wide = MatrixObservable(kron(SZ, I2))
         with pytest.raises(DomainError, match="not defined on the state's space"):
             prov.correlation(wide, wide)
+        fam = ObservableFamily([ObservableGroup([MatrixObservable(SZ), wide, MatrixObservable(SX)], [])])
         with pytest.raises(DomainError, match="not defined on the state's space"):
-            prov.group_square_expectation([MatrixObservable(SZ), wide, MatrixObservable(SX)], [1, 1, 1])
+            roy_singh_lhs(fam, [1, 1, 1], prov)
+        fam = ObservableFamily([ObservableGroup([MatrixObservable(np.eye(1))], [])])
         with pytest.raises(DomainError, match="not defined on the state's space"):
-            prov.group_square_expectation([MatrixObservable(np.eye(1))], [1])
+            roy_singh_lhs(fam, [1], prov)
 
     def test_measure_provider_rejects_matrices(self):
         fam = ObservableFamily([ObservableGroup([MatrixObservable(SZ)], [])])
