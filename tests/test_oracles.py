@@ -39,7 +39,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, SX, SY, SZ, kron, perfbench_module, random_density, random_unitary, reference_index
-from ctxlab import cli, fincat, gft, realism, staralg
+from ctxlab import cli, fincat, gft, locnet, realism, staralg, validation
 from ctxlab.cli import emit, main
 from ctxlab.ctxext import (
     CARRIER_CAP,
@@ -54,7 +54,7 @@ from ctxlab.ctxext import (
     spectrum_diagram,
     state_to_json,
 )
-from ctxlab.errors import CapExceeded, DomainError, InputError
+from ctxlab.errors import CapExceeded, DomainError, InputError, ToolError
 from ctxlab.fincat import (
     SEARCH_CAP,
     Cone,
@@ -69,6 +69,7 @@ from ctxlab.fincat import (
 )
 from ctxlab.fixtures import peres24_fixture
 from ctxlab.linalg import (
+    DEFAULT_TOL,
     SIGN_TIE_MARGIN,
     as_matrix,
     dagger,
@@ -3107,3 +3108,525 @@ class TestEvaluateStateOracle:
         elements.append(Element(ext.carrier, np.ones(ext.carrier.size, dtype=complex)))
         for e in elements:
             assert abs(evaluate_state(mu, e) - reference_evaluate_state(mu, e)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the fixed costs of the middle checks: the matrix reader, the Pauli string
+# recognition and the net spec reader, the guarded CCR commutator, the Weyl
+# stopping test and the category check, against the per-item code
+
+
+def refusal_or_value(fn, *args):
+    """A function's value, or the type and message of its refusal."""
+    try:
+        return "value", fn(*args)
+    except ToolError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference_parse_matrix(data) -> np.ndarray:
+    n = len(validation.array(data, "matrix JSON"))
+    if not n:
+        raise InputError("matrix JSON has no rows")
+    for i, row in enumerate(data):
+        if type(row) is not list or len(row) != n:
+            raise InputError(f"matrix JSON row {i} is not an array of {n} entries: {validation.shown(row)}")
+    mat = np.array([[complex(*c) if type(c) is list and len(c) == 2 and type(c[0]) is type(c[1]) is float
+                     else reference_entry(c, i, j) for j, c in enumerate(row)] for i, row in enumerate(data)],
+                   dtype=complex)
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise InputError(f"matrix entry at row {i}, column {j} is not finite: {validation.shown(data[i][j])}")
+    return mat
+
+
+def reference_entry(cell, i: int, j: int) -> complex:
+    where = f"matrix entry at row {i}, column {j}"
+    parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell]
+    if any(x is True or x is False for x in parts):
+        raise InputError(f"{where} is a boolean, not a number: {validation.shown(cell)}")
+    return complex(*(validation.number(x, where) for x in parts))
+
+
+# cells that are not a pair of floats: booleans, JSON integers (one beyond
+# the float range), strings, null, bare numbers, pairs holding any of
+# these, and lists of the wrong length or depth
+ODD_CELLS = st.one_of(
+    st.sampled_from([True, False, None, "1", "", 0, 1, -3, 10**400, -(10**400), 2.5, -0.0,
+                     float("nan"), float("inf"), float("-inf"), [], [1.0], [1.0, 2.0, 3.0], [[1.0], 2.0],
+                     {"re": 1.0}, [1, 0], [0.5, True], [False, 0.5], [10**400, 0.0], [1.0, -(10**400)],
+                     [None, 1.0], [1.0, "2"], [float("nan"), 0.0], [0.0, float("-inf")], (1.0, 2.0)]),
+    st.integers(-(2**70), 2**70), st.floats(),
+    st.tuples(st.one_of(st.integers(), st.floats(), st.booleans()), st.floats()).map(list),
+)
+
+
+@st.composite
+def matrix_data(draw):
+    """Rows of [float, float] cells, often with odd cells, a ragged or
+    non-list row, or no rows; now and then not a list at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([{}, "[[1.0, 0.0]]", 1.0, None, (((1.0, 0.0),),)]))
+    n = draw(st.integers(0, 4))
+    pair = st.tuples(st.floats(-1e300, 1e300, allow_subnormal=True), st.floats(-1e300, 1e300)).map(list)
+    rows = [[draw(pair) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ODD_CELLS)
+    if n and draw(st.integers(0, 7)) == 0:
+        i = draw(st.integers(0, n - 1))
+        rows[i] = draw(st.sampled_from([rows[i][:-1], rows[i] + [[0.0, 0.0]], tuple(rows[i]), {"row": rows[i]}]))
+    return rows
+
+
+class TestMatrixReaderOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(data=matrix_data())
+    def test_the_reader_is_the_per_cell_loop(self, data):
+        """Bitwise the same matrix, or a refusal of the same type and message."""
+        found, expected = refusal_or_value(cli.parse_matrix, data), refusal_or_value(reference_parse_matrix, data)
+        assert bits(found) == bits(expected)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_float_pairs_are_read_bit_for_bit(self, rng, n):
+        """Signed zeros, subnormals and the extremes of the float range survive."""
+        values = rng.standard_normal((n, n, 2)) * 10.0 ** rng.integers(-320, 300, (n, n, 2))
+        values.flat[: min(6, values.size)] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e-310, -0.0][: values.size]
+        data = values.tolist()
+        assert bits(cli.parse_matrix(data)) == bits(reference_parse_matrix(data))
+
+
+def reference_pauli_term(g, length, tol=DEFAULT_TOL):
+    norm = np.linalg.norm(g)
+    if norm == 0:
+        return (0, 0)
+    x = int(np.argmax(np.abs(g[:, 0])))
+    if g[x, 0] == 0:
+        return None
+    bits_ = 1 << np.arange(length)
+    z = int(bits_[(g[bits_ ^ x, bits_] / g[x, 0]).real < 0].sum())
+    row = reference_string_rows([(x, z)], length)[0]
+    flat = g.reshape(-1)
+    return (x, z) if np.linalg.norm(flat - np.vdot(row, flat) * row) <= tol * norm else None
+
+
+def off_by(g: np.ndarray, factor: float, tol: float, rng) -> np.ndarray:
+    """``g`` plus a matrix orthogonal to it (Frobenius) whose norm is
+    ``factor * tol`` times the norm of the sum."""
+    e = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    e -= np.vdot(g, e) / np.vdot(g, g) * g
+    r = factor * tol
+    return g + e * (r / np.sqrt(1 - r * r) * np.linalg.norm(g) / np.linalg.norm(e))
+
+
+@st.composite
+def generator_stacks(draw):
+    """A chain length, a tolerance, and a stack of generators: scaled
+    strings, strings off by 1 -+ 1e-6 of the recognition bound, zero
+    matrices, matrices with a zero column 0, and dense ones."""
+    length = draw(st.integers(1, 4))
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    d = 2**length
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    stack = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["string", "near", "zero", "column", "dense", "sum"]))
+        labels = {k: draw(st.sampled_from("IXYZ")) for k in range(length)}
+        scale = complex(rng.standard_normal(), rng.standard_normal()) * 10.0 ** draw(st.integers(-3, 3))
+        g = scale * pauli_string(labels, length)
+        if kind == "near":
+            g = off_by(g, 1 + draw(st.sampled_from([-1e-6, 1e-6])), tol, rng)
+        elif kind == "zero":
+            g = np.zeros((d, d), dtype=complex)
+        elif kind == "column":
+            g = rng.standard_normal((d, d)) + 0j
+            g[:, 0] = 0
+        elif kind == "dense":
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        elif kind == "sum":
+            g = g + pauli_string({0: "X"}, length)
+        stack.append(g)
+    return length, tol, stack
+
+
+class TestPauliRecognitionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=generator_stacks())
+    def test_each_generator_is_read_as_before(self, case):
+        length, tol, stack = case
+        expected = [reference_pauli_term(g, length, tol) for g in stack]
+        assert [locnet.pauli_term(g, length, tol) for g in stack] == expected
+
+
+def reference_load_net_spec(path: str, tol: float) -> LocalNet:
+    data = validation.load_json(path)
+    length = validation.whole_number(validation.member(data, "length", "net spec"), "net spec length", least=1)
+    locnet.refuse_long_chain(length)
+    d = 2**length
+    assignment = {}
+    for entry in validation.array(validation.member(data, "regions", "net spec"), "net spec regions"):
+        start, stop = (validation.whole_number(validation.member(entry, e, "net spec region"), f"net spec {e}")
+                       for e in ("start", "stop"))
+        region = Region(start, stop)
+        if region.start < 0 or region.stop >= length:
+            raise InputError(f"net spec {path!r}: region {region.label()} lies outside the chain [0,{length - 1}]")
+        if region in assignment:
+            raise InputError(f"net spec {path!r}: region {region.label()} is listed twice")
+        gens = [reference_parse_matrix(m)
+                for m in validation.array(validation.member(entry, "generators", "net spec region"), "generators")]
+        for k, g in enumerate(gens):
+            if len(g) != d:
+                raise InputError(f"net spec {path!r}: generator {k} of region {region.label()} "
+                                 f"is {len(g)}x{len(g)}, expected {d}x{d}")
+        assignment[region] = reference_region_algebra(gens, length, tol)
+    return LocalNet(length, assignment, tol=tol)
+
+
+def reference_region_algebra(generators, length, tol):
+    generators = [as_matrix(g, 2**length) for g in generators]
+    strings = [reference_pauli_term(g, length, tol) for g in generators]
+    if None in strings:
+        return generate_algebra(generators, 2**length, tol, dim_cap=2**length)
+    return PauliAlgebra.generated(strings, length, tol)
+
+
+def as_cells(m: np.ndarray) -> list:
+    return [[[float(c.real), float(c.imag)] for c in row] for row in m]
+
+
+# faults of a net spec, each at one drawn region
+NET_FAULTS = ["outside", "negative", "twice", "boolean", "integer cells", "huge", "nan", "ragged", "wide",
+              "no start", "boolean stop", "generators not a list", "region not an object"]
+
+
+@st.composite
+def net_spec_files(draw, directory):
+    """A net spec on a chain of 1-3 sites, generated by scaled Pauli strings
+    and now and then a sum of two, with up to three faults in drawn regions
+    or at the top: the order of the refusals shows."""
+    length = draw(st.integers(1, 3))
+    d = 2**length
+    intervals = [(a, b) for a in range(length) for b in range(a, length)]
+    regions = []
+    for a, b in draw(st.lists(st.sampled_from(intervals), min_size=1, max_size=len(intervals), unique=True)):
+        gens = []
+        for _ in range(draw(st.integers(0, 3))):
+            labels = {k: draw(st.sampled_from("IXYZ")) for k in range(a, b + 1)}
+            g = draw(st.sampled_from([1.0, -1.0, 1j, 0.5 - 2j])) * pauli_string(labels, length)
+            if draw(st.integers(0, 5)) == 0:
+                g = g + pauli_string({a: "Z"}, length)
+            gens.append(as_cells(g))
+        regions.append({"start": a, "stop": b, "generators": gens})
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(NET_FAULTS))
+        k = draw(st.integers(0, len(regions) - 1))
+        region = regions[k]
+        if not isinstance(region, dict) or not isinstance(region["generators"], list):
+            continue
+        if fault == "outside":
+            region["stop"] = length
+        elif fault == "negative":
+            region["start"] = -1
+        elif fault == "twice":
+            regions.append(dict(region))
+        elif fault == "no start":
+            region.pop("start", None)
+        elif fault == "boolean stop":
+            region["stop"] = True
+        elif fault == "generators not a list":
+            region["generators"] = "Z"
+        elif fault == "region not an object":
+            regions[k] = list(region.values())
+        else:
+            cells = as_cells(pauli_string({0: draw(st.sampled_from("XYZ"))}, length))
+            i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+            if fault == "boolean":
+                cells[i][j] = [True, 0.0]
+            elif fault == "integer cells":
+                cells[i] = [[int(re), int(im)] for re, im in cells[i]]
+            elif fault == "huge":
+                cells[i][j] = 10**400
+            elif fault == "nan":
+                cells[i][j] = [float("nan"), 0.0]
+            elif fault == "ragged":
+                cells[i] = cells[i][:-1]
+            elif fault == "wide":
+                cells = as_cells(np.eye(2 * d))
+            region["generators"].insert(draw(st.integers(0, len(region["generators"]))), cells)
+    spec = {"length": length, "regions": regions}
+    top = draw(st.integers(0, 19))
+    if top == 0:
+        spec["length"] = draw(st.sampled_from([0, 7, True, 2.5, "3", None]))
+    elif top == 1:
+        spec = draw(st.sampled_from([{"regions": regions}, {"length": length}, {"length": length, "regions": {}}]))
+    path = directory / f"net{draw(st.integers(0, 2**30))}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def net_outcome(path: str, load) -> tuple:
+    """The refusal of a spec, or each region's algebra: its strings, or its
+    closure's rows bit for bit."""
+    kind, net = refusal_or_value(load, path, DEFAULT_TOL)
+    if kind != "value":
+        return kind, net
+    return kind, net.length, [
+        (r, tuple(alg.strings) if isinstance(alg, PauliAlgebra) else alg.ortho.tobytes())
+        for r, alg in net.assignment.items()
+    ]
+
+
+@pytest.fixture(scope="module")
+def spec_directory(tmp_path_factory):
+    return tmp_path_factory.mktemp("net-specs")
+
+
+class TestNetSpecReaderOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_the_reader_refuses_and_builds_as_before(self, spec_directory, data):
+        path = data.draw(net_spec_files(spec_directory))
+        assert net_outcome(path, cli.load_net_spec) == net_outcome(path, reference_load_net_spec)
+
+    def test_the_benchmark_specs_build_as_before(self, tmp_path):
+        workloads = perfbench_module("workloads")
+        for seed in (101, 102, 103):
+            for check in workloads.net_chain(seed, "full", str(tmp_path)):
+                if check["kind"] == "net-custom":
+                    path = check["argv"][-1]
+                    assert net_outcome(path, cli.load_net_spec) == net_outcome(path, reference_load_net_spec)
+
+
+def reference_ccr_defect(f, fp, fock, guard=1) -> float:
+    edges = [0] + [fock.sector_size(total) for total in range(gft.ccr_top_sector(fock.n_max, guard) + 1)]
+    keep = edges[-1]
+    a = gft.field_operator(f, fock)
+    b = dagger(gft.field_operator(fp, fock))
+    commutator = a[:keep] @ b[:, :keep] - b[:keep] @ a[:, :keep]
+    return gft._sector_norm(commutator, gft.weighted_inner(f, fp, fock.mode_weight), edges)
+
+
+# the benchmark's gft-ccr shapes (m, n, nmax): Fock dimensions 165, 220, 495, 715 and 969
+CCR_SHAPES = [(2, 3, 3), (3, 2, 3), (2, 3, 4), (3, 2, 4), (2, 4, 3)]
+
+
+def assert_same_defect(found: float, expected: float):
+    assert type(found) is float
+    assert abs(found - expected) <= 1e-15 * max(1.0, expected)
+    assert round(found, 14) == round(expected, 14)
+
+
+class TestGuardedCommutatorOracle:
+    @pytest.mark.parametrize("m, n, n_max", CCR_SHAPES)
+    def test_every_guard_at_the_benchmark_shapes(self, m, n, n_max):
+        space = gft.PolyhedronSpace(m, n)
+        fock = gft.fock_for(space, n_max)
+        rng = np.random.default_rng(m * 100 + n * 10 + n_max)
+        for _ in range(3):
+            f, g = (rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size) for _ in range(2))
+            for guard in range(n_max + 1):
+                assert_same_defect(gft.ccr_defect(f, g, fock, guard), reference_ccr_defect(f, g, fock, guard))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=ccr_cases())
+    def test_every_guard_on_drawn_spaces(self, case):
+        fock, f, g = case
+        for guard in range(fock.n_max + 1):
+            assert_same_defect(gft.ccr_defect(f, g, fock, guard), reference_ccr_defect(f, g, fock, guard))
+            assert_same_defect(gft.ccr_defect(f, f, fock, guard), reference_ccr_defect(f, f, fock, guard))
+
+    def test_benchmark_reports_are_byte_equal(self, capsys, monkeypatch):
+        workloads = perfbench_module("workloads")
+        argvs = [check["argv"] for seed in range(100, 130) for check in workloads.fock_sector(seed, "full", "")
+                 if check["kind"] == "gft-ccr"]
+        assert len(argvs) == 30 * 22
+        found = []
+        for argv in argvs:
+            assert main(argv) == 0
+            found.append(capsys.readouterr().out)
+        monkeypatch.setattr(gft, "ccr_defect", reference_ccr_defect)
+        for argv, report in zip(argvs, found):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == report, argv
+
+
+def reference_weyl_parameters(fv, fock) -> tuple:
+    """The generator G and the Taylor degree and step count of the Weyl action."""
+    psi = gft.field_operator(fv, fock)
+    g = 1j / np.sqrt(2.0) * (psi + dagger(psi))
+    norm = abs(g).sum(axis=0).max()
+    m, s = min(((m, math.ceil(norm / theta)) for m, theta in gft._THETA.items()), key=lambda ms: ms[0] * ms[1])
+    return g, m, s
+
+
+def reference_taylor(g, m, s, cols, matvecs: list) -> np.ndarray:
+    """The Taylor steps with the stopping test on the partial sum's norm
+    after every term; each product with G is appended to ``matvecs``."""
+    out = term = cols
+    for _ in range(s):
+        c1 = abs(term).sum(axis=1).max()
+        for j in range(1, m + 1):
+            term = (1.0 / (s * j)) * (g @ term)
+            matvecs.append(j)
+            c2 = abs(term).sum(axis=1).max()
+            out = out + term
+            if c1 + c2 <= 2.0**-53 * abs(out).sum(axis=1).max():
+                break
+            c1 = c2
+        term = out
+    return out
+
+
+def weyl_cases_at(fock, f, sector_cap):
+    _, cols = gft._sector_columns(fock, sector_cap)
+    return f, fock, cols
+
+
+class TestWeylStoppingOracle:
+    def assert_same_action(self, f, fock, cols):
+        found = gft._weyl_action(f, fock)(cols)
+        assert np.array_equal(found, reference_taylor(*reference_weyl_parameters(f, fock), cols, []))
+
+    def test_the_benchmark_sweeps(self):
+        """The benchmark's sweeps over four modes at norm 2, to dimension 1,001."""
+        space = gft.PolyhedronSpace(2, 2)
+        rng = np.random.default_rng(2)
+        for n_max in range(2, 11):
+            fock = gft.fock_for(space, n_max)
+            for _ in range(2):
+                f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                f *= 2.0 / np.sqrt(abs(gft.inner_product(f, f, space)))
+                self.assert_same_action(*weyl_cases_at(fock, f, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(1, 1, 12), (2, 1, 8), (2, 2, 4), (3, 1, 5), (2, 3, 2)]),
+           norm=st.floats(0.4, 50.0), cap=st.integers(0, 3), seed=st.integers(0, 2**16))
+    def test_drawn_norms(self, shape, norm, cap, seed):
+        m, n, n_max = shape
+        space = gft.PolyhedronSpace(m, n)
+        fock = gft.fock_for(space, n_max)
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+        f *= norm / np.sqrt(abs(gft.inner_product(f, f, space)))
+        self.assert_same_action(*weyl_cases_at(fock, f, min(cap, n_max - 1)))
+
+
+def reference_check_category(c: FinCategory) -> list:
+    """The violations of the category check, by scans over every pair and
+    triple of morphisms, as (kind, message) pairs."""
+    report = ValidationReport()
+    for o in [o for k, o in enumerate(c.objects) if o in c.objects[k + 1 :] and o not in c.objects[:k]]:
+        report.add("category.structure", f"object {o!r} is listed more than once")
+    if not report.ok:
+        return [(v.kind, v.message) for v in report.violations]
+    seen: dict = {}
+    for (src, dst), labels in c.homs.items():
+        if src not in c.objects or dst not in c.objects:
+            report.add("category.structure", f"hom-set ({src},{dst}) references unknown object")
+        for m in labels:
+            if m in seen:
+                report.add("category.structure", f"morphism label {m!r} used in {seen[m]} and ({src},{dst})")
+            seen[m] = (src, dst)
+    morphs = c.morphisms()
+    for o in c.objects:
+        i = c.identities.get(o)
+        if i is None:
+            report.add("category.structure", f"object {o!r} has no identity")
+        elif morphs.get(i) != (o, o):
+            report.add("category.structure", f"identity {i!r} of {o!r} is not in hom({o},{o})")
+    if report.ok:
+        for (g, f), gf in c.compose.items():
+            if not {g, f, gf} <= morphs.keys() or morphs[f][1] != morphs[g][0]:
+                report.add("category.structure",
+                           f"composite entry ({g!r}, {f!r}) names an unknown or non-composable pair")
+        for g, (gs, gd) in morphs.items():
+            for f, (fs, fd) in morphs.items():
+                if fd != gs:
+                    continue
+                gf = c.compose.get((g, f))
+                if gf is None:
+                    report.add("category.structure", f"missing composite ({g!r}, {f!r})")
+                elif morphs.get(gf) != (fs, gd):
+                    report.add("category.structure", f"composite {gf!r} of ({g!r}, {f!r}) is not in hom({fs},{gd})")
+    if report.ok:
+        for f, (fs, fd) in morphs.items():
+            if c.compose[(c.identities[fd], f)] != f:
+                report.add("category.identity", f"id_{fd} o {f!r} != {f!r}")
+            if c.compose[(f, c.identities[fs])] != f:
+                report.add("category.identity", f"{f!r} o id_{fs} != {f!r}")
+        for h, (hs, hd) in morphs.items():
+            for g, (gs, gd) in morphs.items():
+                if gd != hs:
+                    continue
+                for f, (fs, fd) in morphs.items():
+                    if fd != gs:
+                        continue
+                    left = c.compose[(h, c.compose[(g, f)])]
+                    right = c.compose[(c.compose[(h, g)], f)]
+                    if left != right:
+                        report.add("category.assoc", f"h={h!r} g={g!r} f={f!r}: {left!r} != {right!r}")
+    return [(v.kind, v.message) for v in report.violations]
+
+
+CATEGORY_FAULTS = ["repeated object", "unknown end", "shared label", "no identity", "misplaced identity",
+                   "missing composite", "stray composite", "mistyped composite", "identity law"]
+
+
+@st.composite
+def table_categories(draw):
+    """A category table on 1-4 objects with 0-2 arrows in each hom-set and a
+    drawn composite for each composable pair of arrows, in the hom-set it
+    must lie in when there is one, so that identity and associativity can
+    fail; then up to two structural faults."""
+    objects = draw(st.lists(st.sampled_from(["a", "b", "c", 0, 1.5]), min_size=1, max_size=4, unique=True))
+    identities = {o: f"id_{o}" for o in objects}
+    homs, label = {}, itertools.count()
+    for src in objects:
+        for dst in objects:
+            arrows = [f"f{next(label)}" for _ in range(draw(st.integers(0, 2)))]
+            if src == dst:
+                arrows.insert(0, identities[src])
+            if arrows:
+                homs[(src, dst)] = arrows
+    morphs = {m: ends for ends, labels in homs.items() for m in labels}
+    compose = {}
+    for g, (gs, gd) in morphs.items():
+        for f, (fs, fd) in morphs.items():
+            if fd == gs:
+                if g == identities[gd]:
+                    compose[(g, f)] = f
+                elif f == identities[fs]:
+                    compose[(g, f)] = g
+                elif homs.get((fs, gd)):
+                    compose[(g, f)] = draw(st.sampled_from(homs[(fs, gd)]))
+    c = FinCategory(objects, homs, compose, identities)
+    pick = lambda xs: draw(st.sampled_from(sorted(xs, key=repr)))  # noqa: E731
+    for fault in draw(st.lists(st.sampled_from(CATEGORY_FAULTS), max_size=2)):
+        if fault == "repeated object":
+            c.objects.insert(draw(st.integers(0, len(c.objects))), pick(c.objects))
+        elif fault == "unknown end":
+            c.homs[(pick(objects), "z")] = [f"f{next(label)}"]
+        elif fault == "shared label":
+            c.homs.setdefault(pick(c.homs), []).append(pick(morphs))
+        elif fault == "no identity":
+            c.identities.pop(pick(objects), None)
+        elif fault == "misplaced identity":
+            c.identities[pick(objects)] = pick(morphs)
+        elif fault == "missing composite" and c.compose:
+            del c.compose[pick(c.compose)]
+        elif fault == "stray composite":
+            c.compose[(pick(morphs), draw(st.sampled_from([pick(morphs), "nowhere"])))] = pick(morphs)
+        elif fault in ("mistyped composite", "identity law") and c.compose:
+            c.compose[pick(c.compose)] = pick(morphs)
+    return c
+
+
+class TestCategoryCheckOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(c=table_categories())
+    def test_violations_come_in_the_same_order(self, c):
+        assert [(v.kind, v.message) for v in fincat.check_category(c).violations] == reference_check_category(c)
+
+    @pytest.mark.parametrize("objects", [["a", "b", "a", "c", "b", "a"], [0, 0.0, "0"], [1, 2, 3]])
+    def test_repeated_objects(self, objects):
+        c = FinCategory(objects, {}, {}, {})
+        assert [(v.kind, v.message) for v in fincat.check_category(c).violations] == reference_check_category(c)
