@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -97,7 +96,8 @@ def _emit(value, level: int, write) -> None:
         write("\n" + "  " * level + "]" if opened else "[]")
         return
     write(("{" if mapping else "[") + inner)
-    if not any(map(isinstance, value.values() if mapping else value, itertools.repeat(CONTAINERS))):
+    # a container among the items, tested once per item type
+    if not any(issubclass(t, CONTAINERS) for t in set(map(type, value.values() if mapping else value))):
         slices = [value] if mapping else (value[k:k + EMIT_SLICE] for k in range(0, len(value), EMIT_SLICE))
         for n, part in enumerate(slices):
             write(("," + inner if n else "") + _encode(level)(part)[1:-1])
@@ -224,27 +224,29 @@ def cmd_daseinise(args: argparse.Namespace) -> int:
 
 
 def load_net_spec(path: str, tol: float) -> "locnet.LocalNet":
-    """Custom net spec: {'length': L, 'regions': [{'start', 'stop', 'generators'}]};
-    each region closed by ``locnet.region_algebra``, exactly for Pauli strings."""
+    """Custom net spec: {'length': L, 'regions': [{'start', 'stop', 'generators'}]}.
+    Every region is read and checked first; then one ``locnet.region_algebras``
+    call closes them all, exactly for Pauli strings."""
     data = load_json(path)
     length = whole_number(member(data, "length", "net spec"), "net spec length", least=1)
     locnet.refuse_long_chain(length)
     d = 2**length
-    assignment = {}
+    generators = {}
     for entry in array(member(data, "regions", "net spec"), "net spec regions"):
         start, stop = (whole_number(member(entry, e, "net spec region"), f"net spec {e}") for e in ("start", "stop"))
         region = locnet.Region(start, stop)
         if region.start < 0 or region.stop >= length:
             raise InputError(f"net spec {path!r}: region {region.label()} lies outside the chain [0,{length - 1}]")
-        if region in assignment:
+        if region in generators:
             raise InputError(f"net spec {path!r}: region {region.label()} is listed twice")
         gens = [parse_matrix(m) for m in array(member(entry, "generators", "net spec region"), "generators")]
         for k, g in enumerate(gens):
             if len(g) != d:
                 raise InputError(f"net spec {path!r}: generator {k} of region {region.label()} "
                                  f"is {len(g)}x{len(g)}, expected {d}x{d}")
-        assignment[region] = locnet.region_algebra(gens, length, tol)
-    return locnet.LocalNet(length, assignment, tol=tol)
+        generators[region] = gens
+    algebras = locnet.region_algebras(list(generators.values()), length, tol)
+    return locnet.LocalNet(length, dict(zip(generators, algebras)), tol=tol)
 
 
 def cmd_net_check(args: argparse.Namespace) -> int:
@@ -269,10 +271,9 @@ def cmd_net_check(args: argparse.Namespace) -> int:
     all_violations = isotony.violations + locality.violations + squares
     if not args.net:
         # translation covariance is checked on the standard single-site family
-        contexts = [
-            (r, locnet.region_algebra([locnet.pauli_string({r.start: "Z"}, net.length)], net.length, args.tolerance))
-            for r in net.regions() if r.start == r.stop
-        ]
+        sites = [r for r in net.regions() if r.start == r.stop]
+        singles = [[locnet.pauli_string({r.start: "Z"}, net.length)] for r in sites]
+        contexts = list(zip(sites, locnet.region_algebras(singles, net.length, args.tolerance)))
         covariance = locnet.check_covariance(net, args.shift, contexts)
         report["covariance_shift"] = args.shift
         report["covariance"] = covariance.ok

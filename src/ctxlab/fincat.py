@@ -62,7 +62,8 @@ class FinCategory:
 
 def _repeated(objects: list) -> list:
     """Each object listed more than once, once, in order of first listing."""
-    return [o for k, o in enumerate(objects) if o in objects[k + 1 :] and o not in objects[:k]]
+    counts = Counter(objects)
+    return [o for o in counts if counts[o] > 1]
 
 
 def poset_category(elements: list, leq) -> FinCategory:
@@ -113,8 +114,9 @@ def check_category(c: FinCategory) -> ValidationReport:
     if not report.ok:
         return report
     seen: dict = {}
+    objects = set(c.objects)
     for (src, dst), labels in c.homs.items():
-        if src not in c.objects or dst not in c.objects:
+        if src not in objects or dst not in objects:
             report.add("category.structure", f"hom-set ({src},{dst}) references unknown object")
         for m in labels:
             if m in seen:
@@ -131,14 +133,18 @@ def check_category(c: FinCategory) -> ValidationReport:
     if not report.ok:
         return report
 
+    # the morphisms into each object, in the order of ``morphs``: the f with
+    # g o f composable are those into g's domain
+    into: dict = {}
+    for f, ends in morphs.items():
+        into.setdefault(ends[1], []).append((f, ends))
+
     # composition total, well typed, and over composable pairs only
     for (g, f), gf in c.compose.items():
         if not {g, f, gf} <= morphs.keys() or morphs[f][1] != morphs[g][0]:
             report.add("category.structure", f"composite entry ({g!r}, {f!r}) names an unknown or non-composable pair")
     for g, (gs, gd) in morphs.items():
-        for f, (fs, fd) in morphs.items():
-            if fd != gs:
-                continue
+        for f, (fs, _) in into.get(gs, ()):
             gf = c.compose.get((g, f))
             if gf is None:
                 report.add("category.structure", f"missing composite ({g!r}, {f!r})")
@@ -156,13 +162,9 @@ def check_category(c: FinCategory) -> ValidationReport:
         if c.compose[(f, c.identities[fs])] != f:
             report.add("category.identity", f"{f!r} o id_{fs} != {f!r}")
 
-    for h, (hs, hd) in morphs.items():
-        for g, (gs, gd) in morphs.items():
-            if gd != hs:
-                continue
-            for f, (fs, fd) in morphs.items():
-                if fd != gs:
-                    continue
+    for h, (hs, _) in morphs.items():
+        for g, (gs, _) in into.get(hs, ()):
+            for f, _ in into.get(gs, ()):
                 left = c.compose[(h, c.compose[(g, f)])]
                 right = c.compose[(c.compose[(h, g)], f)]
                 if left != right:

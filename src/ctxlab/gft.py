@@ -10,6 +10,7 @@ inclusions give the coarse-graining morphisms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import ceil, comb
@@ -82,13 +83,18 @@ class TruncatedFock:
     count, each sector's occupation vectors in ascending lexicographic
     order.  ``lowerings`` holds every ladder entry ``a_k |col> = sqrt(n_k)
     |row>``, by column and then mode, as the arrays ``(rows, cols, modes,
-    amps)``, from which every ladder and field is read.
+    amps)``.  ``ladders`` holds the same entries in row order, as the CSR
+    pattern ``(indptr, cols, modes, amps)`` of the stacked block
+    ``[a_0 .. a_M-1 | a_0* .. a_M-1*]`` of dim rows and 2 dim columns: row
+    ``i`` lists its lowerings by column, then its raisings, at column dim +
+    j and mode M + k for ``a_k* |j>``.  Every field is read from it.
     """
 
     modes: int
     n_max: int
     mode_weight: float = 1.0
     lowerings: tuple = field(init=False, repr=False)
+    ladders: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.modes < 1:
@@ -99,6 +105,7 @@ class TruncatedFock:
         if size > FOCK_CAP:
             raise CapExceeded("Fock dimension", size, FOCK_CAP)
         self.lowerings = _lowerings(self.modes, self.n_max)
+        self.ladders = _ladders(self.lowerings, self.modes, self.dim)
 
     @property
     def dim(self) -> int:
@@ -178,6 +185,20 @@ def _lowerings(modes: int, n_max: int) -> tuple:
     return rows, key[order] // modes, ks, np.sqrt(occ.ravel()[order] + 1)
 
 
+def _ladders(lowerings: tuple, modes: int, dim: int) -> tuple:
+    """The CSR pattern of ``[a | a*]`` from the lowerings: a stable sort
+    by row of the lowerings, each at its row, and then the raisings, each
+    at its lowering's column, so that a row's lowerings come first and
+    keep their column order.  The indices fit int32, which scipy takes
+    without a copy: dim <= FOCK_CAP."""
+    rows, cols, ks, amps = lowerings
+    key = np.concatenate([rows, cols])
+    order = np.argsort(key, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=dim))]).astype(np.int32)
+    stacked_cols = np.concatenate([cols, dim + rows])[order].astype(np.int32)
+    return indptr, stacked_cols, np.concatenate([ks, modes + ks])[order], np.concatenate([amps, amps])[order]
+
+
 def fock_for(space: PolyhedronSpace, n_max: int) -> TruncatedFock:
     """The Fock space over ``space``'s modes at cutoff ``n_max``.  Above the
     vacuum every mode is a state, so a mode count too long to show is
@@ -199,12 +220,13 @@ def field_operator(f, fock: TruncatedFock):
     from scipy.sparse import csr_array
 
     fv = _coerce_fn(f, fock.modes)
-    rows, cols, modes, amps = fock.lowerings
+    indptr, cols, modes, amps = fock.ladders
     # the mode ladders have disjoint supports, so the field's entries are
-    # theirs, weighted; a mode with f = 0 adds none
-    at = fv[modes] != 0
-    vals = amps[at] * (np.sqrt(fock.mode_weight) * fv)[modes[at]]
-    return csr_array((vals, (rows[at], cols[at])), shape=(fock.dim, fock.dim))
+    # theirs, weighted; a mode with f = 0 adds none, and neither does a raising
+    weights = np.concatenate([np.sqrt(fock.mode_weight) * fv, np.zeros(fock.modes, dtype=complex)])[modes]
+    at = weights != 0
+    kept = np.concatenate([[0], np.cumsum(at, dtype=np.int32)])[indptr]
+    return csr_array((amps[at] * weights[at], cols[at], kept), shape=(fock.dim, fock.dim))
 
 
 def ccr_top_sector(n_max: int, guard: int = 1) -> int:
@@ -252,12 +274,22 @@ def ccr_defect(f, fp, fock: TruncatedFock, guard: int = 1) -> float:
     entries between sectors, which keeps the value an upper bound of the
     whole block's norm whatever those entries are.
     """
+    from scipy.sparse import csc_array, csr_array
+
     edges = [0] + [fock.sector_size(total) for total in range(ccr_top_sector(fock.n_max, guard) + 1)]
     keep = edges[-1]
-    a = field_operator(f, fock)
-    b = dagger(field_operator(fp, fock))
-    commutator = a[:keep] @ b[:, :keep] - b[:keep] @ a[:, :keep]
-    return _sector_norm(commutator, weighted_inner(f, fp, fock.mode_weight), edges)
+    fv, gv = (np.sqrt(fock.mode_weight) * _coerce_fn(v, fock.modes) for v in (f, fp))
+    indptr, cols, modes, amps = fock.ladders
+    end = indptr[keep]
+    # X = [a(f) | a(fp)*] on the guarded rows, and Y = [a(fp)* ; -a(f)] on the
+    # guarded columns, which is [a(fp) | -a(f)*]* there: the CSR pattern of X
+    # read as CSC.  In X @ Y each entry off the diagonal is two equal
+    # products of opposite sign, which cancel exactly.
+    stacked = csr_array((amps[:end] * np.concatenate([fv, gv.conj()])[modes[:end]], cols[:end], indptr[:keep + 1]),
+                        shape=(keep, 2 * fock.dim))
+    adjoint = csc_array((amps[:end] * np.concatenate([gv.conj(), -fv])[modes[:end]], cols[:end], indptr[:keep + 1]),
+                        shape=(2 * fock.dim, keep))
+    return _sector_norm(stacked @ adjoint, weighted_inner(f, fp, fock.mode_weight), edges)
 
 
 def weyl_top_sector(n_max: int, sector_cap: int) -> int:
@@ -291,8 +323,9 @@ def _weyl_action(fv: np.ndarray, fock: TruncatedFock):
 
     (m, s) takes the fewest matvecs m * s with ||G||_1 / s <= theta_m, and a
     step stops early once two successive terms fall below the unit roundoff
-    of the partial sum: algorithm 3.2 of Al-Mohy and Higham, as scipy runs
-    it, but on the exact 1-norm at every norm, so it draws no random numbers.
+    of the partial sum (``_taylor_steps``): algorithm 3.2 of Al-Mohy and
+    Higham, as scipy runs it, but on the exact 1-norm at every norm, so it
+    draws no random numbers.
     Refuses (CapExceeded) a non-finite ||G||_1, or m * s above
     ``WEYL_MATVEC_CAP``, here, before the map runs: s grows with ||G||_1.
     """
@@ -306,22 +339,35 @@ def _weyl_action(fv: np.ndarray, fock: TruncatedFock):
     m, s = min(((m, ceil(norm / theta)) for m, theta in _THETA.items()), key=lambda ms: ms[0] * ms[1])
     if m * s > WEYL_MATVEC_CAP:
         raise CapExceeded("Weyl action matvecs", m * s, WEYL_MATVEC_CAP)
+    return functools.partial(_taylor_steps, g, m, s)
 
-    def apply(cols: np.ndarray) -> np.ndarray:
-        out = term = cols
-        for _ in range(s):
-            c1 = abs(term).sum(axis=1).max()  # the infinity norm, as np.linalg.norm sums it
-            for j in range(1, m + 1):
-                term = (1.0 / (s * j)) * (g @ term)
-                c2 = abs(term).sum(axis=1).max()
-                out = out + term
-                if c1 + c2 <= 2.0**-53 * abs(out).sum(axis=1).max():
+
+def _taylor_steps(g, m: int, s: int, cols: np.ndarray) -> np.ndarray:
+    """exp(G) @ cols by s steps of a degree-m Taylor series of exp(G / s).
+
+    A step stops early once two successive terms fall below the unit
+    roundoff of the partial sum's infinity norm (as np.linalg.norm sums
+    it).  That norm is formed only when the terms fall below the roundoff
+    of ``bound``, an upper bound of it: the norm at the start of the step,
+    grown by each term's norm and by 2**-30 of itself for the rounding of
+    the sum.  So each step breaks where a test on the norm after every
+    term breaks it, with the same bits.
+    """
+    out = term = cols
+    for _ in range(s):
+        c1 = bound = abs(term).sum(axis=1).max()
+        for j in range(1, m + 1):
+            term = (1.0 / (s * j)) * (g @ term)
+            c2 = abs(term).sum(axis=1).max()
+            out = out + term
+            bound = (bound + c2) * (1.0 + 2.0**-30)
+            if c1 + c2 <= 2.0**-53 * bound:
+                bound = abs(out).sum(axis=1).max()
+                if c1 + c2 <= 2.0**-53 * bound:
                     break
-                c1 = c2
-            term = out
-        return out
-
-    return apply
+            c1 = c2
+        term = out
+    return out
 
 
 def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:

@@ -55,7 +55,7 @@ PAULI = {
 }
 # Longest chain a net may have.  Pauli regions build their rows only when
 # read, so the standard net's checks need no cap this low; the dense
-# fallback of ``region_algebra`` does: its ``generate_algebra`` closure, at
+# fallback of ``region_algebras`` does: its ``generate_algebra`` closure, at
 # ``dim_cap=2**length``, which never refuses, forms n**2 product rows of
 # 4**length entries a round, 2.6 GB at 5 sites for a round of 400 rows.
 MAX_SITES = 6
@@ -143,23 +143,27 @@ def _pauli_subgroup(strings, length: int) -> list:
     return [(g >> length, g & (1 << length) - 1) for _, g in sorted(zip(digits, group))]
 
 
-def pauli_term(g: np.ndarray, length: int, tol: float = DEFAULT_TOL):
-    """The ``(x, z)`` masks of the string ``P`` that ``g`` is a multiple of,
-    or None: ``g`` is one when ``|g - c P|_F <= tol |g|_F`` for its
-    projection ``c P``.  ``x`` is read from the largest entry of column 0,
-    each bit of ``z`` from the sign of ``g[c ^ x, c] / g[x, 0]`` at the
-    one-bit column ``c``.  A zero ``g`` reads as the identity, ``(0, 0)``."""
-    norm = np.linalg.norm(g)
-    if norm == 0:
-        return (0, 0)
-    x = int(np.argmax(np.abs(g[:, 0])))
-    if g[x, 0] == 0:
-        return None
+def _pauli_terms(stack: np.ndarray, length: int, tol: float) -> list:
+    """For each matrix ``g`` of the stack, the ``(x, z)`` masks of the
+    string ``P`` that it is a multiple of, or None: ``g`` is one when
+    ``|g - c P|_F <= tol |g|_F`` for its projection ``c P``.  ``x`` is read
+    from the largest entry of column 0, each bit of ``z`` from the sign of
+    ``g[c ^ x, c] / g[x, 0]`` at the one-bit column ``c``.  A zero ``g``
+    reads as the identity, ``(0, 0)``; a ``g`` with a zero column 0 as None."""
+    n, d = len(stack), 2**length
+    flat = stack.reshape(n, d * d)
+    norms = np.linalg.norm(flat, axis=1)
+    x = np.argmax(np.abs(stack[:, :, 0]), axis=1)
+    lead = stack[np.arange(n), x, 0]
     bits = 1 << np.arange(length)
-    z = int(bits[(g[bits ^ x, bits] / g[x, 0]).real < 0].sum())
-    row = _string_rows([(x, z)], length)[0]
-    flat = g.reshape(-1)
-    return (x, z) if np.linalg.norm(flat - np.vdot(row, flat) * row) <= tol * norm else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = stack[np.arange(n)[:, None], bits ^ x[:, None], bits] / lead[:, None]
+    z = (bits * (ratios.real < 0)).sum(axis=1)
+    rows = _string_rows(np.stack([x, z], axis=1), length)
+    coeffs = np.einsum("ij,ij->i", rows.conj(), flat)
+    ok = np.linalg.norm(flat - coeffs[:, None] * rows, axis=1) <= tol * norms
+    return [(0, 0) if norm == 0 else (int(xk), int(zk)) if lead_k != 0 and ok_k else None
+            for norm, xk, zk, lead_k, ok_k in zip(norms, x, z, lead, ok)]
 
 
 class PauliAlgebra(MatrixStarAlgebra):
@@ -179,15 +183,23 @@ class PauliAlgebra(MatrixStarAlgebra):
         return alg
 
 
-def region_algebra(generators: list, length: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """The *-algebra that the generators generate: exactly, from their
-    strings, when each is a multiple of one Pauli string (``pauli_term``),
-    and by the dense closure of ``generate_algebra`` otherwise."""
-    generators = [as_matrix(g, 2**length) for g in generators]
-    strings = [pauli_term(g, length, tol) for g in generators]
-    if None in strings:
-        return generate_algebra(generators, 2**length, tol, dim_cap=2**length)
-    return PauliAlgebra.generated(strings, length, tol)
+def region_algebras(regions: list, length: int, tol: float = DEFAULT_TOL) -> list:
+    """For each list of generators, the *-algebra that they generate:
+    exactly, from their strings, when each is a multiple of one Pauli
+    string, and by the dense closure of ``generate_algebra`` otherwise.
+    The strings of every generator are read in one pass (``_pauli_terms``)."""
+    d = 2**length
+    regions = [[as_matrix(g, d) for g in gens] for gens in regions]
+    stack = np.array([g for gens in regions for g in gens], dtype=complex).reshape(-1, d, d)
+    strings = iter(_pauli_terms(stack, length, tol))
+    algebras = []
+    for gens in regions:
+        found = [next(strings) for _ in gens]
+        if None in found:
+            algebras.append(generate_algebra(gens, d, tol, dim_cap=d))
+        else:
+            algebras.append(PauliAlgebra.generated(found, length, tol))
+    return algebras
 
 
 def standard_region_algebra(region: Region, length: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:

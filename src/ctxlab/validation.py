@@ -13,6 +13,7 @@ message locating the offending instance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -91,16 +92,22 @@ def numbers(data, what: str) -> np.ndarray:
 def parse_matrix(data) -> np.ndarray:
     """A square complex matrix from its rows of entries, each a finite
     number or an [re, im] pair of them, refused with its row and column.
-    One pass over the cells: pairs of floats, which ctxlab writes, are
-    taken at once, the rest by ``_entry``."""
+    Cells that are all pairs of floats, which ctxlab writes, are read in
+    C-level passes over the cells, two floats at a time into one complex
+    entry; any other cell sends the whole matrix through ``_entry``, cell
+    by cell."""
     n = len(array(data, "matrix JSON"))
     if not n:
         raise InputError("matrix JSON has no rows")
     for i, row in enumerate(data):
         if type(row) is not list or len(row) != n:
             raise InputError(f"matrix JSON row {i} is not an array of {n} entries: {shown(row)}")
-    mat = np.array([[complex(*c) if type(c) is list and len(c) == 2 and type(c[0]) is type(c[1]) is float
-                     else _entry(c, i, j) for j, c in enumerate(row)] for i, row in enumerate(data)], dtype=complex)
+    cells = itertools.chain.from_iterable
+    pairs = set(map(type, cells(data))) == {list} and set(map(len, cells(data))) == {2}
+    if pairs and set(map(type, cells(cells(data)))) == {float}:
+        mat = np.fromiter(cells(cells(data)), dtype=float, count=2 * n * n).view(complex).reshape(n, n)
+    else:
+        mat = np.array([[_entry(c, i, j) for j, c in enumerate(row)] for i, row in enumerate(data)], dtype=complex)
     if not np.isfinite(mat).all():
         i, j = np.argwhere(~np.isfinite(mat))[0]
         raise InputError(f"matrix entry at row {i}, column {j} is not finite: {shown(data[i][j])}")
@@ -108,7 +115,8 @@ def parse_matrix(data) -> np.ndarray:
 
 
 def _entry(cell, i: int, j: int) -> complex:
-    """The value of a cell that is not a pair of floats; a boolean or a non-number is refused."""
+    """The value of a cell: a number or an [re, im] pair of them; a boolean
+    or a non-number is refused."""
     where = f"matrix entry at row {i}, column {j}"
     parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell]
     if any(x is True or x is False for x in parts):

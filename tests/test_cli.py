@@ -462,7 +462,7 @@ class TestNetLengthCap:
         def refuse(*args, **kwargs):
             raise AssertionError("an algebra was built for a net over the cap")
 
-        monkeypatch.setattr(ctxlab.locnet, "region_algebra", refuse)
+        monkeypatch.setattr(ctxlab.locnet, "region_algebras", refuse)
         spec = tmp_path / "net7.json"
         z = np.diag([1.0, -1.0] * 64).tolist()
         spec.write_text(json.dumps({"length": 7, "regions": [{"start": 0, "stop": 0, "generators": [z]}]}))

@@ -12,19 +12,19 @@ from conftest import SX, SZ, random_unitary
 from ctxlab import locnet
 from ctxlab.ctxext import CARRIER_CAP
 from ctxlab.errors import DomainError
-from ctxlab.linalg import opnorm
+from ctxlab.linalg import DEFAULT_TOL, opnorm
 from ctxlab.locnet import (
     LocalNet,
     PauliAlgebra,
     Region,
+    _pauli_terms,
     check_covariance,
     check_isotony,
     check_lc_square,
     check_locality,
     composite_context,
     pauli_string,
-    pauli_term,
-    region_algebra,
+    region_algebras,
     shifted_region,
     site_operator,
     spectrum_multiplicativity,
@@ -115,7 +115,7 @@ def looped_locality(net):
 def pauli_nets(draw, frames=True):
     """Nets on 2-4 sites whose regions are generated by drawn Pauli strings;
     a leak puts a string on a site outside its region.  Unrotated regions
-    take the exact builder (``region_algebra``) and hold ``PauliAlgebra``s.
+    take the exact builder (``region_algebras``) and hold ``PauliAlgebra``s.
     With ``frames``, a drawn set of regions has its generators conjugated by
     one random unitary, which keeps every commutation among them and makes
     the entries inexact, so those regions take the dense closure."""
@@ -139,7 +139,7 @@ def pauli_nets(draw, frames=True):
             gens = [pauli_string(labels, length) for labels in strings]
             if seed is not None and draw(st.booleans()):
                 gens = [u @ g @ u.conj().T for g in gens]
-            assignment[region] = region_algebra(gens, length)
+            assignment[region] = region_algebras([gens], length)[0]
     return LocalNet(length, assignment)
 
 
@@ -407,11 +407,11 @@ def local_generators(net: LocalNet) -> list:
 class TestInductiveLimit:
     def test_single_site_chain(self):
         net = standard_net(1)
-        assert region_algebra(local_generators(net), net.length).dimension == 4
+        assert region_algebras([local_generators(net)], net.length)[0].dimension == 4
 
     def test_two_site_chain_full(self):
         net = standard_net(2)
-        assert region_algebra(local_generators(net), net.length).dimension == 16
+        assert region_algebras([local_generators(net)], net.length)[0].dimension == 16
 
     def test_diagonal_net_stays_diagonal(self):
         length = 3
@@ -431,7 +431,7 @@ class TestInductiveLimit:
         net = LocalNet(length, assignment, builder=diagonal_algebra)
         assert check_isotony(net).ok
         assert check_locality(net).ok
-        assert region_algebra(local_generators(net), net.length).dimension == d
+        assert region_algebras([local_generators(net)], net.length)[0].dimension == d
 
 
 class TestLocallyCovariantSquare:
@@ -500,7 +500,7 @@ def inclusion_nets(draw):
         else:
             sites = st.sampled_from(list(range(length)) if draw(st.booleans()) else list(region.sites()))
             strings = draw(st.lists(st.dictionaries(sites, st.sampled_from("XYZ"), min_size=1), max_size=3))
-            assignment[region] = region_algebra([pauli_string(labels, length) for labels in strings], length)
+            assignment[region] = region_algebras([[pauli_string(labels, length) for labels in strings]], length)[0]
     rotated = draw(st.sets(st.sampled_from(regions)))
     u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**16))), d)
 
@@ -622,7 +622,7 @@ def verdicts(net) -> tuple:
 
 
 def count_closures(patch) -> list:
-    """Record the generators of every dense closure that ``region_algebra`` takes."""
+    """Record the generators of every dense closure that ``region_algebras`` takes."""
     calls = []
     dense = locnet.generate_algebra
     patch.setattr(locnet, "generate_algebra", lambda gens, *a, **k: calls.append(gens) or dense(gens, *a, **k))
@@ -649,7 +649,7 @@ class TestPauliClosureOracle:
         d = 2**length
         with pytest.MonkeyPatch.context() as patch:
             calls = count_closures(patch)
-            exact = region_algebra(gens, length)
+            exact = region_algebras([gens], length)[0]
         assert isinstance(exact, PauliAlgebra) and not calls
         dense = generate_algebra(gens, d, dim_cap=d)
         assert algebra_span_equal(exact, dense)
@@ -668,7 +668,7 @@ class TestPauliClosureOracle:
     @given(case=pauli_specs(), data=st.data())
     def test_perturbations_on_both_sides_of_the_recognition_bound(self, tol, case, data):
         """A generator off its string by half the bound ``tol |g|_F`` of
-        ``pauli_term`` is recognized, and the net's verdicts stay those of
+        ``_pauli_terms`` is recognized, and the net's verdicts stay those of
         the unperturbed spec and of the dense closures of the perturbed one;
         at twice the bound it takes the dense closure."""
         length, spec = case
@@ -682,12 +682,12 @@ class TestPauliClosureOracle:
             return LocalNet(length, {r: build(g) for r, g in gens.items()}, tol=tol)
 
         d = 2**length
-        exact = net(0.0, lambda g: region_algebra(g, length, tol))
+        exact = net(0.0, lambda g: region_algebras([g], length, tol)[0])
         with pytest.MonkeyPatch.context() as patch:
             calls = count_closures(patch)
-            near = net(0.5, lambda g: region_algebra(g, length, tol))
+            near = net(0.5, lambda g: region_algebras([g], length, tol)[0])
             assert not calls
-            net(2.0, lambda g: region_algebra(g, length, tol))
+            net(2.0, lambda g: region_algebras([g], length, tol)[0])
             assert len(calls) == 1
         assert near.support(region) == exact.support(region)
         dense = net(0.5, lambda g: generate_algebra(g, d, tol, dim_cap=d))
@@ -699,10 +699,10 @@ class TestPauliClosureOracle:
         x0, z0, x1 = (pauli_string(labels, 2) for labels in ({0: "X"}, {0: "Z"}, {1: "X"}))
         u = random_unitary(np.random.default_rng(4), 4)
         g = {"X+Z": x0 + z0, "rotated": u @ x1 @ u.conj().T, "sigma+": (x0 + 1j * pauli_string({0: "Y"}, 2)) / 2}[name]
-        assert pauli_term(g, 2) is None
+        assert _pauli_terms(g[None], 2, DEFAULT_TOL) == [None]
         with pytest.MonkeyPatch.context() as patch:
             calls = count_closures(patch)
-            alg = region_algebra([z0, g], 2)
+            alg = region_algebras([[z0, g]], 2)[0]
         assert len(calls) == 1 and not isinstance(alg, PauliAlgebra)
         assert algebra_span_equal(alg, generate_algebra([z0, g], 4))
 

@@ -5,7 +5,7 @@ The threshold policy is written in one place: every float literal in
 constant of ``ctxlab.linalg``, or one of the report bounds of
 ``ctxlab.cli``.  And the dense product closure is taken only where no
 exact builder applies: ``generate_algebra`` is called only inside
-``locnet.region_algebra``, for generators that are not Pauli strings.
+``locnet.region_algebras``, for generators that are not Pauli strings.
 And scipy enters the package only as ``scipy.sparse``: no module imports
 ``scipy.linalg``, ``scipy.sparse.linalg`` or any other part of it.  And
 no public definition of the package is reached by tests alone: each is
@@ -71,7 +71,7 @@ def test_the_lint_finds_literal_thresholds():
 
 def closure_calls(source: str, name: str) -> list:
     """``name:line: function`` for each call of ``generate_algebra`` in
-    module ``name`` outside ``locnet.region_algebra``."""
+    module ``name`` outside ``locnet.region_algebras``."""
     found = []
 
     def visit(node, function):
@@ -79,7 +79,7 @@ def closure_calls(source: str, name: str) -> list:
             if isinstance(child, ast.Call):
                 func = child.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == "generate_algebra" and (name, function) != ("locnet.py", "region_algebra"):
+                if called == "generate_algebra" and (name, function) != ("locnet.py", "region_algebras"):
                     found.append(f"{name}:{child.lineno}: {function}")
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
 
@@ -95,15 +95,15 @@ def test_only_region_algebra_takes_the_product_closure():
 
 
 def test_the_lint_finds_closure_calls():
-    region = "def region_algebra(g):\n    return generate_algebra(g, 2)\n"
+    region = "def region_algebras(g):\n    return generate_algebra(g, 2)\n"
     assert closure_calls(region, "locnet.py") == []
-    assert closure_calls(region, "staralg.py") == ["staralg.py:2: region_algebra"]
+    assert closure_calls(region, "staralg.py") == ["staralg.py:2: region_algebras"]
     assert closure_calls("x = generate_algebra([], 2)\n", "cli.py") == ["cli.py:1: <module>"]
     assert closure_calls("def f():\n    return staralg.generate_algebra([], 2)\n", "cli.py") == ["cli.py:2: f"]
     assert closure_calls("def inductive_limit(net):\n    return [generate_algebra([], 2)]\n", "locnet.py") == [
         "locnet.py:2: inductive_limit"
     ]
-    nested = "def region_algebra(g):\n    def inner():\n        return generate_algebra(g, 2)\n    return inner\n"
+    nested = "def region_algebras(g):\n    def inner():\n        return generate_algebra(g, 2)\n    return inner\n"
     assert closure_calls(nested, "locnet.py") == ["locnet.py:3: inner"]
     assert closure_calls("def generate_algebra(g, d):\n    return close(g)\n", "staralg.py") == []
 
