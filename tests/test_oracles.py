@@ -3506,11 +3506,6 @@ def reference_taylor(g, m, s, cols, matvecs: list) -> np.ndarray:
     return out
 
 
-def weyl_cases_at(fock, f, sector_cap):
-    _, cols = gft._sector_columns(fock, sector_cap)
-    return f, fock, cols
-
-
 class CountedProducts:
     """G, with each product G @ x appended to ``matvecs``."""
 
@@ -3527,7 +3522,8 @@ class TestWeylStoppingOracle:
     test on the norm after every term: the same bits from the same number
     of products."""
 
-    def assert_same_action(self, f, fock, cols):
+    def assert_same_action(self, f, fock, sector_cap):
+        _, cols = gft._sector_columns(fock, sector_cap)
         g, m, s = reference_weyl_parameters(f, fock)
         action = gft._weyl_action(f, fock)
         assert action.func is gft._taylor_steps and action.args[1:] == (m, s) and same_csr(action.args[0], g)
@@ -3546,7 +3542,7 @@ class TestWeylStoppingOracle:
             for _ in range(2):
                 f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 f *= 2.0 / np.sqrt(abs(gft.inner_product(f, f, space)))
-                self.assert_same_action(*weyl_cases_at(fock, f, 1))
+                self.assert_same_action(f, fock, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.sampled_from([(1, 1, 12), (2, 1, 8), (2, 2, 4), (3, 1, 5), (2, 3, 2)]),
@@ -3558,7 +3554,7 @@ class TestWeylStoppingOracle:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
         f *= norm / np.sqrt(abs(gft.inner_product(f, f, space)))
-        self.assert_same_action(*weyl_cases_at(fock, f, min(cap, n_max - 1)))
+        self.assert_same_action(f, fock, min(cap, n_max - 1))
 
 
 def reference_check_category(c: FinCategory) -> list:
@@ -3619,7 +3615,7 @@ def reference_check_category(c: FinCategory) -> list:
 
 
 CATEGORY_FAULTS = ["repeated object", "unknown end", "shared label", "no identity", "misplaced identity",
-                   "missing composite", "stray composite", "mistyped composite", "identity law"]
+                   "missing composite", "stray composite", "wrong composite"]
 
 
 @st.composite
@@ -3666,7 +3662,7 @@ def table_categories(draw):
             del c.compose[pick(c.compose)]
         elif fault == "stray composite":
             c.compose[(pick(morphs), draw(st.sampled_from([pick(morphs), "nowhere"])))] = pick(morphs)
-        elif fault in ("mistyped composite", "identity law") and c.compose:
+        elif fault == "wrong composite" and c.compose:
             c.compose[pick(c.compose)] = pick(morphs)
     return c
 
