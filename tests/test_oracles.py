@@ -18,8 +18,10 @@ carrier integral by ``np.dot``, the matrix reader cell by cell, the Pauli
 recognition one generator at a time and the net spec reader that closed
 each region as it read it, the guarded CCR commutator as two products of
 sliced fields, the Weyl stopping test on the partial sum's norm after
-every term, and the category check over every pair and triple of
-morphisms.  Outputs must be identical, in identical order, and minima
+every term, the category check over every pair and triple of
+morphisms, the Fock ladder pattern built from lowerings listed by column,
+and the diagram check that looked each map up through a fresh morphism
+table.  Outputs must be identical, in identical order, and minima
 bitwise equal; the Weyl action agrees within 1e-14, the benchmark's
 gft-weyl and gft-ccr reports byte for byte, the integral within 1e-12,
 and the CCR defect within a few units in the last place of its terms.  The contexts and spectra
@@ -34,6 +36,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import re
 import time
 import tracemalloc
@@ -71,6 +74,7 @@ from ctxlab.fincat import (
     enumerate_cones,
     limit_of_diagram,
     one_point_cone_tuple,
+    poset_category,
     solve_constraints,
 )
 from ctxlab.fixtures import peres24_fixture
@@ -2719,6 +2723,71 @@ TABLE_SHAPES += [(1, 2000), (2, 60), (139, 2), (3, 30), (9999, 1)]
 DEEP_SHAPES = [(1, 9999), (2, 139), (9999, 1)]
 
 
+def reference_rank_lowerings(modes, n_max) -> tuple:
+    """The lowering table ``(rows, cols, modes, amps)`` built by rank, by
+    column and then mode: one entry per raising u -> u + e_k of a state u
+    below the top sector, at u's position plus its sector's size plus the
+    binomial steps of the modes up to k."""
+    if n_max == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none, np.sqrt(none)
+    short, long = sorted((n_max + 1, modes))
+    comps = np.ones((short, long), dtype=np.int64)
+    for j in range(1, short):
+        comps[j] = np.cumsum(comps[j - 1])
+    comps = comps if short == n_max + 1 else comps.T
+    m = np.arange(modes - 1, -1, -1)
+    sectors = [np.zeros((1, modes), dtype=np.int64)]
+    for total in range(1, n_max):
+        lengths = comps[total - 1]
+        ends = np.cumsum(lengths)
+        raised = sectors[-1][np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)]
+        raised[np.arange(ends[-1]), np.repeat(m, lengths)] += 1
+        sectors.append(raised)
+    occ = np.concatenate(sectors)
+    r = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    after = np.zeros_like(r)
+    after[:, :-1] = r[:, 1:]
+    steps = np.zeros((n_max, modes), dtype=np.int64)
+    steps[:, 1:] = comps[1:, :-1]
+    g, h = steps[r, m], steps[after, m]
+    start = np.arange(len(occ))[:, None] + comps[r[:, 0], modes - 1][:, None]
+    key = ((start + np.cumsum(g - h, axis=1) + h) * modes + np.arange(modes)).ravel()
+    order = np.argsort(key)
+    rows, ks = np.divmod(order, modes)
+    return rows, key[order] // modes, ks, np.sqrt(occ.ravel()[order] + 1)
+
+
+def reference_row_order(lowerings, modes, dim) -> tuple:
+    """The CSR pattern ``(indptr, cols, modes, amps)`` of ``[a | a*]`` from
+    lowerings listed by column and then mode: a stable sort by row of the
+    lowerings, each at its row, and then the raisings, each at its
+    lowering's column."""
+    rows, cols, ks, amps = lowerings
+    key = np.concatenate([rows, cols])
+    order = np.argsort(key, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=dim))]).astype(np.int32)
+    stacked_cols = np.concatenate([cols, dim + rows])[order].astype(np.int32)
+    return indptr, stacked_cols, np.concatenate([ks, modes + ks])[order], np.concatenate([amps, amps])[order]
+
+
+def assert_same_arrays(found, expected, case):
+    assert len(found) == len(expected), case
+    for part, want in zip(found, expected):
+        assert part.dtype == want.dtype and part.tobytes() == want.tobytes(), case
+
+
+class TestLadderPatternOracle:
+    """The ladder pattern against the two-step build: the lowerings by
+    column, then the stacked block by row."""
+
+    def test_every_table_shape(self):
+        for modes, n_max in TABLE_SHAPES + DEEP_SHAPES:
+            fock = gft.TruncatedFock(modes=modes, n_max=n_max)
+            expected = reference_row_order(reference_rank_lowerings(modes, n_max), modes, fock.dim)
+            assert_same_arrays(fock.ladders, expected, (modes, n_max))
+
+
 class TestFockTableOracle:
     """The lowering table built by rank against the tuple listing, and the
     build's bounds at shapes whose listing is long: (1, 9999) took 7.7 s and
@@ -3677,3 +3746,110 @@ class TestCategoryCheckOracle:
     def test_repeated_objects(self, objects):
         c = FinCategory(objects, {}, {}, {})
         assert [(v.kind, v.message) for v in fincat.check_category(c).violations] == reference_check_category(c)
+
+
+def reference_map_of(d: Diagram, m) -> dict:
+    """A morphism's map, looked up through a fresh morphism table."""
+    if m in d.maps:
+        return d.maps[m]
+    src, dst = d.index.morphisms()[m]
+    if m == d.index.identities.get(src) and src == dst:
+        return {x: x for x in d.carriers[src]}
+    raise InputError(f"diagram has no map for morphism {m!r}")
+
+
+def reference_check_diagram(d: Diagram) -> list:
+    """The violations of the diagram check, each map read through
+    ``reference_map_of``, as (kind, message) pairs."""
+    found = reference_check_category(d.index)
+    if any(kind == "category.structure" for kind, _ in found):
+        return found
+    report = ValidationReport()
+    for kind, message in found:
+        report.add(kind, message)
+    morphs = d.index.morphisms()
+    for o in d.index.objects:
+        if o not in d.carriers:
+            report.add("diagram.structure", f"object {o!r} has no carrier")
+    if report.ok:
+        for m, (src, dst) in morphs.items():
+            try:
+                table = reference_map_of(d, m)
+            except InputError:
+                report.add("diagram.structure", f"morphism {m!r} has no map")
+                continue
+            cod = set(d.carriers[dst])
+            for x in d.carriers[src]:
+                if x not in table:
+                    report.add("diagram.structure", f"map of {m!r} undefined on {x!r}")
+                elif table[x] not in cod:
+                    report.add("diagram.structure", f"map of {m!r} sends {x!r} outside carrier of {dst!r}")
+    if report.ok:
+        for o in d.index.objects:
+            table = reference_map_of(d, d.index.identities[o])
+            for x in d.carriers[o]:
+                if table[x] != x:
+                    report.add("diagram.identity", f"identity of {o!r} moves {x!r}")
+        for (g, f), gf in d.index.compose.items():
+            fs, _ = morphs[f]
+            mg, mf, mgf = reference_map_of(d, g), reference_map_of(d, f), reference_map_of(d, gf)
+            for x in d.carriers[fs]:
+                if mg[mf[x]] != mgf[x]:
+                    report.add("diagram.compose", f"D({g!r}) o D({f!r}) != D({gf!r}) at {x!r}")
+    return [(v.kind, v.message) for v in report.violations]
+
+
+# discrete, a chain, and one object below or above all others, on object positions
+POSET_ORDERS = [operator.eq, operator.le, lambda i, j: i == j or i == 0, lambda i, j: i == j or j == 0]
+
+
+@st.composite
+def table_diagrams(draw):
+    """A diagram over a drawn category table or a poset category on 1-4
+    objects: carriers of 0-3 elements, and for each morphism a map left
+    out or drawn, each element's image mostly in the target's carrier but
+    sometimes missing or outside it, so that identities move elements and
+    composites disagree; then one carrier may be dropped."""
+    if draw(st.booleans()):
+        c = draw(table_categories())
+    else:
+        objects = draw(st.lists(st.sampled_from(["a", "b", "c", 0]), min_size=1, max_size=4, unique=True))
+        order = draw(st.sampled_from(POSET_ORDERS))
+        c = poset_category(objects, lambda a, b: order(objects.index(a), objects.index(b)))
+    carriers = {o: draw(st.lists(st.sampled_from(["x", "y", 0, 1]), max_size=3, unique=True)) for o in c.objects}
+    maps = {}
+    for m, (src, dst) in c.morphisms().items():
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        table = {}
+        for x in carriers.get(src, []):
+            pick = draw(st.integers(0, 29))
+            if pick == 1:
+                table[x] = "outside"
+            elif pick > 1 and carriers.get(dst):
+                table[x] = draw(st.sampled_from(carriers[dst]))
+        maps[m] = table
+    for o in draw(st.lists(st.sampled_from(c.objects), max_size=1)):
+        carriers.pop(o, None)
+    return Diagram(c, carriers, maps)
+
+
+class TestDiagramCheckOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(d=table_diagrams())
+    def test_violations_come_in_the_same_order(self, d):
+        assert [(v.kind, v.message) for v in fincat.check_diagram(d).violations] == reference_check_diagram(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=table_diagrams())
+    def test_map_of_keeps_its_answers_and_its_refusal(self, d):
+        def answer(lookup, m):
+            try:
+                return "map", lookup(m)
+            except InputError as exc:
+                return "refused", str(exc)
+            except KeyError as exc:
+                return "unknown", exc.args
+
+        for m in [*d.index.morphisms(), "unlisted"]:
+            assert answer(d.map_of, m) == answer(functools.partial(reference_map_of, d), m)
