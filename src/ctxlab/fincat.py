@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, InputError
-from .validation import ValidationReport, array, label_table, labels, member, members
+from .validation import ValidationReport, array, label_table, labels, member, members, shown
 
 # rows that one step of the one-point cone join may form, and cones of one apex size it may list
 SEARCH_CAP = 5_000_000
@@ -234,13 +234,17 @@ class Diagram:
     maps: dict = field(default_factory=dict)
 
     def map_of(self, m) -> dict:
+        table = self.maps[m] if m in self.maps else self._map(m, *self.index.morphisms()[m])
+        if table is None:
+            raise InputError(f"diagram has no map for morphism {m!r}")
+        return table
+
+    def _map(self, m, src, dst) -> dict | None:
+        """The map of ``m``: src -> dst: its entry in ``maps``, or the identity
+        on its carrier for an identity left out; None for another morphism."""
         if m in self.maps:
             return self.maps[m]
-        morphs = self.index.morphisms()
-        src, dst = morphs[m]
-        if m == self.index.identities.get(src) and src == dst:
-            return {x: x for x in self.carriers[src]}
-        raise InputError(f"diagram has no map for morphism {m!r}")
+        return {x: x for x in self.carriers[src]} if m == self.index.identities.get(src) and src == dst else None
 
 
 def check_diagram(d: Diagram) -> ValidationReport:
@@ -255,10 +259,10 @@ def check_diagram(d: Diagram) -> ValidationReport:
     if not report.ok:
         return report
 
+    tables = {m: d._map(m, *ends) for m, ends in morphs.items()}
     for m, (src, dst) in morphs.items():
-        try:
-            table = d.map_of(m)
-        except InputError:
+        table = tables[m]
+        if table is None:
             report.add("diagram.structure", f"morphism {m!r} has no map")
             continue
         cod = set(d.carriers[dst])
@@ -271,13 +275,13 @@ def check_diagram(d: Diagram) -> ValidationReport:
         return report
 
     for o in d.index.objects:
-        table = d.map_of(d.index.identities[o])
+        table = tables[d.index.identities[o]]
         for x in d.carriers[o]:
             if table[x] != x:
                 report.add("diagram.identity", f"identity of {o!r} moves {x!r}")
     for (g, f), gf in d.index.compose.items():
         fs, _ = morphs[f]
-        mg, mf, mgf = d.map_of(g), d.map_of(f), d.map_of(gf)
+        mg, mf, mgf = tables[g], tables[f], tables[gf]
         for x in d.carriers[fs]:
             if mg[mf[x]] != mgf[x]:
                 report.add("diagram.compose", f"D({g!r}) o D({f!r}) != D({gf!r}) at {x!r}")
@@ -517,6 +521,11 @@ def diagram_from_json(data) -> Diagram:
                 for o, xs in members(member(data, "carriers", "diagram"), "diagram carriers").items()}
     maps = {m: label_table(t, f"map of {m!r}")
             for m, t in members(member(data, "maps", "diagram"), "diagram maps").items()}
+    ends = index.morphisms()
+    for m, src in ((m, ends[m][0]) for m in maps if m in ends):
+        for x in carriers.get(src, ()):
+            if not isinstance(x, str):
+                raise InputError(f"map of {shown(m)} has string keys, but carrier of {shown(src)} holds {shown(x)}")
     return Diagram(index, carriers, maps)
 
 

@@ -81,19 +81,17 @@ class TruncatedFock:
     the matching delta normalization so that smeared fields reproduce the
     weighted inner product in their commutator.  States are listed by total
     count, each sector's occupation vectors in ascending lexicographic
-    order.  ``lowerings`` holds every ladder entry ``a_k |col> = sqrt(n_k)
-    |row>``, by column and then mode, as the arrays ``(rows, cols, modes,
-    amps)``.  ``ladders`` holds the same entries in row order, as the CSR
-    pattern ``(indptr, cols, modes, amps)`` of the stacked block
-    ``[a_0 .. a_M-1 | a_0* .. a_M-1*]`` of dim rows and 2 dim columns: row
-    ``i`` lists its lowerings by column, then its raisings, at column dim +
-    j and mode M + k for ``a_k* |j>``.  Every field is read from it.
+    order.  ``ladders`` holds every ladder entry ``a_k |col> = sqrt(n_k)
+    |row>`` twice, as the CSR pattern ``(indptr, cols, modes, amps)`` of the
+    stacked block ``[a_0 .. a_M-1 | a_0* .. a_M-1*]`` of dim rows and 2 dim
+    columns: row ``i`` lists its lowerings by column, then its raisings, at
+    column dim + j and mode M + k for ``a_k* |j>``.  Every field is read
+    from it.
     """
 
     modes: int
     n_max: int
     mode_weight: float = 1.0
-    lowerings: tuple = field(init=False, repr=False)
     ladders: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -104,8 +102,7 @@ class TruncatedFock:
         size = _dimension_below(self.modes, self.n_max, 10**SHOWN_CHARS)
         if size > FOCK_CAP:
             raise CapExceeded("Fock dimension", size, FOCK_CAP)
-        self.lowerings = _lowerings(self.modes, self.n_max)
-        self.ladders = _ladders(self.lowerings, self.modes, self.dim)
+        self.ladders = _ladders(self.modes, self.n_max, self.dim)
 
     @property
     def dim(self) -> int:
@@ -142,10 +139,14 @@ def _compositions(rows: int, cols: int) -> np.ndarray:
     return table if short == rows else table.T
 
 
-def _lowerings(modes: int, n_max: int) -> tuple:
-    """The ladder entries ``(rows, cols, modes, amps)`` of the Fock space,
-    one for each raising u -> u + e_k of a state u below the top sector,
-    read in reverse: modes * sector_size(n_max - 1) of them.
+def _ladders(modes: int, n_max: int, dim: int) -> tuple:
+    """The CSR pattern ``(indptr, cols, modes, amps)`` of ``[a | a*]``: one
+    ladder entry ``a_k |u + e_k> = sqrt(u_k + 1) |u>`` for each raising of
+    a state u below the top sector, modes * sector_size(n_max - 1) of them,
+    each kept as a lowering at row u (``low``) and column u + e_k (``high``)
+    and as a raising at row u + e_k and column dim + u, and one sort by row
+    and then column.
+    The indices fit int32, which scipy takes without a copy: dim <= FOCK_CAP.
 
     A state's rank in its sector is a sum of binomials over its modes:
     sum_i comb(r_i + m_i, m_i) - comb(r_{i+1} + m_i, m_i), with r_i the
@@ -156,7 +157,7 @@ def _lowerings(modes: int, n_max: int) -> tuple:
     """
     if n_max == 0:
         none = np.zeros(0, dtype=np.int64)
-        return none, none, none, np.sqrt(none)
+        return np.zeros(2, dtype=np.int32), none.astype(np.int32), none, np.sqrt(none)
     comps = _compositions(n_max + 1, modes)
     # m_i, which also lists the modes from the last to the first
     m = np.arange(modes - 1, -1, -1)
@@ -179,24 +180,13 @@ def _lowerings(modes: int, n_max: int) -> tuple:
     steps[:, 1:] = comps[1:, :-1]
     g, h = steps[r, m], steps[after, m]
     start = np.arange(len(occ))[:, None] + comps[r[:, 0], modes - 1][:, None]
-    key = ((start + np.cumsum(g - h, axis=1) + h) * modes + np.arange(modes)).ravel()
-    order = np.argsort(key)
-    rows, ks = np.divmod(order, modes)
-    return rows, key[order] // modes, ks, np.sqrt(occ.ravel()[order] + 1)
-
-
-def _ladders(lowerings: tuple, modes: int, dim: int) -> tuple:
-    """The CSR pattern of ``[a | a*]`` from the lowerings: a stable sort
-    by row of the lowerings, each at its row, and then the raisings, each
-    at its lowering's column, so that a row's lowerings come first and
-    keep their column order.  The indices fit int32, which scipy takes
-    without a copy: dim <= FOCK_CAP."""
-    rows, cols, ks, amps = lowerings
-    key = np.concatenate([rows, cols])
-    order = np.argsort(key, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=dim))]).astype(np.int32)
-    stacked_cols = np.concatenate([cols, dim + rows])[order].astype(np.int32)
-    return indptr, stacked_cols, np.concatenate([ks, modes + ks])[order], np.concatenate([amps, amps])[order]
+    high = (start + np.cumsum(g - h, axis=1) + h).ravel()
+    low = np.repeat(np.arange(len(occ)), modes)
+    rows, cols = np.concatenate([low, high]), np.concatenate([high, dim + low])
+    order = np.argsort(rows * (2 * dim) + cols)
+    raising, entry = np.divmod(order, len(high))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))]).astype(np.int32)
+    return indptr, cols[order].astype(np.int32), entry % modes + modes * raising, np.sqrt(occ.ravel() + 1)[entry]
 
 
 def fock_for(space: PolyhedronSpace, n_max: int) -> TruncatedFock:

@@ -1278,13 +1278,13 @@ def valid_inputs(tmp_path_factory, repository_root):
     category = {"objects": cat.objects, "identities": cat.identities,
                 "homs": [{"src": s, "dst": d, "morphisms": ms} for (s, d), ms in cat.homs.items()],
                 "compose": [[g, f, gf] for (g, f), gf in cat.compose.items()]}
-    maps = {m: {"0": 0, "1": 0} for m, _, _ in cat.arrows()}
-    maps.update({cat.identities["a"]: {"0": 0, "1": 1}, cat.identities["b"]: {"0": 0}})
+    maps = {m: {"0": "0", "1": "0"} for m, _, _ in cat.arrows()}
+    maps.update({cat.identities["a"]: {"0": "0", "1": "1"}, cat.identities["b"]: {"0": "0"}})
     files = {
         "category": category,
         "functor": {"source": category, "target": category, "object_map": {"a": "a", "b": "b"},
                     "morphism_map": {m: m for m in cat.morphisms()}},
-        "diagram": {"index": category, "carriers": {"a": [0, 1], "b": [0]}, "maps": maps},
+        "diagram": {"index": category, "carriers": {"a": ["0", "1"], "b": ["0"]}, "maps": maps},
         "algebra": {"dim": 2, "seeds": {"z": [[1, 0], [0, -1]], "x": [[0, 1], [1, 0]]}},
         "projection": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
     }

@@ -200,7 +200,8 @@ class TestFockSpace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fock.dim == 1 and all(len(part) == 0 for part in fock.lowerings)
+        indptr, *entries = fock.ladders
+        assert fock.dim == 1 and indptr.tolist() == [0, 0] and all(len(part) == 0 for part in entries)
         assert peak < 2**20
 
     def test_vacuum_is_the_whole_annihilator_kernel(self):

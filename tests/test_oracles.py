@@ -2789,23 +2789,23 @@ class TestLadderPatternOracle:
 
 
 class TestFockTableOracle:
-    """The lowering table built by rank against the tuple listing, and the
-    build's bounds at shapes whose listing is long: (1, 9999) took 7.7 s and
-    589 MB to list."""
+    """The ladder pattern built by rank against the tuple listing put in
+    the pattern's order, and the build's bounds at shapes whose listing is
+    long: (1, 9999) took 7.7 s and 589 MB to list."""
 
     def test_the_table_is_the_tuple_listing_bit_for_bit(self):
         assert len(TABLE_SHAPES) == 241
         for modes, n_max in TABLE_SHAPES:
-            found = gft.TruncatedFock(modes=modes, n_max=n_max).lowerings
-            for part, expected in zip(found, reference_lowerings(modes, n_max)):
-                assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes(), (modes, n_max)
+            fock = gft.TruncatedFock(modes=modes, n_max=n_max)
+            expected = reference_row_order(reference_lowerings(modes, n_max), modes, fock.dim)
+            assert_same_arrays(fock.ladders, expected, (modes, n_max))
 
     @pytest.mark.parametrize("modes, n_max", DEEP_SHAPES)
     def test_a_deep_table_builds_in_bounded_time(self, modes, n_max):
         start = time.perf_counter()
         fock = gft.TruncatedFock(modes=modes, n_max=n_max)
         assert time.perf_counter() - start < 2.0
-        assert len(fock.lowerings[0]) == modes * fock.sector_size(n_max - 1)
+        assert len(fock.ladders[1]) == 2 * modes * fock.sector_size(n_max - 1)
 
     @pytest.mark.parametrize("modes, n_max", DEEP_SHAPES)
     def test_a_deep_table_builds_in_bounded_memory(self, modes, n_max):
