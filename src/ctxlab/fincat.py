@@ -240,8 +240,8 @@ class Diagram:
         return table
 
     def _map(self, m, src, dst) -> dict | None:
-        """The map of ``m``: src -> dst: its entry in ``maps``, or the identity
-        on its carrier for an identity left out; None for another morphism."""
+        """The map of ``m`` from ``src`` to ``dst``: its entry in ``maps``, or
+        the identity on its carrier for an identity left out; None for any other."""
         if m in self.maps:
             return self.maps[m]
         return {x: x for x in self.carriers[src]} if m == self.index.identities.get(src) and src == dst else None

@@ -144,9 +144,9 @@ def _ladders(modes: int, n_max: int, dim: int) -> tuple:
     ladder entry ``a_k |u + e_k> = sqrt(u_k + 1) |u>`` for each raising of
     a state u below the top sector, modes * sector_size(n_max - 1) of them,
     each kept as a lowering at row u (``low``) and column u + e_k (``high``)
-    and as a raising at row u + e_k and column dim + u, and one sort by row
-    and then column.
-    The indices fit int32, which scipy takes without a copy: dim <= FOCK_CAP.
+    and as a raising at row u + e_k and column dim + u; one sort by row and
+    then column.  The indices fit int32, which scipy takes without a copy:
+    dim <= FOCK_CAP.
 
     A state's rank in its sector is a sum of binomials over its modes:
     sum_i comb(r_i + m_i, m_i) - comb(r_{i+1} + m_i, m_i), with r_i the
