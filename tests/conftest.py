@@ -99,3 +99,9 @@ def perfbench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def leg_labels(d, cone) -> dict:
+    """The cone's legs read as labels: object -> apex element -> the
+    element of the object's carrier that the element's leg picks."""
+    return cone.legs

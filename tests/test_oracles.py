@@ -20,8 +20,10 @@ each region as it read it, the guarded CCR commutator as two products of
 sliced fields, the Weyl stopping test on the partial sum's norm after
 every term, the category check over every pair and triple of
 morphisms, the Fock ladder pattern built from lowerings listed by column,
-and the diagram check that looked each map up through a fresh morphism
-table.  Outputs must be identical, in identical order, and minima
+the diagram check that looked each map up through a fresh morphism
+table, the cone functions that held each leg as a dict keyed by apex
+element and read each arrow through a dense agreement table, and the
+poset category that asked ``leq`` again for every chain.  Outputs must be identical, in identical order, and minima
 bitwise equal; the Weyl action agrees within 1e-14, the benchmark's
 gft-weyl and gft-ccr reports byte for byte, the integral within 1e-12,
 and the CCR defect within a few units in the last place of its terms.  The contexts and spectra
@@ -30,6 +32,7 @@ restriction tables and global sections, up to the bijection that matches
 projections within 1e-8.
 """
 
+import collections
 import contextlib
 import functools
 import io
@@ -47,7 +50,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, SX, SY, SZ, kron, perfbench_module, random_density, random_unitary, reference_index
+from conftest import I2, SX, SY, SZ, kron, leg_labels, perfbench_module, random_density, random_unitary, reference_index
 from ctxlab import cli, fincat, gft, locnet, realism, staralg, validation
 from ctxlab.cli import emit, main
 from ctxlab.ctxext import (
@@ -77,7 +80,7 @@ from ctxlab.fincat import (
     poset_category,
     solve_constraints,
 )
-from ctxlab.fixtures import peres24_fixture
+from ctxlab.fixtures import ALL_FIXTURES, peres24_fixture
 from ctxlab.linalg import (
     DEFAULT_TOL,
     SIGN_TIE_MARGIN,
@@ -387,6 +390,110 @@ def reference_validate_blocks(blocks, basis, tol) -> bool:
     return True
 
 
+@dataclass
+class ReferenceCone:
+    """A cone as the frozen cone functions hold it: ``legs[o][a]`` is the
+    label of apex element ``a``'s leg at object ``o``."""
+
+    apex: list
+    legs: dict
+
+
+def reference_check_cone(cone, d) -> list:
+    """The cone check on leg dicts, as (kind, message) pairs in report order."""
+    report = ValidationReport()
+    for o in d.index.objects:
+        if o not in cone.legs:
+            report.add("cone.structure", f"missing leg at {o!r}")
+    if report.ok:
+        for o in d.index.objects:
+            leg = cone.legs[o]
+            cod = set(d.carriers[o])
+            for x in cone.apex:
+                if x not in leg:
+                    report.add("cone.structure", f"leg at {o!r} undefined on {x!r}")
+                elif leg[x] not in cod:
+                    report.add("cone.structure", f"leg at {o!r} sends {x!r} outside its codomain")
+    if report.ok:
+        for m, src, dst in d.index.arrows():
+            table = d.map_of(m)
+            for a in cone.apex:
+                if cone.legs[src][a] not in table:
+                    report.add("cone.triangle", f"D({m!r}) undefined on leg({src!r}) at apex element {a!r}")
+                elif cone.legs[dst][a] != table[cone.legs[src][a]]:
+                    report.add("cone.triangle", f"leg({dst!r}) != D({m!r}) o leg({src!r}) at apex element {a!r}")
+    return [(v.kind, v.message) for v in report.violations]
+
+
+def reference_limit_of_diagram(d) -> ReferenceCone:
+    """The limit by the constraint search over carrier labels, its legs one
+    dict per object."""
+    objects = list(d.index.objects)
+    position = {o: i for i, o in enumerate(objects)}
+    arrows = [(position[src], position[dst], d.map_of(m)) for m, src, dst in d.index.arrows()]
+    families = solve_constraints([d.carriers[o] for o in objects], arrows)
+    return ReferenceCone(families, {o: {fam: fam[position[o]] for fam in families} for o in objects})
+
+
+def reference_arrow_tables(d, objects) -> list:
+    """``(src, dst, agrees)`` per non-identity arrow: ``agrees[p, q]`` is
+    true iff the map sends carrier element p of src to element q of dst."""
+    position = {o: i for i, o in enumerate(objects)}
+    tables = []
+    for m, src, dst in d.index.arrows():
+        table = d.map_of(m)
+        agrees = np.zeros((len(d.carriers[src]), len(d.carriers[dst])), dtype=bool)
+        for p, x in enumerate(d.carriers[src]):
+            if x in table:
+                agrees[p] = [not (y != table[x]) for y in d.carriers[dst]]
+        tables.append((position[src], position[dst], agrees))
+    return tables
+
+
+def reference_one_point_cone_tuple(d, search_cap=SEARCH_CAP) -> ReferenceCone:
+    """The ordered join read through dense agreement tables, its legs one
+    dict per object keyed by position tuple."""
+    objects = list(d.index.objects)
+    sizes = [len(d.carriers[o]) for o in objects]
+    tables = reference_arrow_tables(d, objects)
+    dtype = np.min_scalar_type(max(sizes, default=0))
+    rows = np.zeros((1, 0), dtype=dtype)
+    for j, n in enumerate(sizes):
+        if len(rows) * n > search_cap:
+            raise CapExceeded("cone enumeration at apex size 1", len(rows) * n, search_cap)
+        grown = np.empty((len(rows), n, j + 1), dtype=dtype)
+        grown[:, :, :j] = rows[:, None]
+        grown[:, :, j] = np.arange(n)
+        rows = grown.reshape(-1, j + 1)
+        for src, dst, agrees in tables:
+            if max(src, dst) == j:
+                rows = rows[agrees[rows[:, src], rows[:, dst]]]
+    apex = list(map(tuple, rows.tolist()))
+    return ReferenceCone(apex, {o: {t: d.carriers[o][t[i]] for t in apex} for i, o in enumerate(objects)})
+
+
+def reference_tuple_cones(d, max_apex_size, search_cap=SEARCH_CAP) -> list:
+    """The k-cones as sorted k-tuples of the reference join's one-point cones."""
+    objects = list(d.index.objects)
+    points = reference_one_point_cone_tuple(d, search_cap).apex if max_apex_size > 0 else []
+    cones = []
+    for k in range(max_apex_size + 1):
+        if len(points) ** k > search_cap:
+            raise CapExceeded(f"cone enumeration at apex size {k}", len(points) ** k, search_cap)
+        apex = list(range(k))
+        for t in sorted(itertools.product(points, repeat=k), key=lambda t: list(zip(*t))):
+            legs = {o: {a: d.carriers[o][p[i]] for a, p in enumerate(t)} for i, o in enumerate(objects)}
+            cones.append(ReferenceCone(apex, legs))
+    return cones
+
+
+def reference_label_counts(candidate, d, cones) -> bool:
+    """Universality as one count of the candidate's leg label tuples."""
+    objects = list(d.index.objects)
+    counts = collections.Counter(tuple(candidate.legs[o][c] for o in objects) for c in candidate.apex)
+    return all(counts[tuple(cone.legs[o][a] for o in objects)] == 1 for cone in cones for a in cone.apex)
+
+
 def reference_enumerate_cones(d, max_apex_size, search_cap=SEARCH_CAP) -> list:
     objects = list(d.index.objects)
     cones = []
@@ -399,9 +506,8 @@ def reference_enumerate_cones(d, max_apex_size, search_cap=SEARCH_CAP) -> list:
         apex = list(range(k))
         per_object = [list(itertools.product(d.carriers[o], repeat=k)) for o in objects]
         for combo in itertools.product(*per_object):
-            legs = {o: dict(zip(apex, combo[i])) for i, o in enumerate(objects)}
-            cone = Cone(apex=apex, legs=legs)
-            if check_cone(cone, d).ok:
+            cone = ReferenceCone(apex, {o: dict(zip(apex, combo[i])) for i, o in enumerate(objects)})
+            if not reference_check_cone(cone, d):
                 cones.append(cone)
     return cones
 
@@ -636,8 +742,10 @@ MISSING = object()
 def small_diagrams(draw):
     n = draw(st.integers(0, 4))
     objects = [f"o{i}" for i in range(n)]
-    # carriers may be empty and may repeat an element
-    carriers = {o: draw(st.lists(st.sampled_from(VALUES), max_size=4)) for o in objects}
+    # carriers may be empty and may repeat an element; a carrier is a set,
+    # so the diagram keeps each element's first listing
+    drawn = {o: draw(st.lists(st.sampled_from(VALUES), max_size=4)) for o in objects}
+    carriers = {o: list(dict.fromkeys(xs)) for o, xs in drawn.items()}
     homs = {(o, o): [f"id_{o}"] for o in objects}
     maps = {}
     for k in range(draw(st.integers(0, 6)) if n else 0):
@@ -662,8 +770,9 @@ class TestLimitOracle:
         cone = limit_of_diagram(d)
         expected = reference_limit_families(d)
         assert cone.apex == expected
+        legs = leg_labels(d, cone)
         for pos, o in enumerate(d.index.objects):
-            assert cone.legs[o] == {fam: fam[pos] for fam in expected}
+            assert legs[o] == {fam: fam[pos] for fam in expected}
 
     def test_no_objects_give_one_empty_family(self):
         d = Diagram(FinCategory([], {}, {}, {}), {})
@@ -1589,8 +1698,22 @@ def apex_bound(sizes, budget=2000, most=2) -> int:
     return k
 
 
-def cone_record(cones) -> list:
+def cone_record(d, cones) -> list:
+    """Each cone's apex and its legs read as labels."""
+    return [(c.apex, leg_labels(d, c)) for c in cones]
+
+
+def reference_record(cones) -> list:
     return [(c.apex, c.legs) for c in cones]
+
+
+def as_cone(d, cone: ReferenceCone) -> Cone:
+    """A reference cone's leg labels as a live cone."""
+    return Cone(cone.apex, cone.legs)
+
+
+def as_reference(d, cone: Cone) -> ReferenceCone:
+    return ReferenceCone(cone.apex, leg_labels(d, cone))
 
 
 def passes_arrows(d, objects, row) -> bool:
@@ -1633,7 +1756,7 @@ class TestConeOracle:
         sizes = [(1, rows) for rows in (join_steps(d) if k > 0 else [])] + [(j, n**j) for j in range(k + 1)]
         refusal = next(((j, size) for j, size in sizes if size > cap), None)
         if refusal is None:
-            assert found_kind == "value" and cone_record(found) == cone_record(expected)
+            assert found_kind == "value" and cone_record(d, found) == reference_record(expected)
         else:
             j, size = refusal
             assert found_kind == "CapExceeded"
@@ -1644,7 +1767,7 @@ class TestConeOracle:
     @settings(max_examples=150, deadline=None)
     @given(d=small_diagrams(), data=st.data())
     def test_universal_verdicts(self, d, data):
-        lim = limit_of_diagram(d)
+        lim = as_reference(d, limit_of_diagram(d))
         k = apex_bound([len(lim.apex)], budget=300)
         cones = reference_enumerate_cones(d, min(k, apex_bound([len(c) for c in d.carriers.values()])))
         listed = data.draw(st.lists(st.sampled_from(cones), max_size=12)) if cones else []
@@ -1652,10 +1775,12 @@ class TestConeOracle:
         candidate = data.draw(st.sampled_from(candidates))
         # at most 300 maps per listed cone, so the search never reaches its cap
         expected = reference_check_universal_property(candidate, d, listed, SEARCH_CAP)
-        assert check_universal_property(candidate, d, listed) == expected
+        live = as_cone(d, candidate)
+        assert check_universal_property(live, d, [as_cone(d, c) for c in listed]) == expected
         # every cone's apex elements are one-point cones: those alone decide the verdict
-        one_point = [c for c in cones if len(c.apex) == 1]
-        assert check_universal_property(candidate, d, cones) == check_universal_property(candidate, d, one_point)
+        one_point = [as_cone(d, c) for c in cones if len(c.apex) == 1]
+        assert check_universal_property(live, d, [as_cone(d, c) for c in cones]) == \
+            check_universal_property(live, d, one_point)
 
     @settings(max_examples=100, deadline=None)
     @given(d=small_diagrams())
@@ -1666,12 +1791,100 @@ class TestConeOracle:
         and the tuple is itself a cone."""
         objects = list(d.index.objects)
         raw = itertools.product(*[range(len(d.carriers[o])) for o in objects])
-        kept = [row for row in raw
-                if check_cone(Cone(apex=[0], legs={o: {0: d.carriers[o][p]} for o, p in zip(objects, row)}), d).ok]
+        kept = [row for row in raw if check_cone(
+                    as_cone(d, ReferenceCone([0], {o: {0: d.carriers[o][p]} for o, p in zip(objects, row)})), d).ok]
         cone = one_point_cone_tuple(d)
         assert cone.apex == kept
-        assert cone.legs == {o: {t: d.carriers[o][t[i]] for t in kept} for i, o in enumerate(objects)}
+        assert leg_labels(d, cone) == {o: {t: d.carriers[o][t[i]] for t in kept} for i, o in enumerate(objects)}
         assert check_cone(cone, d).ok
+
+
+def violations(report) -> list:
+    return [(v.kind, v.message) for v in report.violations]
+
+
+def assert_cone_check_matches(d, cone: ReferenceCone):
+    """The live check of a reference cone's labels against the frozen
+    check: the same violations in the same order, or, where the labels
+    make no cone, a refusal with the frozen check's first message."""
+    expected = reference_check_cone(cone, d)
+    try:
+        live = as_cone(d, cone)
+    except InputError as exc:
+        assert expected[:1] == [("cone.structure", str(exc))]
+    else:
+        assert violations(check_cone(live, d)) == expected
+
+
+@st.composite
+def drawn_cones(draw, d):
+    """A cone of 0-3 apex elements, each leg's labels drawn from its
+    carrier, now and then with a label outside it, an apex element that
+    a leg leaves out, or a leg left out."""
+    apex = [f"a{k}" for k in range(draw(st.integers(0, 3)))]
+    legs = {}
+    for o in d.index.objects:
+        if draw(st.integers(0, 19)) == 0:
+            continue
+        legs[o] = {}
+        for a in apex:
+            pick = draw(st.integers(0, 19))
+            if pick == 1:
+                legs[o][a] = "outside"
+            elif pick > 1 and d.carriers[o]:
+                legs[o][a] = draw(st.sampled_from(d.carriers[o]))
+    return ReferenceCone(apex, legs)
+
+
+class TestConeTableOracle:
+    """Every cone function against its frozen leg-dict copy: equal apexes,
+    equal legs once read as labels, equal verdicts, and equal violation
+    lists in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=small_diagrams(), data=st.data())
+    def test_small_diagrams(self, d, data):
+        lim, points = limit_of_diagram(d), one_point_cone_tuple(d)
+        ref_lim, ref_points = reference_limit_of_diagram(d), reference_one_point_cone_tuple(d)
+        assert cone_record(d, [lim, points]) == reference_record([ref_lim, ref_points])
+        k = apex_bound([len(points.apex)], budget=300)
+        cones, ref_cones = enumerate_cones(d, k), reference_tuple_cones(d, k)
+        assert cone_record(d, cones) == reference_record(ref_cones)
+        pairs = [(lim, ref_lim), (points, ref_points)] + list(zip(cones, ref_cones))
+        candidate, ref_candidate = data.draw(st.sampled_from(pairs))
+        listed = data.draw(st.lists(st.sampled_from(pairs), max_size=6))
+        assert check_universal_property(candidate, d, [c for c, _ in listed]) == \
+            reference_label_counts(ref_candidate, d, [r for _, r in listed])
+        for cone, ref in pairs[:8]:
+            assert violations(check_cone(cone, d)) == reference_check_cone(ref, d)
+        assert_cone_check_matches(d, data.draw(drawn_cones(d)))
+
+    @pytest.mark.parametrize("corrupted", [False, True])
+    @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+    def test_fixtures(self, name, corrupted):
+        fixture = ALL_FIXTURES[name](corrupted)
+        d = fixture.diagram
+        cone = as_reference(d, fixture.cone)
+        assert violations(check_cone(fixture.cone, d)) == reference_check_cone(cone, d)
+        lim, points, cones = limit_of_diagram(d), one_point_cone_tuple(d), enumerate_cones(d, 1)
+        ref_lim, ref_points = reference_limit_of_diagram(d), reference_one_point_cone_tuple(d)
+        ref_cones = reference_tuple_cones(d, 1)
+        assert cone_record(d, [lim, points]) == reference_record([ref_lim, ref_points])
+        assert cone_record(d, cones) == reference_record(ref_cones)
+        for candidate, ref in [(lim, ref_lim), (points, ref_points), (fixture.cone, cone)]:
+            assert violations(check_cone(candidate, d)) == reference_check_cone(ref, d)
+            assert check_universal_property(candidate, d, cones) == reference_label_counts(ref, d, ref_cones)
+
+    def test_the_five_seed_discrete_diagram(self):
+        """ZI, XI, YI, IZ, IX with no restriction arrows: 131,072 families,
+        each its own one-point cone."""
+        d = spectrum_diagram(build_limit_extension(pauli_category(["ZI", "XI", "YI", "IZ", "IX"])))
+        lim, points = limit_of_diagram(d), one_point_cone_tuple(d)
+        ref_lim, ref_points = reference_limit_of_diagram(d), reference_one_point_cone_tuple(d)
+        assert len(ref_lim.apex) == 131_072
+        assert cone_record(d, [lim, points]) == reference_record([ref_lim, ref_points])
+        assert check_universal_property(lim, d, [points]) is reference_label_counts(ref_lim, d, [ref_points]) is True
+        assert violations(check_cone(lim, d)) == reference_check_cone(ref_lim, d) == []
 
 
 # ---------------------------------------------------------------------------
@@ -3734,6 +3947,52 @@ def table_categories(draw):
         elif fault == "wrong composite" and c.compose:
             c.compose[pick(c.compose)] = pick(morphs)
     return c
+
+
+def reference_poset_category(elements, leq) -> FinCategory:
+    """The poset category with ``leq`` asked again for every hom and every chain."""
+    objects = list(elements)
+    homs: dict = {}
+    compose: dict = {}
+    identities = {}
+
+    def label(a, b):
+        return f"id_{a}" if a == b else f"{a}<={b}"
+
+    for a in objects:
+        for b in objects:
+            if leq(a, b):
+                homs.setdefault((a, b), []).append(label(a, b))
+        identities[a] = label(a, a)
+    for a in objects:
+        for b in objects:
+            if not leq(a, b):
+                continue
+            for c in objects:
+                if leq(b, c):
+                    compose[(label(b, c), label(a, b))] = label(a, c)
+    return FinCategory(objects, homs, compose, identities)
+
+
+@st.composite
+def relations(draw):
+    """Up to six distinct objects and any relation on them: not always
+    reflexive, antisymmetric or transitive."""
+    objects = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e", 0, 1]), max_size=6, unique=True))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(objects), st.sampled_from(objects)))) if objects else set()
+    return objects, pairs
+
+
+class TestPosetCategoryOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=relations())
+    def test_the_tables_in_the_same_order(self, case):
+        objects, pairs = case
+        found = poset_category(objects, lambda a, b: (a, b) in pairs)
+        expected = reference_poset_category(objects, lambda a, b: (a, b) in pairs)
+        assert found.objects == expected.objects
+        for table in ("homs", "compose", "identities"):
+            assert list(getattr(found, table).items()) == list(getattr(expected, table).items())
 
 
 class TestCategoryCheckOracle:
