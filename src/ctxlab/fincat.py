@@ -5,8 +5,8 @@ of morphism labels, a composition table, and identity assignments.  All
 laws are checked by enumeration, never assumed.  Diagrams land in the
 concrete setting of finite carrier sets and total maps, which makes limits
 computable, one-point cones enumerable by an ordered join over the
-objects, every cone a tuple of them, and the universal property a count of
-leg tuples.
+objects, every cone a table of carrier positions and a tuple of one-point
+cones, and the universal property a count of leg rows.
 """
 
 from __future__ import annotations
@@ -80,18 +80,15 @@ def poset_category(elements: list, leq) -> FinCategory:
     def label(a, b):
         return f"id_{a}" if a == b else f"{a}<={b}"
 
+    above = {a: [b for b in objects if leq(a, b)] for a in objects}
     for a in objects:
-        for b in objects:
-            if leq(a, b):
-                homs.setdefault((a, b), []).append(label(a, b))
+        for b in above[a]:
+            homs.setdefault((a, b), []).append(label(a, b))
         identities[a] = label(a, a)
     for a in objects:
-        for b in objects:
-            if not leq(a, b):
-                continue
-            for c in objects:
-                if leq(b, c):
-                    compose[(label(b, c), label(a, b))] = label(a, c)
+        for b in above[a]:
+            for c in above[b]:
+                compose[(label(b, c), label(a, b))] = label(a, c)
     return FinCategory(objects, homs, compose, identities)
 
 
@@ -224,7 +221,8 @@ def check_functor(f: Functor) -> ValidationReport:
 class Diagram:
     """A functor from a finite index category into finite sets and total maps.
 
-    carriers: index object -> list of hashable elements.
+    carriers: index object -> list of hashable elements, each listed once
+    (InputError otherwise), so an element and its position match.
     maps: morphism label -> dict element -> element.
     Identity morphisms may be omitted from ``maps``; they act as identity.
     """
@@ -232,6 +230,11 @@ class Diagram:
     index: FinCategory
     carriers: dict
     maps: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for o, xs in self.carriers.items():
+            if len(set(xs)) != len(xs):
+                raise InputError(f"carrier of {shown(o)} lists {shown(_repeated(xs)[0])} more than once")
 
     def map_of(self, m) -> dict:
         table = self.maps[m] if m in self.maps else self._map(m, *self.index.morphisms()[m])
@@ -290,59 +293,81 @@ def check_diagram(d: Diagram) -> ValidationReport:
 
 @dataclass
 class Cone:
-    """A cone on a concrete diagram: legs are total maps from the apex
-    carrier to each object carrier."""
+    """A cone on a concrete diagram: ``legs`` is an integer array whose entry
+    [a, i] is the carrier position of ``apex[a]``'s leg at the i-th object."""
 
     apex: list
-    legs: dict
+    legs: np.ndarray
+
+
+def cone_from_legs(d: Diagram, apex: list, legs: dict) -> Cone:
+    """The cone whose leg at object o sends apex element a to ``legs[o][a]``,
+    a label of o's carrier.  Refuses (InputError) a missing leg, a leg
+    undefined on an apex element, or a leg outside its carrier."""
+    objects = list(d.index.objects)
+    for o in objects:
+        if o not in legs:
+            raise InputError(f"missing leg at {o!r}")
+    table = np.empty((len(apex), len(objects)), dtype=np.intp)
+    for i, o in enumerate(objects):
+        position = {x: p for p, x in enumerate(d.carriers[o])}
+        for r, a in enumerate(apex):
+            if a not in legs[o]:
+                raise InputError(f"leg at {o!r} undefined on {a!r}")
+            if legs[o][a] not in position:
+                raise InputError(f"leg at {o!r} sends {a!r} outside its codomain")
+            table[r, i] = position[legs[o][a]]
+    return Cone(apex, table)
+
+
+def _arrow_images(d: Diagram) -> list:
+    """``(label, src, dst, image)`` per non-identity arrow: its ends' object
+    positions, and ``image[p]`` the position in dst's carrier of the map's
+    value at src's element p, or -1 where there is none."""
+    position = {o: i for i, o in enumerate(d.index.objects)}
+    images = []
+    for m, src, dst in d.index.arrows():
+        table, where = d.map_of(m), {y: q for q, y in enumerate(d.carriers[dst])}
+        image = [where.get(table[x], -1) if x in table else -1 for x in d.carriers[src]]
+        images.append((m, position[src], position[dst], np.array(image, dtype=np.intp)))
+    return images
 
 
 def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
-    """Verify every triangle over a diagram arrow commutes."""
+    """Verify every triangle over a diagram arrow commutes, reading a label
+    only to name it.  A legs table that does not fit the diagram (its shape,
+    or a position outside its carrier) is reported as ``cone.structure``."""
     report = ValidationReport()
-    for o in d.index.objects:
-        if o not in cone.legs:
-            report.add("cone.structure", f"missing leg at {o!r}")
+    objects, legs, apex = list(d.index.objects), cone.legs, cone.apex
+    if not isinstance(legs, np.ndarray) or legs.dtype.kind not in "iu" or legs.shape != (len(apex), len(objects)):
+        report.add("cone.structure", f"legs are not a {len(apex)} x {len(objects)} table of carrier positions")
+        return report
+    for i, o in enumerate(objects):
+        for r in np.flatnonzero((legs[:, i] < 0) | (legs[:, i] >= len(d.carriers[o]))):
+            report.add("cone.structure", f"leg at {o!r} sends {apex[r]!r} to position {legs[r, i]}, off its carrier")
     if not report.ok:
         return report
-
-    for o in d.index.objects:
-        leg = cone.legs[o]
-        cod = set(d.carriers[o])
-        for x in cone.apex:
-            if x not in leg:
-                report.add("cone.structure", f"leg at {o!r} undefined on {x!r}")
-            elif leg[x] not in cod:
-                report.add("cone.structure", f"leg at {o!r} sends {x!r} outside its codomain")
-    if not report.ok:
-        return report
-
-    for m, src, dst in d.index.arrows():
-        table = d.map_of(m)
-        for a in cone.apex:
-            if cone.legs[src][a] not in table:
-                report.add("cone.triangle", f"D({m!r}) undefined on leg({src!r}) at apex element {a!r}")
-            elif cone.legs[dst][a] != table[cone.legs[src][a]]:
-                report.add(
-                    "cone.triangle",
-                    f"leg({dst!r}) != D({m!r}) o leg({src!r}) at apex element {a!r}",
-                )
+    for m, src, dst, image in _arrow_images(d):
+        s, t = objects[src], objects[dst]
+        for r in np.flatnonzero(image[legs[:, src]] != legs[:, dst]):
+            if d.carriers[s][legs[r, src]] not in d.map_of(m):
+                report.add("cone.triangle", f"D({m!r}) undefined on leg({s!r}) at apex element {apex[r]!r}")
+            else:
+                report.add("cone.triangle", f"leg({t!r}) != D({m!r}) o leg({s!r}) at apex element {apex[r]!r}")
     return report
 
 
 def solve_constraints(domains: list, arrows: list, limit: int | None = None) -> list[tuple]:
     """Every choice of one value per variable that satisfies all arrows.
 
-    ``domains[i]`` lists the values of variable ``i`` in the order they are
-    tried, and variables are assigned in index order, so the assignments
-    come out in depth-first order.  An arrow ``(src, dst, table)`` requires
-    ``table.get(value[src]) == value[dst]``; a value missing from the table
-    satisfies nothing.  Forward checking: each assignment prunes the domains
-    of the later variables linked to it, and a value that empties one of
-    them is skipped.  That drops only subtrees without solutions, so the
-    output is the same, in the same order, as plain backtracking's.  The
-    search stops once ``limit`` assignments are found (never before the
-    first).
+    ``domains[i]`` lists variable ``i``'s values in the order tried, and
+    variables are assigned in index order, so the assignments come out in
+    depth-first order.  An arrow ``(src, dst, table)`` requires
+    ``table.get(value[src]) == value[dst]``.  Forward checking prunes the
+    domains of the later variables linked to each assignment and skips a
+    value that empties one, which drops only subtrees without solutions:
+    the output is plain backtracking's, in its order.  The search stops
+    once ``limit`` assignments are found (never before the first).
     """
     n = len(domains)
     doms = [list(dom) for dom in domains]
@@ -389,51 +414,30 @@ def solve_constraints(domains: list, arrows: list, limit: int | None = None) -> 
 def limit_of_diagram(d: Diagram) -> Cone:
     """Limit cone: apex = compatible families, legs = component projections.
 
-    Families are tuples ordered like ``d.index.objects``, found by
-    ``solve_constraints`` with one variable per object in object order and
-    one constraint per non-identity arrow.  Forward checking prunes through
-    the arrow maps, and the families come out in the same depth-first order
-    as plain backtracking over the carriers.  An empty apex is a valid
-    result.
+    Families are label tuples ordered like ``d.index.objects``, found by
+    ``solve_constraints`` over carrier positions, one variable per object in
+    object order and one constraint per non-identity arrow image, in the
+    depth-first order of plain backtracking.  An empty apex is valid.
     """
-    objects = list(d.index.objects)
-    position = {o: i for i, o in enumerate(objects)}
-    arrows = [(position[src], position[dst], d.map_of(m)) for m, src, dst in d.index.arrows()]
-    families = solve_constraints([d.carriers[o] for o in objects], arrows)
-    legs = {o: {fam: fam[position[o]] for fam in families} for o in objects}
-    return Cone(apex=families, legs=legs)
-
-
-def _arrow_tables(d: Diagram, objects: list) -> list:
-    """``(src, dst, agrees)`` per non-identity arrow, with object positions
-    and ``agrees[p, q]`` true iff the arrow's map sends carrier element p of
-    src to carrier element q of dst; an element outside the map's table
-    agrees with nothing, as in ``check_cone``."""
-    position = {o: i for i, o in enumerate(objects)}
-    tables = []
-    for m, src, dst in d.index.arrows():
-        table = d.map_of(m)
-        agrees = np.zeros((len(d.carriers[src]), len(d.carriers[dst])), dtype=bool)
-        for p, x in enumerate(d.carriers[src]):
-            if x in table:
-                agrees[p] = [not (y != table[x]) for y in d.carriers[dst]]
-        tables.append((position[src], position[dst], agrees))
-    return tables
+    carriers = [d.carriers[o] for o in d.index.objects]
+    arrows = [(src, dst, dict(enumerate(image.tolist()))) for _, src, dst, image in _arrow_images(d)]
+    rows = solve_constraints([range(len(c)) for c in carriers], arrows)
+    apex = [tuple(map(operator.getitem, carriers, row)) for row in rows]
+    return Cone(apex=apex, legs=np.array(rows, dtype=np.intp).reshape(len(rows), len(carriers)))
 
 
 def one_point_cone_tuple(d: Diagram) -> Cone:
     """The cone whose apex is every cone with apex {0}, each given as its
     carrier positions ordered like ``d.index.objects``, in
-    ``itertools.product`` order; each leg reads its position's element.
+    ``itertools.product`` order; its legs are those rows.
 
     An ordered join: the objects are added in index order, and after each
     one the rows on which an arrow whose later end it is disagrees are
     dropped, so every prefix kept passes the arrows among its objects.
     Refuses (CapExceeded) a step whose rows times the next carrier would
     pass ``SEARCH_CAP``, before forming it."""
-    objects = list(d.index.objects)
-    sizes = [len(d.carriers[o]) for o in objects]
-    tables = _arrow_tables(d, objects)
+    sizes = [len(d.carriers[o]) for o in d.index.objects]
+    images = _arrow_images(d)
     dtype = np.min_scalar_type(max(sizes, default=0))
     rows = np.zeros((1, 0), dtype=dtype)
     for j, n in enumerate(sizes):
@@ -443,23 +447,21 @@ def one_point_cone_tuple(d: Diagram) -> Cone:
         grown[:, :, :j] = rows[:, None]
         grown[:, :, j] = np.arange(n)
         rows = grown.reshape(-1, j + 1)
-        for src, dst, agrees in tables:
+        for _, src, dst, image in images:
             if max(src, dst) == j:
-                rows = rows[agrees[rows[:, src], rows[:, dst]]]
-    apex = list(map(tuple, rows.tolist()))
-    return Cone(apex=apex, legs={o: {t: d.carriers[o][t[i]] for t in apex} for i, o in enumerate(objects)})
+                rows = rows[image[rows[:, src]] == rows[:, dst]]
+    return Cone(apex=list(map(tuple, rows.tolist())), legs=rows)
 
 
 def enumerate_cones(d: Diagram, max_apex_size: int) -> list[Cone]:
     """All cones with abstract apex {0..k-1}, k <= max_apex_size.
 
     A k-cone's legs at each apex element form a one-point cone, so the
-    k-cones are the k-tuples of one-point cones, listed in the order of a
-    raw scan over the objects' leg tuples.  Refuses (CapExceeded) when a
-    step of the one-point join, or the k-tuples at some k, would pass
-    ``SEARCH_CAP``.
+    k-cones are the k-tuples of one-point rows, in the order of a raw scan
+    over the objects' leg tuples.  Refuses (CapExceeded) when a step of the
+    one-point join, or the k-tuples at some k, would pass ``SEARCH_CAP``.
     """
-    objects = list(d.index.objects)
+    n = len(d.index.objects)
     points = one_point_cone_tuple(d).apex if max_apex_size > 0 else []
     cones = []
     for k in range(max_apex_size + 1):
@@ -467,8 +469,7 @@ def enumerate_cones(d: Diagram, max_apex_size: int) -> list[Cone]:
             raise CapExceeded(f"cone enumeration at apex size {k}", len(points) ** k, SEARCH_CAP)
         apex = list(range(k))
         for t in sorted(itertools.product(points, repeat=k), key=lambda t: list(zip(*t))):
-            legs = {o: {a: d.carriers[o][p[i]] for a, p in enumerate(t)} for i, o in enumerate(objects)}
-            cones.append(Cone(apex=apex, legs=legs))
+            cones.append(Cone(apex=apex, legs=np.array(t, dtype=np.intp).reshape(k, n)))
     return cones
 
 
@@ -477,13 +478,12 @@ def check_universal_property(candidate: Cone, d: Diagram, cones: list[Cone]) -> 
 
     A map h from a cone's apex to the candidate's mediates iff, at each
     apex element a alone, the candidate's legs at h(a) equal the cone's
-    legs at a.  So there is exactly one iff each apex element's legs are
-    those of exactly one candidate element; an empty apex has one map, the
-    empty one.  Legs are hashable labels, counted once per candidate.
+    legs at a.  So there is exactly one iff each apex element's leg row is
+    that of exactly one candidate element, counted once; an empty apex has
+    one map, the empty one.
     """
-    objects = list(d.index.objects)
-    counts = Counter(tuple(candidate.legs[o][c] for o in objects) for c in candidate.apex)
-    return all(counts[tuple(cone.legs[o][a] for o in objects)] == 1 for cone in cones for a in cone.apex)
+    counts = Counter(map(tuple, candidate.legs.tolist()))
+    return all(counts[row] == 1 for cone in cones for row in map(tuple, cone.legs.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctxext import build_limit_extension, spectrum_diagram
-from .fincat import Cone, Diagram, limit_of_diagram, poset_category
+from .fincat import Cone, Diagram, cone_from_legs, limit_of_diagram, poset_category
 from .gft import PolyhedronSpace, second_quantization_cone
 from .locnet import PAULI, pauli_string
 from .staralg import context_category, context_category_from_groups, full_matrix_algebra
@@ -150,15 +150,12 @@ def covariant_square_fixture(corrupted: bool = False) -> ConeFixture:
             "reg_M<=alg_U": corner_map,
         },
     )
-    cone = Cone(
-        apex=list(confs_whole),
-        legs={
-            "reg_M": {c: c for c in confs_whole},
-            "reg_U": dict(restrict_conf),
-            "alg_M": dict(quant_whole),
-            "alg_U": {c: quant_sub[restrict_conf[c]] for c in confs_whole},
-        },
-    )
+    cone = cone_from_legs(diagram, list(confs_whole), {
+        "reg_M": {c: c for c in confs_whole},
+        "reg_U": restrict_conf,
+        "alg_M": quant_whole,
+        "alg_U": {c: quant_sub[restrict_conf[c]] for c in confs_whole},
+    })
     return ConeFixture("covariant_square", diagram, cone)
 
 
@@ -184,10 +181,8 @@ def spectrum_coarsening_fixture(corrupted: bool = False) -> ConeFixture:
     if corrupted:
         wrong = [j for j, target in res.items() if target != 0]
         section[0] = wrong[0]
-    cone = Cone(
-        apex=list(range(len(chars_coarse))),
-        legs={"coarse": {i: i for i in range(len(chars_coarse))}, "fine": section},
-    )
+    cone = cone_from_legs(diagram, list(range(len(chars_coarse))),
+                          {"coarse": {i: i for i in range(len(chars_coarse))}, "fine": section})
     return ConeFixture("spectrum_coarsening", diagram, cone)
 
 

@@ -18,7 +18,7 @@ from math import ceil, comb
 import numpy as np
 
 from .errors import SHOWN_CHARS, CapExceeded, DomainError, InputError
-from .fincat import Cone, Diagram, check_cone, poset_category
+from .fincat import Cone, Diagram, check_cone, cone_from_legs, poset_category
 from .linalg import GFT_CONTEXT_TOL, dagger, opnorm
 from .validation import ValidationReport, shown
 
@@ -450,7 +450,7 @@ def second_quantization_cone(
         unit[k * space.size] = 1.0
         gens_l.append(unit)
 
-    carrier_k = [_fn_key(g) for g in gens_k]
+    carrier_k = list(dict.fromkeys(_fn_key(g) for g in gens_k))
     padded = {_fn_key(g): _fn_key(copy_padding(g, k, l, space, sign)) for g in gens_k}
     carrier_l = sorted(set(_fn_key(g) for g in gens_l) | set(padded.values()))
 
@@ -461,7 +461,7 @@ def second_quantization_cone(
         "Sk": {x: _fn_key(g) for x, g in zip(apex, gens_k)},
         "Sl": {x: _fn_key(g) for x, g in zip(apex, gens_l_direct)},
     }
-    cone = Cone(apex=apex, legs=legs)
+    cone = cone_from_legs(diagram, apex, legs)
     report = check_cone(cone, diagram)
     return InclusionCone(diagram=diagram, cone=cone, report=report)
 

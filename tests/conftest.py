@@ -104,4 +104,5 @@ def perfbench_module(name):
 def leg_labels(d, cone) -> dict:
     """The cone's legs read as labels: object -> apex element -> the
     element of the object's carrier that the element's leg picks."""
-    return cone.legs
+    return {o: {a: d.carriers[o][p] for a, p in zip(cone.apex, cone.legs[:, i].tolist())}
+            for i, o in enumerate(d.index.objects)}

@@ -3,10 +3,12 @@ import json
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import leg_labels
 from ctxlab.errors import InputError
 from ctxlab.fincat import (
     Cone,
@@ -20,6 +22,7 @@ from ctxlab.fincat import (
     check_diagram,
     check_functor,
     check_universal_property,
+    cone_from_legs,
     diagram_from_json,
     discrete_category,
     enumerate_cones,
@@ -111,6 +114,17 @@ class TestCheckCategory:
     def test_poset_with_a_repeated_element_refused_by_name(self):
         with pytest.raises(InputError, match="'V0' is listed more than once"):
             poset_category(["V0", "V1", "V0"], lambda a, b: a == b)
+
+    def test_poset_asks_leq_once_per_ordered_pair(self):
+        asked = []
+
+        def leq(a, b):
+            asked.append((a, b))
+            return a <= b
+
+        cat = poset_category([0, 1, 2, 3], leq)
+        assert sorted(asked) == list(itertools.product(range(4), repeat=2))
+        assert check_category(cat).ok and len(cat.compose) == 20
 
     def test_repeated_object_reported_once_by_name(self):
         """The category that ``poset_category(["V0", "V0"], eq)`` built
@@ -224,6 +238,13 @@ class TestCheckDiagram:
     def arrow(self, carriers, maps):
         return Diagram(poset_category(["s", "t"], lambda a, b: a <= b), carriers, maps)
 
+    def test_a_carrier_that_repeats_an_element_is_refused_by_name(self):
+        """A carrier is a set: listed twice, ``x`` was one family twice in the limit."""
+        with pytest.raises(InputError, match=re.escape("carrier of 'a' lists 'x' more than once")):
+            Diagram(discrete_category(["a"]), {"a": ["x", "x"]})
+        with pytest.raises(InputError, match=re.escape("carrier of 't' lists 1 more than once")):
+            self.arrow({"s": [0], "t": [1, 2, 1.0]}, {"s<=t": {0: 1}})
+
     def test_missing_carrier_located(self):
         d = self.arrow({"s": [0]}, {"s<=t": {0: "x"}})
         assert located(check_diagram(d)) == [("diagram.structure", "object 't' has no carrier")]
@@ -303,19 +324,19 @@ class TestLimits:
 
     def test_single_object_diagram_any_leg_is_cone(self):
         d = Diagram(discrete_category(["o"]), {"o": ["a", "b"]})
-        cone = Cone(apex=[0, 1], legs={"o": {0: "b", 1: "a"}})
+        cone = cone_from_legs(d, [0, 1], {"o": {0: "b", 1: "a"}})
+        assert cone.legs.tolist() == [[1], [0]]
         assert check_cone(cone, d).ok
 
     def test_missing_leg_is_structural(self):
         d = Diagram(discrete_category(["p", "q"]), {"p": [0], "q": [0]})
-        cone = Cone(apex=[0], legs={"p": {0: 0}})
-        report = check_cone(cone, d)
-        assert any(v.kind == "cone.structure" for v in report.violations)
+        with pytest.raises(InputError, match=re.escape("missing leg at 'q'")):
+            cone_from_legs(d, [0], {"p": {0: 0}})
 
     def test_leg_outside_its_codomain_located(self):
         d = Diagram(discrete_category(["o"]), {"o": ["a"]})
-        cone = Cone(apex=[0], legs={"o": {0: "z"}})
-        assert located(check_cone(cone, d)) == [("cone.structure", "leg at 'o' sends 0 outside its codomain")]
+        with pytest.raises(InputError, match=re.escape("leg at 'o' sends 0 outside its codomain")):
+            cone_from_legs(d, [0], {"o": {0: "z"}})
 
     def test_legs_into_apex_variance(self):
         """Legs run from the apex into the diagram, and a cone has no other
@@ -323,22 +344,37 @@ class TestLimits:
         legs, and a cone takes no ``to_apex`` flag."""
         idx = poset_category(["s", "t"], lambda a, b: a <= b)
         d = Diagram(idx, {"s": [0, 1], "t": ["x"]}, {"s<=t": {0: "x", 1: "x"}})
-        into = Cone(apex=["a"], legs={"s": {0: "a", 1: "a"}, "t": {"x": "a"}})
-        assert {v.kind for v in check_cone(into, d).violations} == {"cone.structure"}
-        out_of = Cone(apex=["a", "b"], legs={"s": {"a": 0, "b": 1}, "t": {"a": "x", "b": "x"}})
+        with pytest.raises(InputError, match=re.escape("leg at 's' undefined on 'a'")):
+            cone_from_legs(d, ["a"], {"s": {0: "a", 1: "a"}, "t": {"x": "a"}})
+        out_of = cone_from_legs(d, ["a", "b"], {"s": {"a": 0, "b": 1}, "t": {"a": "x", "b": "x"}})
         assert check_cone(out_of, d).ok
         with pytest.raises(TypeError):
-            Cone(apex=["a"], legs=into.legs, to_apex=True)
+            Cone(apex=["a"], legs=out_of.legs, to_apex=True)
+
+    @pytest.mark.parametrize("legs, message", [
+        ({"o": {0: 0}}, "legs are not a 2 x 2 table of carrier positions"),
+        ([[0, 0], [0, 0]], "legs are not a 2 x 2 table of carrier positions"),
+        (np.zeros((2, 2)), "legs are not a 2 x 2 table of carrier positions"),
+        (np.zeros((2, 3), dtype=int), "legs are not a 2 x 2 table of carrier positions"),
+        (np.array([[0, 2], [-1, 0]]), "leg at 'p' sends 'b' to position -1, off its carrier"),
+    ])
+    def test_a_table_that_does_not_fit_is_structural(self, legs, message):
+        """A hand-built cone is checked, never refused: a table of the wrong
+        type or shape, or a position outside its carrier, is reported."""
+        d = Diagram(discrete_category(["p", "q"]), {"p": [0], "q": [0, 1, 2]})
+        found = located(check_cone(Cone(apex=["a", "b"], legs=legs), d))
+        assert found[0] == ("cone.structure", message) and {kind for kind, _ in found} == {"cone.structure"}
 
     def test_partial_map_is_a_triangle_failure(self):
         # D(s<=t) is undefined on 1: a leg through 1 satisfies nothing
         idx = poset_category(["s", "t"], lambda a, b: a <= b)
         d = Diagram(idx, {"s": [0, 1], "t": ["x"]}, {"s<=t": {0: "x"}})
-        bad = Cone(apex=[0], legs={"s": {0: 1}, "t": {0: "x"}})
+        bad = cone_from_legs(d, [0], {"s": {0: 1}, "t": {0: "x"}})
         assert [v.kind for v in check_cone(bad, d).violations] == ["cone.triangle"]
-        assert check_cone(Cone(apex=[0], legs={"s": {0: 0}, "t": {0: "x"}}), d).ok
+        assert check_cone(cone_from_legs(d, [0], {"s": {0: 0}, "t": {0: "x"}}), d).ok
         cones = enumerate_cones(d, 1)
-        assert [c.legs for c in cones] == [{"s": {}, "t": {}}, {"s": {0: 0}, "t": {0: "x"}}]
+        assert [leg_labels(d, c) for c in cones] == [{"s": {}, "t": {}}, {"s": {0: 0}, "t": {0: "x"}}]
+        assert [c.legs.tolist() for c in cones] == [[], [[0, 0]]]
         lim = limit_of_diagram(d)
         assert lim.apex == [(0, "x")]
         assert check_universal_property(lim, d, cones)
@@ -353,10 +389,9 @@ class TestUniversalProperty:
     def test_padded_candidate_fails_uniqueness(self):
         d = Diagram(discrete_category(["p", "q"]), {"p": [0, 1], "q": [0, 1]})
         lim = limit_of_diagram(d)
-        padded = Cone(
-            apex=list(lim.apex) + ["pad"],
-            legs={o: {**lim.legs[o], "pad": lim.legs[o][lim.apex[0]]} for o in ["p", "q"]},
-        )
+        legs = leg_labels(d, lim)
+        padded = cone_from_legs(d, list(lim.apex) + ["pad"],
+                                {o: {**legs[o], "pad": legs[o][lim.apex[0]]} for o in ["p", "q"]})
         assert check_cone(padded, d).ok
         cones = enumerate_cones(d, 2)
         assert check_universal_property(lim, d, cones)
@@ -364,8 +399,8 @@ class TestUniversalProperty:
 
     def test_empty_diagram_terminal_object(self):
         d = Diagram(FinCategory([], {}, {}, {}), {})
-        candidate = Cone(apex=["*"], legs={})
-        assert check_universal_property(candidate, d, [Cone(apex=[0, 1], legs={})])
+        candidate = cone_from_legs(d, ["*"], {})
+        assert check_universal_property(candidate, d, [cone_from_legs(d, [0, 1], {})])
 
     def test_ten_element_limit_against_a_nine_element_cone(self):
         """10**9 maps from the cone's apex, which a search over them would
@@ -373,10 +408,10 @@ class TestUniversalProperty:
         universal, and a padded copy of (0,) gives element 0 two images."""
         d = Diagram(discrete_category(["p"]), {"p": list(range(10))})
         lim = limit_of_diagram(d)
-        big = Cone(apex=list(range(9)), legs={"p": {i: i for i in range(9)}})
+        big = cone_from_legs(d, list(range(9)), {"p": {i: i for i in range(9)}})
         assert check_cone(big, d).ok
         assert check_universal_property(lim, d, [big])
-        padded = Cone(apex=lim.apex + ["pad"], legs={"p": {**lim.legs["p"], "pad": 0}})
+        padded = cone_from_legs(d, lim.apex + ["pad"], {"p": {**leg_labels(d, lim)["p"], "pad": 0}})
         assert check_cone(padded, d).ok
         assert not check_universal_property(padded, d, [big])
 
@@ -422,6 +457,7 @@ class TestSerialization:
         ({"a": "xy"}, {}, "carrier of 'a' must be a JSON array, got 'xy'"),
         ({"a": ["1"]}, {"id_a": {"1": ["1"]}}, "map of 'id_a' holds ['1']"),
         ({"a": ["1", 2]}, {"id_a": {"1": "1", "2": 2}}, "map of 'id_a' has string keys, but carrier of 'a' holds 2"),
+        ({"a": ["x", "y", "x"]}, {}, "carrier of 'a' lists 'x' more than once"),
     ])
     def test_array_elements_of_a_diagram_are_refused(self, carriers, maps, message):
         spec = {"index": category_spec(poset_category(["a"], lambda x, y: True)), "carriers": carriers, "maps": maps}

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import leg_labels
 from ctxlab.fincat import check_cone, check_diagram
 from ctxlab.fixtures import (
     ALL_FIXTURES,
@@ -57,7 +58,7 @@ def test_corrupted_square_diagram_is_still_a_functor():
 def test_coarsening_leg_is_a_section():
     fixture = spectrum_coarsening_fixture()
     res = fixture.diagram.maps["fine<=coarse"]
-    fine_leg = fixture.cone.legs["fine"]
+    fine_leg = leg_labels(fixture.diagram, fixture.cone)["fine"]
     for i in fixture.cone.apex:
         assert res[fine_leg[i]] == i
 

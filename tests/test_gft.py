@@ -376,6 +376,13 @@ class TestSecondQuantizationCone:
         assert check_diagram(built.diagram).ok
         assert check_cone(built.cone, built.diagram).ok
 
+    def test_a_function_listed_twice_is_one_carrier_element(self):
+        """A carrier is a set, so a repeated test function is listed once in
+        it, while the apex keeps both copies."""
+        built = second_quantization_cone(1, 2, [np.ones(4), np.ones(4)], SPACE)
+        assert built.report.ok and len(built.cone.apex) == 2
+        assert len(built.diagram.carriers["Sk"]) == 1
+
     def test_sign_flipped_padding_fails(self):
         built = second_quantization_cone(1, 2, [np.ones(4)], SPACE, corrupt=True)
         assert not built.report.ok

@@ -74,6 +74,7 @@ from ctxlab.fincat import (
     FinCategory,
     check_cone,
     check_universal_property,
+    cone_from_legs,
     enumerate_cones,
     limit_of_diagram,
     one_point_cone_tuple,
@@ -743,7 +744,7 @@ def small_diagrams(draw):
     n = draw(st.integers(0, 4))
     objects = [f"o{i}" for i in range(n)]
     # carriers may be empty and may repeat an element; a carrier is a set,
-    # so the diagram keeps each element's first listing
+    # so a repeat is refused, and the diagram keeps each element's first listing
     drawn = {o: draw(st.lists(st.sampled_from(VALUES), max_size=4)) for o in objects}
     carriers = {o: list(dict.fromkeys(xs)) for o, xs in drawn.items()}
     homs = {(o, o): [f"id_{o}"] for o in objects}
@@ -760,6 +761,11 @@ def small_diagrams(draw):
                 table[x] = image
         maps[label] = table
     index = FinCategory(objects, homs, {}, {o: f"id_{o}" for o in objects})
+    repeats = [(o, x) for o, xs in drawn.items() for x in xs if xs.count(x) > 1]
+    if repeats:
+        o, x = repeats[0]
+        with pytest.raises(InputError, match=re.escape(f"carrier of {o!r} lists {x!r} more than once")):
+            Diagram(index, drawn, maps)
     return Diagram(index, carriers, maps)
 
 
@@ -1709,7 +1715,7 @@ def reference_record(cones) -> list:
 
 def as_cone(d, cone: ReferenceCone) -> Cone:
     """A reference cone's leg labels as a live cone."""
-    return Cone(cone.apex, cone.legs)
+    return cone_from_legs(d, cone.apex, cone.legs)
 
 
 def as_reference(d, cone: Cone) -> ReferenceCone:
