@@ -380,6 +380,16 @@ class TestLimits:
         assert check_universal_property(lim, d, cones)
 
 
+    def test_an_undefined_value_is_not_none(self):
+        """A map undefined on ``x`` fails the triangle even where the
+        target carrier holds None, in the limit as in the join."""
+        idx = poset_category(["s", "t"], lambda a, b: a <= b)
+        d = Diagram(idx, {"s": ["x"], "t": [None]}, {"s<=t": {}})
+        assert limit_of_diagram(d).apex == [] and enumerate_cones(d, 1)[1:] == []
+        d = Diagram(idx, {"s": ["x"], "t": [None]}, {"s<=t": {"x": None}})
+        assert limit_of_diagram(d).apex == [("x", None)]
+
+
 class TestUniversalProperty:
     def test_limit_is_universal(self):
         d = parallel_pair({1: 1, 2: 2, 3: 1}, {1: 2, 2: 2, 3: 2}, [1, 2, 3], [1, 2])
