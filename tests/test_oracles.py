@@ -22,11 +22,14 @@ every term, the category check over every pair and triple of
 morphisms, the Fock ladder pattern built from lowerings listed by column,
 the diagram check that looked each map up through a fresh morphism
 table, the cone functions that held each leg as a dict keyed by apex
-element and read each arrow through a dense agreement table, and the
-poset category that asked ``leq`` again for every chain.  Outputs must be identical, in identical order, and minima
+element and read each arrow through a dense agreement table, the
+poset category that asked ``leq`` again for every chain, the ray family
+build that split every basis's projectors, the ray fixture reader that
+read vector by vector, and the universality count of row tuples.  Outputs must be identical, in identical order, and minima
 bitwise equal; the Weyl action agrees within 1e-14, the benchmark's
 gft-weyl and gft-ccr reports byte for byte, the integral within 1e-12,
-and the CCR defect within a few units in the last place of its terms.  The contexts and spectra
+and the CCR defect within a few units in the last place of its terms, the ray
+family categories with projections within 1e-12.  The contexts and spectra
 are compared by report, not by bits: the same ids, order, fiber sizes,
 restriction tables and global sections, up to the bijection that matches
 projections within 1e-8.
@@ -4118,3 +4121,282 @@ class TestDiagramCheckOracle:
 
         for m in [*d.index.morphisms(), "unlisted"]:
             assert answer(d.map_of, m) == answer(functools.partial(reference_map_of, d), m)
+
+
+# ---------------------------------------------------------------------------
+# the ray family build that split every basis's projectors, the ray fixture
+# reader that read vector by vector, and the universality count of row tuples
+
+
+def reference_rays_to_projectors(basis_vectors) -> np.ndarray:
+    vecs = np.asarray(basis_vectors, dtype=complex)
+    vecs = vecs.reshape(len(vecs), -1 if len(vecs) else 0)
+    re, im = vecs.real[:, None], vecs.imag[:, None]
+    norms = np.sqrt((re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
+    if np.any(norms == 0):
+        raise InputError("zero vector in ray fixture")
+    vecs = vecs / norms[:, None]
+    return vecs[:, :, None] * vecs[:, None, :].conj()
+
+
+def reference_ray_family_context_category(dim, bases, tol=DEFAULT_TOL):
+    staralg.check_dimension(dim)
+    ambient = full_matrix_algebra(dim, tol)
+    groups = [reference_rays_to_projectors(basis) for basis in bases]
+    return context_category_from_groups(ambient, groups)
+
+
+def reference_load_ray_fixture(data) -> tuple:
+    dim = validation.whole_number(validation.member(data, "dim", "ray fixture"), "ray fixture dim", least=1)
+    bases = []
+    for b, basis in enumerate(validation.array(validation.member(data, "bases", "ray fixture"), "ray fixture bases")):
+        bases.append([])
+        for k, raw in enumerate(validation.array(basis, f"basis {b} of the ray fixture")):
+            where = f"basis {b}, vector {k} of the ray fixture"
+            if any(x is True or x is False for x in validation.array(raw, where)):
+                raise InputError(f"{where} has a boolean coordinate: {raw!r}")
+            v = validation.numbers(raw, f"{where}: coordinate")
+            if v.shape != (dim,):
+                raise InputError(f"ray of shape {v.shape} in dimension-{dim} fixture")
+            if not np.all(np.isfinite(v)):
+                raise InputError(f"{where} has a non-finite coordinate: {raw!r}")
+            bases[-1].append(v)
+    return dim, bases
+
+
+def reference_row_tuple_counts(candidate, d, cones) -> bool:
+    counts = collections.Counter(map(tuple, candidate.legs.tolist()))
+    return all(counts[row] == 1 for cone in cones for row in map(tuple, cone.legs.tolist()))
+
+
+def ray_build(fn, *args):
+    """A ray family build's category, or its refusal as (type, message)."""
+    try:
+        return "value", fn(*args)
+    except (DomainError, InputError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_ray_category(found, expected, atol=1e-12):
+    """The same refusal, or the same ids, strict order, restriction tables
+    (keys in order), generators and character ranks, with every character's
+    projection within ``atol`` of the frozen build's."""
+    assert found[0] == expected[0]
+    if found[0] != "value":
+        assert found == expected
+        return
+    new, old = found[1], expected[1]
+    assert new.ids() == old.ids()
+    assert new.order == old.order
+    assert new.strict_pairs() == old.strict_pairs()
+    assert list(new.restrictions.items()) == list(old.restrictions.items())
+    assert new.generators == old.generators
+    for cid in old.ids():
+        assert [chi.rank for chi in new.spectra[cid]] == [chi.rank for chi in old.spectra[cid]]
+        for chi, ref in zip(new.spectra[cid], old.spectra[cid]):
+            assert np.abs(chi.projection - ref.projection).max() <= atol
+        assert new.algebra(cid)._characters is new.spectra[cid]
+
+
+RAY_TOLS = [1e-13, 1e-9, 1e-6, 1e-3]
+
+
+@st.composite
+def orthonormal_families(draw):
+    """Orthonormal bases of dimension 2-8 from one to three frames: a random
+    unitary (or orthogonal) frame, and frames that rotate some of its column
+    pairs, so bases share rays and their meets have atoms of several rays.
+    Each basis lists its frame's columns in a drawn order, each ray scaled by
+    a random factor, complex or positive."""
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frames = [random_unitary(rng, d) if draw(st.booleans()) else np.linalg.qr(rng.standard_normal((d, d)))[0]]
+    for _ in range(draw(st.integers(0, 2))):
+        frame = frames[0].copy()
+        for a, b in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), max_size=2)):
+            if a != b:
+                c, s = np.cos(0.3 + a), np.sin(0.3 + a)
+                frame[:, [a, b]] = frame[:, [a, b]] @ np.array([[c, -s], [s, c]])
+        frames.append(frame)
+    complex_scale = draw(st.booleans())
+    bases = []
+    for _ in range(draw(st.integers(1, 5))):
+        frame = frames[draw(st.integers(0, len(frames) - 1))]
+        scale = rng.uniform(0.5, 2.0, d) * (np.exp(1j * rng.uniform(0, 6.3, d)) if complex_scale else 1.0)
+        bases.append([frame[:, c] * scale[c] for c in draw(st.permutations(range(d)))])
+    return d, bases
+
+
+def peres_subfamilies(seed, sizes=(6, 9, 12, 16, 17)) -> list:
+    dim, bases = PERES
+    rng = np.random.default_rng(seed)
+    return [[bases[i] for i in sorted(rng.choice(24, size, replace=False))] for size in sizes]
+
+
+class TestRayAtomOracle:
+    """The ray family build against the frozen one that split every basis's
+    projectors: the same category, projections within 1e-12."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(family=orthonormal_families(), tol=st.sampled_from(RAY_TOLS))
+    def test_orthonormal_frames(self, family, tol):
+        d, bases = family
+        assert_same_ray_category(ray_build(ray_family_context_category, d, bases, tol),
+                                 ray_build(reference_ray_family_context_category, d, bases, tol))
+
+    @pytest.mark.parametrize("tol", RAY_TOLS)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_peres_subfamilies(self, seed, tol):
+        for bases in peres_subfamilies(seed):
+            assert_same_ray_category(ray_build(ray_family_context_category, 4, bases, tol),
+                                     ray_build(reference_ray_family_context_category, 4, bases, tol))
+
+    @pytest.mark.parametrize("tol", RAY_TOLS)
+    @pytest.mark.parametrize("name", ["cabello18", "peres24"])
+    def test_whole_fixtures(self, name, tol):
+        dim, bases = CABELLO if name == "cabello18" else PERES
+        assert_same_ray_category(ray_build(ray_family_context_category, dim, bases, tol),
+                                 ray_build(reference_ray_family_context_category, dim, bases, tol))
+
+    def test_ks_reports_are_byte_equal(self, capsys, monkeypatch, tmp_path):
+        """Every ks-check of the benchmark's ks-carrier batch, and the Peres
+        sub-families above, at each tolerance, through the CLI: the same
+        report as with the frozen reader and build."""
+        workloads = perfbench_module("workloads")
+        argvs = [check["argv"] for check in workloads.ks_sweep(101, "full", str(tmp_path)) if check["kind"] == "ks"]
+        for n, bases in enumerate(peres_subfamilies(3)):
+            path = tmp_path / f"sub{n}.json"
+            path.write_text(json.dumps({"dim": 4, "bases": [[list(map(float, v)) for v in b] for b in bases]}))
+            argvs.append(["ks-check", "--fixture", str(path)])
+        argvs = [["--tolerance", str(tol)] + argv for argv in argvs for tol in RAY_TOLS]
+        found = []
+        for argv in argvs:
+            assert main(argv) == 0
+            found.append(capsys.readouterr().out)
+        monkeypatch.setattr(cli.presheaf, "load_ray_fixture", reference_load_ray_fixture)
+        monkeypatch.setattr(cli.presheaf, "ray_family_context_category", reference_ray_family_context_category)
+        for argv, report in zip(argvs, found):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == report, argv
+
+
+def reader_outcome(read, data):
+    """A reader's dimension and each basis's rays as one float array, in
+    bytes, or its refusal as (type, message)."""
+    try:
+        dim, bases = read(data)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+    tables = [np.array(basis, dtype=float).reshape(len(basis), dim) for basis in bases]
+    return "value", dim, [(t.shape, t.dtype.str, t.tobytes()) for t in tables]
+
+
+ODD_COORDINATES = [True, False, math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**1024 - 1, 1e308, -0.0,
+                   2**63 + 1, -(2**64) - 3, 2**53 + 1, "1", None, [1.0], {"re": 1}]
+ODD_VECTORS = [1.0, 3, "ray", None, {"x": 1}, True]
+
+
+@st.composite
+def ray_fixture_data(draw):
+    """A ray fixture of dimension 1-4, well formed more often than not: now
+    and then a coordinate that is a boolean, NaN, +-inf, an integer beyond
+    the float range or not a number, a vector of the wrong length or not
+    an array, a basis that is not an array, or bases that are not a list.
+    Bases hold 0 to dim + 1 vectors each, so empty and ragged bases come up,
+    and the list of bases may be empty."""
+    dim = draw(st.integers(1, 4))
+    odd = draw(st.sampled_from([0, 0, 40, 12]))
+
+    def coordinate():
+        if odd and draw(st.integers(0, odd)) == 0:
+            return draw(st.sampled_from(ODD_COORDINATES))
+        return draw(st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3, allow_nan=False),
+                              st.integers(-2**80, 2**80)))
+
+    def vector():
+        if odd and draw(st.integers(0, 3 * odd)) == 0:
+            return draw(st.sampled_from(ODD_VECTORS))
+        length = draw(st.integers(0, dim + 1)) if odd and draw(st.integers(0, 2 * odd)) == 0 else dim
+        return [coordinate() for _ in range(length)]
+
+    bases = [[vector() for _ in range(draw(st.integers(0, dim + 1)))] for _ in range(draw(st.integers(0, 4)))]
+    if odd and draw(st.integers(0, 2 * odd)) == 0:
+        bases.insert(draw(st.integers(0, len(bases))), draw(st.sampled_from([None, 3, "basis", {"v": []}])))
+    data = {"dim": dim, "bases": bases}
+    if odd and draw(st.integers(0, 4 * odd)) == 0:
+        data["bases"] = draw(st.sampled_from([None, "bases", {"b": bases}, 4]))
+    return data
+
+
+class TestRayFixtureReaderOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(data=ray_fixture_data())
+    def test_drawn_fixtures(self, data):
+        assert reader_outcome(load_ray_fixture, data) == reader_outcome(reference_load_ray_fixture, data)
+
+    @pytest.mark.parametrize("bases", [
+        [], [[]], [[], [[1, 0]]], [[[1, 0], [0, 1]], [[1, 1]]], [[[1, 0]], [], [[0, 1], [1, 0], [1, 1]]],
+        [[[True, 0]]], [[[1, False]]], [[[math.nan, 0]]], [[[0, math.inf]]], [[[-math.inf, 1]]],
+        [[[10**400, 0]]], [[[1, -(10**400)]]], [[[1, 0], [2**1024 - 1, 0]]], [[[1, 0, 0]]], [[[1]]], [[[]]],
+        [[[1, 0], "ray"]], [[[1, 0]], [None]], [[[1, 0]], 3], [[[1, 0]], [[0, "1"]]], [[[2**63 + 1, -0.0]]],
+        [[[1, 0], [1, 0.5]], [[0, 1], [True, 2]]], [[[1, 0]], [[1, 0, 1]], [[math.nan, 1]]],
+    ])
+    def test_edge_cases(self, bases):
+        data = {"dim": 2, "bases": bases}
+        assert reader_outcome(load_ray_fixture, data) == reader_outcome(reference_load_ray_fixture, data)
+
+    def test_empty_list_of_bases_is_no_basis(self):
+        assert load_ray_fixture({"dim": 3, "bases": []}) == (3, [])
+
+
+class TestUniversalCountOracle:
+    """Universality by one sorted count of the candidate's rows against the
+    frozen count of row tuples."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=small_diagrams(), cap=st.sampled_from([SEARCH_CAP, 0, 1, 4, 16, 64]), data=st.data())
+    def test_small_diagrams(self, d, cap, data):
+        with fincat_constant("SEARCH_CAP", cap):
+            found = outcome(one_point_cone_tuple, d)
+        lim = limit_of_diagram(d)
+        cones = [lim] + ([found[1]] if found[0] == "value" else [])
+        k = apex_bound([len(lim.apex)], budget=300)
+        with fincat_constant("SEARCH_CAP", cap):
+            listed = outcome(enumerate_cones, d, k)
+        cones += listed[1] if listed[0] == "value" else []
+        candidate = data.draw(st.sampled_from(cones))
+        chosen = data.draw(st.lists(st.sampled_from(cones), max_size=6))
+        assert check_universal_property(candidate, d, chosen) == reference_row_tuple_counts(candidate, d, chosen)
+
+    def test_the_five_seed_discrete_diagram(self):
+        d = spectrum_diagram(build_limit_extension(pauli_category(["ZI", "XI", "YI", "IZ", "IX"])))
+        lim, points = limit_of_diagram(d), one_point_cone_tuple(d)
+        assert check_universal_property(lim, d, [points]) is reference_row_tuple_counts(lim, d, [points]) is True
+        doubled = Cone(lim.apex * 2, np.concatenate([lim.legs, lim.legs]))
+        assert check_universal_property(doubled, d, [points]) is reference_row_tuple_counts(doubled, d, [points]) \
+            is False
+
+    @pytest.mark.parametrize("candidate, cones", [
+        ([], []), ([], [[[0, 1]]]), ([[0, 1]], []), ([[0, 1]], [[]]), ([[0, 1]], [[], [[0, 1]]]),
+        ([[0, 1], [0, 1]], [[[0, 1]]]), ([[0, 1], [0, 1]], [[[1, 0]]]), ([[0, 1], [1, 0]], [[[1, 0], [0, 1]]]),
+        ([[0, 1]], [[[0, 2]]]), ([[2, 2]], [[[0, 1]]]), ([[0, 1], [1, 1]], [[[1, 1]], [[0, 1], [1, 1], [0, 1]]]),
+    ])
+    def test_edge_cases(self, candidate, cones):
+        """An empty candidate, an empty cone, a repeated candidate row, rows
+        past the candidate's largest, on a two-object discrete diagram."""
+        index = FinCategory(["p", "q"], {("p", "p"): ["id_p"], ("q", "q"): ["id_q"]}, {}, {"p": "id_p", "q": "id_q"})
+        d = Diagram(index, {"p": [0, 1, 2], "q": [0, 1, 2]})
+
+        def table(rows):
+            return Cone(list(range(len(rows))), np.array(rows, dtype=np.intp).reshape(len(rows), 2))
+
+        live, listed = table(candidate), [table(rows) for rows in cones]
+        assert check_universal_property(live, d, listed) == reference_row_tuple_counts(live, d, listed)
+
+    @pytest.mark.parametrize("size, cones", [(0, 0), (0, 2), (1, 0), (1, 1), (1, 3), (2, 1), (2, 0)])
+    def test_zero_objects(self, size, cones):
+        """Rows of width 0: every row is the empty row."""
+        d = Diagram(FinCategory([], {}, {}, {}), {})
+        candidate = Cone([()] * size, np.zeros((size, 0), dtype=np.intp))
+        listed = [Cone([()], np.zeros((1, 0), dtype=np.intp)) for _ in range(cones)]
+        assert check_universal_property(candidate, d, listed) == reference_row_tuple_counts(candidate, d, listed)
