@@ -480,10 +480,22 @@ def check_universal_property(candidate: Cone, d: Diagram, cones: list[Cone]) -> 
     apex element a alone, the candidate's legs at h(a) equal the cone's
     legs at a.  So there is exactly one iff each apex element's leg row is
     that of exactly one candidate element, counted once; an empty apex has
-    one map, the empty one.
+    one map, the empty one.  Each row is read as one opaque key, a view of
+    its positions: one sort counts the candidate's keys, and a binary
+    search finds each cone row's count.
     """
-    counts = Counter(map(tuple, candidate.legs.tolist()))
-    return all(counts[row] == 1 for cone in cones for row in map(tuple, cone.legs.tolist()))
+    width = candidate.legs.shape[1]
+    if not width:  # no object: every row is the empty row
+        return len(candidate.legs) == 1 or not any(len(cone.legs) for cone in cones)
+    key = np.dtype((np.void, width * np.dtype(np.intp).itemsize))
+    own, *rows = (np.ascontiguousarray(t, dtype=np.intp).view(key).ravel()
+                  for t in [candidate.legs] + [cone.legs for cone in cones])
+    values, counts = np.unique(own, return_counts=True)
+    rows = np.concatenate(rows + [values[:0]])
+    at = np.searchsorted(values, rows)
+    if np.any(at == len(values)):
+        return False
+    return bool(np.all((values[at] == rows) & (counts[at] == 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ eigenvalue gaps and spans of atoms carry eigensolver error and use
 ``spectral_tol(tol)``.  Contexts are ordered by the overlap of atoms at that
 threshold, atom by atom: a fine atom lies under the coarse atom it overlaps
 however many others it leaks into below it.  The character relation and the
-rank test have floors of their own.  Bounds on outside input (states, +-1
+rank test have floors of their own; the rank floor also decides whether a basis
+of rays is orthonormal, and so its own atoms.  Bounds on outside input (states, +-1
 observables, measure weights), the sign-search tie margin and the GFT context
 test are fixed, as are the CLI's report bounds, which live in ``cli``.
 """
@@ -25,7 +26,8 @@ from .errors import DomainError, InputError
 
 DEFAULT_TOL = 1e-9
 # Relative singular-value floor of the rank test, and so the smallest
-# tolerance that separates a span from rounding (about 1e-16 per entry).
+# tolerance that separates a span from rounding (about 1e-16 per entry);
+# also the largest Gram entry error of a ray basis read as orthonormal.
 RANK_FLOOR = 1e-13
 MAX_TOL = 1e-3  # largest tolerance: above it, a test accepts structure, not rounding
 SPECTRAL_FLOOR = 1e-8  # eigensolver error of projections, characters and eigenvalue gaps

@@ -19,19 +19,21 @@ import numpy as np
 from .errors import DomainError, InputError
 from .fincat import solve_constraints
 from .linalg import (
-    DEFAULT_TOL, INTERVAL_SLACK, SPECTRAL_FLOOR, as_matrix, dagger, is_projection, is_selfadjoint, opnorm, spectral_tol,
+    DEFAULT_TOL, INTERVAL_SLACK, RANK_FLOOR, SPECTRAL_FLOOR, as_matrix, dagger, is_projection, is_selfadjoint, opnorm,
+    spectral_tol,
 )
 from .staralg import (
     Character,
     ContextCategory,
     MatrixStarAlgebra,
+    _assemble,
     _gap_groups,
     check_dimension,
     context_category_from_groups,
     full_matrix_algebra,
     gelfand_spectrum,
 )
-from .validation import array, load_json, member, numbers, whole_number
+from .validation import array, load_json, member, number_rows, numbers, whole_number
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +174,35 @@ def operator_interval(a, v: MatrixStarAlgebra, chi: Character) -> tuple:
 # ray-family fixtures
 
 
-def rays_to_projectors(basis_vectors: list) -> np.ndarray:
-    """Rank-1 projectors of a list of (unnormalized) vectors, as one stack.
-    Each norm is the one-vector ``np.linalg.norm``'s, bit for bit: the dot
-    products of the real and of the imaginary parts, summed."""
+def _unit_rays(basis_vectors) -> np.ndarray:
+    """A list of (unnormalized) vectors as unit rays, one row each.  Each
+    norm is the one-vector ``np.linalg.norm``'s, bit for bit: the dot
+    products of the real and of the imaginary parts, summed.  Refuses a
+    zero vector."""
     vecs = np.asarray(basis_vectors, dtype=complex)
     vecs = vecs.reshape(len(vecs), -1 if len(vecs) else 0)
     re, im = vecs.real[:, None], vecs.imag[:, None]
     norms = np.sqrt((re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
     if np.any(norms == 0):
         raise InputError("zero vector in ray fixture")
-    vecs = vecs / norms[:, None]
+    return vecs / norms[:, None]
+
+
+def rays_to_projectors(basis_vectors: list) -> np.ndarray:
+    """Rank-1 projectors of a list of (unnormalized) vectors, as one stack,
+    from their unit rays (``_unit_rays``)."""
+    vecs = _unit_rays(basis_vectors)
     return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
-def load_ray_fixture(data) -> tuple:
-    """Parse a ray-family fixture: {'dim': d, 'bases': [[vector, ...], ...]}.
-    A boolean or non-finite coordinate is refused with its basis and vector."""
-    dim = whole_number(member(data, "dim", "ray fixture"), "ray fixture dim", least=1)
-    bases = []
-    for b, basis in enumerate(array(member(data, "bases", "ray fixture"), "ray fixture bases")):
-        bases.append([])
-        for k, raw in enumerate(array(basis, f"basis {b} of the ray fixture")):
+def _named_rays(bases: list, dim: int) -> tuple:
+    """The rays of ``bases`` read vector by vector, as one float array and
+    the count of each basis; a malformed basis or vector is refused by name,
+    and a boolean or non-finite coordinate with its basis and vector."""
+    rays, counts = [], []
+    for b, basis in enumerate(bases):
+        counts.append(len(array(basis, f"basis {b} of the ray fixture")))
+        for k, raw in enumerate(basis):
             where = f"basis {b}, vector {k} of the ray fixture"
             if any(x is True or x is False for x in array(raw, where)):
                 raise InputError(f"{where} has a boolean coordinate: {raw!r}")
@@ -202,17 +211,42 @@ def load_ray_fixture(data) -> tuple:
                 raise InputError(f"ray of shape {v.shape} in dimension-{dim} fixture")
             if not np.all(np.isfinite(v)):
                 raise InputError(f"{where} has a non-finite coordinate: {raw!r}")
-            bases[-1].append(v)
-    return dim, bases
+            rays.append(v)
+    return np.array(rays, dtype=float).reshape(len(rays), dim), counts
+
+
+def load_ray_fixture(data) -> tuple:
+    """Parse a ray-family fixture: {'dim': d, 'bases': [[vector, ...], ...]},
+    as d and one float array ``(vectors, d)`` per basis.  A well-formed
+    fixture is read in C-level passes (``validation.number_rows``); any
+    other goes vector by vector (``_named_rays``), which refuses the first
+    malformed vector by name."""
+    dim = whole_number(member(data, "dim", "ray fixture"), "ray fixture dim", least=1)
+    bases = array(member(data, "bases", "ray fixture"), "ray fixture bases")
+    table, counts = number_rows(bases, dim) or _named_rays(bases, dim)
+    return dim, np.split(table, np.cumsum(counts, dtype=int))[:-1]
 
 
 def ray_family_context_category(dim: int, bases: list, tol: float = DEFAULT_TOL) -> ContextCategory:
     """One maximal context per basis of rays, plus intersections.  Refuses
-    a dimension above ``staralg.DIM_CAP`` before building anything."""
+    a dimension above ``staralg.DIM_CAP`` before building anything.
+
+    A family of orthonormal bases is its own atoms: when every basis holds
+    ``dim`` nonzero rays whose normalized Gram matrix is the identity within
+    ``RANK_FLOOR`` (rounding, below every tolerance), the unit rays go to
+    ``staralg._assemble`` as the atoms' isometries, with no split.  Any
+    other family is split as groups of its projectors
+    (``rays_to_projectors``) by ``context_category_from_groups``, which
+    refuses what no split stands for and decides at ``tol``."""
     check_dimension(dim)
     ambient = full_matrix_algebra(dim, tol)
-    groups = [rays_to_projectors(basis) for basis in bases]
-    return context_category_from_groups(ambient, groups)
+    rays = [_unit_rays(basis) for basis in bases]
+    if all(basis.shape == (dim, dim) for basis in rays):
+        stack = np.array(rays).reshape(len(rays), dim, dim)
+        gram = stack.conj() @ np.swapaxes(stack, 1, 2)
+        if np.all(np.abs(gram - np.eye(dim)) <= RANK_FLOOR):
+            return _assemble(ambient, [list(basis[:, :, None]) for basis in stack], [[] for _ in bases])
+    return context_category_from_groups(ambient, [rays_to_projectors(basis) for basis in bases])
 
 
 def bundled_fixture(path: str):

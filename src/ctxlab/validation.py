@@ -89,6 +89,28 @@ def numbers(data, what: str) -> np.ndarray:
     return np.array([number(x, f"{what} {k}") for k, x in enumerate(array(data, f"list of {what}s"))], dtype=float)
 
 
+def number_rows(groups, width: int):
+    """The rows of every group of ``groups``, a JSON array of arrays of rows,
+    as one float array ``(rows, width)`` and the row count of each group;
+    or None.  They are read in C-level passes, as ``parse_matrix`` reads
+    its cells, when every group and every row is an array, each row holds
+    ``width`` numbers and no boolean, and every number is finite as a
+    float.  Any other input gives None, for the caller's own reader to name
+    what is malformed: an integer beyond the float range too."""
+    cells = itertools.chain.from_iterable
+    if not set(map(type, groups)) <= {list}:
+        return None
+    rows = list(cells(groups))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+            and set(map(type, cells(rows))) <= {int, float}):
+        return None
+    try:
+        table = np.fromiter(cells(rows), dtype=float, count=len(rows) * width).reshape(len(rows), width)
+    except OverflowError:
+        return None
+    return (table, list(map(len, groups))) if np.isfinite(table).all() else None
+
+
 def parse_matrix(data) -> np.ndarray:
     """A square complex matrix from its rows of entries, each a finite
     number or an [re, im] pair of them, refused with its row and column.

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import importlib.util
 import pathlib
@@ -106,3 +107,22 @@ def leg_labels(d, cone) -> dict:
     element of the object's carrier that the element's leg picks."""
     return {o: {a: d.carriers[o][p] for a, p in zip(cone.apex, cone.legs[:, i].tolist())}
             for i, o in enumerate(d.index.objects)}
+
+
+@contextlib.contextmanager
+def counted_splits():
+    """``staralg._split`` counting its calls: inside the block, each call
+    appends the number of stacks it splits to the yielded list."""
+    from ctxlab import staralg
+
+    calls, split = [], staralg._split
+
+    def counting(stacks, *args):
+        calls.append(len(stacks))
+        return split(stacks, *args)
+
+    staralg._split = counting
+    try:
+        yield calls
+    finally:
+        staralg._split = split

@@ -53,7 +53,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, SX, SY, SZ, kron, leg_labels, perfbench_module, random_density, random_unitary, reference_index
+from conftest import I2, SX, SY, SZ, counted_splits, kron, leg_labels, perfbench_module, random_density, random_unitary, reference_index
 from ctxlab import cli, fincat, gft, locnet, realism, staralg, validation
 from ctxlab.cli import emit, main
 from ctxlab.ctxext import (
@@ -87,6 +87,7 @@ from ctxlab.fincat import (
 from ctxlab.fixtures import ALL_FIXTURES, peres24_fixture
 from ctxlab.linalg import (
     DEFAULT_TOL,
+    RANK_FLOOR,
     SIGN_TIE_MARGIN,
     as_matrix,
     dagger,
@@ -4233,30 +4234,90 @@ def peres_subfamilies(seed, sizes=(6, 9, 12, 16, 17)) -> list:
     return [[bases[i] for i in sorted(rng.choice(24, size, replace=False))] for size in sizes]
 
 
+def split_build(dim, bases, tol) -> tuple:
+    """``ray_build`` of the ray family build, and the stacks it split."""
+    with counted_splits() as calls:
+        found = ray_build(ray_family_context_category, dim, bases, tol)
+    return found, calls
+
+
+def off_the_ray_path(basis, kind) -> list:
+    """``basis``, a list of d orthogonal rays, made one that the ray path
+    does not take: a ray left out, a ray repeated, a ray tilted toward
+    another until their Gram entry is 10 times ``RANK_FLOOR``, a zero ray,
+    or every ray rounded to 12 decimals, orthogonal only to about 1e-12."""
+    basis = [np.asarray(v, dtype=complex) for v in basis]
+    if kind == "incomplete":
+        return basis[:-1]
+    if kind == "parallel":
+        return [basis[0], 2.0 * basis[0]] + basis[2:]
+    if kind == "near":
+        units = [v / np.linalg.norm(v) for v in basis]
+        return [units[0], units[1] + 10 * RANK_FLOOR * units[0]] + units[2:]
+    if kind == "zero":
+        return basis[:-1] + [0 * basis[-1]]
+    return [np.round(v.real, 12) + 1j * np.round(v.imag, 12) for v in basis]
+
+
 class TestRayAtomOracle:
     """The ray family build against the frozen one that split every basis's
-    projectors: the same category, projections within 1e-12."""
+    projectors: the same category, projections within 1e-12, and no split
+    for a family of orthonormal bases; a family with any other basis is
+    split, and its category is the frozen one."""
 
     @settings(max_examples=120, deadline=None)
     @given(family=orthonormal_families(), tol=st.sampled_from(RAY_TOLS))
     def test_orthonormal_frames(self, family, tol):
         d, bases = family
-        assert_same_ray_category(ray_build(ray_family_context_category, d, bases, tol),
-                                 ray_build(reference_ray_family_context_category, d, bases, tol))
+        found, calls = split_build(d, bases, tol)
+        assert calls == []
+        assert_same_ray_category(found, ray_build(reference_ray_family_context_category, d, bases, tol))
 
     @pytest.mark.parametrize("tol", RAY_TOLS)
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_peres_subfamilies(self, seed, tol):
         for bases in peres_subfamilies(seed):
-            assert_same_ray_category(ray_build(ray_family_context_category, 4, bases, tol),
-                                     ray_build(reference_ray_family_context_category, 4, bases, tol))
+            found, calls = split_build(4, bases, tol)
+            assert calls == []
+            assert_same_ray_category(found, ray_build(reference_ray_family_context_category, 4, bases, tol))
 
     @pytest.mark.parametrize("tol", RAY_TOLS)
     @pytest.mark.parametrize("name", ["cabello18", "peres24"])
     def test_whole_fixtures(self, name, tol):
         dim, bases = CABELLO if name == "cabello18" else PERES
-        assert_same_ray_category(ray_build(ray_family_context_category, dim, bases, tol),
-                                 ray_build(reference_ray_family_context_category, dim, bases, tol))
+        found, calls = split_build(dim, bases, tol)
+        assert calls == []
+        assert_same_ray_category(found, ray_build(reference_ray_family_context_category, dim, bases, tol))
+
+    @settings(max_examples=120, deadline=None)
+    @given(family=orthonormal_families(), tol=st.sampled_from(RAY_TOLS), data=st.data(),
+           kind=st.sampled_from(["incomplete", "parallel", "near", "zero", "decimal"]))
+    def test_one_basis_off_the_ray_path(self, family, tol, data, kind):
+        """One incomplete, parallel, near-orthogonal, zero-ray or rounded
+        basis among orthonormal ones: the whole family is split, and the
+        category, or the refusal, is the frozen build's.  A rounded basis
+        may still be orthonormal to the floor, and then takes the ray path."""
+        d, bases = family
+        k = data.draw(st.integers(0, len(bases) - 1))
+        bases = bases[:k] + [off_the_ray_path(bases[k], kind)] + bases[k + 1 :]
+        found, calls = split_build(d, bases, tol)
+        expected = ray_build(reference_ray_family_context_category, d, bases, tol)
+        if kind == "zero":
+            assert found == expected == ("InputError", "zero vector in ray fixture")
+        elif kind == "decimal" and not calls:
+            assert_same_ray_category(found, expected)
+        else:
+            assert calls
+            assert_same_ray_category(found, expected, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["incomplete", "parallel", "near"])
+    def test_peres_with_one_basis_off_the_ray_path(self, kind):
+        dim, bases = PERES
+        for k in (0, 11, 23):
+            family = bases[:k] + [off_the_ray_path(bases[k], kind)] + bases[k + 1 :]
+            found, calls = split_build(dim, family, DEFAULT_TOL)
+            assert calls
+            assert_same_ray_category(found, ray_build(reference_ray_family_context_category, dim, family), atol=0.0)
 
     def test_ks_reports_are_byte_equal(self, capsys, monkeypatch, tmp_path):
         """Every ks-check of the benchmark's ks-carrier batch, and the Peres

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, SX, SY, SZ, kron, random_unitary, unsplit_seed
+from conftest import I2, SX, SY, SZ, counted_splits, kron, random_unitary, unsplit_seed
 from ctxlab import staralg
 from ctxlab.errors import DomainError, InputError
 from ctxlab.fincat import check_category, poset_category
@@ -709,14 +709,27 @@ def built(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+# a family of orthonormal bases takes its unit rays as atoms, with no split:
+# its projections are the split's within this bound, not bit for bit
+RAY_ATOL = 1e-12
+
+
+def built_rays(d, bases, tol=staralg.DEFAULT_TOL):
+    """``built`` of ``ray_family_context_category``, and whether it split."""
+    with counted_splits() as calls:
+        found = built(ray_family_context_category, d, bases, tol)
+    return found, bool(calls)
+
+
 def character_bytes(chars) -> list:
     return [(chi.rank, chi.projection.tobytes()) for chi in chars]
 
 
-def assert_same_category(found, expected):
+def assert_same_category(found, expected, atol=None):
     """The same refusal, or the same ids, order, restriction tables (keys
-    in order), generators and character bytes; ``strict_pairs`` is the old
-    quadratic scan of the order."""
+    in order), generators and character bytes, or with ``atol`` the same
+    ranks and projections within it; ``strict_pairs`` is the old quadratic
+    scan of the order."""
     assert found[0] == expected[0]
     if found[0] != "value":
         assert found == expected
@@ -727,7 +740,12 @@ def assert_same_category(found, expected):
     assert list(new.restrictions.items()) == list(old.restrictions.items())
     assert new.generators == old.generators
     for cid in old.ids():
-        assert character_bytes(new.spectra[cid]) == character_bytes(old.spectra[cid])
+        if atol is None:
+            assert character_bytes(new.spectra[cid]) == character_bytes(old.spectra[cid])
+        else:
+            assert [chi.rank for chi in new.spectra[cid]] == [chi.rank for chi in old.spectra[cid]]
+            assert all(np.abs(chi.projection - ref.projection).max() <= atol
+                       for chi, ref in zip(new.spectra[cid], old.spectra[cid]))
         assert new.algebra(cid)._characters is new.spectra[cid]
     ids = old.ids()
     assert new.strict_pairs() == [(a, b) for a in ids for b in ids if a != b and (a, b) in old.order]
@@ -776,10 +794,10 @@ class TestBatchedBuildOracle:
     @given(family=ray_families(), tol=st.sampled_from([1e-13, 1e-9, 1e-6]))
     def test_ray_families(self, family, tol):
         d, bases = family
-        found = built(ray_family_context_category, d, bases, tol)
+        found, split = built_rays(d, bases, tol)
         expected = built(old_context_category_from_groups, full_matrix_algebra(d, tol),
                          [old_rays_to_projectors(basis) for basis in bases])
-        assert_same_category(found, expected)
+        assert_same_category(found, expected, None if split else RAY_ATOL)
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(1, 16), count=st.integers(0, 6), seed=st.integers(0, 2**16),
@@ -810,10 +828,11 @@ class TestBatchedBuildOracle:
         families = [bases, load_ray_fixture(bundled_fixture("cabello18.json"))[1]]
         families += [[bases[i] for i in sorted(rng.choice(24, size, replace=False))] for size in (6, 12, 16, 17)]
         for family in families:
-            found = built(ray_family_context_category, 4, family)
+            found, split = built_rays(4, family)
+            assert not split
             expected = built(old_context_category_from_groups, full_matrix_algebra(4),
                              [old_rays_to_projectors(basis) for basis in family])
-            assert_same_category(found, expected)
+            assert_same_category(found, expected, RAY_ATOL)
 
     def test_an_empty_group_and_groups_refused_in_order(self):
         """No group, or an empty one, leaves one context; a non-commutative
@@ -837,10 +856,10 @@ class TestBatchedBuildOracle:
         tied = [plus, minus] + [e[:, k] for k in range(2, d)]
         families = [[tied], [tied[::-1], list(e.T)], [[plus, minus], tied[1:], [1j * minus, plus]]]
         for bases in families:
-            found = built(ray_family_context_category, d, bases)
+            found, split = built_rays(d, bases)
             expected = built(old_context_category_from_groups, full_matrix_algebra(d),
                              [old_rays_to_projectors(basis) for basis in bases])
-            assert_same_category(found, expected)
+            assert_same_category(found, expected, None if split else RAY_ATOL)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), tol=st.sampled_from([1e-9, 1e-6]))
