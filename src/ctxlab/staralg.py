@@ -565,29 +565,32 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
     hits = cover @ overlaps @ cover.T > threshold
     # below[m, k]: every atom of candidate m overlaps exactly one of k's
     below = np.logical_and.reduceat(np.add.reduceat(hits, starts[:-1], axis=1, dtype=int) == 1, starts[:-1], axis=0)
-    equal = below & below.T
-    kept = []
-    for k in range(len(names)):
-        if not equal[k, kept].any():
-            kept.append(k)
+    # a candidate is kept unless it equals an earlier kept one, which only
+    # one that equals some earlier candidate needs to ask
+    earlier = np.triu(below & below.T, 1)
+    keep = np.ones(len(names), dtype=bool)
+    for k in np.flatnonzero(earlier.any(axis=0)).tolist():
+        keep[k] = not (earlier[:k, k] & keep[:k]).any()
+    kept = np.flatnonzero(keep)
 
     contexts, spectra = {}, {}
-    for k in kept:
+    atom_ranks = (cover @ ranks).astype(int).tolist()
+    for k in kept.tolist():
         atoms = cover[starts[k] : starts[k + 1]]
-        spectra[names[k]] = [Character(projection=p, rank=int(r))
-                             for p, r in zip((atoms @ projs).reshape(-1, d, d), atoms @ ranks)]
+        spectra[names[k]] = [Character(projection=p, rank=r) for p, r in
+                             zip((atoms @ projs).reshape(-1, d, d), atom_ranks[starts[k] : starts[k + 1]])]
         contexts[names[k]] = _atom_algebra(spectra[names[k]], tol)
     # each strict pair (a, b), a-major: the atom of a that each atom of b
     # overlaps, from the pair's hits padded with columns that overlap none
-    kept = np.array(kept)
     sub, sup = (kept[k] for k in np.nonzero(below[np.ix_(kept, kept)].T & ~np.eye(len(kept), dtype=bool)))
     slot = np.arange(sizes.max())
     rows = np.minimum(starts[sup][:, None] + slot, starts[-1] - 1)[:, :, None]
     cols = np.minimum(starts[sub][:, None] + slot, starts[-1] - 1)[:, None, :]
     tables = (hits[rows, cols] & (slot < sizes[sub][:, None])[:, None, :]).argmax(axis=2)
-    restrictions = {(names[a], names[b]): dict(enumerate(table[: sizes[b]].tolist()))
-                    for a, b, table in zip(sub, sup, tables)}
-    generators = {names[k]: group_generators[k] if k < n else [] for k in kept}
+    counts = sizes.tolist()
+    restrictions = {(names[a], names[b]): dict(enumerate(table[: counts[b]]))
+                    for a, b, table in zip(sub.tolist(), sup.tolist(), tables.tolist())}
+    generators = {names[k]: group_generators[k] if k < n else [] for k in kept.tolist()}
     return ContextCategory(ambient, contexts, set(restrictions), generators, spectra, restrictions)
 
 
