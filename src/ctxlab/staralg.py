@@ -565,8 +565,8 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
     hits = cover @ overlaps @ cover.T > threshold
     # below[m, k]: every atom of candidate m overlaps exactly one of k's
     below = np.logical_and.reduceat(np.add.reduceat(hits, starts[:-1], axis=1, dtype=int) == 1, starts[:-1], axis=0)
-    # a candidate is kept unless it equals an earlier kept one, which only
-    # one that equals some earlier candidate needs to ask
+    # a candidate is kept unless it equals an earlier kept one: only one that
+    # equals some earlier candidate can be dropped, so only those are asked
     earlier = np.triu(below & below.T, 1)
     keep = np.ones(len(names), dtype=bool)
     for k in np.flatnonzero(earlier.any(axis=0)).tolist():

@@ -4406,9 +4406,6 @@ class TestRayFixtureReaderOracle:
         data = {"dim": 2, "bases": bases}
         assert reader_outcome(load_ray_fixture, data) == reader_outcome(reference_load_ray_fixture, data)
 
-    def test_empty_list_of_bases_is_no_basis(self):
-        assert load_ray_fixture({"dim": 3, "bases": []}) == (3, [])
-
 
 class TestUniversalCountOracle:
     """Universality by one sorted count of the candidate's rows against the
