@@ -13,14 +13,10 @@ reported with its location:
   coarse one, with a section of the restriction as the second leg.
 * ``weyl_inclusion_fixture``: a commuting smearing family embedded into
   two copy counts of the Fock sector, related by zero-padding.
-
-``peres24_fixture`` generates Peres' 24-ray Kochen-Specker set in the ray
-fixture format of ``presheaf.load_ray_fixture``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,43 +191,6 @@ def weyl_inclusion_fixture(corrupted: bool = False) -> ConeFixture:
     ]
     built = second_quantization_cone(1, 2, fns, space, corrupt=corrupted)
     return ConeFixture("weyl_inclusion", built.diagram, built.cone)
-
-
-# ---------------------------------------------------------------------------
-# Peres 24-ray set
-
-
-def canonical_ray(vec) -> tuple:
-    """An integer vector as a ray: its first nonzero entry made positive."""
-    vec = tuple(int(x) for x in vec)
-    lead = next((x for x in vec if x), 0)
-    if lead == 0:
-        raise ValueError("zero vector is not a ray")
-    return vec if lead > 0 else tuple(-x for x in vec)
-
-
-def peres24_rays() -> list:
-    """The sign and permutation patterns of 1000, 1100 and 1111, as sorted rays."""
-    rays = set()
-    for pattern in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
-        for perm in set(itertools.permutations(pattern)):
-            for signs in itertools.product((1, -1), repeat=4):
-                rays.add(canonical_ray(p * s for p, s in zip(perm, signs)))
-    return sorted(rays)
-
-
-def peres24_tetrads() -> list:
-    """The orthogonal tetrads of the Peres rays, found by enumeration."""
-    return [
-        t
-        for t in itertools.combinations(peres24_rays(), 4)
-        if all(sum(x * y for x, y in zip(a, b)) == 0 for a, b in itertools.combinations(t, 2))
-    ]
-
-
-def peres24_fixture() -> dict:
-    """Peres' 24 rays in 24 orthogonal tetrads, as a dimension-4 ray fixture."""
-    return {"dim": 4, "bases": [[list(ray) for ray in t] for t in peres24_tetrads()]}
 
 
 ALL_FIXTURES = {

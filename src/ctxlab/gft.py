@@ -379,13 +379,6 @@ def weyl_relation_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
     return opnorm((wf(wg(cols)) - phase * wsum(cols))[:keep])
 
 
-def weyl_commutator_defect(f, fp, fock: TruncatedFock, sector_cap: int) -> float:
-    """Compressed norm of W(f) W(fp) - W(fp) W(f), on the sector's columns."""
-    keep, cols = _sector_columns(fock, sector_cap)
-    wg, wf = (_weyl_action(_coerce_fn(v, fock.modes), fock) for v in (fp, f))
-    return opnorm((wf(wg(cols)) - wg(wf(cols)))[:keep])
-
-
 def is_gft_context(fs: list, space: PolyhedronSpace) -> bool:
     """True iff all pairwise inner products are real to ``GFT_CONTEXT_TOL`` (commuting smearings)."""
     if not fs:

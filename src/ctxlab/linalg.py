@@ -32,7 +32,6 @@ RANK_FLOOR = 1e-13
 MAX_TOL = 1e-3  # largest tolerance: above it, a test accepts structure, not rounding
 SPECTRAL_FLOOR = 1e-8  # eigensolver error of projections, characters and eigenvalue gaps
 CHARACTER_FLOOR = 1e-9  # the character relation p b p = val p, scaled by max(1, |b|)
-INTERVAL_SLACK = 1e-9  # excess of an interval's lower reading over its upper one
 # Fixed bounds on outside input.  A density matrix: asymmetry, trace defect,
 # and negativity of its Hermitian part.  A +-1 observable: |v| - 1 of its
 # values, or the asymmetry and |m^2 - 1| of its matrix.  A measure weight:

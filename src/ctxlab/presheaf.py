@@ -3,9 +3,8 @@
 The presheaf assigns each context its character space with restriction
 along inclusions; a global section is a context-consistent valuation, and
 an empty section list certifies the obstruction to such valuations for
-the given family.  Projections and self-adjoint operators outside a
-context are approximated from outside and inside (daseinisation), giving
-interval-valued readings per character.
+the given family.  Projections outside a context are approximated from
+outside and inside by projections of the context (daseinisation).
 """
 
 from __future__ import annotations
@@ -18,16 +17,11 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .fincat import solve_constraints
-from .linalg import (
-    DEFAULT_TOL, INTERVAL_SLACK, RANK_FLOOR, SPECTRAL_FLOOR, as_matrix, dagger, is_projection, is_selfadjoint, opnorm,
-    spectral_tol,
-)
+from .linalg import DEFAULT_TOL, RANK_FLOOR, SPECTRAL_FLOOR, as_matrix, dagger, is_projection, opnorm, spectral_tol
 from .staralg import (
-    Character,
     ContextCategory,
     MatrixStarAlgebra,
     _assemble,
-    _gap_groups,
     check_dimension,
     context_category_from_groups,
     full_matrix_algebra,
@@ -87,9 +81,10 @@ def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
 # daseinisation
 
 
-def _daseinise(p, v: MatrixStarAlgebra, chars: list, outer: bool) -> np.ndarray:
+def _daseinise(p, v: MatrixStarAlgebra, outer: bool) -> np.ndarray:
     """Both daseinisations: the sum of the characters' projections P that
     overlap ``p`` (outer) or lie below it (inner), verified spectrally."""
+    chars = gelfand_spectrum(v)
     name = "outer" if outer else "inner"
     pm = as_matrix(p, v.dim)
     tol = spectral_tol(v.tol)
@@ -116,58 +111,12 @@ def outer_daseinisation(p, v: MatrixStarAlgebra) -> np.ndarray:
     Sum of the minimal projections with nonzero overlap; the result is
     verified to dominate ``p`` spectrally.
     """
-    return _daseinise(p, v, gelfand_spectrum(v), outer=True)
+    return _daseinise(p, v, outer=True)
 
 
 def inner_daseinisation(p, v: MatrixStarAlgebra) -> np.ndarray:
     """Largest projection of the context dominated by ``p``."""
-    return _daseinise(p, v, gelfand_spectrum(v), outer=False)
-
-
-def _spectral_steps(a: np.ndarray, tol: float) -> list:
-    """(eigenvalue, cumulative spectral projection) pairs, ascending; the
-    eigenvalues are grouped as characters are (``staralg._gap_groups``)."""
-    w, vecs = np.linalg.eigh(a)
-    order, group = _gap_groups(w, tol)
-    steps = []
-    cum = np.zeros_like(a)
-    for members in np.split(order, np.flatnonzero(np.diff(group)) + 1):
-        block = vecs[:, members]
-        cum = cum + block @ dagger(block)
-        steps.append((float(w[members].mean()), cum.copy()))
-    return steps
-
-
-def operator_interval(a, v: MatrixStarAlgebra, chi: Character) -> tuple:
-    """Interval [inner reading, outer reading] of ``a`` at a character.
-
-    The spectral family of ``a`` is daseinised step by step (inner for the
-    outer operator approximation, outer for the inner), the step operators
-    are rebuilt, and the character is evaluated on both.  Endpoints lie on
-    the eigenvalue grid of ``a`` and satisfy lo <= hi.
-    """
-    am = as_matrix(a, v.dim)
-    if not is_selfadjoint(am, spectral_tol(v.tol)):
-        raise DomainError("operator_interval expects a self-adjoint matrix")
-    chars = gelfand_spectrum(v)
-    steps = _spectral_steps(am, v.tol)
-
-    def rebuild(daseinise) -> np.ndarray:
-        out = np.zeros((v.dim, v.dim), dtype=complex)
-        prev = np.zeros((v.dim, v.dim), dtype=complex)
-        for lam, cum in steps:
-            approx = daseinise(cum)
-            out = out + lam * (approx - prev)
-            prev = approx
-        return out
-
-    outer_op = rebuild(lambda e: _daseinise(e, v, chars, outer=False))
-    inner_op = rebuild(lambda e: _daseinise(e, v, chars, outer=True))
-    lo = float(chi.value_of(inner_op).real)
-    hi = float(chi.value_of(outer_op).real)
-    if lo > hi + INTERVAL_SLACK:
-        raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
-    return min(lo, hi), hi
+    return _daseinise(p, v, outer=False)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +135,6 @@ def _unit_rays(basis_vectors) -> np.ndarray:
     if np.any(norms == 0):
         raise InputError("zero vector in ray fixture")
     return vecs / norms[:, None]
-
-
-def rays_to_projectors(basis_vectors: list) -> np.ndarray:
-    """Rank-1 projectors of a list of (unnormalized) vectors, as one stack,
-    from their unit rays (``_unit_rays``)."""
-    vecs = _unit_rays(basis_vectors)
-    return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
 def _named_rays(bases: list, dim: int) -> tuple:
@@ -235,9 +177,9 @@ def ray_family_context_category(dim: int, bases: list, tol: float = DEFAULT_TOL)
     ``dim`` nonzero rays whose normalized Gram matrix is the identity within
     ``RANK_FLOOR`` (rounding, below every tolerance), the unit rays go to
     ``staralg._assemble`` as the atoms' isometries, with no split.  Any
-    other family is split as groups of its projectors
-    (``rays_to_projectors``) by ``context_category_from_groups``, which
-    refuses what no split stands for and decides at ``tol``."""
+    other family is split as groups of the unit rays' projectors by
+    ``context_category_from_groups``, which refuses what no split stands
+    for and decides at ``tol``."""
     check_dimension(dim)
     ambient = full_matrix_algebra(dim, tol)
     rays = [_unit_rays(basis) for basis in bases]
@@ -246,7 +188,7 @@ def ray_family_context_category(dim: int, bases: list, tol: float = DEFAULT_TOL)
         gram = stack.conj() @ np.swapaxes(stack, 1, 2)
         if np.all(np.abs(gram - np.eye(dim)) <= RANK_FLOOR):
             return _assemble(ambient, [list(basis[:, :, None]) for basis in stack], [[] for _ in bases])
-    return context_category_from_groups(ambient, [rays_to_projectors(basis) for basis in bases])
+    return context_category_from_groups(ambient, [r[:, :, None] * r[:, None, :].conj() for r in rays])
 
 
 def bundled_fixture(path: str):

@@ -29,7 +29,6 @@ from .linalg import (
     spans_equal,
     spectral_tol,
 )
-from .validation import ValidationReport
 
 DIM_CAP = 16
 # Draws of the fixed stream tried as splits before the exact refinement sweep.
@@ -92,10 +91,6 @@ class MatrixStarAlgebra:
         """The threshold at which a span is compared with this one."""
         return self.tol if self._characters is None else spectral_tol(self.tol)
 
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
     def contains(self, m) -> bool:
         """Whether a matrix, or every matrix of a stack ``(n, d, d)``, lies in the span."""
         m = np.asarray(m, dtype=complex)
@@ -103,19 +98,6 @@ class MatrixStarAlgebra:
         if self.dimension == self.dim * self.dim:  # the full matrix algebra holds every finite matrix
             return bool(np.all(np.isfinite(stack)))
         return span_leq(stack.reshape(len(stack), self.dim * self.dim), self.ortho, self.span_tol)
-
-    def validate(self) -> ValidationReport:
-        """Check unitality and closure under adjoint and product."""
-        report = ValidationReport()
-        if not self.contains(self.identity):
-            report.add("algebra.unit", "identity matrix not in span")
-        for i, a in enumerate(self.basis):
-            if not self.contains(dagger(a)):
-                report.add("algebra.adjoint", f"adjoint of basis element {i} leaves span")
-            for j, b in enumerate(self.basis):
-                if not self.contains(a @ b):
-                    report.add("algebra.product", f"product of basis elements ({i},{j}) leaves span")
-        return report
 
 
 def full_matrix_algebra(d: int, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:

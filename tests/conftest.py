@@ -53,6 +53,25 @@ def random_projection(rng, d, rank):
     return cols @ cols.conj().T
 
 
+def validate_algebra(alg):
+    """Unitality and closure under adjoint and product of a
+    ``MatrixStarAlgebra``, each defect reported by kind, naming the basis
+    elements."""
+    from ctxlab.linalg import dagger
+    from ctxlab.validation import ValidationReport
+
+    report = ValidationReport()
+    if not alg.contains(np.eye(alg.dim, dtype=complex)):
+        report.add("algebra.unit", "identity matrix not in span")
+    for i, a in enumerate(alg.basis):
+        if not alg.contains(dagger(a)):
+            report.add("algebra.adjoint", f"adjoint of basis element {i} leaves span")
+        for j, b in enumerate(alg.basis):
+            if not alg.contains(a @ b):
+                report.add("algebra.product", f"product of basis elements ({i},{j}) leaves span")
+    return report
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -1023,9 +1024,9 @@ def families(tmp_path):
     """Ray fixtures of Peres sub-families, a two-qubit Pauli algebra spec, a
     spec whose seeds are the rays of a Peres sub-family, a state and the
     projection onto a Bell vector."""
-    from ctxlab.fixtures import peres24_fixture
+    from ctxlab.presheaf import bundled_fixture
 
-    bases = peres24_fixture()["bases"]
+    bases = bundled_fixture("peres24.json")["bases"]
 
     def write(name, payload):
         path = tmp_path / name
@@ -1050,6 +1051,11 @@ def families(tmp_path):
     }
 
 
+# sha256 of the ks-check report on Peres' 24 rays, as the enumeration of
+# their orthogonal tetrads gave it before the rays were bundled
+PERES24_REPORT_SHA256 = "b04f6458c7439f13014ccf028b20b7b1680abef5decc77ddf89a16a1f572604a"
+
+
 class TestGoldenReports:
     """Reports that hold only integers, booleans and messages, pinned byte
     for byte: the character order depends on no frame and no seed, and a
@@ -1065,6 +1071,37 @@ class TestGoldenReports:
         assert code == 0
         assert out == self.text({"assignments": [], "bases": 9, "contexts": 28, "dim": 4, "obstructed": True,
                                  "section_limit": 1000, "sections": 0})
+
+    def test_bundled_peres24(self, capsys, tmp_path, monkeypatch):
+        """Peres' 24 rays by their bundled name, from a directory with no
+        such file: the report on a file written from their enumeration,
+        byte for byte."""
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, ["ks-check", "--fixture", "peres24.json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["obstructed"] is True and report["contexts"] == 94
+        assert hashlib.sha256(out.encode()).hexdigest() == PERES24_REPORT_SHA256
+
+    @pytest.mark.parametrize("name, contexts", [("cabello18.json", 28), ("peres24.json", 94)])
+    def test_bundled_name_from_a_directory_without_it(self, capsys, tmp_path, monkeypatch, name, contexts):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, ["ks-check", "--fixture", name])
+        assert code == 0
+        report = json.loads(out)
+        assert report["obstructed"] is True and report["sections"] == 0
+        assert report["contexts"] == contexts
+
+    def test_a_file_in_the_working_directory_shadows_the_bundled_name(self, capsys, tmp_path, monkeypatch):
+        from ctxlab.presheaf import bundled_fixture
+
+        pair = {"dim": 4, "bases": bundled_fixture("peres24.json")["bases"][:2]}
+        (tmp_path / "peres24.json").write_text(json.dumps(pair))
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, ["ks-check", "--fixture", "peres24.json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["bases"] == 2 and report["obstructed"] is False
 
     def test_peres_pair(self, capsys, families):
         code, out = run(capsys, ["ks-check", "--fixture", families["peres01"]])

@@ -14,6 +14,8 @@ from ctxlab.gft import (
     WEYL_MATVEC_CAP,
     PolyhedronSpace,
     TruncatedFock,
+    _coerce_fn,
+    _sector_columns,
     _weyl_action,
     ccr_defect,
     copy_padding,
@@ -23,7 +25,6 @@ from ctxlab.gft import (
     is_gft_context,
     second_quantization_cone,
     weighted_inner,
-    weyl_commutator_defect,
     weyl_relation_defect,
 )
 from ctxlab.linalg import dagger, opnorm
@@ -61,6 +62,14 @@ def dense_field(f, fock):
 def dense_weyl(f, fock):
     psi = dense_field(f, fock)
     return expm(1j / np.sqrt(2.0) * (psi + psi.conj().T))
+
+
+def weyl_commutator_defect(f, fp, fock, sector_cap):
+    """Compressed norm of W(f) W(fp) - W(fp) W(f), on the sector's columns,
+    by the package's Taylor action."""
+    keep, cols = _sector_columns(fock, sector_cap)
+    wg, wf = (_weyl_action(_coerce_fn(v, fock.modes), fock) for v in (fp, f))
+    return opnorm((wf(wg(cols)) - wg(wf(cols)))[:keep])
 
 
 def sector_mask(fock, max_total):
@@ -321,6 +330,24 @@ class TestWeyl:
             commutator = sector_norm(wf @ wg - wg @ wf, fock, cap)
             assert abs(weyl_relation_defect(f, g, fock, cap) - relation) < 1e-12
             assert abs(weyl_commutator_defect(f, g, fock, cap) - commutator) < 1e-12
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.5, 2.0])
+    def test_weyl_elements_of_one_real_line_commute(self, rng, scale):
+        """W(f) and W(cf), c real, are Taylor polynomials in one generator,
+        so they commute to rounding on every sector."""
+        fock = fock_for(SPACE, 3)
+        f = random_fn(rng)
+        for cap in (0, 1, 2):
+            assert weyl_commutator_defect(f, scale * f, fock, cap) < 1e-12
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_commutator_defect_is_symmetric_in_its_pair(self, rng, cap):
+        """Swapping the pair negates the commutator and keeps its norm."""
+        fock = fock_for(SPACE, 3)
+        f, g = random_fn(rng), random_fn(rng)
+        forward = weyl_commutator_defect(f, g, fock, cap)
+        assert forward > 1e-3
+        assert abs(forward - weyl_commutator_defect(g, f, fock, cap)) <= 1e-12 * forward
 
     @pytest.mark.parametrize("norm, size", [(1e4, int), (1e300, int), (1e308, str)])
     def test_taylor_work_over_the_cap_is_refused_before_any_matvec(self, rng, norm, size):

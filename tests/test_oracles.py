@@ -53,7 +53,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, SX, SY, SZ, counted_splits, kron, leg_labels, perfbench_module, random_density, random_unitary, reference_index
+from conftest import (
+    I2, SX, SY, SZ, counted_splits, kron, leg_labels, perfbench_module, random_density, random_unitary, reference_index,
+    validate_algebra,
+)
 from ctxlab import cli, fincat, gft, locnet, realism, staralg, validation
 from ctxlab.cli import emit, main
 from ctxlab.ctxext import (
@@ -84,7 +87,7 @@ from ctxlab.fincat import (
     poset_category,
     solve_constraints,
 )
-from ctxlab.fixtures import ALL_FIXTURES, peres24_fixture
+from ctxlab.fixtures import ALL_FIXTURES
 from ctxlab.linalg import (
     DEFAULT_TOL,
     RANK_FLOOR,
@@ -119,16 +122,13 @@ from ctxlab.locnet import (
 )
 from ctxlab.presheaf import (
     SpectralPresheaf,
-    _spectral_steps,
     build_spectral_presheaf,
     bundled_fixture,
     global_sections,
     inner_daseinisation,
     load_ray_fixture,
-    operator_interval,
     outer_daseinisation,
     ray_family_context_category,
-    rays_to_projectors,
 )
 from ctxlab.realism import (
     CarrierObservable,
@@ -702,7 +702,7 @@ def assert_same_signs(found, expected):
 # ---------------------------------------------------------------------------
 # global sections on Peres sub-families
 
-PERES = load_ray_fixture(peres24_fixture())
+PERES = load_ray_fixture(bundled_fixture("peres24.json"))
 
 
 def peres_sheaf(indices):
@@ -1307,7 +1307,7 @@ class TestAtomCategoryOracle:
         dim, bases = PERES
         chosen = [bases[i] for i in sorted(indices)]
         cc = ray_family_context_category(dim, chosen)
-        groups = [rays_to_projectors(basis) for basis in chosen]
+        groups = [reference_rays_to_projectors(basis) for basis in chosen]
         assert_same_category(cc, [[] for _ in groups], groups, plain_sections=len(groups) <= 7)
 
     @pytest.mark.parametrize("name", ["cabello18", "peres24", "repeated"])
@@ -1316,7 +1316,7 @@ class TestAtomCategoryOracle:
         if name == "repeated":
             bases = [bases[0], bases[3], bases[0], bases[5], bases[3]]
         cc = ray_family_context_category(dim, bases)
-        groups = [rays_to_projectors(basis) for basis in bases]
+        groups = [reference_rays_to_projectors(basis) for basis in bases]
         sections = assert_same_category(cc, [[] for _ in groups], groups)
         assert (sections == 0) == (name != "repeated")
 
@@ -1951,11 +1951,11 @@ def reference_boolean_blocks(projections, tol=1e-9, max_atoms=12) -> list:
     return blocks
 
 
-def reference_outer_daseinisation(p, v, spectrum=None) -> np.ndarray:
+def reference_outer_daseinisation(p, v) -> np.ndarray:
     pm = as_matrix(p, v.dim)
     if not is_projection(pm, max(v.tol, 1e-8)):
         raise DomainError("outer_daseinisation expects a projection")
-    chars = spectrum if spectrum is not None else gelfand_spectrum(v)
+    chars = gelfand_spectrum(v)
     q = np.zeros((v.dim, v.dim), dtype=complex)
     for chi in chars:
         if opnorm(chi.projection @ pm) > max(v.tol, 1e-8):
@@ -1965,11 +1965,11 @@ def reference_outer_daseinisation(p, v, spectrum=None) -> np.ndarray:
     return q
 
 
-def reference_inner_daseinisation(p, v, spectrum=None) -> np.ndarray:
+def reference_inner_daseinisation(p, v) -> np.ndarray:
     pm = as_matrix(p, v.dim)
     if not is_projection(pm, max(v.tol, 1e-8)):
         raise DomainError("inner_daseinisation expects a projection")
-    chars = spectrum if spectrum is not None else gelfand_spectrum(v)
+    chars = gelfand_spectrum(v)
     q = np.zeros((v.dim, v.dim), dtype=complex)
     for chi in chars:
         if opnorm(chi.projection @ pm - chi.projection) <= max(v.tol, 1e-8):
@@ -1977,48 +1977,6 @@ def reference_inner_daseinisation(p, v, spectrum=None) -> np.ndarray:
     if np.linalg.eigvalsh((pm - q + dagger(pm - q)) / 2.0).min() < -1e-8:
         raise DomainError("inner daseinisation failed to stay below the input")
     return q
-
-
-def reference_spectral_steps(a) -> list:
-    w, vecs = np.linalg.eigh(a)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    steps = []
-    cum = np.zeros_like(a)
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and w[j + 1] - w[i] <= 1e-10 * scale:
-            j += 1
-        block = vecs[:, i : j + 1]
-        cum = cum + block @ dagger(block)
-        steps.append((float(w[i : j + 1].mean()), cum.copy()))
-        i = j + 1
-    return steps
-
-
-def reference_operator_interval(a, v, chi, spectrum=None) -> tuple:
-    am = as_matrix(a, v.dim)
-    if not is_selfadjoint(am, max(v.tol, 1e-8)):
-        raise DomainError("operator_interval expects a self-adjoint matrix")
-    chars = spectrum if spectrum is not None else gelfand_spectrum(v)
-    steps = reference_spectral_steps(am)
-
-    def rebuild(daseinise) -> np.ndarray:
-        out = np.zeros((v.dim, v.dim), dtype=complex)
-        prev = np.zeros((v.dim, v.dim), dtype=complex)
-        for lam, cum in steps:
-            approx = daseinise(cum)
-            out = out + lam * (approx - prev)
-            prev = approx
-        return out
-
-    outer_op = rebuild(lambda e: reference_inner_daseinisation(e, v, chars))
-    inner_op = rebuild(lambda e: reference_outer_daseinisation(e, v, chars))
-    lo = float(chi.value_of(inner_op).real)
-    hi = float(chi.value_of(outer_op).real)
-    if lo > hi + 1e-9:
-        raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
-    return min(lo, hi), hi
 
 
 def reference_extended_state_check(rho, dim) -> np.ndarray:
@@ -2105,21 +2063,6 @@ def daseinisation_cases(draw):
 
 
 @st.composite
-def interval_cases(draw):
-    """A context, and an operator with integer eigenvalues (some repeated)
-    in the context's frame or in another, maybe made not self-adjoint by
-    about the spectral threshold."""
-    tol, u, groups, v, rng = draw(frame_contexts())
-    frame = u if draw(st.booleans()) else random_unitary(rng, v.dim)
-    values = draw(st.lists(st.integers(-2, 2), min_size=v.dim, max_size=v.dim))
-    a = (frame * np.array(values, dtype=float)) @ frame.conj().T
-    a = (a + a.conj().T) / 2.0
-    if draw(st.booleans()):
-        a = a + 0.5j * threshold_offset(draw, tol) * hermitian_unit(u, 0, 1)
-    return a, v
-
-
-@st.composite
 def state_cases(draw):
     """A density matrix with its lowest eigenvalue, trace and asymmetry
     moved to either side of the state bounds (1e-8, and 1e-9 or 1e-8
@@ -2183,24 +2126,6 @@ class TestThresholdPolicyOracle:
         assert same_outcome(outer_daseinisation, reference_outer_daseinisation, p, v)
         assert same_outcome(inner_daseinisation, reference_inner_daseinisation, p, v)
 
-    @settings(max_examples=100, deadline=None)
-    @given(case=interval_cases())
-    def test_operator_intervals(self, case):
-        """Equal unless two eigenvalues of ``a`` lie apart by more than 1e-10
-        and at most the spectral threshold (scaled), which the steps now
-        merge: a non-self-adjoint part of about the threshold splits
-        repeated eigenvalues by about as much."""
-        a, v = case
-        w = np.linalg.eigh(a)[0]
-        scale = max(1.0, float(np.abs(w).max()))
-        gaps = np.diff(w)
-        if np.any((gaps > 1e-10 * scale) & (gaps <= max(v.tol, 1e-8) * scale)):
-            assert len(_spectral_steps(a, v.tol)) < len(reference_spectral_steps(a))
-            return
-        chars = gelfand_spectrum(v)
-        for chi in chars:
-            assert same_outcome(operator_interval, reference_operator_interval, a, v, chi)
-
     @settings(max_examples=150, deadline=None)
     @given(case=state_cases())
     def test_state_checks(self, case):
@@ -2243,27 +2168,6 @@ class TestDeliberateThresholdChanges:
         assert new[0] == ("value" if asymmetry <= 1e-9 else "DomainError")
         if new[0] == "DomainError":
             assert new[1] == "state is not self-adjoint"
-
-    @pytest.mark.parametrize("tol", [1e-9, 1e-5])
-    @pytest.mark.parametrize("factor", [0.5, 2.0])
-    @pytest.mark.parametrize("bound", ["old", "new"])
-    def test_operator_interval_merges_eigenvalues_closer_than_the_spectral_threshold(self, tol, factor, bound):
-        """Eigenvalues 0 and ``gap`` of ``diag(0, gap, 1)`` are one step when
-        ``gap`` is at most the spectral threshold, not only at most 1e-10;
-        the interval at the first character then closes on their mean."""
-        gap = factor * (1e-10 if bound == "old" else max(tol, 1e-8))
-        a = np.diag([0.0, gap, 1.0]).astype(complex)
-        v = generate_algebra([np.diag([0.0, 0.0, 1.0])], 3, tol)
-        chars = gelfand_spectrum(v)
-        chi = next(c for c in chars if c.rank == 2)
-        old_merged = gap <= 1e-10
-        new_merged = gap <= max(tol, 1e-8)
-        assert len(reference_spectral_steps(a)) == (2 if old_merged else 3)
-        assert len(_spectral_steps(a, tol)) == (2 if new_merged else 3)
-        closed, open_ = pytest.approx((gap / 2, gap / 2), abs=1e-14), pytest.approx((0.0, gap), abs=1e-14)
-        assert reference_operator_interval(a, v, chi, chars) == (closed if old_merged else open_)
-        assert operator_interval(a, v, chi) == (closed if new_merged else open_)
-
 
 # ---------------------------------------------------------------------------
 # spectra and commutation tests against the one-algebra code
@@ -2793,7 +2697,7 @@ class TestContextAlgebraOracle:
         found = context_algebra(gens[::-1] if reverse else gens, d, tol)
         expected = generate_algebra(gens, d, tol, dim_cap=d)
         assert spans_equal(found.ortho, expected.ortho, spectral_tol(tol))
-        assert is_commutative(found) and found.validate().ok
+        assert is_commutative(found) and validate_algebra(found).ok
         assert len(gelfand_spectrum(found)) == found.dimension
 
     @settings(max_examples=60, deadline=None)

@@ -143,14 +143,8 @@ def test_the_lint_finds_scipy_imports():
     assert scipy_imports("from scipy.special import comb\n", "gft.py") == ["gft.py:1: scipy.special"]
 
 
-# Public definitions that only tests call, kept on purpose, by qualified name.
-KEPT_TEST_ONLY = {
-    "gft.weyl_commutator_defect": "the commutator half of the Weyl relations, checked against dense expm",
-    "presheaf.operator_interval": "the interval reading of daseinised self-adjoint operators, "
-    "on which the topos models build",
-    "staralg.MatrixStarAlgebra.validate": "the closure check that tests run on the output of generate_algebra",
-    "fixtures.peres24_fixture": "it generates the input of the Peres-24 tests",
-}
+# Public definitions that only tests call, kept on purpose: qualified name -> its reason.
+KEPT_TEST_ONLY: dict = {}
 
 
 def _names_read(tree) -> collections.Counter:

@@ -13,16 +13,13 @@ from ctxlab.presheaf import (
     global_sections,
     inner_daseinisation,
     load_ray_fixture,
-    operator_interval,
     outer_daseinisation,
     ray_family_context_category,
-    rays_to_projectors,
 )
 from ctxlab.staralg import (
     context_category,
     context_category_from_groups,
     full_matrix_algebra,
-    gelfand_spectrum,
     generate_algebra,
 )
 
@@ -230,62 +227,28 @@ class TestDaseinisation:
             outer_daseinisation(SX, v)
 
 
-class TestOperatorInterval:
-    def test_operator_in_context_degenerate(self):
-        v = generate_algebra([SZ], 2)
-        chars = gelfand_spectrum(v)
-        a = 2.0 * SZ + np.eye(2)
-        for chi in chars:
-            lo, hi = operator_interval(a, v, chi)
-            assert abs(lo - hi) < 1e-9
-            assert abs(lo - chi.value_of(a).real) < 1e-9
-
-    def test_sigma_x_in_z_context_full_interval(self):
-        # hand oracle: both spectral projections of sigma_x overlap both
-        # z-eigenlines, so the outer step function jumps only at +1 and the
-        # inner one already at -1
-        v = generate_algebra([SZ], 2)
-        chars = gelfand_spectrum(v)
-        for chi in chars:
-            assert operator_interval(SX, v, chi) == (-1.0, 1.0)
-
-    def test_identity_interval(self):
-        v = generate_algebra([SZ], 2)
-        chars = gelfand_spectrum(v)
-        lo, hi = operator_interval(np.eye(2), v, chars[0])
-        assert abs(lo - 1.0) < 1e-9 and abs(hi - 1.0) < 1e-9
-
-    def test_interval_contains_character_value(self, rng):
-        v = generate_algebra([kron(SZ, I2), kron(I2, SZ)], 4)
-        chars = gelfand_spectrum(v)
-        coeffs = rng.standard_normal(4)
-        a = sum(c * b for c, b in zip(coeffs, v.basis))
-        a = (a + a.conj().T) / 2
-        for chi in chars:
-            lo, hi = operator_interval(a, v, chi)
-            val = chi.value_of(a).real
-            assert lo - 1e-9 <= val <= hi + 1e-9
-
-    def test_endpoints_lie_on_eigenvalue_grid(self, rng):
-        v = generate_algebra([SZ], 2)
-        chars = gelfand_spectrum(v)
-        a = np.array([[0.3, 0.7], [0.7, -1.2]], dtype=complex)
-        eigs = np.linalg.eigvalsh(a)
-        for chi in chars:
-            lo, hi = operator_interval(a, v, chi)
-            assert min(abs(lo - w) for w in eigs) < 1e-9
-            assert min(abs(hi - w) for w in eigs) < 1e-9
-
-    def test_non_selfadjoint_rejected(self):
-        v = generate_algebra([SZ], 2)
-        with pytest.raises(DomainError):
-            operator_interval(np.array([[0, 1], [0, 0]]), v, gelfand_spectrum(v)[0])
+def test_a_split_family_normalizes_its_rays():
+    """An incomplete basis of unnormalized rays is split from the
+    projectors of its unit rays."""
+    cc = ray_family_context_category(3, [[[3.0, 4.0j, 0.0], [0.0, 0.0, 0.5]]])
+    unit = np.array([0.6, 0.8j, 0.0])
+    projections = [chi.projection for chi in cc.spectra["V0"]]
+    assert sorted(chi.rank for chi in cc.spectra["V0"]) == [1, 1, 1]
+    assert any(np.allclose(p, np.outer(unit, unit.conj()), atol=1e-12) for p in projections)
+    assert any(np.allclose(p, np.diag([0.0, 0.0, 1.0]), atol=1e-12) for p in projections)
 
 
-def test_rays_to_projectors_normalizes():
-    (p,) = rays_to_projectors([np.array([2.0, 0.0])])
-    assert np.allclose(p, np.diag([1.0, 0.0]))
 
+@pytest.mark.parametrize("scale", [1e-100, -3.0, 1e100j])
+def test_a_split_family_does_not_depend_on_the_scale_of_its_rays(scale):
+    basis = [[3.0, 4.0j, 0.0], [0.0, 0.0, 0.5]]
+    unit = ray_family_context_category(3, [basis])
+    scaled = ray_family_context_category(3, [[[scale * x for x in v] for v in basis]])
+    assert scaled.ids() == unit.ids()
+    for cid in unit.ids():
+        assert len(scaled.spectra[cid]) == len(unit.spectra[cid])
+        for a, b in zip(scaled.spectra[cid], unit.spectra[cid]):
+            assert np.allclose(a.projection, b.projection, atol=1e-12)
 
 @pytest.mark.parametrize(
     "vector, message",

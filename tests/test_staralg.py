@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, SX, SY, SZ, counted_splits, kron, random_unitary, unsplit_seed
+from conftest import I2, SX, SY, SZ, counted_splits, kron, random_unitary, unsplit_seed, validate_algebra
 from ctxlab import staralg
 from ctxlab.errors import DomainError, InputError
 from ctxlab.fincat import check_category, poset_category
 from ctxlab.locnet import Region, pauli_string, site_operator, spectrum_multiplicativity, standard_net
-from ctxlab.presheaf import ray_family_context_category, rays_to_projectors
+from ctxlab.presheaf import _unit_rays, bundled_fixture, load_ray_fixture, ray_family_context_category
 from ctxlab.linalg import orthonormalize_span, span_leq, spectral_tol
 from ctxlab.staralg import (
     MatrixStarAlgebra,
@@ -46,7 +46,7 @@ class TestGenerateAlgebra:
         for _ in range(4):
             z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             alg = generate_algebra([(z + z.conj().T) / 2], 3)
-            assert alg.validate().ok
+            assert validate_algebra(alg).ok
 
     @pytest.mark.parametrize("scale, tol", [(1e4, 1e-3), (1e12, 1e-9), (1e-12, 1e-9)])
     def test_a_generator_far_smaller_than_another_is_kept(self, scale, tol):
@@ -69,7 +69,7 @@ class TestValidate:
     E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
     def located(self, alg):
-        return [(v.kind, v.message) for v in alg.validate().violations]
+        return [(v.kind, v.message) for v in validate_algebra(alg).violations]
 
     def test_missing_unit(self):
         assert self.located(MatrixStarAlgebra(2, [self.E00])) == [("algebra.unit", "identity matrix not in span")]
@@ -84,6 +84,16 @@ class TestValidate:
             ("algebra.product", "product of basis elements (2,1) leaves span"),
         ]
 
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_full_matrix_algebra_reports_nothing(self, d):
+        assert self.located(full_matrix_algebra(d)) == []
+
+    def test_every_defect_of_one_algebra_is_reported(self):
+        assert self.located(MatrixStarAlgebra(2, [self.E01])) == [
+            ("algebra.unit", "identity matrix not in span"),
+            ("algebra.adjoint", "adjoint of basis element 0 leaves span"),
+        ]
 
 class TestCommutativity:
     def test_diagonal_commutes(self):
@@ -213,7 +223,7 @@ class TestIntersectionsAndRestrictions:
         meet = cc.algebra("V0^V1")
         assert meet.dimension == 2
         assert meet.contains(kron(SZ, I2))
-        assert meet.validate().ok
+        assert validate_algebra(meet).ok
         assert cc.leq("V0^V1", "V0") and cc.leq("V0^V1", "V1")
 
     def test_restriction_is_the_unique_overlapping_character(self):
@@ -304,7 +314,7 @@ class TestMeets:
             for cid in cc.ids():
                 if "^" in cid:
                     meet = cc.algebra(cid)
-                    assert meet.validate().ok, (triple, cid)
+                    assert validate_algebra(meet).ok, (triple, cid)
                     assert meet.contains(np.eye(4)), (triple, cid)
             maximal = [cc.algebra(cid) for cid in cc.ids() if cid != "I" and "^" not in cid]
             for a, b in itertools.combinations(maximal, 2):
@@ -318,7 +328,7 @@ class TestMeets:
     def test_complex_meets_have_one_character_per_dimension(self):
         cc = context_category(full_matrix_algebra(4), [PAULI_STRINGS[p] for p in ("IX", "IY", "YI")])
         meet = cc.algebra("V0^V1")
-        assert meet.dimension == 2 and meet.validate().ok
+        assert meet.dimension == 2 and validate_algebra(meet).ok
         cc = context_category(full_matrix_algebra(4), [PAULI_STRINGS[p] for p in ("ZI", "XI", "YI", "IZ", "IX")])
         assert len(cc.spectra["V4^V5"]) == cc.algebra("V4^V5").dimension == 2
 
@@ -453,7 +463,7 @@ class TestContextsFromAtoms:
         cc = context_category(full_matrix_algebra(4), [kron(SZ, I2), kron(I2, SZ), kron(SX, SX), kron(SZ, SZ)])
         for cid in cc.ids():
             alg, chars = cc.algebra(cid), cc.spectra[cid]
-            assert alg.validate().ok and is_commutative(alg)
+            assert validate_algebra(alg).ok and is_commutative(alg)
             assert alg.dimension == len(chars)
             assert np.allclose(sum(chi.projection for chi in chars), np.eye(4))
             for chi in chars:
@@ -805,14 +815,13 @@ class TestBatchedBuildOracle:
     def test_ray_projectors_are_the_per_vector_ones(self, d, count, seed, scale, real):
         rng = np.random.default_rng(seed)
         rays = scale * (rng.standard_normal((count, d)) + (0 if real else 1j) * rng.standard_normal((count, d)))
-        found = rays_to_projectors(list(rays))
+        unit = _unit_rays(list(rays))
+        found = unit[:, :, None] * unit[:, None, :].conj()
         assert len(found) == count
         assert [p.tobytes() for p in found] == [p.tobytes() for p in old_rays_to_projectors(rays)]
 
     def test_strict_pairs_are_the_quadratic_scan_of_the_order(self):
-        from ctxlab.fixtures import peres24_fixture
-
-        for cc in (ray_family_context_category(4, peres24_fixture()["bases"][:9]),
+        for cc in (ray_family_context_category(4, bundled_fixture("peres24.json")["bases"][:9]),
                    context_category(full_matrix_algebra(4), [kron(a, b) for a in (SX, SZ, I2) for b in (SX, SZ)])):
             ids = cc.ids()
             assert cc.strict_pairs() == [(a, b) for a in ids for b in ids if a != b and (a, b) in cc.order]
@@ -820,10 +829,7 @@ class TestBatchedBuildOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 101])
     def test_peres_and_cabello_families(self, seed):
-        from ctxlab.fixtures import peres24_fixture
-        from ctxlab.presheaf import bundled_fixture, load_ray_fixture
-
-        bases = peres24_fixture()["bases"]
+        bases = bundled_fixture("peres24.json")["bases"]
         rng = np.random.default_rng(seed)
         families = [bases, load_ray_fixture(bundled_fixture("cabello18.json"))[1]]
         families += [[bases[i] for i in sorted(rng.choice(24, size, replace=False))] for size in (6, 12, 16, 17)]
