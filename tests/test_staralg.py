@@ -592,6 +592,84 @@ def old_atoms(stack, tol):
     return blocks if old_spans(blocks, stack, scales, tol) else None
 
 
+def batch_blocks_from_vectors(h, isometry, tol):
+    """One list of blocks per matrix of the stack ``h``, by one ``eigh``."""
+    compressed = staralg.dagger(isometry) @ h @ isometry
+    w, vecs = np.linalg.eigh((compressed + np.swapaxes(compressed.conj(), -2, -1)) / 2.0)
+    order, group = staralg._gap_groups(w.reshape(-1), tol, np.arange(0, w.size + 1, w.shape[1]))
+    blocks = [[] for _ in w]
+    for members in np.split(order, np.flatnonzero(np.diff(group)) + 1):
+        row, columns = divmod(members, w.shape[1])
+        blocks[row[0]].append(isometry @ vecs[row[0]][:, columns])
+    return blocks
+
+
+def batch_spans(splits, stacks, scales, tol):
+    """Whether each split stands for its stack, the stacks of one shape
+    (block count, matrix count) tested in one batch."""
+    stands = np.ones(len(stacks), dtype=bool)
+    shapes = {}
+    for k, (split, stack) in enumerate(zip(splits, stacks)):
+        shapes.setdefault((len(split), len(stack)), []).append(k)
+    for ks in shapes.values():
+        projs = staralg._projections([iso for k in ks for iso in splits[k]])
+        projs = projs.reshape(len(ks), -1, *projs.shape[1:])
+        ranks = np.array([[iso.shape[1] for iso in splits[k]] for k in ks])
+        mats = np.stack([stacks[k] for k in ks])
+        vals = np.einsum("gkij,gnji->gnk", projs, mats) / ranks[:, None, :]
+        residual = mats - np.einsum("gnk,gkij->gnij", vals, projs)
+        bound = max(tol, staralg.CHARACTER_FLOOR) * np.stack([scales[k] for k in ks])
+        norms = np.linalg.norm(residual, axis=(-2, -1))
+        unsure = ~(norms <= bound / 2)
+        norms[unsure] = staralg.opnorms(residual[unsure])
+        stands[ks] = np.all(norms <= bound, axis=1)
+    return stands
+
+
+def batch_atoms(stacks, tol):
+    """Every stack split together: one SVD over the concatenated stacks, a
+    draw table per part count, and per draw round one ``eigh`` and one span
+    test for the stacks still pending; then the sweep per stack."""
+    if not stacks:
+        return []
+    eye = np.eye(stacks[0].shape[-1], dtype=complex)
+    ends = np.cumsum([len(stack) for stack in stacks])[:-1]
+    parts, keep, scales = staralg._selfadjoint_spanning(np.concatenate(stacks))
+    herm = [p[k] for p, k in zip(np.split(parts, 2 * ends), np.split(keep, 2 * ends))]
+    scales = np.split(scales, ends)
+    draws = {}
+    for count in {len(h) for h in herm}:
+        rng = np.random.default_rng(0)
+        draws[count] = [rng.standard_normal(count) for _ in range(staralg.SPECTRUM_RETRIES)]
+    atoms, pending = [None] * len(stacks), list(range(len(stacks)))
+    for r in range(staralg.SPECTRUM_RETRIES):
+        if not pending:
+            break
+        combos = np.stack([np.tensordot(draws[len(herm[k])][r], herm[k], axes=1) for k in pending])
+        splits = batch_blocks_from_vectors(combos, eye, tol)
+        stands = batch_spans(splits, [stacks[k] for k in pending], [scales[k] for k in pending], tol)
+        for k, split, ok in zip(pending, splits, stands):
+            if ok:
+                atoms[k] = split
+        pending = [k for k, ok in zip(pending, stands) if not ok]
+    for k in pending:
+        split = [eye]
+        for s in herm[k]:
+            split = [sub for iso in split for sub in batch_blocks_from_vectors(s[None], iso, tol)[0]]
+        atoms[k] = split if batch_spans([split], [stacks[k]], [scales[k]], tol)[0] else None
+    return atoms
+
+
+def batch_split(stacks, tol, refusals):
+    """``batch_atoms``, refusing the first stack with no split."""
+    blocks = batch_atoms(stacks, tol)
+    for k, atoms in enumerate(blocks):
+        if atoms is None:
+            commute = staralg.commuting(stacks[k], stacks[k], tol).all()
+            raise DomainError("simultaneous diagonalization failed to isolate characters" if commute else refusals[k])
+    return blocks
+
+
 def old_reading_order(readings, tol):
     first, second = readings
     return [k for group in old_cluster(first, tol) for k in sorted(group, key=lambda k: second[k])]
@@ -852,6 +930,17 @@ class TestBatchedBuildOracle:
             assert_same_category(found, built(old_context_category_from_groups, ambient, groups))
         assert found == ("DomainError", "group 1 does not generate a commutative algebra")
 
+    def test_every_group_is_read_before_any_is_split(self):
+        """A 3 x 3 matrix in the last group is refused before the failed
+        split of group 0: every group is read as d x d matrices first.  The
+        frozen per-group build reads and splits group by group, so it
+        refuses group 0."""
+        groups = [[kron(SX, I2), kron(SZ, I2)], [kron(SZ, SZ)], [np.eye(3)]]
+        ambient = full_matrix_algebra(4)
+        assert built(context_category_from_groups, ambient, groups) == ("InputError", "expected a 4x4 matrix, got 3x3")
+        assert built(old_context_category_from_groups, ambient, groups) == (
+            "DomainError", "group 0 does not generate a commutative algebra")
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_atoms_whose_first_readings_tie(self, d):
         """Rays (e0 ± e1) / sqrt(2) on two eigenvectors of the first fixed
@@ -925,7 +1014,8 @@ class TestBatchedBuildOracle:
         """Commuting stacks of 0-4 matrices on the column groups of random
         frames, some with degenerate blocks whose first draw may merge
         them, and non-commuting ones; with fewer draws allowed, more stacks
-        take the sweep.  Each stack splits as it did alone."""
+        take the sweep.  Each stack splits as it did alone, and as the
+        frozen batch splits it."""
         draw = data.draw
         d = draw(st.integers(1, 5))
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -942,8 +1032,10 @@ class TestBatchedBuildOracle:
         saved, staralg.SPECTRUM_RETRIES = staralg.SPECTRUM_RETRIES, retries
         try:
             found = staralg._atoms(stacks, tol)
+            batch = batch_atoms(stacks, tol)
             expected = [old_atoms(stack, tol) for stack in stacks]
         finally:
             staralg.SPECTRUM_RETRIES = saved
-        assert [None if b is None else [iso.tobytes() for iso in b] for b in found] == [
-            None if b is None else [iso.tobytes() for iso in b] for b in expected]
+        as_bytes = [None if b is None else [iso.tobytes() for iso in b] for b in expected]
+        assert [None if b is None else [iso.tobytes() for iso in b] for b in found] == as_bytes
+        assert [None if b is None else [iso.tobytes() for iso in b] for b in batch] == as_bytes
