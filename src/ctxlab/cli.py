@@ -488,8 +488,10 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         check_tolerance(args.tolerance)
-        if min(args.carrier_cap, args.sign_cap, args.apex_bound) <= 0:
-            raise InputError("caps must be positive")
+        for option, cap in (("--carrier-cap", args.carrier_cap), ("--sign-cap", args.sign_cap),
+                            ("--apex-bound", args.apex_bound)):
+            if cap < 1:
+                raise InputError(f"{option} must be at least 1, got {cap}")
         if args.seed < 0:
             raise InputError(f"--seed must be nonnegative, got {args.seed}")
         status = args.func(args)

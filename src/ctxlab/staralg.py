@@ -245,16 +245,12 @@ def _gap_groups(values: np.ndarray, tol: float, starts=None) -> tuple:
 
 def _blocks_from_vectors(h: np.ndarray, isometry: np.ndarray, tol: float) -> list:
     """Split an invariant subspace (columns of ``isometry``) by eigenvalue of
-    each matrix of the stack ``h``, by one ``eigh`` of the stack: one list of
-    blocks per matrix, grouped by one ``_gap_groups`` call over every row."""
+    the matrix ``h``, grouped by ``_gap_groups``: the blocks, as isometries
+    onto their ranges."""
     compressed = dagger(isometry) @ h @ isometry
-    w, vecs = np.linalg.eigh((compressed + np.swapaxes(compressed.conj(), -2, -1)) / 2.0)
-    order, group = _gap_groups(w.reshape(-1), tol, np.arange(0, w.size + 1, w.shape[1]))
-    blocks = [[] for _ in w]
-    for members in np.split(order, np.flatnonzero(np.diff(group)) + 1):
-        row, columns = divmod(members, w.shape[1])
-        blocks[row[0]].append(isometry @ vecs[row[0]][:, columns])
-    return blocks
+    w, vecs = np.linalg.eigh((compressed + dagger(compressed)) / 2.0)
+    order, group = _gap_groups(w, tol)
+    return [isometry @ vecs[:, columns] for columns in np.split(order, np.flatnonzero(np.diff(group)) + 1)]
 
 
 def _projections(isometries: list) -> np.ndarray:
@@ -269,80 +265,51 @@ def _projections(isometries: list) -> np.ndarray:
     return projs
 
 
-def _spans(splits: list, stacks: list, scales: list, tol: float) -> np.ndarray:
-    """For each split (a list of isometries) and its stack: whether every
-    matrix b of the stack is the sum of the block projections p, each times
-    its scalar ``tr(p b) / rank``, within the character bound
-    ``max(tol, CHARACTER_FLOOR) * max(1, ‖b‖)`` (``scales``, one array per
-    stack).  On each block this is the character relation
-    ``p b p = val p``; off the blocks it asks that b leave every block's
-    range invariant.  A residual whose Frobenius norm is at most half the
-    bound passes whatever the rounding of its operator norm, which the
-    Frobenius norm bounds; only the others take the SVD.  The stacks of one
-    shape (block count, matrix count) are tested in one batch."""
-    stands = np.ones(len(stacks), dtype=bool)
-    shapes = {}
-    for k, (split, stack) in enumerate(zip(splits, stacks)):
-        shapes.setdefault((len(split), len(stack)), []).append(k)
-    for ks in shapes.values():
-        projs = _projections([iso for k in ks for iso in splits[k]])
-        projs = projs.reshape(len(ks), -1, *projs.shape[1:])
-        ranks = np.array([[iso.shape[1] for iso in splits[k]] for k in ks])
-        mats = np.stack([stacks[k] for k in ks])
-        vals = np.einsum("gkij,gnji->gnk", projs, mats) / ranks[:, None, :]
-        residual = mats - np.einsum("gnk,gkij->gnij", vals, projs)
-        bound = max(tol, CHARACTER_FLOOR) * np.stack([scales[k] for k in ks])
-        norms = np.linalg.norm(residual, axis=(-2, -1))
-        unsure = ~(norms <= bound / 2)
-        norms[unsure] = opnorms(residual[unsure])
-        stands[ks] = np.all(norms <= bound, axis=1)
-    return stands
+def _spans(split: list, stack: np.ndarray, scales: np.ndarray, tol: float) -> bool:
+    """Whether every matrix b of the stack is the sum of the block
+    projections p of the split (a list of isometries), each times its
+    scalar ``tr(p b) / rank``, within the character bound
+    ``max(tol, CHARACTER_FLOOR) * max(1, ‖b‖)`` (``scales``).  On each block
+    this is the character relation ``p b p = val p``; off the blocks it asks
+    that b leave every block's range invariant.  A residual whose Frobenius
+    norm is at most half the bound passes whatever the rounding of its
+    operator norm, which the Frobenius norm bounds; only the others take
+    the SVD."""
+    projs, ranks = _projections(split), np.array([iso.shape[1] for iso in split])
+    vals = np.einsum("kij,nji->nk", projs, stack) / ranks
+    residual = stack - np.einsum("nk,kij->nij", vals, projs)
+    bound = max(tol, CHARACTER_FLOOR) * scales
+    norms = np.linalg.norm(residual, axis=(-2, -1))
+    unsure = ~(norms <= bound / 2)
+    norms[unsure] = opnorms(residual[unsure])
+    return bool(np.all(norms <= bound))
 
 
-def _atoms(stacks: list, tol: float) -> list:
-    """For each stack of matrices, the atoms of the algebra that they
-    generate, as isometries onto their ranges, or None when no split stands
-    within the character bound of ``_spans``, commutative or not.
+def _atoms(stack: np.ndarray, tol: float) -> list | None:
+    """The atoms of the algebra that a stack of matrices generates, as
+    isometries onto their ranges, or None when no split stands within the
+    character bound of ``_spans``, commutative or not.
 
-    A combination of a stack's self-adjoint parts, with coefficients from
+    A combination of the stack's self-adjoint parts, with coefficients from
     the fixed stream ``default_rng(0)``, splits the space by eigenvalue,
     grouped by ``_gap_groups``; the split stands when every matrix is the
     combination of its blocks.  A draw that merges two atoms fails that
     test, and the stream's next draw follows, ``SPECTRUM_RETRIES`` times;
-    then the exact refinement sweep splits by each self-adjoint part.  The
-    stacks are split together: one SVD gives every part's norm, and each
-    draw round takes one ``eigh`` and one span test for the stacks still
-    pending.  Each stack draws from its own stream, so its split does not
-    depend on the others; the sweep runs per stack.
+    then the exact refinement sweep splits by each self-adjoint part.  Each
+    call draws from a fresh stream, so a stack splits alike in every caller.
     """
-    if not stacks:
-        return []
-    eye = np.eye(stacks[0].shape[-1], dtype=complex)
-    ends = np.cumsum([len(stack) for stack in stacks])[:-1]
-    parts, keep, scales = _selfadjoint_spanning(np.concatenate(stacks))
-    herm = [p[k] for p, k in zip(np.split(parts, 2 * ends), np.split(keep, 2 * ends))]
-    scales = np.split(scales, ends)
-    draws = {}
-    for count in {len(h) for h in herm}:
-        rng = np.random.default_rng(0)
-        draws[count] = [rng.standard_normal(count) for _ in range(SPECTRUM_RETRIES)]
-    atoms, pending = [None] * len(stacks), list(range(len(stacks)))
-    for r in range(SPECTRUM_RETRIES):
-        if not pending:
-            break
-        combos = np.stack([np.tensordot(draws[len(herm[k])][r], herm[k], axes=1) for k in pending])
-        splits = _blocks_from_vectors(combos, eye, tol)
-        stands = _spans(splits, [stacks[k] for k in pending], [scales[k] for k in pending], tol)
-        for k, split, ok in zip(pending, splits, stands):
-            if ok:
-                atoms[k] = split
-        pending = [k for k, ok in zip(pending, stands) if not ok]
-    for k in pending:
-        split = [eye]
-        for s in herm[k]:
-            split = [sub for iso in split for sub in _blocks_from_vectors(s[None], iso, tol)[0]]
-        atoms[k] = split if _spans([split], [stacks[k]], [scales[k]], tol)[0] else None
-    return atoms
+    eye = np.eye(stack.shape[-1], dtype=complex)
+    parts, keep, scales = _selfadjoint_spanning(stack)
+    herm = parts[keep]
+    rng = np.random.default_rng(0)
+    for _ in range(SPECTRUM_RETRIES):
+        split = _blocks_from_vectors(np.tensordot(rng.standard_normal(len(herm)), herm, axes=1), eye, tol)
+        if _spans(split, stack, scales, tol):
+            return split
+    split = [eye]
+    for s in herm:
+        split = [sub for iso in split for sub in _blocks_from_vectors(s, iso, tol)]
+    return split if _spans(split, stack, scales, tol) else None
 
 
 @functools.cache
@@ -373,17 +340,16 @@ def _reading_order(readings: np.ndarray, tol: float, starts=None) -> np.ndarray:
     return order[np.lexsort((second[order], group))]
 
 
-def _split(stacks: list, tol: float, refusals) -> list:
-    """The atoms of each stack (``_atoms``), refusing (DomainError) the first
-    stack with no split: one that commutes (``commuting``) as a split that
-    failed to isolate its characters, any other by its entry of ``refusals``,
-    which a caller whose stacks all commute need not fill."""
-    blocks = _atoms(stacks, tol)
-    for k, atoms in enumerate(blocks):
-        if atoms is None:
-            commute = commuting(stacks[k], stacks[k], tol).all()
-            raise DomainError("simultaneous diagonalization failed to isolate characters" if commute else refusals[k])
-    return blocks
+def _split(stack: np.ndarray, tol: float, refusal) -> list:
+    """The atoms of a stack (``_atoms``), or a refusal (DomainError) when no
+    split stands: of a stack that commutes (``commuting``), as a split that
+    failed to isolate its characters, of any other by ``refusal``, which a
+    caller whose stack commutes need not give."""
+    atoms = _atoms(stack, tol)
+    if atoms is None:
+        commute = commuting(stack, stack, tol).all()
+        raise DomainError("simultaneous diagonalization failed to isolate characters" if commute else refusal)
+    return atoms
 
 
 def gelfand_spectrum(v: MatrixStarAlgebra) -> list:
@@ -474,7 +440,7 @@ def context_algebra(generators: list, d: int, tol: float = DEFAULT_TOL) -> Matri
     order.  Refuses (DomainError) generators that do not commute, and
     commuting ones whose split fails, each by its own message."""
     stack = np.asarray([as_matrix(g, d) for g in generators], dtype=complex).reshape(-1, d, d)
-    blocks = _split([stack], tol, ["the generators do not generate a commutative algebra"])[0]
+    blocks = _split(stack, tol, "the generators do not generate a commutative algebra")
     projs, ranks = _projections(blocks), [iso.shape[1] for iso in blocks]
     order = _reading_order(_traces(projs) / ranks, tol)
     return _atom_algebra([Character(projection=projs[k], rank=ranks[k]) for k in order], tol)
@@ -594,20 +560,20 @@ def context_category(ambient: MatrixStarAlgebra, seeds: list) -> ContextCategory
         if not ambient.contains(m):
             raise DomainError(f"seed {k} lies outside the ambient algebra")
     cliques = _commutation_cliques(mats, tol)
-    blocks = _split([np.stack([mats[i] for i in clique]) for clique in cliques], tol, ())
+    blocks = [_split(np.stack([mats[i] for i in clique]), tol, None) for clique in cliques]
     return _assemble(ambient, blocks, [list(c) for c in cliques])
 
 
 def context_category_from_groups(ambient: MatrixStarAlgebra, groups: list) -> ContextCategory:
     """Contexts generated from explicit groups (one context per group), as
-    ``context_category`` builds them from cliques.  A group whose split
-    fails is refused by ``_split`` as ``context_algebra`` refuses its
-    generators, before a later group outside the ambient algebra."""
+    ``context_category`` builds them from cliques.  Every group is read as
+    d x d matrices first; then each in turn must lie in the ambient algebra
+    and split (``_split``, refused as ``context_algebra`` refuses its generators)."""
     d, tol = ambient.dim, ambient.tol
     stacks = [np.asarray([as_matrix(g, d) for g in group], dtype=complex).reshape(-1, d, d) for group in groups]
-    outside = next((k for k, mats in enumerate(stacks) if not ambient.contains(mats)), len(stacks))
-    refusals = [f"group {k} does not generate a commutative algebra" for k in range(outside)]
-    blocks = _split(stacks[:outside], tol, refusals)
-    if outside < len(stacks):
-        raise DomainError(f"group {outside} contains a matrix outside the ambient algebra")
+    blocks = []
+    for k, stack in enumerate(stacks):
+        if not ambient.contains(stack):
+            raise DomainError(f"group {k} contains a matrix outside the ambient algebra")
+        blocks.append(_split(stack, tol, f"group {k} does not generate a commutative algebra"))
     return _assemble(ambient, blocks, [[] for _ in groups])

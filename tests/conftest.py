@@ -131,14 +131,15 @@ def leg_labels(d, cone) -> dict:
 @contextlib.contextmanager
 def counted_splits():
     """``staralg._split`` counting its calls: inside the block, each call
-    appends the number of stacks it splits to the yielded list."""
+    appends the number of matrices in the stack it splits to the yielded
+    list."""
     from ctxlab import staralg
 
     calls, split = [], staralg._split
 
-    def counting(stacks, *args):
-        calls.append(len(stacks))
-        return split(stacks, *args)
+    def counting(stack, *args):
+        calls.append(len(stack))
+        return split(stack, *args)
 
     staralg._split = counting
     try:

@@ -194,7 +194,7 @@ class TestSubcommands:
         """The defect is taken on each context's unit and seeds, which no
         split builds: one that leaves a seed out of its context does not
         pass."""
-        monkeypatch.setattr(staralg, "_atoms", lambda stacks, tol: [[np.eye(s.shape[-1], dtype=complex)] for s in stacks])
+        monkeypatch.setattr(staralg, "_atoms", lambda stack, tol: [np.eye(stack.shape[-1], dtype=complex)])
         code = main(["state-extend", "--algebra", specs["algebra"], "--seeds", "z,x", "--state", specs["state"]])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -438,8 +438,17 @@ class TestDeterminismAndErrors:
         assert json.loads(out)["violations"] == []
 
     def test_nonpositive_cap_exits_two(self, capsys, specs):
-        code, _ = run(capsys, ["--carrier-cap", "0", "limit", "--algebra", specs["algebra"]])
-        assert code == 2
+        """Each cap below 1 is refused by name and value; of several, the
+        first of --carrier-cap, --sign-cap and --apex-bound."""
+        cases = [(["--carrier-cap", "0"], "--carrier-cap must be at least 1, got 0"),
+                 (["--sign-cap", "0"], "--sign-cap must be at least 1, got 0"),
+                 (["--apex-bound", "-2"], "--apex-bound must be at least 1, got -2"),
+                 (["--apex-bound", "0", "--sign-cap", "-1"], "--sign-cap must be at least 1, got -1")]
+        for caps, message in cases:
+            code = main(caps + ["limit", "--algebra", specs["algebra"]])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.strip().endswith(message), captured.err
 
     def test_max_sections_below_one_exits_two(self, capsys):
         code = main(["ks-check", "--fixture", "cabello18.json", "--max-sections", "0"])

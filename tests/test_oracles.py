@@ -1682,7 +1682,7 @@ class TestCharacterTestOracle:
         assert all(np.array_equal(a, b) for a, b in zip(herm, expected))
         assert scales.tolist() == [max(1.0, opnorm(b)) for b in basis]
         blocks = [u[:, g] for g in groups]
-        assert _spans([blocks], [stack], [scales], tol)[0] == reference_validate_blocks(blocks, basis, tol)
+        assert _spans(blocks, stack, scales, tol) == reference_validate_blocks(blocks, basis, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -2435,8 +2435,9 @@ class TestSpectrumOracle:
         original = staralg._blocks_from_vectors
 
         def spy(*args):
-            splits.extend(len(split) for split in original(*args))
-            return original(*args)
+            blocks = original(*args)
+            splits.append(len(blocks))
+            return blocks
 
         monkeypatch.setattr(staralg, "_blocks_from_vectors", spy)
         assert_spectrum_matches(generic)

@@ -1014,8 +1014,9 @@ class TestBatchedBuildOracle:
         """Commuting stacks of 0-4 matrices on the column groups of random
         frames, some with degenerate blocks whose first draw may merge
         them, and non-commuting ones; with fewer draws allowed, more stacks
-        take the sweep.  Each stack splits as it did alone, and as the
-        frozen batch splits it."""
+        take the sweep.  Each stack split alone gives what the frozen batch
+        over all the stacks gives it, and the per-stack oracle, and the
+        same first refusal."""
         draw = data.draw
         d = draw(st.integers(1, 5))
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -1029,13 +1030,20 @@ class TestBatchedBuildOracle:
             if d > 1 and draw(st.integers(0, 4)) == 0:
                 mats.append(u[:, :2] @ np.array([[0, 1], [1, 0]]) @ u[:, :2].conj().T)
             stacks.append(np.asarray(mats, dtype=complex).reshape(-1, d, d))
+        refusals = [f"stack {k} does not commute" for k in range(len(stacks))]
         saved, staralg.SPECTRUM_RETRIES = staralg.SPECTRUM_RETRIES, retries
         try:
-            found = staralg._atoms(stacks, tol)
-            batch = batch_atoms(stacks, tol)
-            expected = [old_atoms(stack, tol) for stack in stacks]
+            alone = [staralg._atoms(stack, tol) for stack in stacks]
+            together = batch_atoms(stacks, tol)
+            per_stack = [old_atoms(stack, tol) for stack in stacks]
+            refused = built(lambda: [staralg._split(stack, tol, r) for stack, r in zip(stacks, refusals)])
+            batch_refused = built(batch_split, stacks, tol, refusals)
         finally:
             staralg.SPECTRUM_RETRIES = saved
-        as_bytes = [None if b is None else [iso.tobytes() for iso in b] for b in expected]
-        assert [None if b is None else [iso.tobytes() for iso in b] for b in found] == as_bytes
-        assert [None if b is None else [iso.tobytes() for iso in b] for b in batch] == as_bytes
+
+        def as_bytes(splits):
+            return [None if b is None else [iso.tobytes() for iso in b] for b in splits]
+
+        assert as_bytes(alone) == as_bytes(together) == as_bytes(per_stack)
+        assert refused[0] == batch_refused[0]
+        assert refused[0] == "value" or refused == batch_refused
