@@ -430,13 +430,58 @@ def reference_check_cone(cone, d) -> list:
     return [(v.kind, v.message) for v in report.violations]
 
 
+def reference_solve_constraints(domains: list, arrows: list, limit: int | None = None) -> list[tuple]:
+    """The constraint search over value domains and dict tables: an arrow
+    ``(src, dst, table)`` requires ``table.get(value[src]) == value[dst]``."""
+    n = len(domains)
+    doms = [list(dom) for dom in domains]
+    # links[i]: (later variable, table, whether it is the arrow's target)
+    links: list[list] = [[] for _ in range(n)]
+    for src, dst, table in arrows:
+        if src == dst:
+            doms[src] = [x for x in doms[src] if table.get(x) == x]
+        elif src < dst:
+            links[src].append((dst, table, True))
+        else:
+            links[dst].append((src, table, False))
+
+    solutions: list[tuple] = []
+    partial: list = [None] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            solutions.append(tuple(partial))
+            return limit is not None and len(solutions) >= limit
+        for x in doms[i]:
+            saved = []
+            for j, table, to_target in links[i]:
+                saved.append((j, doms[j]))
+                if to_target:
+                    y = table.get(x)
+                    doms[j] = [z for z in doms[j] if y == z]
+                else:
+                    doms[j] = [z for z in doms[j] if table.get(z) == x]
+                if not doms[j]:
+                    break
+            else:
+                partial[i] = x
+                if extend(i + 1):
+                    return True
+            for j, dom in reversed(saved):
+                doms[j] = dom
+        return False
+
+    extend(0)
+    return solutions
+
+
 def reference_limit_of_diagram(d) -> ReferenceCone:
     """The limit by the constraint search over carrier labels, its legs one
     dict per object."""
     objects = list(d.index.objects)
     position = {o: i for i, o in enumerate(objects)}
     arrows = [(position[src], position[dst], d.map_of(m)) for m, src, dst in d.index.arrows()]
-    families = solve_constraints([d.carriers[o] for o in objects], arrows)
+    families = reference_solve_constraints([d.carriers[o] for o in objects], arrows)
     return ReferenceCone(families, {o: {fam: fam[position[o]] for fam in families} for o in objects})
 
 
@@ -797,9 +842,9 @@ class TestLimitOracle:
     def test_engine_limit(self, limit):
         domains = [[0, 1, 2], ["x", "y"]]
         everything = solve_constraints(domains, [])
-        assert everything == list(itertools.product(*domains))
+        assert everything == list(itertools.product(*domains)) == reference_solve_constraints(domains, [])
         found = solve_constraints(domains, [], limit)
-        assert found == everything[: len(found)]
+        assert found == everything[: len(found)] == reference_solve_constraints(domains, [], limit)
         assert len(found) == (len(everything) if limit is None else max(limit, 1))
 
 
