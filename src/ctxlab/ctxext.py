@@ -150,5 +150,5 @@ def spectrum_diagram(ext: ExtendedAlgebra, with_restrictions: bool = False) -> D
     if not with_restrictions:
         return Diagram(discrete_category(ids), carriers)
     index = poset_category(ids, lambda a, b: ext.cc.leq(b, a))
-    maps = {index.homs[(sup, sub)][0]: table for (sub, sup), table in ext.cc.restrictions.items()}
+    maps = {index.homs[(sup, sub)][0]: dict(enumerate(table)) for (sub, sup), table in ext.cc.restrictions.items()}
     return Diagram(index, carriers, maps)

@@ -357,29 +357,30 @@ def check_cone(cone: Cone, d: Diagram) -> ValidationReport:
     return report
 
 
-def solve_constraints(domains: list, arrows: list, limit: int | None = None) -> list[tuple]:
-    """Every choice of one value per variable that satisfies all arrows.
+def solve_constraints(sizes: list, arrows: list, limit: int | None = None) -> list[tuple]:
+    """Every choice of one position per variable that satisfies all arrows.
 
-    ``domains[i]`` lists variable ``i``'s values in the order tried, and
-    variables are assigned in index order, so the assignments come out in
-    depth-first order.  An arrow ``(src, dst, table)`` requires
-    ``table.get(value[src]) == value[dst]``.  Forward checking prunes the
-    domains of the later variables linked to each assignment and skips a
-    value that empties one, which drops only subtrees without solutions:
-    the output is plain backtracking's, in its order.  The search stops
-    once ``limit`` assignments are found (never before the first).
+    Variable ``i`` takes the positions ``range(sizes[i])``, tried in order,
+    and variables are assigned in index order, so the assignments come out
+    in depth-first order.  An arrow ``(src, dst, image)`` requires
+    ``image[value[src]] == value[dst]``; an entry -1 matches no position.
+    Forward checking prunes the positions of the later variables linked to
+    each assignment and skips a position that empties one, which drops
+    only subtrees without solutions: the output is plain backtracking's,
+    in its order.  The search stops once ``limit`` assignments are found
+    (never before the first).
     """
-    n = len(domains)
-    doms = [list(dom) for dom in domains]
-    # links[i]: (later variable, table, whether it is the arrow's target)
+    n = len(sizes)
+    doms = [range(size) for size in sizes]
+    # links[i]: (later variable, image, whether it is the arrow's target)
     links: list[list] = [[] for _ in range(n)]
-    for src, dst, table in arrows:
+    for src, dst, image in arrows:
         if src == dst:
-            doms[src] = [x for x in doms[src] if table.get(x) == x]
+            doms[src] = [x for x in doms[src] if image[x] == x]
         elif src < dst:
-            links[src].append((dst, table, True))
+            links[src].append((dst, image, True))
         else:
-            links[dst].append((src, table, False))
+            links[dst].append((src, image, False))
 
     solutions: list[tuple] = []
     partial: list = [None] * n
@@ -390,13 +391,13 @@ def solve_constraints(domains: list, arrows: list, limit: int | None = None) -> 
             return limit is not None and len(solutions) >= limit
         for x in doms[i]:
             saved = []
-            for j, table, to_target in links[i]:
+            for j, image, to_target in links[i]:
                 saved.append((j, doms[j]))
                 if to_target:
-                    y = table.get(x)
+                    y = image[x]
                     doms[j] = [z for z in doms[j] if y == z]
                 else:
-                    doms[j] = [z for z in doms[j] if table.get(z) == x]
+                    doms[j] = [z for z in doms[j] if image[z] == x]
                 if not doms[j]:
                     break
             else:
@@ -420,8 +421,7 @@ def limit_of_diagram(d: Diagram) -> Cone:
     depth-first order of plain backtracking.  An empty apex is valid.
     """
     carriers = [d.carriers[o] for o in d.index.objects]
-    arrows = [(src, dst, dict(enumerate(image.tolist()))) for _, src, dst, image in _arrow_images(d)]
-    rows = solve_constraints([range(len(c)) for c in carriers], arrows)
+    rows = solve_constraints(list(map(len, carriers)), [arrow[1:] for arrow in _arrow_images(d)])
     apex = [tuple(map(operator.getitem, carriers, row)) for row in rows]
     return Cone(apex=apex, legs=np.array(rows, dtype=np.intp).reshape(len(rows), len(carriers)))
 

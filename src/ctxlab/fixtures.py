@@ -50,9 +50,9 @@ def _swap_two_values(table: dict) -> dict:
 def _coarsening(fine: list, coarse: list) -> tuple:
     """The characters of the contexts that two groups of commuting
     dimension-4 matrices generate, the second inside the first, and the
-    restriction table from the fine characters to the coarse ones."""
+    restriction map from the fine characters to the coarse ones, as a dict."""
     cc = context_category_from_groups(full_matrix_algebra(4), [fine, coarse])
-    return cc.spectra["V0"], cc.spectra["V1"], cc.restrictions[("V1", "V0")]
+    return cc.spectra["V0"], cc.spectra["V1"], dict(enumerate(cc.restrictions[("V1", "V0")]))
 
 
 def extension_triangle_fixture(corrupted: bool = False) -> ConeFixture:

@@ -27,7 +27,7 @@ from .staralg import (
     full_matrix_algebra,
     gelfand_spectrum,
 )
-from .validation import array, load_json, member, number_rows, numbers, whole_number
+from .validation import array, load_json, member, number_rows, whole_number
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +38,9 @@ from .validation import array, load_json, member, number_rows, numbers, whole_nu
 class SpectralPresheaf:
     """Fibers of characters over a context category, with restrictions.
 
-    ``restrictions[(sub, sup)]`` maps a character index of the finer context
-    ``sup`` to the index of its restriction in ``sub``.
+    ``restrictions[(sub, sup)]`` is the tuple whose entry at a character
+    index of the finer context ``sup`` is the index of its restriction in
+    ``sub``.
     """
 
     base: ContextCategory
@@ -73,8 +74,8 @@ def global_sections(p: SpectralPresheaf, limit: int | None = None) -> list:
     order = sorted(ids, key=lambda cid: (-degree[cid], cid))
     position = {cid: i for i, cid in enumerate(order)}
     arrows = [(position[sup], position[sub], p.restrictions[(sub, sup)]) for sub, sup in pairs]
-    domains = [range(len(p.fibers[cid])) for cid in order]
-    return [{cid: choice[position[cid]] for cid in ids} for choice in solve_constraints(domains, arrows, limit)]
+    sizes = [len(p.fibers[cid]) for cid in order]
+    return [{cid: choice[position[cid]] for cid in ids} for choice in solve_constraints(sizes, arrows, limit)]
 
 
 # ---------------------------------------------------------------------------
@@ -137,35 +138,12 @@ def _unit_rays(basis_vectors) -> np.ndarray:
     return vecs / norms[:, None]
 
 
-def _named_rays(bases: list, dim: int) -> tuple:
-    """The rays of ``bases`` read vector by vector, as one float array and
-    the count of each basis; a malformed basis or vector is refused by name,
-    and a boolean or non-finite coordinate with its basis and vector."""
-    rays, counts = [], []
-    for b, basis in enumerate(bases):
-        counts.append(len(array(basis, f"basis {b} of the ray fixture")))
-        for k, raw in enumerate(basis):
-            where = f"basis {b}, vector {k} of the ray fixture"
-            if any(x is True or x is False for x in array(raw, where)):
-                raise InputError(f"{where} has a boolean coordinate: {raw!r}")
-            v = numbers(raw, f"{where}: coordinate")
-            if v.shape != (dim,):
-                raise InputError(f"ray of shape {v.shape} in dimension-{dim} fixture")
-            if not np.all(np.isfinite(v)):
-                raise InputError(f"{where} has a non-finite coordinate: {raw!r}")
-            rays.append(v)
-    return np.array(rays, dtype=float).reshape(len(rays), dim), counts
-
-
 def load_ray_fixture(data) -> tuple:
     """Parse a ray-family fixture: {'dim': d, 'bases': [[vector, ...], ...]},
-    as d and one float array ``(vectors, d)`` per basis.  A well-formed
-    fixture is read in C-level passes (``validation.number_rows``); any
-    other goes vector by vector (``_named_rays``), which refuses the first
-    malformed vector by name."""
+    as d and one float array ``(vectors, d)`` per basis, read by
+    ``validation.number_rows``, which refuses a malformed vector by name."""
     dim = whole_number(member(data, "dim", "ray fixture"), "ray fixture dim", least=1)
-    bases = array(member(data, "bases", "ray fixture"), "ray fixture bases")
-    table, counts = number_rows(bases, dim) or _named_rays(bases, dim)
+    table, counts = number_rows(array(member(data, "bases", "ray fixture"), "ray fixture bases"), dim)
     return dim, np.split(table, np.cumsum(counts, dtype=int))[:-1]
 
 

@@ -377,8 +377,9 @@ class ContextCategory:
     """A finite family of commutative subalgebras ordered by inclusion.
 
     ``spectra[id]`` is the list of characters that the context holds, and
-    ``restrictions[(sub, sup)]`` maps each character index of ``sup`` to
-    the index of its restriction to ``sub``, for every strict pair.
+    ``restrictions[(sub, sup)]`` is the tuple of ``sub``'s character
+    indices indexed by ``sup``'s: each character's restriction to ``sub``,
+    for every strict pair.
     """
 
     ambient: MatrixStarAlgebra
@@ -536,7 +537,7 @@ def _assemble(ambient: MatrixStarAlgebra, blocks: list, group_generators: list) 
     cols = np.minimum(starts[sub][:, None] + slot, starts[-1] - 1)[:, None, :]
     tables = (hits[rows, cols] & (slot < sizes[sub][:, None])[:, None, :]).argmax(axis=2)
     counts = sizes.tolist()
-    restrictions = {(names[a], names[b]): dict(enumerate(table[: counts[b]]))
+    restrictions = {(names[a], names[b]): tuple(table[: counts[b]])
                     for a, b, table in zip(sub.tolist(), sup.tolist(), tables.tolist())}
     generators = {names[k]: group_generators[k] if k < n else [] for k in kept.tolist()}
     return ContextCategory(ambient, contexts, set(restrictions), generators, spectra, restrictions)

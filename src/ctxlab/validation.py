@@ -89,26 +89,38 @@ def numbers(data, what: str) -> np.ndarray:
     return np.array([number(x, f"{what} {k}") for k, x in enumerate(array(data, f"list of {what}s"))], dtype=float)
 
 
-def number_rows(groups, width: int):
-    """The rows of every group of ``groups``, a JSON array of arrays of rows,
-    as one float array ``(rows, width)`` and the row count of each group;
-    or None.  They are read in C-level passes, as ``parse_matrix`` reads
-    its cells, when every group and every row is an array, each row holds
-    ``width`` numbers and no boolean, and every number is finite as a
-    float.  Any other input gives None, for the caller's own reader to name
-    what is malformed: an integer beyond the float range too."""
+def number_rows(bases, dim: int) -> tuple:
+    """The vectors of every basis of a ray fixture's ``bases``, a JSON array
+    of arrays of vectors, as one float array ``(vectors, dim)`` and the
+    vector count of each basis.  They are read in C-level passes, as
+    ``parse_matrix`` reads its cells, when every basis and every vector is
+    an array, each vector holds ``dim`` numbers and no boolean, and every
+    number is finite as a float.  Any other input is read vector by vector,
+    which refuses (InputError) the first malformed basis or vector by name,
+    and a boolean or non-finite coordinate with its basis and vector."""
     cells = itertools.chain.from_iterable
-    if not set(map(type, groups)) <= {list}:
-        return None
-    rows = list(cells(groups))
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
-            and set(map(type, cells(rows))) <= {int, float}):
-        return None
-    try:
-        table = np.fromiter(cells(rows), dtype=float, count=len(rows) * width).reshape(len(rows), width)
-    except OverflowError:
-        return None
-    return (table, list(map(len, groups))) if np.isfinite(table).all() else None
+    if (set(map(type, bases)) <= {list} and set(map(type, rows := list(cells(bases)))) <= {list}
+            and set(map(len, rows)) <= {dim} and set(map(type, cells(rows))) <= {int, float}):
+        try:
+            table = np.fromiter(cells(rows), dtype=float, count=len(rows) * dim).reshape(len(rows), dim)
+        except OverflowError:  # an integer beyond the float range, which the walk names
+            table = None
+        if table is not None and np.isfinite(table).all():
+            return table, list(map(len, bases))
+    rays, counts = [], []
+    for b, basis in enumerate(bases):
+        counts.append(len(array(basis, f"basis {b} of the ray fixture")))
+        for k, raw in enumerate(basis):
+            where = f"basis {b}, vector {k} of the ray fixture"
+            if any(x is True or x is False for x in array(raw, where)):
+                raise InputError(f"{where} has a boolean coordinate: {raw!r}")
+            v = numbers(raw, f"{where}: coordinate")
+            if v.shape != (dim,):
+                raise InputError(f"ray of shape {v.shape} in dimension-{dim} fixture")
+            if not np.all(np.isfinite(v)):
+                raise InputError(f"{where} has a non-finite coordinate: {raw!r}")
+            rays.append(v)
+    return np.array(rays, dtype=float).reshape(len(rays), dim), counts
 
 
 def parse_matrix(data) -> np.ndarray:

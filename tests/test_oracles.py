@@ -475,6 +475,17 @@ def reference_solve_constraints(domains: list, arrows: list, limit: int | None =
     return solutions
 
 
+def reference_positions(sizes: list, arrows: list, limit: int | None = None) -> list[tuple]:
+    """``reference_solve_constraints`` on the label form of a position
+    problem: variable i's values are the labels ``(i, p)``, and each image
+    is a dict table defined where its entry is not -1.  The assignments are
+    read back as positions."""
+    domains = [[(i, p) for p in range(size)] for i, size in enumerate(sizes)]
+    tables = [(src, dst, {domains[src][p]: domains[dst][q] for p, q in enumerate(image) if q != -1})
+              for src, dst, image in arrows]
+    return [tuple(p for _, p in row) for row in reference_solve_constraints(domains, tables, limit)]
+
+
 def reference_limit_of_diagram(d) -> ReferenceCone:
     """The limit by the constraint search over carrier labels, its legs one
     dict per object."""
@@ -840,12 +851,45 @@ class TestLimitOracle:
 
     @pytest.mark.parametrize("limit", [None, 0, 1, 2])
     def test_engine_limit(self, limit):
-        domains = [[0, 1, 2], ["x", "y"]]
-        everything = solve_constraints(domains, [])
-        assert everything == list(itertools.product(*domains)) == reference_solve_constraints(domains, [])
-        found = solve_constraints(domains, [], limit)
-        assert found == everything[: len(found)] == reference_solve_constraints(domains, [], limit)
+        everything = solve_constraints([3, 2], [])
+        assert everything == list(itertools.product(range(3), range(2))) == reference_positions([3, 2], [])
+        found = solve_constraints([3, 2], [], limit)
+        assert found == everything[: len(found)] == reference_positions([3, 2], [], limit)
         assert len(found) == (len(everything) if limit is None else max(limit, 1))
+
+
+class TestPositionEngineOracle:
+    """``solve_constraints`` over positions against the frozen engine over
+    labels, each on the label form of the same problem."""
+
+    @pytest.mark.parametrize("sizes, arrows, expected", [
+        ([2, 2], [(0, 1, (-1, 1))], [(1, 1)]),  # -1 read forward
+        ([2, 2], [(1, 0, (-1, 0))], [(0, 1)]),  # -1 read backward
+        ([3], [(0, 0, (-1, 1, 0))], [(1,)]),  # -1 on a self-loop, a non-identity endomorphism
+        ([3, 2], [(0, 0, (-1, -1, -1)), (0, 1, (0, 1, 1))], []),
+        ([2, 2], [(0, 1, np.array([-1, 0], dtype=np.intp)), (1, 0, (1, -1))], [(1, 0)]),
+        ([2, 0, 3], [], []),  # a variable of size 0
+        ([0], [(0, 0, ())], []),
+        ([], [], [()]),  # no variables
+    ])
+    @pytest.mark.parametrize("limit", [None, 0, 1, 2])
+    def test_edge_cases(self, sizes, arrows, expected, limit):
+        assert solve_constraints(sizes, arrows, limit) == reference_positions(sizes, arrows, limit)
+        assert solve_constraints(sizes, arrows) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_drawn_problems(self, data):
+        """Sizes 0-3, arrows forward, backward and self-loops, each image a
+        tuple or an array as ``limit_of_diagram`` hands it, entries -1 among them."""
+        sizes = data.draw(st.lists(st.integers(0, 3), max_size=5))
+        arrows = []
+        for _ in range(data.draw(st.integers(0, 6)) if sizes else 0):
+            src, dst = (data.draw(st.integers(0, len(sizes) - 1)) for _ in range(2))
+            image = data.draw(st.lists(st.integers(-1, sizes[dst] - 1), min_size=sizes[src], max_size=sizes[src]))
+            arrows.append((src, dst, np.array(image, dtype=np.intp) if data.draw(st.booleans()) else tuple(image)))
+        limit = data.draw(st.sampled_from([None, 0, 1, 2, 5]))
+        assert solve_constraints(sizes, arrows, limit) == reference_positions(sizes, arrows, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -1284,7 +1328,7 @@ def assert_same_category(cc, group_generators, groups, plain_sections=True):
             i: reference_dominating_character_index(chi, fibers[sub], tol) for i, chi in enumerate(fibers[sup])
         }
         found = sheaf.restrictions[(sub, sup)]
-        assert {match[sup][i]: match[sub][j] for i, j in found.items()} == tables[(sub, sup)]
+        assert {match[sup][i]: match[sub][j] for i, j in enumerate(found)} == tables[(sub, sup)]
     ids = cc.ids()
     sections = {tuple(match[cid][s[cid]] for cid in ids) for s in global_sections(sheaf)}
     solve = reference_global_sections if plain_sections else global_sections
@@ -1688,7 +1732,7 @@ class TestCharacterTestOracle:
         expected = outcome(reference_table, cc.spectra["V1"], cc.spectra["V0"], tol)
         assert cc.leq("V0", "V1") == (expected[0] == "value")
         if cc.leq("V0", "V1"):
-            assert cc.restrictions[("V0", "V1")] == expected[1]
+            assert dict(enumerate(cc.restrictions[("V0", "V1")])) == expected[1]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
