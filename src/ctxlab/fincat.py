@@ -421,7 +421,9 @@ def limit_of_diagram(d: Diagram) -> Cone:
     depth-first order of plain backtracking.  An empty apex is valid.
     """
     carriers = [d.carriers[o] for o in d.index.objects]
-    rows = solve_constraints(list(map(len, carriers)), [arrow[1:] for arrow in _arrow_images(d)])
+    # as lists: the search reads them one entry at a time, where a numpy scalar is slower
+    arrows = [(src, dst, image.tolist()) for _, src, dst, image in _arrow_images(d)]
+    rows = solve_constraints(list(map(len, carriers)), arrows)
     apex = [tuple(map(operator.getitem, carriers, row)) for row in rows]
     return Cone(apex=apex, legs=np.array(rows, dtype=np.intp).reshape(len(rows), len(carriers)))
 

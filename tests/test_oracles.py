@@ -881,7 +881,7 @@ class TestPositionEngineOracle:
     @given(data=st.data())
     def test_drawn_problems(self, data):
         """Sizes 0-3, arrows forward, backward and self-loops, each image a
-        tuple or an array as ``limit_of_diagram`` hands it, entries -1 among them."""
+        tuple or an integer array, entries -1 among them."""
         sizes = data.draw(st.lists(st.integers(0, 3), max_size=5))
         arrows = []
         for _ in range(data.draw(st.integers(0, 6)) if sizes else 0):
